@@ -107,7 +107,7 @@ func RunFigure8(scale Scale) *Figure8Result {
 		counts = []int{10, 100, 1000}
 	}
 	for _, nq := range counts {
-		eng := invalidb.New(invalidb.Config{Shards: 8})
+		eng := invalidb.New(invalidb.Config{})
 		for i := 0; i < nq; i++ {
 			eng.Register(fmt.Sprintf("/q/%d", i),
 				query.MustParse(fmt.Sprintf(`products WHERE category = %q AND price < %d`,

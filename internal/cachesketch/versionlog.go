@@ -47,10 +47,18 @@ func (l *VersionLog) SetHorizon(h time.Duration) {
 }
 
 // RecordWrite notes that the resource's current version became v at time
-// t. Versions must be recorded in increasing order per key.
+// t. Versions only grow: a stamp at or below the newest recorded version
+// is dropped, so neither a render that a write overtook nor a pipeline
+// that runs twice for one version can make a superseded version current
+// again, or a current version look superseded by itself.
 func (l *VersionLog) RecordWrite(key string, v uint64, t time.Time) {
 	l.mu.Lock()
-	vs := append(l.versions[key], versionStamp{version: v, writtenAt: t})
+	defer l.mu.Unlock()
+	vs := l.versions[key]
+	if n := len(vs); n > 0 && v <= vs[n-1].version {
+		return
+	}
+	vs = append(vs, versionStamp{version: v, writtenAt: t})
 	if l.horizon > 0 {
 		// Drop stamps wholly before the horizon, keeping the last stamp at
 		// or before the boundary: it is the version current at the edge.
@@ -64,7 +72,6 @@ func (l *VersionLog) RecordWrite(key string, v uint64, t time.Time) {
 		}
 	}
 	l.versions[key] = vs
-	l.mu.Unlock()
 }
 
 // CurrentVersion returns the version current at time t (0 if the key has

@@ -84,3 +84,25 @@ func TestVersionLogKeys(t *testing.T) {
 		t.Fatalf("keys = %d", l.Keys())
 	}
 }
+
+// Versions only grow: a stamp at or below the newest is dropped, so a
+// repeated stamp cannot make the current version look superseded and a
+// late one cannot make a superseded version current.
+func TestVersionLogDropsNonIncreasingStamps(t *testing.T) {
+	l := NewVersionLog()
+	base := time.Unix(0, 0)
+	l.RecordWrite("k", 1, base)
+	l.RecordWrite("k", 3, base.Add(10*time.Second))
+	l.RecordWrite("k", 3, base.Add(20*time.Second)) // the pipeline ran twice
+	l.RecordWrite("k", 2, base.Add(30*time.Second)) // a render a write overtook
+	if n := l.Stamps("k"); n != 2 {
+		t.Fatalf("stamps = %d, want 2", n)
+	}
+	at := base.Add(time.Hour)
+	if v := l.CurrentVersion("k", at); v != 3 {
+		t.Fatalf("current version = %d, want 3", v)
+	}
+	if s := l.Staleness("k", 3, at); s != 0 {
+		t.Fatalf("current version judged stale by %v", s)
+	}
+}

@@ -33,8 +33,6 @@ type NodeConfig struct {
 	// frames whose Bloom parameters disagree.
 	SketchCapacity uint64
 	SketchFPR      float64
-	// MatcherShards is the node-local InvaliDB shard count (default 4).
-	MatcherShards int
 	// DurableDir, when non-empty, gives the node its own WAL + snapshot
 	// directory; a kill then recovers from disk with the standard
 	// cold-start discipline. Empty runs the node memory-only.
@@ -55,9 +53,6 @@ func (c *NodeConfig) applyDefaults() {
 	}
 	if c.SketchFPR <= 0 || c.SketchFPR >= 1 {
 		c.SketchFPR = 0.05
-	}
-	if c.MatcherShards <= 0 {
-		c.MatcherShards = 4
 	}
 }
 
@@ -133,7 +128,7 @@ func (n *Node) openLocked() error {
 			return fmt.Errorf("cluster: node %s recovery: %w", n.cfg.Member, err)
 		}
 	}
-	engine := invalidb.New(invalidb.Config{Shards: n.cfg.MatcherShards, Clock: n.cfg.Clock})
+	engine := invalidb.New(invalidb.Config{Clock: n.cfg.Clock})
 	ids := make([]string, 0, len(n.regs))
 	for id := range n.regs {
 		ids = append(ids, id)

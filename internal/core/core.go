@@ -64,8 +64,6 @@ type Config struct {
 	// OriginRenderTime is the mean server-side render latency
 	// (default 25ms, jittered ±40%).
 	OriginRenderTime time.Duration
-	// InvalidationShards partitions the query matcher (default 4).
-	InvalidationShards int
 	// EdgeMaxItems bounds each CDN edge (default 100000).
 	EdgeMaxItems int
 	// DisableInvalidation turns off the server-side coherence pipeline
@@ -132,9 +130,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.OriginRenderTime <= 0 {
 		c.OriginRenderTime = 25 * time.Millisecond
-	}
-	if c.InvalidationShards <= 0 {
-		c.InvalidationShards = 4
 	}
 	if c.Obs == nil {
 		c.Obs = obs.Default
@@ -289,7 +284,7 @@ func NewService(cfg Config, docs *storage.DocumentStore, org *origin.Server) *Se
 			Clock:             cfg.Clock,
 			Journal:           sketchJournal(cfg.Durable),
 		}),
-		engine:    invalidb.New(invalidb.Config{Shards: cfg.InvalidationShards, Clock: cfg.Clock}),
+		engine:    invalidb.New(invalidb.Config{Clock: cfg.Clock}),
 		verlog:    cachesketch.NewVersionLog(),
 		consent:   gdpr.NewConsentLedger(),
 		auditor:   gdpr.NewAuditor(),
@@ -623,7 +618,8 @@ func (s *Service) fetchFromOrigin(region netsim.Region, path string) (cache.Entr
 		s.est.RecordRead(path)
 	}
 	// Record the initial version so the staleness instrumentation can
-	// judge later reads even for never-written pages.
+	// judge later reads even for never-written pages. If a write has
+	// stamped a newer one in the meantime, the log drops this stamp.
 	if s.verlog.CurrentVersion(path, s.cfg.Clock.Now()) == 0 {
 		s.verlog.RecordWrite(path, page.Version, s.cfg.Clock.Now())
 	}
@@ -637,6 +633,14 @@ func (s *Service) fetchFromOrigin(region netsim.Region, path string) (cache.Entr
 	// One report covers every downstream cache of this response: they all
 	// share the entry's absolute expiration.
 	s.sketch.ReportCachedRead(path, entry.ExpiresAt)
+	// A write that landed between the render and the fill ran its
+	// pipeline too early: the purge found no copy and the sketch did not
+	// track the page yet, so nothing would flag the superseded copy that
+	// has just been cached. Now that it is tracked, run the pipeline for
+	// it again.
+	if s.origin.Version(path) != page.Version {
+		s.handleInvalidation(path)
+	}
 
 	lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.EdgeNode(region), len(page.Body)) +
 		s.cfg.Network.Latency(netsim.EdgeNode(region), netsim.OriginNode, len(page.Body)) +

@@ -137,6 +137,87 @@ func TestEndToEndDeltaAtomicity(t *testing.T) {
 	}
 }
 
+// hookTTL is a TTL source that runs hook when asked for a TTL: the seam
+// through which a test lands a write in the middle of a fetch, which
+// asks between rendering a page and caching it, holding no lock.
+type hookTTL struct {
+	ttl  time.Duration
+	hook func()
+}
+
+func (h *hookTTL) TTL(string) time.Duration {
+	if h.hook != nil {
+		h.hook()
+	}
+	return h.ttl
+}
+
+// The render/write race: a write lands after the origin rendered a page
+// and before the copy is cached, so its purge finds nothing and its
+// sketch report is for a page nobody tracks yet. The fetch must notice
+// the version moved and run the pipeline again, or the superseded copy
+// is served until its TTL with nothing to flag it.
+func TestWriteBetweenRenderAndFillIsFlagged(t *testing.T) {
+	clk := clock.NewSimulated(time.Time{})
+	ttls := &hookTTL{ttl: 10 * time.Minute}
+	svc, err := NewStorefront(StorefrontConfig{
+		Config:   Config{Clock: clk, Seed: 1, Delta: 30 * time.Second, TTLSource: ttls},
+		Products: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	dev := svc.NewDevice(nil, netsim.EU)
+	path := "/product/p00011"
+
+	ttls.hook = func() {
+		ttls.hook = nil
+		if err := svc.Docs().Patch("products", "p00011", map[string]any{"price": 2.0}); err != nil {
+			t.Error(err)
+		}
+	}
+	r1, err := dev.Load(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Version != 1 || svc.Origin().Version(path) != 2 {
+		t.Fatalf("served v%d with the origin at v%d: the write did not land inside the fetch",
+			r1.Version, svc.Origin().Version(path))
+	}
+
+	if !svc.SketchServer().Contains(path) {
+		t.Fatal("superseded copy was cached and the sketch does not flag it")
+	}
+	if v := svc.VersionLog().CurrentVersion(path, clk.Now()); v != 2 {
+		t.Fatalf("version log says v%d is current, want 2", v)
+	}
+	clk.Advance(20 * time.Millisecond)
+	if _, ok := svc.CDN().Edge(netsim.EU).Lookup(path); ok {
+		t.Fatal("CDN still serves the superseded copy")
+	}
+
+	// Within Δ the device may serve v1, stale by no more than Δ; past Δ
+	// the sketch refresh forces the revalidation to v2.
+	clk.Advance(10 * time.Second)
+	r2, _ := dev.Load(context.Background(), path)
+	if stale := svc.VersionLog().Staleness(path, r2.Version, clk.Now()); stale > svc.Delta() {
+		t.Fatalf("staleness %v exceeds Δ %v", stale, svc.Delta())
+	}
+	clk.Advance(25 * time.Second)
+	r3, _ := dev.Load(context.Background(), path)
+	if r3.Version != 2 {
+		t.Fatalf("post-Δ version = %d, want 2 (revalidated=%v refreshed=%v)",
+			r3.Version, r3.Revalidated, r3.SketchRefreshed)
+	}
+	// The pipeline ran twice for v2; the log must not read the second
+	// run as a write that superseded it.
+	clk.Advance(2 * svc.Delta())
+	if stale := svc.VersionLog().Staleness(path, 2, clk.Now()); stale != 0 {
+		t.Fatalf("current version judged stale by %v", stale)
+	}
+}
+
 func TestQueryPageInvalidatedByMatchingWrite(t *testing.T) {
 	svc, clk := newTestStorefront(t)
 	dev := svc.NewDevice(nil, netsim.EU)

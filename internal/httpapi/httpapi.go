@@ -158,8 +158,6 @@ type Health struct {
 	SketchGeneration uint64 `json:"sketch_generation"`
 	// SketchTracked is how many resource IDs the sketch currently tracks.
 	SketchTracked int `json:"sketch_tracked"`
-	// InvalidationShards is the query matcher's shard count.
-	InvalidationShards int `json:"invalidation_shards"`
 	// RecoveryMode is how the durability subsystem rebuilt state at
 	// startup (fresh | snapshot | replay | coldstart); empty when the
 	// service runs memory-only.
@@ -183,11 +181,10 @@ type HealthDurability struct {
 
 func (a *API) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	h := Health{
-		Status:             "ok",
-		Uptime:             a.svc.Clock().Now().Sub(a.started).String(),
-		SketchGeneration:   a.svc.SketchServer().Generation(),
-		SketchTracked:      a.svc.SketchServer().Stats().Tracked,
-		InvalidationShards: a.svc.Engine().Shards(),
+		Status:           "ok",
+		Uptime:           a.svc.Clock().Now().Sub(a.started).String(),
+		SketchGeneration: a.svc.SketchServer().Generation(),
+		SketchTracked:    a.svc.SketchServer().Stats().Tracked,
 	}
 	if store := a.svc.Durable(); store != nil {
 		st := store.Stats()

@@ -98,9 +98,6 @@ func TestHealthz(t *testing.T) {
 	if h.SketchTracked != 1 {
 		t.Fatalf("sketch_tracked = %d, want 1", h.SketchTracked)
 	}
-	if h.InvalidationShards != 4 {
-		t.Fatalf("invalidation_shards = %d, want default 4", h.InvalidationShards)
-	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {

@@ -20,7 +20,7 @@ import (
 func TestInvalidationCompleteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	docs := storage.NewDocumentStore(nil)
-	eng := New(Config{Shards: 4})
+	eng := New(Config{})
 
 	queries := map[string]query.Query{
 		"/cheap":       query.MustParse(`items WHERE price < 50 ORDER BY price`),
@@ -107,7 +107,7 @@ func TestInvalidationCompleteness(t *testing.T) {
 func TestInvalidationPrecisionBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	docs := storage.NewDocumentStore(nil)
-	eng := New(Config{Shards: 4})
+	eng := New(Config{})
 	q := query.MustParse(`items WHERE price < 100 ORDER BY price LIMIT 3`)
 	eng.Register("/q", q)
 

@@ -1,23 +1,25 @@
 // Package invalidb implements the real-time query invalidation engine —
 // the server-side component that turns raw database change events into
 // "this cached page is now stale" signals. It reproduces the semantics of
-// the production system's stream-processing matcher: registered
-// continuous queries are partitioned across shards; every change event is
-// matched against all queries of its collection; a query is invalidated
-// when the change can alter its result set (the document entered it, left
-// it, or changed while inside it).
+// the production system's stream-processing matcher: every change event
+// is matched against the registered continuous queries of its collection;
+// a query is invalidated when the change can alter its result set (the
+// document entered it, left it, or changed while inside it).
 //
-// Queries are partitioned by collection hash over a power-of-two shard
-// count, so matching one change event scans a single shard — the shard
-// every query that could possibly match lives in — instead of every
-// registration. Queries registered without a collection (cross-collection
-// predicates) are unpartitionable; they live in a separate global bucket
-// that is matched against every event and merged into the shard's hits.
+// Matching does not scan the registrations. Each collection has a
+// predicate index (index.go) filing every query under one necessary leg
+// of its filter — an equality posting, a numeric interval, or the
+// residual list when it has neither — and an event evaluates only the
+// queries its before or after image can reach. Queries registered
+// without a collection (cross-collection predicates) live in one more
+// index of the same type that every event consults.
 package invalidb
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"speedkit/internal/clock"
@@ -67,31 +69,8 @@ type Invalidation struct {
 
 // Config parameterizes the engine.
 type Config struct {
-	// Shards partitions registered queries by collection hash (default 4,
-	// rounded up to the next power of two so the shard index is a mask).
-	// More shards mean fewer co-resident collections per shard, and
-	// therefore fewer non-matching queries scanned per event.
-	Shards int
 	// Clock supplies detection timestamps (default system clock).
 	Clock clock.Clock
-}
-
-func (c *Config) applyDefaults() {
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
-	if c.Clock == nil {
-		c.Clock = clock.System
-	}
-}
-
-// nextPow2 rounds n up to the next power of two.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // Stats counts engine activity.
@@ -101,99 +80,61 @@ type Stats struct {
 	Registered      int
 }
 
+// registration is one continuous query. The engine holds each once;
+// the index's postings point at it.
+type registration struct {
+	id string
+	q  query.Query
+}
+
+// subscriber is one OnInvalidation call; its address is its identity.
+type subscriber struct{ fn func(Invalidation) }
+
 // Engine matches change events against registered queries. Safe for
 // concurrent use.
 type Engine struct {
-	cfg    Config
-	shards []*shard
-	mask   uint32
-	// global holds cross-collection registrations (empty Collection):
-	// predicates that cannot be pinned to one collection's shard and must
-	// be merged into every event's match.
-	global *shard
+	clock   clock.Clock
+	events  atomic.Uint64
+	matches atomic.Uint64
+	// matcher is the index over regs, immutable once published and read
+	// by Process without a lock. A registration change clears it; the
+	// next Process builds it again from regs, so a burst of
+	// registrations costs one build.
+	matcher atomic.Pointer[matcher]
+	// subs is copy-on-write, in subscription order.
+	subs atomic.Pointer[[]*subscriber]
 
-	mu          sync.Mutex
-	byID        map[string]*shard // guarded by mu; registration → home shard
-	subscribers map[int]func(Invalidation)
-	nextSub     int
-	events      uint64
-	matches     uint64
-}
-
-type shard struct {
-	mu   sync.RWMutex
-	regs map[string]query.Query // guarded by mu
+	mu   sync.Mutex               // also serializes the writers of matcher and subs
+	regs map[string]*registration // guarded by mu
 }
 
 // New creates an engine.
 func New(cfg Config) *Engine {
-	cfg.applyDefaults()
-	n := nextPow2(cfg.Shards)
-	e := &Engine{
-		cfg:         cfg,
-		shards:      make([]*shard, n),
-		mask:        uint32(n - 1),
-		global:      &shard{regs: make(map[string]query.Query)},
-		byID:        make(map[string]*shard),
-		subscribers: make(map[int]func(Invalidation)),
+	if cfg.Clock == nil {
+		cfg.Clock = clock.System
 	}
-	for i := range e.shards {
-		e.shards[i] = &shard{regs: make(map[string]query.Query)}
-	}
-	return e
-}
-
-// collectionHash is FNV-1a over the collection name.
-func collectionHash(collection string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(collection); i++ {
-		h ^= uint32(collection[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// homeShard returns the shard a query lives in: the collection-hash shard
-// for partitionable queries, the global bucket for cross-collection ones.
-func (e *Engine) homeShard(q query.Query) *shard {
-	if q.Collection == "" {
-		return e.global
-	}
-	return e.shards[collectionHash(q.Collection)&e.mask]
+	return &Engine{clock: cfg.Clock, regs: make(map[string]*registration)}
 }
 
 // Register adds (or replaces) a continuous query under id. A query with
 // an empty Collection is a cross-collection predicate: it is matched
-// against events of every collection (by filter alone) through the
-// engine's merge path.
+// against events of every collection (by filter alone).
 func (e *Engine) Register(id string, q query.Query) {
-	s := e.homeShard(q)
 	e.mu.Lock()
-	if prev, ok := e.byID[id]; ok && prev != s {
-		// Replacing with a different collection moves the registration.
-		prev.mu.Lock()
-		delete(prev.regs, id)
-		prev.mu.Unlock()
-	}
-	e.byID[id] = s
+	e.regs[id] = &registration{id: id, q: q}
+	e.matcher.Store(nil)
 	e.mu.Unlock()
-	s.mu.Lock()
-	s.regs[id] = q
-	s.mu.Unlock()
 }
 
 // Unregister removes the query under id, reporting whether it existed.
 func (e *Engine) Unregister(id string) bool {
 	e.mu.Lock()
-	s, ok := e.byID[id]
-	delete(e.byID, id)
-	e.mu.Unlock()
-	if !ok {
+	defer e.mu.Unlock()
+	if _, ok := e.regs[id]; !ok {
 		return false
 	}
-	s.mu.Lock()
-	delete(s.regs, id)
-	s.mu.Unlock()
+	delete(e.regs, id)
+	e.matcher.Store(nil)
 	return true
 }
 
@@ -201,43 +142,54 @@ func (e *Engine) Unregister(id string) bool {
 func (e *Engine) Registered() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.byID)
+	return len(e.regs)
 }
-
-// Shards returns the matcher's shard count — a deployment-shape fact
-// health endpoints report so operators can see how the engine was sized.
-func (e *Engine) Shards() int { return len(e.shards) }
 
 // OnInvalidation subscribes fn to invalidation signals. Signals for one
 // event are delivered sorted by registration ID, synchronously from
 // Process. The returned cancel function unsubscribes.
 func (e *Engine) OnInvalidation(fn func(Invalidation)) (cancel func()) {
+	sub := &subscriber{fn: fn}
 	e.mu.Lock()
-	id := e.nextSub
-	e.nextSub++
-	e.subscribers[id] = fn
+	e.setSubs(append(slices.Clone(e.loadSubs()), sub))
 	e.mu.Unlock()
 	return func() {
 		e.mu.Lock()
-		delete(e.subscribers, id)
+		e.setSubs(slices.DeleteFunc(slices.Clone(e.loadSubs()),
+			func(s *subscriber) bool { return s == sub }))
 		e.mu.Unlock()
 	}
 }
 
-// classify decides whether a change affects a query and how. An absent
-// before/after image means the document did not exist on that side, so a
-// nil image never matches (distinct from an empty document).
-func classify(q query.Query, ev storage.ChangeEvent) (MatchKind, bool) {
-	if q.Collection != ev.Collection {
-		return 0, false
+func (e *Engine) loadSubs() []*subscriber {
+	if p := e.subs.Load(); p != nil {
+		return *p
 	}
-	return classifyImages(q, ev)
+	return nil
 }
 
-// classifyImages compares the before/after images against the query's
-// filter, ignoring collections — the shared core of the sharded match
-// (which pre-selects by collection) and the cross-collection merge path
-// (which matches by filter alone).
+func (e *Engine) setSubs(subs []*subscriber) { e.subs.Store(&subs) }
+
+// currentMatcher returns the index over the current registrations,
+// building it if a registration changed since the last build.
+func (e *Engine) currentMatcher() *matcher {
+	if m := e.matcher.Load(); m != nil {
+		return m
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	m := e.matcher.Load()
+	if m == nil {
+		m = buildMatcher(e.regs)
+		e.matcher.Store(m)
+	}
+	return m
+}
+
+// classifyImages decides whether a change affects a query and how, by
+// the query's filter alone: the index has already selected by collection.
+// An absent before/after image means the document did not exist on that
+// side, so a nil image never matches (distinct from an empty document).
 func classifyImages(q query.Query, ev storage.ChangeEvent) (MatchKind, bool) {
 	before := ev.Before != nil && q.Match(ev.Before)
 	after := ev.After != nil && q.Match(ev.After)
@@ -253,94 +205,54 @@ func classifyImages(q query.Query, ev storage.ChangeEvent) (MatchKind, bool) {
 	}
 }
 
-// hit is one shard-local match: a registration and how it was affected.
+// hit is one match: a registration and how it was affected.
 type hit struct {
-	id   string
+	reg  *registration
 	kind MatchKind
 }
 
-// matchInto runs the per-shard match loop: every registration in regs is
-// classified against ev and hits are written into dst, which the caller
-// must size to len(regs). Returns the hit count. wildcard selects the
-// cross-collection rule (filter-only matching) used for the global
-// bucket. This is the loop the invalidation-matching bench times per
-// shard; it must not allocate — the caller owns dst.
-//
-//speedkit:hotpath
-func matchInto(regs map[string]query.Query, ev storage.ChangeEvent, wildcard bool, dst []hit) int {
-	n := 0
-	for id, q := range regs {
-		var kind MatchKind
-		var ok bool
-		if wildcard {
-			kind, ok = classifyImages(q, ev)
-		} else {
-			kind, ok = classify(q, ev)
-		}
-		if ok {
-			dst[n] = hit{id: id, kind: kind}
-			n++
-		}
-	}
-	return n
-}
-
-// matchShard locks s and collects its hits for ev, appending to hits.
-func matchShard(s *shard, ev storage.ChangeEvent, wildcard bool, hits []hit) []hit {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.regs) == 0 {
-		return hits
-	}
-	dst := make([]hit, len(s.regs))
-	n := matchInto(s.regs, ev, wildcard, dst)
-	return append(hits, dst[:n]...)
-}
-
-// Process matches one change event against every registered query and
+// Process matches one change event against the registered queries and
 // delivers invalidation signals to subscribers. Returns the signals for
 // callers that prefer pull-style use.
 //
-// Only the shard owning the event's collection is scanned — every query
-// that could match lives there, because queries partition by the same
-// collection hash and classify rejects cross-collection pairs. The global
-// bucket of cross-collection predicates is then merged in; it is empty
-// unless such queries were registered, so the common case touches exactly
-// one shard.
+// Only the index of the event's collection and the cross-collection
+// index are consulted, and in them only the queries the event's images
+// can reach; an event that invalidates nothing allocates nothing and
+// takes no lock.
 func (e *Engine) Process(ev storage.ChangeEvent) []Invalidation {
-	now := e.cfg.Clock.Now()
+	now := e.clock.Now()
+	m := e.currentMatcher()
 
-	all := matchShard(e.shards[collectionHash(ev.Collection)&e.mask], ev, false, nil)
-	all = matchShard(e.global, ev, true, all)
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
+	// Hits beyond the stack buffer are rare and cost the event a second
+	// pass, in place of a heap buffer for every event.
+	var buf [32]hit
+	hits := buf[:]
+	n := m.matchInto(&ev, hits)
+	if n > len(hits) {
+		hits = make([]hit, n)
+		m.matchInto(&ev, hits)
+	}
+	hits = hits[:n]
+	slices.SortFunc(hits, func(a, b hit) int { return strings.Compare(a.reg.id, b.reg.id) })
 
-	out := make([]Invalidation, len(all))
-	for i, h := range all {
+	e.events.Add(1)
+	if len(hits) == 0 {
+		return nil
+	}
+	e.matches.Add(uint64(len(hits)))
+	out := make([]Invalidation, len(hits))
+	for i, h := range hits {
 		out[i] = Invalidation{
-			RegistrationID: h.id,
+			RegistrationID: h.reg.id,
 			Kind:           h.kind,
 			Change:         ev,
 			DetectedAt:     now,
 		}
 	}
-
-	e.mu.Lock()
-	e.events++
-	e.matches += uint64(len(out))
-	subs := make([]func(Invalidation), 0, len(e.subscribers))
-	ids := make([]int, 0, len(e.subscribers))
-	for id := range e.subscribers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		subs = append(subs, e.subscribers[id])
-	}
-	e.mu.Unlock()
-
+	subs := e.loadSubs()
 	for _, inv := range out {
-		for _, fn := range subs {
-			fn(inv)
+		for _, s := range subs {
+			s.fn(inv)
 		}
 	}
 	return out
@@ -357,11 +269,9 @@ func (e *Engine) AttachTo(docs *storage.DocumentStore) (cancel func()) {
 
 // Stats returns a copy of the counters.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return Stats{
-		EventsProcessed: e.events,
-		Matches:         e.matches,
-		Registered:      len(e.byID),
+		EventsProcessed: e.events.Load(),
+		Matches:         e.matches.Load(),
+		Registered:      e.Registered(),
 	}
 }

@@ -159,7 +159,7 @@ func TestAttachToDocumentStore(t *testing.T) {
 }
 
 func TestShardingCoversAllRegistrations(t *testing.T) {
-	e := New(Config{Shards: 8})
+	e := New(Config{})
 	const n = 200
 	for i := 0; i < n; i++ {
 		e.Register(fmt.Sprintf("/q/%d", i), query.New("products", nil))
@@ -169,7 +169,7 @@ func TestShardingCoversAllRegistrations(t *testing.T) {
 	}
 	invs := e.Process(insertEvent("p1", map[string]any{"x": 1}))
 	if len(invs) != n {
-		t.Fatalf("hits = %d, want %d (every shard must match)", len(invs), n)
+		t.Fatalf("hits = %d, want %d (every registration must match)", len(invs), n)
 	}
 }
 
@@ -192,7 +192,7 @@ func TestMatchKindString(t *testing.T) {
 }
 
 func TestConcurrentProcessAndRegister(t *testing.T) {
-	e := New(Config{Shards: 4})
+	e := New(Config{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -214,7 +214,7 @@ func TestConcurrentProcessAndRegister(t *testing.T) {
 }
 
 func BenchmarkProcess1kQueries(b *testing.B) {
-	e := New(Config{Shards: 8})
+	e := New(Config{})
 	for i := 0; i < 1000; i++ {
 		e.Register(fmt.Sprintf("/q/%d", i),
 			query.MustParse(fmt.Sprintf(`products WHERE price < %d`, i%500)))

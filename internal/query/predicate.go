@@ -100,7 +100,7 @@ func Contains(field, sub string) Predicate { return &Cmp{Field: field, Op: OpCon
 
 // Match implements Predicate.
 func (c *Cmp) Match(doc map[string]any) bool {
-	got, ok := lookup(doc, c.Field)
+	got, ok := Lookup(doc, c.Field)
 	switch c.Op {
 	case OpExists:
 		return ok
@@ -253,34 +253,38 @@ func canonicalJunction(op string, ps []Predicate) string {
 	return op + "(" + strings.Join(parts, ";") + ")"
 }
 
-// lookup resolves a possibly dotted field path ("price" or "meta.tag").
-func lookup(doc map[string]any, path string) (any, bool) {
+// Lookup resolves a possibly dotted field path ("price" or "meta.tag")
+// the way every comparison does. The invalidation index reads documents
+// through it so that its keys and a predicate's operands never disagree
+// on what a path names.
+func Lookup(doc map[string]any, path string) (any, bool) {
 	if doc == nil {
 		return nil, false
 	}
+	// Nearly every field is a plain name, and a listing render looks one
+	// up per document and leg: keep that case to the map access.
 	if !strings.Contains(path, ".") {
 		v, ok := doc[path]
 		return v, ok
 	}
-	cur := any(doc)
-	for _, part := range strings.Split(path, ".") {
-		m, ok := cur.(map[string]any)
-		if !ok {
+	for {
+		part, rest, dotted := strings.Cut(path, ".")
+		v, ok := doc[part]
+		if !ok || !dotted {
+			return v, ok
+		}
+		if doc, ok = v.(map[string]any); !ok {
 			return nil, false
 		}
-		cur, ok = m[part]
-		if !ok {
-			return nil, false
-		}
+		path = rest
 	}
-	return cur, true
 }
 
 // equal compares two scalars with numeric coercion: all integer and float
 // types compare by value, so a document's int 5 equals a query's float64 5.
 func equal(a, b any) bool {
-	if an, aok := toFloat(a); aok {
-		if bn, bok := toFloat(b); bok {
+	if an, aok := ToFloat(a); aok {
+		if bn, bok := ToFloat(b); bok {
 			return an == bn
 		}
 		return false
@@ -300,8 +304,8 @@ func equal(a, b any) bool {
 
 // compare orders two scalars; the bool result reports comparability.
 func compare(a, b any) (int, bool) {
-	if an, aok := toFloat(a); aok {
-		bn, bok := toFloat(b)
+	if an, aok := ToFloat(a); aok {
+		bn, bok := ToFloat(b)
 		if !bok {
 			return 0, false
 		}
@@ -322,7 +326,9 @@ func compare(a, b any) (int, bool) {
 	return 0, false
 }
 
-func toFloat(v any) (float64, bool) {
+// ToFloat is the numeric coercion behind equal and compare: every integer
+// and float type reads as a float64, anything else is not a number.
+func ToFloat(v any) (float64, bool) {
 	switch n := v.(type) {
 	case int:
 		return float64(n), true
@@ -361,7 +367,7 @@ func formatValue(v any) string {
 	case bool:
 		return strconv.FormatBool(n)
 	default:
-		if f, ok := toFloat(v); ok {
+		if f, ok := ToFloat(v); ok {
 			return strconv.FormatFloat(f, 'g', -1, 64)
 		}
 		return fmt.Sprintf("%v", v)

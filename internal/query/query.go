@@ -91,8 +91,8 @@ func (q Query) Apply(docs []map[string]any) []map[string]any {
 	if q.SortField != "" {
 		field, desc := q.SortField, q.Descending
 		sort.SliceStable(out, func(i, j int) bool {
-			a, aok := lookup(out[i], field)
-			b, bok := lookup(out[j], field)
+			a, aok := Lookup(out[i], field)
+			b, bok := Lookup(out[j], field)
 			if !aok || !bok {
 				// Missing sort keys order last regardless of direction.
 				return aok && !bok

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"speedkit/internal/clock"
@@ -65,7 +66,9 @@ type DocumentStore struct {
 	indexes     map[string]map[string]fieldIndex // collection → field → index
 	idxStats    IndexStats
 	clk         clock.Clock
-	stats       DocStats
+	stats       DocStats // Reads is kept in reads
+	// reads counts Get calls, which hold mu only for reading.
+	reads atomic.Uint64
 
 	watcherMu sync.Mutex
 	watchers  map[int]func(ChangeEvent)
@@ -252,7 +255,7 @@ func (s *DocumentStore) Delete(collection, id string) error {
 func (s *DocumentStore) Get(collection, id string) (map[string]any, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.stats.Reads++
+	s.reads.Add(1)
 	v, ok := s.collections[collection][id]
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s/%s", ErrNotFound, collection, id)
@@ -296,7 +299,9 @@ func (s *DocumentStore) Collections() []string {
 func (s *DocumentStore) Stats() DocStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.stats
+	st := s.stats
+	st.Reads = s.reads.Load()
+	return st
 }
 
 // Watch registers fn to be called synchronously, in commit order, for
