@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"container/heap"
 	"container/list"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,12 @@ import (
 // bounds both entry count and total bytes; whichever limit is hit first
 // triggers eviction according to the configured policy. Safe for
 // concurrent use.
+//
+// Eviction drops expired entries first, earliest expiry first, and only
+// then the policy's victims: no unexpired entry is evicted while an
+// expired one is still stored. Each shard keeps its expiring entries in a
+// min-heap on ExpiresAt, so a Put into a full store costs O(log n) in the
+// entries that expire and never walks the eviction list.
 //
 // Internally the store is lock-striped into a power-of-2 number of
 // shards, each with its own mutex, hash-map, and eviction list, so that
@@ -58,6 +65,7 @@ type shard struct {
 	mu       sync.Mutex
 	entries  map[string]*list.Element // guarded by mu
 	order    *list.List               // guarded by mu; front = next eviction candidate
+	expiring expiryHeap               // guarded by mu; the entries that expire, soonest first
 	stats    Stats                    // guarded by mu
 	policy   Policy
 	maxItems int
@@ -71,6 +79,45 @@ type storedEntry struct {
 	entry Entry
 	freq  uint64 // LFU use count
 	size  int
+	// heapIdx is the entry's position in its shard's expiring heap, or
+	// noHeapIdx while it is not in it (it never expires, or was removed).
+	heapIdx int
+}
+
+const noHeapIdx = -1
+
+// expiryHeap is a min-heap of stored entries on ExpiresAt with the
+// position kept in each entry, so one entry can be fixed up or removed in
+// O(log n). It is allocated by the first entry that expires: every device
+// session builds a store, and most hold a handful of entries.
+type expiryHeap struct {
+	items []*storedEntry
+	// moves counts element swaps, the unit of heap work; tests bound the
+	// cost of a Put with it.
+	moves uint64
+}
+
+func (h *expiryHeap) Len() int { return len(h.items) }
+func (h *expiryHeap) Less(i, j int) bool {
+	return h.items[i].entry.ExpiresAt.Before(h.items[j].entry.ExpiresAt)
+}
+func (h *expiryHeap) Swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.items[i].heapIdx, h.items[j].heapIdx = i, j
+	h.moves++
+}
+func (h *expiryHeap) Push(x any) {
+	se := x.(*storedEntry)
+	se.heapIdx = len(h.items)
+	h.items = append(h.items, se)
+}
+func (h *expiryHeap) Pop() any {
+	last := len(h.items) - 1
+	se := h.items[last]
+	h.items[last] = nil
+	h.items = h.items[:last]
+	se.heapIdx = noHeapIdx
+	return se
 }
 
 // Config sizes and parameterizes a Store.
@@ -334,9 +381,11 @@ func (sh *shard) put(e Entry, clk clock.Clock) {
 		sh.stats.BytesUsed += size - se.size
 		se.entry = e
 		se.size = size
+		sh.trackExpiryLocked(se)
 		sh.promoteLocked(el, se)
 	} else {
-		se := &storedEntry{entry: e, size: size, freq: 1}
+		se := &storedEntry{entry: e, size: size, freq: 1, heapIdx: noHeapIdx}
+		sh.trackExpiryLocked(se)
 		var el *list.Element
 		if sh.policy == LFU {
 			// New entries start at the front and bubble past freq-1 peers
@@ -354,34 +403,52 @@ func (sh *shard) put(e Entry, clk clock.Clock) {
 	sh.evictLocked(clk)
 }
 
-// evictLocked enforces both capacity limits. Expired entries are evicted
-// first (they are free wins), then the policy's victim order applies.
-func (sh *shard) evictLocked(clk clock.Clock) {
-	over := func() bool {
-		if sh.maxItems > 0 && len(sh.entries) > sh.maxItems {
-			return true
-		}
-		if sh.maxBytes > 0 && sh.stats.BytesUsed > sh.maxBytes {
-			return true
-		}
+// trackExpiryLocked brings the expiring heap in line with se's current
+// ExpiresAt: a new or replaced entry enters, moves within, or leaves it.
+func (sh *shard) trackExpiryLocked(se *storedEntry) {
+	expires, tracked := !se.entry.ExpiresAt.IsZero(), se.heapIdx != noHeapIdx
+	switch {
+	case expires && tracked:
+		heap.Fix(&sh.expiring, se.heapIdx)
+	case expires:
+		heap.Push(&sh.expiring, se)
+	case tracked:
+		heap.Remove(&sh.expiring, se.heapIdx)
+	}
+}
+
+// overLocked reports whether the shard exceeds either capacity limit.
+func (sh *shard) overLocked() bool {
+	return (sh.maxItems > 0 && len(sh.entries) > sh.maxItems) ||
+		(sh.maxBytes > 0 && sh.stats.BytesUsed > sh.maxBytes)
+}
+
+// popExpiredLocked drops the soonest-expiring entry if it has expired.
+// It looks only at the heap's top, so a drop costs O(log n).
+func (sh *shard) popExpiredLocked(now time.Time) bool {
+	if sh.expiring.Len() == 0 {
 		return false
 	}
-	if !over() {
+	se := sh.expiring.items[0]
+	if !se.entry.Expired(now) {
+		return false
+	}
+	sh.removeLocked(se.entry.Key, sh.entries[se.entry.Key])
+	sh.stats.Expirations++
+	return true
+}
+
+// evictLocked enforces both capacity limits. Expired entries go first
+// (they are free wins) and only while the shard is over; then the
+// policy's victim order applies.
+func (sh *shard) evictLocked(clk clock.Clock) {
+	if !sh.overLocked() {
 		return
 	}
-	// First pass: drop expired entries.
 	now := clk.Now()
-	for el := sh.order.Front(); el != nil && over(); {
-		next := el.Next()
-		se := el.Value.(*storedEntry)
-		if se.entry.Expired(now) {
-			sh.removeLocked(se.entry.Key, el)
-			sh.stats.Expirations++
-		}
-		el = next
+	for sh.overLocked() && sh.popExpiredLocked(now) {
 	}
-	// Second pass: policy order from the front.
-	for over() {
+	for sh.overLocked() {
 		el := sh.order.Front()
 		if el == nil {
 			return
@@ -394,12 +461,16 @@ func (sh *shard) evictLocked(clk clock.Clock) {
 
 // removeLocked drops el from the shard. The caller must hold sh.mu.
 func (sh *shard) removeLocked(key string, el *list.Element) {
+	se := el.Value.(*storedEntry)
 	sh.order.Remove(el)
 	delete(sh.entries, key)
+	if se.heapIdx != noHeapIdx {
+		heap.Remove(&sh.expiring, se.heapIdx)
+	}
 	if sh.readMap != nil {
 		sh.readMap.delete(key)
 	}
-	sh.stats.BytesUsed -= el.Value.(*storedEntry).size
+	sh.stats.BytesUsed -= se.size
 }
 
 // Delete implements Cache.
@@ -429,6 +500,7 @@ func (s *Store) Clear() {
 		}
 		sh.entries = make(map[string]*list.Element)
 		sh.order.Init()
+		sh.expiring.items = nil
 		sh.stats.BytesUsed = 0
 		sh.mu.Unlock()
 	}
@@ -480,15 +552,8 @@ func (s *Store) Sweep() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for el := sh.order.Front(); el != nil; {
-			next := el.Next()
-			se := el.Value.(*storedEntry)
-			if se.entry.Expired(now) {
-				sh.removeLocked(se.entry.Key, el)
-				sh.stats.Expirations++
-				n++
-			}
-			el = next
+		for sh.popExpiredLocked(now) {
+			n++
 		}
 		sh.mu.Unlock()
 	}

@@ -108,7 +108,8 @@ type Server struct {
 
 	// flat caches the most recent flatten of the counting filter, keyed
 	// by generation. While the generation is unchanged, Snapshot() reuses
-	// it — a pointer load instead of an O(m) projection.
+	// it — a pointer load instead of an O(m) projection — and every
+	// snapshot of that generation marshals to the same wire bytes.
 	flat atomic.Pointer[flatCache]
 
 	// Crash-recovery cold-start mode (see ColdStart in state.go).
@@ -118,10 +119,17 @@ type Server struct {
 }
 
 // flatCache pairs a flattened client filter with the generation it was
-// projected from.
+// projected from, and with that filter's wire encoding once a snapshot of
+// the generation has been marshaled.
 type flatCache struct {
 	gen    uint64
 	filter *bloom.Filter
+
+	// wire is filter.MarshalBinary(), encoded by the first Marshal and
+	// shared read-only by every later one.
+	wireOnce sync.Once
+	wire     []byte
+	wireErr  error
 }
 
 // NewServer creates a protocol server.
@@ -336,6 +344,7 @@ func (s *Server) Snapshot() *Snapshot {
 		Filter:     fc.filter,
 		Generation: fc.gen,
 		TakenAt:    now,
+		flat:       fc,
 	}
 }
 
@@ -386,6 +395,10 @@ type Snapshot struct {
 	Filter     *bloom.Filter
 	Generation uint64
 	TakenAt    time.Time
+
+	// flat is the server's cache entry Filter came from; nil for a
+	// snapshot built anywhere else (decoded off the wire, merged).
+	flat *flatCache
 }
 
 // MightBeStale reports whether the key hits the sketch. True means "a
@@ -407,7 +420,13 @@ func (sn *Snapshot) MightBeStaleBatch(keys []string, hits []bool) {
 	sn.Filter.ContainsBatch(keys, hits)
 }
 
-// Marshal encodes the snapshot's filter for the wire.
+// Marshal encodes the snapshot's filter for the wire. Snapshots a Server
+// took within one generation share a single encoding, built by the first
+// call: the returned bytes are read-only.
 func (sn *Snapshot) Marshal() ([]byte, error) {
+	if fc := sn.flat; fc != nil && fc.filter == sn.Filter {
+		fc.wireOnce.Do(func() { fc.wire, fc.wireErr = fc.filter.MarshalBinary() })
+		return fc.wire, fc.wireErr
+	}
 	return sn.Filter.MarshalBinary()
 }

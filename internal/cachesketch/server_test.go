@@ -1,11 +1,13 @@
 package cachesketch
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"speedkit/internal/bloom"
 	"speedkit/internal/clock"
 )
 
@@ -182,6 +184,48 @@ func TestSnapshotMarshal(t *testing.T) {
 	}
 	if len(data) != s.SketchBytes() {
 		t.Fatalf("marshal len %d != SketchBytes %d", len(data), s.SketchBytes())
+	}
+}
+
+// TestSnapshotMarshalEncodesOncePerGeneration: snapshots of one
+// generation hand out one encoding; a write that changes the sketch gets
+// a new one, and the old bytes still decode to the old filter.
+func TestSnapshotMarshalEncodesOncePerGeneration(t *testing.T) {
+	s, clk := newTestServer()
+	first, err := s.Snapshot().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Snapshot().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first[0] != &again[0] {
+		t.Fatal("two snapshots of one generation marshaled to separate arrays")
+	}
+
+	s.ReportCachedRead("/p", clk.Now().Add(time.Hour))
+	s.ReportWrite("/p")
+	sn := s.Snapshot()
+	next, err := sn.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &next[0] == &first[0] || bytes.Equal(next, first) {
+		t.Fatal("a new generation reused the previous generation's bytes")
+	}
+	if fresh, _ := sn.Filter.MarshalBinary(); !bytes.Equal(next, fresh) {
+		t.Fatal("cached bytes differ from a fresh encoding of the filter")
+	}
+	var old bloom.Filter
+	if err := old.UnmarshalBinary(first); err != nil || old.Contains("/p") {
+		t.Fatalf("old generation's bytes changed under its holders: err=%v", err)
+	}
+
+	// A snapshot whose filter was swapped must not answer from the cache.
+	sn.Filter = bloom.NewFilterForCapacity(8, 0.5)
+	if swapped, _ := sn.Marshal(); bytes.Equal(swapped, next) {
+		t.Fatal("Marshal returned cached bytes for a different filter")
 	}
 }
 

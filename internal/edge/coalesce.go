@@ -23,7 +23,8 @@ type fill struct {
 	status  int
 	header  http.Header
 
-	// buf accumulates the body. Only ever appended to, so a follower
+	// buf is the body so far. Bytes once published never change — the
+	// leader writes only past len(buf), or into a new array — so a follower
 	// holding an offset may re-slice under the lock and copy outside it.
 	buf  []byte
 	done bool
@@ -46,10 +47,11 @@ func (f *fill) publishHeader(status int, h http.Header) {
 	f.cond.Broadcast()
 }
 
-// appendChunk publishes more body bytes.
-func (f *fill) appendChunk(p []byte) {
+// publish makes buf, the body read so far, visible to followers. Each
+// call extends the previous one's bytes.
+func (f *fill) publish(buf []byte) {
 	f.mu.Lock()
-	f.buf = append(f.buf, p...)
+	f.buf = buf
 	f.mu.Unlock()
 	f.cond.Broadcast()
 }
@@ -91,11 +93,4 @@ func (f *fill) next(off int) (chunk []byte, done bool) {
 		return f.buf[off:], false
 	}
 	return nil, true
-}
-
-// bytes returns the complete body; valid only after finish(nil).
-func (f *fill) bytes() []byte {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.buf
 }

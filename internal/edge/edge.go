@@ -49,6 +49,7 @@ import (
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
 	"speedkit/internal/faults"
+	"speedkit/internal/httpbody"
 	"speedkit/internal/tracectx"
 )
 
@@ -62,6 +63,11 @@ const (
 // the leader's request context; a hung upstream must still release the
 // followers eventually.
 const fillTimeout = 60 * time.Second
+
+// unsizedReserve is the first buffer of a fill whose upstream declared no
+// length (or one too large to reserve on its word): most pages fit, and a
+// longer body grows it geometrically.
+const unsizedReserve = 4096
 
 // Options parameterizes a Proxy.
 type Options struct {
@@ -224,6 +230,9 @@ func (p *Proxy) InstallSketch(sn *cachesketch.Snapshot) { p.sketch.Store(sn) }
 // consumes the same public endpoint clients do; it holds no private
 // channel into the server.
 func (p *Proxy) RefreshSketch(ctx context.Context) error {
+	// The snapshot is no older than the request for it: stamping it with
+	// the arrival time would stretch Δ by the transfer.
+	sent := p.clk.Now()
 	resp, err := p.upstreamGet(ctx, "/sketch", "", nil)
 	if err != nil {
 		return err
@@ -232,7 +241,7 @@ func (p *Proxy) RefreshSketch(ctx context.Context) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("edge: sketch fetch: %d", resp.StatusCode)
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := httpbody.ReadAll(resp)
 	if err != nil {
 		return err
 	}
@@ -241,7 +250,7 @@ func (p *Proxy) RefreshSketch(ctx context.Context) error {
 		return fmt.Errorf("edge: sketch decode: %w", err)
 	}
 	gen, _ := strconv.ParseUint(resp.Header.Get("X-Sketch-Generation"), 10, 64)
-	p.sketch.Store(&cachesketch.Snapshot{Filter: &f, Generation: gen, TakenAt: p.clk.Now()})
+	p.sketch.Store(&cachesketch.Snapshot{Filter: &f, Generation: gen, TakenAt: sent})
 	p.m.sketchRefreshes.Add(1)
 	return nil
 }
@@ -300,7 +309,7 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 		p.m.revalidated.Add(1)
 		p.serveEntry(w, r, ne, "revalidated")
 	case http.StatusOK:
-		body, err := io.ReadAll(resp.Body)
+		body, err := httpbody.ReadAll(resp)
 		if err != nil {
 			p.m.upstreamErrors.Add(1)
 			p.m.servedStale.Add(1)
@@ -394,13 +403,26 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 	w.Header().Set("X-Edge-Cache", "miss")
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
+	// The body is read straight into the buffer the followers stream from
+	// and the cache will keep: reserved whole when the upstream declared a
+	// length, grown as bytes arrive when it did not.
+	reserve := resp.ContentLength
+	if reserve < 0 || reserve > httpbody.MaxReserve {
+		reserve = unsizedReserve
+	}
+	buf := make([]byte, 0, reserve)
 	var streamErr error
 	for {
-		n, rerr := resp.Body.Read(buf)
+		if len(buf) == cap(buf) {
+			// Out of room: move to a larger array. Followers may still be
+			// copying out of the old one, which is left as it is.
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, rerr := resp.Body.Read(buf[len(buf):cap(buf)])
 		if n > 0 {
-			f.appendChunk(buf[:n])
-			if _, werr := w.Write(buf[:n]); werr == nil && flusher != nil {
+			buf = buf[:len(buf)+n]
+			f.publish(buf)
+			if _, werr := w.Write(buf[len(buf)-n:]); werr == nil && flusher != nil {
 				flusher.Flush()
 			}
 			p.m.bytesServed.Add(uint64(n))
@@ -419,7 +441,12 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 		return
 	}
 	if resp.StatusCode == http.StatusOK && cacheable(resp.Header) {
-		p.commit(p.entryFromResponse(key, resp, f.bytes()))
+		if cap(buf) != len(buf) {
+			// A body of undeclared length leaves growth slack behind; the
+			// cache would hold it for the entry's lifetime.
+			buf = append(make([]byte, 0, len(buf)), buf...)
+		}
+		p.commit(p.entryFromResponse(key, resp, buf))
 	}
 }
 
@@ -728,6 +755,17 @@ func copyProxyHeaders(dst, src http.Header) {
 	}
 }
 
+// relayBufs holds the copy buffers of relayResponse: 16 KB, twice the
+// sketch, the largest body the edge relays in steady state. Idle buffers
+// are heap the process keeps, so they are no larger than that.
+var relayBufs = sync.Pool{New: func() any { return new([16 << 10]byte) }}
+
+// writerOnly hides every method of a ResponseWriter but Write. net/http's
+// ReadFrom hands a body of declared length to the socket's own ReadFrom,
+// which falls back to a generic copy through a fresh 32 KB buffer per
+// call; behind writerOnly, io.CopyBuffer uses the buffer it is given.
+type writerOnly struct{ io.Writer }
+
 // relayResponse copies an upstream response verbatim.
 func relayResponse(w http.ResponseWriter, resp *http.Response) {
 	for k, vs := range resp.Header {
@@ -739,5 +777,7 @@ func relayResponse(w http.ResponseWriter, resp *http.Response) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	buf := relayBufs.Get().(*[16 << 10]byte)
+	io.CopyBuffer(writerOnly{w}, resp.Body, buf[:])
+	relayBufs.Put(buf)
 }

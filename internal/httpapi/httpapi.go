@@ -69,6 +69,9 @@ type API struct {
 	// started is the service-clock instant the API was built, the zero
 	// point for the uptime /healthz reports.
 	started time.Time
+	// sketchCacheControl is the /sketch Cache-Control value: Δ is fixed
+	// for the service's lifetime, so it is rendered once.
+	sketchCacheControl string
 
 	// Sketch-state gauges, refreshed at every /metrics scrape so the
 	// exposition reflects the coherence state at observation time.
@@ -98,6 +101,8 @@ func New(svc *core.Service, users []*session.User) *API {
 		users:   make(map[string]*session.User, len(users)),
 		region:  netsim.EU,
 		started: svc.Clock().Now(),
+
+		sketchCacheControl: "public, max-age=" + strconv.Itoa(int(svc.Delta().Seconds())),
 	}
 	r := svc.Obs()
 	a.runtime = obs.NewRuntimeCollector(r)
@@ -321,8 +326,11 @@ func (a *API) handleSketch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Cache-Control", fmt.Sprintf("public, max-age=%d", int(a.svc.Delta().Seconds())))
+	w.Header().Set("Cache-Control", a.sketchCacheControl)
 	w.Header().Set("X-Sketch-Generation", strconv.FormatUint(sn.Generation, 10))
+	// The declared length lets every reader down the line take the body
+	// in one allocation of the right size.
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
 }
 

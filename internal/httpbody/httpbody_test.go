@@ -1,0 +1,85 @@
+package httpbody
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"testing"
+)
+
+// fetch GETs the handler's answer over a real connection, so the body is
+// the one net/http's transport builds.
+func fetch(t *testing.T, h http.HandlerFunc) *http.Response {
+	t.Helper()
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	resp, err := srv.Client().Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	return resp
+}
+
+func TestReadAllSizedBodyIsOneExactAllocation(t *testing.T) {
+	want := bytes.Repeat([]byte("sketch"), 1302) // 7812 bytes, past net/http's own sizing
+	resp := fetch(t, func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(want)))
+		w.Write(want)
+	})
+	if resp.ContentLength != int64(len(want)) {
+		t.Fatalf("ContentLength = %d, want %d", resp.ContentLength, len(want))
+	}
+	got, err := ReadAll(resp)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ReadAll: err=%v, %d bytes, want %d", err, len(got), len(want))
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("cap %d over len %d: the buffer was grown, not reserved", cap(got), len(got))
+	}
+	// The read that filled the buffer also saw the end of the stream.
+	if n, err := resp.Body.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("body after ReadAll: n=%d err=%v, want 0, EOF", n, err)
+	}
+}
+
+func TestReadAllChunkedBody(t *testing.T) {
+	want := bytes.Repeat([]byte("page"), 5000)
+	resp := fetch(t, func(w http.ResponseWriter, _ *http.Request) {
+		w.Write(want[:100])
+		w.(http.Flusher).Flush()
+		w.Write(want[100:])
+	})
+	if resp.ContentLength != -1 {
+		t.Fatalf("ContentLength = %d, want -1 (chunked)", resp.ContentLength)
+	}
+	got, err := ReadAll(resp)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ReadAll: err=%v, %d bytes, want %d", err, len(got), len(want))
+	}
+}
+
+func TestReadAllTruncatedBody(t *testing.T) {
+	resp := fetch(t, func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Length", "1000")
+		w.Write(make([]byte, 400))
+		// Returning short makes the server cut the connection.
+	})
+	if _, err := ReadAll(resp); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+func TestReadAllDoesNotTrustHugeDeclaration(t *testing.T) {
+	resp := &http.Response{
+		ContentLength: MaxReserve + 1,
+		Body:          io.NopCloser(bytes.NewReader([]byte("short"))),
+	}
+	got, err := ReadAll(resp)
+	if err != nil || string(got) != "short" || cap(got) > 4096 {
+		t.Fatalf("ReadAll = %q (cap %d), %v", got, cap(got), err)
+	}
+}

@@ -27,6 +27,7 @@ import (
 	"speedkit/internal/cache"
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
+	"speedkit/internal/httpbody"
 	"speedkit/internal/netsim"
 	"speedkit/internal/proxy"
 	"speedkit/internal/session"
@@ -190,7 +191,7 @@ func (t *Transport) FetchSketch(ctx context.Context, _ netsim.Region) (*cacheske
 	if resp.StatusCode != http.StatusOK {
 		return nil, t.clk.Now().Sub(start), statusErr("sketch", "/sketch", resp)
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := httpbody.ReadAll(resp)
 	if err != nil {
 		return nil, t.clk.Now().Sub(start), asOffline(err)
 	}
@@ -203,12 +204,14 @@ func (t *Transport) FetchSketch(ctx context.Context, _ netsim.Region) (*cacheske
 		t.generation++
 		gen = t.generation
 	}
-	// TakenAt uses the client clock at receive time: conservative within
-	// one transfer time, which only shortens the effective Δ slightly.
+	// TakenAt is the client clock when the request was sent: the server
+	// took the snapshot no earlier than that, so the holder never trusts
+	// it past Δ. Stamping the arrival instead would add the transfer time
+	// to Δ.
 	return &cachesketch.Snapshot{
 		Filter:     &f,
 		Generation: gen,
-		TakenAt:    t.clk.Now(),
+		TakenAt:    start,
 	}, t.clk.Now().Sub(start), nil
 }
 
@@ -278,7 +281,7 @@ func (t *Transport) Fetch(ctx context.Context, _ netsim.Region, path string) (ca
 	if resp.StatusCode != http.StatusOK {
 		return cache.Entry{}, lat, 0, statusErr("fetch", path, resp)
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := httpbody.ReadAll(resp)
 	if err != nil {
 		return cache.Entry{}, lat, 0, asOffline(err)
 	}
@@ -308,7 +311,7 @@ func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string
 			NotModified: true, Entry: e, Latency: lat, Source: proxy.SourceOrigin,
 		}, nil
 	case http.StatusOK:
-		body, err := io.ReadAll(resp.Body)
+		body, err := httpbody.ReadAll(resp)
 		if err != nil {
 			return proxy.RevalidationResult{}, asOffline(err)
 		}

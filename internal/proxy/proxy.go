@@ -212,7 +212,9 @@ type Proxy struct {
 	// path never does a registry lookup; nil when no registry is wired.
 	m *proxyMetrics
 	// rng drives backoff jitter; seeded from Resilience.Seed so retry
-	// schedules replay deterministically.
+	// schedules replay deterministically. Only a retry draws from it, so
+	// the first retry creates it (a rand.Rand is 5 KB, and most sessions
+	// never retry).
 	rng     *rand.Rand
 	backoff resilience.Backoff
 	// One breaker per upstream the device talks to.
@@ -263,8 +265,7 @@ func New(cfg Config, tr Transport) *Proxy {
 			MaxItems: cfg.CacheItems,
 			Clock:    cfg.Clock,
 		}),
-		tr:  tr,
-		rng: rand.New(rand.NewSource(cfg.Resilience.Seed)),
+		tr: tr,
 		backoff: resilience.Backoff{
 			Base:   cfg.Resilience.RetryBase,
 			Max:    cfg.Resilience.RetryMaxDelay,

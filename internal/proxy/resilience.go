@@ -3,6 +3,7 @@ package proxy
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strconv"
 	"time"
 
@@ -127,6 +128,9 @@ func (p *Proxy) withRetry(ctx context.Context, res *PageLoad, br *resilience.Bre
 				return err
 			}
 			tr.AddEvent("retry", upstream+" attempt="+strconv.Itoa(attempt+1))
+			if p.rng == nil {
+				p.rng = rand.New(rand.NewSource(p.cfg.Resilience.Seed))
+			}
 			delay := p.backoff.Delay(p.rng, attempt)
 			res.Latency += delay
 			p.stats.Retries++

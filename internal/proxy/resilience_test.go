@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -40,6 +41,35 @@ func TestRetryRecoversFromTransientFetchFailure(t *testing.T) {
 	}
 	if res.Degraded != DegradeNone {
 		t.Fatalf("successful retry marked degraded: %q", res.Degraded)
+	}
+}
+
+// TestJitterSourceIsMadeByTheFirstRetry: a session that never retries
+// carries no generator, and one that does draws the same sequence a
+// generator seeded at construction would have given it.
+func TestJitterSourceIsMadeByTheFirstRetry(t *testing.T) {
+	p, tr, _ := newTestProxy(t, nil)
+	if _, err := p.Load(context.Background(), "/plain"); err != nil {
+		t.Fatal(err)
+	}
+	if p.rng != nil {
+		t.Fatal("a load without retries created the jitter source")
+	}
+	calls := 0
+	tr.fetchHook = func() error {
+		if calls++; calls <= 2 {
+			return fmt.Errorf("edge hiccup: %w", ErrUpstream)
+		}
+		return nil
+	}
+	if _, err := p.Load(context.Background(), "/"); err != nil {
+		t.Fatal(err)
+	}
+	want := rand.New(rand.NewSource(p.cfg.Resilience.Seed))
+	want.Float64() // first retry's jitter
+	want.Float64() // second retry's
+	if p.rng == nil || p.rng.Float64() != want.Float64() {
+		t.Fatal("retry jitter does not replay from Resilience.Seed")
 	}
 }
 
