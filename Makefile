@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all help build test lint lint-sarif lint-baseline race cover bench bench-hotpath bench-obs bench-all bench-regress bench-baselines chaos crash stitch edge cluster experiments fmt vet clean
+.PHONY: all help build test lint lint-sarif lint-baseline race cover bench bench-obs bench-all bench-regress bench-baselines chaos crash stitch edge cluster experiments fmt vet clean
 
 all: build test lint
 
@@ -18,7 +18,6 @@ help:
 	@echo "  race           go test -race ./..."
 	@echo "  cover          coverage for internal/..."
 	@echo "  bench          one benchmark per table/figure (reduced scale)"
-	@echo "  bench-hotpath  parallel hot-path microbenchmarks -> BENCH_hotpath.json"
 	@echo "  bench-obs      observability overhead benchmarks (0 allocs/op bar)"
 	@echo "  bench-all      run every benchsuites/*.suite once at 1x (smoke, no gating)"
 	@echo "  bench-regress  run every suite at full benchtime and diff against the"
@@ -68,21 +67,6 @@ cover:
 # One testing.B benchmark per table/figure (reduced scale).
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Hot-path concurrency microbenchmarks, recorded as BENCH_hotpath.json so
-# the perf trajectory is tracked in version control. The baseline ns/op
-# values were measured with this same harness on the pre-sharding tree
-# (single-mutex Store/CDN/Client, commit 0a35725) at GOMAXPROCS=4; they
-# are passed to the converter so the artifact records speedups explicitly.
-HOTPATH_BENCHES = BenchmarkParallelCacheGet|BenchmarkParallelSketchCheck|BenchmarkSnapshotReuse|BenchmarkFilterContains|BenchmarkSnapshotMightBeStale
-HOTPATH_BASELINE = BenchmarkParallelCacheGet=126.4,BenchmarkParallelSketchCheck=124.8,BenchmarkSnapshotReuse=1558958
-
-bench-hotpath:
-	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCHES)' -benchmem -cpu 4 . | \
-		$(GO) run ./cmd/speedkit-benchjson -out BENCH_hotpath.json \
-		-baseline '$(HOTPATH_BASELINE)' \
-		-note 'baseline = pre-sharding tree (commit 0a35725) at GOMAXPROCS=4 on the same host'
-	@cat BENCH_hotpath.json
 
 # Observability overhead microbenchmarks: disabled/unsampled tracing and
 # pre-resolved counter increments must hold 0 allocs/op (the hard gates

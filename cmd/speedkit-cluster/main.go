@@ -28,7 +28,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -36,7 +35,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -44,32 +42,6 @@ import (
 	"speedkit/internal/cluster"
 	"speedkit/internal/slog"
 )
-
-// reportBody mirrors the node report schema (cluster's reportRequest) so
-// the front can accept the same JSON and route it across the ring.
-type reportBody struct {
-	Writes []string `json:"writes,omitempty"`
-	Reads  []struct {
-		Key       string    `json:"key"`
-		ExpiresAt time.Time `json:"expires_at"`
-	} `json:"reads,omitempty"`
-}
-
-// apiError is the /v1 JSON error envelope.
-type apiError struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
-func writeErr(w http.ResponseWriter, status int, code, msg string) {
-	var e apiError
-	e.Error.Code, e.Error.Message = code, msg
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(e)
-}
 
 func main() {
 	addr := flag.String("addr", ":8090", "front listen address")
@@ -169,66 +141,13 @@ func main() {
 		}
 	}()
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/sketch", func(w http.ResponseWriter, r *http.Request) {
-		sn := c.Snapshot()
-		data, err := sn.Marshal()
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "internal", err.Error())
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Cache-Control", fmt.Sprintf("public, max-age=%d", int(delta.Seconds())))
-		w.Header().Set("X-Sketch-Generation", strconv.FormatUint(sn.Generation, 10))
-		_, _ = w.Write(data)
-	})
-	mux.HandleFunc("GET /v1/cluster/ring", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(c.Ring().Info())
-	})
-	mux.HandleFunc("POST /v1/cluster/report", func(w http.ResponseWriter, r *http.Request) {
-		var req reportBody
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_request", "bad report body: "+err.Error())
-			return
-		}
-		if err := c.ReportWrites(req.Writes); err != nil {
-			writeErr(w, http.StatusServiceUnavailable, "unavailable", err.Error())
-			return
-		}
-		for _, rr := range req.Reads {
-			if rr.Key == "" {
-				writeErr(w, http.StatusBadRequest, "bad_request", "read report without key")
-				return
-			}
-			if err := c.ReportCachedRead(rr.Key, rr.ExpiresAt); err != nil {
-				writeErr(w, http.StatusServiceUnavailable, "unavailable", err.Error())
-				return
-			}
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		st := c.Stats()
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"status":     "ok",
-			"members":    c.Ring().Members(),
-			"generation": c.Snapshot().Generation,
-			"stats":      st,
-		})
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, http.StatusNotFound, "not_found", "no such endpoint: "+r.URL.Path)
-	})
-
 	logger.Info(ctx).
 		Str("addr", *addr).
 		Int("nodes", int64(*nodeCount)).
 		Dur("sync", *syncPeriod).
 		Msg("speedkit-cluster listening")
 
-	front := &http.Server{Addr: *addr, Handler: mux}
+	front := &http.Server{Addr: *addr, Handler: cluster.FrontHandler(c, *delta)}
 	errCh := make(chan error, 1)
 	go func() { errCh <- front.ListenAndServe() }()
 

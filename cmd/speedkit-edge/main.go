@@ -5,8 +5,8 @@
 //
 //	speedkit-edge -addr :8081 -upstream http://localhost:8080 -cache-dir /var/cache/speedkit
 //
-//	curl localhost:8081/page?path=/product/p00042        # X-Edge-Cache: miss, then hit
-//	curl localhost:8081/page?path=/ -H 'Range: bytes=0-99'
+//	curl localhost:8081/v1/page?path=/product/p00042        # X-Edge-Cache: miss, then hit
+//	curl localhost:8081/v1/page?path=/ -H 'Range: bytes=0-99'
 //	curl -X POST 'localhost:8081/v1/purge?path=/product/p00042'
 //	curl localhost:8081/metrics                          # speedkit_edge_* counters
 //	curl localhost:8081/healthz

@@ -7,11 +7,11 @@
 //
 //	speedkit-server -addr :8080 -products 1000
 //
-//	curl localhost:8080/page?path=/product/p00042      # anonymous shell
-//	curl localhost:8080/page?path=/product/p00042 -H 'If-None-Match: "v1"'
-//	curl localhost:8080/sketch -o sketch.bin           # Δ-refreshed sketch
-//	curl 'localhost:8080/blocks?names=cart,greeting&user=u000001'
-//	curl -X POST 'localhost:8080/admin/write?product=p00042&price=9.99'
+//	curl localhost:8080/v1/page?path=/product/p00042      # anonymous shell
+//	curl localhost:8080/v1/page?path=/product/p00042 -H 'If-None-Match: "v1"'
+//	curl localhost:8080/v1/sketch -o sketch.bin           # Δ-refreshed sketch
+//	curl 'localhost:8080/v1/blocks?names=cart,greeting&user=u000001'
+//	curl -X POST 'localhost:8080/v1/write?product=p00042&price=9.99'
 //	curl localhost:8080/stats
 //
 // Observability surface:

@@ -294,7 +294,7 @@ type pageCounter struct {
 }
 
 func (c *pageCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/v1/page" || r.URL.Path == "/page" {
+	if r.URL.Path == "/v1/page" {
 		c.pages.Add(1)
 	}
 	c.next.ServeHTTP(w, r)

@@ -163,7 +163,7 @@ func stitchOnce(seed int64, delta time.Duration, products int) (stitchRun, error
 		return run, fmt.Errorf("device tracer declined the write trace")
 	}
 	run.writeTID = wtr.TraceID
-	req, err := http.NewRequest(http.MethodPost, base+"/admin/write?product=p00042&price=19.99", nil)
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/write?product=p00042&price=19.99", nil)
 	if err != nil {
 		return run, err
 	}

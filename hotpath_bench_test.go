@@ -1,9 +1,9 @@
 package speedkit_test
 
-// Hot-path microbenchmarks tracked in BENCH_hotpath.json (see `make
-// bench-hotpath`). Each one exercises a read path that sits on every
-// request in a production deployment, under RunParallel so that lock
-// contention — not single-thread speed — dominates the result:
+// Hot-path microbenchmarks tracked in BENCH_hotpath.json (the hotpath
+// suite of cmd/speedkit-bent). Each one exercises a read path that sits
+// on every request in a production deployment, under RunParallel so that
+// lock contention — not single-thread speed — dominates the result:
 //
 //   - BenchmarkParallelCacheGet:    cache.Store.Get under concurrency
 //   - BenchmarkParallelSketchCheck: cachesketch.Client.Check (sketch probe)

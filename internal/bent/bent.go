@@ -5,8 +5,7 @@
 //
 // The package is three small layers, each usable alone:
 //
-//   - parsing: Parse turns `go test -bench` text output into a Report
-//     (cmd/speedkit-benchjson is a thin shell over this);
+//   - parsing: Parse turns `go test -bench` text output into a Report;
 //   - suites: LoadSuites reads the declarative suite registry;
 //   - comparison: Compare diffs a fresh Report against a baseline Report
 //     within a configurable noise band and reports regressions.
@@ -41,17 +40,12 @@ type Result struct {
 	// BytesPerOp / AllocsPerOp come from -benchmem; nil when absent.
 	BytesPerOp  *uint64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *uint64 `json:"allocs_per_op,omitempty"`
-	// BaselineNsPerOp and Speedup are filled when a baseline entry
-	// matches Name (see Parse's baselines argument).
-	BaselineNsPerOp float64 `json:"baseline_ns_per_op,omitempty"`
-	Speedup         float64 `json:"speedup_vs_baseline,omitempty"`
 }
 
 // Report is the machine-readable form of one benchmark run — the
 // document committed as BENCH_<suite>.json and diffed by Compare.
 type Report struct {
-	// Suite names the suite that produced the run ("" for ad-hoc
-	// conversions through cmd/speedkit-benchjson).
+	// Suite names the suite that produced the run.
 	Suite string `json:"suite,omitempty"`
 	// Note describes the provenance of the numbers.
 	Note string `json:"note,omitempty"`
@@ -64,9 +58,8 @@ type Report struct {
 }
 
 // Parse consumes `go test -bench` output and extracts context plus
-// results. baselines maps benchmark names to reference ns/op; matching
-// results get BaselineNsPerOp and Speedup filled (pass nil for none).
-func Parse(r io.Reader, baselines map[string]float64) (Report, error) {
+// results.
+func Parse(r io.Reader) (Report, error) {
 	var rep Report
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
@@ -85,10 +78,6 @@ func Parse(r io.Reader, baselines map[string]float64) (Report, error) {
 			res, ok := ParseLine(line)
 			if !ok {
 				continue
-			}
-			if base, has := baselines[res.Name]; has && res.NsPerOp > 0 {
-				res.BaselineNsPerOp = base
-				res.Speedup = base / res.NsPerOp
 			}
 			rep.Benchmarks = append(rep.Benchmarks, res)
 		}

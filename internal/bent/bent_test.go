@@ -49,7 +49,7 @@ func TestParseLineSubBenchmarkNames(t *testing.T) {
 	}
 }
 
-func TestParseReportAndBaselines(t *testing.T) {
+func TestParseReport(t *testing.T) {
 	out := `goos: linux
 goarch: amd64
 pkg: speedkit/internal/wal
@@ -59,8 +59,7 @@ BenchmarkWALAppend/durable/appenders-1-1   300  262165 ns/op   0 B/op  0 allocs/
 PASS
 ok  	speedkit/internal/wal	1.2s
 `
-	rep, err := Parse(strings.NewReader(out),
-		map[string]float64{"BenchmarkWALAppend/durable/appenders-8": 244806})
+	rep, err := Parse(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +69,8 @@ ok  	speedkit/internal/wal	1.2s
 	if len(rep.Benchmarks) != 2 {
 		t.Fatalf("parsed %d benchmarks", len(rep.Benchmarks))
 	}
-	b := rep.Benchmarks[0]
-	if b.BaselineNsPerOp != 244806 || b.Speedup < 9 || b.Speedup > 10 {
-		t.Fatalf("baseline fields = %+v", b)
-	}
-	if rep.Benchmarks[1].BaselineNsPerOp != 0 {
-		t.Fatalf("unmatched benchmark got baseline: %+v", rep.Benchmarks[1])
+	if b := rep.Benchmarks[1]; b.Name != "BenchmarkWALAppend/durable/appenders-1" || b.NsPerOp != 262165 {
+		t.Fatalf("second benchmark = %+v", b)
 	}
 }
 

@@ -53,7 +53,7 @@ func (r *Runner) Run(s Suite) (Report, error) {
 	if r.Verbose && r.Stderr != nil {
 		r.Stderr.Write(out.Bytes())
 	}
-	rep, err := Parse(&out, nil)
+	rep, err := Parse(&out)
 	if err != nil {
 		return Report{}, fmt.Errorf("suite %s: parse: %w", s.Name, err)
 	}

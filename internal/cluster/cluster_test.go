@@ -1,17 +1,20 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
-	"speedkit/internal/httpapi"
+	"speedkit/internal/httpbody"
 	"speedkit/internal/invalidb"
 	"speedkit/internal/query"
 	"speedkit/internal/storage"
@@ -299,52 +302,119 @@ func TestNodeHTTPSurface(t *testing.T) {
 	}
 }
 
-// TestNodeHTTPErrorEnvelopeCompatible pins the cluster endpoints' error
-// envelope wire-compatible with the /v1 contract: httpapi's exported
-// ErrorBody must decode every cluster error, codes included.
-func TestNodeHTTPErrorEnvelopeCompatible(t *testing.T) {
+// expectEnvelope sends one request and checks the status and the code in
+// the JSON error envelope that answers it.
+func expectEnvelope(t *testing.T, srv *httptest.Server, method, path, body string, wantStatus int, wantCode string) {
+	t.Helper()
+	req, _ := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	defer resp.Body.Close()
+	var eb httpbody.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatalf("%s %s: status %d, no envelope: %v", method, path, resp.StatusCode, err)
+	}
+	if resp.StatusCode != wantStatus || eb.Error.Code != wantCode || eb.Error.Message == "" {
+		t.Fatalf("%s %s: %d %+v, want %d %s and a message", method, path, resp.StatusCode, eb.Error, wantStatus, wantCode)
+	}
+}
+
+// TestNodeHandlerErrors: every failure of a node's endpoints travels in
+// the envelope, and the peer maps a down node's 503 back onto ErrNodeDown.
+func TestNodeHandlerErrors(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
 	node, err := NewNode(NodeConfig{Member: "n0", Clock: clk})
 	if err != nil {
 		t.Fatalf("node: %v", err)
 	}
-	ring := NewRing(1, 0, []string{"n0"})
-	srv := httptest.NewServer(NodeHandler(node, ring))
+	srv := httptest.NewServer(NodeHandler(node, NewRing(1, 0, []string{"n0"})))
 	defer srv.Close()
 
-	check := func(path, method string, wantStatus int, wantCode string) {
-		t.Helper()
-		req, _ := http.NewRequest(method, srv.URL+path, nil)
-		resp, err := srv.Client().Do(req)
-		if err != nil {
-			t.Fatalf("%s %s: %v", method, path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != wantStatus {
-			t.Fatalf("%s %s: status %d, want %d", method, path, resp.StatusCode, wantStatus)
-		}
-		var eb httpapi.ErrorBody
-		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-			t.Fatalf("%s %s: envelope not decodable with httpapi.ErrorBody: %v", method, path, err)
-		}
-		if eb.Error.Code != wantCode {
-			t.Fatalf("%s %s: code %q, want %q", method, path, eb.Error.Code, wantCode)
-		}
-		if eb.Error.Message == "" {
-			t.Fatalf("%s %s: empty message", method, path)
-		}
-	}
-	check("/v1/cluster/nope", http.MethodGet, http.StatusNotFound, httpapi.CodeNotFound)
-	check("/v1/cluster/delta", http.MethodPost, http.StatusMethodNotAllowed, httpapi.CodeBadRequest)
+	expectEnvelope(t, srv, http.MethodGet, "/v1/cluster/nope", "", http.StatusNotFound, httpbody.CodeNotFound)
+	expectEnvelope(t, srv, http.MethodPost, "/v1/cluster/delta", "", http.StatusMethodNotAllowed, httpbody.CodeBadRequest)
 
 	_ = node.Kill()
-	check("/v1/cluster/delta", http.MethodGet, http.StatusServiceUnavailable, httpapi.CodeUnavailable)
-
-	// The peer must map the 503 envelope back onto ErrNodeDown.
+	expectEnvelope(t, srv, http.MethodGet, "/v1/cluster/delta", "", http.StatusServiceUnavailable, httpbody.CodeUnavailable)
 	peer := NewPeer("n0", srv.URL, srv.Client())
 	if _, err := peer.Delta(); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("peer against killed node: err = %v, want ErrNodeDown", err)
 	}
+}
+
+// TestFrontHandler drives the front's routes: a report is routed to its
+// shard owner and shows in the merged sketch, which is served the way
+// speedkit-server serves its own — a device's or an edge's reader takes
+// it unchanged, declared length included; failures travel in the envelope.
+func TestFrontHandler(t *testing.T) {
+	clk := clock.NewSimulated(epoch)
+	nodes := testNodes(t, clk, 2)
+	c := testCluster(t, clk, nodes)
+	defer c.Close()
+	srv := httptest.NewServer(FrontHandler(c, 30*time.Second))
+	defer srv.Close()
+
+	// The fill first: a write enters the sketch only while a copy may be
+	// cached, and one request's writes are applied before its reads.
+	for _, report := range []reportRequest{
+		{Reads: []readReport{{Key: "k", ExpiresAt: clk.Now().Add(time.Hour)}}},
+		{Writes: []string{"k"}},
+	} {
+		body, _ := json.Marshal(report)
+		resp, err := srv.Client().Post(srv.URL+"/v1/cluster/report", "application/json", bytes.NewReader(body))
+		if err != nil || resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("report %+v: %v, %v", report, resp, err)
+		}
+		resp.Body.Close()
+	}
+	if err := c.SyncDeltas(); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := srv.Client().Get(srv.URL + "/v1/sketch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.ContentLength <= 0 || resp.Header.Get("Cache-Control") != "public, max-age=30" {
+		t.Fatalf("sketch: Content-Length %d, Cache-Control %q", resp.ContentLength, resp.Header.Get("Cache-Control"))
+	}
+	sn, err := cachesketch.ReadHTTP(resp, clk.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn.Generation != c.Snapshot().Generation || !sn.MightBeStale("k") || sn.MightBeStale("unwritten") {
+		t.Fatalf("sketch over HTTP: generation %d (merged %d), flags k: %v", sn.Generation, c.Snapshot().Generation, sn.MightBeStale("k"))
+	}
+
+	info, err := NewPeer("front", srv.URL, srv.Client()).Ring()
+	if err != nil || len(info.Members) != 2 {
+		t.Fatalf("ring: %+v, %v", info, err)
+	}
+	var health struct {
+		Status  string
+		Members []string
+		Stats   ClusterStats
+	}
+	resp, err = srv.Client().Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil || health.Status != "ok" || len(health.Members) != 2 || health.Stats.RoutedWrites != 1 {
+		t.Fatalf("healthz: %+v, %v", health, err)
+	}
+
+	expectEnvelope(t, srv, http.MethodGet, "/page", "", http.StatusNotFound, httpbody.CodeNotFound)
+	expectEnvelope(t, srv, http.MethodGet, "/v1/cluster/report", "", http.StatusMethodNotAllowed, httpbody.CodeBadRequest)
+	expectEnvelope(t, srv, http.MethodPost, "/v1/sketch", "", http.StatusMethodNotAllowed, httpbody.CodeBadRequest)
+	expectEnvelope(t, srv, http.MethodPost, "/v1/cluster/report", "{not json", http.StatusBadRequest, httpbody.CodeBadRequest)
+	expectEnvelope(t, srv, http.MethodPost, "/v1/cluster/report", `{"reads":[{"expires_at":"2030-01-01T00:00:00Z"}]}`, http.StatusBadRequest, httpbody.CodeBadRequest)
+	// A report for a shard whose owner is down is retryable, not lost
+	// silently.
+	_ = c.Node(c.Ring().Owner("k")).Kill()
+	expectEnvelope(t, srv, http.MethodPost, "/v1/cluster/report", `{"writes":["k"]}`, http.StatusServiceUnavailable, httpbody.CodeUnavailable)
 }
 
 // TestClusterDeltaOverHTTPSources swaps every in-process delta source for

@@ -4,42 +4,17 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 	"time"
+
+	"speedkit/internal/httpbody"
 )
 
-// http.go is the node-side /v1/cluster surface: the endpoints one node
-// serves to its peers and to the merge layer. The JSON error envelope is
-// wire-identical to internal/httpapi's ({"error":{"code","message"}});
-// the struct is mirrored rather than imported because this package sits
-// behind the shared-infra fence and must not pull the identity-bearing
-// server stack into every node. The compatibility test decodes one
-// surface's errors with the other's types.
-
-// Error codes mirrored from the /v1 contract (httpapi.Code*).
-const (
-	codeBadRequest  = "bad_request"
-	codeNotFound    = "not_found"
-	codeUnavailable = "unavailable"
-	codeInternal    = "internal"
-)
-
-// errorBody / errorDetail mirror httpapi.ErrorBody / httpapi.ErrorDetail.
-type errorBody struct {
-	Error errorDetail `json:"error"`
-}
-
-type errorDetail struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-// writeError emits the /v1 JSON error envelope.
-func writeError(w http.ResponseWriter, status int, code, message string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorBody{Error: errorDetail{Code: code, Message: message}})
-}
+// http.go is the /v1/cluster surface: the endpoints one node serves to
+// its peers and to the merge layer (NodeHandler), and the ones the
+// deployment's front serves to devices, edges and routers (FrontHandler).
+// Failures travel in the tree's one JSON error envelope
+// (httpbody.ErrorBody).
 
 // writeJSON emits one JSON document.
 func writeJSON(w http.ResponseWriter, v any) {
@@ -64,6 +39,60 @@ type readReport struct {
 	ExpiresAt time.Time `json:"expires_at"`
 }
 
+// reporter is what POST /v1/cluster/report applies its body to: one node,
+// or the cluster, which routes each key to its shard owner.
+type reporter interface {
+	ReportWrites(keys []string) error
+	ReportCachedRead(key string, expiresAt time.Time) error
+}
+
+// reportHandler decodes one reportRequest and applies it to to.
+func reportHandler(to reporter) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			httpbody.WriteError(w, http.StatusMethodNotAllowed, httpbody.CodeBadRequest, "POST only")
+			return
+		}
+		var req reportRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "bad report body: "+err.Error())
+			return
+		}
+		if len(req.Writes) > 0 {
+			if err := to.ReportWrites(req.Writes); err != nil {
+				writeNodeError(w, err)
+				return
+			}
+		}
+		for _, rr := range req.Reads {
+			if rr.Key == "" {
+				httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "read report without key")
+				return
+			}
+			if err := to.ReportCachedRead(rr.Key, rr.ExpiresAt); err != nil {
+				writeNodeError(w, err)
+				return
+			}
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}
+}
+
+// getOnly answers anything but a GET with 405 in the envelope.
+func getOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			httpbody.WriteError(w, http.StatusMethodNotAllowed, httpbody.CodeBadRequest, "GET only")
+			return
+		}
+		h(w, r)
+	}
+}
+
+func notFound(w http.ResponseWriter, r *http.Request) {
+	httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, "no such cluster endpoint: "+r.URL.Path)
+}
+
 // NodeHandler serves one node's /v1/cluster surface:
 //
 //	GET  /v1/cluster/delta  — the node's current DeltaFrame
@@ -74,56 +103,48 @@ type readReport struct {
 // the signal a router maps back onto ErrNodeDown.
 func NodeHandler(n *Node, ring *Ring) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/cluster/delta", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, codeBadRequest, "GET only")
-			return
-		}
+	mux.HandleFunc("/v1/cluster/delta", getOnly(func(w http.ResponseWriter, _ *http.Request) {
 		frame, err := n.Delta()
 		if err != nil {
 			writeNodeError(w, err)
 			return
 		}
 		writeJSON(w, frame)
-	})
-	mux.HandleFunc("/v1/cluster/ring", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, codeBadRequest, "GET only")
-			return
+	}))
+	mux.HandleFunc("/v1/cluster/ring", getOnly(func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, ring.Info()) }))
+	mux.HandleFunc("/v1/cluster/report", reportHandler(n))
+	mux.HandleFunc("/", notFound)
+	return mux
+}
+
+// FrontHandler serves the deployment's front, what devices, edges and
+// routers are pointed at:
+//
+//	GET  /v1/sketch         — the merged client sketch, as speedkit-server
+//	                          serves its own (cachesketch.WriteHTTP),
+//	                          cacheable for delta
+//	GET  /v1/cluster/ring   — the ring layout
+//	POST /v1/cluster/report — reports, each key routed to its shard owner
+//	GET  /healthz           — members, merged generation, routing counters
+func FrontHandler(c *Cluster, delta time.Duration) http.Handler {
+	cacheControl := "public, max-age=" + strconv.Itoa(int(delta.Seconds()))
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/sketch", getOnly(func(w http.ResponseWriter, _ *http.Request) {
+		if err := c.Snapshot().WriteHTTP(w, cacheControl); err != nil {
+			httpbody.WriteError(w, http.StatusInternalServerError, httpbody.CodeInternal, err.Error())
 		}
-		writeJSON(w, ring.Info())
-	})
-	mux.HandleFunc("/v1/cluster/report", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, codeBadRequest, "POST only")
-			return
-		}
-		var req reportRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "bad report body: "+err.Error())
-			return
-		}
-		if len(req.Writes) > 0 {
-			if err := n.ReportWrites(req.Writes); err != nil {
-				writeNodeError(w, err)
-				return
-			}
-		}
-		for _, rr := range req.Reads {
-			if rr.Key == "" {
-				writeError(w, http.StatusBadRequest, codeBadRequest, "read report without key")
-				return
-			}
-			if err := n.ReportCachedRead(rr.Key, rr.ExpiresAt); err != nil {
-				writeNodeError(w, err)
-				return
-			}
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, codeNotFound, "no such cluster endpoint: "+r.URL.Path)
-	})
+	}))
+	mux.HandleFunc("/v1/cluster/ring", getOnly(func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, c.Ring().Info()) }))
+	mux.HandleFunc("/v1/cluster/report", reportHandler(c))
+	mux.HandleFunc("/healthz", getOnly(func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, map[string]any{
+			"status":     "ok",
+			"members":    c.Ring().Members(),
+			"generation": c.Snapshot().Generation,
+			"stats":      c.Stats(),
+		})
+	}))
+	mux.HandleFunc("/", notFound)
 	return mux
 }
 
@@ -131,8 +152,8 @@ func NodeHandler(n *Node, ring *Ring) http.Handler {
 // 503/unavailable (retryable), anything else 500/internal.
 func writeNodeError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrNodeDown) {
-		writeError(w, http.StatusServiceUnavailable, codeUnavailable, err.Error())
+		httpbody.WriteError(w, http.StatusServiceUnavailable, httpbody.CodeUnavailable, err.Error())
 		return
 	}
-	writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
+	httpbody.WriteError(w, http.StatusInternalServerError, httpbody.CodeInternal, err.Error())
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"speedkit/internal/httpbody"
 )
 
 // Peer is the HTTP client for one remote node's /v1/cluster surface. It
@@ -36,9 +38,9 @@ func (p *Peer) Name() string { return p.name }
 // outages identically.
 func decodeError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	var eb errorBody
+	var eb httpbody.ErrorBody
 	if err := json.Unmarshal(body, &eb); err == nil && eb.Error.Code != "" {
-		if eb.Error.Code == codeUnavailable {
+		if eb.Error.Code == httpbody.CodeUnavailable {
 			return fmt.Errorf("%w (peer: %s)", ErrNodeDown, eb.Error.Message)
 		}
 		return fmt.Errorf("cluster: peer %s: %s", eb.Error.Code, eb.Error.Message)

@@ -9,20 +9,21 @@
 //   - A write-ahead log (internal/wal) records every state-changing
 //     coherence event (cache-fill report, tracked write, invalidation
 //     watermark) as it happens, via the cachesketch.Journal hooks.
-//   - Periodic snapshots capture the full exported state atomically
-//     (write temp file, fsync, rename), named by the WAL position they
-//     cover so recovery knows where replay starts and the log can be
-//     pruned behind them.
+//   - Periodic snapshots capture the full exported state, so recovery
+//     replays only the log above the newest one and the log can be pruned
+//     behind it.
 //
-// Recovery is coherence-first: Recover loads the newest valid snapshot,
-// replays the WAL tail through the real server logic, and then decides
-// trust. A log that ends in the clean-shutdown marker is complete and the
-// server resumes warm. Anything else — torn tail, acknowledged-but-
-// unsynced records lost at the group commit, mid-log corruption — means
-// history may be missing, and the server enters conservative cold start:
-// a saturated all-stale sketch for one full Δ window (every client
-// revalidates; Δ holds with zero trusted history) plus blind write
-// tracking over the residual-TTL horizon.
+// The files, their framing and the recovery algorithm are
+// wal.Snapshotted's; this package owns the journal codec, the
+// clean/open markers and the trust decision. Recover restores the newest
+// valid snapshot, replays the WAL tail through the real server logic,
+// and then decides trust. A log that ends in the clean-shutdown marker is
+// complete and the server resumes warm. Anything else — torn tail,
+// acknowledged-but-unsynced records lost at the group commit, mid-log
+// corruption — means history may be missing, and the server enters
+// conservative cold start: a saturated all-stale sketch for one full Δ
+// window (every client revalidates; Δ holds with zero trusted history)
+// plus blind write tracking over the residual-TTL horizon.
 //
 // GDPR: this package sits behind the same boundary as the CDN — it may
 // only ever see anonymous coherence metadata (resource IDs, expirations,
@@ -34,12 +35,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -58,17 +53,12 @@ type Config struct {
 	Clock clock.Clock
 	// Faults optionally injects crashes at the WAL and snapshot writers.
 	Faults *faults.Injector
-	// SegmentMaxBytes, GroupCommitWindow, GroupCommitMax pass through to
-	// the WAL (see wal.Options).
-	SegmentMaxBytes   int64
-	GroupCommitWindow time.Duration
-	GroupCommitMax    int
+	// SegmentMaxBytes passes through to the WAL (see wal.Options).
+	SegmentMaxBytes int64
 	// SnapshotEvery suggests a snapshot after this many journaled records
 	// (default 512); ShouldSnapshot exposes the trigger, the owner decides
 	// when to act on it (snapshots must not run under the sketch mutex).
 	SnapshotEvery int
-	// KeepSnapshots retains this many newest snapshot files (default 2).
-	KeepSnapshots int
 	// ColdWindow is how long recovery saturates the sketch after an
 	// unclean shutdown — one full Δ window (default 1 minute).
 	ColdWindow time.Duration
@@ -84,9 +74,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 512
-	}
-	if c.KeepSnapshots <= 0 {
-		c.KeepSnapshots = 2
 	}
 	if c.ColdWindow <= 0 {
 		c.ColdWindow = time.Minute
@@ -190,14 +177,8 @@ type Stats struct {
 type Store struct {
 	cfg Config
 
-	// snapMu serializes whole Snapshot bodies (export, temp write,
-	// rename, prune). Snapshot releases s.mu while exporting, so without
-	// it two concurrent triggers would interleave writes into the same
-	// snap-<lsn>.snap.tmp and the CRC would reject the result.
-	snapMu sync.Mutex
-
 	mu        sync.Mutex
-	log       *wal.Log            // guarded by mu
+	log       *wal.Snapshotted    // guarded by mu
 	sketch    *cachesketch.Server // guarded by mu; wired by first Recover
 	est       *ttl.Estimator      // guarded by mu; wired by first Recover
 	replaying bool                // guarded by mu; suppresses journaling during Apply
@@ -215,9 +196,6 @@ func New(cfg Config) *Store {
 	return &Store{cfg: cfg}
 }
 
-// Dir returns the durability directory.
-func (s *Store) Dir() string { return s.cfg.Dir }
-
 // --- journaling ----------------------------------------------------------
 
 // appendLocked frames and appends one journal record. The caller must
@@ -229,10 +207,7 @@ func (s *Store) appendLocked(payload []byte) {
 		return
 	}
 	if _, err := s.log.Append(payload); err != nil {
-		if errors.Is(err, faults.ErrCrash) || errors.Is(err, wal.ErrCrashed) {
-			s.crashed = true
-			s.stats.Crashed = true
-		}
+		s.noteCrashLocked(err)
 		return
 	}
 	s.pending++
@@ -372,37 +347,32 @@ func decodeRecord(payload []byte) (record, error) {
 
 // --- snapshots -----------------------------------------------------------
 
-// snapshot file format: magic "SKSN", u8 version, u32 crc32c over the
-// rest, u64 lsn, u64 watermark, u32 sketch-state length, sketch state,
-// u32 ttl-state length, ttl state.
+// snapMagic marks a sketch-server snapshot file. Its payload, inside
+// wal.Snapshotted's frame: u64 watermark, u32 sketch-state length, sketch
+// state, u32 ttl-state length, ttl state.
 var snapMagic = [4]byte{'S', 'K', 'S', 'N'}
 
-const snapVersion = 1
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-func snapName(lsn uint64) string { return fmt.Sprintf("snap-%016x.snap", lsn) }
-
-func parseSnapName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".snap") {
-		return 0, false
+// noteCrashLocked flips the store dead if err is an injected kill. The
+// caller must hold s.mu.
+func (s *Store) noteCrashLocked(err error) {
+	if errors.Is(err, faults.ErrCrash) || errors.Is(err, wal.ErrCrashed) {
+		s.crashed = true
+		s.stats.Crashed = true
 	}
-	v, err := strconv.ParseUint(name[5:len(name)-5], 16, 64)
-	return v, err == nil
 }
 
 // snapshotTargets copies the component pointers out under the lock,
 // refusing after a crash or before recovery.
-func (s *Store) snapshotTargets() (*wal.Log, *cachesketch.Server, *ttl.Estimator, uint64, error) {
+func (s *Store) snapshotTargets() (*wal.Snapshotted, *cachesketch.Server, *ttl.Estimator, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.crashed {
-		return nil, nil, nil, 0, fmt.Errorf("durable: %w", faults.ErrCrash)
+		return nil, nil, nil, fmt.Errorf("durable: %w", faults.ErrCrash)
 	}
 	if s.log == nil || s.sketch == nil {
-		return nil, nil, nil, 0, errors.New("durable: not recovered")
+		return nil, nil, nil, errors.New("durable: not recovered")
 	}
-	return s.log, s.sketch, s.est, s.watermark, nil
+	return s.log, s.sketch, s.est, nil
 }
 
 // Snapshot atomically persists the full coherence state and prunes the
@@ -411,170 +381,42 @@ func (s *Store) snapshotTargets() (*wal.Log, *cachesketch.Server, *ttl.Estimator
 // Concurrent calls coalesce: whoever loses the race returns nil
 // immediately, since the in-flight snapshot covers its trigger.
 func (s *Store) Snapshot() error {
-	if !s.snapMu.TryLock() {
-		return nil
-	}
-	defer s.snapMu.Unlock()
-	log, sketch, est, watermark, err := s.snapshotTargets()
+	log, sketch, est, err := s.snapshotTargets()
 	if err != nil {
 		return err
 	}
-
-	// Capture the covered LSN BEFORE exporting: any record appended while
-	// the export runs lands above lsn and replays on top of the snapshot,
-	// which the sketch's report logic absorbs idempotently.
-	lsn := log.NextLSN() - 1
-	sketchState := sketch.ExportState()
-	var ttlState []byte
-	if est != nil {
-		ttlState = est.ExportState()
-	}
-
-	body := make([]byte, 0, 24+len(sketchState)+len(ttlState))
-	body = binary.BigEndian.AppendUint64(body, lsn)
-	body = binary.BigEndian.AppendUint64(body, watermark)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(sketchState)))
-	body = append(body, sketchState...)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(ttlState)))
-	body = append(body, ttlState...)
-
-	blob := make([]byte, 0, 9+len(body))
-	blob = append(blob, snapMagic[:]...)
-	blob = append(blob, snapVersion)
-	blob = binary.BigEndian.AppendUint32(blob, crc32.Checksum(body, castagnoli))
-	blob = append(blob, body...)
-
-	final := filepath.Join(s.cfg.Dir, snapName(lsn))
-	tmp := final + ".tmp"
-
-	if d := s.cfg.Faults.Decide(faults.SnapshotWrite); d.Kind == faults.Crash {
-		// Killed mid-snapshot: a torn temp file is left behind and never
-		// renamed into place; recovery ignores it.
-		torn := d.TornBytes
-		if torn <= 0 {
-			torn = int(lsn % uint64(len(blob)))
+	// The export runs after the covered LSN is fixed and outside s.mu:
+	// the journal hooks take s.mu under the sketch mutex, which
+	// ExportState takes. Records journaled meanwhile land above the
+	// snapshot and replay on top of it, which the sketch's report logic
+	// absorbs idempotently.
+	size, err := log.Checkpoint(func() []byte {
+		watermark := s.Watermark()
+		sketchState := sketch.ExportState()
+		var ttlState []byte
+		if est != nil {
+			ttlState = est.ExportState()
 		}
-		if torn >= len(blob) {
-			torn = len(blob) - 1
-		}
-		_ = os.WriteFile(tmp, blob[:torn], 0o644)
-		s.mu.Lock()
-		s.crashed = true
-		s.stats.Crashed = true
-		s.mu.Unlock()
-		return fmt.Errorf("durable: snapshot: %w", faults.ErrCrash)
-	}
-
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	syncDir(s.cfg.Dir)
-
-	if _, err := log.PruneBelow(lsn); err != nil {
-		return err
-	}
-	s.pruneSnapshots(lsn)
-
+		buf := make([]byte, 0, 16+len(sketchState)+len(ttlState))
+		buf = binary.BigEndian.AppendUint64(buf, watermark)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(sketchState)))
+		buf = append(buf, sketchState...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(ttlState)))
+		return append(buf, ttlState...)
+	})
 	s.mu.Lock()
-	s.snapLSN = lsn
-	s.pending = 0
-	s.stats.Snapshots++
-	s.stats.SnapshotBytes = len(blob)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if err != nil {
+		s.noteCrashLocked(err)
+		return fmt.Errorf("durable: snapshot: %w", err)
+	}
+	if size > 0 {
+		s.snapLSN = log.SnapshotLSN()
+		s.pending = 0
+		s.stats.Snapshots++
+		s.stats.SnapshotBytes = size
+	}
 	return nil
-}
-
-// syncDir fsyncs a directory so a rename is durable; best-effort on
-// filesystems that reject directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-}
-
-// pruneSnapshots deletes all but the newest KeepSnapshots snapshot files
-// at or below keepLSN's generation, plus any abandoned temp files.
-func (s *Store) pruneSnapshots(newest uint64) {
-	entries, err := os.ReadDir(s.cfg.Dir)
-	if err != nil {
-		return
-	}
-	var lsns []uint64
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			_ = os.Remove(filepath.Join(s.cfg.Dir, e.Name()))
-			continue
-		}
-		if lsn, ok := parseSnapName(e.Name()); ok && lsn != newest {
-			lsns = append(lsns, lsn)
-		}
-	}
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] > lsns[j] })
-	for i, lsn := range lsns {
-		if i >= s.cfg.KeepSnapshots-1 {
-			_ = os.Remove(filepath.Join(s.cfg.Dir, snapName(lsn)))
-		}
-	}
-}
-
-// loadNewestSnapshot finds and validates the newest snapshot, returning
-// its decoded sections. Invalid or torn snapshot files are skipped in
-// favour of older valid ones.
-func loadNewestSnapshot(dir string) (lsn, watermark uint64, sketchState, ttlState []byte, ok bool) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, 0, nil, nil, false
-	}
-	var lsns []uint64
-	for _, e := range entries {
-		if v, isSnap := parseSnapName(e.Name()); isSnap {
-			lsns = append(lsns, v)
-		}
-	}
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] > lsns[j] })
-	for _, v := range lsns {
-		blob, err := os.ReadFile(filepath.Join(dir, snapName(v)))
-		if err != nil || len(blob) < 9 || [4]byte(blob[0:4]) != snapMagic || blob[4] != snapVersion {
-			continue
-		}
-		body := blob[9:]
-		if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(blob[5:9]) {
-			continue
-		}
-		if len(body) < 20 {
-			continue
-		}
-		snapLSN := binary.BigEndian.Uint64(body[0:8])
-		wm := binary.BigEndian.Uint64(body[8:16])
-		skLen := int(binary.BigEndian.Uint32(body[16:20]))
-		if len(body) < 20+skLen+4 {
-			continue
-		}
-		sk := body[20 : 20+skLen]
-		ttLen := int(binary.BigEndian.Uint32(body[20+skLen:]))
-		if len(body) != 24+skLen+ttLen {
-			continue
-		}
-		tt := body[24+skLen : 24+skLen+ttLen]
-		return snapLSN, wm, sk, tt, true
-	}
-	return 0, 0, nil, nil, false
 }
 
 // --- recovery ------------------------------------------------------------
@@ -618,13 +460,6 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 		return RecoveryInfo{}, err
 	}
 
-	if err := os.MkdirAll(s.cfg.Dir, 0o755); err != nil {
-		return RecoveryInfo{}, fmt.Errorf("durable: %w", err)
-	}
-
-	var info RecoveryInfo
-	snapLSN, wm, sketchState, ttlState, haveSnap := loadNewestSnapshot(s.cfg.Dir)
-
 	// Crash model: the process's memory is gone. Reset before applying.
 	sketch.Reset()
 	if est != nil {
@@ -632,101 +467,58 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 	}
 	// genFloor accumulates the highest generation clients provably saw:
 	// the snapshot's own, raised by every replayed recGeneration record.
-	var genFloor uint64
-	if haveSnap {
-		if err := sketch.ImportState(sketchState); err != nil {
-			return RecoveryInfo{}, err
+	var wm, genFloor uint64
+	haveSnap := false
+	restore := func(p []byte) error {
+		if len(p) < 12 {
+			return errors.New("durable: short snapshot")
 		}
+		skLen := int(binary.BigEndian.Uint32(p[8:12]))
+		if len(p) < 16+skLen {
+			return errors.New("durable: malformed snapshot")
+		}
+		ttLen := int(binary.BigEndian.Uint32(p[12+skLen:]))
+		if len(p) != 16+skLen+ttLen {
+			return errors.New("durable: malformed snapshot")
+		}
+		if err := sketch.ImportState(p[12 : 12+skLen]); err != nil {
+			return err
+		}
+		if est != nil && ttLen > 0 {
+			if err := est.ImportState(p[16+skLen:]); err != nil {
+				return err
+			}
+		}
+		haveSnap = true
+		wm = binary.BigEndian.Uint64(p)
 		genFloor = sketch.Generation()
-		if est != nil && len(ttlState) > 0 {
-			if err := est.ImportState(ttlState); err != nil {
-				return RecoveryInfo{}, err
-			}
-		}
-		info.SnapshotLSN = snapLSN
-		info.Watermark = wm
+		return nil
 	}
-
-	// Scan the log, buffering decoded records: nothing is applied from a
-	// log that proves corrupt mid-scan, and only the tail past the
-	// snapshot replays.
+	// The tail is buffered, not applied as it arrives: whether the clean
+	// marker is the final record is known only at the end, and adjacent
+	// writes replay as one batch. A record that does not decode makes the
+	// log corrupt from there on.
 	var tail []record
-	var decodeErr error
-	var maxSeen uint64 // highest LSN observed on disk, trusted or not
-	walOpts := wal.Options{
-		Dir:               s.cfg.Dir,
-		SegmentMaxBytes:   s.cfg.SegmentMaxBytes,
-		GroupCommitWindow: s.cfg.GroupCommitWindow,
-		GroupCommitMax:    s.cfg.GroupCommitMax,
-		Clock:             s.cfg.Clock,
-		Faults:            s.cfg.Faults,
-		OnRecord: func(lsn uint64, payload []byte) {
-			if lsn > maxSeen {
-				maxSeen = lsn
-			}
-			if lsn <= snapLSN || decodeErr != nil {
-				return
-			}
-			r, err := decodeRecord(payload)
-			if err != nil {
-				decodeErr = err
-				return
-			}
+	replay := func(_ uint64, payload []byte) error {
+		r, err := decodeRecord(payload)
+		if err == nil {
 			tail = append(tail, r)
-		},
+		}
+		return err
 	}
-	// reopenWiped retires the entire log (and any snapshot file above the
-	// trusted one — those are unloadable leftovers that would shadow newer
-	// state by name) and reopens it seeded ABOVE every LSN ever issued:
-	// the snapshot's coverage and everything observed on disk. Without the
-	// seed a wiped log restarts at LSN 1 while the snapshot keeps its high
-	// LSN, so every record of the new incarnation — clean-shutdown marker
-	// included — replays as lsn <= snapLSN and is silently skipped,
-	// losing durable data despite clean shutdowns.
-	reopenWiped := func() (*wal.Log, error) {
-		if err := wipeLog(s.cfg.Dir, snapLSN); err != nil {
-			return nil, err
-		}
-		seed := snapLSN
-		if maxSeen > seed {
-			seed = maxSeen
-		}
-		walOpts.FirstLSN = seed + 1
-		return wal.Open(walOpts)
-	}
-	log, err := wal.Open(walOpts)
-	corrupt := false
-	switch {
-	case err == nil && decodeErr == nil:
-	case err != nil && errors.Is(err, wal.ErrCorrupt):
-		// Frames after the damage are untrusted; the buffered prefix is
-		// CRC-valid history and still applies. Wipe the log so appends
-		// restart on trusted ground.
-		corrupt = true
-		if log, err = reopenWiped(); err != nil {
-			return RecoveryInfo{}, err
-		}
-	case err != nil:
+	log, rec, err := wal.OpenSnapshotted(wal.Options{
+		Dir:             s.cfg.Dir,
+		SegmentMaxBytes: s.cfg.SegmentMaxBytes,
+		Clock:           s.cfg.Clock,
+		Faults:          s.cfg.Faults,
+	}, snapMagic, restore, replay)
+	if err != nil {
 		return RecoveryInfo{}, err
-	default: // decodeErr != nil: frames intact but a payload is garbage
-		corrupt = true
-		if log, err = reopenWiped(); err != nil {
-			return RecoveryInfo{}, err
-		}
 	}
-	info.TruncatedBytes = log.Stats().TruncatedBytes
-	// A torn tail can truncate the log back INSIDE the snapshot's
-	// coverage (the snapshot only prunes whole sealed segments, so the
-	// active segment still holds covered LSNs). Appending there would
-	// reissue covered LSNs that every later Recover skips — same silent
-	// loss as the wipe case. Every surviving record is inside the
-	// snapshot, so the log carries no information: retire it and reseed.
-	if log.NextLSN() <= snapLSN {
-		corrupt = true
-		_ = log.Close()
-		if log, err = reopenWiped(); err != nil {
-			return RecoveryInfo{}, err
-		}
+	info := RecoveryInfo{
+		SnapshotLSN:    rec.SnapshotLSN,
+		Replayed:       rec.Replayed,
+		TruncatedBytes: rec.TruncatedBytes,
 	}
 
 	// Replay the tail through the real server logic. Journaling is
@@ -775,11 +567,13 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 		}
 	}
 	flushWrites()
-	info.Replayed = uint64(len(tail))
 	info.Watermark = wm
 
 	switch {
-	case corrupt:
+	case rec.Reseeded:
+		// Mid-log corruption, an undecodable record, or a torn tail that
+		// reached back inside the snapshot: the log was retired, and only
+		// the snapshot and the intact prefix above it were applied.
 		info.Mode = ColdStart
 	case info.Replayed > 0:
 		info.Mode = Replay
@@ -799,7 +593,7 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 
 	// A fresh directory trivially has complete (empty) history; a torn
 	// tail, a wipe, or any log not sealed by the shutdown marker does not.
-	unclean := info.Mode != Fresh && (!clean || corrupt || info.TruncatedBytes > 0)
+	unclean := info.Mode != Fresh && (!clean || rec.Reseeded || info.TruncatedBytes > 0)
 	if unclean {
 		now := s.cfg.Clock.Now()
 		sketch.ColdStart(now.Add(s.cfg.ColdWindow), now.Add(s.cfg.BlindHorizon))
@@ -824,7 +618,7 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 	s.replaying = false
 	s.crashed = false
 	s.watermark = wm
-	s.snapLSN = snapLSN
+	s.snapLSN = rec.SnapshotLSN
 	s.pending = 0
 	s.stats.Crashed = false
 	s.stats.Recoveries++
@@ -842,31 +636,6 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 		return info, err
 	}
 	return info, nil
-}
-
-// wipeLog deletes every WAL segment file (corrupt-log fallback) plus any
-// snapshot file named above the trusted snapshot's LSN — loadNewestSnapshot
-// already rejected those as unloadable, and left in place their higher
-// names would win the newest-first ordering forever, shadowing every
-// snapshot the reseeded incarnation writes.
-func wipeLog(dir string, trustedSnapLSN uint64) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		stale := strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg")
-		if lsn, ok := parseSnapName(name); ok && lsn > trustedSnapLSN {
-			stale = true
-		}
-		if stale {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return fmt.Errorf("durable: %w", err)
-			}
-		}
-	}
-	return nil
 }
 
 // Close seals the log with the clean-shutdown marker and closes it. A
@@ -928,10 +697,9 @@ func (s *Store) Sync() error {
 		return nil
 	}
 	err := log.Sync()
-	if err != nil && (errors.Is(err, faults.ErrCrash) || errors.Is(err, wal.ErrCrashed)) {
+	if err != nil {
 		s.mu.Lock()
-		s.crashed = true
-		s.stats.Crashed = true
+		s.noteCrashLocked(err)
 		s.mu.Unlock()
 	}
 	return err

@@ -4,12 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -19,19 +14,16 @@ import (
 	"speedkit/internal/wal"
 )
 
-// Disk tier layout, reusing the durability subsystem's discipline:
-//
-//	<dir>/wal/            segmented WAL of fill/purge records
-//	<dir>/edge-<lsn>.snap crash-safe snapshots (temp file, fsync, rename)
-//
-// Every committed cache entry and purge is journaled; a snapshot folds
-// the live entry set into one file named by the WAL position it covers,
-// after which older segments are pruned. Recovery loads the newest
-// valid snapshot and replays the WAL above it. A torn tail (the
-// expected kill signature) is truncated by the WAL itself; mid-log
-// corruption (wal.ErrCorrupt) answers with a full wipe and cold start —
-// an edge cache is disposable state, so losing it costs misses, never
-// correctness.
+// Disk tier: every committed cache entry and every purge is journaled to
+// a wal.Snapshotted in the cache directory, and every SnapshotEvery
+// records the live entry set is checkpointed into it. The files, the
+// snapshot framing and the recovery are that type's (and so the same as
+// the server's durability directory); this file holds the record and
+// entry codecs and the tier's one policy of its own: a cache is
+// disposable, so where recovery reports a hole in the history — a lost
+// purge may be in it — the tier keeps nothing and starts empty. A torn
+// tail, the expected kill signature, loses only unacknowledged work and
+// recovers warm.
 //
 // The records hold resource paths, body bytes the origin already serves
 // publicly, versions, and expirations — anonymous coherence state only.
@@ -40,13 +32,11 @@ import (
 const (
 	recFill  byte = 1
 	recPurge byte = 2
-
-	snapMagic   = "SKEC"
-	snapVersion = byte(1)
-	snapSuffix  = ".snap"
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// snapMagic marks an edge snapshot file. Its payload: uvarint entry
+// count, then per entry a uvarint length and the encoded entry.
+var snapMagic = [4]byte{'S', 'K', 'E', 'C'}
 
 // RecoveryInfo summarizes what a disk-tier open recovered.
 type RecoveryInfo struct {
@@ -57,102 +47,96 @@ type RecoveryInfo struct {
 	SnapshotLSN uint64
 	// Replayed counts WAL records applied above the snapshot.
 	Replayed int
-	// ColdStart reports a mid-log-corruption wipe: the directory was
-	// cleared and the cache starts empty.
+	// ColdStart reports that the history had a hole (mid-log corruption,
+	// an undecodable record): everything was discarded and the cache
+	// starts empty.
 	ColdStart bool
 }
 
 type diskTier struct {
-	dir string
-	log *wal.Log
-	clk clock.Clock
+	log *wal.Snapshotted
 	m   *metrics
-	inj *faults.Injector
 	mem *cache.Store
+	// every is the journal-records-per-snapshot cadence.
+	every int
 
-	// mu serializes appends and snapshots: handlers journal fills and
-	// purges concurrently, and two overlapping snapshot() runs would
-	// interleave bytes in the same temp file before rename. wal.Log is
-	// internally locked, but dead/sinceSnap/snapLSN are ours to guard.
-	mu   sync.Mutex
-	dead bool
-
-	// every is the journal-records-per-snapshot cadence; sinceSnap
-	// counts records appended since the last one.
-	every     int
-	sinceSnap int
-	snapLSN   uint64
+	// mu serializes an append with the checkpoint it may trigger, so a
+	// checkpoint covers exactly the records counted toward it.
+	mu        sync.Mutex
+	dead      bool // guarded by mu
+	sinceSnap int  // guarded by mu; records appended since the last checkpoint
 }
 
 // openDisk opens (or recovers) the disk tier rooted at dir, loading
 // surviving entries into mem.
 func openDisk(dir string, every int, clk clock.Clock, inj *faults.Injector, mem *cache.Store, m *metrics) (*diskTier, RecoveryInfo, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	restore := func(p []byte) error {
+		count, n := binary.Uvarint(p)
+		if n <= 0 {
+			return errors.New("edge: malformed snapshot")
+		}
+		p = p[n:]
+		for i := uint64(0); i < count; i++ {
+			enc, rest, ok := readBytes(p)
+			if !ok {
+				return errors.New("edge: malformed snapshot")
+			}
+			e, ok := decodeEntry(enc)
+			if !ok {
+				return errors.New("edge: malformed snapshot entry")
+			}
+			mem.Put(e)
+			p = rest
+		}
+		return nil
+	}
+	replay := func(_ uint64, rec []byte) error {
+		if len(rec) == 0 {
+			return errors.New("edge: empty disk record")
+		}
+		switch rec[0] {
+		case recFill:
+			e, ok := decodeEntry(rec[1:])
+			if !ok {
+				return errors.New("edge: malformed fill record")
+			}
+			mem.Put(e)
+		case recPurge:
+			mem.Delete(string(rec[1:]))
+		default:
+			return fmt.Errorf("edge: unknown disk record type %d", rec[0])
+		}
+		return nil
+	}
+	log, rec, err := wal.OpenSnapshotted(wal.Options{Dir: dir, Clock: clk, Faults: inj}, snapMagic, restore, replay)
+	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
-	var info RecoveryInfo
-	snapLSN, loaded, err := loadNewestSnapshot(dir, mem)
-	if err != nil {
-		return nil, info, err
-	}
-	info.SnapshotLSN = snapLSN
-	info.Entries = loaded
-
-	apply := func(lsn uint64, payload []byte) {
-		if lsn <= snapLSN || len(payload) == 0 {
-			return
-		}
-		switch payload[0] {
-		case recFill:
-			if e, ok := decodeEntry(payload[1:]); ok {
-				mem.Put(e)
-				info.Replayed++
-			}
-		case recPurge:
-			mem.Delete(string(payload[1:]))
-			info.Replayed++
-		}
-	}
-	log, err := wal.Open(wal.Options{
-		Dir:      filepath.Join(dir, "wal"),
-		Clock:    clk,
-		Faults:   inj,
-		OnRecord: apply,
-	})
-	if errors.Is(err, wal.ErrCorrupt) {
-		// Mid-log hole: do not trust anything. Wipe and start cold —
-		// the cache re-fills from the upstream; a loss costs misses.
-		mem.Clear()
-		if err := os.RemoveAll(dir); err != nil {
-			return nil, info, err
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, info, err
-		}
-		log, err = wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Clock: clk, Faults: inj})
-		if err != nil {
-			return nil, info, err
-		}
-		info = RecoveryInfo{ColdStart: true}
-	} else if err != nil {
-		return nil, info, err
-	}
-	info.Entries = mem.Len()
 	if every <= 0 {
 		every = 256
 	}
-	return &diskTier{
-		dir: dir, log: log, clk: clk, m: m, inj: inj, mem: mem,
-		every: every, snapLSN: snapLSN,
-	}, info, nil
+	d := &diskTier{log: log, m: m, mem: mem, every: every}
+	info := RecoveryInfo{SnapshotLSN: rec.SnapshotLSN, Replayed: int(rec.Replayed)}
+	if rec.Corrupt {
+		// What loaded is older than records that are gone, a purge
+		// perhaps among them. Keep none of it, and put the empty set on
+		// disk so that no later recovery reads the old snapshot back.
+		mem.Clear()
+		if _, err := log.Checkpoint(d.export); err != nil {
+			log.Close()
+			return nil, RecoveryInfo{}, err
+		}
+		info = RecoveryInfo{ColdStart: true}
+	}
+	info.Entries = mem.Len()
+	return d, info, nil
 }
 
 // appendFill journals one committed entry. A failed append (injected
 // crash, disk error) marks the tier dead: the edge keeps serving from
 // memory, and the owner's restart path runs recovery.
 func (d *diskTier) appendFill(e cache.Entry) {
-	payload := append([]byte{recFill}, encodeEntry(e)...)
-	d.append(payload)
+	d.append(append([]byte{recFill}, encodeEntry(e)...))
 	d.m.diskFills.Add(1)
 }
 
@@ -174,23 +158,22 @@ func (d *diskTier) append(payload []byte) {
 	}
 	d.sinceSnap++
 	if d.sinceSnap >= d.every {
-		// A failed snapshot is not fatal: the WAL still holds every
+		// A failed checkpoint is not fatal: the WAL still holds every
 		// record, so recovery replays what the snapshot missed.
-		_ = d.snapshot()
+		if size, err := d.log.Checkpoint(d.export); err == nil && size > 0 {
+			d.sinceSnap = 0
+			d.m.snapshots.Add(1)
+		}
 	}
 }
 
-// crashed reports whether an injected fault killed the WAL.
+// crashed reports whether an injected fault killed the tier.
 func (d *diskTier) crashed() bool { return d.log.Crashed() }
 
 func (d *diskTier) close() error { return d.log.Close() }
 
-// snapshot folds the live entry set into edge-<lsn>.snap and prunes the
-// WAL below it. The LSN is captured before export so records appended
-// concurrently with the write stay above the prune line. Callers must
-// hold d.mu.
-func (d *diskTier) snapshot() error {
-	lsn := d.log.NextLSN() - 1
+// export encodes the live entry set, in key order, as a snapshot payload.
+func (d *diskTier) export() []byte {
 	keys := d.mem.Keys()
 	sort.Strings(keys)
 	var entBuf []byte
@@ -205,135 +188,7 @@ func (d *diskTier) snapshot() error {
 		entBuf = append(entBuf, enc...)
 		n++
 	}
-	body := append(binary.AppendUvarint(nil, uint64(n)), entBuf...)
-
-	blob := append([]byte(snapMagic), snapVersion)
-	blob = binary.BigEndian.AppendUint32(blob, crc32.Checksum(body, castagnoli))
-	blob = append(blob, body...)
-
-	final := filepath.Join(d.dir, fmt.Sprintf("edge-%016d%s", lsn, snapSuffix))
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(d.dir)
-	d.snapLSN = lsn
-	d.sinceSnap = 0
-	d.m.snapshots.Add(1)
-	_, _ = d.log.PruneBelow(lsn + 1)
-	d.pruneSnapshots(final)
-	return nil
-}
-
-// pruneSnapshots removes every snapshot except the one just written.
-func (d *diskTier) pruneSnapshots(keep string) {
-	ents, err := os.ReadDir(d.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		name := filepath.Join(d.dir, e.Name())
-		if name != keep && strings.HasSuffix(e.Name(), snapSuffix) {
-			os.Remove(name)
-		}
-	}
-}
-
-// loadNewestSnapshot scans dir for edge-<lsn>.snap files, newest first,
-// and loads the first one that validates; torn or corrupt files are
-// skipped (a crash between Create and Sync leaves exactly that).
-func loadNewestSnapshot(dir string, mem *cache.Store) (lsn uint64, entries int, err error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, 0, nil
-		}
-		return 0, 0, err
-	}
-	type cand struct {
-		lsn  uint64
-		path string
-	}
-	var cands []cand
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, "edge-") || !strings.HasSuffix(name, snapSuffix) {
-			continue
-		}
-		v, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "edge-"), snapSuffix), 10, 64)
-		if perr != nil {
-			continue
-		}
-		cands = append(cands, cand{lsn: v, path: filepath.Join(dir, name)})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].lsn > cands[j].lsn })
-	for _, c := range cands {
-		n, ok := loadSnapshot(c.path, mem)
-		if ok {
-			return c.lsn, n, nil
-		}
-	}
-	return 0, 0, nil
-}
-
-func loadSnapshot(path string, mem *cache.Store) (entries int, ok bool) {
-	blob, err := os.ReadFile(path)
-	if err != nil || len(blob) < len(snapMagic)+5 {
-		return 0, false
-	}
-	if string(blob[:4]) != snapMagic || blob[4] != snapVersion {
-		return 0, false
-	}
-	body := blob[9:]
-	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(blob[5:9]) {
-		return 0, false
-	}
-	count, n := binary.Uvarint(body)
-	if n <= 0 {
-		return 0, false
-	}
-	body = body[n:]
-	for i := uint64(0); i < count; i++ {
-		sz, n := binary.Uvarint(body)
-		if n <= 0 || uint64(len(body[n:])) < sz {
-			return 0, false
-		}
-		e, eok := decodeEntry(body[n : n+int(sz)])
-		if !eok {
-			return 0, false
-		}
-		mem.Put(e)
-		entries++
-		body = body[n+int(sz):]
-	}
-	return entries, true
-}
-
-// syncDir fsyncs a directory so a rename is durable; best-effort.
-func syncDir(dir string) {
-	if f, err := os.Open(dir); err == nil {
-		_ = f.Sync()
-		f.Close()
-	}
+	return append(binary.AppendUvarint(nil, uint64(n)), entBuf...)
 }
 
 // unixNano maps a time to its wire form; the zero time stays zero so a
@@ -366,12 +221,18 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func readString(b []byte) (string, []byte, bool) {
+// readBytes splits one length-prefixed field off b.
+func readBytes(b []byte) (field, rest []byte, ok bool) {
 	sz, n := binary.Uvarint(b)
 	if n <= 0 || uint64(len(b[n:])) < sz {
-		return "", nil, false
+		return nil, nil, false
 	}
-	return string(b[n : n+int(sz)]), b[n+int(sz):], true
+	return b[n : n+int(sz)], b[n+int(sz):], true
+}
+
+func readString(b []byte) (string, []byte, bool) {
+	field, rest, ok := readBytes(b)
+	return string(field), rest, ok
 }
 
 func encodeEntry(e cache.Entry) []byte {
@@ -400,12 +261,12 @@ func decodeEntry(b []byte) (cache.Entry, bool) {
 	if e.Key, b, ok = readString(b); !ok {
 		return e, false
 	}
-	sz, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b[n:])) < sz {
+	var body []byte
+	if body, b, ok = readBytes(b); !ok {
 		return e, false
 	}
-	e.Body = append([]byte(nil), b[n:n+int(sz)]...)
-	b = b[n+int(sz):]
+	e.Body = append([]byte(nil), body...)
+	var n int
 	if e.Version, n = binary.Uvarint(b); n <= 0 {
 		return e, false
 	}

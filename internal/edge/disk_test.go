@@ -99,8 +99,9 @@ func TestDiskTierSnapshotAndPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cadence 2: the fourth record triggers the second snapshot.
-	for _, k := range []string{"/a", "/b", "/c", "/d"} {
+	// Cadence 2: the sixth record triggers the third snapshot, one more
+	// than stay on disk.
+	for _, k := range []string{"/a", "/b", "/c", "/d", "/e", "/f"} {
 		e := cache.Entry{Key: k, Body: []byte("body " + k)}
 		mem.Put(e)
 		d.appendFill(e)
@@ -108,9 +109,9 @@ func TestDiskTierSnapshotAndPrune(t *testing.T) {
 	if m.snapshots.Load() == 0 {
 		t.Fatal("no snapshot taken")
 	}
-	snaps, _ := filepath.Glob(filepath.Join(dir, "edge-*.snap"))
-	if len(snaps) != 1 {
-		t.Fatalf("snapshots on disk = %d, want 1 (pruned)", len(snaps))
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if len(snaps) != 2 {
+		t.Fatalf("snapshots on disk = %d, want 2 (pruned)", len(snaps))
 	}
 	d.close()
 
@@ -121,8 +122,8 @@ func TestDiskTierSnapshotAndPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mem2.Len() != 4 {
-		t.Fatalf("recovered %d entries, want 4 (info=%+v)", mem2.Len(), info)
+	if mem2.Len() != 6 {
+		t.Fatalf("recovered %d entries, want 6 (info=%+v)", mem2.Len(), info)
 	}
 	if info.SnapshotLSN == 0 {
 		t.Fatalf("snapshot not used: %+v", info)
@@ -203,7 +204,7 @@ func TestDiskTierMidLogCorruptionColdStarts(t *testing.T) {
 	}
 	d.close()
 
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal", "*"))
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	sort.Strings(segs)
 	if len(segs) < 2 {
 		t.Fatalf("need >=2 wal segments to model mid-log damage, got %d", len(segs))

@@ -4,8 +4,8 @@
 //
 // Protocol behavior:
 //
-//   - Only GET page fetches (/v1/page, legacy /page) are cached, keyed
-//     by the ?path= value — the same key space the Cache Sketch and the
+//   - Only GET page fetches (/v1/page) are cached, keyed by the ?path=
+//     value — the same key space the Cache Sketch and the
 //     invalidation pipeline speak. Cacheability is decided by the
 //     upstream's Cache-Control and the sketch, never by URL heuristics:
 //     path-pattern cacheability is exactly the web-cache-deception trap,
@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"speedkit/internal/bloom"
 	"speedkit/internal/cache"
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
@@ -107,9 +106,6 @@ type Proxy struct {
 
 	fillsMu sync.Mutex
 	fills   map[string]*fill
-
-	// legacy latches when the upstream predates the /v1 surface.
-	legacy atomic.Bool
 }
 
 // New builds a Proxy and, when Options.CacheDir is set, recovers the
@@ -187,14 +183,14 @@ func (p *Proxy) Handler() http.Handler {
 // the cache, everything else proxies through uncached.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
-	case r.Method == http.MethodPost && (r.URL.Path == "/v1/purge" || r.URL.Path == "/purge"):
+	case r.Method == http.MethodPost && r.URL.Path == "/v1/purge":
 		p.handlePurge(w, r)
-	case r.Method == http.MethodGet && (r.URL.Path == "/v1/page" || r.URL.Path == "/page"):
+	case r.Method == http.MethodGet && r.URL.Path == "/v1/page":
 		if key := r.URL.Query().Get("path"); key != "" {
 			p.servePage(w, r, key)
 			return
 		}
-		p.edgeError(w, http.StatusBadRequest, "bad_request", "missing ?path=")
+		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "missing ?path=")
 	default:
 		p.passthrough(w, r)
 	}
@@ -205,7 +201,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (p *Proxy) handlePurge(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Query().Get("path")
 	if path == "" {
-		p.edgeError(w, http.StatusBadRequest, "bad_request", "missing ?path=")
+		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "missing ?path=")
 		return
 	}
 	p.Purge(path)
@@ -230,8 +226,6 @@ func (p *Proxy) InstallSketch(sn *cachesketch.Snapshot) { p.sketch.Store(sn) }
 // consumes the same public endpoint clients do; it holds no private
 // channel into the server.
 func (p *Proxy) RefreshSketch(ctx context.Context) error {
-	// The snapshot is no older than the request for it: stamping it with
-	// the arrival time would stretch Δ by the transfer.
 	sent := p.clk.Now()
 	resp, err := p.upstreamGet(ctx, "/sketch", "", nil)
 	if err != nil {
@@ -241,16 +235,11 @@ func (p *Proxy) RefreshSketch(ctx context.Context) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("edge: sketch fetch: %d", resp.StatusCode)
 	}
-	data, err := httpbody.ReadAll(resp)
+	sn, err := cachesketch.ReadHTTP(resp, sent)
 	if err != nil {
-		return err
+		return fmt.Errorf("edge: %w", err)
 	}
-	var f bloom.Filter
-	if err := f.UnmarshalBinary(data); err != nil {
-		return fmt.Errorf("edge: sketch decode: %w", err)
-	}
-	gen, _ := strconv.ParseUint(resp.Header.Get("X-Sketch-Generation"), 10, 64)
-	p.sketch.Store(&cachesketch.Snapshot{Filter: &f, Generation: gen, TakenAt: sent})
+	p.sketch.Store(sn)
 	p.m.sketchRefreshes.Add(1)
 	return nil
 }
@@ -387,7 +376,7 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 	if err != nil {
 		f.finish(err)
 		p.m.upstreamErrors.Add(1)
-		p.edgeError(w, http.StatusBadGateway, "unavailable", "upstream: "+err.Error())
+		httpbody.WriteError(w, http.StatusBadGateway, httpbody.CodeUnavailable, "upstream: "+err.Error())
 		return
 	}
 	defer resp.Body.Close()
@@ -454,7 +443,7 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 func (p *Proxy) follow(w http.ResponseWriter, f *fill) {
 	status, header, err := f.waitHeader()
 	if err != nil {
-		p.edgeError(w, http.StatusBadGateway, "unavailable", "upstream: "+err.Error())
+		httpbody.WriteError(w, http.StatusBadGateway, httpbody.CodeUnavailable, "upstream: "+err.Error())
 		return
 	}
 	copyEntryHeaders(w.Header(), header)
@@ -535,14 +524,14 @@ func (p *Proxy) passthrough(w http.ResponseWriter, r *http.Request) {
 	u := p.upstream + r.URL.RequestURI()
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, u, r.Body)
 	if err != nil {
-		p.edgeError(w, http.StatusBadGateway, "unavailable", err.Error())
+		httpbody.WriteError(w, http.StatusBadGateway, httpbody.CodeUnavailable, err.Error())
 		return
 	}
 	copyProxyHeaders(req.Header, r.Header)
 	resp, err := p.hc.Do(req)
 	if err != nil {
 		p.m.upstreamErrors.Add(1)
-		p.edgeError(w, http.StatusBadGateway, "unavailable", "upstream: "+err.Error())
+		httpbody.WriteError(w, http.StatusBadGateway, httpbody.CodeUnavailable, "upstream: "+err.Error())
 		return
 	}
 	defer resp.Body.Close()
@@ -598,55 +587,17 @@ func (p *Proxy) freshness(h http.Header) time.Duration {
 	return p.ttl
 }
 
-// upstreamGet issues a GET against the upstream, negotiating the /v1
-// surface exactly like internal/httpclient: a non-JSON 404 on a /v1
-// path can only be the stdlib mux of a pre-/v1 server, so it latches
-// the legacy paths.
+// upstreamGet issues a GET against the upstream's /v1 surface with hdr's
+// entries set on the request.
 func (p *Proxy) upstreamGet(ctx context.Context, endpoint, query string, hdr http.Header) (*http.Response, error) {
-	build := func(url string) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return nil, err
-		}
-		for k, vs := range hdr {
-			for _, v := range vs {
-				req.Header.Add(k, v)
-			}
-		}
-		return req, nil
-	}
-	if !p.legacy.Load() {
-		req, err := build(p.upstream + "/v1" + endpoint + query)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := p.hc.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusNotFound ||
-			strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
-			return resp, nil
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		p.legacy.Store(true)
-	}
-	req, err := build(p.upstream + endpoint + query)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.upstream+"/v1"+endpoint+query, nil)
 	if err != nil {
 		return nil, err
 	}
+	for k, vs := range hdr {
+		req.Header[k] = vs
+	}
 	return p.hc.Do(req)
-}
-
-// edgeError emits the same JSON error envelope the /v1 API uses.
-func (p *Proxy) edgeError(w http.ResponseWriter, status int, code, message string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]map[string]string{
-		"error": {"code": code, "message": message},
-	})
 }
 
 // --- small helpers -------------------------------------------------------

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"speedkit/internal/bloom"
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
+	"speedkit/internal/httpbody"
 )
 
 // fakeUpstream is a minimal speedkit-server stand-in: /v1/page with
@@ -28,9 +30,8 @@ type fakeUpstream struct {
 	gen      uint64
 	sketch   *bloom.Filter
 
-	fetches    atomic.Int64 // full-body /v1/page responses
-	conds      atomic.Int64 // If-None-Match requests seen
-	legacyOnly bool
+	fetches atomic.Int64 // full-body /v1/page responses
+	conds   atomic.Int64 // If-None-Match requests seen
 	// hold, when non-nil, blocks page responses until closed — the
 	// stampede test uses it to keep the fill in flight.
 	hold chan struct{}
@@ -45,30 +46,17 @@ func newFakeUpstream() *fakeUpstream {
 		maxAge:   60,
 	}
 	mux := http.NewServeMux()
-	page := func(w http.ResponseWriter, r *http.Request) { u.servePage(w, r) }
-	sketch := func(w http.ResponseWriter, _ *http.Request) { u.serveSketch(w) }
-	mux.HandleFunc("GET /page", page)
-	mux.HandleFunc("GET /sketch", sketch)
-	u.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if u.legacyOnly && (r.URL.Path == "/v1/page" || r.URL.Path == "/v1/sketch") {
-			http.NotFound(w, r) // the stdlib text/plain 404 of a pre-/v1 server
-			return
-		}
-		switch r.URL.Path {
-		case "/v1/page":
-			page(w, r)
-			return
-		case "/v1/sketch":
-			sketch(w, nil)
-			return
-		case "/v1/blocks", "/blocks":
-			// Personalized: never cacheable.
-			w.Header().Set("Cache-Control", "no-store")
-			io.WriteString(w, `{"cart":"3 items"}`)
-			return
-		}
-		mux.ServeHTTP(w, r)
-	}))
+	mux.HandleFunc("GET /v1/page", func(w http.ResponseWriter, r *http.Request) { u.servePage(w, r) })
+	mux.HandleFunc("GET /v1/sketch", func(w http.ResponseWriter, _ *http.Request) { u.serveSketch(w) })
+	mux.HandleFunc("GET /v1/blocks", func(w http.ResponseWriter, _ *http.Request) {
+		// Personalized: never cacheable.
+		w.Header().Set("Cache-Control", "no-store")
+		io.WriteString(w, `{"cart":"3 items"}`)
+	})
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, "no such endpoint: "+r.URL.Path)
+	})
+	u.srv = httptest.NewServer(mux)
 	return u
 }
 
@@ -379,21 +367,30 @@ func TestPassthroughUncached(t *testing.T) {
 	}
 }
 
-func TestLegacyUpstreamFallback(t *testing.T) {
+// TestUnversionedPathsAreNotRoutes: only /v1 is the wire surface. The
+// old /page and /purge spellings are requests like any other the edge
+// does not know — passed through, and answered by the upstream's 404 in
+// the JSON envelope — not a second way into the cache.
+func TestUnversionedPathsAreNotRoutes(t *testing.T) {
 	u := newFakeUpstream()
 	defer u.close()
-	u.legacyOnly = true
-	u.set("/p", "legacy body", 1)
+	u.set("/p", "body", 1)
 	p := newTestProxy(t, u, Options{})
+	get(t, p, "/v1/page?path=/p", nil)
 
-	w := get(t, p, "/v1/page?path=/p", nil)
-	if w.Code != http.StatusOK || w.Body.String() != "legacy body" {
-		t.Fatalf("legacy upstream: code=%d body=%q", w.Code, w.Body.String())
+	for _, req := range []*http.Request{
+		httptest.NewRequest(http.MethodGet, "/page?path=/p", nil),
+		httptest.NewRequest(http.MethodPost, "/purge?path=/p", nil),
+	} {
+		w := httptest.NewRecorder()
+		p.ServeHTTP(w, req)
+		var eb httpbody.ErrorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || w.Code != http.StatusNotFound || eb.Error.Code != httpbody.CodeNotFound {
+			t.Fatalf("%s %s: %d %q (%v), want the envelope's 404", req.Method, req.URL.Path, w.Code, w.Body.String(), err)
+		}
 	}
-	// The latch means the next request goes straight to the legacy path.
-	w = get(t, p, "/page?path=/p", nil)
-	if w.Header().Get("X-Edge-Cache") != "hit" {
-		t.Fatalf("state = %q, want hit", w.Header().Get("X-Edge-Cache"))
+	if w := get(t, p, "/v1/page?path=/p", nil); w.Header().Get("X-Edge-Cache") != "hit" {
+		t.Fatalf("POST /purge evicted the entry: state %q", w.Header().Get("X-Edge-Cache"))
 	}
 }
 

@@ -10,10 +10,9 @@
 //	POST /v1/purge?path=...              purge one path from the CDN tier and
 //	                                     notify registered purge listeners (edges)
 //
-// The unversioned aliases (/sketch, /page, /blocks, /admin/write) are
-// kept for one release so deployed clients keep working; they serve the
-// same handlers. Failures on every endpoint return the typed JSON error
-// envelope {"error":{"code","message"}} (see ErrorBody).
+// Failures on every endpoint, a path that is no endpoint included, return
+// the JSON error envelope {"error":{"code","message"}} (see
+// httpbody.ErrorBody).
 //
 // Operational endpoints stay unversioned:
 //
@@ -50,6 +49,7 @@ import (
 	"speedkit/internal/clock"
 	"speedkit/internal/core"
 	"speedkit/internal/durable"
+	"speedkit/internal/httpbody"
 	"speedkit/internal/metrics"
 	"speedkit/internal/netsim"
 	"speedkit/internal/obs"
@@ -125,8 +125,7 @@ func New(svc *core.Service, users []*session.User) *API {
 	return a
 }
 
-// Handler returns the routed http.Handler: the /v1/ surface, the legacy
-// unversioned aliases (same handlers, kept for one release), and the
+// Handler returns the routed http.Handler: the /v1/ surface and the
 // operational endpoints, which stay unversioned.
 func (a *API) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -136,11 +135,6 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/blocks", a.handleBlocks)
 	mux.HandleFunc("POST /v1/write", a.handleWrite)
 	mux.HandleFunc("POST /v1/purge", a.handlePurge)
-	// Legacy aliases, one release of grace for deployed clients.
-	mux.HandleFunc("GET /sketch", a.handleSketch)
-	mux.HandleFunc("GET /page", a.handlePage)
-	mux.HandleFunc("GET /blocks", a.handleBlocks)
-	mux.HandleFunc("POST /admin/write", a.handleWrite)
 	mux.HandleFunc("GET /stats", a.handleStats)
 	mux.HandleFunc("GET /metrics", a.handleMetrics)
 	mux.HandleFunc("GET /debug/traces", a.handleTraces)
@@ -151,6 +145,9 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, "no such endpoint: "+r.Method+" "+r.URL.Path)
+	})
 	return mux
 }
 
@@ -251,12 +248,12 @@ func (a *API) handleSLO(w http.ResponseWriter, _ *http.Request) {
 func (a *API) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	id, ok := tracectx.ParseTraceID(r.PathValue("id"))
 	if !ok {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad trace id (32 lowercase hex chars)")
+		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "bad trace id (32 lowercase hex chars)")
 		return
 	}
 	out, err := obs.ExportTraces(a.svc.Tracer().ByTraceID(id))
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		httpbody.WriteError(w, http.StatusInternalServerError, httpbody.CodeInternal, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -271,7 +268,7 @@ func (a *API) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v <= 0 {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad ?n=")
+			httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "bad ?n=")
 			return
 		}
 		n = v
@@ -316,22 +313,13 @@ func (a *API) handleSketch(w http.ResponseWriter, r *http.Request) {
 	sn, lat, err := a.svc.FetchSketch(ctx, a.region)
 	if err != nil {
 		a.finishRemote(tr, "", 0)
-		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, err.Error())
+		httpbody.WriteError(w, http.StatusServiceUnavailable, httpbody.CodeUnavailable, err.Error())
 		return
 	}
 	a.finishRemote(tr, "cdn", lat)
-	data, err := sn.Marshal()
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-		return
+	if err := sn.WriteHTTP(w, a.sketchCacheControl); err != nil {
+		httpbody.WriteError(w, http.StatusInternalServerError, httpbody.CodeInternal, err.Error())
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Cache-Control", a.sketchCacheControl)
-	w.Header().Set("X-Sketch-Generation", strconv.FormatUint(sn.Generation, 10))
-	// The declared length lets every reader down the line take the body
-	// in one allocation of the right size.
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	_, _ = w.Write(data)
 }
 
 // etagFor renders a page version as a strong ETag.
@@ -355,7 +343,7 @@ func parseETag(tag string) (uint64, bool) {
 func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Query().Get("path")
 	if path == "" {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "missing ?path=")
+		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "missing ?path=")
 		return
 	}
 	// The trace starts before the fetch so the core transport's spans
@@ -369,7 +357,7 @@ func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
 			rr, err := a.svc.Revalidate(ctx, a.region, path, known)
 			if err != nil {
 				a.finishRemote(tr, "", 0)
-				WriteError(w, http.StatusNotFound, CodeNotFound, err.Error())
+				httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, err.Error())
 				return
 			}
 			tr.MarkRevalidated()
@@ -388,7 +376,7 @@ func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
 	entry, simLat, src, err := a.svc.Fetch(ctx, a.region, path)
 	if err != nil {
 		a.finishRemote(tr, "", 0)
-		WriteError(w, http.StatusNotFound, CodeNotFound, err.Error())
+		httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, err.Error())
 		return
 	}
 	a.finishRemote(tr, src.String(), simLat)
@@ -421,7 +409,7 @@ func (a *API) writePage(w http.ResponseWriter, entry cache.Entry, simLat time.Du
 func (a *API) handleBlocks(w http.ResponseWriter, r *http.Request) {
 	names := strings.Split(r.URL.Query().Get("names"), ",")
 	if len(names) == 1 && names[0] == "" {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "missing ?names=")
+		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "missing ?names=")
 		return
 	}
 	u := a.users[r.URL.Query().Get("user")] // nil → anonymous fragments
@@ -431,7 +419,7 @@ func (a *API) handleBlocks(w http.ResponseWriter, r *http.Request) {
 	frs, lat, err := a.svc.FetchBlocks(ctx, a.region, names, u)
 	if err != nil {
 		a.finishRemote(tr, "", 0)
-		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, err.Error())
+		httpbody.WriteError(w, http.StatusServiceUnavailable, httpbody.CodeUnavailable, err.Error())
 		return
 	}
 	a.finishRemote(tr, "origin", lat)
@@ -449,14 +437,14 @@ func (a *API) handleBlocks(w http.ResponseWriter, r *http.Request) {
 func (a *API) handleWrite(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("product")
 	if id == "" {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "missing ?product=")
+		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "missing ?product=")
 		return
 	}
 	patch := map[string]any{}
 	if p := r.URL.Query().Get("price"); p != "" {
 		price, err := strconv.ParseFloat(p, 64)
 		if err != nil {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad price")
+			httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "bad price")
 			return
 		}
 		patch["price"] = price
@@ -464,13 +452,13 @@ func (a *API) handleWrite(w http.ResponseWriter, r *http.Request) {
 	if st := r.URL.Query().Get("stock"); st != "" {
 		n, err := strconv.ParseInt(st, 10, 64)
 		if err != nil {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad stock")
+			httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "bad stock")
 			return
 		}
 		patch["stock"] = n
 	}
 	if len(patch) == 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "nothing to write (price= or stock=)")
+		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "nothing to write (price= or stock=)")
 		return
 	}
 	path := "/product/" + id
@@ -490,7 +478,7 @@ func (a *API) handleWrite(w http.ResponseWriter, r *http.Request) {
 	})
 	if patchErr != nil {
 		a.finishRemote(tr, "", 0)
-		WriteError(w, http.StatusNotFound, CodeNotFound, patchErr.Error())
+		httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, patchErr.Error())
 		return
 	}
 	var total time.Duration
@@ -510,7 +498,7 @@ func (a *API) handleWrite(w http.ResponseWriter, r *http.Request) {
 func (a *API) handlePurge(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Query().Get("path")
 	if path == "" {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "missing ?path=")
+		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "missing ?path=")
 		return
 	}
 	a.svc.PurgePath(path)

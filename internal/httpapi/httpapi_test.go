@@ -13,6 +13,7 @@ import (
 	"speedkit/internal/clock"
 	"speedkit/internal/core"
 	"speedkit/internal/durable"
+	"speedkit/internal/httpbody"
 	"speedkit/internal/obs"
 	"speedkit/internal/session"
 )
@@ -70,7 +71,7 @@ func TestHealthz(t *testing.T) {
 	clk.Advance(90 * time.Second)
 
 	// Put a key into the sketch so the generation is visibly non-zero.
-	_, _ = get(t, ts.URL+"/page?path=/product/p00002")
+	_, _ = get(t, ts.URL+"/v1/page?path=/product/p00002")
 	if err := api.svc.Docs().Patch("products", "p00002", map[string]any{"stock": int64(2)}); err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +103,8 @@ func TestHealthz(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts, _ := newTestAPI(t)
-	_, _ = get(t, ts.URL+"/page?path=/product/p00001") // origin render
-	_, _ = get(t, ts.URL+"/page?path=/product/p00001") // edge hit
+	_, _ = get(t, ts.URL+"/v1/page?path=/product/p00001") // origin render
+	_, _ = get(t, ts.URL+"/v1/page?path=/product/p00001") // edge hit
 
 	resp, body := get(t, ts.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {
@@ -165,7 +166,7 @@ func newDurableTestAPI(t *testing.T) (*API, *httptest.Server, *clock.Simulated) 
 func TestMetricsDurability(t *testing.T) {
 	_, ts, _ := newDurableTestAPI(t)
 	// A tracked read + a write journal some records.
-	_, _ = get(t, ts.URL+"/page?path=/product/p00003")
+	_, _ = get(t, ts.URL+"/v1/page?path=/product/p00003")
 
 	_, body := get(t, ts.URL+"/metrics")
 	for _, want := range []string{
@@ -211,7 +212,7 @@ func TestMetricsMemoryOnlyOmitsDurability(t *testing.T) {
 
 func TestTracesEndpoint(t *testing.T) {
 	_, ts, _ := newTestAPI(t)
-	_, _ = get(t, ts.URL+"/page?path=/product/p00006")
+	_, _ = get(t, ts.URL+"/v1/page?path=/product/p00006")
 
 	resp, body := get(t, ts.URL+"/debug/traces?n=5")
 	if resp.StatusCode != http.StatusOK {
@@ -256,7 +257,7 @@ func TestPprofMounted(t *testing.T) {
 
 func TestPageServesShellWithCachingHeaders(t *testing.T) {
 	_, ts, _ := newTestAPI(t)
-	resp, body := get(t, ts.URL+"/page?path=/product/p00007")
+	resp, body := get(t, ts.URL+"/v1/page?path=/product/p00007")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -276,7 +277,7 @@ func TestPageServesShellWithCachingHeaders(t *testing.T) {
 		t.Fatalf("X-Served-By = %q", resp.Header.Get("X-Served-By"))
 	}
 	// Second fetch comes from the edge.
-	resp, _ = get(t, ts.URL+"/page?path=/product/p00007")
+	resp, _ = get(t, ts.URL+"/v1/page?path=/product/p00007")
 	if resp.Header.Get("X-Served-By") != "cdn" {
 		t.Fatalf("second fetch served by %q", resp.Header.Get("X-Served-By"))
 	}
@@ -284,22 +285,29 @@ func TestPageServesShellWithCachingHeaders(t *testing.T) {
 
 func TestPageMissingAndUnknown(t *testing.T) {
 	_, ts, _ := newTestAPI(t)
-	resp, _ := get(t, ts.URL+"/page")
+	resp, _ := get(t, ts.URL+"/v1/page")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing path: %d", resp.StatusCode)
 	}
-	resp, _ = get(t, ts.URL+"/page?path=/nope")
+	resp, _ = get(t, ts.URL+"/v1/page?path=/nope")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown path: %d", resp.StatusCode)
+	}
+	// Only /v1 is the wire surface: the unversioned spelling of a real
+	// route is no route, and says so in the envelope like any failure.
+	resp, body := get(t, ts.URL+"/page?path=/")
+	var eb httpbody.ErrorBody
+	if err := json.Unmarshal([]byte(body), &eb); err != nil || resp.StatusCode != http.StatusNotFound || eb.Error.Code != httpbody.CodeNotFound {
+		t.Fatalf("GET /page: %d %q (%v), want the envelope's 404", resp.StatusCode, body, err)
 	}
 }
 
 func TestConditionalGet304(t *testing.T) {
 	_, ts, _ := newTestAPI(t)
-	resp, _ := get(t, ts.URL+"/page?path=/product/p00003")
+	resp, _ := get(t, ts.URL+"/v1/page?path=/product/p00003")
 	etag := resp.Header.Get("ETag")
 
-	resp, body := get(t, ts.URL+"/page?path=/product/p00003", "If-None-Match", etag)
+	resp, body := get(t, ts.URL+"/v1/page?path=/product/p00003", "If-None-Match", etag)
 	if resp.StatusCode != http.StatusNotModified {
 		t.Fatalf("status %d, want 304", resp.StatusCode)
 	}
@@ -313,13 +321,13 @@ func TestConditionalGet304(t *testing.T) {
 
 func TestConditionalGetAfterWriteReturnsNewVersion(t *testing.T) {
 	api, ts, _ := newTestAPI(t)
-	resp, _ := get(t, ts.URL+"/page?path=/product/p00003")
+	resp, _ := get(t, ts.URL+"/v1/page?path=/product/p00003")
 	etag := resp.Header.Get("ETag")
 
 	if err := api.svc.Docs().Patch("products", "p00003", map[string]any{"price": 1.23}); err != nil {
 		t.Fatal(err)
 	}
-	resp, body := get(t, ts.URL+"/page?path=/product/p00003", "If-None-Match", etag)
+	resp, body := get(t, ts.URL+"/v1/page?path=/product/p00003", "If-None-Match", etag)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 after write", resp.StatusCode)
 	}
@@ -333,7 +341,7 @@ func TestConditionalGetAfterWriteReturnsNewVersion(t *testing.T) {
 
 func TestConditionalGetMalformedETagIgnored(t *testing.T) {
 	_, ts, _ := newTestAPI(t)
-	resp, _ := get(t, ts.URL+"/page?path=/product/p00004", "If-None-Match", `"garbage"`)
+	resp, _ := get(t, ts.URL+"/v1/page?path=/product/p00004", "If-None-Match", `"garbage"`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 for unparseable ETag", resp.StatusCode)
 	}
@@ -342,12 +350,12 @@ func TestConditionalGetMalformedETagIgnored(t *testing.T) {
 func TestSketchEndpoint(t *testing.T) {
 	api, ts, _ := newTestAPI(t)
 	// Put something in the sketch first.
-	_, _ = get(t, ts.URL+"/page?path=/product/p00005")
+	_, _ = get(t, ts.URL+"/v1/page?path=/product/p00005")
 	if err := api.svc.Docs().Patch("products", "p00005", map[string]any{"stock": int64(1)}); err != nil {
 		t.Fatal(err)
 	}
 
-	resp, body := get(t, ts.URL+"/sketch")
+	resp, body := get(t, ts.URL+"/v1/sketch")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -368,7 +376,7 @@ func TestSketchEndpoint(t *testing.T) {
 
 func TestBlocksEndpoint(t *testing.T) {
 	_, ts, _ := newTestAPI(t)
-	resp, body := get(t, ts.URL+"/blocks?names=cart,greeting&user=u-test")
+	resp, body := get(t, ts.URL+"/v1/blocks?names=cart,greeting&user=u-test")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -387,12 +395,12 @@ func TestBlocksEndpoint(t *testing.T) {
 	}
 
 	// Unknown user → anonymous fragments, never an error.
-	_, body = get(t, ts.URL+"/blocks?names=greeting&user=ghost")
+	_, body = get(t, ts.URL+"/v1/blocks?names=greeting&user=ghost")
 	if !strings.Contains(body, "Welcome!") {
 		t.Fatalf("anonymous fragment = %q", body)
 	}
 
-	resp, _ = get(t, ts.URL+"/blocks")
+	resp, _ = get(t, ts.URL+"/v1/blocks")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing names: %d", resp.StatusCode)
 	}
@@ -400,9 +408,9 @@ func TestBlocksEndpoint(t *testing.T) {
 
 func TestWriteEndpointDrivesPipeline(t *testing.T) {
 	api, ts, _ := newTestAPI(t)
-	_, _ = get(t, ts.URL+"/page?path=/product/p00009") // cache a copy
+	_, _ = get(t, ts.URL+"/v1/page?path=/product/p00009") // cache a copy
 
-	resp, err := http.Post(ts.URL+"/admin/write?product=p00009&price=7.77", "", nil)
+	resp, err := http.Post(ts.URL+"/v1/write?product=p00009&price=7.77", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,12 +434,12 @@ func TestWriteEndpointValidation(t *testing.T) {
 		url  string
 		want int
 	}{
-		{"/admin/write", http.StatusBadRequest},
-		{"/admin/write?product=p00001", http.StatusBadRequest},
-		{"/admin/write?product=p00001&price=abc", http.StatusBadRequest},
-		{"/admin/write?product=p00001&stock=abc", http.StatusBadRequest},
-		{"/admin/write?product=ghost&price=1", http.StatusNotFound},
-		{"/admin/write?product=p00001&stock=5", http.StatusOK},
+		{"/v1/write", http.StatusBadRequest},
+		{"/v1/write?product=p00001", http.StatusBadRequest},
+		{"/v1/write?product=p00001&price=abc", http.StatusBadRequest},
+		{"/v1/write?product=p00001&stock=abc", http.StatusBadRequest},
+		{"/v1/write?product=ghost&price=1", http.StatusNotFound},
+		{"/v1/write?product=p00001&stock=5", http.StatusOK},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+c.url, "", nil)
@@ -447,7 +455,7 @@ func TestWriteEndpointValidation(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	_, ts, _ := newTestAPI(t)
-	_, _ = get(t, ts.URL+"/page?path=/")
+	_, _ = get(t, ts.URL+"/v1/page?path=/")
 	resp, body := get(t, ts.URL+"/stats")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)

@@ -74,7 +74,7 @@ func runStitchRound(t *testing.T) stitchResult {
 	}
 
 	wtr := devTracer.Start("admin.write", "/product/p00042")
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/admin/write?product=p00042&price=19.99", nil)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/write?product=p00042&price=19.99", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

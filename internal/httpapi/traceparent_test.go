@@ -27,7 +27,7 @@ func TestTraceparentMalformedFallsBackToFreshRoot(t *testing.T) {
 		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // bad version
 	}
 	for _, h := range bogus {
-		resp, _ := get(t, ts.URL+"/page?path=/product/p00042", tracectx.Header, h)
+		resp, _ := get(t, ts.URL+"/v1/page?path=/product/p00042", tracectx.Header, h)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("traceparent %q: status %d, want 200", h, resp.StatusCode)
 		}
@@ -60,7 +60,7 @@ func TestTraceparentUnsampledParentSuppressesServerTrace(t *testing.T) {
 	api, ts, _ := newTestAPI(t)
 
 	const header = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00"
-	resp, _ := get(t, ts.URL+"/page?path=/product/p00042", tracectx.Header, header)
+	resp, _ := get(t, ts.URL+"/v1/page?path=/product/p00042", tracectx.Header, header)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
 	}

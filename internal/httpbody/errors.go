@@ -1,14 +1,13 @@
-package httpapi
+package httpbody
 
 import (
 	"encoding/json"
 	"net/http"
 )
 
-// Error codes of the versioned wire surface. The envelope replaces the
-// ad-hoc text/plain bodies of the unversioned API: clients branch on the
+// Error codes of the /v1 wire surface: clients branch on the
 // machine-readable code, humans read the message, and both travel in one
-// JSON document regardless of which handler produced the failure.
+// JSON document regardless of which tier or handler produced the failure.
 const (
 	// CodeBadRequest: the request is malformed (missing or unparsable
 	// parameter). Retrying without change cannot succeed.
@@ -23,9 +22,9 @@ const (
 	CodeInternal = "internal"
 )
 
-// ErrorBody is the typed JSON error envelope every /v1/ endpoint (and,
-// since the same handlers back them, every legacy alias) returns on
-// failure:
+// ErrorBody is the JSON error envelope every HTTP surface in the tree —
+// server, edge, cluster node, cluster front — returns on failure, and the
+// one type their clients decode it with:
 //
 //	{"error":{"code":"not_found","message":"render /nope: no route"}}
 type ErrorBody struct {
@@ -41,11 +40,7 @@ type ErrorDetail struct {
 
 // WriteError emits the envelope with the given HTTP status. It is the
 // only failure path handlers use; http.Error and its text/plain bodies
-// are retired from this package. Exported because the envelope is the
-// /v1 surface's error contract, not this package's private shape: the
-// cluster node endpoints (internal/cluster, which stays behind the
-// shared-infra import fence and therefore mirrors rather than imports
-// this) are pinned wire-compatible against it by test.
+// appear nowhere.
 func WriteError(w http.ResponseWriter, status int, code, message string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Content-Type-Options", "nosniff")

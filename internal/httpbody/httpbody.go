@@ -1,6 +1,9 @@
-// Package httpbody reads HTTP response bodies for the tiers that keep
-// them: the device transport (internal/httpclient) and the edge
-// (internal/edge), which may not import each other.
+// Package httpbody holds what every HTTP tier says the same way and none
+// may import from another — the device transport (internal/httpclient),
+// the edge, the server's API and the cluster sit on different sides of
+// the GDPR fence: how a response body is read (ReadAll) and the JSON
+// error envelope (ErrorBody, WriteError). It sees bytes and status codes,
+// never identity.
 package httpbody
 
 import (

@@ -20,10 +20,8 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"speedkit/internal/bloom"
 	"speedkit/internal/cache"
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
@@ -34,19 +32,11 @@ import (
 	"speedkit/internal/tracectx"
 )
 
-// Transport talks to a Speed Kit HTTP API. It speaks the versioned
-// /v1/ wire surface and transparently falls back to the legacy
-// unversioned paths when pointed at a pre-/v1 server.
+// Transport talks to a Speed Kit HTTP API over its /v1 wire surface.
 type Transport struct {
 	base string
 	hc   *http.Client
 	clk  clock.Clock
-	// generation tracks sketch generations for Install ordering when the
-	// server omits the header.
-	generation uint64
-	// legacy latches once the server is known to predate /v1: every later
-	// request goes straight to the unversioned path without re-probing.
-	legacy atomic.Bool
 }
 
 // New creates a transport for the API at base (e.g. "http://host:8080").
@@ -95,16 +85,12 @@ func asOffline(err error) error {
 // transient upstream failures (retryable under proxy.ErrUpstream), 4xx
 // are application errors and pass through untyped. The /v1 JSON error
 // envelope ({"error":{"code","message"}}) is unwrapped into the message
-// when present; legacy text/plain bodies pass through as-is.
+// when present; any other body (a proxy's, a load balancer's) passes
+// through as-is.
 func statusErr(op, path string, resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	detail := strings.TrimSpace(string(raw))
-	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
+	var env httpbody.ErrorBody
 	if json.Unmarshal(raw, &env) == nil && env.Error.Code != "" {
 		detail = env.Error.Code + ": " + env.Error.Message
 	}
@@ -128,55 +114,19 @@ func injectTraceparent(ctx context.Context, req *http.Request) {
 	}
 }
 
-// routeMissing reports whether a 404 means "this server has no such
-// route" rather than "the resource does not exist". Every /v1 handler
-// emits 404s through the JSON error envelope; the stdlib mux's
-// route-not-found answer is text/plain. So a non-JSON 404 on a /v1 path
-// can only come from a server that predates the versioned surface.
-func routeMissing(resp *http.Response) bool {
-	return resp.StatusCode == http.StatusNotFound &&
-		!strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json")
-}
-
-// get issues a ctx-bound GET for the API endpoint (e.g. "/page") plus
-// query, negotiating the wire version: the versioned /v1 path is tried
-// first, and a route-missing 404 latches the transport onto the legacy
-// unversioned paths for all subsequent requests. hdr, when non-nil, is
-// merged into the request (If-None-Match for revalidation).
+// get issues a ctx-bound GET for the /v1 endpoint (e.g. "/page") plus
+// query. hdr's entries are set on the request (If-None-Match for
+// revalidation); the map itself is not kept, so a caller's literal stays
+// on its stack.
 func (t *Transport) get(ctx context.Context, endpoint, query string, hdr http.Header) (*http.Response, error) {
-	build := func(url string) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return nil, err
-		}
-		for k, vs := range hdr {
-			for _, v := range vs {
-				req.Header.Add(k, v)
-			}
-		}
-		injectTraceparent(ctx, req)
-		return req, nil
-	}
-	if !t.legacy.Load() {
-		req, err := build(t.base + "/v1" + endpoint + query)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := t.hc.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		if !routeMissing(resp) {
-			return resp, nil
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		t.legacy.Store(true)
-	}
-	req, err := build(t.base + endpoint + query)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.base+"/v1"+endpoint+query, nil)
 	if err != nil {
 		return nil, err
 	}
+	for k, vs := range hdr {
+		req.Header[k] = vs
+	}
+	injectTraceparent(ctx, req)
 	return t.hc.Do(req)
 }
 
@@ -191,28 +141,13 @@ func (t *Transport) FetchSketch(ctx context.Context, _ netsim.Region) (*cacheske
 	if resp.StatusCode != http.StatusOK {
 		return nil, t.clk.Now().Sub(start), statusErr("sketch", "/sketch", resp)
 	}
-	data, err := httpbody.ReadAll(resp)
+	// The snapshot is stamped with the send (see ReadHTTP). A body cut
+	// short is lost connectivity; a body that does not decode is not.
+	sn, err := cachesketch.ReadHTTP(resp, start)
 	if err != nil {
 		return nil, t.clk.Now().Sub(start), asOffline(err)
 	}
-	var f bloom.Filter
-	if err := f.UnmarshalBinary(data); err != nil {
-		return nil, t.clk.Now().Sub(start), fmt.Errorf("httpclient: sketch decode: %w", err)
-	}
-	gen, _ := strconv.ParseUint(resp.Header.Get("X-Sketch-Generation"), 10, 64)
-	if gen == 0 {
-		t.generation++
-		gen = t.generation
-	}
-	// TakenAt is the client clock when the request was sent: the server
-	// took the snapshot no earlier than that, so the holder never trusts
-	// it past Δ. Stamping the arrival instead would add the transfer time
-	// to Δ.
-	return &cachesketch.Snapshot{
-		Filter:     &f,
-		Generation: gen,
-		TakenAt:    start,
-	}, t.clk.Now().Sub(start), nil
+	return sn, t.clk.Now().Sub(start), nil
 }
 
 // parseMaxAge extracts max-age seconds from a Cache-Control header.

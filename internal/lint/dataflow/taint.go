@@ -580,8 +580,29 @@ func (fa *funcAnalysis) evalExpr(e ast.Expr) Taint {
 		return fa.evalCompositeLit(e)
 	case *ast.KeyValueExpr:
 		return fa.eval(e.Value)
+	case *ast.FuncLit:
+		return fa.evalFuncLit(e)
 	}
 	return Taint{}
+}
+
+// evalFuncLit gives a function literal the taint of what it returns: a
+// sink that takes a callback (a checkpoint's export) receives whatever
+// calling it yields. Literals nested inside return to someone else.
+func (fa *funcAnalysis) evalFuncLit(lit *ast.FuncLit) Taint {
+	var t Taint
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			for _, r := range n.Results {
+				t = union(t, fa.eval(r).full())
+			}
+		}
+		return true
+	})
+	return t
 }
 
 func (fa *funcAnalysis) evalIdent(e *ast.Ident) Taint {

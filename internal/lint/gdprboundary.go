@@ -36,6 +36,10 @@ var sharedInfraSegments = []string{
 	// the delta-exchange plane fans out to N machines and to disk.
 	"internal/cluster",
 	"cmd/speedkit-cluster",
+	// What the HTTP tiers on both sides of the fence share — body reads
+	// and the JSON error envelope — so that none imports another: bytes
+	// and status codes only.
+	"internal/httpbody",
 }
 
 // identityBearingSegments are the packages whose types carry identity:

@@ -21,19 +21,19 @@ import (
 // shared with the runtime auditor via gdpr.Classify), plus any such
 // value used as a whole. Sanitizers — gdpr.Pseudonymize and
 // gdpr.StripPII — cut taint. Sinks are the API boundaries where bytes
-// leave the device's trust domain: WAL appends, the durability journal,
-// coherence-sketch reports, obs metric labels and trace attributes,
-// structured-log records (every slog value position, fail-closed — the
-// runtime denied-key redaction is the backstop, not the fence), CDN
-// edge fills and purges, and fmt/log printing inside shared-infra
-// packages.
+// leave the device's trust domain: WAL appends and snapshot checkpoints,
+// the durability journal, coherence-sketch reports, obs metric labels
+// and trace attributes, structured-log records (every slog value
+// position, fail-closed — the runtime denied-key redaction is the
+// backstop, not the fence), CDN edge fills and purges, and fmt/log
+// printing inside shared-infra packages.
 //
 // Test files are exempt, matching the rest of the suite.
 var PIIFlow = &Analyzer{
 	Name: "piiflow",
 	Doc: "no PII value (per gdpr.Classify, fail-closed) may flow — through " +
-		"any number of calls — into WAL frames, the durability journal, " +
-		"sketch reports, obs labels, trace attributes, structured-log " +
+		"any number of calls — into WAL frames, snapshot files, the " +
+		"durability journal, sketch reports, obs labels, trace attributes, structured-log " +
 		"records, CDN edges, or shared-infra printing; " +
 		"gdpr.Pseudonymize/StripPII cut the flow",
 	RunModule: runPIIFlow,
@@ -122,8 +122,15 @@ func piiSinks() []dataflow.SinkSpec {
 	printScope := func(callerPkg string) bool { return isSharedInfra(callerPkg) }
 	return []dataflow.SinkSpec{
 		{
+			// Also wal.Snapshotted's Append, which is the embedded Log's.
 			Description: "WAL append (persisted shared state)",
 			Match:       sinkMethod("internal/wal", "Log", "Append"),
+			Params:      []int{1},
+		},
+		{
+			// The export callback's return value is the snapshot file.
+			Description: "snapshot checkpoint (persisted shared state)",
+			Match:       sinkMethod("internal/wal", "Snapshotted", "Checkpoint"),
 			Params:      []int{1},
 		},
 		{

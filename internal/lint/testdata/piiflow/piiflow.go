@@ -95,6 +95,21 @@ func CleanField(l *wal.Log, u *session.User) {
 	journal(l, frame(r.Path))
 }
 
+// --- the snapshotted log persists two ways: a record, and the bytes a
+// checkpoint's export callback returns ---
+
+func LeakSnapshottedAppend(s *wal.Snapshotted, u *session.User) {
+	s.Append(frame(u.Email)) // want "reaches WAL append"
+}
+
+func LeakCheckpoint(s *wal.Snapshotted, u *session.User) {
+	s.Checkpoint(func() []byte { return frame(u.Name) }) // want "reaches snapshot checkpoint"
+}
+
+func CleanCheckpoint(s *wal.Snapshotted, u *session.User) {
+	s.Checkpoint(func() []byte { return frame(gdpr.Pseudonymize(u.ID)) })
+}
+
 // --- anonymous fields of identity types do not leak the holder ---
 
 func CleanRegionLabel(u *session.User) obs.Label {

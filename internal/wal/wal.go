@@ -107,11 +107,8 @@ type Options struct {
 	// Clock drives the group-commit window (default the system clock).
 	Clock clock.Clock
 	// FirstLSN, when non-zero, seeds the LSN of the first append into an
-	// empty directory. The durable layer passes one past everything its
-	// retained snapshot covers when it reopens a wiped log, so reissued
-	// LSNs can never fall back inside snapshot coverage (replay skips
-	// records at or below the snapshot LSN, which would silently drop
-	// them). Opening a directory that still holds segments whose records
+	// empty directory; OpenSnapshotted reopens a wiped log with it (see
+	// there). Opening a directory that still holds segments whose records
 	// end below a non-zero FirstLSN is an error: seeding may not punch
 	// LSN-chain gaps into a live log.
 	FirstLSN uint64
@@ -289,6 +286,9 @@ func Open(opts Options) (*Log, error) {
 			return nil, err
 		}
 	}
+	// The scan is over: the log must not keep the caller's closure, and
+	// whatever it captured, alive for as long as it is open.
+	l.opts.OnRecord = nil
 	if opts.FirstLSN > l.nextLSN {
 		if len(l.segs) > 0 {
 			return nil, fmt.Errorf("wal: FirstLSN %d past existing records (next lsn %d)", opts.FirstLSN, l.nextLSN)
@@ -790,6 +790,20 @@ func (l *Log) NextLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.nextLSN
+}
+
+// kill marks the log dead the way an injected crash does, for a kill
+// injected outside the log's own writes (a checkpoint). Batches already
+// written stay acknowledged.
+func (l *Log) kill() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.flushing && !l.dead {
+		l.commit.Wait()
+	}
+	l.dead = true
+	l.deadA.Store(true)
+	l.commit.Broadcast()
 }
 
 // Crashed reports whether an injected crash killed the log.

@@ -66,7 +66,7 @@ type Service = core.Service
 // Config is the raw storefront configuration struct. The zero value is
 // a working simulated deployment: 1000 products, Δ = 60 s, adaptive
 // TTLs, three CDN regions. New takes functional options instead; reach
-// for Config (via WithConfig or NewFromConfig) only for settings
+// for Config (via WithConfig) only for settings
 // without a dedicated option.
 type Config = core.StorefrontConfig
 
@@ -153,14 +153,6 @@ type Query = query.Query
 // StaticTTL is a fixed TTL policy for baseline configurations; leave
 // Config.TTLSource nil for the adaptive estimator.
 type StaticTTL = ttl.Static
-
-// NewFromConfig builds the canonical storefront deployment from a raw
-// config struct.
-//
-// Deprecated: use New with functional options (WithProducts, WithDelta,
-// WithDataDir, WithResilience, ...); WithConfig covers fields without a
-// dedicated option. NewFromConfig remains for one release of grace.
-func NewFromConfig(cfg Config) (*Service, error) { return core.NewStorefront(cfg) }
 
 // NewService assembles a Service over a custom document store and origin.
 // Register the origin's pages before calling this so its listing queries
