@@ -1,12 +1,14 @@
 // Command speedkit-edge runs the edge cache: a streaming HTTP caching
 // reverse proxy in front of a speedkit-server, serving sketch-coherent
-// page bodies from memory and a crash-safe disk tier while everything
-// personalized passes through untouched.
+// page bodies from memory and a crash-safe disk tier, and the Cache Sketch
+// itself from the copy it polls, while everything personalized passes
+// through untouched.
 //
 //	speedkit-edge -addr :8081 -upstream http://localhost:8080 -cache-dir /var/cache/speedkit
 //
 //	curl localhost:8081/v1/page?path=/product/p00042        # X-Edge-Cache: miss, then hit
 //	curl localhost:8081/v1/page?path=/ -H 'Range: bytes=0-99'
+//	curl -i localhost:8081/v1/sketch                        # X-Edge-Cache: sketch, Age: <held for>
 //	curl -X POST 'localhost:8081/v1/purge?path=/product/p00042'
 //	curl localhost:8081/metrics                          # speedkit_edge_* counters
 //	curl localhost:8081/healthz
@@ -15,6 +17,11 @@
 // -sketch-refresh, so a cached body is revalidated as soon as the Bloom
 // sketch flags its path on a newer generation — the same Δ-bounded
 // coherence contract the client proxy enforces, applied one tier out.
+// Devices asking the edge for the sketch get that copy, with the Age it
+// has reached, while that is below the max-age (Δ) the server sent it
+// with; a copy past it is refreshed before it is served. -sketch-refresh
+// therefore belongs well below Δ: at or above it (or at 0) every Δ some
+// device's request waits for the upstream fetch the poller did not make.
 //
 // This process deploys on shared points of presence. It never sees a
 // session, a consent record, or a user identifier, and the lint suite
@@ -71,12 +78,33 @@ func main() {
 			Msg("disk tier recovered")
 	}
 
+	// deltaLearned logs, after the first poll that brought a max-age, the
+	// Δ the edge will serve the sketch under, and says so once if the poll
+	// interval cannot keep a servable copy in hand: Age is rounded up, so
+	// a copy is handed on until one second short of Δ.
+	learned := false
+	deltaLearned := func() {
+		delta := proxy.SketchMaxAge()
+		if learned || delta <= 0 {
+			return
+		}
+		learned = true
+		logger.Info(ctx).Dur("delta", delta).Msg("learned Δ from the sketch response")
+		if *sketchRefresh > 0 && *sketchRefresh >= delta-time.Second {
+			logger.Warn(ctx).
+				Dur("sketch_refresh", *sketchRefresh).
+				Dur("delta", delta).
+				Msg("-sketch-refresh is not below Δ: device sketch requests will wait on upstream fetches")
+		}
+	}
+
 	// Prime the sketch before serving, then poll. A failed first fetch is
 	// tolerated — the edge serves TTL-fresh entries without a sketch and
 	// picks one up on the next tick.
 	if err := proxy.RefreshSketch(ctx); err != nil {
 		logger.Warn(ctx).Err(err).Msg("initial sketch fetch failed")
 	}
+	deltaLearned()
 	stopRefresh := make(chan struct{})
 	if *sketchRefresh > 0 {
 		go func() {
@@ -90,6 +118,7 @@ func main() {
 				if err := proxy.RefreshSketch(ctx); err != nil {
 					logger.Warn(ctx).Err(err).Msg("sketch refresh failed")
 				}
+				deltaLearned()
 			}
 		}()
 	}

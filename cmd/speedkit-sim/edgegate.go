@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -12,11 +13,14 @@ import (
 	"time"
 
 	"speedkit"
+	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
 	"speedkit/internal/core"
 	"speedkit/internal/edge"
 	"speedkit/internal/faults"
 	"speedkit/internal/httpapi"
+	"speedkit/internal/httpclient"
+	"speedkit/internal/netsim"
 )
 
 // runEdge is the -edge gate: a real speedkit-server and a speedkit edge
@@ -29,12 +33,18 @@ import (
 //  2. Purge propagation — a backend write flows through the
 //     invalidation pipeline to an edge purge, and the next edge read is
 //     a miss serving the new version.
-//  3. Crash durability — with seed-pinned kills armed on the disk
+//  3. Sketch distribution — a device's sketch fetch through the edge is
+//     answered from the edge's own copy (X-Edge-Cache: sketch, one
+//     origin fetch for any number of devices) with the Age it has
+//     reached, and the device dates what it got no later than the
+//     instant the origin served it: Δ counts from the server's snapshot,
+//     not from each hop's arrival.
+//  4. Crash durability — with seed-pinned kills armed on the disk
 //     tier's WAL append path, a mid-fill tear is recovered warm by an
 //     in-process restart over the same directory: every entry
 //     acknowledged before the tear is served byte-identical, without
 //     touching the origin.
-//  4. GDPR — no PII field name and no simulated user identity appears
+//  5. GDPR — no PII field name and no simulated user identity appears
 //     in any byte the edge persisted, scanned over both cache
 //     directories exactly like the -crash gate scans the durability
 //     tier.
@@ -53,7 +63,7 @@ func runEdge(seed int64, products int) {
 	// default frozen simulated clock would keep the CDN's 10 ms purge
 	// propagation deadline from ever coming due.
 	svc, err := core.NewStorefront(core.StorefrontConfig{
-		Config:   core.Config{Delta: 30 * time.Second, Clock: clock.System},
+		Config:   core.Config{Delta: edgeGateDelta, Clock: clock.System},
 		Products: products,
 	})
 	if err != nil {
@@ -163,6 +173,53 @@ func runEdge(seed int64, products int) {
 		if state := resp.Header.Get("X-Edge-Cache"); state != "bypass" {
 			fail("personalized blocks served with state %q, want bypass", state)
 		}
+	}
+
+	// 3. Sketch distribution. Nothing polls in this gate, so the first
+	// request finds the edge without a copy and makes it fetch one; every
+	// later one is answered from that copy.
+	bypassBefore := pa.Stats().Bypass
+	resp, err = http.Get(edgeBaseA + "/v1/sketch")
+	if err != nil {
+		fail("sketch through edge: %v", err)
+	} else {
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for keep-alive only
+		resp.Body.Close()
+		if state := resp.Header.Get("X-Edge-Cache"); resp.StatusCode != http.StatusOK || state != "sketch" {
+			fail("sketch through edge: status %d, state %q, want 200 sketch", resp.StatusCode, state)
+		}
+	}
+	served := counter.sketchServedAt()
+	device := cachesketch.NewClient(clock.System, edgeGateDelta)
+	transport := httpclient.New(edgeBaseA, nil)
+	var stamp time.Time
+	for i := 0; i < 3; i++ {
+		sn, _, err := transport.FetchSketch(context.Background(), netsim.EU)
+		if err != nil {
+			fail("device sketch fetch %d through edge: %v", i, err)
+			break
+		}
+		// The Δ check, on the stamp the device will count from: it is the
+		// send time less the Age the edge stated, so it cannot be later
+		// than the origin's answer — which a stamp of the send alone is,
+		// by however long the edge has held the copy.
+		if sn.TakenAt.After(served) {
+			fail("device dates the sketch %v after the origin served it: Δ would run from the edge's hand-off", sn.TakenAt.Sub(served))
+		}
+		stamp = sn.TakenAt
+		device.Install(sn)
+		if device.NeedsRefresh() {
+			fail("sketch served by the edge was dead on arrival (age %v)", device.Age())
+		}
+	}
+	if n := counter.sketches.Load(); n != 1 {
+		fail("4 sketch requests at the edge reached the origin %d times, want 1", n)
+	}
+	if s := pa.Stats(); s.SketchServes != 4 || s.Bypass != bypassBefore {
+		fail("sketch serves %d (want 4), bypasses %d -> %d (want unchanged)", s.SketchServes, bypassBefore, s.Bypass)
+	} else if violations == 0 {
+		fmt.Printf("edge: 4 sketch requests -> 1 origin fetch, device stamp %v before the origin's answer, Δ budget used %v of %v\n",
+			served.Sub(stamp).Round(time.Millisecond), device.Age().Round(time.Millisecond), edgeGateDelta)
 	}
 	cancel()
 	edgeSrvA.Close()
@@ -283,22 +340,36 @@ func runEdge(seed int64, products int) {
 		fmt.Fprintf(os.Stderr, "\nedge: %d violation(s)\n", violations)
 		os.Exit(1)
 	}
-	fmt.Println("edge: all invariants hold — coalescing, purge propagation, crash recovery, zero persisted PII")
+	fmt.Println("edge: all invariants hold — coalescing, purge propagation, sketch distribution, crash recovery, zero persisted PII")
 }
 
-// pageCounter counts page fetches reaching the origin, so the gate can
-// assert how many requests the edge let through.
+// edgeGateDelta is the Δ the gate's origin announces and its device
+// enforces.
+const edgeGateDelta = 30 * time.Second
+
+// pageCounter counts page and sketch fetches reaching the origin, so the
+// gate can assert how many requests the edge let through, and keeps the
+// instant the last sketch response was complete.
 type pageCounter struct {
-	next  http.Handler
-	pages atomic.Int64
+	next     http.Handler
+	pages    atomic.Int64
+	sketches atomic.Int64
+	sketchAt atomic.Int64 // UnixNano
 }
 
 func (c *pageCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/v1/page" {
+	switch r.URL.Path {
+	case "/v1/page":
 		c.pages.Add(1)
+	case "/v1/sketch":
+		c.sketches.Add(1)
+		defer func() { c.sketchAt.Store(clock.System.Now().UnixNano()) }()
 	}
 	c.next.ServeHTTP(w, r)
 }
+
+// sketchServedAt is when the origin finished its last sketch response.
+func (c *pageCounter) sketchServedAt() time.Time { return time.Unix(0, c.sketchAt.Load()) }
 
 // serveLoopback serves h on an ephemeral loopback listener and returns
 // the server handle plus its base URL.

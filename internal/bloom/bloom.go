@@ -79,6 +79,22 @@ func OptimalParams(n uint64, p float64) (m, k uint32) {
 	return m, k
 }
 
+// CompactableParams is OptimalParams with m rounded up to the next 64·2^j,
+// the sizes Compact can halve. Every filter that is to be unioned with
+// another must be sized through the same function: the Cache Sketch server
+// and the cluster merger both use this one.
+func CompactableParams(n uint64, p float64) (m, k uint32) {
+	m, k = OptimalParams(n, p)
+	if m > 1<<31 {
+		return m, k // no power of two left to round up to: sent as it is
+	}
+	size := uint32(64)
+	for size < m {
+		size <<= 1
+	}
+	return size, k
+}
+
 // FNV-1a parameters (64-bit variant). The digest is computed inline so
 // that a probe costs no heap allocation: hash/fnv's New64a forces a
 // hash.Hash64 allocation plus a string→[]byte conversion, which is pure
@@ -290,6 +306,62 @@ func (f *Filter) EstimatedCardinality() float64 {
 	return -float64(f.m) / float64(f.k) * math.Log(1-fill)
 }
 
+// Compact returns the smallest filter that answers for f's keys at f's
+// design rate. Probe positions are (h1 + i·h2) mod m, so for m = 64·2^j
+// OR-ing the upper half of the words onto the lower half gives, bit for
+// bit, the filter the same keys build at m/2: no key of f is ever reported
+// absent, and a reader needs nothing but the (m, k) that already travel in
+// the header. Compact halves while the result's fill stays at or below ½ —
+// the fill of an optimal filter at capacity, where the false-positive rate
+// is 2⁻ᵏ — so a filter sized for ten thousand keys and holding a hundred
+// ships at a hundredth of the size. A filter of all ones loses nothing by
+// halving and becomes the 64-bit all-ones. One whose m is not 64·2^j, or
+// that is already past ½, is returned as it is (the same pointer); the
+// result is otherwise a new filter and f is not modified.
+func (f *Filter) Compact() *Filter {
+	words := len(f.bits)
+	if words < 2 || uint64(f.m) != uint64(words)*64 || words&(words-1) != 0 {
+		return f
+	}
+	saturated := true
+	for _, w := range f.bits {
+		if w != ^uint64(0) {
+			saturated = false
+			break
+		}
+	}
+	if saturated {
+		out := NewFilter(64, f.k)
+		out.Saturate()
+		return out
+	}
+	// cur is the filter at the size reached so far: f's own words, read
+	// only, until the first halving moves it into a buffer of its own.
+	cur := f.bits
+	var buf []uint64
+	for len(cur) > 1 {
+		half := len(cur) / 2
+		ones := 0
+		for i := 0; i < half; i++ {
+			ones += popcount(cur[i] | cur[i+half])
+		}
+		if ones > half*64/2 {
+			break
+		}
+		if buf == nil {
+			buf = make([]uint64, half)
+		}
+		for i := 0; i < half; i++ {
+			buf[i] = cur[i] | cur[i+half]
+		}
+		cur = buf[:half]
+	}
+	if buf == nil {
+		return f
+	}
+	return &Filter{bits: cur, m: uint32(len(cur)) * 64, k: f.k, n: f.n}
+}
+
 // ErrParamMismatch is the sentinel for every merge/union of filters whose
 // parameters (m, k) disagree. Unioning incompatible filters would scatter
 // probe positions and silently corrupt the merged sketch — bits set for one
@@ -378,7 +450,10 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary decodes a filter produced by MarshalBinary.
+// UnmarshalBinary decodes a filter produced by MarshalBinary. The bytes
+// may come from anywhere, so the parameters NewFilter would clamp are
+// refused here: m below 64 (m = 0 divides by zero at the first probe) and
+// k outside [1, 32] (k = 2³²−1 is four billion probes per lookup).
 func (f *Filter) UnmarshalBinary(data []byte) error {
 	if len(data) < 13 {
 		return errors.New("bloom: truncated filter")
@@ -391,7 +466,10 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	}
 	k := binary.BigEndian.Uint32(data[5:9])
 	m := binary.BigEndian.Uint32(data[9:13])
-	nwords := int((m + 63) / 64)
+	if m < 64 || k < 1 || k > 32 {
+		return fmt.Errorf("bloom: parameters out of range (m=%d, k=%d)", m, k)
+	}
+	nwords := int((uint64(m) + 63) / 64)
 	if len(data) != 13+nwords*8 {
 		return fmt.Errorf("bloom: payload length %d does not match m=%d", len(data), m)
 	}

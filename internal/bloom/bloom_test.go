@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -168,17 +169,50 @@ func TestFilterUnmarshalRejectsGarbage(t *testing.T) {
 		{1, 2, 3},
 		[]byte("XXXX\x01aaaaaaaa"), // bad magic
 		append([]byte("SKBF\x09"), make([]byte, 8)...),  // bad version
-		append([]byte("SKBF\x01"), make([]byte, 8)...),  // m=0 => length mismatch handled
+		append([]byte("SKBF\x01"), make([]byte, 8)...),  // k=0, m=0
 		append([]byte("SKBF\x01"), make([]byte, 20)...), // length mismatch
 	}
 	for i, data := range cases {
 		if err := f.UnmarshalBinary(data); err == nil {
-			// m=0 corner: nwords=0 means 13 bytes exactly would be valid;
-			// our case 4 has 13 bytes with m=0 => valid but empty filter.
-			m := f.Bits()
-			if m != 0 {
-				t.Errorf("case %d: garbage accepted with m=%d", i, m)
-			}
+			t.Errorf("case %d: garbage accepted with m=%d k=%d", i, f.Bits(), f.Hashes())
+		}
+	}
+}
+
+// TestFilterUnmarshalRefusesUnusableParams: the decoder reads bytes it did
+// not write, so it refuses what NewFilter would clamp. Each of these once
+// decoded: m = 0 then died on "% m" in the first Contains, k = 2³²−1 spun
+// four billion probes per lookup, and m = 2³²−1 wrapped the word count to
+// zero and indexed past an empty array.
+func TestFilterUnmarshalRefusesUnusableParams(t *testing.T) {
+	encode := func(k, m uint32, words int) []byte {
+		out := append([]byte("SKBF\x01"), make([]byte, 8+8*words)...)
+		binary.BigEndian.PutUint32(out[5:9], k)
+		binary.BigEndian.PutUint32(out[9:13], m)
+		return out
+	}
+	for name, data := range map[string][]byte{
+		"m=0":      encode(4, 0, 0),
+		"m=63":     encode(4, 63, 1),
+		"m=2^32-1": encode(4, math.MaxUint32, 0),
+		"k=0":      encode(0, 64, 1),
+		"k=33":     encode(33, 64, 1),
+		"k=2^32-1": encode(math.MaxUint32, 64, 1),
+	} {
+		var f Filter
+		if err := f.UnmarshalBinary(data); err == nil {
+			t.Errorf("%s: decoded (m=%d k=%d)", name, f.Bits(), f.Hashes())
+			continue
+		}
+	}
+	// The smallest and the most probing filter the decoder does take.
+	for _, data := range [][]byte{encode(1, 64, 1), encode(32, 128, 2)} {
+		var f Filter
+		if err := f.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+		if f.Contains("x") {
+			t.Fatal("an empty filter contains x")
 		}
 	}
 }

@@ -66,17 +66,24 @@ func (c *Client) stale(sn *Snapshot, now time.Time) bool {
 	return sn == nil || now.Sub(sn.TakenAt) >= c.delta
 }
 
-// Install stores a freshly fetched snapshot. Snapshots older than the one
-// held — lower generation, or same generation but an older TakenAt — are
-// ignored (out-of-order fetches can happen with concurrent refreshes).
+// Supersedes reports whether sn replaces cur as the snapshot a holder
+// keeps: a higher generation wins, and within one generation the later
+// TakenAt. Anything supersedes no snapshot at all.
+func (sn *Snapshot) Supersedes(cur *Snapshot) bool {
+	return cur == nil || sn.Generation > cur.Generation ||
+		(sn.Generation == cur.Generation && sn.TakenAt.After(cur.TakenAt))
+}
+
+// Install stores a freshly fetched snapshot unless the one held is newer
+// (see Supersedes): out-of-order fetches can happen with concurrent
+// refreshes.
 func (c *Client) Install(sn *Snapshot) {
 	if sn == nil {
 		return
 	}
 	for {
 		cur := c.snap.Load()
-		if cur != nil && (sn.Generation < cur.Generation ||
-			(sn.Generation == cur.Generation && !sn.TakenAt.After(cur.TakenAt))) {
+		if !sn.Supersedes(cur) {
 			return
 		}
 		if c.snap.CompareAndSwap(cur, sn) {

@@ -1,0 +1,73 @@
+package cachesketch
+
+import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+)
+
+// FuzzReadHTTP feeds ReadHTTP a sketch response a hostile or broken
+// upstream could send: the generation, Age and Cache-Control values and
+// the body. Whatever arrives: no panic, and nothing reserved on the
+// strength of a header field the body does not back. A response it
+// accepts is dated no later than the send, answers a lookup in bounded
+// time, and goes out again through WriteHTTP as it came in: the same body,
+// and headers that read back to the same snapshot.
+//
+// Seeds live in testdata/fuzz/FuzzReadHTTP: a well-formed response at age
+// 0 and held by a cache, the m = 0 and k = 2³²−1 filters that once decoded
+// and then crashed or hung their holder, and an m that wrapped the word
+// count.
+func FuzzReadHTTP(f *testing.F) {
+	f.Fuzz(func(t *testing.T, generation, age, cacheControl string, body []byte) {
+		respond := func() *http.Response {
+			resp := &http.Response{
+				StatusCode:    http.StatusOK,
+				Header:        http.Header{GenerationHeader: {generation}},
+				Body:          io.NopCloser(bytes.NewReader(body)),
+				ContentLength: int64(len(body)),
+			}
+			if age != "" {
+				resp.Header.Set("Age", age)
+			}
+			if cacheControl != "" {
+				resp.Header.Set("Cache-Control", cacheControl)
+			}
+			return resp
+		}
+		sent := time.Unix(1_000_000, 0)
+		sn, err := ReadHTTP(respond(), sent)
+		if err != nil {
+			return
+		}
+		if sn.TakenAt.After(sent) {
+			t.Fatalf("TakenAt %v is after the send %v (Age %q)", sn.TakenAt, sent, age)
+		}
+		if got := 13 + sn.Filter.SizeBytes(); got != len(body) {
+			t.Fatalf("a %d-byte body decoded into a filter of %d bytes", len(body), got)
+		}
+		if sn.Filter.Bits() < 64 || sn.Filter.Hashes() < 1 || sn.Filter.Hashes() > 32 {
+			t.Fatalf("accepted m=%d k=%d", sn.Filter.Bits(), sn.Filter.Hashes())
+		}
+		sn.MightBeStale("/written")
+
+		w := httptest.NewRecorder()
+		if err := sn.WriteHTTP(w, cacheControl, sn.Age(sent)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.Body.Bytes(), body) {
+			t.Fatal("the body written is not the body read")
+		}
+		again, err := ReadHTTP(w.Result(), sent)
+		if err != nil {
+			t.Fatalf("what WriteHTTP wrote does not read back: %v", err)
+		}
+		if again.Generation != sn.Generation || !again.TakenAt.Equal(sn.TakenAt) || again.MaxAge != sn.MaxAge {
+			t.Fatalf("read back generation %d, TakenAt %v, MaxAge %v; sent %d, %v, %v",
+				again.Generation, again.TakenAt, again.MaxAge, sn.Generation, sn.TakenAt, sn.MaxAge)
+		}
+	})
+}

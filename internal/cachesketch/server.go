@@ -125,19 +125,24 @@ type flatCache struct {
 	gen    uint64
 	filter *bloom.Filter
 
-	// wire is filter.MarshalBinary(), encoded by the first Marshal and
-	// shared read-only by every later one.
+	// wire is the encoding devices download — filter compacted to what it
+	// tracks (bloom.Filter.Compact), then marshaled — built by the first
+	// Marshal and shared read-only by every later one. A snapshot decoded
+	// off the wire arrives with it filled: the bytes it came as.
 	wireOnce sync.Once
 	wire     []byte
 	wireErr  error
 }
+
+// encode is what wire holds for f.
+func encode(f *bloom.Filter) ([]byte, error) { return f.Compact().MarshalBinary() }
 
 // NewServer creates a protocol server.
 func NewServer(cfg ServerConfig) *Server {
 	cfg.applyDefaults()
 	return &Server{
 		cfg:      cfg,
-		counting: bloom.NewCountingForCapacity(cfg.Capacity, cfg.FalsePositiveRate),
+		counting: bloom.NewCounting(bloom.CompactableParams(cfg.Capacity, cfg.FalsePositiveRate)),
 		expiry:   make(map[string]time.Time),
 		inSketch: make(map[string]time.Time),
 	}
@@ -329,6 +334,12 @@ func (s *Server) Snapshot() *Snapshot {
 		s.journaledGen = s.generation
 		s.cfg.Journal.JournalGeneration(s.generation)
 	}
+	return s.snapshotLocked(now)
+}
+
+// snapshotLocked builds the snapshot of the state at now. Caller holds mu
+// and has already run advanceLocked(now).
+func (s *Server) snapshotLocked(now time.Time) *Snapshot {
 	if s.coldFilter != nil {
 		// Cold-start window: serve the saturated all-stale sketch so every
 		// client revalidates. Not flat-cached — the window retires itself.
@@ -382,22 +393,34 @@ func (s *Server) FilterParams() (m, k uint32) {
 	return s.counting.Bits(), s.counting.Hashes()
 }
 
-// SketchBytes returns the wire size of a flattened snapshot.
+// SketchBytes returns the length of the current generation's wire
+// encoding: what a device asking now would download. It follows the
+// tracked count, not the configured capacity (see Snapshot.Marshal).
 func (s *Server) SketchBytes() int {
+	now := s.cfg.Clock.Now()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	words := (int(s.counting.Bits()) + 63) / 64
-	return words*8 + 13
+	s.advanceLocked(now)
+	sn := s.snapshotLocked(now)
+	s.mu.Unlock()
+	data, _ := sn.Marshal() // a filter always encodes
+	return len(data)
 }
 
 // Snapshot is one generation of the client-facing sketch.
 type Snapshot struct {
 	Filter     *bloom.Filter
 	Generation uint64
-	TakenAt    time.Time
+	// TakenAt is an instant, on the holder's clock, no later than the one
+	// at which the server took the snapshot (see ReadHTTP).
+	TakenAt time.Time
+	// MaxAge is the max-age a snapshot read off the wire came with: how
+	// long after TakenAt its holder may hand it on. Zero when the response
+	// stated none, and for a snapshot taken locally.
+	MaxAge time.Duration
 
-	// flat is the server's cache entry Filter came from; nil for a
-	// snapshot built anywhere else (decoded off the wire, merged).
+	// flat is the cache entry that holds Filter's wire encoding: the
+	// server's for the generation, or the received body of a snapshot
+	// decoded off the wire. Nil for one built anywhere else (merged).
 	flat *flatCache
 }
 
@@ -420,13 +443,17 @@ func (sn *Snapshot) MightBeStaleBatch(keys []string, hits []bool) {
 	sn.Filter.ContainsBatch(keys, hits)
 }
 
-// Marshal encodes the snapshot's filter for the wire. Snapshots a Server
-// took within one generation share a single encoding, built by the first
-// call: the returned bytes are read-only.
+// Marshal encodes the snapshot for devices: the filter compacted to what
+// it tracks (bloom.Filter.Compact), so an idle sketch is 21 bytes whatever
+// capacity the server was sized for. Snapshots a Server took within one
+// generation share a single encoding, built by the first call, and a
+// snapshot decoded off the wire returns the body it arrived as: the
+// returned bytes are read-only. Code that unions filters ships
+// Filter.MarshalBinary instead (cluster.Node.Delta).
 func (sn *Snapshot) Marshal() ([]byte, error) {
 	if fc := sn.flat; fc != nil && fc.filter == sn.Filter {
-		fc.wireOnce.Do(func() { fc.wire, fc.wireErr = fc.filter.MarshalBinary() })
+		fc.wireOnce.Do(func() { fc.wire, fc.wireErr = encode(fc.filter) })
 		return fc.wire, fc.wireErr
 	}
-	return sn.Filter.MarshalBinary()
+	return encode(sn.Filter)
 }

@@ -175,15 +175,69 @@ func TestSnapshotIsImmutableAgainstLaterWrites(t *testing.T) {
 	}
 }
 
+// TestSnapshotMarshal: what a device downloads follows what is tracked,
+// not the capacity the server was sized for — 21 bytes while nothing is —
+// and SketchBytes is the length of exactly that.
 func TestSnapshotMarshal(t *testing.T) {
-	s, _ := newTestServer()
-	sn := s.Snapshot()
-	data, err := sn.Marshal()
+	s, clk := newTestServer()
+	m, k := s.FilterParams()
+	if m != 16<<10 {
+		t.Fatalf("counting filter of %d cells: not sized on the halving ladder", m)
+	}
+	sizes := []int{}
+	for _, tracked := range []int{0, 10, 100, 1000} {
+		for i := 0; i < tracked; i++ {
+			key := fmt.Sprintf("/p/%d", i)
+			s.ReportCachedRead(key, clk.Now().Add(time.Hour))
+			s.ReportWrite(key)
+		}
+		sn := s.Snapshot()
+		data, err := sn.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) != s.SketchBytes() {
+			t.Fatalf("%d tracked: marshal len %d != SketchBytes %d", tracked, len(data), s.SketchBytes())
+		}
+		var got bloom.Filter
+		if err := got.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+		if got.Hashes() != k || got.Bits() > m || got.FillRatio() > 0.5 {
+			t.Fatalf("%d tracked: decoded m=%d k=%d fill %.3f", tracked, got.Bits(), got.Hashes(), got.FillRatio())
+		}
+		for i := 0; i < tracked; i++ {
+			if key := fmt.Sprintf("/p/%d", i); !got.Contains(key) {
+				t.Fatalf("%d tracked: the wire form lost %s", tracked, key)
+			}
+		}
+		// In process the snapshot still answers from the full-size filter.
+		if sn.Filter.Bits() != m {
+			t.Fatalf("Snapshot.Filter has %d bits, want the server's %d", sn.Filter.Bits(), m)
+		}
+		sizes = append(sizes, len(data))
+	}
+	if sizes[0] != 21 || !(sizes[0] < sizes[1] && sizes[1] < sizes[2] && sizes[2] < sizes[3]) || sizes[3] > int(m)/8+13 {
+		t.Fatalf("wire sizes %v for 0, 10, 100, 1000 tracked keys: want 21 bytes idle, growing with the count, at most the full filter", sizes)
+	}
+}
+
+// TestColdStartSnapshotMarshalsSmall: the all-stale sketch of the
+// cold-start window travels as the 64-bit all-ones, and still flags
+// everything.
+func TestColdStartSnapshotMarshalsSmall(t *testing.T) {
+	s, clk := newTestServer()
+	s.ColdStart(clk.Now().Add(time.Minute), clk.Now().Add(time.Hour))
+	data, err := s.Snapshot().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != s.SketchBytes() {
-		t.Fatalf("marshal len %d != SketchBytes %d", len(data), s.SketchBytes())
+	var got bloom.Filter
+	if err := got.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != 21 || s.SketchBytes() != 21 || !got.Contains("/never/written") {
+		t.Fatalf("cold-start sketch: %d bytes (SketchBytes %d), flags an unwritten key: %v", len(data), s.SketchBytes(), got.Contains("/never/written"))
 	}
 }
 
@@ -214,8 +268,8 @@ func TestSnapshotMarshalEncodesOncePerGeneration(t *testing.T) {
 	if &next[0] == &first[0] || bytes.Equal(next, first) {
 		t.Fatal("a new generation reused the previous generation's bytes")
 	}
-	if fresh, _ := sn.Filter.MarshalBinary(); !bytes.Equal(next, fresh) {
-		t.Fatal("cached bytes differ from a fresh encoding of the filter")
+	if fresh, _ := sn.Filter.Compact().MarshalBinary(); !bytes.Equal(next, fresh) {
+		t.Fatal("cached bytes differ from a fresh encoding of the compacted filter")
 	}
 	var old bloom.Filter
 	if err := old.UnmarshalBinary(first); err != nil || old.Contains("/p") {

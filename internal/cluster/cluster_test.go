@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"speedkit/internal/bloom"
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
 	"speedkit/internal/httpbody"
@@ -377,8 +378,10 @@ func TestFrontHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.ContentLength <= 0 || resp.Header.Get("Cache-Control") != "public, max-age=30" {
-		t.Fatalf("sketch: Content-Length %d, Cache-Control %q", resp.ContentLength, resp.Header.Get("Cache-Control"))
+	// One tracked key: the merged filter goes out compacted to 64 bits,
+	// not at the size the shards exchange it in.
+	if resp.ContentLength != 21 || resp.Header.Get("Cache-Control") != "public, max-age=30" || resp.Header.Get("Age") != "" {
+		t.Fatalf("sketch: Content-Length %d, Cache-Control %q, Age %q", resp.ContentLength, resp.Header.Get("Cache-Control"), resp.Header.Get("Age"))
 	}
 	sn, err := cachesketch.ReadHTTP(resp, clk.Now())
 	if err != nil {
@@ -415,6 +418,42 @@ func TestFrontHandler(t *testing.T) {
 	// silently.
 	_ = c.Node(c.Ring().Owner("k")).Kill()
 	expectEnvelope(t, srv, http.MethodPost, "/v1/cluster/report", `{"writes":["k"]}`, http.StatusServiceUnavailable, httpbody.CodeUnavailable)
+}
+
+// TestNodeDeltaShipsTheFullFilter: devices get the sketch compacted to
+// what it tracks; the merger gets every shard's filter at the cluster's
+// (m, k), because it unions them. A node that shipped the device encoding
+// would have every frame refused and the front serving saturated forever.
+func TestNodeDeltaShipsTheFullFilter(t *testing.T) {
+	clk := clock.NewSimulated(epoch)
+	nodes := testNodes(t, clk, 2)
+	c := testCluster(t, clk, nodes)
+	defer c.Close()
+	// Recovery's cold-start window first: a node inside it ships all ones.
+	clk.Advance(2 * time.Minute)
+	wantM, wantK := c.merger.Params()
+	for _, n := range nodes {
+		frame, err := n.Delta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f bloom.Filter
+		if err := f.UnmarshalBinary(frame.Sketch); err != nil {
+			t.Fatal(err)
+		}
+		if f.Bits() != wantM || f.Hashes() != wantK || f.FillRatio() != 0 {
+			t.Fatalf("%s ships m=%d k=%d fill %.2f; the merger unions at m=%d k=%d", frame.Node, f.Bits(), f.Hashes(), f.FillRatio(), wantM, wantK)
+		}
+	}
+	if err := c.SyncDeltas(); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.merger.Stats(); st.Rejected != 0 || st.Folds != 2 {
+		t.Fatalf("merger stats after one exchange: %+v", st)
+	}
+	if c.Snapshot().MightBeStale("unwritten") {
+		t.Fatal("a complete merge of two idle shards flags an unwritten key")
+	}
 }
 
 // TestClusterDeltaOverHTTPSources swaps every in-process delta source for

@@ -130,7 +130,7 @@ func FrontHandler(c *Cluster, delta time.Duration) http.Handler {
 	cacheControl := "public, max-age=" + strconv.Itoa(int(delta.Seconds()))
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/sketch", getOnly(func(w http.ResponseWriter, _ *http.Request) {
-		if err := c.Snapshot().WriteHTTP(w, cacheControl); err != nil {
+		if err := c.Snapshot().WriteHTTP(w, cacheControl, 0); err != nil {
 			httpbody.WriteError(w, http.StatusInternalServerError, httpbody.CodeInternal, err.Error())
 		}
 	}))

@@ -102,7 +102,9 @@ type Merger struct {
 // NewMerger creates a merge layer over the given member set.
 func NewMerger(cfg MergerConfig) *Merger {
 	cfg.applyDefaults()
-	m, k := bloom.OptimalParams(cfg.Capacity, cfg.FalsePositiveRate)
+	// The sizing cachesketch.NewServer uses: a frame sized any other way
+	// is a parameter mismatch.
+	m, k := bloom.CompactableParams(cfg.Capacity, cfg.FalsePositiveRate)
 	sat := bloom.NewFilter(m, k)
 	sat.Saturate()
 	mg := &Merger{

@@ -241,14 +241,16 @@ func (n *Node) ProcessEvent(ev storage.ChangeEvent) ([]invalidb.Invalidation, er
 }
 
 // Delta publishes the node's current shard frame: its flattened sketch,
-// content generation, and cold-start flag.
+// content generation, and cold-start flag. The filter goes out at its full
+// size, not in the compacted encoding devices get (Snapshot.Marshal): the
+// merger unions frames, and a union needs equal (m, k) on both sides.
 func (n *Node) Delta() (DeltaFrame, error) {
 	sketch, _, _, _, err := n.parts()
 	if err != nil {
 		return DeltaFrame{}, err
 	}
 	snap := sketch.Snapshot()
-	body, err := snap.Marshal()
+	body, err := snap.Filter.MarshalBinary()
 	if err != nil {
 		return DeltaFrame{}, err
 	}

@@ -560,7 +560,13 @@ func (s *Service) FetchSketch(ctx context.Context, region netsim.Region) (*cache
 		return nil, 0, err
 	}
 	sn := s.sketch.Snapshot()
-	lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.EdgeNode(region), s.sketch.SketchBytes())
+	// The transfer is the encoding a device downloads, which the
+	// generation caches: WriteHTTP sends these same bytes.
+	wire, err := sn.Marshal()
+	if err != nil {
+		return nil, 0, err
+	}
+	lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.EdgeNode(region), len(wire))
 	s.mu.Lock()
 	s.stats.SketchFetches++
 	s.mu.Unlock()

@@ -11,8 +11,13 @@
 //     path-pattern cacheability is exactly the web-cache-deception trap,
 //     where an attacker-shaped URL tricks the edge into storing a
 //     personalized response under a "static" key. Everything that is
-//     not a page fetch — the personalized /blocks API above all — is
-//     proxied through uncached.
+//     neither a page nor the sketch — the personalized /blocks API above
+//     all — is proxied through uncached.
+//   - GET /v1/sketch is answered from the copy the edge polls, with the
+//     Age it has reached, for as long as that is below the max-age the
+//     copy came with; past it the edge fetches a new one first (see
+//     serveSketch). The sketch is anonymous by construction, so holding
+//     it teaches the edge nothing.
 //   - Concurrent misses for one key coalesce into a single origin
 //     fetch; late joiners stream the shared in-flight body (see fill).
 //   - Hits whose key the Bloom sketch flags on a newer generation are
@@ -103,6 +108,9 @@ type Proxy struct {
 	m    metrics
 
 	sketch atomic.Pointer[cachesketch.Snapshot]
+	// sketchMu is held across an on-demand sketch fetch (freshSketch), so
+	// the requests waiting on one expired copy share one upstream fetch.
+	sketchMu sync.Mutex
 
 	fillsMu sync.Mutex
 	fills   map[string]*fill
@@ -164,6 +172,16 @@ func (p *Proxy) Generation() uint64 {
 	return 0
 }
 
+// SketchMaxAge returns the Δ the edge has learned: the max-age the sketch
+// it holds came with, zero while it holds none or the upstream stated
+// none.
+func (p *Proxy) SketchMaxAge() time.Duration {
+	if sn := p.sketch.Load(); sn != nil {
+		return sn.MaxAge
+	}
+	return 0
+}
+
 // Handler returns the edge's full server surface: the proxied routes
 // plus the operational endpoints every deployment needs.
 func (p *Proxy) Handler() http.Handler {
@@ -180,11 +198,14 @@ func (p *Proxy) Handler() http.Handler {
 }
 
 // ServeHTTP routes one request: purges apply locally, page fetches hit
-// the cache, everything else proxies through uncached.
+// the cache, the sketch is answered from the edge's copy, everything else
+// proxies through uncached.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/purge":
 		p.handlePurge(w, r)
+	case r.Method == http.MethodGet && r.URL.Path == "/v1/sketch":
+		p.serveSketch(w, r)
 	case r.Method == http.MethodGet && r.URL.Path == "/v1/page":
 		if key := r.URL.Query().Get("path"); key != "" {
 			p.servePage(w, r, key)
@@ -218,30 +239,121 @@ func (p *Proxy) Purge(key string) {
 	p.m.purges.Add(1)
 }
 
-// InstallSketch hands the edge a sketch snapshot directly (tests, and
-// owners that already hold one).
-func (p *Proxy) InstallSketch(sn *cachesketch.Snapshot) { p.sketch.Store(sn) }
+// sketchAge returns the Age a response handing sn on at now states —
+// rounded up, as WriteHTTP rounds it — and whether the edge may send it:
+// it holds a copy, knows the max-age it came with, and the age is still
+// below that. The value compared is the value written, or a copy checked
+// just before a second boundary would go out just after it, dead on
+// arrival.
+func sketchAge(sn *cachesketch.Snapshot, now time.Time) (age time.Duration, servable bool) {
+	if sn == nil {
+		return 0, false
+	}
+	age = sn.Age(now)
+	return age, age < sn.MaxAge
+}
+
+// InstallSketch hands the edge a sketch snapshot: a poll's, an on-demand
+// fetch's, or one its owner already holds (tests). Responses can arrive
+// out of order, so the held copy stays when sn does not supersede it
+// (cachesketch.Snapshot.Supersedes, the rule devices install by) — unless
+// the held copy is past its max-age: it vouches for nothing by then, and
+// an upstream that lost its generation in a restart must not leave the
+// edge refusing every sketch it sends.
+func (p *Proxy) InstallSketch(sn *cachesketch.Snapshot) {
+	for {
+		cur := p.sketch.Load()
+		if _, servable := sketchAge(cur, p.clk.Now()); servable && !sn.Supersedes(cur) {
+			return
+		}
+		if p.sketch.CompareAndSwap(cur, sn) {
+			return
+		}
+	}
+}
 
 // RefreshSketch pulls the current sketch from the upstream. The edge
 // consumes the same public endpoint clients do; it holds no private
 // channel into the server.
 func (p *Proxy) RefreshSketch(ctx context.Context) error {
+	_, err := p.fetchSketch(ctx)
+	return err
+}
+
+// fetchSketch is RefreshSketch returning what it fetched.
+func (p *Proxy) fetchSketch(ctx context.Context) (*cachesketch.Snapshot, error) {
 	sent := p.clk.Now()
 	resp, err := p.upstreamGet(ctx, "/sketch", "", nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("edge: sketch fetch: %d", resp.StatusCode)
+		return nil, fmt.Errorf("edge: sketch fetch: %d", resp.StatusCode)
 	}
 	sn, err := cachesketch.ReadHTTP(resp, sent)
 	if err != nil {
-		return fmt.Errorf("edge: %w", err)
+		return nil, fmt.Errorf("edge: %w", err)
 	}
-	p.sketch.Store(sn)
+	p.InstallSketch(sn)
 	p.m.sketchRefreshes.Add(1)
-	return nil
+	return sn, nil
+}
+
+// freshSketch returns a sketch the edge may hand on now and the Age to
+// state: the held copy while it is servable, else one fetched on demand —
+// no copy yet, the poller behind or switched off, no max-age learned. One
+// upstream fetch serves every request waiting on the same expired copy:
+// the first takes sketchMu and fetches, the rest find the new copy when
+// they get the lock. An expired copy is never the answer; a failed fetch
+// is the error.
+func (p *Proxy) freshSketch(ctx context.Context) (*cachesketch.Snapshot, time.Duration, error) {
+	sn := p.sketch.Load()
+	if age, servable := sketchAge(sn, p.clk.Now()); servable {
+		return sn, age, nil
+	}
+	p.sketchMu.Lock()
+	defer p.sketchMu.Unlock()
+	sn = p.sketch.Load()
+	if age, servable := sketchAge(sn, p.clk.Now()); servable {
+		return sn, age, nil
+	}
+	sn, err := p.fetchSketch(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	// Straight from the upstream it goes out even without a max-age, as a
+	// relay would pass it; one that states a max-age and arrives past it
+	// is some cache's expired copy.
+	age, servable := sketchAge(sn, p.clk.Now())
+	if !servable && sn.MaxAge > 0 {
+		return nil, 0, fmt.Errorf("edge: upstream sketch arrived %v old, max-age %v", age, sn.MaxAge)
+	}
+	return sn, age, nil
+}
+
+// serveSketch answers a device's sketch fetch with the bytes the edge
+// received, under the Cache-Control it learned and the Age the copy has
+// reached (cachesketch.WriteHTTP). It reads nothing from the request but
+// its context.
+func (p *Proxy) serveSketch(w http.ResponseWriter, r *http.Request) {
+	sn, age, err := p.freshSketch(r.Context())
+	if err != nil {
+		p.m.upstreamErrors.Add(1)
+		httpbody.WriteError(w, http.StatusBadGateway, httpbody.CodeUnavailable, "upstream: "+err.Error())
+		return
+	}
+	var cacheControl string
+	if sn.MaxAge > 0 {
+		cacheControl = "public, max-age=" + strconv.Itoa(int(sn.MaxAge/time.Second))
+	}
+	w.Header().Set("X-Edge-Cache", "sketch")
+	if err := sn.WriteHTTP(w, cacheControl, age); err != nil {
+		w.Header().Del("X-Edge-Cache")
+		httpbody.WriteError(w, http.StatusInternalServerError, httpbody.CodeInternal, err.Error())
+		return
+	}
+	p.m.sketchServes.Add(1)
 }
 
 // servePage is the cache path for one page key.
@@ -581,7 +693,7 @@ func (p *Proxy) entryFromResponse(key string, resp *http.Response, body []byte) 
 
 // freshness derives an entry TTL from upstream Cache-Control.
 func (p *Proxy) freshness(h http.Header) time.Duration {
-	if maxAge, ok := parseMaxAge(h.Get("Cache-Control")); ok && maxAge > 0 {
+	if maxAge, ok := httpbody.ParseMaxAge(h.Get("Cache-Control")); ok && maxAge > 0 {
 		return maxAge
 	}
 	return p.ttl
@@ -653,21 +765,6 @@ func parseVersionETag(tag string) uint64 {
 	return v
 }
 
-// parseMaxAge extracts max-age seconds from a Cache-Control header.
-func parseMaxAge(cc string) (time.Duration, bool) {
-	for _, part := range strings.Split(cc, ",") {
-		part = strings.TrimSpace(part)
-		if rest, ok := strings.CutPrefix(part, "max-age="); ok {
-			secs, err := strconv.Atoi(rest)
-			if err != nil || secs < 0 {
-				return 0, false
-			}
-			return time.Duration(secs) * time.Second, true
-		}
-	}
-	return 0, false
-}
-
 // copyTraceparent forwards the anonymous trace identity of an incoming
 // request; the edge never invents or strips one mid-trace.
 func copyTraceparent(r *http.Request, dst http.Header) {
@@ -706,8 +803,8 @@ func copyProxyHeaders(dst, src http.Header) {
 	}
 }
 
-// relayBufs holds the copy buffers of relayResponse: 16 KB, twice the
-// sketch, the largest body the edge relays in steady state. Idle buffers
+// relayBufs holds the copy buffers of relayResponse: 16 KB covers the
+// block and write responses the edge relays in steady state. Idle buffers
 // are heap the process keeps, so they are no larger than that.
 var relayBufs = sync.Pool{New: func() any { return new([16 << 10]byte) }}
 

@@ -1,11 +1,14 @@
 package edge
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"speedkit/internal/cachesketch"
 )
 
 // BenchmarkEdgeHit measures the steady-state serving path: an in-memory
@@ -74,5 +77,41 @@ func BenchmarkEdgeCoalescedMiss(b *testing.B) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// BenchmarkEdgeSketchServe measures a device's sketch fetch answered from
+// the edge's own copy: the request every device makes once per Δ, which
+// used to be a relay to the server and back.
+func BenchmarkEdgeSketchServe(b *testing.B) {
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		sn := cachesketch.NewServer(cachesketch.ServerConfig{}).Snapshot()
+		if err := sn.WriteHTTP(w, "public, max-age=3600", 0); err != nil {
+			b.Error(err)
+		}
+	}))
+	defer upstream.Close()
+	p, _, err := New(Options{Upstream: upstream.URL})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.RefreshSketch(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	h := p.Handler()
+	r := httptest.NewRequest(http.MethodGet, "/v1/sketch", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code != http.StatusOK || w.Header().Get("X-Edge-Cache") != "sketch" {
+			b.Fatalf("sketch serve: %d %q", w.Code, w.Header().Get("X-Edge-Cache"))
+		}
+	}
+	b.StopTimer()
+	if s := p.Stats(); s.SketchRefreshes != 1 {
+		b.Fatalf("%d upstream sketch fetches, want the one that warmed the copy", s.SketchRefreshes)
 	}
 }

@@ -31,6 +31,7 @@ type metrics struct {
 	diskPurges       atomic.Uint64
 	snapshots        atomic.Uint64
 	sketchRefreshes  atomic.Uint64
+	sketchServes     atomic.Uint64
 }
 
 // Stats is a point-in-time copy of the edge counters.
@@ -67,6 +68,9 @@ type Stats struct {
 	Snapshots uint64
 	// SketchRefreshes pulled from the upstream.
 	SketchRefreshes uint64
+	// SketchServes answered downstream from the edge's own copy. Not
+	// Hits: the hit ratio is a page ratio.
+	SketchServes uint64
 }
 
 func (m *metrics) stats() Stats {
@@ -87,6 +91,7 @@ func (m *metrics) stats() Stats {
 		DiskPurges:       m.diskPurges.Load(),
 		Snapshots:        m.snapshots.Load(),
 		SketchRefreshes:  m.sketchRefreshes.Load(),
+		SketchServes:     m.sketchServes.Load(),
 	}
 }
 
@@ -114,6 +119,7 @@ func (m *metrics) write(w io.Writer) {
 		{"speedkit_edge_disk_purges_total", s.DiskPurges},
 		{"speedkit_edge_snapshots_total", s.Snapshots},
 		{"speedkit_edge_sketch_refreshes_total", s.SketchRefreshes},
+		{"speedkit_edge_sketch_serves_total", s.SketchServes},
 	}
 	for _, r := range rows {
 		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", r.name, r.name, r.value)

@@ -305,9 +305,13 @@ func (a *API) finishRemote(tr *obs.Trace, src string, total time.Duration) {
 	a.svc.Tracer().Finish(tr)
 }
 
-// handleSketch serves the flattened client sketch. Cache-Control pins its
-// shared-cache lifetime to Δ so a CDN in front of this endpoint
-// automatically amortizes sketch generation across the client population.
+// handleSketch serves the flattened client sketch, taken now: it goes out
+// without an Age. Cache-Control pins its shared-cache lifetime to Δ, so a
+// cache in front of this endpoint amortizes sketch generation across the
+// client population — internal/edge does, answering /v1/sketch from the
+// copy it polls. The precondition is cachesketch.WriteHTTP's: a holder
+// states how long it has held the copy (Age, rounded up) and stops handing
+// it on once that reaches max-age; a cache that does neither stretches Δ.
 func (a *API) handleSketch(w http.ResponseWriter, r *http.Request) {
 	tr, ctx := a.startRemote(r, "http.sketch", "/sketch")
 	sn, lat, err := a.svc.FetchSketch(ctx, a.region)
@@ -317,7 +321,7 @@ func (a *API) handleSketch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a.finishRemote(tr, "cdn", lat)
-	if err := sn.WriteHTTP(w, a.sketchCacheControl); err != nil {
+	if err := sn.WriteHTTP(w, a.sketchCacheControl, 0); err != nil {
 		httpbody.WriteError(w, http.StatusInternalServerError, httpbody.CodeInternal, err.Error())
 	}
 }

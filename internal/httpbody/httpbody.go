@@ -1,14 +1,18 @@
 // Package httpbody holds what every HTTP tier says the same way and none
 // may import from another — the device transport (internal/httpclient),
 // the edge, the server's API and the cluster sit on different sides of
-// the GDPR fence: how a response body is read (ReadAll) and the JSON
-// error envelope (ErrorBody, WriteError). It sees bytes and status codes,
-// never identity.
+// the GDPR fence: how a response body is read (ReadAll), how long a
+// response may be kept (ParseMaxAge) and the JSON error envelope
+// (ErrorBody, WriteError). It sees bytes and status codes, never identity.
 package httpbody
 
 import (
+	"errors"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
+	"time"
 )
 
 // MaxReserve bounds the allocation made on the strength of a declared
@@ -33,4 +37,23 @@ func ReadAll(resp *http.Response) ([]byte, error) {
 		return nil, err
 	}
 	return body, nil
+}
+
+// ParseMaxAge reads the max-age directive of a Cache-Control value. A
+// value past 2³¹ seconds counts as 2³¹−1 (RFC 9111 §1.2.2), so the
+// duration never overflows; no directive, or one that is not a
+// non-negative integer, is false.
+func ParseMaxAge(cacheControl string) (time.Duration, bool) {
+	for _, part := range strings.Split(cacheControl, ",") {
+		rest, ok := strings.CutPrefix(strings.TrimSpace(part), "max-age=")
+		if !ok {
+			continue
+		}
+		secs, err := strconv.ParseInt(rest, 10, 32)
+		if (err != nil && !errors.Is(err, strconv.ErrRange)) || secs < 0 {
+			return 0, false
+		}
+		return time.Duration(secs) * time.Second, true
+	}
+	return 0, false
 }

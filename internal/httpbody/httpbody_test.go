@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
 )
 
 // fetch GETs the handler's answer over a real connection, so the body is
@@ -81,5 +82,30 @@ func TestReadAllDoesNotTrustHugeDeclaration(t *testing.T) {
 	got, err := ReadAll(resp)
 	if err != nil || string(got) != "short" || cap(got) > 4096 {
 		t.Fatalf("ReadAll = %q (cap %d), %v", got, cap(got), err)
+	}
+}
+
+func TestParseMaxAge(t *testing.T) {
+	cases := []struct {
+		in   string
+		want time.Duration
+		ok   bool
+	}{
+		{"public, max-age=60", time.Minute, true},
+		{"max-age=0", 0, true},
+		{"no-store", 0, false},
+		{"max-age=abc", 0, false},
+		{"max-age=-5", 0, false},
+		{"", 0, false},
+		// Past what a duration holds in nanoseconds: clamped, not wrapped
+		// into a negative freshness.
+		{"max-age=9223372036854775807", (1<<31 - 1) * time.Second, true},
+		{"max-age=-9223372036854775808", 0, false},
+	}
+	for _, c := range cases {
+		got, ok := ParseMaxAge(c.in)
+		if got != c.want || ok != c.ok {
+			t.Errorf("ParseMaxAge(%q) = %v,%v want %v,%v", c.in, got, ok, c.want, c.ok)
+		}
 	}
 }

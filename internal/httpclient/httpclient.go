@@ -150,21 +150,6 @@ func (t *Transport) FetchSketch(ctx context.Context, _ netsim.Region) (*cacheske
 	return sn, t.clk.Now().Sub(start), nil
 }
 
-// parseMaxAge extracts max-age seconds from a Cache-Control header.
-func parseMaxAge(cc string) (time.Duration, bool) {
-	for _, part := range strings.Split(cc, ",") {
-		part = strings.TrimSpace(part)
-		if rest, ok := strings.CutPrefix(part, "max-age="); ok {
-			secs, err := strconv.Atoi(rest)
-			if err != nil || secs < 0 {
-				return 0, false
-			}
-			return time.Duration(secs) * time.Second, true
-		}
-	}
-	return 0, false
-}
-
 // parseVersionETag extracts the version from the server's `"v<n>"` ETags.
 func parseVersionETag(tag string) uint64 {
 	tag = strings.Trim(strings.TrimPrefix(strings.TrimSpace(tag), "W/"), `"`)
@@ -184,7 +169,7 @@ func (t *Transport) entryFromResponse(path string, resp *http.Response, body []b
 		Version:  parseVersionETag(resp.Header.Get("ETag")),
 		StoredAt: now,
 	}
-	if maxAge, ok := parseMaxAge(resp.Header.Get("Cache-Control")); ok && maxAge > 0 {
+	if maxAge, ok := httpbody.ParseMaxAge(resp.Header.Get("Cache-Control")); ok && maxAge > 0 {
 		e.ExpiresAt = now.Add(maxAge)
 	}
 	if blocks := resp.Header.Get("X-Blocks"); blocks != "" {
@@ -239,7 +224,7 @@ func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string
 	switch resp.StatusCode {
 	case http.StatusNotModified:
 		e := cache.Entry{Key: path, Version: knownVersion, StoredAt: t.clk.Now()}
-		if maxAge, ok := parseMaxAge(resp.Header.Get("Cache-Control")); ok && maxAge > 0 {
+		if maxAge, ok := httpbody.ParseMaxAge(resp.Header.Get("Cache-Control")); ok && maxAge > 0 {
 			e.ExpiresAt = t.clk.Now().Add(maxAge)
 		}
 		return proxy.RevalidationResult{

@@ -249,27 +249,6 @@ func TestBlocksOverHTTPAnonymous(t *testing.T) {
 	}
 }
 
-func TestParseMaxAge(t *testing.T) {
-	cases := []struct {
-		in   string
-		want time.Duration
-		ok   bool
-	}{
-		{"public, max-age=60", time.Minute, true},
-		{"max-age=0", 0, true},
-		{"no-store", 0, false},
-		{"max-age=abc", 0, false},
-		{"max-age=-5", 0, false},
-		{"", 0, false},
-	}
-	for _, c := range cases {
-		got, ok := parseMaxAge(c.in)
-		if got != c.want || ok != c.ok {
-			t.Errorf("parseMaxAge(%q) = %v,%v want %v,%v", c.in, got, ok, c.want, c.ok)
-		}
-	}
-}
-
 func TestParseVersionETag(t *testing.T) {
 	if parseVersionETag(`"v42"`) != 42 || parseVersionETag(`W/"v7"`) != 7 ||
 		parseVersionETag(`"x"`) != 0 || parseVersionETag("") != 0 {

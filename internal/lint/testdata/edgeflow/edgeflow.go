@@ -1,9 +1,14 @@
 // Package edgeflow is the fixture for the edge-proxy sink group: purge
 // keys handed to the edge are served and persisted on shared POPs, so
-// identity-derived keys are flagged and pseudonymized ones pass.
+// identity-derived keys are flagged and pseudonymized ones pass. The
+// sketch the edge serves is built from page paths and handed out without
+// reading the request, so its serve path is clean.
 package edgeflow
 
 import (
+	"net/http"
+
+	"speedkit/internal/cachesketch"
 	"speedkit/internal/edge"
 	"speedkit/internal/gdpr"
 	"speedkit/internal/session"
@@ -33,4 +38,16 @@ func CleanPseudonymizedKey(p *edge.Proxy, u *session.User) {
 
 func CleanAnonymousKey(p *edge.Proxy) {
 	purge(p, profileKey("p00042"))
+}
+
+// --- the sketch serve path reads nothing from the request ---
+
+// CleanSketchServe: a logged-in device's GET /v1/sketch is answered from
+// the copy the edge was handed — coherence metadata over page paths — and
+// nothing of the requester reaches a sink.
+func CleanSketchServe(p *edge.Proxy, sn *cachesketch.Snapshot, w http.ResponseWriter, r *http.Request, u *session.User) {
+	p.InstallSketch(sn)
+	if u.LoggedIn {
+		p.ServeHTTP(w, r)
+	}
 }

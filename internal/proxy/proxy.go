@@ -365,6 +365,12 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 			p.auditCDN("sketch")
 			trace.MarkSketchRefreshed()
 			trace.AddSpan("sketch.fetch", "cdn", res.Latency-sketchStart)
+			// A snapshot that arrives already Δ old — a cache on the path
+			// held it that long and said so in Age — vouches for nothing:
+			// the same ladder as no sketch at all.
+			if p.sketch.NeedsRefresh() {
+				sketchOK = false
+			}
 		} else {
 			// The snapshot we hold (if any) is older than Δ and can no
 			// longer vouch for cached copies.

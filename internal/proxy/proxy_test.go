@@ -28,6 +28,7 @@ type fakeTransport struct {
 	fetchLat   time.Duration
 	sketchLat  time.Duration
 	sketchDown bool
+	sketchAge  time.Duration // how long a cache on the path held the sketch
 	blockCalls int
 	lastBlocks []string
 	lastUser   *session.User
@@ -37,7 +38,9 @@ func (f *fakeTransport) FetchSketch(_ context.Context, _ netsim.Region) (*caches
 	if f.sketchDown {
 		return nil, 0, ErrOffline
 	}
-	return f.sketchSrv.Snapshot(), f.sketchLat, nil
+	sn := f.sketchSrv.Snapshot()
+	sn.TakenAt = sn.TakenAt.Add(-f.sketchAge)
+	return sn, f.sketchLat, nil
 }
 
 func (f *fakeTransport) Fetch(_ context.Context, _ netsim.Region, path string) (cache.Entry, time.Duration, Source, error) {
@@ -324,6 +327,43 @@ func TestSketchGovernsDeviceCache(t *testing.T) {
 	}
 	if p.Stats().Revalidations != 1 {
 		t.Fatalf("revalidations = %d", p.Stats().Revalidations)
+	}
+}
+
+// TestSketchOlderThanDeltaOnArrivalVouchesForNothing: a cache between
+// device and server handed out a sketch it had held for Δ, taken before
+// the page was written, so it clears the key. Trusting it would serve v1
+// from the device cache more than Δ after the write; the load must take
+// the ladder of a device without a sketch and revalidate.
+func TestSketchOlderThanDeltaOnArrivalVouchesForNothing(t *testing.T) {
+	p, tr, clk := newTestProxy(t, nil)
+	_, _ = p.Load(context.Background(), "/") // cold: caches shell v1
+
+	// The write the held sketch predates: it is not reported, so the
+	// snapshot the transport returns does not flag "/".
+	e := tr.pages["/"]
+	e.Version = 2
+	tr.pages["/"] = e
+	clk.Advance(31 * time.Second)
+	tr.sketchAge = 30 * time.Second
+
+	res, err := p.Load(context.Background(), "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.SketchRefreshed || !res.Revalidated || res.Degraded != DegradeRevalidate {
+		t.Fatalf("load on a sketch dead on arrival: %+v, want a forced revalidation", res)
+	}
+	if res.Version != 2 || res.Source == SourceDevice {
+		t.Fatalf("served version %d from %v, want 2 from upstream", res.Version, res.Source)
+	}
+
+	// One second younger and it is a sketch like any other.
+	tr.sketchAge = 29 * time.Second
+	clk.Advance(31 * time.Second)
+	res, _ = p.Load(context.Background(), "/")
+	if !res.SketchRefreshed || res.Revalidated || res.Source != SourceDevice {
+		t.Fatalf("load on a sketch one second short of Δ: %+v, want a device hit", res)
 	}
 }
 
