@@ -156,12 +156,13 @@ func runCluster(seed int64, products int) {
 			oracle.Register(id, q)
 		}
 		for i := 0; i < 16; i++ {
+			id := fmt.Sprintf("p%05d", i)
 			ev := storage.ChangeEvent{
 				Collection: "products",
-				ID:         fmt.Sprintf("p%05d", i),
+				ID:         id,
 				Kind:       storage.ChangeUpdate,
-				Before:     map[string]any{"category": fmt.Sprintf("cat-%d", i%8)},
-				After:      map[string]any{"category": fmt.Sprintf("cat-%d", (i+3)%8)},
+				Before:     query.NewDoc(id, map[string]any{"category": fmt.Sprintf("cat-%d", i%8)}),
+				After:      query.NewDoc(id, map[string]any{"category": fmt.Sprintf("cat-%d", (i+3)%8)}),
 				Time:       clk.Now(),
 			}
 			got, err := c.ProcessEvent(ev)

@@ -43,8 +43,8 @@ func ExampleParseQuery() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(q.Match(map[string]any{"category": "shoes", "price": 59.0}))
-	fmt.Println(q.Match(map[string]any{"category": "shoes", "price": 159.0}))
+	fmt.Println(q.Match(speedkit.NewDoc("p1", map[string]any{"category": "shoes", "price": 59.0})))
+	fmt.Println(q.Match(speedkit.NewDoc("p2", map[string]any{"category": "shoes", "price": 159.0})))
 	// Output:
 	// true
 	// false

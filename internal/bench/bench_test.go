@@ -393,8 +393,13 @@ func TestAblationA3Shapes(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	scan, indexed := res.Rows[0], res.Rows[1]
-	// The index must win by a wide margin on a selective query over 20k docs.
-	if indexed.NsPerEval*5 > scan.NsPerEval {
+	// Both arms filter before they order and keep 24 rows, so they differ
+	// by how many documents they look at: 2 000 at this scale against the
+	// 200 of one category. Measured 5.5× in the median over fifteen runs,
+	// 3.6× at worst (each arm is a few milliseconds long); the floor is
+	// set under that spread. (It was 5× while the scan cloned and ordered
+	// every document before filtering one, which the index arm skipped.)
+	if indexed.NsPerEval*3 > scan.NsPerEval {
 		t.Fatalf("index win too small: scan %.0f vs indexed %.0f ns/eval",
 			scan.NsPerEval, indexed.NsPerEval)
 	}

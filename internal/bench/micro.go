@@ -115,8 +115,8 @@ func RunFigure8(scale Scale) *Figure8Result {
 		}
 		ev := storage.ChangeEvent{
 			Collection: "products", ID: "p1", Kind: storage.ChangeUpdate,
-			Before: map[string]any{"category": "shoes", "price": 40.0},
-			After:  map[string]any{"category": "shoes", "price": 60.0},
+			Before: query.NewDoc("p1", map[string]any{"category": "shoes", "price": 40.0}),
+			After:  query.NewDoc("p1", map[string]any{"category": "shoes", "price": 60.0}),
 		}
 		sw := clock.NewStopwatch(clock.System)
 		for i := 0; i < events; i++ {

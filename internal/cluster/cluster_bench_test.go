@@ -52,12 +52,13 @@ func benchClusterFixture(b *testing.B, n, regs int) (*Node, []storage.ChangeEven
 	}
 	events := make([]storage.ChangeEvent, 256)
 	for i := range events {
+		id := fmt.Sprintf("doc-%04d", i)
 		events[i] = storage.ChangeEvent{
 			Collection: "products",
-			ID:         fmt.Sprintf("doc-%04d", i),
+			ID:         id,
 			Kind:       storage.ChangeUpdate,
-			Before:     map[string]any{"price": float64(40 + i%10)},
-			After:      map[string]any{"price": float64(45 + i%10)},
+			Before:     query.NewDoc(id, map[string]any{"price": float64(40 + i%10)}),
+			After:      query.NewDoc(id, map[string]any{"price": float64(45 + i%10)}),
 			Version:    uint64(i + 1),
 		}
 	}

@@ -229,12 +229,13 @@ func TestClusterEventBroadcastMatchesOracle(t *testing.T) {
 	}
 
 	for i := 0; i < 16; i++ {
+		id := fmt.Sprintf("p-%d", i)
 		ev := storage.ChangeEvent{
 			Collection: "products",
-			ID:         fmt.Sprintf("p-%d", i),
+			ID:         id,
 			Kind:       storage.ChangeUpdate,
-			Before:     map[string]any{"category": fmt.Sprintf("cat-%d", i%8)},
-			After:      map[string]any{"category": fmt.Sprintf("cat-%d", (i+1)%8)},
+			Before:     query.NewDoc(id, map[string]any{"category": fmt.Sprintf("cat-%d", i%8)}),
+			After:      query.NewDoc(id, map[string]any{"category": fmt.Sprintf("cat-%d", (i+1)%8)}),
 			Time:       clk.Now(),
 		}
 		got, err := c.ProcessEvent(ev)

@@ -423,8 +423,8 @@ func TestWriteEndpointDrivesPipeline(t *testing.T) {
 		t.Fatalf("write response: %s", body)
 	}
 	doc, _, _ := api.svc.Docs().Get("products", "p00009")
-	if doc["price"] != 7.77 {
-		t.Fatalf("price = %v", doc["price"])
+	if price, _ := doc.Lookup("price"); price != 7.77 {
+		t.Fatalf("price = %v", price)
 	}
 }
 

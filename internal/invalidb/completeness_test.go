@@ -29,6 +29,11 @@ func TestInvalidationCompleteness(t *testing.T) {
 		"/cat-b-cheap": query.MustParse(`items WHERE cat = "b" AND price < 100 LIMIT 3`),
 		"/named":       query.MustParse(`items WHERE name CONTAINS "x" ORDER BY name`),
 		"/all":         query.New("items", nil).WithLimit(10),
+		// Pages defined by the ID a document is stored under, which is no
+		// field of it: the store and the matcher must read it alike.
+		"/one":      query.MustParse(`items WHERE id = "d07"`),
+		"/featured": query.MustParse(`items WHERE id IN ["d01", "d02", "d13"] ORDER BY price`),
+		"/by-id":    query.MustParse(`items WHERE price < 100 ORDER BY id DESC LIMIT 4`),
 	}
 	for id, q := range queries {
 		eng.Register(id, q)
@@ -39,8 +44,8 @@ func TestInvalidationCompleteness(t *testing.T) {
 	cancel := eng.AttachTo(docs)
 	defer cancel()
 
-	snapshot := func() map[string][]map[string]any {
-		out := make(map[string][]map[string]any, len(queries))
+	snapshot := func() map[string][]query.Doc {
+		out := make(map[string][]query.Doc, len(queries))
 		for id, q := range queries {
 			out[id] = docs.Query(q)
 		}

@@ -294,18 +294,18 @@ func (ix *index) collect(s *sink) {
 			continue
 		}
 		if bb != nil {
-			bb.collect(s, before, nil)
+			bb.collect(s, before, query.Doc{})
 		}
 		if ba != nil {
-			ba.collect(s, nil, after)
+			ba.collect(s, query.Doc{}, after)
 		}
 	}
 }
 
 // bucketAt returns the bucket of the value doc carries in f's field, nil
 // when no query pins that value.
-func (f *eqField) bucketAt(doc map[string]any) *bucket {
-	v, ok := query.Lookup(doc, f.field)
+func (f *eqField) bucketAt(doc query.Doc) *bucket {
+	v, ok := doc.Lookup(f.field)
 	if !ok {
 		return nil
 	}
@@ -317,8 +317,8 @@ func (f *eqField) bucketAt(doc map[string]any) *bucket {
 }
 
 // collect adds the hits among the queries of b that either image
-// reaches; a nil image reaches none of the intervals.
-func (b *bucket) collect(s *sink, before, after map[string]any) {
+// reaches; a zero image reaches none of the intervals.
+func (b *bucket) collect(s *sink, before, after query.Doc) {
 	for _, r := range b.all {
 		s.add(r)
 	}
@@ -344,8 +344,8 @@ func (b *bucket) collect(s *sink, before, after map[string]any) {
 	}
 }
 
-func numberAt(doc map[string]any, field string) (float64, bool) {
-	v, ok := query.Lookup(doc, field)
+func numberAt(doc query.Doc, field string) (float64, bool) {
+	v, ok := doc.Lookup(field)
 	if !ok {
 		return 0, false
 	}

@@ -2,6 +2,7 @@ package invalidb
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -71,7 +72,10 @@ func (p *program) next(n int) int {
 
 var (
 	programCollections = []string{"a", "b", "", "never-registered"}
-	programFields      = []string{"cat", "price", "stock", "meta.tag", "meta.rank"}
+	programFields      = []string{"cat", "price", "stock", "meta.tag", "meta.rank", "id"}
+	// Documents are stored under the strings value draws, so a leg on id
+	// meets IDs it equals.
+	programIDs = []string{"a", "b", "c", "d"}
 )
 
 func (p *program) field() string { return programFields[p.next(len(programFields))] }
@@ -185,35 +189,33 @@ func (p *program) doc() map[string]any {
 	case 1, 2:
 		doc["meta"] = map[string]any{"tag": p.value(), "rank": p.value()}
 	}
+	if p.next(8) == 1 {
+		doc["id"] = p.value() // a field of its own hides the ID it is stored under
+	}
 	return doc
 }
 
 func (p *program) event() storage.ChangeEvent {
-	ev := storage.ChangeEvent{
-		Collection: programCollections[p.next(len(programCollections))],
-		ID:         "doc",
-		Kind:       storage.ChangeUpdate,
-	}
+	collection := programCollections[p.next(len(programCollections))]
+	id := programIDs[p.next(len(programIDs))]
+	var before, after map[string]any
 	if p.next(4) != 0 {
-		ev.Before = p.doc()
+		before = p.doc()
 	}
 	switch p.next(4) {
 	case 0:
 	case 1:
 		// The common write: one field of the before image patched.
-		if ev.Before != nil {
-			ev.After = map[string]any{}
-			for k, v := range ev.Before {
-				ev.After[k] = v
-			}
-			ev.After[[]string{"cat", "price", "stock"}[p.next(3)]] = p.value()
+		if before != nil {
+			after = maps.Clone(before)
+			after[[]string{"cat", "price", "stock"}[p.next(3)]] = p.value()
 			break
 		}
 		fallthrough
 	default:
-		ev.After = p.doc()
+		after = p.doc()
 	}
-	return ev
+	return changeEvent(collection, id, storage.ChangeUpdate, before, after)
 }
 
 // run interprets the program against a fresh engine and the reference,
@@ -350,9 +352,9 @@ func TestIndexPrunesCandidates(t *testing.T) {
 
 type countingLeg struct{ n *atomic.Int64 }
 
-func (c countingLeg) Match(map[string]any) bool { c.n.Add(1); return true }
-func (countingLeg) Canonical() string           { return "COUNT" }
-func (countingLeg) Fields(map[string]struct{})  {}
+func (c countingLeg) Match(query.Doc) bool     { c.n.Add(1); return true }
+func (countingLeg) Canonical() string          { return "COUNT" }
+func (countingLeg) Fields(map[string]struct{}) {}
 
 // The interval set against a linear filter: nested, disjoint, duplicate,
 // half-bounded and empty intervals, stabbed inside, outside and on the
@@ -390,7 +392,7 @@ func TestIntervalStab(t *testing.T) {
 					want[e.reg] = true
 				}
 			}
-			s := sink{ev: &storage.ChangeEvent{After: map[string]any{}}, dst: make([]hit, len(regs))}
+			s := sink{ev: &storage.ChangeEvent{After: query.NewDoc("", nil)}, dst: make([]hit, len(regs))}
 			iv.stab(&s, v, seen, 0, len(iv.ents))
 			got := map[*registration]bool{}
 			for _, h := range s.dst[:s.n] {
@@ -414,8 +416,7 @@ func TestCrossCollectionMergePath(t *testing.T) {
 	e.Register("/audit", query.New("", query.Gte("price", 100.0)))
 	e.Register("/pricey-products", query.MustParse(`products WHERE price >= 100`))
 
-	ev := storage.ChangeEvent{Collection: "products", ID: "p1",
-		Kind: storage.ChangeInsert, After: map[string]any{"price": 150.0}}
+	ev := changeEvent("products", "p1", storage.ChangeInsert, nil, map[string]any{"price": 150.0})
 	invs := e.Process(ev)
 	if len(invs) != 2 {
 		t.Fatalf("hits = %d, want collection hit + merged global hit", len(invs))
@@ -424,15 +425,13 @@ func TestCrossCollectionMergePath(t *testing.T) {
 		t.Fatalf("merge order = %s, %s", invs[0].RegistrationID, invs[1].RegistrationID)
 	}
 	// A different collection still trips the cross-collection predicate.
-	ev2 := storage.ChangeEvent{Collection: "users", ID: "u1",
-		Kind: storage.ChangeInsert, After: map[string]any{"price": 200.0}}
+	ev2 := changeEvent("users", "u1", storage.ChangeInsert, nil, map[string]any{"price": 200.0})
 	invs = e.Process(ev2)
 	if len(invs) != 1 || invs[0].RegistrationID != "/audit" {
 		t.Fatalf("global-only match = %v", invs)
 	}
 	// But not below its filter.
-	ev3 := storage.ChangeEvent{Collection: "users", ID: "u2",
-		Kind: storage.ChangeInsert, After: map[string]any{"price": 10.0}}
+	ev3 := changeEvent("users", "u2", storage.ChangeInsert, nil, map[string]any{"price": 10.0})
 	if invs := e.Process(ev3); len(invs) != 0 {
 		t.Fatalf("filter ignored on merge path: %v", invs)
 	}
@@ -445,8 +444,7 @@ func TestCrossCollectionMergePath(t *testing.T) {
 func TestRegisterMovesShardOnCollectionChange(t *testing.T) {
 	e := New(Config{})
 	e.Register("/x", query.New("products", nil))
-	ev := storage.ChangeEvent{Collection: "products", ID: "p1",
-		Kind: storage.ChangeInsert, After: map[string]any{}}
+	ev := changeEvent("products", "p1", storage.ChangeInsert, nil, map[string]any{})
 	if invs := e.Process(ev); len(invs) != 1 {
 		t.Fatalf("registration not matching before the move: %v", invs)
 	}
@@ -457,8 +455,7 @@ func TestRegisterMovesShardOnCollectionChange(t *testing.T) {
 	if invs := e.Process(ev); len(invs) != 0 {
 		t.Fatalf("stale index still matches: %v", invs)
 	}
-	ev2 := storage.ChangeEvent{Collection: "users", ID: "u1",
-		Kind: storage.ChangeInsert, After: map[string]any{}}
+	ev2 := changeEvent("users", "u1", storage.ChangeInsert, nil, map[string]any{})
 	if invs := e.Process(ev2); len(invs) != 1 {
 		t.Fatalf("moved registration not matching: %v", invs)
 	}
@@ -481,16 +478,17 @@ func TestMatchIntoZeroAlloc(t *testing.T) {
 		e.Register(fmt.Sprintf("/facet/%d", i), query.New("products",
 			query.And{query.Eq("meta.cat", "c"), query.Gte("price", float64(i)), query.Lt("price", float64(i+1))}))
 		e.Register(fmt.Sprintf("/residual/%d", i), query.New("products", query.Contains("name", "x")))
+		// No event below is stored under these; reading the ID an image
+		// is stored under, which is no field of it, must not box it.
+		e.Register(fmt.Sprintf("/one/%d", i), query.New("products", query.Eq("id", fmt.Sprintf("q%d", i))))
 	}
 	m := e.currentMatcher()
 	dst := make([]hit, e.Registered())
-	match := storage.ChangeEvent{Collection: "products", ID: "p1", Kind: storage.ChangeInsert,
-		After: map[string]any{"price": 200.0, "name": "xy", "meta": map[string]any{"cat": "c"}}}
-	miss := storage.ChangeEvent{Collection: "products", ID: "p2", Kind: storage.ChangeUpdate,
-		Before: map[string]any{"price": -1.0, "name": "y", "meta": map[string]any{"cat": "c"}},
-		After:  map[string]any{"price": -2.0, "name": "y", "meta": map[string]any{"cat": "d"}}}
-	foreign := storage.ChangeEvent{Collection: "users", ID: "u1",
-		Kind: storage.ChangeInsert, After: map[string]any{"price": 200.0}}
+	match := insertEvent("p1", map[string]any{"price": 200.0, "name": "xy", "meta": map[string]any{"cat": "c"}})
+	miss := updateEvent("p2",
+		map[string]any{"price": -1.0, "name": "y", "meta": map[string]any{"cat": "c"}},
+		map[string]any{"price": -2.0, "name": "y", "meta": map[string]any{"cat": "d"}})
+	foreign := changeEvent("users", "u1", storage.ChangeInsert, nil, map[string]any{"price": 200.0})
 	if n := testing.AllocsPerRun(1000, func() {
 		if m.matchInto(&match, dst) != 128 {
 			t.Fatal("hits on matching event != 64 ranges + 64 residual")
@@ -548,8 +546,7 @@ func TestShardedKindClassification(t *testing.T) {
 		{map[string]any{"price": 50.0}, map[string]any{"price": 60.0}, Changed},
 	}
 	for i, c := range cases {
-		ev := storage.ChangeEvent{Collection: "products", ID: "p1",
-			Kind: storage.ChangeUpdate, Before: c.before, After: c.after}
+		ev := updateEvent("p1", c.before, c.after)
 		invs := e.Process(ev)
 		if len(invs) != 1 || invs[0].Kind != c.want {
 			t.Fatalf("case %d: invs = %v, want one %v", i, invs, c.want)

@@ -189,10 +189,10 @@ func (e *Engine) currentMatcher() *matcher {
 // classifyImages decides whether a change affects a query and how, by
 // the query's filter alone: the index has already selected by collection.
 // An absent before/after image means the document did not exist on that
-// side, so a nil image never matches (distinct from an empty document).
+// side, so a zero image never matches (distinct from an empty document).
 func classifyImages(q query.Query, ev storage.ChangeEvent) (MatchKind, bool) {
-	before := ev.Before != nil && q.Match(ev.Before)
-	after := ev.After != nil && q.Match(ev.After)
+	before := !ev.Before.IsZero() && q.Match(ev.Before)
+	after := !ev.After.IsZero() && q.Match(ev.After)
 	switch {
 	case before && after:
 		return Changed, true

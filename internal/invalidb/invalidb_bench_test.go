@@ -24,13 +24,13 @@ func broadFixture(queries, collections int) (*Engine, []storage.ChangeEvent) {
 	}
 	events := make([]storage.ChangeEvent, 256)
 	for i := range events {
-		coll := fmt.Sprintf("coll-%03d", i%collections)
+		coll, id := fmt.Sprintf("coll-%03d", i%collections), fmt.Sprintf("doc-%04d", i)
 		events[i] = storage.ChangeEvent{
 			Collection: coll,
-			ID:         fmt.Sprintf("doc-%04d", i),
+			ID:         id,
 			Kind:       storage.ChangeUpdate,
-			Before:     map[string]any{"price": float64(40 + i%10)},
-			After:      map[string]any{"price": float64(45 + i%10)},
+			Before:     query.NewDoc(id, map[string]any{"price": float64(40 + i%10)}),
+			After:      query.NewDoc(id, map[string]any{"price": float64(45 + i%10)}),
 			Version:    uint64(i + 1),
 		}
 	}
@@ -59,14 +59,14 @@ func selectiveFixture(queries int) (*Engine, []storage.ChangeEvent) {
 	}
 	events := make([]storage.ChangeEvent, 256)
 	for i := range events {
-		cat := fmt.Sprintf("c%d", i%categories)
+		cat, id := fmt.Sprintf("c%d", i%categories), fmt.Sprintf("p-%04d", i)
 		price := float64((i*37)%(bands*5)) + 0.5
 		events[i] = storage.ChangeEvent{
 			Collection: "products",
-			ID:         fmt.Sprintf("p-%04d", i),
+			ID:         id,
 			Kind:       storage.ChangeUpdate,
-			Before:     map[string]any{"category": cat, "price": price, "stock": int64(i)},
-			After:      map[string]any{"category": cat, "price": price + float64(i%7), "stock": int64(i)},
+			Before:     query.NewDoc(id, map[string]any{"category": cat, "price": price, "stock": int64(i)}),
+			After:      query.NewDoc(id, map[string]any{"category": cat, "price": price + float64(i%7), "stock": int64(i)}),
 			Version:    uint64(i + 1),
 		}
 	}

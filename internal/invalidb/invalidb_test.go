@@ -3,6 +3,7 @@ package invalidb
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,16 +16,30 @@ func shoesQuery() query.Query {
 	return query.MustParse(`products WHERE category = "shoes" AND price < 100`)
 }
 
+// changeEvent builds an event the way the store does: each image frozen
+// under the document's ID, a nil map the side on which the document does
+// not exist.
+func changeEvent(collection, id string, kind storage.ChangeKind, before, after map[string]any) storage.ChangeEvent {
+	ev := storage.ChangeEvent{Collection: collection, ID: id, Kind: kind}
+	if before != nil {
+		ev.Before = query.NewDoc(id, before)
+	}
+	if after != nil {
+		ev.After = query.NewDoc(id, after)
+	}
+	return ev
+}
+
 func insertEvent(id string, doc map[string]any) storage.ChangeEvent {
-	return storage.ChangeEvent{Collection: "products", ID: id, Kind: storage.ChangeInsert, After: doc}
+	return changeEvent("products", id, storage.ChangeInsert, nil, doc)
 }
 
 func updateEvent(id string, before, after map[string]any) storage.ChangeEvent {
-	return storage.ChangeEvent{Collection: "products", ID: id, Kind: storage.ChangeUpdate, Before: before, After: after}
+	return changeEvent("products", id, storage.ChangeUpdate, before, after)
 }
 
 func deleteEvent(id string, before map[string]any) storage.ChangeEvent {
-	return storage.ChangeEvent{Collection: "products", ID: id, Kind: storage.ChangeDelete, Before: before}
+	return changeEvent("products", id, storage.ChangeDelete, before, nil)
 }
 
 func TestClassifyKinds(t *testing.T) {
@@ -66,8 +81,7 @@ func TestClassifyKinds(t *testing.T) {
 func TestCollectionIsolation(t *testing.T) {
 	e := New(Config{})
 	e.Register("/category/shoes", shoesQuery())
-	ev := storage.ChangeEvent{Collection: "users", ID: "u1", Kind: storage.ChangeInsert,
-		After: map[string]any{"category": "shoes", "price": 1.0}}
+	ev := changeEvent("users", "u1", storage.ChangeInsert, nil, map[string]any{"category": "shoes", "price": 1.0})
 	if invs := e.Process(ev); len(invs) != 0 {
 		t.Fatalf("cross-collection match: %v", invs)
 	}
@@ -223,5 +237,56 @@ func BenchmarkProcess1kQueries(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Process(ev)
+	}
+}
+
+// A page defined by the ID a document is stored under — `id = "p1"`, a
+// "featured products" `id IN […]` — is answered by the store and must be
+// invalidated by a write to that document. The ID is no field of the
+// document; the store and the matcher read it through the same Lookup,
+// so an event's images carry it as the query rows do. (Before the images
+// were Docs they did not, and such a page was never invalidated.)
+func TestPageDefinedByIDIsInvalidated(t *testing.T) {
+	docs := storage.NewDocumentStore(nil)
+	_ = docs.Insert("products", "p1", map[string]any{"price": 10.0})
+	_ = docs.Insert("products", "p2", map[string]any{"price": 20.0})
+	one := query.New("products", query.Eq("id", "p1"))
+	featured := query.New("products", query.In("id", "p1", "p3"))
+	if rows := docs.Query(one); len(rows) != 1 || rows[0].ID() != "p1" {
+		t.Fatalf("the store answers %s with %v", one.ID(), rows)
+	}
+
+	e := New(Config{})
+	e.Register("/one", one)
+	e.Register("/featured", featured)
+	defer e.AttachTo(docs)()
+	var got []string
+	e.OnInvalidation(func(inv Invalidation) { got = append(got, inv.RegistrationID+" "+inv.Kind.String()) })
+
+	_ = docs.Patch("products", "p1", map[string]any{"price": 5.0})
+	_ = docs.Patch("products", "p2", map[string]any{"price": 6.0})
+	_ = docs.Insert("products", "p3", map[string]any{"price": 7.0})
+	_ = docs.Delete("products", "p1")
+	want := []string{"/featured changed", "/one changed", "/featured entered", "/featured left", "/one left"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("invalidations = %v, want %v", got, want)
+	}
+}
+
+// An equality leg on id is a posting like any other: an event reaches
+// the one query that pins its ID, not the registrations.
+func TestIDLegIsAPosting(t *testing.T) {
+	var evaluated atomic.Int64
+	e := New(Config{})
+	for i := 0; i < 500; i++ {
+		e.Register(fmt.Sprintf("/one/%d", i), query.New("products",
+			query.And{countingLeg{&evaluated}, query.Eq("id", fmt.Sprintf("p%d", i))}))
+	}
+	invs := e.Process(updateEvent("p7", map[string]any{"price": 1.0}, map[string]any{"price": 2.0}))
+	if len(invs) != 1 || invs[0].RegistrationID != "/one/7" || invs[0].Kind != Changed {
+		t.Fatalf("invalidations = %s", describeHits(invs))
+	}
+	if n := evaluated.Load(); n > 2 {
+		t.Fatalf("%d filter evaluations for one event over %d id pages", n, e.Registered())
 	}
 }

@@ -273,8 +273,9 @@ func (s *Server) renderProductPage(path string, version uint64, spec *productSpe
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "<article id=%q>", docID)
-	for _, k := range sortedKeys(doc) {
-		fmt.Fprintf(&b, "<p class=%q>%v</p>", k, doc[k])
+	for i := 0; i < doc.Len(); i++ {
+		k, v := doc.Field(i)
+		fmt.Fprintf(&b, "<p class=%q>%v</p>", k, v)
 	}
 	b.WriteString("</article>")
 	return s.renderShell(path, version, b.String(), spec.blocks), nil
@@ -300,31 +301,26 @@ func (s *Server) renderQueryPage(path string, version uint64, spec *querySpec) (
 	var b strings.Builder
 	fmt.Fprintf(&b, "<h1>%s</h1><ul>", spec.title)
 	for _, d := range docs {
-		fmt.Fprintf(&b, "<li data-id=%q>", d["id"])
-		for _, k := range sortedKeys(d) {
+		// A document's own "id" field, when it has one, is what the page
+		// has always shown and linked; Lookup falls back to the store ID.
+		id, _ := d.Lookup("id")
+		fmt.Fprintf(&b, "<li data-id=%q>", id)
+		for i := 0; i < d.Len(); i++ {
+			k, v := d.Field(i)
 			if k == "id" {
 				continue
 			}
-			fmt.Fprintf(&b, "<span class=%q>%v</span>", k, d[k])
+			fmt.Fprintf(&b, "<span class=%q>%v</span>", k, v)
 		}
 		b.WriteString("</li>")
 		if linkable {
-			links = append(links, detailPrefix+fmt.Sprint(d["id"]))
+			links = append(links, detailPrefix+fmt.Sprint(id))
 		}
 	}
 	b.WriteString("</ul>")
 	page := s.renderShell(path, version, b.String(), spec.blocks)
 	page.Links = links
 	return page, nil
-}
-
-func sortedKeys(m map[string]any) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // RenderBlock produces the personalized fragment for a user. Unknown

@@ -13,10 +13,10 @@ func TestParseBasic(t *testing.T) {
 	if q.Collection != "products" || q.SortField != "price" || q.Descending || q.Limit != 10 {
 		t.Fatalf("unexpected query: %+v", q)
 	}
-	if !q.Match(map[string]any{"category": "shoes", "price": 50}) {
+	if !q.Match(docOf(map[string]any{"category": "shoes", "price": 50})) {
 		t.Fatal("parsed filter does not match expected doc")
 	}
-	if q.Match(map[string]any{"category": "shoes", "price": 150}) {
+	if q.Match(docOf(map[string]any{"category": "shoes", "price": 150})) {
 		t.Fatal("parsed filter matched out-of-range doc")
 	}
 }
@@ -26,7 +26,7 @@ func TestParseNoWhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q.Match(map[string]any{"x": 1}) {
+	if !q.Match(docOf(map[string]any{"x": 1})) {
 		t.Fatal("collection scan should match everything")
 	}
 }
@@ -42,7 +42,7 @@ func TestParseOrNotParens(t *testing.T) {
 		{map[string]any{"x": 0, "y": 2, "z": 9}, true},
 	}
 	for i, c := range cases {
-		if got := q.Match(c.doc); got != c.want {
+		if got := q.Match(docOf(c.doc)); got != c.want {
 			t.Errorf("case %d: got %v, want %v", i, got, c.want)
 		}
 	}
@@ -51,13 +51,13 @@ func TestParseOrNotParens(t *testing.T) {
 func TestParsePrecedenceAndBindsTighter(t *testing.T) {
 	// x=1 OR y=2 AND z=3 must parse as x=1 OR (y=2 AND z=3).
 	q := MustParse(`a WHERE x = 1 OR y = 2 AND z = 3`)
-	if !q.Match(map[string]any{"x": 1}) {
+	if !q.Match(docOf(map[string]any{"x": 1})) {
 		t.Fatal("left OR leg failed")
 	}
-	if q.Match(map[string]any{"y": 2}) {
+	if q.Match(docOf(map[string]any{"y": 2})) {
 		t.Fatal("AND must bind tighter than OR")
 	}
-	if !q.Match(map[string]any{"y": 2, "z": 3}) {
+	if !q.Match(docOf(map[string]any{"y": 2, "z": 3})) {
 		t.Fatal("right AND leg failed")
 	}
 }
@@ -65,11 +65,11 @@ func TestParsePrecedenceAndBindsTighter(t *testing.T) {
 func TestParseInExistsPrefixContains(t *testing.T) {
 	q := MustParse(`users WHERE id IN ["u1", "u2"] AND EXISTS(email) AND name PREFIX "Al" AND bio CONTAINS "go"`)
 	doc := map[string]any{"id": "u2", "email": "a@b.c", "name": "Alice", "bio": "loves golang"}
-	if !q.Match(doc) {
+	if !q.Match(docOf(doc)) {
 		t.Fatal("composite filter should match")
 	}
 	delete(doc, "email")
-	if q.Match(doc) {
+	if q.Match(docOf(doc)) {
 		t.Fatal("EXISTS leg ignored")
 	}
 }
@@ -77,14 +77,14 @@ func TestParseInExistsPrefixContains(t *testing.T) {
 func TestParseValueTypes(t *testing.T) {
 	q := MustParse(`c WHERE a = 5 AND b = 2.5 AND t = true AND f = false AND n = null AND neg = -3`)
 	doc := map[string]any{"a": int64(5), "b": 2.5, "t": true, "f": false, "n": nil, "neg": int64(-3)}
-	if !q.Match(doc) {
+	if !q.Match(docOf(doc)) {
 		t.Fatal("typed values failed to match")
 	}
 }
 
 func TestParseEmptyIn(t *testing.T) {
 	q := MustParse(`c WHERE a IN []`)
-	if q.Match(map[string]any{"a": 1}) {
+	if q.Match(docOf(map[string]any{"a": 1})) {
 		t.Fatal("empty IN matched")
 	}
 }
@@ -101,7 +101,7 @@ func TestParseCaseInsensitiveKeywords(t *testing.T) {
 
 func TestParseStringEscapes(t *testing.T) {
 	q := MustParse(`c WHERE s = "he said \"hi\""`)
-	if !q.Match(map[string]any{"s": `he said "hi"`}) {
+	if !q.Match(docOf(map[string]any{"s": `he said "hi"`})) {
 		t.Fatal("escaped string mismatched")
 	}
 }
@@ -162,7 +162,7 @@ func TestParseDottedAndSlashedIdents(t *testing.T) {
 		"meta": map[string]any{"brand": "Acme"},
 		"path": "/products/42",
 	}
-	if !q.Match(doc) {
+	if !q.Match(docOf(doc)) {
 		t.Fatal("dotted/slashed identifiers mishandled")
 	}
 }

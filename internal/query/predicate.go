@@ -48,7 +48,7 @@ func (o Op) String() string {
 // Predicate is a boolean condition over a document.
 type Predicate interface {
 	// Match reports whether the document satisfies the predicate.
-	Match(doc map[string]any) bool
+	Match(doc Doc) bool
 	// Canonical renders a normalized form: AND/OR operands sorted, values
 	// formatted deterministically. Equal canonical strings imply equal
 	// predicates (the converse need not hold).
@@ -99,8 +99,8 @@ func Prefix(field, p string) Predicate { return &Cmp{Field: field, Op: OpPrefix,
 func Contains(field, sub string) Predicate { return &Cmp{Field: field, Op: OpContains, Value: sub} }
 
 // Match implements Predicate.
-func (c *Cmp) Match(doc map[string]any) bool {
-	got, ok := Lookup(doc, c.Field)
+func (c *Cmp) Match(doc Doc) bool {
+	got, ok := doc.Lookup(c.Field)
 	switch c.Op {
 	case OpExists:
 		return ok
@@ -172,7 +172,7 @@ func (c *Cmp) Fields(dst map[string]struct{}) { dst[c.Field] = struct{}{} }
 type And []Predicate
 
 // Match implements Predicate.
-func (a And) Match(doc map[string]any) bool {
+func (a And) Match(doc Doc) bool {
 	for _, p := range a {
 		if !p.Match(doc) {
 			return false
@@ -195,7 +195,7 @@ func (a And) Fields(dst map[string]struct{}) {
 type Or []Predicate
 
 // Match implements Predicate.
-func (o Or) Match(doc map[string]any) bool {
+func (o Or) Match(doc Doc) bool {
 	for _, p := range o {
 		if p.Match(doc) {
 			return true
@@ -218,7 +218,7 @@ func (o Or) Fields(dst map[string]struct{}) {
 type Not struct{ P Predicate }
 
 // Match implements Predicate.
-func (n Not) Match(doc map[string]any) bool { return !n.P.Match(doc) }
+func (n Not) Match(doc Doc) bool { return !n.P.Match(doc) }
 
 // Canonical implements Predicate.
 func (n Not) Canonical() string { return "NOT(" + n.P.Canonical() + ")" }
@@ -230,7 +230,7 @@ func (n Not) Fields(dst map[string]struct{}) { n.P.Fields(dst) }
 type True struct{}
 
 // Match implements Predicate.
-func (True) Match(map[string]any) bool { return true }
+func (True) Match(Doc) bool { return true }
 
 // Canonical implements Predicate.
 func (True) Canonical() string { return "TRUE" }
@@ -251,33 +251,6 @@ func canonicalJunction(op string, ps []Predicate) string {
 	}
 	sort.Strings(parts)
 	return op + "(" + strings.Join(parts, ";") + ")"
-}
-
-// Lookup resolves a possibly dotted field path ("price" or "meta.tag")
-// the way every comparison does. The invalidation index reads documents
-// through it so that its keys and a predicate's operands never disagree
-// on what a path names.
-func Lookup(doc map[string]any, path string) (any, bool) {
-	if doc == nil {
-		return nil, false
-	}
-	// Nearly every field is a plain name, and a listing render looks one
-	// up per document and leg: keep that case to the map access.
-	if !strings.Contains(path, ".") {
-		v, ok := doc[path]
-		return v, ok
-	}
-	for {
-		part, rest, dotted := strings.Cut(path, ".")
-		v, ok := doc[part]
-		if !ok || !dotted {
-			return v, ok
-		}
-		if doc, ok = v.(map[string]any); !ok {
-			return nil, false
-		}
-		path = rest
-	}
 }
 
 // equal compares two scalars with numeric coercion: all integer and float

@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 )
 
-var productDoc = map[string]any{
+var productDoc = docOf(map[string]any{
 	"id":       "p1",
 	"name":     "Trail Runner",
 	"category": "shoes",
@@ -13,7 +13,7 @@ var productDoc = map[string]any{
 	"stock":    int64(12),
 	"active":   true,
 	"meta":     map[string]any{"brand": "Acme", "rating": 4.5},
-}
+})
 
 func TestCmpOperators(t *testing.T) {
 	cases := []struct {
@@ -85,16 +85,16 @@ func TestJunctions(t *testing.T) {
 	if (Or{}).Match(productDoc) {
 		t.Fatal("empty OR must match nothing")
 	}
-	if !(True{}).Match(nil) {
+	if !(True{}).Match(Doc{}) {
 		t.Fatal("True must match nil doc")
 	}
 }
 
 func TestMatchNilDoc(t *testing.T) {
-	if Eq("x", 1).Match(nil) {
+	if Eq("x", 1).Match(Doc{}) {
 		t.Fatal("Eq matched nil doc")
 	}
-	if !Ne("x", 1).Match(nil) {
+	if !Ne("x", 1).Match(Doc{}) {
 		t.Fatal("Ne must match nil doc (field absent)")
 	}
 }
@@ -146,10 +146,10 @@ func TestNumericCoercionProperty(t *testing.T) {
 	// and ordering predicates behave consistently with float comparison.
 	f := func(v int32, w int32) bool {
 		doc := map[string]any{"x": int64(v)}
-		if !Eq("x", float64(v)).Match(doc) {
+		if !Eq("x", float64(v)).Match(docOf(doc)) {
 			return false
 		}
-		gt := Gt("x", int64(w)).Match(doc)
+		gt := Gt("x", int64(w)).Match(docOf(doc))
 		return gt == (v > w)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -199,18 +199,18 @@ func TestNumericCoercionAllWidths(t *testing.T) {
 		"f32": float32(1), "f64": float64(1),
 	}
 	for field := range doc {
-		if !Eq(field, 1.0).Match(doc) {
+		if !Eq(field, 1.0).Match(docOf(doc)) {
 			t.Errorf("Eq(%s, 1.0) failed across width coercion", field)
 		}
-		if !Gte(field, 1).Match(doc) || Lt(field, 1).Match(doc) {
+		if !Gte(field, 1).Match(docOf(doc)) || Lt(field, 1).Match(docOf(doc)) {
 			t.Errorf("ordering on %s wrong", field)
 		}
 	}
 	// Non-numeric vs numeric never equal.
-	if Eq("s", 1).Match(map[string]any{"s": "1"}) {
+	if Eq("s", 1).Match(docOf(map[string]any{"s": "1"})) {
 		t.Error("string '1' equals number 1")
 	}
-	if Eq("b", 1).Match(map[string]any{"b": true}) {
+	if Eq("b", 1).Match(docOf(map[string]any{"b": true})) {
 		t.Error("bool equals number")
 	}
 }

@@ -1,8 +1,10 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -71,7 +73,7 @@ func (q Query) ID() string {
 }
 
 // Match reports whether a single document satisfies the query filter.
-func (q Query) Match(doc map[string]any) bool {
+func (q Query) Match(doc Doc) bool {
 	if q.Filter == nil {
 		return true
 	}
@@ -79,38 +81,190 @@ func (q Query) Match(doc map[string]any) bool {
 }
 
 // Apply evaluates the query against an in-memory snapshot of documents,
-// returning matching documents in sorted, limited order. The input slice
-// is not modified.
-func (q Query) Apply(docs []map[string]any) []map[string]any {
-	out := make([]map[string]any, 0, len(docs))
-	for _, d := range docs {
-		if q.Match(d) {
-			out = append(out, d)
+// returning the matching ones in sorted, limited order (see Select for
+// the order). The input slice is not modified.
+func (q Query) Apply(docs []Doc) []Doc {
+	return q.Select(func(offer func(Doc)) {
+		for _, d := range docs {
+			offer(d)
+		}
+	})
+}
+
+// Select evaluates the query over the candidates scan offers, one call of
+// offer each, in any order. A candidate is filtered as it is offered and
+// its sort key read once; only matches are ordered, and with a Limit only
+// the best Limit of them are kept while the scan runs, so a listing costs
+// one read of each candidate and memory for the rows it returns.
+//
+// The order of the result is by sort key (ascending or descending;
+// documents without the field last either way), then by document ID, then
+// by the order of offering. Keys of unlike kinds — a number beside a
+// string, or beside a bool, a null, a NaN, a list or a nested document —
+// are neither before nor after each other; that is not an ordering, and a
+// result that meets it is what a stable sort by key over all the matches
+// in ID order gives, which is how every result was computed when all the
+// candidates were ordered before they were filtered. For that, scan is
+// run a second time if rows were dropped before the unlike key showed up.
+func (q Query) Select(scan func(offer func(Doc))) []Doc {
+	s := selection{q: q, bound: q.Limit}
+	scan(s.offer)
+	if s.unordered() && s.matched > len(s.rows) {
+		s = selection{q: q}
+		scan(s.offer)
+	}
+	return s.docs()
+}
+
+// selection is the state of one Select.
+type selection struct {
+	q Query
+	// rows holds every match; or, with a bound, the best bound of them
+	// under compareRows — once it is full, as a max-heap with the worst
+	// row kept on top, which every later match challenges.
+	rows    []row
+	bound   int // 0 keeps every match
+	matched int
+	kinds   uint8 // the keyKinds seen among the matches, one bit each
+}
+
+type row struct {
+	doc  Doc
+	seq  uint32 // position among the matches, the last tie-break
+	kind keyKind
+	num  float64 // the key when kind is keyNumber
+	str  string  // the key when kind is keyString
+}
+
+type keyKind uint8
+
+const (
+	keyMissing keyKind = iota // no sort field, or the document lacks it
+	keyNumber
+	keyString
+	// keyOther is a value compare calls equal to every other: a NaN, a
+	// bool, a null, a list, a nested document.
+	keyOther
+)
+
+func (s *selection) offer(d Doc) {
+	if !s.q.Match(d) {
+		return
+	}
+	r := row{doc: d, seq: uint32(s.matched)}
+	s.matched++
+	if s.q.SortField != "" {
+		if v, ok := d.Lookup(s.q.SortField); ok {
+			r.kind = keyOther
+			if f, isNum := ToFloat(v); isNum {
+				if !math.IsNaN(f) {
+					r.kind, r.num = keyNumber, f
+				}
+			} else if str, isStr := v.(string); isStr {
+				r.kind, r.str = keyString, str
+			}
 		}
 	}
-	if q.SortField != "" {
-		field, desc := q.SortField, q.Descending
-		sort.SliceStable(out, func(i, j int) bool {
-			a, aok := Lookup(out[i], field)
-			b, bok := Lookup(out[j], field)
-			if !aok || !bok {
-				// Missing sort keys order last regardless of direction.
-				return aok && !bok
+	s.kinds |= 1 << r.kind
+
+	if s.bound <= 0 || len(s.rows) < s.bound {
+		s.rows = append(s.rows, r)
+		if len(s.rows) == s.bound {
+			for i := s.bound/2 - 1; i >= 0; i-- {
+				s.siftDown(i)
 			}
-			c, comparable := compare(a, b)
-			if !comparable {
-				return false
-			}
-			if desc {
-				return c > 0
-			}
-			return c < 0
-		})
+		}
+	} else if s.compareRows(&r, &s.rows[0]) < 0 {
+		s.rows[0] = r
+		s.siftDown(0)
 	}
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
+}
+
+// unordered reports whether the sort keys met so far are of more than
+// one kind.
+func (s *selection) unordered() bool {
+	present := s.kinds &^ (1 << keyMissing)
+	return present&(present-1) != 0
+}
+
+func (s *selection) siftDown(i int) {
+	h := s.rows
+	for {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if s.compareRows(&h[c], &h[worst]) > 0 {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
+// docs puts the kept rows in order and returns their documents.
+func (s *selection) docs() []Doc {
+	rows := s.rows
+	if s.unordered() {
+		slices.SortFunc(rows, func(a, b row) int { return compareIDs(&a, &b) })
+		slices.SortStableFunc(rows, func(a, b row) int { return s.compareKeys(&a, &b) })
+	} else {
+		slices.SortFunc(rows, func(a, b row) int { return s.compareRows(&a, &b) })
+	}
+	if limit := s.q.Limit; limit > 0 && len(rows) > limit {
+		rows = rows[:limit]
+	}
+	out := make([]Doc, len(rows))
+	for i := range rows {
+		out[i] = rows[i].doc
 	}
 	return out
+}
+
+// compareKeys orders two rows by sort key alone, 0 when the query has
+// none or the keys do not order: compare's answer in the query's
+// direction, with an absent key after every present one.
+func (s *selection) compareKeys(a, b *row) int {
+	if a.kind == keyMissing || b.kind == keyMissing {
+		switch {
+		case a.kind != keyMissing:
+			return -1
+		case b.kind != keyMissing:
+			return 1
+		}
+		return 0
+	}
+	c := 0
+	if a.kind == b.kind {
+		switch a.kind {
+		case keyNumber:
+			c = cmp.Compare(a.num, b.num)
+		case keyString:
+			c = strings.Compare(a.str, b.str)
+		}
+	}
+	if s.q.Descending {
+		return -c
+	}
+	return c
+}
+
+// compareIDs orders two rows by document ID, then by offering.
+func compareIDs(a, b *row) int {
+	if c := strings.Compare(a.doc.ID(), b.doc.ID()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// compareRows is the total order of the result: key, ID, offering.
+func (s *selection) compareRows(a, b *row) int {
+	if c := s.compareKeys(a, b); c != 0 {
+		return c
+	}
+	return compareIDs(a, b)
 }
 
 // EqualityLookups extracts the field→value pairs the predicate pins with

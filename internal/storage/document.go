@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,9 +43,9 @@ type ChangeEvent struct {
 	Collection string
 	ID         string
 	Kind       ChangeKind
-	Before     map[string]any // nil for inserts
-	After      map[string]any // nil for deletes
-	Version    uint64         // document version after the change
+	Before     query.Doc // zero for inserts
+	After      query.Doc // zero for deletes
+	Version    uint64    // document version after the change
 	Time       time.Time
 }
 
@@ -60,28 +61,36 @@ var ErrExists = errors.New("storage: document already exists")
 // has committed, in commit order; this gives the invalidation pipeline the
 // exactly-once, in-order view it needs without goroutine nondeterminism in
 // the simulation.
+//
+// Documents are copied on write and never on read. A writer hands over a
+// map, which is frozen into a query.Doc and stays the writer's; Get, the
+// rows of Query and the images of a ChangeEvent are that stored value
+// itself, which no reader can change.
 type DocumentStore struct {
 	mu          sync.RWMutex
 	collections map[string]map[string]versionedDoc
 	indexes     map[string]map[string]fieldIndex // collection → field → index
-	idxStats    IndexStats
 	clk         clock.Clock
-	stats       DocStats // Reads is kept in reads
-	// reads counts Get calls, which hold mu only for reading.
-	reads atomic.Uint64
+	stats       DocStats // Reads and Queries are kept in reads and queries
+	// The counters of the read paths, which hold mu only for reading.
+	reads, queries, indexLookups, indexScans atomic.Uint64
 
+	// watchers is copy-on-write, in registration order; watcherMu
+	// serializes its writers.
+	watchers  atomic.Pointer[[]*watcher]
 	watcherMu sync.Mutex
-	watchers  map[int]func(ChangeEvent)
-	nextWatch int
 	// streamMu serializes event dispatch so watchers observe commit order
 	// even when mutations race.
 	streamMu sync.Mutex
 }
 
 type versionedDoc struct {
-	doc     map[string]any
+	doc     query.Doc
 	version uint64
 }
+
+// watcher is one Watch call; its address is its identity.
+type watcher struct{ fn func(ChangeEvent) }
 
 // DocStats counts document-store operations.
 type DocStats struct {
@@ -97,33 +106,12 @@ func NewDocumentStore(clk clock.Clock) *DocumentStore {
 	return &DocumentStore{
 		collections: make(map[string]map[string]versionedDoc),
 		clk:         clk,
-		watchers:    make(map[int]func(ChangeEvent)),
 	}
-}
-
-// cloneDoc deep-copies one level of nesting, which covers the document
-// shapes used throughout the system (scalar fields plus one map level).
-func cloneDoc(d map[string]any) map[string]any {
-	if d == nil {
-		return nil
-	}
-	out := make(map[string]any, len(d))
-	for k, v := range d {
-		if m, ok := v.(map[string]any); ok {
-			inner := make(map[string]any, len(m))
-			for ik, iv := range m {
-				inner[ik] = iv
-			}
-			out[k] = inner
-			continue
-		}
-		out[k] = v
-	}
-	return out
 }
 
 // Insert adds a new document; fails with ErrExists if id is taken.
 func (s *DocumentStore) Insert(collection, id string, doc map[string]any) error {
+	stored := query.NewDoc(id, doc)
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
 
@@ -137,22 +125,22 @@ func (s *DocumentStore) Insert(collection, id string, doc map[string]any) error 
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %s/%s", ErrExists, collection, id)
 	}
-	stored := cloneDoc(doc)
 	coll[id] = versionedDoc{doc: stored, version: 1}
-	s.updateIndexesLocked(collection, id, nil, stored)
+	s.updateIndexesLocked(collection, id, query.Doc{}, stored)
 	s.stats.Inserts++
 	now := s.clk.Now()
 	s.mu.Unlock()
 
 	s.dispatch(ChangeEvent{
 		Collection: collection, ID: id, Kind: ChangeInsert,
-		After: cloneDoc(stored), Version: 1, Time: now,
+		After: stored, Version: 1, Time: now,
 	})
 	return nil
 }
 
 // Update replaces the document at id; fails with ErrNotFound if absent.
 func (s *DocumentStore) Update(collection, id string, doc map[string]any) error {
+	stored := query.NewDoc(id, doc)
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
 
@@ -161,9 +149,8 @@ func (s *DocumentStore) Update(collection, id string, doc map[string]any) error 
 	old, ok := coll[id]
 	if !ok {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: %s/%s", ErrNotFound, collection, id)
+		return notFound(collection, id)
 	}
-	stored := cloneDoc(doc)
 	v := versionedDoc{doc: stored, version: old.version + 1}
 	coll[id] = v
 	s.updateIndexesLocked(collection, id, old.doc, stored)
@@ -173,7 +160,7 @@ func (s *DocumentStore) Update(collection, id string, doc map[string]any) error 
 
 	s.dispatch(ChangeEvent{
 		Collection: collection, ID: id, Kind: ChangeUpdate,
-		Before: cloneDoc(old.doc), After: cloneDoc(stored), Version: v.version, Time: now,
+		Before: old.doc, After: stored, Version: v.version, Time: now,
 	})
 	return nil
 }
@@ -202,16 +189,9 @@ func (s *DocumentStore) Patch(collection, id string, patch map[string]any) error
 	old, ok := coll[id]
 	if !ok {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: %s/%s", ErrNotFound, collection, id)
+		return notFound(collection, id)
 	}
-	updated := cloneDoc(old.doc)
-	for k, v := range patch {
-		if v == nil {
-			delete(updated, k)
-			continue
-		}
-		updated[k] = v
-	}
+	updated := old.doc.Merge(patch)
 	v := versionedDoc{doc: updated, version: old.version + 1}
 	coll[id] = v
 	s.updateIndexesLocked(collection, id, old.doc, updated)
@@ -221,7 +201,7 @@ func (s *DocumentStore) Patch(collection, id string, patch map[string]any) error
 
 	s.dispatch(ChangeEvent{
 		Collection: collection, ID: id, Kind: ChangeUpdate,
-		Before: cloneDoc(old.doc), After: cloneDoc(updated), Version: v.version, Time: now,
+		Before: old.doc, After: updated, Version: v.version, Time: now,
 	})
 	return nil
 }
@@ -236,44 +216,80 @@ func (s *DocumentStore) Delete(collection, id string) error {
 	old, ok := coll[id]
 	if !ok {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: %s/%s", ErrNotFound, collection, id)
+		return notFound(collection, id)
 	}
 	delete(coll, id)
-	s.updateIndexesLocked(collection, id, old.doc, nil)
+	s.updateIndexesLocked(collection, id, old.doc, query.Doc{})
 	s.stats.Deletes++
 	now := s.clk.Now()
 	s.mu.Unlock()
 
 	s.dispatch(ChangeEvent{
 		Collection: collection, ID: id, Kind: ChangeDelete,
-		Before: cloneDoc(old.doc), Version: old.version + 1, Time: now,
+		Before: old.doc, Version: old.version + 1, Time: now,
 	})
 	return nil
 }
 
-// Get returns a copy of the document and its version.
-func (s *DocumentStore) Get(collection, id string) (map[string]any, uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// Get returns the document and its version. A hit allocates nothing.
+//
+//speedkit:hotpath
+func (s *DocumentStore) Get(collection, id string) (query.Doc, uint64, error) {
 	s.reads.Add(1)
+	s.mu.RLock()
 	v, ok := s.collections[collection][id]
+	s.mu.RUnlock()
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s/%s", ErrNotFound, collection, id)
+		//lint:ignore hotpathalloc the miss builds its error; the hit path ends below
+		return query.Doc{}, 0, notFound(collection, id)
 	}
-	return cloneDoc(v.doc), v.version, nil
+	return v.doc, v.version, nil
 }
 
-// Query evaluates q against the store and returns matching documents
-// (copies) with the query's sort and limit applied. Every returned doc
-// has its ID injected under "id" if not already present. When an
-// equality index covers one of the filter's Eq legs, only the index's
-// candidates are evaluated; results are identical to a full scan.
-func (s *DocumentStore) Query(q query.Query) []map[string]any {
-	snapshot := s.queryCandidates(q)
-	s.mu.Lock()
-	s.stats.Queries++
-	s.mu.Unlock()
-	return q.Apply(snapshot)
+func notFound(collection, id string) error {
+	return fmt.Errorf("%w: %s/%s", ErrNotFound, collection, id)
+}
+
+// Query evaluates q against the store and returns the matching documents
+// with the query's sort and limit applied, ties in the order — and
+// unsorted results wholly — by ID. The candidates are the smallest posting
+// among the equality indexes that cover one of the filter's Eq legs, the
+// whole collection when none does; the results are identical either way.
+// Each candidate is read once, where it lies: filtered, its sort key taken
+// if it matches, and only matches are ordered (query.Select).
+func (s *DocumentStore) Query(q query.Query) []query.Doc {
+	s.queries.Add(1)
+	lookups := query.EqualityLookups(q.Filter)
+	usedIndex := false
+	rows := q.Select(func(offer func(query.Doc)) {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		var best map[string]query.Doc
+		usedIndex = false
+		for field, value := range lookups {
+			if set, ok := s.lookupIndexLocked(q.Collection, field, value); ok {
+				if !usedIndex || len(set) < len(best) {
+					best = set
+				}
+				usedIndex = true
+			}
+		}
+		if usedIndex {
+			for _, doc := range best {
+				offer(doc)
+			}
+			return
+		}
+		for _, v := range s.collections[q.Collection] {
+			offer(v.doc)
+		}
+	})
+	if usedIndex {
+		s.indexLookups.Add(1)
+	} else {
+		s.indexScans.Add(1)
+	}
+	return rows
 }
 
 // Count returns the number of documents in the collection.
@@ -300,40 +316,40 @@ func (s *DocumentStore) Stats() DocStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := s.stats
-	st.Reads = s.reads.Load()
+	st.Reads, st.Queries = s.reads.Load(), s.queries.Load()
 	return st
 }
 
 // Watch registers fn to be called synchronously, in commit order, for
 // every subsequent change. The returned cancel function unregisters it.
 func (s *DocumentStore) Watch(fn func(ChangeEvent)) (cancel func()) {
+	w := &watcher{fn: fn}
 	s.watcherMu.Lock()
-	id := s.nextWatch
-	s.nextWatch++
-	s.watchers[id] = fn
+	s.setWatchers(append(slices.Clone(s.loadWatchers()), w))
 	s.watcherMu.Unlock()
 	return func() {
 		s.watcherMu.Lock()
-		delete(s.watchers, id)
+		s.setWatchers(slices.DeleteFunc(slices.Clone(s.loadWatchers()),
+			func(x *watcher) bool { return x == w }))
 		s.watcherMu.Unlock()
 	}
 }
 
-// dispatch delivers ev to all watchers. Callers hold streamMu, which is
-// what makes delivery order equal commit order.
+func (s *DocumentStore) loadWatchers() []*watcher {
+	if p := s.watchers.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+func (s *DocumentStore) setWatchers(ws []*watcher) { s.watchers.Store(&ws) }
+
+// dispatch delivers ev to all watchers, in the order they registered.
+// Callers hold streamMu, which is what makes delivery order equal commit
+// order. The event is a few words and the watcher list is read as it
+// stands: delivery allocates nothing.
 func (s *DocumentStore) dispatch(ev ChangeEvent) {
-	s.watcherMu.Lock()
-	ids := make([]int, 0, len(s.watchers))
-	for id := range s.watchers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	fns := make([]func(ChangeEvent), len(ids))
-	for i, id := range ids {
-		fns[i] = s.watchers[id]
-	}
-	s.watcherMu.Unlock()
-	for _, fn := range fns {
-		fn(ev)
+	for _, w := range s.loadWatchers() {
+		w.fn(ev)
 	}
 }

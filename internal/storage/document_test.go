@@ -11,6 +11,12 @@ import (
 	"speedkit/internal/query"
 )
 
+// at reads one field of a document, nil when it is absent.
+func at(d query.Doc, path string) any {
+	v, _ := d.Lookup(path)
+	return v
+}
+
 func newTestDocs() (*DocumentStore, *clock.Simulated) {
 	clk := clock.NewSimulated(time.Time{})
 	return NewDocumentStore(clk), clk
@@ -22,7 +28,7 @@ func TestDocInsertGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc, ver, err := s.Get("products", "p1")
-	if err != nil || ver != 1 || doc["price"] != 10 {
+	if err != nil || ver != 1 || at(doc, "price") != 10 {
 		t.Fatalf("Get = %v v%d err=%v", doc, ver, err)
 	}
 	if err := s.Insert("products", "p1", nil); !errors.Is(err, ErrExists) {
@@ -53,7 +59,7 @@ func TestDocUpsert(t *testing.T) {
 	s.Upsert("c", "d", map[string]any{"v": 1})
 	s.Upsert("c", "d", map[string]any{"v": 2})
 	doc, ver, _ := s.Get("c", "d")
-	if doc["v"] != 2 || ver != 2 {
+	if at(doc, "v") != 2 || ver != 2 {
 		t.Fatalf("upsert result = %v v%d", doc, ver)
 	}
 }
@@ -65,10 +71,10 @@ func TestDocPatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc, _, _ := s.Get("c", "d")
-	if doc["keep"] != 1 || doc["change"] != 30 || doc["add"] != 4 {
+	if at(doc, "keep") != 1 || at(doc, "change") != 30 || at(doc, "add") != 4 {
 		t.Fatalf("patched doc = %v", doc)
 	}
-	if _, has := doc["drop"]; has {
+	if _, has := doc.Lookup("drop"); has {
 		t.Fatal("nil patch did not remove field")
 	}
 	if err := s.Patch("c", "missing", nil); !errors.Is(err, ErrNotFound) {
@@ -90,20 +96,34 @@ func TestDocDelete(t *testing.T) {
 	}
 }
 
+// The ownership rule, writer's side and reader's side: the map handed to
+// a write stays the writer's, and a change to it afterwards — three maps
+// down — reaches nothing the store holds; what a reader gets back is the
+// stored value, and the only mutable thing it can ask of it, Map(), is a
+// copy.
 func TestDocIsolationFromCallerMutation(t *testing.T) {
 	s, _ := newTestDocs()
-	doc := map[string]any{"a": 1, "meta": map[string]any{"x": 1}}
+	deep := map[string]any{"x": 1}
+	doc := map[string]any{"a": 1, "meta": map[string]any{"mid": map[string]any{"deep": deep}}}
 	_ = s.Insert("c", "d", doc)
+	patchDeep := map[string]any{"y": 1}
+	_ = s.Patch("c", "d", map[string]any{"p": map[string]any{"mid": patchDeep}})
 	doc["a"] = 999
-	doc["meta"].(map[string]any)["x"] = 999
+	deep["x"] = 999
+	patchDeep["y"] = 999
 	got, _, _ := s.Get("c", "d")
-	if got["a"] != 1 || got["meta"].(map[string]any)["x"] != 1 {
-		t.Fatal("store aliases caller document")
+	if at(got, "a") != 1 || at(got, "meta.mid.deep.x") != 1 || at(got, "p.mid.y") != 1 {
+		t.Fatalf("store aliases the writer's maps: %v", got)
 	}
-	got["a"] = 777
+	m := got.Map()
+	m["a"] = 777
+	m["meta"].(map[string]any)["mid"].(map[string]any)["deep"].(map[string]any)["x"] = 777
 	got2, _, _ := s.Get("c", "d")
-	if got2["a"] != 1 {
-		t.Fatal("returned doc aliases stored document")
+	if at(got2, "a") != 1 || at(got2, "meta.mid.deep.x") != 1 {
+		t.Fatalf("Map() aliases the stored document: %v", got2)
+	}
+	if got2 != got {
+		t.Fatal("two reads of one version returned different values: a read copied")
 	}
 }
 
@@ -120,11 +140,11 @@ func TestDocQuery(t *testing.T) {
 	if len(res) != 3 {
 		t.Fatalf("result count = %d, want 3", len(res))
 	}
-	if res[0]["price"] != 40.0 {
-		t.Fatalf("first price = %v", res[0]["price"])
+	if at(res[0], "price") != 40.0 {
+		t.Fatalf("first price = %v", at(res[0], "price"))
 	}
-	if res[0]["id"] != "p04" {
-		t.Fatalf("id not injected: %v", res[0]["id"])
+	if res[0].ID() != "p04" {
+		t.Fatalf("id not injected: %v", res[0].ID())
 	}
 }
 
@@ -144,10 +164,10 @@ func TestDocQueryStableOrderWithoutSort(t *testing.T) {
 	q := query.New("x", nil).WithLimit(2)
 	r1 := s.Query(q)
 	r2 := s.Query(q)
-	if r1[0]["id"] != "a" || r1[1]["id"] != "b" {
-		t.Fatalf("unsorted query not in id order: %v,%v", r1[0]["id"], r1[1]["id"])
+	if r1[0].ID() != "a" || r1[1].ID() != "b" {
+		t.Fatalf("unsorted query not in id order: %v,%v", r1[0].ID(), r1[1].ID())
 	}
-	if r1[0]["id"] != r2[0]["id"] || r1[1]["id"] != r2[1]["id"] {
+	if r1[0].ID() != r2[0].ID() || r1[1].ID() != r2[1].ID() {
 		t.Fatal("repeated query unstable")
 	}
 }
@@ -166,13 +186,13 @@ func TestDocChangeStreamOrderAndImages(t *testing.T) {
 	if len(events) != 3 {
 		t.Fatalf("events = %d, want 3", len(events))
 	}
-	if events[0].Kind != ChangeInsert || events[0].Before != nil || events[0].After["v"] != 1 {
+	if events[0].Kind != ChangeInsert || !events[0].Before.IsZero() || at(events[0].After, "v") != 1 {
 		t.Fatalf("insert event wrong: %+v", events[0])
 	}
-	if events[1].Kind != ChangeUpdate || events[1].Before["v"] != 1 || events[1].After["v"] != 2 {
+	if events[1].Kind != ChangeUpdate || at(events[1].Before, "v") != 1 || at(events[1].After, "v") != 2 {
 		t.Fatalf("update event wrong: %+v", events[1])
 	}
-	if events[2].Kind != ChangeDelete || events[2].Before["v"] != 2 || events[2].After != nil {
+	if events[2].Kind != ChangeDelete || at(events[2].Before, "v") != 2 || !events[2].After.IsZero() {
 		t.Fatalf("delete event wrong: %+v", events[2])
 	}
 	if !events[1].Time.After(events[0].Time) {
@@ -195,16 +215,32 @@ func TestDocWatchCancel(t *testing.T) {
 	}
 }
 
+// An event's images are the stored values themselves — the After of one
+// write is the Before of the next and what Get returns in between — and a
+// watcher that keeps one can change nothing through it.
 func TestDocChangeEventImagesAreCopies(t *testing.T) {
 	s, _ := newTestDocs()
-	var captured map[string]any
-	cancel := s.Watch(func(ev ChangeEvent) { captured = ev.After })
+	var events []ChangeEvent
+	cancel := s.Watch(func(ev ChangeEvent) { events = append(events, ev) })
 	defer cancel()
-	_ = s.Insert("c", "d", map[string]any{"v": 1})
-	captured["v"] = 999
-	doc, _, _ := s.Get("c", "d")
-	if doc["v"] != 1 {
-		t.Fatal("change event aliases stored document")
+	_ = s.Insert("c", "d", map[string]any{"v": 1, "meta": map[string]any{"k": 1}})
+	stored, _, _ := s.Get("c", "d")
+	if events[0].After != stored {
+		t.Fatal("the insert's After is not the stored value")
+	}
+	m := events[0].After.Map()
+	m["v"] = 999
+	m["meta"].(map[string]any)["k"] = 999
+	_ = s.Patch("c", "d", map[string]any{"v": 2})
+	if events[1].Before != stored || at(events[1].Before, "v") != 1 || at(events[1].Before, "meta.k") != 1 {
+		t.Fatalf("a kept image changed: %v", events[1].Before)
+	}
+	if at(stored, "v") != 1 || at(events[1].After, "v") != 2 || events[1].After.ID() != "d" {
+		t.Fatalf("the patch reached the old image or lost the ID: before %v after %v", stored, events[1].After)
+	}
+	_ = s.Delete("c", "d")
+	if events[2].Before != events[1].After || !events[2].After.IsZero() {
+		t.Fatalf("delete images: %+v", events[2])
 	}
 }
 
@@ -278,4 +314,99 @@ func TestDocConcurrentWritersKeepStreamOrdered(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The read-side promises: a Get hit hands out the stored value and
+// delivering an event hands the same few words to every watcher. Neither
+// allocates (Get is also held by the hotpathalloc lint).
+func TestDocReadPathsZeroAlloc(t *testing.T) {
+	s, _ := newTestDocs()
+	_ = s.Insert("products", "p1", map[string]any{"price": 10.0, "category": "shoes"})
+	var doc query.Doc
+	if n := testing.AllocsPerRun(200, func() { doc, _, _ = s.Get("products", "p1") }); n != 0 {
+		t.Errorf("Get hit allocates %.1f times", n)
+	}
+
+	seen := 0
+	for i := 0; i < 2; i++ {
+		defer s.Watch(func(ev ChangeEvent) {
+			if ev.After == doc {
+				seen++
+			}
+		})()
+	}
+	ev := ChangeEvent{Collection: "products", ID: "p1", Kind: ChangeUpdate, Before: doc, After: doc, Version: 2}
+	if n := testing.AllocsPerRun(200, func() { s.dispatch(ev) }); n != 0 {
+		t.Errorf("delivering one event to two watchers allocates %.1f times", n)
+	}
+	if seen == 0 {
+		t.Fatal("watchers did not see the event")
+	}
+}
+
+// Readers race writers on the same documents and see each image whole:
+// every write sets three fields, one of them nested, to one number, and
+// no Get, query row or kept value ever shows two numbers — the Doc a
+// reader holds is never the one a writer is building. Run under -race.
+func TestDocReadersSeeWholeImagesUnderWrites(t *testing.T) {
+	s, _ := newTestDocs()
+	s.CreateIndex("c", "group")
+	image := func(n int) map[string]any {
+		return map[string]any{"a": n, "b": n, "nested": map[string]any{"n": n}}
+	}
+	const docs = 8
+	for i := 0; i < docs; i++ {
+		m := image(0)
+		m["group"] = "g"
+		_ = s.Insert("c", fmt.Sprintf("d%d", i), m)
+	}
+	whole := func(d query.Doc) (int, bool) {
+		a, _ := at(d, "a").(int)
+		return a, at(d, "b") == a && at(d, "nested.n") == a
+	}
+
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for n := 1; n <= 400; n++ {
+				_ = s.Patch("c", fmt.Sprintf("d%d", (n+w)%docs), image(n))
+			}
+		}(w)
+	}
+	q := query.New("c", query.Eq("group", "g")).OrderBy("a", true).WithLimit(5)
+	for r := 0; r < 8; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				held, _, err := s.Get("c", fmt.Sprintf("d%d", (i+r)%docs))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				was, ok := whole(held)
+				rows := s.Query(q)
+				for _, row := range rows {
+					if _, rowOK := whole(row); !rowOK {
+						ok = false
+					}
+				}
+				if now, still := whole(held); !ok || !still || now != was || len(rows) != 5 {
+					t.Errorf("torn or changed image: held %v, rows %v", held, rows)
+					return
+				}
+			}
+		}(r)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
 }

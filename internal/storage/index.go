@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -16,9 +15,11 @@ import (
 // Index maintenance is synchronous with the mutation (inside the same
 // critical section), so an index is never stale relative to a read.
 
-// fieldIndex maps canonical value keys to the set of document IDs
-// carrying that value.
-type fieldIndex map[string]map[string]struct{}
+// fieldIndex maps canonical value keys to the documents carrying that
+// value, by ID. A posting holds the stored document itself, which every
+// write re-files anyway, so a query reads its candidates off the posting
+// without looking each up in the collection.
+type fieldIndex map[string]map[string]query.Doc
 
 // indexKey canonicalizes a value for index lookup with the same numeric
 // coercion the query engine applies: int64(5), 5, and 5.0 share a key,
@@ -32,40 +33,13 @@ func indexKey(v any) (string, bool) {
 	case string:
 		return "s:" + n, true
 	}
-	if f, ok := toFloatIndex(v); ok {
+	if f, ok := query.ToFloat(v); ok {
+		if f == 0 {
+			f = 0 // -0 equals 0 and must share its key
+		}
 		return "n:" + strconv.FormatFloat(f, 'g', -1, 64), true
 	}
 	return "", false // unindexable type (maps, slices)
-}
-
-func toFloatIndex(v any) (float64, bool) {
-	switch n := v.(type) {
-	case int:
-		return float64(n), true
-	case int8:
-		return float64(n), true
-	case int16:
-		return float64(n), true
-	case int32:
-		return float64(n), true
-	case int64:
-		return float64(n), true
-	case uint:
-		return float64(n), true
-	case uint8:
-		return float64(n), true
-	case uint16:
-		return float64(n), true
-	case uint32:
-		return float64(n), true
-	case uint64:
-		return float64(n), true
-	case float32:
-		return float64(n), true
-	case float64:
-		return n, true
-	}
-	return 0, false
 }
 
 // IndexStats counts index usage.
@@ -77,8 +51,9 @@ type IndexStats struct {
 }
 
 // CreateIndex builds an equality index on collection.field, backfilling
-// from existing documents. Creating an existing index is a no-op.
-// Indexes only cover top-level scalar fields (no dotted paths).
+// from existing documents. Creating an existing index is a no-op. An
+// index reads a document the way a predicate does (Doc.Lookup) and files
+// scalar values only.
 func (s *DocumentStore) CreateIndex(collection, field string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -126,14 +101,12 @@ func (s *DocumentStore) Indexes(collection string) []string {
 
 // IndexStats returns the usage counters.
 func (s *DocumentStore) IndexStats() IndexStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.idxStats
+	return IndexStats{Lookups: s.indexLookups.Load(), Scans: s.indexScans.Load()}
 }
 
 // indexAdd registers doc's field value under id. Callers hold s.mu.
-func indexAdd(idx fieldIndex, field, id string, doc map[string]any) {
-	v, ok := doc[field]
+func indexAdd(idx fieldIndex, field, id string, doc query.Doc) {
+	v, ok := doc.Lookup(field)
 	if !ok {
 		return
 	}
@@ -143,15 +116,15 @@ func indexAdd(idx fieldIndex, field, id string, doc map[string]any) {
 	}
 	set, ok := idx[key]
 	if !ok {
-		set = make(map[string]struct{})
+		set = make(map[string]query.Doc)
 		idx[key] = set
 	}
-	set[id] = struct{}{}
+	set[id] = doc
 }
 
 // indexRemove unregisters doc's field value. Callers hold s.mu.
-func indexRemove(idx fieldIndex, field, id string, doc map[string]any) {
-	v, ok := doc[field]
+func indexRemove(idx fieldIndex, field, id string, doc query.Doc) {
+	v, ok := doc.Lookup(field)
 	if !ok {
 		return
 	}
@@ -168,21 +141,18 @@ func indexRemove(idx fieldIndex, field, id string, doc map[string]any) {
 }
 
 // updateIndexesLocked maintains every index of the collection across one
-// document transition. Callers hold s.mu.
-func (s *DocumentStore) updateIndexesLocked(collection, id string, before, after map[string]any) {
+// document transition; a zero Doc is the side on which the document does
+// not exist, and has no field to file. Callers hold s.mu.
+func (s *DocumentStore) updateIndexesLocked(collection, id string, before, after query.Doc) {
 	for field, idx := range s.indexes[collection] {
-		if before != nil {
-			indexRemove(idx, field, id, before)
-		}
-		if after != nil {
-			indexAdd(idx, field, id, after)
-		}
+		indexRemove(idx, field, id, before)
+		indexAdd(idx, field, id, after)
 	}
 }
 
-// lookupIndexLocked returns the candidate ID set for an equality lookup,
+// lookupIndexLocked returns the candidates of an equality lookup,
 // and whether an index on the field exists. Callers hold s.mu (read).
-func (s *DocumentStore) lookupIndexLocked(collection, field string, value any) (map[string]struct{}, bool) {
+func (s *DocumentStore) lookupIndexLocked(collection, field string, value any) (map[string]query.Doc, bool) {
 	idx, ok := s.indexes[collection][field]
 	if !ok {
 		return nil, false
@@ -192,61 +162,4 @@ func (s *DocumentStore) lookupIndexLocked(collection, field string, value any) (
 		return nil, false
 	}
 	return idx[key], true
-}
-
-// queryCandidates snapshots the documents a query must evaluate: the
-// smallest indexed equality leg's candidates when available, else the
-// whole collection. The returned docs are copies with "id" injected.
-func (s *DocumentStore) queryCandidates(q query.Query) []map[string]any {
-	lookups := query.EqualityLookups(q.Filter)
-
-	s.mu.RLock()
-	coll := s.collections[q.Collection]
-
-	var best map[string]struct{}
-	usedIndex := false
-	for field, value := range lookups {
-		if set, ok := s.lookupIndexLocked(q.Collection, field, value); ok {
-			usedIndex = true
-			if best == nil || len(set) < len(best) {
-				best = set
-			}
-		}
-	}
-
-	var snapshot []map[string]any
-	appendDoc := func(id string, v versionedDoc) {
-		d := cloneDoc(v.doc)
-		if _, has := d["id"]; !has {
-			d["id"] = id
-		}
-		snapshot = append(snapshot, d)
-	}
-	if usedIndex {
-		snapshot = make([]map[string]any, 0, len(best))
-		for id := range best {
-			if v, ok := coll[id]; ok {
-				appendDoc(id, v)
-			}
-		}
-	} else {
-		snapshot = make([]map[string]any, 0, len(coll))
-		for id, v := range coll {
-			appendDoc(id, v)
-		}
-	}
-	s.mu.RUnlock()
-
-	s.mu.Lock()
-	if usedIndex {
-		s.idxStats.Lookups++
-	} else {
-		s.idxStats.Scans++
-	}
-	s.mu.Unlock()
-
-	sort.Slice(snapshot, func(i, j int) bool {
-		return fmt.Sprint(snapshot[i]["id"]) < fmt.Sprint(snapshot[j]["id"])
-	})
-	return snapshot
 }

@@ -40,8 +40,8 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 		t.Fatalf("scan %d vs indexed %d results", len(scan), len(indexed))
 	}
 	for i := range scan {
-		if scan[i]["id"] != indexed[i]["id"] {
-			t.Fatalf("result %d differs: %v vs %v", i, scan[i]["id"], indexed[i]["id"])
+		if scan[i].ID() != indexed[i].ID() {
+			t.Fatalf("result %d differs: %v vs %v", i, scan[i].ID(), indexed[i].ID())
 		}
 	}
 	st := s.IndexStats()
@@ -156,7 +156,7 @@ func TestIndexSmallestCandidateSetChosen(t *testing.T) {
 	s.CreateIndex("c", "rare")
 	q := query.New("c", query.And{query.Eq("tag", "common"), query.Eq("rare", "yes")})
 	r := s.Query(q)
-	if len(r) != 1 || r[0]["id"] != "d042" {
+	if len(r) != 1 || r[0].ID() != "d042" {
 		t.Fatalf("result = %v", r)
 	}
 }
@@ -197,7 +197,7 @@ func TestIndexPropertyEquivalentToScan(t *testing.T) {
 				return false
 			}
 			for i := range a {
-				if a[i]["id"] != b[i]["id"] {
+				if a[i].ID() != b[i].ID() {
 					return false
 				}
 			}

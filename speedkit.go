@@ -150,6 +150,14 @@ type Origin = origin.Server
 // invalidation-tracked.
 type Query = query.Query
 
+// Doc is an immutable document as the store holds it and hands it out:
+// what DocumentStore.Get and Query return and what a Query matches.
+type Doc = query.Doc
+
+// NewDoc freezes fields into the document stored under id ("" for one
+// that is stored nowhere). The map stays the caller's.
+func NewDoc(id string, fields map[string]any) Doc { return query.NewDoc(id, fields) }
+
 // StaticTTL is a fixed TTL policy for baseline configurations; leave
 // Config.TTLSource nil for the adaptive estimator.
 type StaticTTL = ttl.Static
