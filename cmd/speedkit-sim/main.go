@@ -63,6 +63,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -221,12 +222,7 @@ func main() {
 			float64(res.NotModified)/float64(res.Revalidations)*100)
 	}
 	fmt.Printf("checkouts        %d, bounces %d\n", res.Checkouts, res.Bounces)
-	if hot := res.Service.HotPaths(5); len(hot) > 0 {
-		fmt.Println("hot paths (service-side fetches):")
-		for _, h := range hot {
-			fmt.Printf("  %6d  %s\n", h.Hits, h.Path)
-		}
-	}
+	printTopPaths(res.PathLoads, 5)
 	if *diurnal {
 		printHourlyCurve(res)
 	}
@@ -489,29 +485,43 @@ func scanBytes(dir string, needles []string) ([]string, error) {
 	return hits, err
 }
 
-// printHourlyCurve renders the origin-render rate per simulated hour as
+// printTopPaths lists the n most-loaded paths, most popular first.
+func printTopPaths(loads map[string]uint64, n int) {
+	paths := make([]string, 0, len(loads))
+	for p := range loads {
+		paths = append(paths, p)
+	}
+	sort.Slice(paths, func(i, j int) bool {
+		if loads[paths[i]] != loads[paths[j]] {
+			return loads[paths[i]] > loads[paths[j]]
+		}
+		return paths[i] < paths[j]
+	})
+	if len(paths) > n {
+		paths = paths[:n]
+	}
+	if len(paths) > 0 {
+		fmt.Println("hot paths (device loads):")
+	}
+	for _, p := range paths {
+		fmt.Printf("  %6d  %s\n", loads[p], p)
+	}
+}
+
+// printHourlyCurve renders the origin-sourced loads per simulated hour as
 // an ASCII bar chart — the diurnal shape the field study's traffic shows.
 func printHourlyCurve(res *bench.FieldResult) {
-	ts := res.Service.Analytics()
-	start := time.Date(2020, 4, 1, 0, 0, 0, 0, time.UTC) // simulated epoch
-	buckets := ts.Downsample("origin_renders", start, start.Add(res.SimulatedDuration), time.Hour)
-	if len(buckets) < 2 {
+	counts := res.OriginLoadsByHour
+	if len(counts) < 2 {
 		return
 	}
-	// Downsample returns per-bucket means of the appended 1-values, so
-	// count per hour comes from Range; use counts for the bars.
 	fmt.Println("origin fetches per simulated hour:")
-	maxN := 1
-	counts := make([]int, len(buckets))
-	for i, b := range buckets {
-		n := len(ts.Range("origin_renders", b.Time, b.Time.Add(time.Hour-time.Nanosecond)))
-		counts[i] = n
-		if n > maxN {
-			maxN = n
-		}
+	maxN := uint64(1)
+	for _, n := range counts {
+		maxN = max(maxN, n)
 	}
-	for i, b := range buckets {
-		bar := int(float64(counts[i]) / float64(maxN) * 40)
-		fmt.Printf("  %02dh %5d %s\n", b.Time.Hour(), counts[i], strings.Repeat("#", bar))
+	for i, n := range counts {
+		bar := int(float64(n) / float64(maxN) * 40)
+		fmt.Printf("  %02dh %5d %s\n", i%24, n, strings.Repeat("#", bar))
 	}
 }

@@ -152,6 +152,11 @@ type FieldResult struct {
 	LatencyByRegion map[netsim.Region]*metrics.Histogram
 	// Loads per tier.
 	TierCounts map[proxy.Source]uint64
+	// PathLoads counts loads per path (bounded by the simulated catalog);
+	// OriginLoadsByHour counts origin-sourced loads per simulated hour
+	// since the run began. The field report's two printouts.
+	PathLoads         map[string]uint64
+	OriginLoadsByHour []uint64
 	// Consistency. MaxStaleness covers connected serving only — the loads
 	// the Δ bound applies to. Offline-shell serves (PageLoad.Offline) are
 	// the explicit partition fallback where no staleness bound is
@@ -327,6 +332,7 @@ func RunField(cfg FieldConfig) (*FieldResult, error) {
 		LatencyByTier:   map[proxy.Source]*metrics.Histogram{},
 		LatencyByRegion: map[netsim.Region]*metrics.Histogram{},
 		TierCounts:      map[proxy.Source]uint64{},
+		PathLoads:       map[string]uint64{},
 		Service:         svc,
 		Faults:          inj,
 		DegradedLoads:   map[proxy.DegradeReason]uint64{},
@@ -342,6 +348,7 @@ func RunField(cfg FieldConfig) (*FieldResult, error) {
 	bounced := make([]bool, len(users))
 
 	ctx := context.Background()
+	start := clk.Now()
 	load := func(idx int, path string) error {
 		u := users[idx]
 		var lat time.Duration
@@ -390,6 +397,14 @@ func RunField(cfg FieldConfig) (*FieldResult, error) {
 		}
 		res.Loads++
 		res.TierCounts[src]++
+		res.PathLoads[path]++
+		if src == proxy.SourceOrigin {
+			hour := int(clk.Now().Sub(start) / time.Hour)
+			for len(res.OriginLoadsByHour) <= hour {
+				res.OriginLoadsByHour = append(res.OriginLoadsByHour, 0)
+			}
+			res.OriginLoadsByHour[hour]++
+		}
 		us := float64(lat.Microseconds())
 		res.Latency.Observe(us)
 		res.LatencyByTier[src].Observe(us)

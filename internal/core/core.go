@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -139,7 +138,8 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Stats aggregates service-side activity.
+// Stats aggregates service-side activity: the per-service tally the
+// gates and the load harness read (the per-process one is cfg.Obs).
 type Stats struct {
 	Invalidations uint64
 	SketchFetches uint64
@@ -172,16 +172,16 @@ type Service struct {
 	consent *gdpr.ConsentLedger
 	auditor *gdpr.Auditor
 
-	// The remaining polyglot stores: a Redis-style KV holding per-path
-	// hit counters, and a time-series store recording service events for
-	// the analytics that reports (and, in production, dashboards) read.
-	counters  *storage.KV
-	analytics *storage.TimeSeries
-
+	// mu guards rng and devSeq, nothing else: the Stats tallies below are
+	// atomics, so no request path takes a lock to count.
 	mu     sync.Mutex
-	rng    *rand.Rand
-	stats  Stats
-	devSeq int64 // guarded by mu; numbers devices for per-device seeds
+	rng    *rand.Rand // guarded by mu
+	devSeq int64      // guarded by mu; numbers devices for per-device seeds
+
+	stats struct {
+		invalidations, sketchFetches, originRenders, blockFetches atomic.Uint64
+		faultsInjected, redeliveries, forcedDeliveries            atomic.Uint64
+	}
 
 	// m holds the service-side metric handles, resolved once from
 	// cfg.Obs (see the metric catalog in DESIGN.md).
@@ -284,18 +284,13 @@ func NewService(cfg Config, docs *storage.DocumentStore, org *origin.Server) *Se
 			Clock:             cfg.Clock,
 			Journal:           sketchJournal(cfg.Durable),
 		}),
-		engine:    invalidb.New(invalidb.Config{Clock: cfg.Clock}),
-		verlog:    cachesketch.NewVersionLog(),
-		consent:   gdpr.NewConsentLedger(),
-		auditor:   gdpr.NewAuditor(),
-		counters:  storage.NewKV(cfg.Clock),
-		analytics: storage.NewTimeSeries(cfg.Clock),
-		rng:       rand.New(rand.NewSource(cfg.Seed + 7)),
+		engine:  invalidb.New(invalidb.Config{Clock: cfg.Clock}),
+		verlog:  cachesketch.NewVersionLog(),
+		consent: gdpr.NewConsentLedger(),
+		auditor: gdpr.NewAuditor(),
+		rng:     rand.New(rand.NewSource(cfg.Seed + 7)),
 	}
 	s.m = newServiceMetrics(cfg.Obs)
-	// Bound analytics memory: series keep a trailing 31 days, enough for
-	// the longest field simulations.
-	s.analytics.Retention = 31 * 24 * time.Hour
 
 	if cfg.TTLSource != nil {
 		s.ttlSrc = cfg.TTLSource
@@ -368,9 +363,7 @@ func (s *Service) inject(c faults.Component) (time.Duration, error) {
 		return 0, nil
 	}
 	s.m.faults[c].Inc()
-	s.mu.Lock()
-	s.stats.FaultsInjected++
-	s.mu.Unlock()
+	s.stats.faultsInjected.Add(1)
 	switch d.Kind {
 	case faults.Latency:
 		return d.Latency, nil
@@ -400,14 +393,10 @@ func (s *Service) deliver(c faults.Component, hop func()) {
 			return
 		}
 		s.m.redeliveries.Inc()
-		s.mu.Lock()
-		s.stats.Redeliveries++
-		s.mu.Unlock()
+		s.stats.redeliveries.Add(1)
 	}
 	s.m.forced.Inc()
-	s.mu.Lock()
-	s.stats.ForcedDeliveries++
-	s.mu.Unlock()
+	s.stats.forcedDeliveries.Add(1)
 	hop()
 }
 
@@ -456,11 +445,8 @@ func (s *Service) handleInvalidation(path string) {
 		s.m.purges.Inc()
 		s.notifyPurge(path)
 	}
-	s.analytics.Append("invalidations", 1)
 	s.m.invalidations.Inc()
-	s.mu.Lock()
-	s.stats.Invalidations++
-	s.mu.Unlock()
+	s.stats.invalidations.Add(1)
 	if s.cfg.Durable != nil {
 		// Advance the store-owned durable watermark (the stats counter
 		// restarts at zero each incarnation, so its first values after a
@@ -567,9 +553,7 @@ func (s *Service) FetchSketch(ctx context.Context, region netsim.Region) (*cache
 		return nil, 0, err
 	}
 	lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.EdgeNode(region), len(wire))
-	s.mu.Lock()
-	s.stats.SketchFetches++
-	s.mu.Unlock()
+	s.stats.sketchFetches.Add(1)
 	s.m.sketchFetches.Inc()
 	// Attach the service-side step to whatever trace rides the ctx: the
 	// device's own page-load trace in-process, or the server's http.*
@@ -589,12 +573,10 @@ func (s *Service) Fetch(ctx context.Context, region netsim.Region, path string) 
 	if err != nil {
 		return cache.Entry{}, 0, 0, err
 	}
-	s.counters.Incr("hits:"+path, 1)
 	edge := s.cdnNet.Edge(region)
 	if edge != nil {
 		if e, ok := edge.Lookup(path); ok {
 			lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.EdgeNode(region), len(e.Body)) + spike
-			s.analytics.Append("edge_hits", 1)
 			s.m.fetches[fetchCDN].Inc()
 			s.m.fetchLatency[fetchCDN].ObserveDuration(lat)
 			obs.TraceFromContext(ctx).AddSpan("core.fetch", "cdn", lat)
@@ -616,10 +598,7 @@ func (s *Service) fetchFromOrigin(region netsim.Region, path string) (cache.Entr
 	if err != nil {
 		return cache.Entry{}, 0, 0, err
 	}
-	s.mu.Lock()
-	s.stats.OriginRenders++
-	s.analytics.Append("origin_renders", 1)
-	s.mu.Unlock()
+	s.stats.originRenders.Add(1)
 	if s.est != nil {
 		s.est.RecordRead(path)
 	}
@@ -668,9 +647,11 @@ const revalidationHeaderBytes = 256
 // when the edge cannot prove progress (no copy, or a copy at the
 // client's own version — possibly the pre-purge body inside the
 // propagation window) does the request fall through to the origin, which
-// answers 304 when the version is still current. The residual staleness
-// an edge answer can carry is bounded by the purge propagation delay
-// (milliseconds), far inside every Δ.
+// answers 304 when the version is still current and a page stands behind
+// it (the version of a path nobody wrote is 1 too; such a request takes
+// the full fetch and its error, and nothing is tracked for it). The
+// residual staleness an edge answer can carry is bounded by the purge
+// propagation delay (milliseconds), far inside every Δ.
 func (s *Service) Revalidate(ctx context.Context, region netsim.Region, path string, knownVersion uint64) (proxy.RevalidationResult, error) {
 	if err := ctx.Err(); err != nil {
 		return proxy.RevalidationResult{}, err
@@ -688,7 +669,7 @@ func (s *Service) Revalidate(ctx context.Context, region netsim.Region, path str
 		}
 	}
 	current := s.origin.Version(path)
-	if current == knownVersion && s.origin.HasRoute(path) {
+	if current == knownVersion && s.origin.Serves(path) {
 		ttlDur := s.ttlSrc.TTL(path)
 		entry := cache.TTLEntry(s.cfg.Clock, path, nil, knownVersion, ttlDur)
 		s.sketch.ReportCachedRead(path, entry.ExpiresAt)
@@ -729,9 +710,7 @@ func (s *Service) FetchBlocks(ctx context.Context, region netsim.Region, names [
 		out[n] = fr
 		size += len(fr)
 	}
-	s.mu.Lock()
-	s.stats.BlockFetches++
-	s.mu.Unlock()
+	s.stats.blockFetches.Add(1)
 	s.m.blockFetches.Inc()
 	lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.OriginNode, size) + s.renderJitter()/2 + spike
 	obs.TraceFromContext(ctx).AddSpan("core.blocks", "origin", lat)
@@ -823,37 +802,6 @@ func (s *Service) Warm(paths []string) (warmed int, skipped []string, err error)
 	return warmed, skipped, nil
 }
 
-// HotPath is one entry of the hit-count leaderboard.
-type HotPath struct {
-	Path string
-	Hits int64
-}
-
-// HotPaths returns the n most-fetched paths (by CDN-tier request count),
-// most popular first — the Redis-counter-backed dashboard view ops teams
-// watch in production.
-func (s *Service) HotPaths(n int) []HotPath {
-	keys := s.counters.Keys("hits:")
-	out := make([]HotPath, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, HotPath{Path: k[len("hits:"):], Hits: s.counters.Counter(k)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hits != out[j].Hits {
-			return out[i].Hits > out[j].Hits
-		}
-		return out[i].Path < out[j].Path
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// Analytics returns the service-event time series ("edge_hits",
-// "origin_renders", "invalidations"), downsampled by reports.
-func (s *Service) Analytics() *storage.TimeSeries { return s.analytics }
-
 // --- component accessors ----------------------------------------------------
 
 // Docs returns the document store.
@@ -926,9 +874,17 @@ func (s *Service) RecoverDurable() (durable.RecoveryInfo, error) {
 	return info, err
 }
 
-// Stats returns a copy of the service counters.
+// Stats returns a copy of the service counters. Each is read on its own:
+// a copy taken while requests run is not one instant's, which no reader
+// needs — they compare totals at rest or successive readings.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return Stats{
+		Invalidations:    s.stats.invalidations.Load(),
+		SketchFetches:    s.stats.sketchFetches.Load(),
+		OriginRenders:    s.stats.originRenders.Load(),
+		BlockFetches:     s.stats.blockFetches.Load(),
+		FaultsInjected:   s.stats.faultsInjected.Load(),
+		Redeliveries:     s.stats.redeliveries.Load(),
+		ForcedDeliveries: s.stats.forcedDeliveries.Load(),
+	}
 }

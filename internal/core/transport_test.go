@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -157,49 +158,55 @@ func TestWarmRenderErrorAborts(t *testing.T) {
 	}
 }
 
-func TestHotPathsLeaderboard(t *testing.T) {
+// A revalidation is answered "not modified" only for a page the origin
+// would render: the version of a path nobody wrote is 1, so without the
+// existence check any client could mint tracked (and journaled) keys with
+// a bodiless request.
+func TestRevalidateGhostPathNotFound(t *testing.T) {
 	svc, _ := newTestStorefront(t)
-	dev := svc.NewDevice(nil, netsim.EU)
-	for i := 0; i < 5; i++ {
-		_, _ = dev.Load(context.Background(), "/product/p00001")
+	ctx := context.Background()
+	if _, _, _, err := svc.Fetch(ctx, netsim.EU, "/product/p00001"); err != nil {
+		t.Fatal(err)
 	}
-	_, _ = dev.Load(context.Background(), "/product/p00002")
-	// Device-cache hits never reach the service; force edge traffic with
-	// a second device.
-	dev2 := svc.NewDevice(nil, netsim.US)
-	for i := 0; i < 3; i++ {
-		_, _ = dev2.Load(context.Background(), "/product/p00001")
+	before := svc.SketchServer().Stats().TableSize
+	for i := 0; i < 100; i++ {
+		path := fmt.Sprintf("/product/ghost-%d", i)
+		if res, err := svc.Revalidate(ctx, netsim.EU, path, 1); err == nil {
+			t.Fatalf("Revalidate(%s, 1) = %+v, want an error", path, res)
+		}
 	}
-
-	hot := svc.HotPaths(2)
-	if len(hot) != 2 {
-		t.Fatalf("hot paths = %v", hot)
+	if got := svc.SketchServer().Stats().TableSize; got != before {
+		t.Fatalf("expiry table %d → %d entries after ghost revalidations", before, got)
 	}
-	if hot[0].Path != "/product/p00001" || hot[0].Hits < hot[1].Hits {
-		t.Fatalf("leaderboard = %v", hot)
-	}
-	if all := svc.HotPaths(0); len(all) < 2 {
-		t.Fatalf("unlimited leaderboard = %v", all)
+	// A real page still gets its 304, and is (still) tracked.
+	res, err := svc.Revalidate(ctx, netsim.EU, "/product/p00001", 1)
+	if err != nil || !res.NotModified {
+		t.Fatalf("real page: %+v, %v", res, err)
 	}
 }
 
-func TestAnalyticsSeriesRecorded(t *testing.T) {
+// A page whose product is deleted between two revalidations of one device
+// stops existing for that device too: the second answer is the 404.
+func TestRevalidateDeletedProductNotFound(t *testing.T) {
 	svc, _ := newTestStorefront(t)
-	dev := svc.NewDevice(nil, netsim.EU)
-	dev2 := svc.NewDevice(nil, netsim.EU)
-	_, _ = dev.Load(context.Background(), "/product/p00001")  // origin render
-	_, _ = dev2.Load(context.Background(), "/product/p00001") // edge hit
-	_ = svc.Docs().Patch("products", "p00001", map[string]any{"stock": int64(2)})
-
-	ts := svc.Analytics()
-	if ts.Len("origin_renders") == 0 {
-		t.Fatal("origin_renders series empty")
+	ctx := context.Background()
+	const path = "/product/p00002"
+	e, _, _, err := svc.Fetch(ctx, netsim.EU, path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ts.Len("edge_hits") == 0 {
-		t.Fatal("edge_hits series empty")
+	if res, err := svc.Revalidate(ctx, netsim.EU, path, e.Version); err != nil || !res.NotModified {
+		t.Fatalf("first revalidation: %+v, %v", res, err)
 	}
-	if ts.Len("invalidations") == 0 {
-		t.Fatal("invalidations series empty")
+	if err := svc.Docs().Delete("products", "p00002"); err != nil {
+		t.Fatal(err)
+	}
+	// Whatever version the device holds — the one it fetched, or the one
+	// the delete moved the page to — there is no page to confirm.
+	for _, known := range []uint64{e.Version, svc.Origin().Version(path)} {
+		if res, err := svc.Revalidate(ctx, netsim.EU, path, known); err == nil {
+			t.Fatalf("Revalidate(v%d) after delete = %+v, want an error", known, res)
+		}
 	}
 }
 

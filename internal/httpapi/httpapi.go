@@ -519,12 +519,6 @@ func (a *API) handleStats(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "sketch:  %+v (bytes=%d)\n", sk, a.svc.SketchServer().SketchBytes())
 	fmt.Fprintf(w, "cdn:     %+v (hit ratio %.1f%%)\n", cd, cd.HitRatio()*100)
 	fmt.Fprintf(w, "gdpr:\n%s", a.svc.Auditor())
-	if hot := a.svc.HotPaths(5); len(hot) > 0 {
-		fmt.Fprintln(w, "hot paths:")
-		for _, h := range hot {
-			fmt.Fprintf(w, "  %6d  %s\n", h.Hits, h.Path)
-		}
-	}
 }
 
 // RegisteredUsers returns the user-registry size (primarily for tests).

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -344,6 +345,28 @@ func TestConditionalGetMalformedETagIgnored(t *testing.T) {
 	resp, _ := get(t, ts.URL+"/v1/page?path=/product/p00004", "If-None-Match", `"garbage"`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 for unparseable ETag", resp.StatusCode)
+	}
+}
+
+// A conditional request for a page that does not exist renders nothing, so
+// it is the cheapest request a client can mint keys with: it must get the
+// 404 a plain request gets, and leave nothing behind in the sketch server.
+func TestConditionalGetGhostPath404(t *testing.T) {
+	api, ts, _ := newTestAPI(t)
+	_, _ = get(t, ts.URL+"/v1/page?path=/product/p00003") // one real tracked page
+	before := api.svc.SketchServer().Stats()
+
+	for i := 0; i < 20; i++ {
+		resp, body := get(t, fmt.Sprintf("%s/v1/page?path=/product/ghost-%d", ts.URL, i), "If-None-Match", `"v1"`)
+		var eb httpbody.ErrorBody
+		if err := json.Unmarshal([]byte(body), &eb); err != nil || resp.StatusCode != http.StatusNotFound || eb.Error.Code != httpbody.CodeNotFound {
+			t.Fatalf("ghost %d: %d %q (%v), want the envelope's 404", i, resp.StatusCode, body, err)
+		}
+	}
+	after := api.svc.SketchServer().Stats()
+	if after.Tracked != before.Tracked || after.TableSize != before.TableSize {
+		t.Fatalf("ghost revalidations left state: tracked %d → %d, table %d → %d",
+			before.Tracked, after.Tracked, before.TableSize, after.TableSize)
 	}
 }
 

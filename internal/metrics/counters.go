@@ -1,14 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"speedkit/internal/clock"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing counter safe for concurrent use.
 type Counter struct {
@@ -56,168 +48,3 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Ratio reports a/(a+b) as a percentage-friendly float, or 0 when both are
-// zero. It is the canonical helper for hit-ratio reporting.
-func Ratio(a, b uint64) float64 {
-	if a+b == 0 {
-		return 0
-	}
-	return float64(a) / float64(a+b)
-}
-
-// Meter tracks an event rate over a sliding window of fixed-width slots.
-// It answers "events per second over the last W" without unbounded memory.
-type Meter struct {
-	mu        sync.Mutex
-	slotWidth time.Duration
-	slots     []uint64  // guarded by mu
-	slotStart time.Time // guarded by mu
-	slotIdx   int       // guarded by mu
-	now       func() time.Time
-}
-
-// NewMeter creates a meter with the given window divided into 16 slots.
-// window must be positive.
-func NewMeter(window time.Duration) *Meter {
-	if window <= 0 {
-		window = time.Second
-	}
-	return &Meter{
-		slotWidth: window / 16,
-		slots:     make([]uint64, 16),
-		// Coarse time is plenty for ≥62ms slots and keeps Mark cheap.
-		now: clock.CoarseSystem.Now,
-	}
-}
-
-// newMeterAt is a test hook that injects a clock.
-func newMeterAt(window time.Duration, now func() time.Time) *Meter {
-	m := NewMeter(window)
-	m.now = now
-	return m
-}
-
-// advance rotates slots forward to the current time, zeroing expired ones.
-// The caller must hold m.mu.
-func (m *Meter) advance(t time.Time) {
-	if m.slotStart.IsZero() {
-		m.slotStart = t
-		return
-	}
-	for t.Sub(m.slotStart) >= m.slotWidth {
-		m.slotIdx = (m.slotIdx + 1) % len(m.slots)
-		m.slots[m.slotIdx] = 0
-		m.slotStart = m.slotStart.Add(m.slotWidth)
-		// If the caller was idle for longer than the whole window, snap the
-		// slot origin forward instead of looping thousands of times.
-		if t.Sub(m.slotStart) >= m.slotWidth*time.Duration(2*len(m.slots)) {
-			for i := range m.slots {
-				m.slots[i] = 0
-			}
-			m.slotStart = t
-			break
-		}
-	}
-}
-
-// Mark records n events at the current time.
-func (m *Meter) Mark(n uint64) {
-	t := m.now()
-	m.mu.Lock()
-	m.advance(t)
-	m.slots[m.slotIdx] += n
-	m.mu.Unlock()
-}
-
-// Rate returns events per second over the window.
-func (m *Meter) Rate() float64 {
-	t := m.now()
-	m.mu.Lock()
-	m.advance(t)
-	var total uint64
-	for _, s := range m.slots {
-		total += s
-	}
-	window := m.slotWidth * time.Duration(len(m.slots))
-	m.mu.Unlock()
-	return float64(total) / window.Seconds()
-}
-
-// Registry is a labeled collection of metrics so that subsystems can expose
-// their instruments without global state. Lookups create on first use.
-type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter   // guarded by mu
-	gauges     map[string]*Gauge     // guarded by mu
-	histograms map[string]*Histogram // guarded by mu
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-	}
-}
-
-// Counter returns the counter registered under name, creating it if needed.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = NewCounter()
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = NewGauge()
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the histogram registered under name, creating it if
-// needed.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = NewHistogram()
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// Dump renders every registered metric sorted by name, one per line. It is
-// the human-readable output used by the bench harness.
-func (r *Registry) Dump() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lines := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for name, c := range r.counters {
-		lines = append(lines, fmt.Sprintf("counter %-40s %d", name, c.Value()))
-	}
-	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("gauge   %-40s %d", name, g.Value()))
-	}
-	for name, h := range r.histograms {
-		lines = append(lines, fmt.Sprintf("histo   %-40s %s", name, h.Snapshot()))
-	}
-	sort.Strings(lines)
-	out := ""
-	for _, l := range lines {
-		out += l + "\n"
-	}
-	return out
-}

@@ -2,10 +2,8 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -65,100 +63,5 @@ func TestGauge(t *testing.T) {
 	g.Add(-4)
 	if g.Value() != 6 {
 		t.Fatalf("value = %d, want 6", g.Value())
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if r := Ratio(0, 0); r != 0 {
-		t.Fatalf("Ratio(0,0) = %v", r)
-	}
-	if r := Ratio(3, 1); r != 0.75 {
-		t.Fatalf("Ratio(3,1) = %v", r)
-	}
-}
-
-func TestMeterRate(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	m := newMeterAt(time.Second, clock)
-	for i := 0; i < 10; i++ {
-		m.Mark(100)
-		now = now.Add(100 * time.Millisecond)
-	}
-	rate := m.Rate()
-	// 1000 events in 1s window => ~1000/s; allow slot-boundary slop.
-	if rate < 800 || rate > 1200 {
-		t.Fatalf("rate = %v, want ~1000", rate)
-	}
-}
-
-func TestMeterIdleDecay(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	m := newMeterAt(time.Second, clock)
-	m.Mark(1000)
-	now = now.Add(10 * time.Second) // far beyond the window
-	if rate := m.Rate(); rate != 0 {
-		t.Fatalf("rate after idle = %v, want 0", rate)
-	}
-}
-
-func TestMeterZeroWindowDefaults(t *testing.T) {
-	m := NewMeter(0)
-	m.Mark(1)
-	if m.Rate() < 0 {
-		t.Fatal("negative rate")
-	}
-}
-
-func TestRegistryCreatesOnFirstUse(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("hits")
-	if c2 := r.Counter("hits"); c2 != c {
-		t.Fatal("counter not memoized")
-	}
-	g := r.Gauge("depth")
-	if g2 := r.Gauge("depth"); g2 != g {
-		t.Fatal("gauge not memoized")
-	}
-	h := r.Histogram("lat")
-	if h2 := r.Histogram("lat"); h2 != h {
-		t.Fatal("histogram not memoized")
-	}
-}
-
-func TestRegistryDump(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a.hits").Add(3)
-	r.Gauge("b.depth").Set(7)
-	r.Histogram("c.lat").Observe(100)
-	out := r.Dump()
-	for _, want := range []string{"a.hits", "b.depth", "c.lat", "3", "7"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dump missing %q:\n%s", want, out)
-		}
-	}
-	// Sorted: counter line for a.hits should precede gauge line for b.depth.
-	if strings.Index(out, "a.hits") > strings.Index(out, "b.depth") {
-		t.Errorf("dump not sorted:\n%s", out)
-	}
-}
-
-func TestRegistryConcurrentAccess(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				r.Counter("x").Inc()
-				r.Histogram("y").Observe(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Counter("x").Value() != 1600 {
-		t.Fatalf("count = %d", r.Counter("x").Value())
 	}
 }

@@ -1,6 +1,7 @@
 // Package metrics provides the measurement substrate used throughout the
 // Speed Kit reproduction: streaming histograms with percentile queries,
-// monotonic counters, rate meters, and labeled registries.
+// monotonic counters and gauges. Naming, labels and exposition are
+// obs.Registry's, which hands these instruments out.
 //
 // Everything in this package is safe for concurrent use unless documented
 // otherwise, and allocation-free on the hot recording path so that the

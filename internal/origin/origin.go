@@ -187,50 +187,58 @@ func (s *Server) Invalidate(path string) {
 	s.mu.Unlock()
 }
 
+// route resolves path to the registration that covers it: at most one of
+// the specs is non-nil, docID names a product page's backing document.
+// Callers hold mu.
+func (s *Server) route(path string) (st *staticSpec, q *querySpec, p *productSpec, docID string) {
+	if st = s.static[path]; st != nil {
+		return st, nil, nil, ""
+	}
+	if q = s.queries[path]; q != nil {
+		return nil, q, nil, ""
+	}
+	for prefix, spec := range s.products {
+		if strings.HasPrefix(path, prefix) && len(path) > len(prefix) {
+			return nil, nil, spec, path[len(prefix):]
+		}
+	}
+	return nil, nil, nil, ""
+}
+
 // HasRoute reports whether some registration covers path. It does not
 // check that a product page's backing document exists — only routing.
 func (s *Server) HasRoute(path string) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.static[path]; ok {
-		return true
+	st, q, p, _ := s.route(path)
+	s.mu.Unlock()
+	return st != nil || q != nil || p != nil
+}
+
+// Serves reports whether Render would produce a page for path: it is
+// routed and, for a product page, its backing document exists. It is the
+// existence check for answers that render nothing (a 304), so that a path
+// no page stands behind is never answered for, tracked or journaled.
+func (s *Server) Serves(path string) bool {
+	s.mu.Lock()
+	st, q, p, docID := s.route(path)
+	s.mu.Unlock()
+	if p != nil {
+		_, _, err := s.docs.Get(p.collection, docID)
+		return err == nil
 	}
-	if _, ok := s.queries[path]; ok {
-		return true
-	}
-	for prefix := range s.products {
-		if strings.HasPrefix(path, prefix) && len(path) > len(prefix) {
-			return true
-		}
-	}
-	return false
+	return st != nil || q != nil
 }
 
 // Render produces the anonymous, cacheable representation of path.
 func (s *Server) Render(path string) (Page, error) {
 	s.mu.Lock()
 	version := s.versions[path] + 1
-	st, isStatic := s.static[path]
-	var qspec *querySpec
-	var pspec *productSpec
-	var docID string
-	if !isStatic {
-		qspec = s.queries[path]
-		if qspec == nil {
-			for prefix, spec := range s.products {
-				if strings.HasPrefix(path, prefix) && len(path) > len(prefix) {
-					pspec = spec
-					docID = path[len(prefix):]
-					break
-				}
-			}
-		}
-	}
+	st, qspec, pspec, docID := s.route(path)
 	s.stats.Renders++
 	s.mu.Unlock()
 
 	switch {
-	case isStatic:
+	case st != nil:
 		return s.renderShell(path, version, string(st.body), st.blocks), nil
 	case qspec != nil:
 		return s.renderQueryPage(path, version, qspec)

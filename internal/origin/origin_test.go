@@ -219,19 +219,25 @@ func TestRecommendationsBlockLimitsToFour(t *testing.T) {
 func TestHasRoute(t *testing.T) {
 	srv, _, _ := newTestOrigin(t)
 	cases := []struct {
-		path string
-		want bool
+		path           string
+		routed, serves bool
 	}{
-		{"/", true},
-		{"/category/shoes", true},
-		{"/product/p1", true},
-		{"/product/ghost", true}, // routed; document existence is Render's job
-		{"/product/", false},     // bare prefix
-		{"/nope", false},
+		{"/", true, true},
+		{"/category/shoes", true, true},
+		{"/product/p1", true, true},
+		{"/product/ghost", true, false}, // routed, but no document: Render fails, so Serves says no
+		{"/product/", false, false},     // bare prefix
+		{"/nope", false, false},
 	}
 	for _, c := range cases {
-		if got := srv.HasRoute(c.path); got != c.want {
-			t.Errorf("HasRoute(%s) = %v, want %v", c.path, got, c.want)
+		if got := srv.HasRoute(c.path); got != c.routed {
+			t.Errorf("HasRoute(%s) = %v, want %v", c.path, got, c.routed)
+		}
+		if got := srv.Serves(c.path); got != c.serves {
+			t.Errorf("Serves(%s) = %v, want %v", c.path, got, c.serves)
+		}
+		if _, err := srv.Render(c.path); (err == nil) != c.serves {
+			t.Errorf("Render(%s) err = %v, Serves said %v", c.path, err, c.serves)
 		}
 	}
 }

@@ -1,3 +1,11 @@
+// Package storage is the document store: the system of record the origin
+// renders from, with secondary equality indexes and the synchronous change
+// stream the invalidation pipeline hangs off. It is embedded, deterministic
+// and driven by an injectable clock. The other roles the paper family
+// gives a polyglot backend are played elsewhere, each by a bounded
+// structure in its own package: the expiring counting filter of
+// cachesketch.Server (Redis, there) and the EWMAs of ttl.Estimator (a
+// time-series database, there). DESIGN.md, "Long-lived state".
 package storage
 
 import (
