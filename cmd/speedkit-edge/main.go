@@ -9,7 +9,7 @@
 //	curl localhost:8081/v1/page?path=/product/p00042        # X-Edge-Cache: miss, then hit
 //	curl localhost:8081/v1/page?path=/ -H 'Range: bytes=0-99'
 //	curl -i localhost:8081/v1/sketch                        # X-Edge-Cache: sketch, Age: <held for>
-//	curl -X POST 'localhost:8081/v1/purge?path=/product/p00042'
+//	curl -i -X POST 'localhost:8081/v1/purge?path=/product/p00042' # 204 No Content, no body
 //	curl localhost:8081/metrics                          # speedkit_edge_* counters
 //	curl localhost:8081/healthz
 //

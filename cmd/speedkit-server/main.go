@@ -32,10 +32,8 @@ import (
 	"context"
 	"flag"
 	"net/http"
-	"net/url"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -43,6 +41,7 @@ import (
 	"speedkit/internal/clock"
 	"speedkit/internal/core"
 	"speedkit/internal/durable"
+	"speedkit/internal/edge"
 	"speedkit/internal/httpapi"
 	"speedkit/internal/obs"
 	"speedkit/internal/slog"
@@ -128,25 +127,27 @@ func main() {
 	}
 
 	if *notifyEdge != "" {
-		base := strings.TrimRight(*notifyEdge, "/")
-		hc := &http.Client{Timeout: 5 * time.Second}
 		// Purge notifications ride the invalidation pipeline: every
 		// invalidb match that purges the simulated CDN also evicts the
 		// real edge. Best-effort by design — a missed purge leaves the
 		// edge entry to the sketch, which flags the path on the next
 		// generation and forces revalidation within Δ.
-		cancel := svc.OnPurge(func(path string) {
-			go func() {
-				resp, err := hc.Post(base+"/v1/purge?path="+url.QueryEscape(path), "", nil)
-				if err != nil {
-					logger.Warn(ctx).Err(err).Str("path", path).Msg("edge purge failed")
-					return
-				}
-				resp.Body.Close()
-			}()
+		purger := edge.NewPurger(*notifyEdge, edge.PurgerConfig{
+			Dropped: svc.Obs().Counter("speedkit.edge.purges_dropped.total"),
+			OnFailing: func(err error) {
+				logger.Warn(ctx).Err(err).Str("edge", *notifyEdge).Msg("edge purges failing; dropped until one succeeds")
+			},
 		})
-		defer cancel()
-		logger.Info(ctx).Str("edge", base).Msg("edge purge notifications enabled")
+		cancel := svc.OnPurge(purger.Purge)
+		defer func() {
+			cancel()
+			// Bounded like srv.Shutdown: a hung edge must not hold SIGTERM.
+			cctx, ccancel := context.WithTimeout(ctx, 5*time.Second)
+			defer ccancel()
+			_ = purger.Close(cctx)
+			logger.Info(ctx).Uint("dropped", purger.Dropped()).Msg("edge purge notifications stopped")
+		}()
+		logger.Info(ctx).Str("edge", *notifyEdge).Msg("edge purge notifications enabled")
 	}
 
 	api := httpapi.New(svc, speedkit.NewUsers(1, 100))

@@ -94,10 +94,17 @@ func runEdge(seed int64, products int) {
 
 	// Invalidations flow to edge purges the way cmd/speedkit-server's
 	// -notify-edge does, but synchronously so the gate is deterministic.
+	// The answer must be the purge contract: 204 and no body.
 	cancel := svc.OnPurge(func(path string) {
 		resp, err := http.Post(edgeBaseA+"/v1/purge?path="+url.QueryEscape(path), "", nil)
-		if err == nil {
-			resp.Body.Close()
+		if err != nil {
+			fail("purge %s: %v", path, err)
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusNoContent || len(body) != 0 {
+			fail("purge %s answered %d with %d body bytes (err %v), want 204 and none", path, resp.StatusCode, len(body), err)
 		}
 	})
 

@@ -38,7 +38,6 @@ package edge
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -217,8 +216,12 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handlePurge evicts one key, journaling the purge. The speedkit-server
-// invalidation pipeline POSTs here when invalidb matches a write.
+// handlePurge evicts one key, journaling the purge, and answers 204 with
+// no body. The speedkit-server invalidation pipeline POSTs here when
+// invalidb matches a write (see Purger). A purge is an idempotent
+// eviction with nothing to report back, and a best-effort sender that
+// closes the response unread keeps its connection only when there is no
+// body left to discard.
 func (p *Proxy) handlePurge(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Query().Get("path")
 	if path == "" {
@@ -226,8 +229,7 @@ func (p *Proxy) handlePurge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.Purge(path)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]string{"purged": path})
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // Purge evicts key from memory and journals the eviction.

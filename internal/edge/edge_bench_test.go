@@ -115,3 +115,35 @@ func BenchmarkEdgeSketchServe(b *testing.B) {
 		b.Fatalf("%d upstream sketch fetches, want the one that warmed the copy", s.SketchRefreshes)
 	}
 }
+
+// BenchmarkEdgePurge measures one purge the way the invalidation
+// pipeline sends it: a POST over real loopback HTTP from a client that
+// closes the response unread. ns/op and allocs are the sender's and the
+// edge's together, so a purge answer that costs the sender its
+// connection shows up here as a dial per op.
+func BenchmarkEdgePurge(b *testing.B) {
+	u := newFakeUpstream()
+	defer u.close()
+	p, _, err := New(Options{Upstream: u.srv.URL})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	hc := &http.Client{Transport: &http.Transport{}}
+	defer hc.CloseIdleConnections()
+	target := srv.URL + "/v1/purge?path=/p"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := hc.Post(target, "", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			b.Fatalf("purge: %d", resp.StatusCode)
+		}
+	}
+}

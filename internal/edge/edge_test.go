@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -328,13 +329,60 @@ func TestPurgeEvicts(t *testing.T) {
 	r := httptest.NewRequest(http.MethodPost, "/v1/purge?path=/p", nil)
 	w := httptest.NewRecorder()
 	p.ServeHTTP(w, r)
-	if w.Code != http.StatusOK {
-		t.Fatalf("purge code = %d", w.Code)
+	if w.Code != http.StatusNoContent || w.Body.Len() != 0 {
+		t.Fatalf("purge: code = %d body = %q, want 204 and no body", w.Code, w.Body.String())
 	}
 
 	get(t, p, "/v1/page?path=/p", nil)
 	if n := u.fetches.Load(); n != 2 {
 		t.Fatalf("fetches after purge = %d, want 2", n)
+	}
+
+	w = httptest.NewRecorder()
+	p.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/purge", nil))
+	var eb httpbody.ErrorBody
+	if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || w.Code != http.StatusBadRequest || eb.Error.Code != httpbody.CodeBadRequest {
+		t.Fatalf("purge without ?path=: %d %q, want the envelope's 400", w.Code, w.Body.String())
+	}
+}
+
+// TestPurgeKeepsConnection: a best-effort sender that closes every purge
+// response unread still reuses one connection, because the answer has no
+// body left to discard.
+func TestPurgeKeepsConnection(t *testing.T) {
+	u := newFakeUpstream()
+	defer u.close()
+	u.set("/p", "body", 1)
+	p := newTestProxy(t, u, Options{})
+	var dials atomic.Int64
+	srv := httptest.NewUnstartedServer(p.Handler())
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	hc := &http.Client{Transport: &http.Transport{}}
+	defer hc.CloseIdleConnections()
+
+	const purges = 200
+	for i := 0; i < purges; i++ {
+		get(t, p, "/v1/page?path=/p", nil)
+		resp, err := hc.Post(srv.URL+"/v1/purge?path=/p", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent || resp.ContentLength != 0 {
+			t.Fatalf("purge %d: status %d length %d, want 204 with no body", i, resp.StatusCode, resp.ContentLength)
+		}
+	}
+	if n := u.fetches.Load(); n != purges {
+		t.Fatalf("%d upstream fetches for %d purged reads, want one each", n, purges)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d purges opened %d connections, want 1", purges, n)
 	}
 }
 

@@ -498,7 +498,8 @@ func (a *API) handleWrite(w http.ResponseWriter, r *http.Request) {
 // edges drop their copies (after the modeled propagation delay) and
 // every registered purge listener — a speedkit-edge process fronting
 // this server — is notified. Purging an unknown path is not an error:
-// purges are idempotent eviction requests, not resource lookups.
+// purges are idempotent eviction requests, not resource lookups, so the
+// answer is 204 with no body — the edge's purge contract.
 func (a *API) handlePurge(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Query().Get("path")
 	if path == "" {
@@ -506,8 +507,7 @@ func (a *API) handlePurge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a.svc.PurgePath(path)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]string{"purged": path})
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleStats dumps service counters in a human-readable form.

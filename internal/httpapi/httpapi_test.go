@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -473,6 +475,55 @@ func TestWriteEndpointValidation(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: status %d, want %d", c.url, resp.StatusCode, c.want)
 		}
+	}
+}
+
+// TestPurgeKeepsConnection: the operator purge route answers 204 with no
+// body, so a sender that closes every response unread reuses one
+// connection; a missing ?path= still gets the envelope's 400.
+func TestPurgeKeepsConnection(t *testing.T) {
+	api, ts, clk := newTestAPI(t)
+	var dials atomic.Int64
+	srv := httptest.NewUnstartedServer(api.Handler())
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	hc := &http.Client{Transport: &http.Transport{}}
+	defer hc.CloseIdleConnections()
+
+	const purges = 200
+	const path = "/product/p00009"
+	for i := 0; i < purges; i++ {
+		if resp, _ := get(t, ts.URL+"/v1/page?path="+path); resp.Header.Get("X-Served-By") != "origin" {
+			t.Fatalf("read %d served by %q, want origin (purge %d not applied)", i, resp.Header.Get("X-Served-By"), i-1)
+		}
+		resp, err := hc.Post(srv.URL+"/v1/purge?path="+path, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent || resp.ContentLength != 0 {
+			t.Fatalf("purge %d: status %d length %d, want 204 with no body", i, resp.StatusCode, resp.ContentLength)
+		}
+		clk.Advance(20 * time.Millisecond) // past the CDN's 10 ms purge propagation delay
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d purges opened %d connections, want 1", purges, n)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/purge", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var eb httpbody.ErrorBody
+	if err := json.Unmarshal(raw, &eb); err != nil || resp.StatusCode != http.StatusBadRequest || eb.Error.Code != httpbody.CodeBadRequest {
+		t.Fatalf("purge without ?path=: %d %q (%v), want the envelope's 400", resp.StatusCode, raw, err)
 	}
 }
 

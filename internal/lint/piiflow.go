@@ -186,10 +186,12 @@ func piiSinks() []dataflow.SinkSpec {
 		{
 			// The edge proxy persists entries to its disk tier and
 			// serves them to arbitrary clients: anything committed or
-			// journaled there leaves the trust boundary twice over.
+			// journaled there leaves the trust boundary twice over. A
+			// Purger sends its key to that same edge.
 			Description: "edge cache commit (served and persisted on shared POPs)",
 			Match: anyOf(
 				sinkMethod("internal/edge", "Proxy", "Purge"),
+				sinkMethod("internal/edge", "Purger", "Purge"),
 				sinkMethod("internal/edge", "diskTier", "appendFill"),
 				sinkMethod("internal/edge", "diskTier", "appendPurge"),
 			),
