@@ -10,7 +10,7 @@
 //	curl localhost:8080/v1/page?path=/product/p00042      # anonymous shell
 //	curl localhost:8080/v1/page?path=/product/p00042 -H 'If-None-Match: "v1"'
 //	curl localhost:8080/v1/sketch -o sketch.bin           # Δ-refreshed sketch
-//	curl 'localhost:8080/v1/blocks?names=cart,greeting&user=u000001'
+//	printf '\x07u000001\x04cart' | curl --data-binary @- localhost:8080/v1/blocks  # framed user ID + names
 //	curl -X POST 'localhost:8080/v1/write?product=p00042&price=9.99'
 //	curl localhost:8080/stats
 //

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"speedkit/internal/edge"
 	"speedkit/internal/faults"
 	"speedkit/internal/httpapi"
+	"speedkit/internal/httpbody"
 	"speedkit/internal/httpclient"
 	"speedkit/internal/netsim"
 )
@@ -108,12 +110,16 @@ func runEdge(seed int64, products int) {
 		}
 	})
 
-	// 1. Stampede: 100 clients race one cold path.
+	// 1. Stampede: 100 clients race one cold path. The origin holds the
+	// one fill open until every other client has attached to it, so how
+	// many coalesce does not depend on how the goroutines are scheduled.
 	const stampede = 100
 	hot := "/product/p00042"
 	before := counter.pages.Load()
 	bodies := make([]string, stampede)
 	etags := make([]string, stampede)
+	release := make(chan struct{})
+	counter.hold.Store(&release)
 	var wg sync.WaitGroup
 	for i := 0; i < stampede; i++ {
 		wg.Add(1)
@@ -128,6 +134,11 @@ func runEdge(seed int64, products int) {
 			etags[i] = hdr.Get("ETag")
 		}(i)
 	}
+	for deadline := clock.System.Now().Add(10 * time.Second); pa.Stats().CoalescedWaiters < stampede-1 && clock.System.Now().Before(deadline); {
+		clock.Sleep(clock.System, time.Millisecond)
+	}
+	counter.hold.Store(nil)
+	close(release)
 	wg.Wait()
 	for i := 1; i < stampede; i++ {
 		if bodies[i] != bodies[0] {
@@ -138,8 +149,8 @@ func runEdge(seed int64, products int) {
 	if fetched := counter.pages.Load() - before; fetched != 1 {
 		fail("stampede of %d reached the origin %d times, want exactly 1", stampede, fetched)
 	}
-	if s := pa.Stats(); s.CoalescedWaiters == 0 {
-		fail("stampede coalesced no waiters (stats %+v)", s)
+	if s := pa.Stats(); s.CoalescedWaiters != stampede-1 {
+		fail("stampede of %d coalesced %d waiters, want %d (stats %+v)", stampede, s.CoalescedWaiters, stampede-1, s)
 	} else {
 		fmt.Printf("edge: stampede of %d -> 1 origin fetch, %d waiters coalesced\n",
 			stampede, s.CoalescedWaiters)
@@ -171,14 +182,19 @@ func runEdge(seed int64, products int) {
 
 	// Personalized fragments must bypass the cache entirely: the PII
 	// scan below then proves nothing of this response was persisted.
-	resp, err := http.Get(edgeBaseA + "/v1/blocks?names=cart,recommendations&user=" + url.QueryEscape(users[0].ID))
+	blockNames := []string{"cart", "recommendations"}
+	resp, err := http.Post(edgeBaseA+"/v1/blocks", "application/octet-stream",
+		bytes.NewReader(httpbody.BlocksRequest(users[0].ID, blockNames)))
 	if err != nil {
 		fail("blocks through edge: %v", err)
 	} else {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for keep-alive only
+		body, err := httpbody.ReadAll(resp)
 		resp.Body.Close()
 		if state := resp.Header.Get("X-Edge-Cache"); state != "bypass" {
 			fail("personalized blocks served with state %q, want bypass", state)
+		}
+		if _, perr := httpbody.ParseBlocksResponse(body, blockNames); err != nil || resp.StatusCode != http.StatusOK || perr != nil {
+			fail("blocks through edge: status %d, read %v, frames %v", resp.StatusCode, err, perr)
 		}
 	}
 
@@ -362,12 +378,17 @@ type pageCounter struct {
 	pages    atomic.Int64
 	sketches atomic.Int64
 	sketchAt atomic.Int64 // UnixNano
+	// hold, while set, keeps page requests waiting until it is closed.
+	hold atomic.Pointer[chan struct{}]
 }
 
 func (c *pageCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/v1/page":
 		c.pages.Add(1)
+		if hold := c.hold.Load(); hold != nil {
+			<-*hold
+		}
 	case "/v1/sketch":
 		c.sketches.Add(1)
 		defer func() { c.sketchAt.Store(clock.System.Now().UnixNano()) }()

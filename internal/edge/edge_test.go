@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -49,10 +50,15 @@ func newFakeUpstream() *fakeUpstream {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/page", func(w http.ResponseWriter, r *http.Request) { u.servePage(w, r) })
 	mux.HandleFunc("GET /v1/sketch", func(w http.ResponseWriter, _ *http.Request) { u.serveSketch(w) })
-	mux.HandleFunc("GET /v1/blocks", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("POST /v1/blocks", func(w http.ResponseWriter, r *http.Request) {
+		_, names, err := httpbody.ReadBlocksRequest(r)
+		if err != nil {
+			httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, err.Error())
+			return
+		}
 		// Personalized: never cacheable.
 		w.Header().Set("Cache-Control", "no-store")
-		io.WriteString(w, `{"cart":"3 items"}`)
+		w.Write(httpbody.BlocksResponse(names, map[string][]byte{"cart": []byte("3 items")}))
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, "no such endpoint: "+r.URL.Path)
@@ -405,13 +411,14 @@ func TestPassthroughUncached(t *testing.T) {
 	defer u.close()
 	p := newTestProxy(t, u, Options{})
 
-	w := get(t, p, "/v1/blocks?names=cart&user=u1", nil)
-	if w.Header().Get("X-Edge-Cache") != "bypass" || w.Body.String() != `{"cart":"3 items"}` {
-		t.Fatalf("blocks: state=%q body=%q", w.Header().Get("X-Edge-Cache"), w.Body.String())
-	}
-	w = get(t, p, "/v1/blocks?names=cart&user=u1", nil)
-	if w.Header().Get("X-Edge-Cache") != "bypass" {
-		t.Fatalf("blocks second call state = %q, want bypass", w.Header().Get("X-Edge-Cache"))
+	// The edge relays the framed request body to the upstream as it came.
+	for i := 0; i < 2; i++ {
+		r := httptest.NewRequest(http.MethodPost, "/v1/blocks", bytes.NewReader(httpbody.BlocksRequest("u1", []string{"cart"})))
+		w := httptest.NewRecorder()
+		p.ServeHTTP(w, r)
+		if state, want := w.Header().Get("X-Edge-Cache"), "\x073 items"; state != "bypass" || w.Body.String() != want {
+			t.Fatalf("blocks call %d: %d state=%q body=%q, want bypass %q", i, w.Code, state, w.Body.String(), want)
+		}
 	}
 }
 

@@ -5,7 +5,10 @@
 //	GET  /v1/sketch                      the binary client sketch (cacheable for Δ)
 //	GET  /v1/page?path=...               anonymous page shell via the CDN path;
 //	                                     honors If-None-Match for conditional GETs
-//	GET  /v1/blocks?names=a,b&user=...   first-party personalized fragments (JSON)
+//	POST /v1/blocks                      first-party personalized fragments: the
+//	                                     user ID and block names framed in the
+//	                                     body, the fragments framed in request
+//	                                     order in the answer (httpbody)
 //	POST /v1/write?product=&price=       a catalog write driving the pipeline
 //	POST /v1/purge?path=...              purge one path from the CDN tier and
 //	                                     notify registered purge listeners (edges)
@@ -60,7 +63,7 @@ import (
 // API serves one Speed Kit service.
 type API struct {
 	svc *core.Service
-	// users resolves the ?user= parameter for the blocks endpoint. In
+	// users resolves the user ID a blocks request carries. In
 	// production this is the session/auth layer; here it is an in-memory
 	// registry.
 	users map[string]*session.User
@@ -132,7 +135,11 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", a.handleHealthz)
 	mux.HandleFunc("GET /v1/sketch", a.handleSketch)
 	mux.HandleFunc("GET /v1/page", a.handlePage)
-	mux.HandleFunc("GET /v1/blocks", a.handleBlocks)
+	mux.HandleFunc("POST /v1/blocks", a.handleBlocks)
+	mux.HandleFunc("/v1/blocks", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Allow", http.MethodPost)
+		httpbody.WriteError(w, http.StatusMethodNotAllowed, httpbody.CodeMethodNotAllowed, r.Method+" /v1/blocks: the user ID and block names travel in a POST body")
+	})
 	mux.HandleFunc("POST /v1/write", a.handleWrite)
 	mux.HandleFunc("POST /v1/purge", a.handlePurge)
 	mux.HandleFunc("GET /stats", a.handleStats)
@@ -409,14 +416,17 @@ func (a *API) writePage(w http.ResponseWriter, entry cache.Entry, simLat time.Du
 	_, _ = w.Write(entry.Body)
 }
 
-// handleBlocks is the first-party personalization API.
+// handleBlocks is the first-party personalization API. The user ID and
+// the block names arrive framed in the POST body, never in the URL that
+// intermediaries log and key on; the fragments go back framed in request
+// order (httpbody.BlocksRequest, httpbody.BlocksResponse).
 func (a *API) handleBlocks(w http.ResponseWriter, r *http.Request) {
-	names := strings.Split(r.URL.Query().Get("names"), ",")
-	if len(names) == 1 && names[0] == "" {
-		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "missing ?names=")
+	user, names, err := httpbody.ReadBlocksRequest(r)
+	if err != nil {
+		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, err.Error())
 		return
 	}
-	u := a.users[r.URL.Query().Get("user")] // nil → anonymous fragments
+	u := a.users[user] // nil → anonymous fragments
 	// The trace path is the fixed endpoint, never the user: traces are
 	// identity-free by construction.
 	tr, ctx := a.startRemote(r, "http.blocks", "/blocks")
@@ -427,13 +437,12 @@ func (a *API) handleBlocks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a.finishRemote(tr, "origin", lat)
-	out := make(map[string]string, len(frs))
-	for name, fr := range frs {
-		out[name] = string(fr)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Cache-Control", "no-store") // personalized: never shared-cached
-	_ = json.NewEncoder(w).Encode(out)
+	body := httpbody.BlocksResponse(names, frs)
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h.Set("Cache-Control", "no-store") // personalized: never shared-cached
+	_, _ = w.Write(body)
 }
 
 // handleWrite applies a catalog mutation, driving the invalidation

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -399,35 +400,71 @@ func TestSketchEndpoint(t *testing.T) {
 	}
 }
 
+// postBlocks POSTs a blocks request body and returns the answer.
+func postBlocks(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/blocks", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, raw
+}
+
+// TestBlocksEndpoint: the user ID and names go in the POST body, and the
+// fragments come back framed in request order with their length declared.
+// A GET — the old spelling, with the user in the URL — is a 405.
 func TestBlocksEndpoint(t *testing.T) {
 	_, ts, _ := newTestAPI(t)
-	resp, body := get(t, ts.URL+"/v1/blocks?names=cart,greeting&user=u-test")
+	names := []string{"greeting", "ghost", "cart"}
+	resp, body := postBlocks(t, ts.URL, httpbody.BlocksRequest("u-test", names))
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	if resp.Header.Get("Cache-Control") != "no-store" {
 		t.Fatal("personalized response must be no-store")
 	}
-	var out map[string]string
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
+	if resp.ContentLength != int64(len(body)) {
+		t.Fatalf("Content-Length %d for a %d-byte body", resp.ContentLength, len(body))
+	}
+	frs, err := httpbody.ParseBlocksResponse(body, names)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out["cart"], "3 items") {
-		t.Fatalf("cart fragment = %q", out["cart"])
-	}
-	if !strings.Contains(out["greeting"], "Test User") {
-		t.Fatalf("greeting fragment = %q", out["greeting"])
+	if string(frs["greeting"]) != "<p>Welcome back, Test User!</p>" ||
+		len(frs["ghost"]) != 0 ||
+		string(frs["cart"]) != `<div class="cart">3 items</div>` {
+		t.Fatalf("fragments %q", frs)
 	}
 
 	// Unknown user → anonymous fragments, never an error.
-	_, body = get(t, ts.URL+"/v1/blocks?names=greeting&user=ghost")
-	if !strings.Contains(body, "Welcome!") {
-		t.Fatalf("anonymous fragment = %q", body)
+	_, body = postBlocks(t, ts.URL, httpbody.BlocksRequest("ghost", []string{"greeting"}))
+	if frs, err := httpbody.ParseBlocksResponse(body, []string{"greeting"}); err != nil || string(frs["greeting"]) != "<p>Welcome!</p>" {
+		t.Fatalf("anonymous fragment %q, %v", body, err)
 	}
 
-	resp, _ = get(t, ts.URL+"/v1/blocks")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("missing names: %d", resp.StatusCode)
+	for _, bad := range [][]byte{
+		nil,                                   // no user frame
+		httpbody.BlocksRequest("u-test", nil), // no names
+		[]byte("\x06u-test\x09cart"),          // a name past the end
+		httpbody.BlocksRequest("u-test", make([]string, httpbody.MaxBlockNames+1)),
+	} {
+		resp, raw := postBlocks(t, ts.URL, bad)
+		var eb httpbody.ErrorBody
+		if err := json.Unmarshal(raw, &eb); err != nil || resp.StatusCode != http.StatusBadRequest || eb.Error.Code != httpbody.CodeBadRequest {
+			t.Errorf("body %q: %d %q (%v), want the envelope's 400", bad, resp.StatusCode, raw, err)
+		}
+	}
+
+	resp, raw := get(t, ts.URL+"/v1/blocks?names=cart&user=u-test")
+	var eb httpbody.ErrorBody
+	if err := json.Unmarshal([]byte(raw), &eb); err != nil || resp.StatusCode != http.StatusMethodNotAllowed ||
+		eb.Error.Code != httpbody.CodeMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+		t.Fatalf("GET /v1/blocks: %d Allow %q %q (%v), want the envelope's 405", resp.StatusCode, resp.Header.Get("Allow"), raw, err)
 	}
 }
 

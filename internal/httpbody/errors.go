@@ -15,6 +15,9 @@ const (
 	// CodeNotFound: the referenced resource (page path, product) does not
 	// exist at the origin.
 	CodeNotFound = "not_found"
+	// CodeMethodNotAllowed: the route exists, under another method (the
+	// Allow header names it).
+	CodeMethodNotAllowed = "method_not_allowed"
 	// CodeUnavailable: a transient service-side failure; the request is
 	// safe to retry (the client resilience layer maps 5xx to ErrUpstream).
 	CodeUnavailable = "unavailable"

@@ -2,8 +2,10 @@
 // may import from another — the device transport (internal/httpclient),
 // the edge, the server's API and the cluster sit on different sides of
 // the GDPR fence: how a response body is read (ReadAll), how long a
-// response may be kept (ParseMaxAge) and the JSON error envelope
-// (ErrorBody, WriteError). It sees bytes and status codes, never identity.
+// response may be kept (ParseMaxAge), the JSON error envelope
+// (ErrorBody, WriteError) and the frames of the first-party blocks wire
+// (blocks.go). It sees bytes and status codes; the one identity it
+// handles is the user ID a blocks request frames, which it keeps nowhere.
 package httpbody
 
 import (
@@ -25,15 +27,20 @@ const MaxReserve = 64 << 20
 // through half a dozen sizes and return the last with its slack — and one
 // that ends short of the declaration is io.ErrUnexpectedEOF.
 func ReadAll(resp *http.Response) ([]byte, error) {
-	n := resp.ContentLength
+	return readBody(resp.Body, resp.ContentLength)
+}
+
+// readBody reads r to its end, into one buffer of n bytes when n is a
+// declared length of at most MaxReserve.
+func readBody(r io.Reader, n int64) ([]byte, error) {
 	if n < 0 || n > MaxReserve {
-		return io.ReadAll(resp.Body)
+		return io.ReadAll(r)
 	}
 	// net/http returns io.EOF together with the last bytes of a sized
 	// body, so filling the buffer also sees the end of the stream and the
 	// connection goes back to the idle pool.
 	body := make([]byte, n)
-	if _, err := io.ReadFull(resp.Body, body); err != nil {
+	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
 	return body, nil

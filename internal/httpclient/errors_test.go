@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"speedkit/internal/httpbody"
 	"speedkit/internal/netsim"
 	"speedkit/internal/proxy"
 )
@@ -140,10 +141,19 @@ func TestFetchBlocksErrors(t *testing.T) {
 	if _, _, err := tr.FetchBlocks(context.Background(), netsim.EU, []string{"cart"}, nil); !errors.Is(err, proxy.ErrOffline) {
 		t.Fatalf("dead server: %v, want ErrOffline", err)
 	}
-	ts := brokenServer(t, http.StatusOK, "{not json")
-	tr2 := New(ts.URL, ts.Client())
-	if frs, _, err := tr2.FetchBlocks(context.Background(), netsim.EU, []string{"cart"}, nil); err == nil || frs != nil {
-		t.Fatal("blocks decoded from garbage")
+	for _, body := range []string{
+		"{not json",           // not frames at all
+		"\x07a cart",          // a length past the end
+		"\x06a cart\x00",      // a fragment, then trailing bytes
+		"\x06a cart\x05tier!", // two fragments for one name
+		"",                    // no fragment for the name
+		"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", // the largest length
+	} {
+		ts := brokenServer(t, http.StatusOK, body)
+		frs, _, err := New(ts.URL, ts.Client()).FetchBlocks(context.Background(), netsim.EU, []string{"cart"}, nil)
+		if !errors.Is(err, httpbody.ErrBlocksFrame) || frs != nil || errors.Is(err, proxy.ErrOffline) {
+			t.Errorf("blocks answer %q: %q, %v; want a frame error", body, frs, err)
+		}
 	}
 	ts400 := brokenServer(t, http.StatusBadRequest, "")
 	tr3 := New(ts400.URL, ts400.Client())

@@ -10,6 +10,7 @@
 package httpclient
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -114,12 +115,12 @@ func injectTraceparent(ctx context.Context, req *http.Request) {
 	}
 }
 
-// get issues a ctx-bound GET for the /v1 endpoint (e.g. "/page") plus
+// do issues a ctx-bound request for the /v1 endpoint (e.g. "/page") plus
 // query. hdr's entries are set on the request (If-None-Match for
 // revalidation); the map itself is not kept, so a caller's literal stays
 // on its stack.
-func (t *Transport) get(ctx context.Context, endpoint, query string, hdr http.Header) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.base+"/v1"+endpoint+query, nil)
+func (t *Transport) do(ctx context.Context, method, endpoint, query string, body io.Reader, hdr http.Header) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, t.base+"/v1"+endpoint+query, body)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +134,7 @@ func (t *Transport) get(ctx context.Context, endpoint, query string, hdr http.He
 // FetchSketch implements proxy.Transport.
 func (t *Transport) FetchSketch(ctx context.Context, _ netsim.Region) (*cachesketch.Snapshot, time.Duration, error) {
 	start := t.clk.Now()
-	resp, err := t.get(ctx, "/sketch", "", nil)
+	resp, err := t.do(ctx, http.MethodGet, "/sketch", "", nil, nil)
 	if err != nil {
 		return nil, 0, asOffline(err)
 	}
@@ -192,7 +193,7 @@ func sourceFromHeader(h string) proxy.Source {
 // Fetch implements proxy.Transport.
 func (t *Transport) Fetch(ctx context.Context, _ netsim.Region, path string) (cache.Entry, time.Duration, proxy.Source, error) {
 	start := t.clk.Now()
-	resp, err := t.get(ctx, "/page", "?path="+url.QueryEscape(path), nil)
+	resp, err := t.do(ctx, http.MethodGet, "/page", "?path="+url.QueryEscape(path), nil, nil)
 	if err != nil {
 		return cache.Entry{}, 0, 0, asOffline(err)
 	}
@@ -214,7 +215,7 @@ func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string
 	start := t.clk.Now()
 	hdr := http.Header{}
 	hdr.Set("If-None-Match", fmt.Sprintf("%q", "v"+strconv.FormatUint(knownVersion, 10)))
-	resp, err := t.get(ctx, "/page", "?path="+url.QueryEscape(path), hdr)
+	resp, err := t.do(ctx, http.MethodGet, "/page", "?path="+url.QueryEscape(path), nil, hdr)
 	if err != nil {
 		return proxy.RevalidationResult{}, asOffline(err)
 	}
@@ -246,14 +247,18 @@ func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string
 }
 
 // FetchBlocks implements proxy.Transport over the first-party API. Only
-// the user ID crosses the wire — the server resolves the session.
+// the user ID crosses the wire — the server resolves the session — and it
+// travels in the POST body, never in the URL. The fragments are slices of
+// the one buffer the answer is read into.
 func (t *Transport) FetchBlocks(ctx context.Context, _ netsim.Region, names []string, u *session.User) (map[string][]byte, time.Duration, error) {
 	start := t.clk.Now()
-	q := url.Values{"names": {strings.Join(names, ",")}}
+	var user string
 	if u != nil {
-		q.Set("user", u.ID)
+		user = u.ID
 	}
-	resp, err := t.get(ctx, "/blocks", "?"+q.Encode(), nil)
+	// No Content-Type: a body without one is application/octet-stream
+	// (RFC 9110 §8.3), and the server reads nothing else.
+	resp, err := t.do(ctx, http.MethodPost, "/blocks", "", bytes.NewReader(httpbody.BlocksRequest(user, names)), nil)
 	if err != nil {
 		return nil, 0, asOffline(err)
 	}
@@ -261,15 +266,15 @@ func (t *Transport) FetchBlocks(ctx context.Context, _ netsim.Region, names []st
 	if resp.StatusCode != http.StatusOK {
 		return nil, t.clk.Now().Sub(start), statusErr("blocks", strings.Join(names, ","), resp)
 	}
-	var decoded map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&decoded); err != nil {
+	body, err := httpbody.ReadAll(resp)
+	if err != nil {
+		return nil, t.clk.Now().Sub(start), asOffline(err)
+	}
+	frs, err := httpbody.ParseBlocksResponse(body, names)
+	if err != nil {
 		return nil, t.clk.Now().Sub(start), fmt.Errorf("httpclient: blocks decode: %w", err)
 	}
-	out := make(map[string][]byte, len(decoded))
-	for k, v := range decoded {
-		out[k] = []byte(v)
-	}
-	return out, t.clk.Now().Sub(start), nil
+	return frs, t.clk.Now().Sub(start), nil
 }
 
 var _ proxy.Transport = (*Transport)(nil)

@@ -1,7 +1,10 @@
 package httpclient
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -9,6 +12,7 @@ import (
 
 	"speedkit/internal/core"
 	"speedkit/internal/httpapi"
+	"speedkit/internal/httpbody"
 	"speedkit/internal/netsim"
 	"speedkit/internal/proxy"
 	"speedkit/internal/session"
@@ -246,6 +250,29 @@ func TestBlocksOverHTTPAnonymous(t *testing.T) {
 	}
 	if !strings.Contains(string(frs["greeting"]), "Welcome!") {
 		t.Fatalf("greeting = %s", frs["greeting"])
+	}
+}
+
+// TestBlocksUserLeavesTheURL: the user ID travels in the framed POST
+// body; the URL, which intermediaries log and key on, carries nothing.
+func TestBlocksUserLeavesTheURL(t *testing.T) {
+	var method, target string
+	var body []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		method, target = r.Method, r.URL.RequestURI()
+		body, _ = io.ReadAll(r.Body)
+		w.Write(httpbody.BlocksResponse([]string{"cart", "tier"}, map[string][]byte{"cart": []byte("4 items")}))
+	}))
+	t.Cleanup(ts.Close)
+	frs, _, err := New(ts.URL, ts.Client()).FetchBlocks(context.Background(), netsim.EU, []string{"cart", "tier"}, loggedInUser())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if method != http.MethodPost || target != "/v1/blocks" || !bytes.Equal(body, httpbody.BlocksRequest("u-wire", []string{"cart", "tier"})) {
+		t.Fatalf("sent %s %s with body %q", method, target, body)
+	}
+	if string(frs["cart"]) != "4 items" || len(frs["tier"]) != 0 || len(frs) != 2 {
+		t.Fatalf("fragments %q", frs)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -25,10 +26,18 @@ import (
 // ErrNoRoute is returned for paths no registration covers.
 var ErrNoRoute = errors.New("origin: no route")
 
+// A dynamic-block placeholder is BlockPrefix, the block name, then
+// BlockSuffix. The proxy's assembler scans shells for exactly these
+// bytes.
+const (
+	BlockPrefix = "<!--block:"
+	BlockSuffix = "-->"
+)
+
 // BlockPlaceholder renders the marker the proxy later replaces with the
 // personalized fragment.
 func BlockPlaceholder(name string) string {
-	return fmt.Sprintf("<!--block:%s-->", name)
+	return BlockPrefix + name + BlockSuffix
 }
 
 // Page is one rendered, anonymous (cacheable) representation.
@@ -353,13 +362,23 @@ func (s *Server) Stats() Stats {
 
 // --- built-in block renderers ---------------------------------------------
 
+// Renderers run once per block per page load. The greeting, cart and tier
+// renderers build their fragment in one allocation sized up front.
+
+// maxIntLen is the longest decimal rendering of an int64.
+const maxIntLen = 20
+
 // GreetingBlock renders a per-user greeting; anonymous users get a
 // generic one.
 func GreetingBlock(u *session.User) []byte {
 	if u == nil || !u.LoggedIn {
 		return []byte("<p>Welcome!</p>")
 	}
-	return []byte(fmt.Sprintf("<p>Welcome back, %s!</p>", u.Name))
+	const pre, post = "<p>Welcome back, ", "!</p>"
+	b := make([]byte, 0, len(pre)+len(u.Name)+len(post))
+	b = append(b, pre...)
+	b = append(b, u.Name...)
+	return append(b, post...)
 }
 
 // CartBlock renders the cart widget from on-device state.
@@ -367,7 +386,11 @@ func CartBlock(u *session.User) []byte {
 	if u == nil {
 		return []byte(`<div class="cart">0 items</div>`)
 	}
-	return []byte(fmt.Sprintf(`<div class="cart">%d items</div>`, u.CartSize()))
+	const pre, post = `<div class="cart">`, ` items</div>`
+	b := make([]byte, 0, len(pre)+maxIntLen+len(post))
+	b = append(b, pre...)
+	b = strconv.AppendInt(b, int64(u.CartSize()), 10)
+	return append(b, post...)
 }
 
 // RecommendationsBlock renders recently viewed products — personalization
@@ -389,6 +412,18 @@ func TierPriceBlock(u *session.User) []byte {
 	if u != nil && u.LoggedIn {
 		tier = u.Tier
 	}
-	discount := map[string]int{"standard": 0, "silver": 5, "gold": 10}[tier]
-	return []byte(fmt.Sprintf(`<div class="tier">%s: %d%% off</div>`, tier, discount))
+	discount := 0
+	switch tier {
+	case "silver":
+		discount = 5
+	case "gold":
+		discount = 10
+	}
+	const pre, mid, post = `<div class="tier">`, ": ", `% off</div>`
+	b := make([]byte, 0, len(pre)+len(tier)+len(mid)+maxIntLen+len(post))
+	b = append(b, pre...)
+	b = append(b, tier...)
+	b = append(b, mid...)
+	b = strconv.AppendInt(b, int64(discount), 10)
+	return append(b, post...)
 }

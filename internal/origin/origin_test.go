@@ -179,29 +179,33 @@ func TestBuiltinBlocks(t *testing.T) {
 	u.AddToCart("p1", 3)
 	u.RecordView("p9")
 
-	if s := string(GreetingBlock(u)); !strings.Contains(s, "Ada") {
-		t.Errorf("greeting = %s", s)
+	silver := &session.User{ID: "u2", LoggedIn: true, Tier: "silver"}
+	for _, c := range []struct{ got, want string }{
+		{string(GreetingBlock(u)), "<p>Welcome back, Ada!</p>"},
+		{string(GreetingBlock(nil)), "<p>Welcome!</p>"},
+		{string(CartBlock(u)), `<div class="cart">3 items</div>`},
+		{string(CartBlock(nil)), `<div class="cart">0 items</div>`},
+		{string(RecommendationsBlock(u)), `<div class="reco">Recently viewed: p9</div>`},
+		{string(RecommendationsBlock(nil)), `<div class="reco">Popular products</div>`},
+		{string(TierPriceBlock(u)), `<div class="tier">gold: 10% off</div>`},
+		{string(TierPriceBlock(silver)), `<div class="tier">silver: 5% off</div>`},
+		{string(TierPriceBlock(nil)), `<div class="tier">standard: 0% off</div>`},
+	} {
+		if c.got != c.want {
+			t.Errorf("fragment %q, want %q", c.got, c.want)
+		}
 	}
-	if s := string(GreetingBlock(nil)); !strings.Contains(s, "Welcome!") {
-		t.Errorf("anon greeting = %s", s)
-	}
-	if s := string(CartBlock(u)); !strings.Contains(s, "3 items") {
-		t.Errorf("cart = %s", s)
-	}
-	if s := string(CartBlock(nil)); !strings.Contains(s, "0 items") {
-		t.Errorf("anon cart = %s", s)
-	}
-	if s := string(RecommendationsBlock(u)); !strings.Contains(s, "p9") {
-		t.Errorf("reco = %s", s)
-	}
-	if s := string(RecommendationsBlock(nil)); !strings.Contains(s, "Popular") {
-		t.Errorf("anon reco = %s", s)
-	}
-	if s := string(TierPriceBlock(u)); !strings.Contains(s, "gold: 10% off") {
-		t.Errorf("tier = %s", s)
-	}
-	if s := string(TierPriceBlock(nil)); !strings.Contains(s, "standard: 0% off") {
-		t.Errorf("anon tier = %s", s)
+}
+
+// TestBuiltinBlocksAllocateOnce: a personalized fragment is one
+// allocation, the fragment itself.
+func TestBuiltinBlocksAllocateOnce(t *testing.T) {
+	u := &session.User{ID: "u1", Name: "Ada", LoggedIn: true, Tier: "gold"}
+	u.AddToCart("p1", 3)
+	for name, r := range map[string]BlockRenderer{"greeting": GreetingBlock, "cart": CartBlock, "tier": TierPriceBlock} {
+		if allocs := testing.AllocsPerRun(100, func() { r(u) }); allocs != 1 {
+			t.Errorf("%s renders in %v allocations, want 1", name, allocs)
+		}
 	}
 }
 

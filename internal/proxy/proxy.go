@@ -697,17 +697,85 @@ func (p *Proxy) personalize(ctx context.Context, entry cache.Entry, res *PageLoa
 	}
 
 	res.Latency += p.cfg.Network.DeviceLatency() // assembly cost
-	body := entry.Body
-	count := 0
-	for name, fr := range fragments {
-		ph := []byte(origin.BlockPlaceholder(name))
-		if bytes.Contains(body, ph) {
-			body = bytes.ReplaceAll(body, ph, fr)
-			count++
-		}
-	}
+	body, count := assemble(entry.Body, fragments)
 	return body, count, nil
 }
+
+// placeholder is one fillable block placeholder in a shell: its bytes
+// shell[start:end], and the fragment that replaces them.
+type placeholder struct {
+	start, end int
+	frag       []byte
+}
+
+// assemble replaces every placeholder in shell whose block has an entry
+// in fragments (a nil fragment fills it with nothing) and counts the
+// distinct blocks it filled. One scan for origin.BlockPrefix finds the
+// placeholders, and the page is written into one exactly-sized buffer;
+// fragments go in verbatim and are never scanned. A placeholder with no
+// entry, or one missing its origin.BlockSuffix, stays in the page, and a
+// shell with nothing to fill comes back as it is.
+func assemble(shell []byte, fragments map[string][]byte) ([]byte, int) {
+	// A page has a handful of blocks; more than eight spill to the heap.
+	var stack [8]placeholder
+	found := stack[:0]
+	size, count := len(shell), 0
+	for i := 0; ; {
+		j := bytes.Index(shell[i:], blockPrefix)
+		if j < 0 {
+			break
+		}
+		nameAt := i + j + len(blockPrefix)
+		k := bytes.Index(shell[nameAt:], blockSuffix)
+		if k < 0 {
+			break
+		}
+		name := shell[nameAt : nameAt+k]
+		frag, ok := fragments[string(name)]
+		if !ok {
+			// Not a block of this page. A placeholder may still start
+			// inside what looked like its name: at the last prefix there,
+			// since every one of them ends at the same suffix.
+			if l := bytes.LastIndex(name, blockPrefix); l >= 0 {
+				i = nameAt + l
+			} else {
+				i = nameAt + k + len(blockSuffix)
+			}
+			continue
+		}
+		ph := placeholder{start: i + j, end: nameAt + k + len(blockSuffix), frag: frag}
+		if !seenBlock(shell, found, name) {
+			count++
+		}
+		found = append(found, ph)
+		size += len(frag) - (ph.end - ph.start)
+		i = ph.end
+	}
+	if len(found) == 0 {
+		return shell, 0
+	}
+	out := make([]byte, 0, size)
+	prev := 0
+	for _, ph := range found {
+		out = append(out, shell[prev:ph.start]...)
+		out = append(out, ph.frag...)
+		prev = ph.end
+	}
+	return append(out, shell[prev:]...), count
+}
+
+// seenBlock reports whether one of the placeholders found in shell is
+// for the block name.
+func seenBlock(shell []byte, found []placeholder, name []byte) bool {
+	for _, ph := range found {
+		if bytes.Equal(shell[ph.start+len(blockPrefix):ph.end-len(blockSuffix)], name) {
+			return true
+		}
+	}
+	return false
+}
+
+var blockPrefix, blockSuffix = []byte(origin.BlockPrefix), []byte(origin.BlockSuffix)
 
 // consented reports whether personalization is permitted for this device.
 func (p *Proxy) consented() bool {
