@@ -57,7 +57,7 @@ func main() {
 	traceRing := flag.Int("trace-ring", 256, "how many recent traces /debug/traces retains")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
 	dataDir := flag.String("data-dir", "", "durability directory (empty = memory-only); coherence state is journaled there and recovered at startup")
-	notifyEdge := flag.String("notify-edge", "", "edge base URL to POST purges to (e.g. http://localhost:8081); invalidations then evict the edge cache")
+	notifyEdge := flag.String("notify-edge", "", "edge base URL to POST purges to (e.g. http://localhost:8081); an invalidated path is purged only if the sketch server's expiration table says some cache can still hold a copy of it")
 	flag.Parse()
 
 	// The sanctioned process log: leveled logfmt on stderr, stamped with
@@ -129,7 +129,10 @@ func main() {
 	if *notifyEdge != "" {
 		// Purge notifications ride the invalidation pipeline: every
 		// invalidb match that purges the simulated CDN also evicts the
-		// real edge. Best-effort by design — a missed purge leaves the
+		// real edge — only for paths some cache can still hold, which the
+		// sketch server's expiration table knows. An edge copy older than
+		// this process is revalidated on the sketch's new epoch instead.
+		// Best-effort by design — a missed purge leaves the
 		// edge entry to the sketch, which flags the path on the next
 		// generation and forces revalidation within Δ.
 		purger := edge.NewPurger(*notifyEdge, edge.PurgerConfig{

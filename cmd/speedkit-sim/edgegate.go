@@ -45,7 +45,8 @@ import (
 //     tier's WAL append path, a mid-fill tear is recovered warm by an
 //     in-process restart over the same directory: every entry
 //     acknowledged before the tear is served byte-identical, without
-//     touching the origin.
+//     touching the origin — the journaled sketch epoch matches the one
+//     the upstream still serves, so nothing is revalidated.
 //  5. GDPR — no PII field name and no simulated user identity appears
 //     in any byte the edge persisted, scanned over both cache
 //     directories exactly like the -crash gate scans the durability
@@ -267,6 +268,11 @@ func runEdge(seed int64, products int) {
 		os.Exit(1)
 	}
 	edgeSrvB, edgeBaseB := serveLoopback(pb.Handler())
+	// Primed as speedkit-edge primes it: the disk tier journals the
+	// upstream's sketch epoch beside the entries.
+	if err := pb.RefreshSketch(context.Background()); err != nil {
+		fail("proxy B sketch: %v", err)
+	}
 
 	// Fill distinct pages until the injected kill tears a WAL frame.
 	// Entries acknowledged before the tear are the durable set.
@@ -309,6 +315,11 @@ func runEdge(seed int64, products int) {
 	}
 	if rec.Entries != len(durable) {
 		fail("restart recovered %d entries, want %d acknowledged before the tear", rec.Entries, len(durable))
+	}
+	// The upstream did not restart: the recovered epoch is the one it still
+	// serves, so the recovered entries stay hits.
+	if err := pb2.RefreshSketch(context.Background()); err != nil {
+		fail("proxy B restart sketch: %v", err)
 	}
 	before = counter.pages.Load()
 	for path, want := range durable {

@@ -23,6 +23,9 @@ type Client struct {
 	clk   clock.Clock
 	delta time.Duration
 	snap  atomic.Pointer[Snapshot]
+	// epochSince is when the held snapshot's epoch replaced another (nil
+	// until one has): see EpochSince.
+	epochSince atomic.Pointer[time.Time]
 
 	refreshes   atomic.Uint64
 	staleHits   atomic.Uint64
@@ -67,16 +70,21 @@ func (c *Client) stale(sn *Snapshot, now time.Time) bool {
 }
 
 // Supersedes reports whether sn replaces cur as the snapshot a holder
-// keeps: a higher generation wins, and within one generation the later
-// TakenAt. Anything supersedes no snapshot at all.
+// keeps. Within one epoch a higher generation wins, and within one
+// generation the later TakenAt. A snapshot of another epoch always wins:
+// epochs are identities, not an order, and the generations of two
+// incarnations say nothing about each other. A straggler from a dead
+// incarnation then costs its holder one revalidation pass (EpochSince),
+// never a stale read. Anything supersedes no snapshot at all.
 func (sn *Snapshot) Supersedes(cur *Snapshot) bool {
-	return cur == nil || sn.Generation > cur.Generation ||
+	return cur == nil || sn.Epoch != cur.Epoch || sn.Generation > cur.Generation ||
 		(sn.Generation == cur.Generation && sn.TakenAt.After(cur.TakenAt))
 }
 
 // Install stores a freshly fetched snapshot unless the one held is newer
 // (see Supersedes): out-of-order fetches can happen with concurrent
-// refreshes.
+// refreshes. A snapshot whose epoch differs from the held one's moves
+// EpochSince to now.
 func (c *Client) Install(sn *Snapshot) {
 	if sn == nil {
 		return
@@ -86,11 +94,30 @@ func (c *Client) Install(sn *Snapshot) {
 		if !sn.Supersedes(cur) {
 			return
 		}
+		if cur != nil && cur.Epoch != sn.Epoch {
+			// Marked before the swap, so whoever sees sn sees the mark; a
+			// swap that then loses costs one spurious revalidation pass.
+			now := c.clk.Now()
+			c.epochSince.Store(&now)
+		}
 		if c.snap.CompareAndSwap(cur, sn) {
 			c.refreshes.Add(1)
 			return
 		}
 	}
+}
+
+// EpochSince returns when the held snapshot's epoch replaced another one,
+// or the zero time if the client has held one epoch only. A copy stored
+// before that instant was vouched for by another incarnation's sketch,
+// whose flags the held one does not carry: it must be revalidated once
+// before a sketch can vouch for it again. The first epoch sets no mark:
+// a client that held no sketch had no epoch to lose.
+func (c *Client) EpochSince() time.Time {
+	if t := c.epochSince.Load(); t != nil {
+		return *t
+	}
+	return time.Time{}
 }
 
 // Generation returns the generation of the held snapshot (0 if none is

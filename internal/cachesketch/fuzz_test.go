@@ -10,8 +10,8 @@ import (
 )
 
 // FuzzReadHTTP feeds ReadHTTP a sketch response a hostile or broken
-// upstream could send: the generation, Age and Cache-Control values and
-// the body. Whatever arrives: no panic, and nothing reserved on the
+// upstream could send: the generation, epoch, Age and Cache-Control values
+// and the body. Whatever arrives: no panic, and nothing reserved on the
 // strength of a header field the body does not back. A response it
 // accepts is dated no later than the send, answers a lookup in bounded
 // time, and goes out again through WriteHTTP as it came in: the same body,
@@ -19,16 +19,19 @@ import (
 //
 // Seeds live in testdata/fuzz/FuzzReadHTTP: a well-formed response at age
 // 0 and held by a cache, the m = 0 and k = 2³²−1 filters that once decoded
-// and then crashed or hung their holder, and an m that wrapped the word
-// count.
+// and then crashed or hung their holder, an m that wrapped the word count,
+// and a missing, a worded and a 65-bit epoch.
 func FuzzReadHTTP(f *testing.F) {
-	f.Fuzz(func(t *testing.T, generation, age, cacheControl string, body []byte) {
+	f.Fuzz(func(t *testing.T, generation, epoch, age, cacheControl string, body []byte) {
 		respond := func() *http.Response {
 			resp := &http.Response{
 				StatusCode:    http.StatusOK,
 				Header:        http.Header{GenerationHeader: {generation}},
 				Body:          io.NopCloser(bytes.NewReader(body)),
 				ContentLength: int64(len(body)),
+			}
+			if epoch != "" {
+				resp.Header.Set(EpochHeader, epoch)
 			}
 			if age != "" {
 				resp.Header.Set("Age", age)
@@ -65,9 +68,9 @@ func FuzzReadHTTP(f *testing.F) {
 		if err != nil {
 			t.Fatalf("what WriteHTTP wrote does not read back: %v", err)
 		}
-		if again.Generation != sn.Generation || !again.TakenAt.Equal(sn.TakenAt) || again.MaxAge != sn.MaxAge {
-			t.Fatalf("read back generation %d, TakenAt %v, MaxAge %v; sent %d, %v, %v",
-				again.Generation, again.TakenAt, again.MaxAge, sn.Generation, sn.TakenAt, sn.MaxAge)
+		if again.Generation != sn.Generation || again.Epoch != sn.Epoch || !again.TakenAt.Equal(sn.TakenAt) || again.MaxAge != sn.MaxAge {
+			t.Fatalf("read back generation %d, epoch %x, TakenAt %v, MaxAge %v; sent %d, %x, %v, %v",
+				again.Generation, again.Epoch, again.TakenAt, again.MaxAge, sn.Generation, sn.Epoch, sn.TakenAt, sn.MaxAge)
 		}
 	})
 }

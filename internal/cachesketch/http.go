@@ -11,12 +11,13 @@ import (
 )
 
 // A sketch over HTTP is the compacted filter's bytes as the body (see
-// Snapshot.Marshal), the generation in GenerationHeader, a Cache-Control
-// that lets shared caches hold it for Δ, the standard Age header stating
-// how much of that Δ is already spent, and a Content-Length, so every
-// reader down the line takes the body in one allocation. WriteHTTP and
-// ReadHTTP are the only code that knows; the server, the cluster front and
-// the edge call the one, devices and edges the other.
+// Snapshot.Marshal), the generation in GenerationHeader and its epoch in
+// EpochHeader, a Cache-Control that lets shared caches hold it for Δ, the
+// standard Age header stating how much of that Δ is already spent, and a
+// Content-Length, so every reader down the line takes the body in one
+// allocation. WriteHTTP and ReadHTTP are the only code that knows; the
+// server, the cluster front and the edge call the one, devices and edges
+// the other.
 //
 // Age is what keeps Δ one Δ across any number of holders: the server sends
 // none (age 0), every other holder states how long ago its copy was taken,
@@ -28,6 +29,14 @@ import (
 
 // GenerationHeader carries Snapshot.Generation.
 const GenerationHeader = "X-Sketch-Generation"
+
+// EpochHeader carries Snapshot.Epoch, in hexadecimal. A holder hands on
+// the value it received verbatim, and the server formats its own once per
+// epoch, so the header costs a sketch response no allocation.
+const EpochHeader = "X-Sketch-Epoch"
+
+// epochValue is the EpochHeader value of epoch e.
+func epochValue(e uint64) []string { return []string{fmt.Sprintf("%016x", e)} }
 
 // ceilSeconds is d in the unit of the Age header.
 func ceilSeconds(d time.Duration) int64 {
@@ -64,6 +73,11 @@ func (sn *Snapshot) WriteHTTP(w http.ResponseWriter, cacheControl string, age ti
 		h.Set("Age", strconv.FormatInt(secs, 10))
 	}
 	h.Set(GenerationHeader, strconv.FormatUint(sn.Generation, 10))
+	if sn.epochWire != nil {
+		h[EpochHeader] = sn.epochWire
+	} else {
+		h[EpochHeader] = epochValue(sn.Epoch)
+	}
 	h.Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
 	return nil
@@ -76,13 +90,22 @@ func (sn *Snapshot) WriteHTTP(w http.ResponseWriter, cacheControl string, age ti
 // ignoring Age the time every cache on the path held it. The snapshot
 // keeps the body (Marshal returns it, read-only) and the max-age it came
 // with, so a holder can hand on exactly what it received. A response
-// without a generation is refused — Install orders snapshots by it — and
-// so is one whose Age does not parse: a tier that cannot prove freshness
-// does not guess.
+// without a generation or an epoch is refused — Install orders snapshots
+// by the one within the other — and so is one whose Age does not parse: a
+// tier that cannot prove freshness does not guess.
 func ReadHTTP(resp *http.Response, sent time.Time) (*Snapshot, error) {
 	gen, err := strconv.ParseUint(resp.Header.Get(GenerationHeader), 10, 64)
 	if err != nil {
 		return nil, fmt.Errorf("cachesketch: sketch response: bad %s: %w", GenerationHeader, err)
+	}
+	epochWire := resp.Header.Values(EpochHeader)
+	if len(epochWire) == 0 {
+		return nil, fmt.Errorf("cachesketch: sketch response: no %s", EpochHeader)
+	}
+	epochWire = epochWire[:1:1]
+	epoch, err := strconv.ParseUint(epochWire[0], 16, 64)
+	if err != nil {
+		return nil, fmt.Errorf("cachesketch: sketch response: bad %s: %w", EpochHeader, err)
 	}
 	var age uint64
 	if stated := resp.Header.Values("Age"); len(stated) > 0 {
@@ -106,8 +129,10 @@ func ReadHTTP(resp *http.Response, sent time.Time) (*Snapshot, error) {
 	return &Snapshot{
 		Filter:     f,
 		Generation: gen,
+		Epoch:      epoch,
 		TakenAt:    sent.Add(-time.Duration(age) * time.Second),
 		MaxAge:     maxAge,
 		flat:       fc,
+		epochWire:  epochWire,
 	}, nil
 }

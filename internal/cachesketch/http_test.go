@@ -39,8 +39,9 @@ func TestSketchHTTPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Generation != sn.Generation || !got.TakenAt.Equal(sent) || got.MaxAge != 30*time.Second {
-		t.Fatalf("generation %d, TakenAt %v, MaxAge %v; want %d, the send time %v and 30s", got.Generation, got.TakenAt, got.MaxAge, sn.Generation, sent)
+	if got.Generation != sn.Generation || got.Epoch != sn.Epoch || !got.TakenAt.Equal(sent) || got.MaxAge != 30*time.Second {
+		t.Fatalf("generation %d, epoch %x, TakenAt %v, MaxAge %v; want %d, %x, the send time %v and 30s",
+			got.Generation, got.Epoch, got.TakenAt, got.MaxAge, sn.Generation, sn.Epoch, sent)
 	}
 	if !got.MightBeStale("/written") || got.MightBeStale("/untouched") {
 		t.Fatal("decoded filter does not answer like the one sent")
@@ -96,8 +97,15 @@ func TestReadHTTPRefuses(t *testing.T) {
 		// an older sketch displace a newer.
 		"no generation":  func(h http.Header, b []byte) []byte { h.Del(GenerationHeader); return b },
 		"bad generation": func(h http.Header, b []byte) []byte { h.Set(GenerationHeader, "seven"); return b },
-		"short body":     func(_ http.Header, b []byte) []byte { return b[:len(b)/2] },
-		"not a filter":   func(h http.Header, _ []byte) []byte { h.Set("Content-Length", "5"); return []byte("hello") },
+		// Nor orders it a generation without the epoch it counts in.
+		"no epoch":        func(h http.Header, b []byte) []byte { h.Del(EpochHeader); return b },
+		"empty epoch":     func(h http.Header, b []byte) []byte { h.Set(EpochHeader, ""); return b },
+		"worded epoch":    func(h http.Header, b []byte) []byte { h.Set(EpochHeader, "restart"); return b },
+		"signed epoch":    func(h http.Header, b []byte) []byte { h.Set(EpochHeader, "-1"); return b },
+		"epoch past 2^64": func(h http.Header, b []byte) []byte { h.Set(EpochHeader, "10000000000000000"); return b },
+		"prefixed epoch":  func(h http.Header, b []byte) []byte { h.Set(EpochHeader, "0x1f"); return b },
+		"short body":      func(_ http.Header, b []byte) []byte { return b[:len(b)/2] },
+		"not a filter":    func(h http.Header, _ []byte) []byte { h.Set("Content-Length", "5"); return []byte("hello") },
 		// A tier that cannot prove freshness does not guess: an Age that
 		// does not parse is not an Age of zero.
 		"worded age":     func(h http.Header, b []byte) []byte { h.Set("Age", "soon"); return b },

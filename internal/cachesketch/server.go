@@ -21,6 +21,8 @@ package cachesketch
 
 import (
 	"container/heap"
+	"crypto/rand"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,8 +100,13 @@ type Server struct {
 
 	// generation versions the counting filter's *contents*: it advances
 	// whenever a key enters or leaves the sketch, and only then. Two
-	// snapshots with equal generations are interchangeable.
+	// snapshots with equal generations (and epochs) are interchangeable.
 	generation uint64 // guarded by mu
+	// epoch names this incarnation's generation sequence (see
+	// Snapshot.Epoch), and epochWire is its header value, formatted once
+	// so that no snapshot served formats it again.
+	epoch     uint64   // guarded by mu
+	epochWire []string // guarded by mu
 	// journaledGen is the highest generation already reported through
 	// Journal.JournalGeneration — only generations actually exposed to
 	// clients via Snapshot matter for recovery's monotonicity floor.
@@ -137,15 +144,48 @@ type flatCache struct {
 // encode is what wire holds for f.
 func encode(f *bloom.Filter) ([]byte, error) { return f.Compact().MarshalBinary() }
 
-// NewServer creates a protocol server.
+// NewServer creates a protocol server under a freshly drawn epoch.
 func NewServer(cfg ServerConfig) *Server {
 	cfg.applyDefaults()
-	return &Server{
+	s := &Server{
 		cfg:      cfg,
 		counting: bloom.NewCounting(bloom.CompactableParams(cfg.Capacity, cfg.FalsePositiveRate)),
 		expiry:   make(map[string]time.Time),
 		inSketch: make(map[string]time.Time),
 	}
+	s.setEpochLocked(NewEpoch()) // s is not shared yet
+	return s
+}
+
+// NewEpoch draws a random epoch. Epochs are identities: a holder only ever
+// asks whether two are equal. They come from crypto/rand, never from the
+// clock, so two starts under one simulated clock still differ.
+func NewEpoch() uint64 {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		panic("cachesketch: no randomness for an epoch: " + err.Error())
+	}
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// setEpochLocked switches the server to epoch e. Caller holds mu.
+func (s *Server) setEpochLocked(e uint64) {
+	s.epoch, s.epochWire = e, epochValue(e)
+}
+
+// Epoch returns the epoch the server's snapshots carry.
+func (s *Server) Epoch() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.epoch
+}
+
+// SetEpoch makes the server continue epoch e: recovery calls it after a
+// clean shutdown, whose generations the restored floor still orders.
+func (s *Server) SetEpoch(e uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.setEpochLocked(e)
 }
 
 // expiryHeap is a min-heap of (when, key, kind) events.
@@ -343,7 +383,7 @@ func (s *Server) snapshotLocked(now time.Time) *Snapshot {
 	if s.coldFilter != nil {
 		// Cold-start window: serve the saturated all-stale sketch so every
 		// client revalidates. Not flat-cached — the window retires itself.
-		return &Snapshot{Filter: s.coldFilter, Generation: s.generation, TakenAt: now}
+		return &Snapshot{Filter: s.coldFilter, Generation: s.generation, Epoch: s.epoch, TakenAt: now, epochWire: s.epochWire}
 	}
 	fc := s.flat.Load()
 	if fc == nil || fc.gen != s.generation {
@@ -354,8 +394,10 @@ func (s *Server) snapshotLocked(now time.Time) *Snapshot {
 	return &Snapshot{
 		Filter:     fc.filter,
 		Generation: fc.gen,
+		Epoch:      s.epoch,
 		TakenAt:    now,
 		flat:       fc,
+		epochWire:  s.epochWire,
 	}
 }
 
@@ -410,6 +452,11 @@ func (s *Server) SketchBytes() int {
 type Snapshot struct {
 	Filter     *bloom.Filter
 	Generation uint64
+	// Epoch names the server incarnation whose generation sequence
+	// Generation counts in: a random value drawn when that incarnation
+	// started. Generations of two epochs say nothing about each other
+	// (see Supersedes).
+	Epoch uint64
 	// TakenAt is an instant, on the holder's clock, no later than the one
 	// at which the server took the snapshot (see ReadHTTP).
 	TakenAt time.Time
@@ -422,6 +469,10 @@ type Snapshot struct {
 	// server's for the generation, or the received body of a snapshot
 	// decoded off the wire. Nil for one built anywhere else (merged).
 	flat *flatCache
+	// epochWire is Epoch's header value, read-only: the server's, formatted
+	// once per epoch, or the one a snapshot read off the wire arrived with.
+	// Nil for one built anywhere else, which WriteHTTP formats per call.
+	epochWire []string
 }
 
 // MightBeStale reports whether the key hits the sketch. True means "a

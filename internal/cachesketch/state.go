@@ -31,10 +31,11 @@ type Journal interface {
 	// sketch (not for writes to uncached resources, which change nothing).
 	JournalWrite(key string)
 	// JournalGeneration fires the first time Snapshot exposes a given
-	// generation to clients. Clients ignore snapshots whose generation is
-	// below the one they hold, so recovery must never republish a lower
-	// generation than any client has seen — logging exactly the exposed
-	// ones gives recovery the floor it must clear.
+	// generation to clients. Clients ignore snapshots of their epoch whose
+	// generation is below the one they hold, so a recovery that continues
+	// the epoch must never republish a lower generation than any client
+	// has seen — logging exactly the exposed ones gives it the floor it
+	// must clear.
 	JournalGeneration(gen uint64)
 }
 
@@ -157,12 +158,14 @@ func (s *Server) ImportState(data []byte) error {
 }
 
 // Reset returns the server to its just-constructed state: empty maps,
-// cleared filter, generation zero, no cold-start windows. Recovery calls
-// it before applying a snapshot — the crash model is that the previous
-// incarnation's memory is gone.
+// cleared filter, generation zero, no cold-start windows, and a newly
+// drawn epoch. Recovery calls it before applying a snapshot — the crash
+// model is that the previous incarnation's memory is gone — and hands the
+// old epoch back (SetEpoch) only when the log proves nothing was lost.
 func (s *Server) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.setEpochLocked(NewEpoch())
 	s.counting.Clear()
 	s.expiry = make(map[string]time.Time)
 	s.inSketch = make(map[string]time.Time)
@@ -203,10 +206,11 @@ func (s *Server) ColdStart(saturateUntil, blindUntil time.Time) {
 }
 
 // EnsureGeneration raises the generation to at least min. Recovery calls
-// it so a restarted server's snapshots are never rejected by clients that
-// installed a higher pre-crash generation: Install keeps the newest
-// (generation, TakenAt) pair, so a regressed generation would leave every
-// connected client refusing refreshes until evictions caught up.
+// it when it continues an epoch, so the restarted server's snapshots are
+// never rejected by clients that installed a higher generation of that
+// epoch: within one epoch Install keeps the newest (generation, TakenAt)
+// pair, so a regressed generation would leave every connected client
+// refusing refreshes until evictions caught up.
 func (s *Server) EnsureGeneration(min uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -161,22 +161,30 @@ func TestClusterKillDegradesAndRecoveryRestores(t *testing.T) {
 
 // TestClusterGenerationNeverRegressesAcrossKill pins the watermark rule
 // under the crash matrix: a kill + recovery must never hand clients a
-// lower merged generation.
+// merged snapshot they would refuse — a lower generation of the epoch
+// they hold. The killed node recovers from an unclean log under a new
+// epoch, so the merged sketch moves to a new epoch of its own.
 func TestClusterGenerationNeverRegressesAcrossKill(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
 	nodes := testNodes(t, clk, 2)
 	c := testCluster(t, clk, nodes)
 	defer c.Close()
 
-	last := uint64(0)
+	client := cachesketch.NewClient(clk, time.Hour)
+	last := c.Snapshot()
 	step := func(stage string) {
 		t.Helper()
-		g := c.Snapshot().Generation
-		if g < last {
-			t.Fatalf("%s: merged generation regressed %d -> %d", stage, last, g)
+		sn := c.Snapshot()
+		if sn.Epoch == last.Epoch && sn.Generation < last.Generation {
+			t.Fatalf("%s: merged generation regressed %d -> %d", stage, last.Generation, sn.Generation)
 		}
-		last = g
+		client.Install(sn)
+		if client.Generation() != sn.Generation {
+			t.Fatalf("%s: a client refused the merged generation %d", stage, sn.Generation)
+		}
+		last = sn
 	}
+	first := last.Epoch
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		_ = c.ReportCachedRead(key, clk.Now().Add(time.Hour))
@@ -198,6 +206,9 @@ func TestClusterGenerationNeverRegressesAcrossKill(t *testing.T) {
 	clk.Advance(2 * time.Minute)
 	_ = c.SyncDeltas()
 	step("cold window retired")
+	if last.Epoch == first {
+		t.Fatal("an unclean recovery left the merged sketch in its epoch")
+	}
 }
 
 // TestClusterEventBroadcastMatchesOracle: the cluster's two-dimensional
@@ -284,8 +295,8 @@ func TestNodeHTTPSurface(t *testing.T) {
 	if err != nil {
 		t.Fatalf("peer delta: %v", err)
 	}
-	if frame.Node != "n0" {
-		t.Fatalf("frame.Node = %q", frame.Node)
+	if sk, _, _, _, _ := node.parts(); frame.Node != "n0" || frame.Epoch != sk.Epoch() {
+		t.Fatalf("frame from %q in epoch %x, want n0's %x", frame.Node, frame.Epoch, sk.Epoch())
 	}
 	mg := NewMerger(MergerConfig{Members: []string{"n0"}, Capacity: 512, Clock: clk})
 	if err := mg.Fold(frame); err != nil {
@@ -486,8 +497,8 @@ func TestClusterDeltaOverHTTPSources(t *testing.T) {
 }
 
 // TestNodeDurableKillRecoversState: state journaled before a kill must
-// survive into the recovered node (generation floor included), with the
-// recovered sketch cold-started.
+// survive into the recovered node, with the recovered sketch cold-started
+// under a new epoch — the unclean log may have lost exposed generations.
 func TestNodeDurableKillRecoversState(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
 	dir := t.TempDir()
@@ -509,7 +520,8 @@ func TestNodeDurableKillRecoversState(t *testing.T) {
 		t.Fatalf("gen: %v", err)
 	}
 	// Publish a frame so the generation is journaled before the kill.
-	if _, err := node.Delta(); err != nil {
+	pre, err := node.Delta()
+	if err != nil {
 		t.Fatalf("delta: %v", err)
 	}
 	if err := node.Kill(); err != nil {
@@ -529,6 +541,9 @@ func TestNodeDurableKillRecoversState(t *testing.T) {
 		t.Fatal("unclean recovery did not cold-start the sketch")
 	}
 	if frame.Generation < preGen {
-		t.Fatalf("recovered generation %d below pre-kill %d", frame.Generation, preGen)
+		t.Fatalf("recovered generation %d below pre-kill %d: journaled writes lost", frame.Generation, preGen)
+	}
+	if frame.Epoch == pre.Epoch {
+		t.Fatalf("unclean recovery kept epoch %x", pre.Epoch)
 	}
 }

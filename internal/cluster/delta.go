@@ -14,9 +14,13 @@ package cluster
 type DeltaFrame struct {
 	// Node names the publishing member.
 	Node string `json:"node"`
-	// Generation is the shard sketch's content generation (monotone per
-	// node; survives recovery via the durable generation floor).
+	// Generation is the shard sketch's content generation, monotone within
+	// Epoch.
 	Generation uint64 `json:"generation"`
+	// Epoch is the node's sketch epoch: it changes when the node restarts
+	// without its history (memory-only, or an unclean recovery), and the
+	// merger never compares generations across it.
+	Epoch uint64 `json:"epoch"`
 	// Sketch is the bloom.Filter MarshalBinary payload (base64 in JSON).
 	Sketch []byte `json:"sketch"`
 	// Cold marks a frame published during the node's post-crash cold

@@ -51,6 +51,7 @@ func (c *MergerConfig) applyDefaults() {
 // heldFrame is the newest folded frame for one member.
 type heldFrame struct {
 	gen      uint64
+	epoch    uint64
 	filter   *bloom.Filter
 	cold     bool
 	foldedAt time.Time
@@ -59,8 +60,10 @@ type heldFrame struct {
 // MergerStats counts merge-layer activity.
 type MergerStats struct {
 	// Folds counts accepted frames; StaleFolds counts frames ignored for
-	// carrying a generation older than the held one.
-	Folds, StaleFolds uint64
+	// carrying a generation older than the held one of the same epoch.
+	// EpochChanges counts frames that replaced a member's frame of another
+	// epoch, each of which moved the merged sketch to a new epoch.
+	Folds, StaleFolds, EpochChanges uint64
 	// Rejected counts frames refused outright (unknown member, parameter
 	// mismatch, undecodable sketch).
 	Rejected uint64
@@ -86,6 +89,12 @@ type MergerStats struct {
 // can only err toward spurious revalidations, exactly like a single
 // node's Bloom false positives, and Client.Check semantics carry over
 // unchanged.
+//
+// The rule holds within one merged epoch. A member whose epoch changes
+// restarted without its history, so its new frame replaces the held one
+// whatever the two generations, and the Σ may fall: the merged sketch then
+// moves to a new epoch of its own, which every holder installs and
+// answers with one revalidation pass.
 type Merger struct {
 	cfg  MergerConfig
 	m, k uint32
@@ -94,6 +103,7 @@ type Merger struct {
 
 	mu         sync.Mutex
 	frames     map[string]heldFrame // guarded by mu
+	epoch      uint64               // guarded by mu; the merged sketch's epoch
 	satBumps   uint64               // guarded by mu; transition counter folded into the generation
 	servingSat bool                 // guarded by mu; current serve state (starts saturated)
 	stats      MergerStats          // guarded by mu
@@ -111,6 +121,7 @@ func NewMerger(cfg MergerConfig) *Merger {
 		cfg:       cfg,
 		saturated: sat,
 		frames:    make(map[string]heldFrame, len(cfg.Members)),
+		epoch:     cachesketch.NewEpoch(),
 		// Before the first complete exchange the merger has zero trusted
 		// history, so it starts in the saturated state for the same reason
 		// crash recovery does.
@@ -127,8 +138,11 @@ func (mg *Merger) Params() (m, k uint32) { return mg.m, mg.k }
 // Fold ingests one member's frame. Frames from unknown members are
 // rejected with ErrUnknownMember; frames whose filter parameters disagree
 // with the cluster sizing are rejected with an error wrapping
-// bloom.ErrParamMismatch; a frame older than the held one is ignored
-// (nil error) — exchange rounds may arrive reordered.
+// bloom.ErrParamMismatch; a frame older than the held one of its epoch is
+// ignored (nil error) — exchange rounds may arrive reordered. A frame of
+// another epoch than the member's held one replaces it, never unioned with
+// it or compared by generation, and moves the merged sketch to a new
+// epoch.
 func (mg *Merger) Fold(frame DeltaFrame) error {
 	known := false
 	for _, m := range mg.cfg.Members {
@@ -155,12 +169,19 @@ func (mg *Merger) Fold(frame DeltaFrame) error {
 		return fmt.Errorf("cluster: frame from %q: %w (m=%d,k=%d vs cluster m=%d,k=%d)",
 			frame.Node, bloom.ErrParamMismatch, f.Bits(), f.Hashes(), mg.m, mg.k)
 	}
-	if held, ok := mg.frames[frame.Node]; ok && frame.Generation < held.gen {
-		mg.stats.StaleFolds++
-		return nil
+	if held, ok := mg.frames[frame.Node]; ok {
+		switch {
+		case frame.Epoch != held.epoch:
+			mg.epoch = cachesketch.NewEpoch()
+			mg.stats.EpochChanges++
+		case frame.Generation < held.gen:
+			mg.stats.StaleFolds++
+			return nil
+		}
 	}
 	mg.frames[frame.Node] = heldFrame{
 		gen:      frame.Generation,
+		epoch:    frame.Epoch,
 		filter:   &f,
 		cold:     frame.Cold,
 		foldedAt: mg.cfg.Clock.Now(),
@@ -207,7 +228,7 @@ func (mg *Merger) Snapshot() *cachesketch.Snapshot {
 	}
 	if !complete {
 		mg.stats.SaturatedServes++
-		return &cachesketch.Snapshot{Filter: mg.saturated, Generation: gen, TakenAt: now}
+		return &cachesketch.Snapshot{Filter: mg.saturated, Generation: gen, Epoch: mg.epoch, TakenAt: now}
 	}
 	merged := bloom.NewFilter(mg.m, mg.k)
 	for _, m := range mg.cfg.Members {
@@ -218,11 +239,11 @@ func (mg *Merger) Snapshot() *cachesketch.Snapshot {
 			mg.stats.SaturatedServes++
 			mg.satBumps++
 			mg.servingSat = true
-			return &cachesketch.Snapshot{Filter: mg.saturated, Generation: gen + 1, TakenAt: now}
+			return &cachesketch.Snapshot{Filter: mg.saturated, Generation: gen + 1, Epoch: mg.epoch, TakenAt: now}
 		}
 	}
 	mg.stats.MergedServes++
-	return &cachesketch.Snapshot{Filter: merged, Generation: gen, TakenAt: now}
+	return &cachesketch.Snapshot{Filter: merged, Generation: gen, Epoch: mg.epoch, TakenAt: now}
 }
 
 // Export serializes the merged sketch deterministically: magic, the

@@ -248,3 +248,57 @@ func TestMergerSnapshotInstallsIntoClient(t *testing.T) {
 		t.Fatalf("merged sketch still flags unwritten keys: Check = %v", d)
 	}
 }
+
+// TestMergerEpochChangeReplacesTheFrame: a member that restarted without
+// its history comes back under another epoch, counting from a lower
+// generation. Its frame replaces the held one — the dead incarnation's
+// bits are never unioned in, and the two generations are never compared —
+// and the merged sketch moves to a new epoch, so a client installs it
+// although the merged generation fell. Within the new epoch the usual
+// order resumes.
+func TestMergerEpochChangeReplacesTheFrame(t *testing.T) {
+	clk := clock.NewSimulated(epoch)
+	mg := newTestMerger(clk, "a", "b")
+	fold := func(member string, ep, gen uint64, keys ...string) {
+		t.Helper()
+		f := frameFor(t, mg, member, gen, keys...)
+		f.Epoch = ep
+		if err := mg.Fold(f); err != nil {
+			t.Fatalf("fold %s: %v", member, err)
+		}
+	}
+	fold("a", 1, 40, "dead-only")
+	fold("b", 7, 3, "k2")
+	before := mg.Snapshot()
+	client := cachesketch.NewClient(clk, time.Minute)
+	client.Install(before)
+	if !before.MightBeStale("dead-only") {
+		t.Fatal("merged sketch lost member a's key")
+	}
+
+	clk.Advance(time.Second)
+	fold("a", 2, 1, "reborn")
+	after := mg.Snapshot()
+	if after.Epoch == before.Epoch || after.Generation >= before.Generation {
+		t.Fatalf("after a's restart: epoch %x generation %d; before: %x, %d — want a new epoch, the Σ fallen",
+			after.Epoch, after.Generation, before.Epoch, before.Generation)
+	}
+	if after.MightBeStale("dead-only") {
+		t.Fatal("the dead incarnation's frame was unioned with the new one")
+	}
+	if !after.MightBeStale("reborn") || !after.MightBeStale("k2") {
+		t.Fatal("merged sketch lost a live frame's key")
+	}
+	client.Install(after)
+	if client.Generation() != after.Generation || !client.EpochSince().Equal(clk.Now()) {
+		t.Fatalf("client holds generation %d (mark %v); want the merge's %d, marked now", client.Generation(), client.EpochSince(), after.Generation)
+	}
+
+	fold("a", 2, 0, "older")
+	if again := mg.Snapshot(); again.Epoch != after.Epoch || again.MightBeStale("older") {
+		t.Fatal("an older frame of the member's new epoch was folded")
+	}
+	if st := mg.Stats(); st.EpochChanges != 1 || st.StaleFolds != 1 {
+		t.Fatalf("stats %+v, want one epoch change and one stale fold", st)
+	}
+}

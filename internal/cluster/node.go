@@ -241,9 +241,10 @@ func (n *Node) ProcessEvent(ev storage.ChangeEvent) ([]invalidb.Invalidation, er
 }
 
 // Delta publishes the node's current shard frame: its flattened sketch,
-// content generation, and cold-start flag. The filter goes out at its full
-// size, not in the compacted encoding devices get (Snapshot.Marshal): the
-// merger unions frames, and a union needs equal (m, k) on both sides.
+// content generation and epoch, and cold-start flag. The filter goes out
+// at its full size, not in the compacted encoding devices get
+// (Snapshot.Marshal): the merger unions frames, and a union needs equal
+// (m, k) on both sides.
 func (n *Node) Delta() (DeltaFrame, error) {
 	sketch, _, _, _, err := n.parts()
 	if err != nil {
@@ -257,6 +258,7 @@ func (n *Node) Delta() (DeltaFrame, error) {
 	return DeltaFrame{
 		Node:       n.cfg.Member,
 		Generation: snap.Generation,
+		Epoch:      snap.Epoch,
 		Sketch:     body,
 		Cold:       sketch.ColdStartActive(),
 	}, nil

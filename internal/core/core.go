@@ -221,6 +221,7 @@ type serviceMetrics struct {
 	blockFetches  *metrics.Counter
 	invalidations *metrics.Counter
 	purges        *metrics.Counter
+	purgesSkipped *metrics.Counter // writes no cache held a copy of
 	pipelineLat   *metrics.Histogram
 	faults        map[faults.Component]*metrics.Counter
 	redeliveries  *metrics.Counter
@@ -246,6 +247,7 @@ func newServiceMetrics(r *obs.Registry) *serviceMetrics {
 		blockFetches:  r.Counter("speedkit.service.block_fetches.total"),
 		invalidations: r.Counter("speedkit.invalidation.total"),
 		purges:        r.Counter("speedkit.cdn.purges.total"),
+		purgesSkipped: r.Counter("speedkit.cdn.purges.skipped.total"),
 		pipelineLat:   r.Histogram("speedkit.invalidation.pipeline_latency_us"),
 	}
 	for i, src := range []string{"cdn", "origin"} {
@@ -433,17 +435,26 @@ func (s *Service) handleInvalidation(path string) {
 		s.est.RecordWrite(path)
 	}
 	if !s.cfg.DisableInvalidation {
-		s.deliver(faults.Invalidation, func() { s.sketch.ReportWrite(path) })
+		// The sketch server's expiration table knows every cached copy's
+		// expiry; a write it does not track has no live copy to purge. A
+		// holder that outlived the server's memory is covered by the epoch
+		// change instead (cachesketch.Snapshot.Epoch).
+		var held bool
+		s.deliver(faults.Invalidation, func() { held = s.sketch.ReportWrite(path) })
 		if tr != nil {
 			tr.AddSpan("sketch.report", "pipeline", sw.Elapsed())
 			sw.Reset()
 		}
-		s.deliver(faults.CDNPurge, func() { s.cdnNet.Purge(path) })
-		if tr != nil {
-			tr.AddSpan("cdn.purge", "pipeline", sw.Elapsed())
+		if held {
+			s.deliver(faults.CDNPurge, func() { s.cdnNet.Purge(path) })
+			if tr != nil {
+				tr.AddSpan("cdn.purge", "pipeline", sw.Elapsed())
+			}
+			s.m.purges.Inc()
+			s.notifyPurge(path)
+		} else {
+			s.m.purgesSkipped.Inc()
 		}
-		s.m.purges.Inc()
-		s.notifyPurge(path)
 	}
 	s.m.invalidations.Inc()
 	s.stats.invalidations.Add(1)

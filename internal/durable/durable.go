@@ -18,12 +18,13 @@
 // clean/open markers and the trust decision. Recover restores the newest
 // valid snapshot, replays the WAL tail through the real server logic,
 // and then decides trust. A log that ends in the clean-shutdown marker is
-// complete and the server resumes warm. Anything else — torn tail,
-// acknowledged-but-unsynced records lost at the group commit, mid-log
-// corruption — means history may be missing, and the server enters
-// conservative cold start: a saturated all-stale sketch for one full Δ
-// window (every client revalidates; Δ holds with zero trusted history)
-// plus blind write tracking over the residual-TTL horizon.
+// complete and the server resumes warm, continuing its sketch epoch.
+// Anything else — torn tail, acknowledged-but-unsynced records lost at the
+// group commit, mid-log corruption — means history may be missing, and the
+// server enters conservative cold start under a new epoch: a saturated
+// all-stale sketch for one full Δ window (every client revalidates; Δ
+// holds with zero trusted history) plus blind write tracking over the
+// residual-TTL horizon.
 //
 // GDPR: this package sits behind the same boundary as the CDN — it may
 // only ever see anonymous coherence metadata (resource IDs, expirations,
@@ -140,15 +141,10 @@ const (
 	recClean      byte = 4
 	recGeneration byte = 5
 	recOpen       byte = 6
+	// recEpoch names the sketch epoch of the incarnation whose open marker
+	// precedes it.
+	recEpoch byte = 7
 )
-
-// genSlack pads the recovered generation floor after an UNCLEAN shutdown:
-// generations exposed between the last group commit and the crash died
-// with their unsynced recGeneration records, so the floor over-shoots by
-// more than any plausible lost-window bump count (bumps are one per key
-// entering or leaving the sketch). Over-shooting is harmless — the
-// generation is an opaque monotone version, not a counter anyone sums.
-const genSlack = 1 << 16
 
 // record is one decoded journal entry, buffered during the WAL scan so
 // nothing is applied from a log that later proves corrupt.
@@ -330,9 +326,9 @@ func decodeRecord(payload []byte) (record, error) {
 			return record{}, errors.New("durable: malformed write record")
 		}
 		r.key = string(body[4 : 4+klen])
-	case recWatermark, recGeneration:
+	case recWatermark, recGeneration, recEpoch:
 		if len(body) != 8 {
-			return record{}, errors.New("durable: malformed watermark record")
+			return record{}, fmt.Errorf("durable: malformed record type %d", r.typ)
 		}
 		r.seq = binary.BigEndian.Uint64(body)
 	case recClean, recOpen:
@@ -348,9 +344,12 @@ func decodeRecord(payload []byte) (record, error) {
 // --- snapshots -----------------------------------------------------------
 
 // snapMagic marks a sketch-server snapshot file. Its payload, inside
-// wal.Snapshotted's frame: u64 watermark, u32 sketch-state length, sketch
-// state, u32 ttl-state length, ttl state.
-var snapMagic = [4]byte{'S', 'K', 'S', 'N'}
+// wal.Snapshotted's frame: u64 watermark, u64 sketch epoch, u32
+// sketch-state length, sketch state, u32 ttl-state length, ttl state. The
+// magic changed ("SKSN" before) when the epoch joined the payload: a
+// snapshot of the older layout is foreign, passed over rather than
+// misread, and Recover treats the history above it as unclean.
+var snapMagic = [4]byte{'S', 'K', 'S', '2'}
 
 // noteCrashLocked flips the store dead if err is an injected kill. The
 // caller must hold s.mu.
@@ -397,8 +396,9 @@ func (s *Store) Snapshot() error {
 		if est != nil {
 			ttlState = est.ExportState()
 		}
-		buf := make([]byte, 0, 16+len(sketchState)+len(ttlState))
+		buf := make([]byte, 0, 24+len(sketchState)+len(ttlState))
 		buf = binary.BigEndian.AppendUint64(buf, watermark)
+		buf = binary.BigEndian.AppendUint64(buf, sketch.Epoch())
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(sketchState)))
 		buf = append(buf, sketchState...)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(ttlState)))
@@ -467,30 +467,33 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 	}
 	// genFloor accumulates the highest generation clients provably saw:
 	// the snapshot's own, raised by every replayed recGeneration record.
-	var wm, genFloor uint64
-	haveSnap := false
+	// epoch is the last incarnation's: the snapshot's, or the newest
+	// recEpoch record's.
+	var wm, genFloor, epoch uint64
+	haveSnap, haveEpoch := false, false
 	restore := func(p []byte) error {
-		if len(p) < 12 {
+		if len(p) < 20 {
 			return errors.New("durable: short snapshot")
 		}
-		skLen := int(binary.BigEndian.Uint32(p[8:12]))
-		if len(p) < 16+skLen {
+		skLen := int(binary.BigEndian.Uint32(p[16:20]))
+		if len(p) < 24+skLen {
 			return errors.New("durable: malformed snapshot")
 		}
-		ttLen := int(binary.BigEndian.Uint32(p[12+skLen:]))
-		if len(p) != 16+skLen+ttLen {
+		ttLen := int(binary.BigEndian.Uint32(p[20+skLen:]))
+		if len(p) != 24+skLen+ttLen {
 			return errors.New("durable: malformed snapshot")
 		}
-		if err := sketch.ImportState(p[12 : 12+skLen]); err != nil {
+		if err := sketch.ImportState(p[20 : 20+skLen]); err != nil {
 			return err
 		}
 		if est != nil && ttLen > 0 {
-			if err := est.ImportState(p[16+skLen:]); err != nil {
+			if err := est.ImportState(p[24+skLen:]); err != nil {
 				return err
 			}
 		}
-		haveSnap = true
+		haveSnap, haveEpoch = true, true
 		wm = binary.BigEndian.Uint64(p)
+		epoch = binary.BigEndian.Uint64(p[8:16])
 		genFloor = sketch.Generation()
 		return nil
 	}
@@ -557,6 +560,8 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 			if r.seq > genFloor {
 				genFloor = r.seq
 			}
+		case recEpoch:
+			epoch, haveEpoch = r.seq, true
 		case recClean:
 			// Complete only as the final record; a marker with records
 			// after it belongs to an earlier incarnation.
@@ -593,22 +598,25 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 
 	// A fresh directory trivially has complete (empty) history; a torn
 	// tail, a wipe, or any log not sealed by the shutdown marker does not.
-	unclean := info.Mode != Fresh && (!clean || rec.Reseeded || info.TruncatedBytes > 0)
+	// Nor does one whose newest snapshot is of another layout (see
+	// snapMagic): the log above it is a partial history.
+	unclean := info.Mode != Fresh && (!clean || rec.Reseeded || info.TruncatedBytes > 0 || rec.Foreign)
 	if unclean {
 		now := s.cfg.Clock.Now()
 		sketch.ColdStart(now.Add(s.cfg.ColdWindow), now.Add(s.cfg.BlindHorizon))
 		info.Saturated = true
 	}
-	// Never republish a generation any client already holds: Install
-	// keeps the newest one, so a regressed generation would leave
-	// connected clients rejecting every post-restart snapshot. A clean
-	// log pins the floor exactly; an unclean one may have lost exposed
-	// generations with its unsynced tail, so the floor over-shoots.
-	if info.Mode != Fresh {
-		if unclean {
-			genFloor += genSlack
-		}
+	// A clean log lost nothing: the restart continues the last epoch, and
+	// never republishes a generation of it any client already holds —
+	// Install keeps the newest one, so a regressed generation would leave
+	// connected clients rejecting every post-restart snapshot. Anything
+	// else keeps the epoch Reset drew: the lost tail may have exposed
+	// generations no floor knows, and a new epoch supersedes them all.
+	if !unclean && haveEpoch {
+		sketch.SetEpoch(epoch)
 		sketch.EnsureGeneration(genFloor)
+	} else {
+		epoch = sketch.Epoch()
 	}
 
 	s.mu.Lock()
@@ -630,10 +638,19 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 	// the disk back to a state that masquerades as a clean history while
 	// acknowledged reports are gone. Failure here flips the crashed flag
 	// like any other journaling failure — the owner's signal to recover.
+	// The epoch this incarnation serves under is sealed with it, before any
+	// snapshot of it can reach a client.
 	s.appendLocked([]byte{recOpen})
+	s.appendLocked(binary.BigEndian.AppendUint64([]byte{recEpoch}, epoch))
 	s.mu.Unlock()
 	if err := s.Sync(); err != nil && !errors.Is(err, faults.ErrCrash) && !errors.Is(err, wal.ErrCrashed) {
 		return info, err
+	}
+	if rec.Foreign {
+		// Put a snapshot of this layout above the foreign one, or every
+		// restart would pass it over again and cold-start. One that fails
+		// leaves exactly that, which is safe.
+		_ = s.Snapshot()
 	}
 	return info, nil
 }

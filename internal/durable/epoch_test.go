@@ -1,0 +1,156 @@
+package durable
+
+import (
+	"encoding/binary"
+	"testing"
+	"time"
+
+	"speedkit/internal/cachesketch"
+	"speedkit/internal/clock"
+	"speedkit/internal/wal"
+)
+
+// TestPreEpochDirectoryColdStarts: a directory written before the epoch
+// joined the snapshot — the older snapshot layout under the older magic, a
+// log sealed clean that names no epoch — recovers without error. Its
+// snapshot is passed over, so what replays is a partial history: the
+// server saturates under a new epoch, and a clean restart after that is
+// warm again.
+func TestPreEpochDirectoryColdStarts(t *testing.T) {
+	dir := t.TempDir()
+	old, _, err := wal.OpenSnapshotted(wal.Options{Dir: dir}, [4]byte{'S', 'K', 'S', 'N'},
+		func([]byte) error { return nil }, func(uint64, []byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cachedRead := func(key string) []byte {
+		b := binary.BigEndian.AppendUint32([]byte{recCachedRead}, uint32(len(key)))
+		b = append(b, key...)
+		return binary.BigEndian.AppendUint64(b, uint64(time.Unix(3600, 0).UnixNano()))
+	}
+	for _, rec := range [][]byte{{recOpen}, cachedRead("/doc/snap")} {
+		if _, err := old.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The older payload: u64 watermark, then the two length-prefixed states
+	// with no epoch between.
+	src := cachesketch.NewServer(cachesketch.ServerConfig{Clock: clock.NewSimulated(time.Unix(0, 0))})
+	src.ReportCachedRead("/doc/snap", time.Unix(3600, 0))
+	state := src.ExportState()
+	if _, err := old.Checkpoint(func() []byte {
+		b := binary.BigEndian.AppendUint64(nil, 1)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(state)))
+		b = append(b, state...)
+		return binary.BigEndian.AppendUint32(b, 0)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range [][]byte{cachedRead("/doc/tail"), {recClean}} {
+		if _, err := old.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h := newHarness(t, dir, nil)
+	info := h.recover(t)
+	if !info.Saturated || info.SnapshotLSN != 0 {
+		t.Fatalf("pre-epoch directory recovered %+v, want its snapshot passed over and a cold start", info)
+	}
+	drawn := h.sketch.Epoch()
+	if err := h.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h2 := newHarness(t, dir, nil)
+	if info := h2.recover(t); info.Saturated {
+		t.Fatalf("clean restart after the upgrade saturated: %+v", info)
+	}
+	if got := h2.sketch.Epoch(); got != drawn {
+		t.Fatalf("clean restart serves epoch %x, want %x", got, drawn)
+	}
+}
+
+// TestCleanRestartContinuesTheEpoch: a log sealed clean lost nothing, so
+// the restarted server continues its epoch and generation — whether the
+// epoch comes back from the WAL tail or, once a snapshot pruned the log,
+// from the snapshot.
+func TestCleanRestartContinuesTheEpoch(t *testing.T) {
+	for _, snapshotted := range []bool{false, true} {
+		dir := t.TempDir()
+		h := newHarness(t, dir, nil)
+		h.recover(t)
+		h.populate(10)
+		if snapshotted {
+			if err := h.store.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			h.populate(12)
+		}
+		epoch, gen := h.sketch.Epoch(), h.sketch.Generation()
+		if err := h.store.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		h2 := newHarness(t, dir, nil)
+		if h2.sketch.Epoch() == epoch {
+			t.Fatal("two servers drew the same epoch")
+		}
+		if info := h2.recover(t); info.Saturated {
+			t.Fatalf("snapshotted=%v: clean restart saturated: %+v", snapshotted, info)
+		}
+		if got := h2.sketch.Epoch(); got != epoch {
+			t.Fatalf("snapshotted=%v: clean restart serves epoch %x, want the sealed %x", snapshotted, got, epoch)
+		}
+		if got := h2.sketch.Generation(); got != gen {
+			t.Fatalf("snapshotted=%v: generation %d, want %d", snapshotted, got, gen)
+		}
+	}
+}
+
+// TestUncleanRecoveryDrawsANewEpoch: a log that may have lost its tail may
+// have lost exposed generations with it. No floor is padded to cover
+// them: the recovered server serves a new epoch, which every holder
+// installs whatever generation it held — and a clean restart after that
+// continues the new epoch, not the dead one.
+func TestUncleanRecoveryDrawsANewEpoch(t *testing.T) {
+	dir := t.TempDir()
+	h := newHarness(t, dir, nil)
+	h.recover(t)
+	h.populate(10)
+	dead := h.sketch.Epoch()
+	genBefore := h.sketch.Snapshot().Generation
+	if err := h.store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	h2 := newHarness(t, dir, nil)
+	if info := h2.recover(t); !info.Saturated {
+		t.Fatalf("unclean shutdown did not saturate: %+v", info)
+	}
+	reborn := h2.sketch.Epoch()
+	if reborn == dead {
+		t.Fatalf("unclean recovery kept the dead incarnation's epoch %x", dead)
+	}
+	sn := h2.sketch.Snapshot()
+	if sn.Epoch != reborn {
+		t.Fatalf("snapshot epoch %x, server's %x", sn.Epoch, reborn)
+	}
+	// The recovered generation is the replayed state's plus the cold-start
+	// bump, not a floor padded past anything the dead incarnation exposed.
+	if sn.Generation > genBefore+1 {
+		t.Fatalf("generation %d after recovering from %d: a padded floor", sn.Generation, genBefore)
+	}
+	if err := h2.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h3 := newHarness(t, dir, nil)
+	h3.recover(t)
+	if got := h3.sketch.Epoch(); got != reborn {
+		t.Fatalf("clean restart after an unclean one serves %x, want %x", got, reborn)
+	}
+}

@@ -26,17 +26,50 @@ import (
 // recovers warm.
 //
 // The records hold resource paths, body bytes the origin already serves
-// publicly, versions, and expirations — anonymous coherence state only.
-// The PII byte-scan in the smoke gate asserts exactly that.
+// publicly, versions, expirations and the upstream's sketch epoch — anonymous
+// coherence state only. The PII byte-scan in the smoke gate asserts exactly
+// that.
 
 const (
 	recFill  byte = 1
 	recPurge byte = 2
+	// recEpoch records the epoch mark the edge holds (see epochMark). A
+	// restart compares the first sketch it installs with it.
+	recEpoch byte = 3
 )
 
-// snapMagic marks an edge snapshot file. Its payload: uvarint entry
-// count, then per entry a uvarint length and the encoded entry.
-var snapMagic = [4]byte{'S', 'K', 'E', 'C'}
+// snapMagic marks an edge snapshot file. Its payload: a byte saying
+// whether an epoch mark follows (0 or 1), then the mark if one does, then
+// the uvarint entry count, then per entry a uvarint length and the encoded
+// entry. The magic changed ("SKEC" before) when the mark joined the
+// payload: a snapshot of the older layout is foreign, passed over rather
+// than misread, and the tier starts empty as after a hole in the history.
+var snapMagic = [4]byte{'S', 'K', 'E', '2'}
+
+// epochMark is the sketch epoch the edge installed last and when the
+// edge's epoch last changed (the zero time: it never has). An entry stored
+// before since is not a hit until a revalidation renews it; persisting
+// since with the epoch keeps that true across a restart, for the entries
+// the restart recovers. On disk it is two big-endian words: the epoch, and
+// since in Unix nanoseconds (0: the zero time).
+type epochMark struct {
+	epoch uint64
+	since time.Time
+}
+
+const markLen = 16
+
+func appendMark(b []byte, m epochMark) []byte {
+	b = binary.BigEndian.AppendUint64(b, m.epoch)
+	return binary.BigEndian.AppendUint64(b, uint64(unixNano(m.since)))
+}
+
+func readMark(b []byte) *epochMark {
+	return &epochMark{
+		epoch: binary.BigEndian.Uint64(b),
+		since: fromUnixNano(int64(binary.BigEndian.Uint64(b[8:]))),
+	}
+}
 
 // RecoveryInfo summarizes what a disk-tier open recovered.
 type RecoveryInfo struct {
@@ -48,8 +81,8 @@ type RecoveryInfo struct {
 	// Replayed counts WAL records applied above the snapshot.
 	Replayed int
 	// ColdStart reports that the history had a hole (mid-log corruption,
-	// an undecodable record): everything was discarded and the cache
-	// starts empty.
+	// an undecodable record, a snapshot of an older layout): everything
+	// was discarded and the cache starts empty.
 	ColdStart bool
 }
 
@@ -65,12 +98,25 @@ type diskTier struct {
 	mu        sync.Mutex
 	dead      bool // guarded by mu
 	sinceSnap int  // guarded by mu; records appended since the last checkpoint
+	// mark is the epoch mark last journaled or recovered; nil while there
+	// is none.
+	mark *epochMark // guarded by mu
 }
 
 // openDisk opens (or recovers) the disk tier rooted at dir, loading
 // surviving entries into mem.
 func openDisk(dir string, every int, clk clock.Clock, inj *faults.Injector, mem *cache.Store, m *metrics) (*diskTier, RecoveryInfo, error) {
+	var mark *epochMark
 	restore := func(p []byte) error {
+		if len(p) == 0 || p[0] > 1 || p[0] == 1 && len(p) < 1+markLen {
+			return errors.New("edge: malformed snapshot")
+		}
+		if p[0] == 1 {
+			mark = readMark(p[1:])
+			p = p[1+markLen:]
+		} else {
+			p = p[1:]
+		}
 		count, n := binary.Uvarint(p)
 		if n <= 0 {
 			return errors.New("edge: malformed snapshot")
@@ -103,6 +149,11 @@ func openDisk(dir string, every int, clk clock.Clock, inj *faults.Injector, mem 
 			mem.Put(e)
 		case recPurge:
 			mem.Delete(string(rec[1:]))
+		case recEpoch:
+			if len(rec) != 1+markLen {
+				return errors.New("edge: malformed epoch record")
+			}
+			mark = readMark(rec[1:])
 		default:
 			return fmt.Errorf("edge: unknown disk record type %d", rec[0])
 		}
@@ -115,13 +166,15 @@ func openDisk(dir string, every int, clk clock.Clock, inj *faults.Injector, mem 
 	if every <= 0 {
 		every = 256
 	}
-	d := &diskTier{log: log, m: m, mem: mem, every: every}
+	d := &diskTier{log: log, m: m, mem: mem, every: every, mark: mark}
 	info := RecoveryInfo{SnapshotLSN: rec.SnapshotLSN, Replayed: int(rec.Replayed)}
-	if rec.Corrupt {
-		// What loaded is older than records that are gone, a purge
-		// perhaps among them. Keep none of it, and put the empty set on
+	if rec.Corrupt || rec.Foreign {
+		// What loaded is older than records that are gone, or only the
+		// records above a snapshot of another layout: a purge may be
+		// missing either way. Keep none of it, and put the empty set on
 		// disk so that no later recovery reads the old snapshot back.
 		mem.Clear()
+		d.mark = nil
 		if _, err := log.Checkpoint(d.export); err != nil {
 			log.Close()
 			return nil, RecoveryInfo{}, err
@@ -144,6 +197,21 @@ func (d *diskTier) appendFill(e cache.Entry) {
 func (d *diskTier) appendPurge(key string) {
 	d.append(append([]byte{recPurge}, key...))
 	d.m.diskPurges.Add(1)
+}
+
+// appendEpoch journals the epoch mark of a sketch the edge just installed.
+func (d *diskTier) appendEpoch(m epochMark) {
+	d.mu.Lock()
+	d.mark = &m
+	d.mu.Unlock()
+	d.append(appendMark([]byte{recEpoch}, m))
+}
+
+// epoch returns the epoch mark last journaled or recovered, nil if none.
+func (d *diskTier) epoch() *epochMark {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.mark
 }
 
 func (d *diskTier) append(payload []byte) {
@@ -172,8 +240,13 @@ func (d *diskTier) crashed() bool { return d.log.Crashed() }
 
 func (d *diskTier) close() error { return d.log.Close() }
 
-// export encodes the live entry set, in key order, as a snapshot payload.
+// export encodes the epoch mark and the live entry set, in key order, as a
+// snapshot payload. The caller must hold mu, or own d alone.
 func (d *diskTier) export() []byte {
+	out := []byte{0}
+	if d.mark != nil {
+		out = appendMark([]byte{1}, *d.mark)
+	}
 	keys := d.mem.Keys()
 	sort.Strings(keys)
 	var entBuf []byte
@@ -188,7 +261,7 @@ func (d *diskTier) export() []byte {
 		entBuf = append(entBuf, enc...)
 		n++
 	}
-	return append(binary.AppendUvarint(nil, uint64(n)), entBuf...)
+	return append(binary.AppendUvarint(out, uint64(n)), entBuf...)
 }
 
 // unixNano maps a time to its wire form; the zero time stays zero so a

@@ -22,10 +22,13 @@
 //     fetch; late joiners stream the shared in-flight body (see fill).
 //   - Hits whose key the Bloom sketch flags on a newer generation are
 //     revalidated upstream with If-None-Match; a 304 renews the entry
-//     without moving the body again. Client If-None-Match gets 304s
-//     locally. Range requests are served from the cached body.
-//   - Entries and purges are journaled to a WAL-plus-snapshot disk
-//     tier (see disk.go); a restart recovers the cache crash-safely.
+//     without moving the body again. So is every entry stored before the
+//     held sketch's epoch was installed: an upstream that restarted
+//     without its history vouches for none of them. Client If-None-Match
+//     gets 304s locally. Range requests are served from the cached body.
+//   - Entries, purges and the sketch epoch are journaled to a
+//     WAL-plus-snapshot disk tier (see disk.go); a restart recovers the
+//     cache crash-safely, warm against the same upstream epoch.
 //
 // GDPR boundary: this package is shared infrastructure. It must never
 // import internal/session, internal/gdpr, or internal/obs — the edge
@@ -110,6 +113,16 @@ type Proxy struct {
 	// sketchMu is held across an on-demand sketch fetch (freshSketch), so
 	// the requests waiting on one expired copy share one upstream fetch.
 	sketchMu sync.Mutex
+	// installMu serializes InstallSketch, so the epoch comparison, the
+	// mark and the journal record agree with the sketch held.
+	installMu sync.Mutex
+	// epochSince is when the held sketch's epoch replaced another (nil
+	// until one has): an entry stored before it is revalidated once before
+	// it can be a hit. Like cachesketch.Client.EpochSince, but the disk
+	// tier's recovered mark counts as the one held before the first
+	// install, so a restart against the same upstream epoch stays warm
+	// and still revalidates what the last epoch change left unrenewed.
+	epochSince atomic.Pointer[time.Time]
 
 	fillsMu sync.Mutex
 	fills   map[string]*fill
@@ -144,6 +157,9 @@ func New(o Options) (*Proxy, RecoveryInfo, error) {
 		p.disk, info, err = openDisk(o.CacheDir, o.SnapshotEvery, o.Clock, o.Faults, p.mem, &p.m)
 		if err != nil {
 			return nil, info, err
+		}
+		if m := p.disk.epoch(); m != nil && !m.since.IsZero() {
+			p.epochSince.Store(&m.since)
 		}
 	}
 	return p, info, nil
@@ -258,20 +274,48 @@ func sketchAge(sn *cachesketch.Snapshot, now time.Time) (age time.Duration, serv
 // InstallSketch hands the edge a sketch snapshot: a poll's, an on-demand
 // fetch's, or one its owner already holds (tests). Responses can arrive
 // out of order, so the held copy stays when sn does not supersede it
-// (cachesketch.Snapshot.Supersedes, the rule devices install by) — unless
-// the held copy is past its max-age: it vouches for nothing by then, and
-// an upstream that lost its generation in a restart must not leave the
-// edge refusing every sketch it sends.
+// (cachesketch.Snapshot.Supersedes, the rule devices install by). An
+// upstream that restarted without its history comes back under another
+// epoch, which supersedes whatever generation the edge holds. A change of
+// epoch moves epochSince to now; a new epoch is journaled with it.
 func (p *Proxy) InstallSketch(sn *cachesketch.Snapshot) {
-	for {
-		cur := p.sketch.Load()
-		if _, servable := sketchAge(cur, p.clk.Now()); servable && !sn.Supersedes(cur) {
-			return
-		}
-		if p.sketch.CompareAndSwap(cur, sn) {
-			return
+	p.installMu.Lock()
+	defer p.installMu.Unlock()
+	cur := p.sketch.Load()
+	if !sn.Supersedes(cur) {
+		return
+	}
+	var held uint64
+	known := cur != nil
+	if known {
+		held = cur.Epoch
+	} else if p.disk != nil {
+		if m := p.disk.epoch(); m != nil {
+			held, known = m.epoch, true
 		}
 	}
+	if known && held == sn.Epoch {
+		p.sketch.Store(sn)
+		return
+	}
+	if known {
+		now := p.clk.Now()
+		p.epochSince.Store(&now)
+	}
+	p.sketch.Store(sn)
+	if p.disk != nil {
+		p.disk.appendEpoch(epochMark{epoch: sn.Epoch, since: p.trustedSince()})
+	}
+}
+
+// trustedSince is the instant before which no stored entry may be a hit
+// without a revalidation (see epochSince); the zero time while no entry
+// needs one.
+func (p *Proxy) trustedSince() time.Time {
+	if t := p.epochSince.Load(); t != nil {
+		return *t
+	}
+	return time.Time{}
 }
 
 // RefreshSketch pulls the current sketch from the upstream. The edge
@@ -372,8 +416,11 @@ func (p *Proxy) servePage(w http.ResponseWriter, r *http.Request, key string) {
 		// a generation newer than the one this entry was validated
 		// against might be stale and must be revalidated. A key the
 		// sketch does not flag is fresh by Δ-atomicity even if another
-		// key changed.
-		if fresh && snap != nil && entryGen(e) < snap.Generation && snap.MightBeStale(key) {
+		// key changed. Watermarks count in the held sketch's epoch, so an
+		// entry stored before that epoch was installed vouches for nothing
+		// until a revalidation renews it.
+		if fresh && (e.StoredAt.Before(p.trustedSince()) ||
+			snap != nil && entryGen(e) < snap.Generation && snap.MightBeStale(key)) {
 			fresh = false
 		}
 		if fresh {
@@ -693,9 +740,13 @@ func (p *Proxy) entryFromResponse(key string, resp *http.Response, body []byte) 
 	return e
 }
 
-// freshness derives an entry TTL from upstream Cache-Control.
+// freshness derives an entry TTL from upstream Cache-Control. Any max-age
+// the upstream states is the freshness, zero included: the server floors
+// what is left of the TTL its expiration table holds, so "max-age=0" is a
+// copy that table already counts as gone. Only a response without one
+// gets DefaultTTL.
 func (p *Proxy) freshness(h http.Header) time.Duration {
-	if maxAge, ok := httpbody.ParseMaxAge(h.Get("Cache-Control")); ok && maxAge > 0 {
+	if maxAge, ok := httpbody.ParseMaxAge(h.Get("Cache-Control")); ok {
 		return maxAge
 	}
 	return p.ttl

@@ -30,6 +30,7 @@ type fakeUpstream struct {
 	maxAge   int
 	noStore  bool
 	gen      uint64
+	epoch    uint64
 	sketch   *bloom.Filter
 
 	fetches atomic.Int64 // full-body /v1/page responses
@@ -115,23 +116,29 @@ func (u *fakeUpstream) servePage(w http.ResponseWriter, r *http.Request) {
 
 func (u *fakeUpstream) serveSketch(w http.ResponseWriter) {
 	u.mu.Lock()
-	f, gen := u.sketch, u.gen
+	f, gen, epoch := u.sketch, u.gen, u.epoch
 	u.mu.Unlock()
 	if f == nil {
 		f = bloom.NewFilterForCapacity(64, 0.01)
 	}
-	data, _ := f.MarshalBinary()
-	w.Header().Set("X-Sketch-Generation", strconv.FormatUint(gen, 10))
-	w.Write(data)
+	sn := &cachesketch.Snapshot{Filter: f, Generation: gen, Epoch: epoch}
+	if err := sn.WriteHTTP(w, "", 0); err != nil {
+		httpbody.WriteError(w, http.StatusInternalServerError, httpbody.CodeInternal, err.Error())
+	}
 }
 
 // snapshotWith builds a sketch snapshot flagging the given keys.
 func snapshotWith(gen uint64, keys ...string) *cachesketch.Snapshot {
+	return snapshotIn(0, gen, keys...)
+}
+
+// snapshotIn is snapshotWith in another epoch.
+func snapshotIn(epoch, gen uint64, keys ...string) *cachesketch.Snapshot {
 	f := bloom.NewFilterForCapacity(64, 0.01)
 	for _, k := range keys {
 		f.Add(k)
 	}
-	return &cachesketch.Snapshot{Filter: f, Generation: gen, TakenAt: time.Unix(0, 0)}
+	return &cachesketch.Snapshot{Filter: f, Generation: gen, Epoch: epoch, TakenAt: time.Unix(0, 0)}
 }
 
 func newTestProxy(t *testing.T, u *fakeUpstream, opts Options) *Proxy {

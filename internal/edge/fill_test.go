@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"speedkit/internal/bloom"
+	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
 )
 
@@ -151,7 +152,8 @@ func TestRefreshSketchStampsTheSend(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		clk.Advance(5 * time.Second)
 		data, _ := bloom.NewFilterForCapacity(64, 0.01).MarshalBinary()
-		w.Header().Set("X-Sketch-Generation", "7")
+		w.Header().Set(cachesketch.GenerationHeader, "7")
+		w.Header().Set(cachesketch.EpochHeader, "1")
 		w.Write(data)
 	}))
 	defer srv.Close()

@@ -29,13 +29,14 @@ type sketchUpstream struct {
 
 	mu      sync.Mutex
 	gen     uint64
+	epoch   uint64
 	filter  *bloom.Filter
 	down    bool
 	respond func(w http.ResponseWriter, n int64) bool // non-nil: may answer request n itself
 }
 
 func newSketchUpstream(t *testing.T) *sketchUpstream {
-	u := &sketchUpstream{gen: 7, filter: bloom.NewFilter(64, 4)}
+	u := &sketchUpstream{gen: 7, epoch: 1, filter: bloom.NewFilter(64, 4)}
 	u.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/sketch" {
 			httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, "no such endpoint: "+r.URL.Path)
@@ -43,7 +44,7 @@ func newSketchUpstream(t *testing.T) *sketchUpstream {
 		}
 		n := u.fetches.Add(1)
 		u.mu.Lock()
-		sn := &cachesketch.Snapshot{Filter: u.filter, Generation: u.gen}
+		sn := &cachesketch.Snapshot{Filter: u.filter, Generation: u.gen, Epoch: u.epoch}
 		down, respond := u.down, u.respond
 		u.mu.Unlock()
 		if down {
@@ -265,7 +266,7 @@ func TestInstallSketchInOrder(t *testing.T) {
 			if n != 1 {
 				return false
 			}
-			old := &cachesketch.Snapshot{Filter: bloom.NewFilter(64, 4), Generation: 7}
+			old := &cachesketch.Snapshot{Filter: bloom.NewFilter(64, 4), Generation: 7, Epoch: 1}
 			close(firstArrived)
 			<-secondInstalled
 			if err := old.WriteHTTP(w, "public, max-age=30", 0); err != nil {
@@ -299,21 +300,28 @@ func TestInstallSketchInOrder(t *testing.T) {
 		t.Fatal("a later snapshot of the same generation did not replace the held one")
 	}
 
-	// An upstream that restarted without its history counts from zero
-	// again. While the held copy is within its max-age it stays; once it
-	// has expired, whatever the upstream sends replaces it — an edge that
-	// waited for generation 8 to come round again would answer 502 until
-	// then.
+	// A lower generation of the held epoch is a straggler, and stays out.
 	u.set(func() { u.gen = 2 })
 	if err := p.RefreshSketch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Generation(); got != 8 {
-		t.Fatalf("generation %d replaced a servable generation 8", got)
+	if got := p.Generation(); got != 8 || !p.trustedSince().IsZero() {
+		t.Fatalf("generation %d (mark %v) replaced generation 8 of the same epoch", got, p.trustedSince())
 	}
-	clk.Advance(sketchMaxAge)
-	if w := get(t, p, "/v1/sketch", nil); w.Code != http.StatusOK || w.Header().Get(cachesketch.GenerationHeader) != "2" {
-		t.Fatalf("after the held copy expired: %d, generation %q; want the restarted upstream's 2", w.Code, w.Header().Get(cachesketch.GenerationHeader))
+	// An upstream that restarted without its history counts from zero
+	// again, under a new epoch: that replaces the held copy at once — an
+	// edge that waited for generation 8 to come round again would ignore
+	// every flag until then — and every entry stored so far is revalidated
+	// once.
+	u.set(func() { u.epoch = 2 })
+	if err := p.RefreshSketch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Generation(); got != 2 || !p.trustedSince().Equal(clk.Now()) {
+		t.Fatalf("after the upstream's restart: generation %d, mark %v; want 2 and %v", got, p.trustedSince(), clk.Now())
+	}
+	if w := get(t, p, "/v1/sketch", nil); w.Code != http.StatusOK || w.Header().Get(cachesketch.EpochHeader) != "0000000000000002" {
+		t.Fatalf("after the upstream's restart: %d, epoch %q; want the new epoch", w.Code, w.Header().Get(cachesketch.EpochHeader))
 	}
 }
 

@@ -165,6 +165,10 @@ type Health struct {
 	Uptime string `json:"uptime"`
 	// SketchGeneration is the coherence server's content generation.
 	SketchGeneration uint64 `json:"sketch_generation"`
+	// SketchEpoch is the epoch that generation counts in, as the
+	// X-Sketch-Epoch header spells it: it changes when the server restarts
+	// without its history.
+	SketchEpoch string `json:"sketch_epoch"`
 	// SketchTracked is how many resource IDs the sketch currently tracks.
 	SketchTracked int `json:"sketch_tracked"`
 	// RecoveryMode is how the durability subsystem rebuilt state at
@@ -193,6 +197,7 @@ func (a *API) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Status:           "ok",
 		Uptime:           a.svc.Clock().Now().Sub(a.started).String(),
 		SketchGeneration: a.svc.SketchServer().Generation(),
+		SketchEpoch:      fmt.Sprintf("%016x", a.svc.SketchServer().Epoch()),
 		SketchTracked:    a.svc.SketchServer().Stats().Tracked,
 	}
 	if store := a.svc.Durable(); store != nil {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"speedkit/internal/bloom"
+	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
 	"speedkit/internal/core"
 	"speedkit/internal/durable"
@@ -185,8 +186,9 @@ func TestMetricsDurability(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, body)
 		}
 	}
-	if !strings.Contains(body, "speedkit_wal_appends 1") &&
-		!strings.Contains(body, "speedkit_wal_appends 2") {
+	// Recovery's open marker and epoch record, then the read's report.
+	if !strings.Contains(body, "speedkit_wal_appends 2") &&
+		!strings.Contains(body, "speedkit_wal_appends 3") {
 		t.Errorf("wal appends gauge not reflecting journaled records:\n%s", body)
 	}
 
@@ -605,5 +607,50 @@ func TestRegisteredUsers(t *testing.T) {
 	api, _, _ := newTestAPI(t)
 	if api.RegisteredUsers() != 10 {
 		t.Fatalf("users = %d", api.RegisteredUsers())
+	}
+}
+
+// TestSkippedPurgesAndEpochAreObservable: one scrape tells purges sent from
+// purges skipped — writes to pages no cache held — and the two add up to
+// the invalidations; /healthz names the epoch beside the generation,
+// spelled as the sketch response spells it.
+func TestSkippedPurgesAndEpochAreObservable(t *testing.T) {
+	api, ts, _ := newTestAPI(t)
+	// p00003 is cached once; p00004 never is.
+	get(t, ts.URL+"/v1/page?path=/product/p00003")
+	for _, id := range []string{"p00003", "p00004"} {
+		resp, err := http.Post(ts.URL+"/v1/write?product="+id+"&price=1.25", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	sk := api.svc.SketchServer()
+	reg := api.svc.Obs()
+	skipped := reg.Counter("speedkit.cdn.purges.skipped.total").Value()
+	if skipped == 0 {
+		t.Fatal("no write was skipped")
+	}
+	if inv := reg.Counter("speedkit.invalidation.total").Value(); inv != skipped+1 {
+		t.Fatalf("%d invalidations, want the %d skipped plus the 1 sent", inv, skipped)
+	}
+	_, body := get(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		"speedkit_cdn_purges_total 1\n",
+		fmt.Sprintf("speedkit_cdn_purges_skipped_total %d\n", skipped),
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+
+	_, hbody := get(t, ts.URL+"/healthz")
+	var h Health
+	if err := json.Unmarshal([]byte(hbody), &h); err != nil {
+		t.Fatal(err)
+	}
+	resp, _ := get(t, ts.URL+"/v1/sketch")
+	if want := resp.Header.Get(cachesketch.EpochHeader); h.SketchEpoch != want || want != fmt.Sprintf("%016x", sk.Epoch()) {
+		t.Fatalf("/healthz sketch_epoch %q, sketch response %q, server %x", h.SketchEpoch, want, sk.Epoch())
 	}
 }

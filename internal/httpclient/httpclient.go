@@ -161,17 +161,27 @@ func parseVersionETag(tag string) uint64 {
 	return v
 }
 
+// expiresAt is the expiration a response stating h grants a copy stored
+// at now. Any max-age is the freshness, zero included: the server floors
+// what is left of the TTL its expiration table holds, so "max-age=0" is a
+// copy that table already counts as gone. Only a response without one is
+// left unexpiring, to the sketch alone.
+func expiresAt(h http.Header, now time.Time) time.Time {
+	if maxAge, ok := httpbody.ParseMaxAge(h.Get("Cache-Control")); ok {
+		return now.Add(maxAge)
+	}
+	return time.Time{}
+}
+
 // entryFromResponse builds a cache entry from a 200 page response.
 func (t *Transport) entryFromResponse(path string, resp *http.Response, body []byte) cache.Entry {
 	now := t.clk.Now()
 	e := cache.Entry{
-		Key:      path,
-		Body:     body,
-		Version:  parseVersionETag(resp.Header.Get("ETag")),
-		StoredAt: now,
-	}
-	if maxAge, ok := httpbody.ParseMaxAge(resp.Header.Get("Cache-Control")); ok && maxAge > 0 {
-		e.ExpiresAt = now.Add(maxAge)
+		Key:       path,
+		Body:      body,
+		Version:   parseVersionETag(resp.Header.Get("ETag")),
+		StoredAt:  now,
+		ExpiresAt: expiresAt(resp.Header, now),
 	}
 	if blocks := resp.Header.Get("X-Blocks"); blocks != "" {
 		e.Metadata = map[string]string{"blocks": blocks}
@@ -224,10 +234,8 @@ func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string
 
 	switch resp.StatusCode {
 	case http.StatusNotModified:
-		e := cache.Entry{Key: path, Version: knownVersion, StoredAt: t.clk.Now()}
-		if maxAge, ok := httpbody.ParseMaxAge(resp.Header.Get("Cache-Control")); ok && maxAge > 0 {
-			e.ExpiresAt = t.clk.Now().Add(maxAge)
-		}
+		now := t.clk.Now()
+		e := cache.Entry{Key: path, Version: knownVersion, StoredAt: now, ExpiresAt: expiresAt(resp.Header, now)}
 		return proxy.RevalidationResult{
 			NotModified: true, Entry: e, Latency: lat, Source: proxy.SourceOrigin,
 		}, nil

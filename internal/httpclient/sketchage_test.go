@@ -27,7 +27,8 @@ func TestFetchSketchStampsTheSend(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		clk.Advance(transfer)
 		data, _ := bloom.NewFilterForCapacity(64, 0.01).MarshalBinary()
-		w.Header().Set("X-Sketch-Generation", "3")
+		w.Header().Set(cachesketch.GenerationHeader, "3")
+		w.Header().Set(cachesketch.EpochHeader, "1")
 		w.Write(data)
 	}))
 	defer srv.Close()
@@ -75,11 +76,9 @@ func TestFetchSketchThroughACacheKeepsDelta(t *testing.T) {
 	// The server, as httpapi answers: the snapshot as of now, no Age.
 	sketch := cachesketch.NewServer(cachesketch.ServerConfig{Clock: serverClk})
 	server := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		sn := sketch.Snapshot()
-		data, _ := sn.Marshal()
-		w.Header().Set("Cache-Control", "public, max-age="+strconv.Itoa(int(delta/time.Second)))
-		w.Header().Set(cachesketch.GenerationHeader, strconv.FormatUint(sn.Generation, 10))
-		w.Write(data)
+		if err := sketch.Snapshot().WriteHTTP(w, "public, max-age="+strconv.Itoa(int(delta/time.Second)), 0); err != nil {
+			t.Error(err)
+		}
 	}))
 	defer server.Close()
 
@@ -102,7 +101,7 @@ func TestFetchSketchThroughACacheKeepsDelta(t *testing.T) {
 				held = resp
 				body, _ = io.ReadAll(resp.Body)
 			}
-			for _, k := range []string{"Cache-Control", cachesketch.GenerationHeader} {
+			for _, k := range []string{"Cache-Control", cachesketch.GenerationHeader, cachesketch.EpochHeader} {
 				w.Header().Set(k, held.Header.Get(k))
 			}
 			if age := cacheClk.Now().Sub(asked); age > 0 {

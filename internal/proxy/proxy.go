@@ -460,19 +460,25 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 
 	var err error
 	shellStart := res.Latency
+	if !served && decision == cachesketch.ServeFromCache {
+		entry, served = p.store.Get(path)
+		// A copy stored before the held sketch's epoch was installed was
+		// vouched for by another incarnation: it is revalidated once.
+		if served && entry.StoredAt.Before(p.sketch.EpochSince()) {
+			decision, served = cachesketch.Revalidate, false
+		}
+		if served {
+			res.Source = SourceDevice
+			res.Latency += p.cfg.Network.DeviceLatency()
+			p.stats.DeviceHits++
+		}
+	}
 	if !served {
 		switch decision {
 		case cachesketch.ServeFromCache:
-			if e, ok := p.store.Get(path); ok {
-				entry = e
-				res.Source = SourceDevice
-				res.Latency += p.cfg.Network.DeviceLatency()
-				p.stats.DeviceHits++
-			} else {
-				entry, err = orDegraded(p.fetchShell(ctx, path, &res))
-				if err != nil {
-					return PageLoad{}, err
-				}
+			entry, err = orDegraded(p.fetchShell(ctx, path, &res))
+			if err != nil {
+				return PageLoad{}, err
 			}
 		case cachesketch.Revalidate:
 			res.Revalidated = true

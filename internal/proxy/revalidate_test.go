@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"speedkit/internal/cache"
+	"speedkit/internal/cachesketch"
 	"speedkit/internal/origin"
 )
 
@@ -106,5 +107,49 @@ func TestRevalidationExpiredCopyStillConditional(t *testing.T) {
 	}
 	if len(res.Body) == 0 {
 		t.Fatal("body lost across expired-copy revalidation")
+	}
+}
+
+// TestEpochChangeRevalidatesHeldCopies: the service restarts without its
+// history. A write it then sees is one no cache holds, as far as it knows,
+// so its sketch never flags the page. The device stored its copy under
+// the old epoch: the first refresh that brings the new one revalidates it,
+// and so the device reads the new version past Δ. Every copy made before
+// the new epoch was installed is revalidated once — here the one the
+// revalidation brought back too — and then served from the device again.
+func TestEpochChangeRevalidatesHeldCopies(t *testing.T) {
+	p, tr, clk := newTestProxy(t, nil)
+	ctx := context.Background()
+	load := func(step string) PageLoad {
+		t.Helper()
+		res, err := p.Load(ctx, "/plain")
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		return res
+	}
+	load("cold")
+	clk.Advance(time.Second)
+	if res := load("warm"); res.Source != SourceDevice {
+		t.Fatalf("warm load from %v, want the device", res.Source)
+	}
+
+	// The restart, then the write: a new sketch server, which tracks
+	// nothing, and a new version of the page.
+	tr.sketchSrv = cachesketch.NewServer(cachesketch.ServerConfig{Clock: tr.clk})
+	tr.pages["/plain"] = cache.TTLEntry(clk, "/plain", []byte("<html>v2</html>"), 2, time.Hour)
+	if tr.sketchSrv.ReportWrite("/plain") {
+		t.Fatal("the restarted server tracks a write to a page it never saw cached")
+	}
+
+	clk.Advance(p.cfg.Delta)
+	res := load("past Δ")
+	if !res.SketchRefreshed || !res.Revalidated || res.Version != 2 {
+		t.Fatalf("past Δ: refreshed %v, revalidated %v, v%d; want the new epoch's revalidation to v2",
+			res.SketchRefreshed, res.Revalidated, res.Version)
+	}
+	load("settling")
+	if res := load("settled"); res.Source != SourceDevice || res.Version != 2 {
+		t.Fatalf("settled: v%d from %v, want v2 from the device", res.Version, res.Source)
 	}
 }

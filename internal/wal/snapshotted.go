@@ -63,6 +63,12 @@ type Recovery struct {
 	// LSN seen on disk. True whenever Corrupt is, and also when a torn
 	// tail cut the log back inside the snapshot's coverage.
 	Reseeded bool
+	// Foreign: a snapshot newer than the one restored (if any) carries
+	// another magic or frame version — in an owner's own directory, a
+	// layout of its state this build does not read — and was passed over.
+	// The records above what was restored then complete no history the
+	// owner can trust.
+	Foreign bool
 }
 
 // Snapshotted is a Log with snapshots: state its owner rebuilds from the
@@ -111,7 +117,9 @@ func OpenSnapshotted(opts Options, magic [4]byte, restore func(payload []byte) e
 		return nil, rec, err
 	}
 	for _, lsn := range snaps {
-		if payload, ok := readSnapshot(opts.Dir, magic, lsn); ok {
+		payload, ok, foreign := readSnapshot(opts.Dir, magic, lsn)
+		rec.Foreign = rec.Foreign || foreign
+		if ok {
 			if err := restore(payload); err != nil {
 				return nil, rec, fmt.Errorf("wal: restoring %s: %w", snapName(lsn), err)
 			}
@@ -183,19 +191,22 @@ func listSnapshots(dir string) ([]uint64, error) {
 }
 
 // readSnapshot returns the payload of dir's snapshot at lsn, or false if
-// the file is short, foreign, fails its CRC, or covers another LSN than
-// its name says.
-func readSnapshot(dir string, magic [4]byte, lsn uint64) ([]byte, bool) {
+// the file is short, foreign (then foreign is true), fails its CRC, or
+// covers another LSN than its name says.
+func readSnapshot(dir string, magic [4]byte, lsn uint64) (payload []byte, ok, foreign bool) {
 	blob, err := os.ReadFile(filepath.Join(dir, snapName(lsn)))
-	if err != nil || len(blob) < snapHeader+lsnBytes || [4]byte(blob[:4]) != magic || blob[4] != snapVersion {
-		return nil, false
+	if err != nil || len(blob) < snapHeader+lsnBytes {
+		return nil, false, false
+	}
+	if [4]byte(blob[:4]) != magic || blob[4] != snapVersion {
+		return nil, false, true
 	}
 	body := blob[snapHeader:]
 	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(blob[5:snapHeader]) ||
 		binary.BigEndian.Uint64(body) != lsn {
-		return nil, false
+		return nil, false, false
 	}
-	return body[lsnBytes:], true
+	return body[lsnBytes:], true, false
 }
 
 // wipe deletes every segment file and every snapshot file named above

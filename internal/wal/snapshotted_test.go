@@ -294,12 +294,20 @@ func TestRestoreErrorFailsOpen(t *testing.T) {
 	if !errors.Is(err, refuse) {
 		t.Fatalf("OpenSnapshotted = %v, want the restore error", err)
 	}
-	// Another owner's file is passed over, not handed to restore.
+	// Another owner's file is passed over, not handed to restore, and
+	// reported.
 	s, rec, err := OpenSnapshotted(Options{Dir: dir}, [4]byte{'O', 'T', 'H', 'R'},
 		func([]byte) error { return refuse },
 		func(uint64, []byte) error { return nil })
-	if err != nil || rec.SnapshotLSN != 0 || rec.Replayed != 1 {
+	if err != nil || rec.SnapshotLSN != 0 || rec.Replayed != 1 || !rec.Foreign {
 		t.Fatalf("foreign magic: %+v, %v", rec, err)
+	}
+	s.Close()
+	s, rec, err = OpenSnapshotted(Options{Dir: dir}, testMagic,
+		func([]byte) error { return nil },
+		func(uint64, []byte) error { return nil })
+	if err != nil || rec.SnapshotLSN == 0 || rec.Foreign {
+		t.Fatalf("own magic: %+v, %v", rec, err)
 	}
 	s.Close()
 }
