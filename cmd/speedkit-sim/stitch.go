@@ -27,23 +27,26 @@ var stitchEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 // stitchRun is what one device↔server round produced: the normalized
 // golden export plus the identities the invariants are checked against.
 type stitchRun struct {
-	export   []byte
-	pageTID  tracectx.TraceID
-	writeTID tracectx.TraceID
-	// kindsByTID records, per trace ID, the server-side trace kinds that
-	// adopted it (oldest first).
-	pageKinds  []string
-	writeKinds []string
-	// parentOK is the causal-chain check: every server trace on the page
-	// load is parented by the device's page_load span, and the
-	// invalidation trace is parented by the server's http.write span.
+	export []byte
+	// pageTID is the cold load's, revisitTID the revisit's: the first load
+	// that holds a copy, so the first that fetches the sketch.
+	pageTID, revisitTID tracectx.TraceID
+	writeTID            tracectx.TraceID
+	// The server-side trace kinds that adopted each trace ID (oldest
+	// first).
+	pageKinds, revisitKinds []string
+	writeKinds              []string
+	// parentOK is the causal-chain check: every server trace on a page
+	// load is parented by that load's page_load span, and the invalidation
+	// trace is parented by the server's http.write span.
 	parentOK bool
 }
 
 // runStitch is the -stitch gate: a device proxy and a server run as two
 // causally independent tracer domains joined only by real HTTP requests
-// over a loopback listener, and the gate asserts that one page load and
-// one write each yield a single stitched trace — device and server spans
+// over a loopback listener, and the gate asserts that a cold page load, its
+// revisit and one write each yield a single stitched trace — device and
+// server spans
 // sharing a 128-bit trace ID propagated via the W3C traceparent header —
 // and that twin runs on the same seed export byte-identical trace JSON.
 // Violations exit non-zero, so `make stitch` is a CI gate.
@@ -65,15 +68,20 @@ func runStitch(seed int64, delta time.Duration, products int) {
 		fmt.Fprintf(os.Stderr, "STITCH VIOLATION: "+format+"\n", args...)
 	}
 
-	if a.pageTID.IsZero() || a.writeTID.IsZero() {
-		fail("device traces drew zero trace IDs (page=%s write=%s)", a.pageTID, a.writeTID)
+	if a.pageTID.IsZero() || a.revisitTID.IsZero() || a.writeTID.IsZero() {
+		fail("device traces drew zero trace IDs (page=%s revisit=%s write=%s)", a.pageTID, a.revisitTID, a.writeTID)
 	}
-	if a.pageTID == a.writeTID {
-		fail("page load and write collapsed onto one trace ID %s", a.pageTID)
+	if a.pageTID == a.writeTID || a.pageTID == a.revisitTID || a.revisitTID == a.writeTID {
+		fail("page loads and write collapsed onto shared trace IDs (%s, %s, %s)", a.pageTID, a.revisitTID, a.writeTID)
 	}
-	wantPage := []string{"http.sketch", "http.page"}
-	if !equalStrings(a.pageKinds, wantPage) {
-		fail("server traces on the page-load ID: got %v, want %v", a.pageKinds, wantPage)
+	// The cold load holds nothing for a sketch to vouch for: it crosses the
+	// wire for the shell alone. The revisit holds the copy: it crosses for
+	// the sketch, which clears the copy, and serves it from the device.
+	if want := []string{"http.page"}; !equalStrings(a.pageKinds, want) {
+		fail("server traces on the cold page-load ID: got %v, want %v", a.pageKinds, want)
+	}
+	if want := []string{"http.sketch"}; !equalStrings(a.revisitKinds, want) {
+		fail("server traces on the revisit's ID: got %v, want %v", a.revisitKinds, want)
 	}
 	// One write invalidates the product page and its category listing —
 	// two pipeline runs, both finished inside the write handler, so they
@@ -91,6 +99,7 @@ func runStitch(seed int64, delta time.Duration, products int) {
 
 	fmt.Printf("%s\n\n", a.export)
 	fmt.Printf("stitch: device page_load %s stitched to server %v\n", a.pageTID, a.pageKinds)
+	fmt.Printf("stitch: device page_load (revisit) %s stitched to server %v\n", a.revisitTID, a.revisitKinds)
 	fmt.Printf("stitch: device admin.write %s stitched to server %v\n", a.writeTID, a.writeKinds)
 	if violations > 0 {
 		fmt.Fprintf(os.Stderr, "\nstitch: %d violation(s)\n", violations)
@@ -143,17 +152,20 @@ func stitchOnce(seed int64, delta time.Duration, products int) (stitchRun, error
 		Tracer: devTracer,
 	}, httpclient.New(base, nil))
 
-	// One page load: the sketch bootstrap and the shell fetch both cross
-	// the wire carrying the page_load span context.
-	if _, err := dev.Load(context.Background(), "/product/p00042"); err != nil {
-		return run, fmt.Errorf("page load: %w", err)
+	// Two loads of one page: the cold one's shell fetch and the revisit's
+	// sketch fetch each cross the wire carrying their page_load span
+	// context.
+	for range 2 {
+		if _, err := dev.Load(context.Background(), "/product/p00042"); err != nil {
+			return run, fmt.Errorf("page load: %w", err)
+		}
 	}
-	pages := devTracer.Recent(1)
-	if len(pages) == 0 {
-		return run, fmt.Errorf("device tracer sampled nothing")
+	pages := devTracer.Recent(2)
+	if len(pages) != 2 {
+		return run, fmt.Errorf("device tracer sampled %d page loads, want 2", len(pages))
 	}
-	page := pages[0]
-	run.pageTID = page.TraceID
+	page, revisit := pages[1], pages[0] // newest first
+	run.pageTID, run.revisitTID = page.TraceID, revisit.TraceID
 
 	// One write, rooted on the device side the way an admin CLI would:
 	// the traceparent header makes the server's write span — and the
@@ -181,17 +193,21 @@ func stitchOnce(seed int64, delta time.Duration, products int) (stitchRun, error
 	// The server finishes a trace just before the response body is
 	// written, so an observer racing the response can miss the newest
 	// entry by a scheduler tick; bounded retry, then judge.
-	var srvPage, srvWrite []*obs.Trace
+	var srvPage, srvRevisit, srvWrite []*obs.Trace
 	for wait := 0; wait < 200; wait++ {
 		srvPage = svc.Tracer().ByTraceID(run.pageTID)
+		srvRevisit = svc.Tracer().ByTraceID(run.revisitTID)
 		srvWrite = svc.Tracer().ByTraceID(run.writeTID)
-		if len(srvPage) >= 2 && len(srvWrite) >= 3 {
+		if len(srvPage) >= 1 && len(srvRevisit) >= 1 && len(srvWrite) >= 3 {
 			break
 		}
 		clock.Sleep(clock.System, 5*time.Millisecond)
 	}
 	for _, tr := range srvPage {
 		run.pageKinds = append(run.pageKinds, tr.Kind)
+	}
+	for _, tr := range srvRevisit {
+		run.revisitKinds = append(run.revisitKinds, tr.Kind)
 	}
 	for _, tr := range srvWrite {
 		run.writeKinds = append(run.writeKinds, tr.Kind)
@@ -200,9 +216,14 @@ func stitchOnce(seed int64, delta time.Duration, products int) (stitchRun, error
 	// Causal parentage: the device span that carried the header must be
 	// the parent the server recorded.
 	run.parentOK = true
-	for _, tr := range srvPage {
-		if !tr.Remote || tr.ParentSpanID != page.SpanID {
-			run.parentOK = false
+	for _, load := range []struct {
+		dev *obs.Trace
+		srv []*obs.Trace
+	}{{page, srvPage}, {revisit, srvRevisit}} {
+		for _, tr := range load.srv {
+			if !tr.Remote || tr.ParentSpanID != load.dev.SpanID {
+				run.parentOK = false
+			}
 		}
 	}
 	var writeSpan tracectx.SpanID
@@ -221,11 +242,13 @@ func stitchOnce(seed int64, delta time.Duration, products int) (stitchRun, error
 	}
 
 	// The golden export: device root first, then the server traces it
-	// caused, for each of the two stitched requests. Wall-clock costs
+	// caused, for each of the three stitched requests. Wall-clock costs
 	// (the only nondeterminism — loopback TCP is real) are zeroed;
 	// identity, structure, ordering, and simulated timestamps must
 	// replay exactly.
 	all := append(devTracer.ByTraceID(run.pageTID), srvPage...)
+	all = append(all, devTracer.ByTraceID(run.revisitTID)...)
+	all = append(all, srvRevisit...)
 	all = append(all, devTracer.ByTraceID(run.writeTID)...)
 	all = append(all, srvWrite...)
 	run.export, err = obs.ExportTraces(normalizeDurations(all))

@@ -29,6 +29,10 @@ type Entry struct {
 	// Metadata carries small string annotations (content type, segment
 	// markers for dynamic blocks).
 	Metadata map[string]string
+	// Epoch is the sketch epoch whose expiration table knows this copy:
+	// the epoch of the tier that served it, 0 when that tier stated none
+	// (cachesketch.PageEpoch).
+	Epoch uint64
 }
 
 // Expired reports whether the entry is past its expiration at time now.

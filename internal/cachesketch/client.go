@@ -1,6 +1,7 @@
 package cachesketch
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,10 +16,9 @@ import (
 //
 // The held snapshot lives behind an atomic pointer and the counters are
 // atomics, so the per-request Check path — the sketch probe that gates
-// every cached read — takes no lock and allocates nothing. Install
-// publishes a new snapshot with a compare-and-swap that keeps the newest
-// (generation, TakenAt) pair, so racing refreshes can never regress the
-// held sketch.
+// every cached read — takes no lock and allocates nothing. Install and
+// Note serialize on installMu, so an install sees every note taken before
+// it and the held sketch never regresses (see Supersedes).
 type Client struct {
 	clk   clock.Clock
 	delta time.Duration
@@ -27,9 +27,37 @@ type Client struct {
 	// until one has): see EpochSince.
 	epochSince atomic.Pointer[time.Time]
 
+	installMu sync.Mutex
+	// notes sums up the epochs of the copies stored since the last Install
+	// (see Note). Guarded by installMu.
+	notes epochNotes
+
 	refreshes   atomic.Uint64
 	staleHits   atomic.Uint64
 	freshPasses atomic.Uint64
+}
+
+// epochNotes is what Install needs of a set of noted epochs: whether it is
+// empty, and whether it is one epoch and which.
+type epochNotes struct {
+	// n counts the noted copies, up to two: two mean at least two epochs.
+	n     uint8
+	epoch uint64
+}
+
+// add notes one copy's epoch.
+func (en *epochNotes) add(e uint64) {
+	switch {
+	case en.n == 0:
+		en.n, en.epoch = 1, e
+	case en.epoch != e:
+		en.n = 2
+	}
+}
+
+// other reports whether a noted epoch differs from e.
+func (en epochNotes) other(e uint64) bool {
+	return en.n == 2 || en.n == 1 && en.epoch != e
 }
 
 // ClientStats counts client-side protocol decisions.
@@ -83,36 +111,48 @@ func (sn *Snapshot) Supersedes(cur *Snapshot) bool {
 
 // Install stores a freshly fetched snapshot unless the one held is newer
 // (see Supersedes): out-of-order fetches can happen with concurrent
-// refreshes. A snapshot whose epoch differs from the held one's moves
-// EpochSince to now.
+// refreshes. It moves EpochSince to now when sn's epoch differs from the
+// held snapshot's or from that of any copy noted since the last Install.
 func (c *Client) Install(sn *Snapshot) {
 	if sn == nil {
 		return
 	}
-	for {
-		cur := c.snap.Load()
-		if !sn.Supersedes(cur) {
-			return
-		}
-		if cur != nil && cur.Epoch != sn.Epoch {
-			// Marked before the swap, so whoever sees sn sees the mark; a
-			// swap that then loses costs one spurious revalidation pass.
-			now := c.clk.Now()
-			c.epochSince.Store(&now)
-		}
-		if c.snap.CompareAndSwap(cur, sn) {
-			c.refreshes.Add(1)
-			return
-		}
+	c.installMu.Lock()
+	defer c.installMu.Unlock()
+	cur := c.snap.Load()
+	if !sn.Supersedes(cur) {
+		return
 	}
+	if cur != nil && cur.Epoch != sn.Epoch || c.notes.other(sn.Epoch) {
+		// Marked before the store, so whoever sees sn sees the mark.
+		now := c.clk.Now()
+		c.epochSince.Store(&now)
+	}
+	c.notes = epochNotes{}
+	c.snap.Store(sn)
+	c.refreshes.Add(1)
+}
+
+// Note records the epoch of a copy the device has just stored: the one
+// its answer stated, 0 for none (see PageEpoch). A copy stored while no
+// sketch vouched for it is known only to that epoch's expiration table,
+// so the next Install trusts it only if the epoch is its own; any other
+// epoch, or none, makes that Install move EpochSince and the copy is
+// revalidated once. Every stored copy is noted, under a sketch or not: a
+// copy an older incarnation served past a newer sketch is no better.
+func (c *Client) Note(epoch uint64) {
+	c.installMu.Lock()
+	c.notes.add(epoch)
+	c.installMu.Unlock()
 }
 
 // EpochSince returns when the held snapshot's epoch replaced another one,
 // or the zero time if the client has held one epoch only. A copy stored
 // before that instant was vouched for by another incarnation's sketch,
 // whose flags the held one does not carry: it must be revalidated once
-// before a sketch can vouch for it again. The first epoch sets no mark:
-// a client that held no sketch had no epoch to lose.
+// before a sketch can vouch for it again. The first epoch sets a mark only
+// if a copy stored before it stated another (see Note): a client that held
+// no sketch had no epoch to lose but the ones its copies came with.
 func (c *Client) EpochSince() time.Time {
 	if t := c.epochSince.Load(); t != nil {
 		return *t
@@ -132,7 +172,8 @@ func (c *Client) Generation() uint64 {
 }
 
 // Age returns how old the held snapshot is (Δ+1s if none is held, i.e.
-// definitely stale).
+// definitely stale). It is the snapshot's age, not the Δ budget a load
+// spent: a load that consulted no sketch spent none.
 func (c *Client) Age() time.Duration {
 	sn := c.snap.Load()
 	if sn == nil {

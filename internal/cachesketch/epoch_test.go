@@ -212,3 +212,91 @@ func TestClientInstallAcrossEpochsConcurrent(t *testing.T) {
 		t.Fatal("two epochs were installed and nothing was marked")
 	}
 }
+
+// TestClientNotedEpochs tables the install rule for copies stored before
+// the install: it keeps the mark where it is only if every noted epoch is
+// the installed one. An install consumes the notes before it.
+func TestClientNotedEpochs(t *testing.T) {
+	const installed, other = 7, 8
+	for _, row := range []struct {
+		name  string
+		notes []uint64
+		mark  bool
+	}{
+		{"nothing noted", nil, false},
+		{"same epoch", []uint64{installed, installed}, false},
+		{"another epoch", []uint64{other}, true},
+		{"two epochs", []uint64{installed, other}, true},
+		{"no epoch stated", []uint64{0}, true},
+	} {
+		clk := clock.NewSimulated(time.Unix(1000, 0))
+		c := NewClient(clk, time.Minute)
+		for _, e := range row.notes {
+			c.Note(e)
+		}
+		clk.Advance(time.Second)
+		c.Install(&Snapshot{Filter: bloom.NewFilter(64, 4), Epoch: installed, Generation: 1, TakenAt: clk.Now()})
+		if marked := !c.EpochSince().IsZero(); marked != row.mark {
+			t.Errorf("%s: marked %v, want %v", row.name, marked, row.mark)
+		}
+		mark := c.EpochSince()
+		clk.Advance(time.Second)
+		c.Install(&Snapshot{Filter: bloom.NewFilter(64, 4), Epoch: installed, Generation: 2, TakenAt: clk.Now()})
+		if !c.EpochSince().Equal(mark) {
+			t.Errorf("%s: the next install of the epoch moved the mark to %v: the notes were not consumed", row.name, c.EpochSince())
+		}
+	}
+}
+
+// TestClientNoteInstallConcurrent: notes and installs racing each other and
+// the read path. Every note names the one epoch installed, so no install
+// may mark. Run under -race.
+func TestClientNoteInstallConcurrent(t *testing.T) {
+	clk := clock.NewSimulated(time.Unix(1000, 0))
+	c := NewClient(clk, time.Minute)
+	f := bloom.NewFilter(64, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(installs bool) {
+			defer wg.Done()
+			for i := uint64(0); i < 200; i++ {
+				if installs {
+					c.Install(&Snapshot{Filter: f, Epoch: 3, Generation: i, TakenAt: clk.Now()})
+				} else {
+					c.Note(3)
+				}
+				c.Check("/k")
+				_ = c.EpochSince()
+			}
+		}(g%2 == 0)
+	}
+	wg.Wait()
+	if !c.EpochSince().IsZero() {
+		t.Fatalf("notes of the installed epoch marked %v", c.EpochSince())
+	}
+}
+
+// TestPageEpoch: the epoch a page answer states, 0 for none or for one
+// that does not parse; and the server's header value is read without a
+// lock or an allocation.
+func TestPageEpoch(t *testing.T) {
+	for v, want := range map[string]uint64{"00000000000abcde": 0xabcde, "": 0, "nope": 0, "1ffffffffffffffff": 0} {
+		h := http.Header{}
+		if v != "" {
+			h.Set(EpochHeader, v)
+		}
+		if got := PageEpoch(h); got != want {
+			t.Errorf("PageEpoch(%q) = %x, want %x", v, got, want)
+		}
+	}
+	srv := NewServer(ServerConfig{})
+	h := http.Header{}
+	h[EpochHeader] = srv.EpochValue()
+	if PageEpoch(h) != srv.Epoch() {
+		t.Fatalf("the server states %v, its epoch is %x", h[EpochHeader], srv.Epoch())
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = srv.EpochValue() }); n != 0 {
+		t.Fatalf("EpochValue allocates %.0f", n)
+	}
+}

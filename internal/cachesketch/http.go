@@ -33,10 +33,42 @@ const GenerationHeader = "X-Sketch-Generation"
 // EpochHeader carries Snapshot.Epoch, in hexadecimal. A holder hands on
 // the value it received verbatim, and the server formats its own once per
 // epoch, so the header costs a sketch response no allocation.
+//
+// Page answers carry it too: the epoch of the tier that served the copy,
+// whose expiration table knows it (see PageEpoch). A device that stored
+// the copy before it held a sketch learns from it whether that sketch's
+// epoch can vouch for the copy (Client.Note).
 const EpochHeader = "X-Sketch-Epoch"
 
 // epochValue is the EpochHeader value of epoch e.
 func epochValue(e uint64) []string { return []string{fmt.Sprintf("%016x", e)} }
+
+// EpochValue returns sn's EpochHeader value: the one it was taken or
+// received with, shared and read-only, else formatted now; nil for no
+// snapshot.
+func (sn *Snapshot) EpochValue() []string {
+	if sn == nil {
+		return nil
+	}
+	if sn.epochWire != nil {
+		return sn.epochWire
+	}
+	return epochValue(sn.Epoch)
+}
+
+// PageEpoch returns the epoch a page answer states in h, or 0 when it
+// states none or one that does not parse: an epoch no sketch carries.
+func PageEpoch(h http.Header) uint64 {
+	v := h[EpochHeader]
+	if len(v) == 0 {
+		return 0
+	}
+	e, err := strconv.ParseUint(v[0], 16, 64)
+	if err != nil {
+		return 0
+	}
+	return e
+}
 
 // ceilSeconds is d in the unit of the Age header.
 func ceilSeconds(d time.Duration) int64 {
@@ -73,11 +105,7 @@ func (sn *Snapshot) WriteHTTP(w http.ResponseWriter, cacheControl string, age ti
 		h.Set("Age", strconv.FormatInt(secs, 10))
 	}
 	h.Set(GenerationHeader, strconv.FormatUint(sn.Generation, 10))
-	if sn.epochWire != nil {
-		h[EpochHeader] = sn.epochWire
-	} else {
-		h[EpochHeader] = epochValue(sn.Epoch)
-	}
+	h[EpochHeader] = sn.EpochValue()
 	h.Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
 	return nil

@@ -103,10 +103,10 @@ type Server struct {
 	// snapshots with equal generations (and epochs) are interchangeable.
 	generation uint64 // guarded by mu
 	// epoch names this incarnation's generation sequence (see
-	// Snapshot.Epoch), and epochWire is its header value, formatted once
-	// so that no snapshot served formats it again.
-	epoch     uint64   // guarded by mu
-	epochWire []string // guarded by mu
+	// Snapshot.Epoch) with its header value, formatted once so that no
+	// snapshot or page answer formats it again. Written under mu, read
+	// without it.
+	epoch atomic.Pointer[epochName]
 	// journaledGen is the highest generation already reported through
 	// Journal.JournalGeneration — only generations actually exposed to
 	// clients via Snapshot matter for recovery's monotonicity floor.
@@ -159,26 +159,38 @@ func NewServer(cfg ServerConfig) *Server {
 
 // NewEpoch draws a random epoch. Epochs are identities: a holder only ever
 // asks whether two are equal. They come from crypto/rand, never from the
-// clock, so two starts under one simulated clock still differ.
+// clock, so two starts under one simulated clock still differ. Zero is
+// never drawn: it is the epoch of an answer that states none.
 func NewEpoch() uint64 {
 	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("cachesketch: no randomness for an epoch: " + err.Error())
+	for {
+		if _, err := rand.Read(b[:]); err != nil {
+			panic("cachesketch: no randomness for an epoch: " + err.Error())
+		}
+		if e := binary.BigEndian.Uint64(b[:]); e != 0 {
+			return e
+		}
 	}
-	return binary.BigEndian.Uint64(b[:])
+}
+
+// epochName is an epoch with its EpochHeader value.
+type epochName struct {
+	id   uint64
+	wire []string
 }
 
 // setEpochLocked switches the server to epoch e. Caller holds mu.
 func (s *Server) setEpochLocked(e uint64) {
-	s.epoch, s.epochWire = e, epochValue(e)
+	s.epoch.Store(&epochName{id: e, wire: epochValue(e)})
 }
 
 // Epoch returns the epoch the server's snapshots carry.
-func (s *Server) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
-}
+func (s *Server) Epoch() uint64 { return s.epoch.Load().id }
+
+// EpochValue returns the EpochHeader value of Epoch, formatted once per
+// epoch and shared: callers set it on a header as it is and never modify
+// it. Like Epoch it takes no lock, so every page answer can state it.
+func (s *Server) EpochValue() []string { return s.epoch.Load().wire }
 
 // SetEpoch makes the server continue epoch e: recovery calls it after a
 // clean shutdown, whose generations the restored floor still orders.
@@ -380,10 +392,11 @@ func (s *Server) Snapshot() *Snapshot {
 // snapshotLocked builds the snapshot of the state at now. Caller holds mu
 // and has already run advanceLocked(now).
 func (s *Server) snapshotLocked(now time.Time) *Snapshot {
+	ep := s.epoch.Load()
 	if s.coldFilter != nil {
 		// Cold-start window: serve the saturated all-stale sketch so every
 		// client revalidates. Not flat-cached — the window retires itself.
-		return &Snapshot{Filter: s.coldFilter, Generation: s.generation, Epoch: s.epoch, TakenAt: now, epochWire: s.epochWire}
+		return &Snapshot{Filter: s.coldFilter, Generation: s.generation, Epoch: ep.id, TakenAt: now, epochWire: ep.wire}
 	}
 	fc := s.flat.Load()
 	if fc == nil || fc.gen != s.generation {
@@ -394,10 +407,10 @@ func (s *Server) snapshotLocked(now time.Time) *Snapshot {
 	return &Snapshot{
 		Filter:     fc.filter,
 		Generation: fc.gen,
-		Epoch:      s.epoch,
+		Epoch:      ep.id,
 		TakenAt:    now,
 		flat:       fc,
-		epochWire:  s.epochWire,
+		epochWire:  ep.wire,
 	}
 }
 

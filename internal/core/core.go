@@ -623,6 +623,9 @@ func (s *Service) fetchFromOrigin(region netsim.Region, path string) (cache.Entr
 	ttlDur := s.ttlSrc.TTL(path)
 	entry := cache.TTLEntry(s.cfg.Clock, path, page.Body, page.Version, ttlDur)
 	entry.Metadata = proxy.EntryMetadata(page.Blocks, page.Links)
+	// The epoch whose expiration table the report below reaches: an edge
+	// copy answers with it for as long as it is held.
+	entry.Epoch = s.sketch.Epoch()
 	if edge != nil {
 		edge.Fill(entry)
 	}
@@ -683,6 +686,7 @@ func (s *Service) Revalidate(ctx context.Context, region netsim.Region, path str
 	if current == knownVersion && s.origin.Serves(path) {
 		ttlDur := s.ttlSrc.TTL(path)
 		entry := cache.TTLEntry(s.cfg.Clock, path, nil, knownVersion, ttlDur)
+		entry.Epoch = s.sketch.Epoch()
 		s.sketch.ReportCachedRead(path, entry.ExpiresAt)
 		lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.EdgeNode(region), revalidationHeaderBytes) +
 			s.cfg.Network.Latency(netsim.EdgeNode(region), netsim.OriginNode, revalidationHeaderBytes) + spike

@@ -378,6 +378,7 @@ func TestServiceStatsProgress(t *testing.T) {
 	svc, _ := newTestStorefront(t)
 	dev := svc.NewDevice(nil, netsim.US)
 	_, _ = dev.Load(context.Background(), "/")
+	_, _ = dev.Load(context.Background(), "/") // holds a copy: fetches the sketch
 	_ = svc.Docs().Patch("products", "p00001", map[string]any{"price": 9.9})
 	st := svc.Stats()
 	if st.SketchFetches == 0 || st.OriginRenders == 0 || st.Invalidations == 0 {

@@ -29,12 +29,17 @@ func newFaultedStorefront(t *testing.T, rules ...faults.Rule) (*Service, *clock.
 	return svc, clk, inj
 }
 
-// A sketch blackhole on a cold device cannot be bridged by a held copy,
-// so the load degrades to a forced revalidation — and still serves.
+// A sketch blackhole cannot be bridged by a copy held longer than Δ, so
+// the load degrades to a forced revalidation — and still serves. (A cold
+// device fetches no sketch at all: it holds nothing to vouch for.)
 func TestSketchBlackholeDegradesToRevalidation(t *testing.T) {
-	svc, _, _ := newFaultedStorefront(t,
+	svc, clk, _ := newFaultedStorefront(t,
 		faults.Rule{Component: faults.SketchFetch, Kind: faults.Blackhole, Probability: 1})
 	dev := svc.NewDevice(nil, netsim.EU)
+	if res, err := dev.Load(context.Background(), "/product/p00001"); err != nil || res.Degraded != proxy.DegradeNone {
+		t.Fatalf("cold load: degraded %q, %v; want the plain fetch", res.Degraded, err)
+	}
+	clk.Advance(31 * time.Second)
 	res, err := dev.Load(context.Background(), "/product/p00001")
 	if err != nil {
 		t.Fatal(err)

@@ -53,42 +53,53 @@ func TestDeviceLoadInstrumentsRegistryAndTracer(t *testing.T) {
 	if got := counterValue(t, reg, "speedkit.service.fetch.total", obs.L("source", "origin")); got != 1 {
 		t.Fatalf("service origin fetches = %v, want 1", got)
 	}
+	if got := counterValue(t, reg, "speedkit.device.sketch_refreshes.total"); got != 0 {
+		t.Fatalf("sketch refreshes = %v, want 0 (a cold client holds nothing to vouch for)", got)
+	}
+	// The revisit holds a copy: it refreshes the sketch and serves it.
+	if _, err := dev.Load(context.Background(), "/product/p00042"); err != nil {
+		t.Fatal(err)
+	}
 	if got := counterValue(t, reg, "speedkit.device.sketch_refreshes.total"); got != 1 {
-		t.Fatalf("sketch refreshes = %v, want 1 (cold client)", got)
+		t.Fatalf("sketch refreshes = %v, want 1 (the revisit)", got)
 	}
 
-	// The cold load must have produced exactly one sampled page_load trace
-	// carrying the serve source, the sketch stamp, and the span chain.
-	var page *obs.Trace
+	// Each load produced one sampled page_load trace carrying the serve
+	// source, the sketch stamp, and the span chain: the cold one without a
+	// sketch fetch, the revisit with one.
+	var pages []*obs.Trace
 	for _, tr := range tracer.Recent(16) {
 		if tr.Kind == "page_load" {
-			page = tr
-			break
+			pages = append(pages, tr)
 		}
 	}
-	if page == nil {
-		t.Fatal("no page_load trace sampled")
+	if len(pages) != 2 {
+		t.Fatalf("%d page_load traces sampled, want 2", len(pages))
 	}
-	if page.Path != "/product/p00042" || page.Source != "origin" {
-		t.Fatalf("trace = %+v", page)
+	revisit, cold := pages[0], pages[1] // newest first
+	if cold.Path != "/product/p00042" || cold.Source != "origin" || revisit.Source != "device" {
+		t.Fatalf("traces = %+v, %+v", cold, revisit)
 	}
-	if !page.SketchRefreshed {
-		t.Fatal("cold load should mark the sketch refresh")
+	if cold.SketchRefreshed || !revisit.SketchRefreshed {
+		t.Fatalf("sketch refreshed: cold %v, revisit %v; want only the revisit", cold.SketchRefreshed, revisit.SketchRefreshed)
 	}
-	if page.Blocks == 0 {
+	if cold.Blocks == 0 {
 		t.Fatal("personalized load recorded no blocks")
 	}
-	names := map[string]bool{}
-	for _, sp := range page.Spans {
-		names[sp.Name] = true
-	}
-	for _, want := range []string{"sketch.fetch", "shell.fetch", "personalize"} {
-		if !names[want] {
-			t.Fatalf("span %q missing from %+v", want, page.Spans)
+	for _, c := range []struct {
+		tr         *obs.Trace
+		want, none string
+	}{{cold, "shell.fetch", "sketch.fetch"}, {revisit, "sketch.fetch", ""}} {
+		names := map[string]bool{}
+		for _, sp := range c.tr.Spans {
+			names[sp.Name] = true
+		}
+		if !names[c.want] || !names["personalize"] || names[c.none] {
+			t.Fatalf("spans %+v: want %q and personalize, not %q", c.tr.Spans, c.want, c.none)
 		}
 	}
-	if page.Total <= 0 {
-		t.Fatalf("trace total = %v", page.Total)
+	if cold.Total <= 0 {
+		t.Fatalf("trace total = %v", cold.Total)
 	}
 }
 

@@ -26,6 +26,9 @@
 //     held sketch's epoch was installed: an upstream that restarted
 //     without its history vouches for none of them. Client If-None-Match
 //     gets 304s locally. Range requests are served from the cached body.
+//   - Every page answer states a sketch epoch (X-Sketch-Epoch): a hit the
+//     held sketch's, the only epoch the edge serves hits under; a relayed
+//     or refreshed answer the upstream's.
 //   - Entries, purges and the sketch epoch are journaled to a
 //     WAL-plus-snapshot disk tier (see disk.go); a restart recovers the
 //     cache crash-safely, warm against the same upstream epoch.
@@ -428,7 +431,7 @@ func (p *Proxy) servePage(w http.ResponseWriter, r *http.Request, key string) {
 			// this cannot reap it.
 			p.mem.Get(key)
 			p.m.hits.Add(1)
-			p.serveEntry(w, r, e, "hit")
+			p.serveEntry(w, r, e, "hit", snap.EpochValue())
 			return
 		}
 		p.revalidatePath(w, r, key, e)
@@ -443,12 +446,13 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 	hdr.Set("If-None-Match", fmt.Sprintf("%q", "v"+strconv.FormatUint(e.Version, 10)))
 	copyTraceparent(r, hdr)
 	resp, err := p.upstreamGet(r.Context(), "/page", "?path="+url.QueryEscape(key), hdr)
+	received := p.clk.Now()
 	if err != nil {
 		// Upstream unreachable: serve the stale copy rather than fail —
 		// the sketch already bounds how stale it can be.
 		p.m.upstreamErrors.Add(1)
 		p.m.servedStale.Add(1)
-		p.serveEntry(w, r, e, "stale")
+		p.serveEntry(w, r, e, "stale", p.sketch.Load().EpochValue())
 		return
 	}
 	defer resp.Body.Close()
@@ -457,13 +461,13 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 		ne := p.renewEntry(e, resp)
 		p.commit(ne)
 		p.m.revalidated.Add(1)
-		p.serveEntry(w, r, ne, "revalidated")
+		p.serveEntry(w, r, ne, "revalidated", resp.Header[cachesketch.EpochHeader])
 	case http.StatusOK:
 		body, err := httpbody.ReadAll(resp)
 		if err != nil {
 			p.m.upstreamErrors.Add(1)
 			p.m.servedStale.Add(1)
-			p.serveEntry(w, r, e, "stale")
+			p.serveEntry(w, r, e, "stale", p.sketch.Load().EpochValue())
 			return
 		}
 		p.m.misses.Add(1)
@@ -481,16 +485,16 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 			p.m.bytesServed.Add(uint64(len(body)))
 			return
 		}
-		ne := p.entryFromResponse(key, resp, body)
+		ne := p.entryFromResponse(key, resp, body, received)
 		p.commit(ne)
-		p.serveEntry(w, r, ne, "miss")
+		p.serveEntry(w, r, ne, "miss", resp.Header[cachesketch.EpochHeader])
 	default:
 		if resp.StatusCode >= 500 {
 			// A transient upstream failure must not evict a servable
 			// copy — treat it like the transport-error path above.
 			p.m.upstreamErrors.Add(1)
 			p.m.servedStale.Add(1)
-			p.serveEntry(w, r, e, "stale")
+			p.serveEntry(w, r, e, "stale", p.sketch.Load().EpochValue())
 			return
 		}
 		// The resource is gone (4xx): drop the entry and relay the
@@ -534,6 +538,10 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), fillTimeout)
 	defer cancel()
 	resp, err := p.upstreamGet(ctx, "/page", "?path="+url.QueryEscape(key), hdr)
+	// The copy dates from the answer, not from the commit after the body
+	// has streamed: a sketch of another epoch installed in between must
+	// find it stored before the install (see trustedSince).
+	received := p.clk.Now()
 	if err != nil {
 		f.finish(err)
 		p.m.upstreamErrors.Add(1)
@@ -596,7 +604,7 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 			// cache would hold it for the entry's lifetime.
 			buf = append(make([]byte, 0, len(buf)), buf...)
 		}
-		p.commit(p.entryFromResponse(key, resp, buf))
+		p.commit(p.entryFromResponse(key, resp, buf, received))
 	}
 }
 
@@ -631,13 +639,19 @@ func (p *Proxy) follow(w http.ResponseWriter, f *fill) {
 }
 
 // serveEntry answers from a committed entry: local 304s on matching
-// If-None-Match, 206/416 on Range, 200 otherwise.
-func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e cache.Entry, state string) {
+// If-None-Match, 206/416 on Range, 200 otherwise. epoch is the
+// EpochHeader value the answer states (none when empty): the held
+// sketch's for a copy served from the cache, the only epoch the edge
+// serves hits under; the upstream's for one it has just answered.
+func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e cache.Entry, state string, epoch []string) {
 	now := p.clk.Now()
 	etag := fmt.Sprintf("%q", "v"+strconv.FormatUint(e.Version, 10))
 	h := w.Header()
 	h.Set("ETag", etag)
 	h.Set("X-Edge-Cache", state)
+	if len(epoch) > 0 {
+		h[cachesketch.EpochHeader] = epoch
+	}
 	if ct := e.Metadata[metaContentType]; ct != "" {
 		h.Set("Content-Type", ct)
 	}
@@ -720,10 +734,9 @@ func (p *Proxy) renewEntry(e cache.Entry, resp *http.Response) cache.Entry {
 }
 
 // entryFromResponse builds the cached representation of a 200 page
-// response. Only protocol metadata is retained: key, body, version,
-// expiry, content type, and the sketch generation watermark.
-func (p *Proxy) entryFromResponse(key string, resp *http.Response, body []byte) cache.Entry {
-	now := p.clk.Now()
+// response received at now. Only protocol metadata is retained: key, body,
+// version, expiry, content type, and the sketch generation watermark.
+func (p *Proxy) entryFromResponse(key string, resp *http.Response, body []byte, now time.Time) cache.Entry {
 	e := cache.Entry{
 		Key:       key,
 		Body:      body,
@@ -831,7 +844,7 @@ func copyTraceparent(r *http.Request, dst http.Header) {
 // copyEntryHeaders copies the response headers worth relaying from an
 // origin fetch (hop-by-hop and connection headers stay behind).
 func copyEntryHeaders(dst, src http.Header) {
-	for _, k := range []string{"Content-Type", "Content-Length", "ETag", "Cache-Control", "X-Blocks", "X-Served-By", "X-Sketch-Generation"} {
+	for _, k := range []string{"Content-Type", "Content-Length", "ETag", "Cache-Control", "X-Blocks", "X-Served-By", "X-Sketch-Generation", cachesketch.EpochHeader} {
 		if v := src.Get(k); v != "" {
 			dst.Set(k, v)
 		}

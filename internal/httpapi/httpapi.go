@@ -4,7 +4,9 @@
 //
 //	GET  /v1/sketch                      the binary client sketch (cacheable for Δ)
 //	GET  /v1/page?path=...               anonymous page shell via the CDN path;
-//	                                     honors If-None-Match for conditional GETs
+//	                                     honors If-None-Match for conditional GETs;
+//	                                     every answer states the sketch epoch
+//	                                     (X-Sketch-Epoch)
 //	POST /v1/blocks                      first-party personalized fragments: the
 //	                                     user ID and block names framed in the
 //	                                     body, the fragments framed in request
@@ -49,6 +51,7 @@ import (
 	"time"
 
 	"speedkit/internal/cache"
+	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
 	"speedkit/internal/core"
 	"speedkit/internal/durable"
@@ -400,14 +403,18 @@ func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
 }
 
 // setCachingHeaders derives max-age from the entry expiration relative to
-// the service clock (which may be simulated in tests).
+// the service clock (which may be simulated in tests), and states the
+// sketch epoch whose expiration table now knows the copy: the server's,
+// shared, not formatted per answer.
 func (a *API) setCachingHeaders(w http.ResponseWriter, expiresAt time.Time, version uint64) {
 	ttl := int(expiresAt.Sub(a.svc.Clock().Now()).Seconds())
 	if ttl < 0 {
 		ttl = 0
 	}
-	w.Header().Set("Cache-Control", fmt.Sprintf("public, max-age=%d", ttl))
-	w.Header().Set("ETag", etagFor(version))
+	h := w.Header()
+	h.Set("Cache-Control", fmt.Sprintf("public, max-age=%d", ttl))
+	h.Set("ETag", etagFor(version))
+	h[cachesketch.EpochHeader] = a.svc.SketchServer().EpochValue()
 }
 
 func (a *API) writePage(w http.ResponseWriter, entry cache.Entry, simLat time.Duration, src string) {

@@ -26,17 +26,19 @@ var stitchEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 // stitchResult is one device↔server round: the device's root traces,
 // the server traces they stitched to, and the normalized export.
 type stitchResult struct {
-	page     *obs.Trace
-	write    *obs.Trace
-	srvPage  []*obs.Trace
-	srvWrite []*obs.Trace
-	export   []byte
+	page, revisit       *obs.Trace
+	write               *obs.Trace
+	srvPage, srvRevisit []*obs.Trace
+	srvWrite            []*obs.Trace
+	export              []byte
 }
 
 // runStitchRound runs a real two-process exchange: a server process
 // (its own tracer domain, seed 2) behind an httptest listener, and a
 // device proxy (seed 1) whose only connection to it is the HTTP wire.
-// One page load and one traceparent-carrying write cross that wire.
+// A cold page load, a revisit of the page — the first load that holds a
+// copy, so the first to fetch the sketch — and one traceparent-carrying
+// write cross that wire.
 func runStitchRound(t *testing.T) stitchResult {
 	t.Helper()
 
@@ -65,12 +67,14 @@ func runStitchRound(t *testing.T) stitchResult {
 		Tracer: devTracer,
 	}, httpclient.New(ts.URL, nil))
 
-	if _, err := dev.Load(context.Background(), "/product/p00042"); err != nil {
-		t.Fatalf("page load over HTTP: %v", err)
+	for range 2 {
+		if _, err := dev.Load(context.Background(), "/product/p00042"); err != nil {
+			t.Fatalf("page load over HTTP: %v", err)
+		}
 	}
-	pages := devTracer.Recent(1)
-	if len(pages) != 1 {
-		t.Fatalf("device tracer sampled %d traces, want 1", len(pages))
+	pages := devTracer.Recent(2)
+	if len(pages) != 2 {
+		t.Fatalf("device tracer sampled %d traces, want 2", len(pages))
 	}
 
 	wtr := devTracer.Start("admin.write", "/product/p00042")
@@ -89,19 +93,22 @@ func runStitchRound(t *testing.T) stitchResult {
 	}
 	devTracer.Finish(wtr)
 
-	res := stitchResult{page: pages[0], write: wtr}
+	res := stitchResult{page: pages[1], revisit: pages[0], write: wtr} // newest first
 	// The server finishes its traces just before the response bytes are
 	// read back on this side; give the handler goroutine a bounded beat.
 	for wait := 0; wait < 400; wait++ {
 		res.srvPage = svc.Tracer().ByTraceID(res.page.TraceID)
+		res.srvRevisit = svc.Tracer().ByTraceID(res.revisit.TraceID)
 		res.srvWrite = svc.Tracer().ByTraceID(res.write.TraceID)
-		if len(res.srvPage) >= 2 && len(res.srvWrite) >= 3 {
+		if len(res.srvPage) >= 1 && len(res.srvRevisit) >= 1 && len(res.srvWrite) >= 3 {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
 	all := append([]*obs.Trace{res.page}, res.srvPage...)
+	all = append(all, res.revisit)
+	all = append(all, res.srvRevisit...)
 	all = append(all, res.write)
 	all = append(all, res.srvWrite...)
 	res.export, err = obs.ExportTraces(normalizeWallClock(all))
@@ -144,32 +151,44 @@ func TestCrossProcessStitching(t *testing.T) {
 	if res.page.TraceID.IsZero() || res.write.TraceID.IsZero() {
 		t.Fatalf("device roots drew zero trace IDs")
 	}
-	if res.page.TraceID == res.write.TraceID {
-		t.Fatalf("page load and write share trace ID %s", res.page.TraceID)
+	if res.page.TraceID == res.write.TraceID || res.page.TraceID == res.revisit.TraceID {
+		t.Fatalf("page load shares trace ID %s", res.page.TraceID)
 	}
 
-	// The page load crossed the wire twice (sketch bootstrap + shell
-	// fetch); both server traces must have adopted the device identity.
-	kinds := map[string]*obs.Trace{}
-	for _, tr := range res.srvPage {
-		kinds[tr.Kind] = tr
-	}
-	for _, want := range []string{"http.sketch", "http.page"} {
-		tr := kinds[want]
+	// The cold load crossed the wire once, for the shell: it held nothing
+	// for a sketch to vouch for. The revisit crossed it for the sketch.
+	// Every server trace must have adopted its load's device identity.
+	for _, load := range []struct {
+		name      string
+		dev       *obs.Trace
+		srv       []*obs.Trace
+		want, not string
+	}{
+		{"cold load", res.page, res.srvPage, "http.page", "http.sketch"},
+		{"revisit", res.revisit, res.srvRevisit, "http.sketch", "http.page"},
+	} {
+		kinds := map[string]*obs.Trace{}
+		for _, tr := range load.srv {
+			kinds[tr.Kind] = tr
+		}
+		if kinds[load.not] != nil {
+			t.Errorf("the %s crossed the wire for %s", load.name, load.not)
+		}
+		tr := kinds[load.want]
 		if tr == nil {
-			t.Fatalf("server recorded no %s trace on the page-load ID; got %d traces", want, len(res.srvPage))
+			t.Fatalf("server recorded no %s trace on the %s's ID; got %d traces", load.want, load.name, len(load.srv))
 		}
 		if !tr.Remote {
-			t.Errorf("%s trace not marked Remote", want)
+			t.Errorf("%s trace not marked Remote", load.want)
 		}
-		if tr.TraceID != res.page.TraceID {
-			t.Errorf("%s adopted trace ID %s, want %s", want, tr.TraceID, res.page.TraceID)
+		if tr.TraceID != load.dev.TraceID {
+			t.Errorf("%s adopted trace ID %s, want %s", load.want, tr.TraceID, load.dev.TraceID)
 		}
-		if tr.ParentSpanID != res.page.SpanID {
-			t.Errorf("%s parent span = %s, want device page span %s", want, tr.ParentSpanID, res.page.SpanID)
+		if tr.ParentSpanID != load.dev.SpanID {
+			t.Errorf("%s parent span = %s, want device page span %s", load.want, tr.ParentSpanID, load.dev.SpanID)
 		}
-		if tr.SpanID == res.page.SpanID || tr.SpanID.IsZero() {
-			t.Errorf("%s drew span ID %s — must be its own, non-zero", want, tr.SpanID)
+		if tr.SpanID == load.dev.SpanID || tr.SpanID.IsZero() {
+			t.Errorf("%s drew span ID %s — must be its own, non-zero", load.want, tr.SpanID)
 		}
 	}
 

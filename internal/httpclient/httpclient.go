@@ -173,7 +173,8 @@ func expiresAt(h http.Header, now time.Time) time.Time {
 	return time.Time{}
 }
 
-// entryFromResponse builds a cache entry from a 200 page response.
+// entryFromResponse builds a cache entry from a 200 page response, with
+// the epoch the answer states.
 func (t *Transport) entryFromResponse(path string, resp *http.Response, body []byte) cache.Entry {
 	now := t.clk.Now()
 	e := cache.Entry{
@@ -182,6 +183,7 @@ func (t *Transport) entryFromResponse(path string, resp *http.Response, body []b
 		Version:   parseVersionETag(resp.Header.Get("ETag")),
 		StoredAt:  now,
 		ExpiresAt: expiresAt(resp.Header, now),
+		Epoch:     cachesketch.PageEpoch(resp.Header),
 	}
 	if blocks := resp.Header.Get("X-Blocks"); blocks != "" {
 		e.Metadata = map[string]string{"blocks": blocks}
@@ -235,7 +237,8 @@ func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string
 	switch resp.StatusCode {
 	case http.StatusNotModified:
 		now := t.clk.Now()
-		e := cache.Entry{Key: path, Version: knownVersion, StoredAt: now, ExpiresAt: expiresAt(resp.Header, now)}
+		e := cache.Entry{Key: path, Version: knownVersion, StoredAt: now, ExpiresAt: expiresAt(resp.Header, now),
+			Epoch: cachesketch.PageEpoch(resp.Header)}
 		return proxy.RevalidationResult{
 			NotModified: true, Entry: e, Latency: lat, Source: proxy.SourceOrigin,
 		}, nil

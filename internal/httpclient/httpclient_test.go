@@ -72,8 +72,8 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.SketchRefreshed {
-		t.Fatal("cold load did not pull the sketch over HTTP")
+	if res.SketchRefreshed {
+		t.Fatal("cold load pulled a sketch with no copy for it to vouch for")
 	}
 	if res.Source != proxy.SourceOrigin {
 		t.Fatalf("cold source = %v", res.Source)
@@ -86,13 +86,13 @@ func TestEndToEndOverHTTP(t *testing.T) {
 		t.Fatal("placeholders survived")
 	}
 
-	// Second load: device cache, no network.
+	// Second load: the sketch over HTTP, then the device cache.
 	res, err = dev.Load(context.Background(), "/product/p00003")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Source != proxy.SourceDevice {
-		t.Fatalf("warm source = %v", res.Source)
+	if res.Source != proxy.SourceDevice || !res.SketchRefreshed {
+		t.Fatalf("warm source = %v, sketch refreshed %v", res.Source, res.SketchRefreshed)
 	}
 }
 
@@ -111,8 +111,8 @@ func TestWriteInvalidationVisibleOverHTTP(t *testing.T) {
 	// propagation delay.
 	time.Sleep(25 * time.Millisecond)
 
-	// A brand-new device has no sketch yet → fetches the flagged one →
-	// revalidates → sees v2 with the new price.
+	// A brand-new device holds no copy → fetches the page, which the purge
+	// has taken from the CDN → sees v2 with the new price.
 	dev2 := proxy.New(proxy.Config{Region: netsim.EU, Delta: 30 * time.Second},
 		transportOf(t, svc))
 	res, err := dev2.Load(context.Background(), path)

@@ -23,8 +23,25 @@ import (
 // the restarted server knows: it sends no purge, and its sketch never
 // flags the page. Past Δ both holders must nonetheless read the new
 // version — because the restarted server's sketch carries a new epoch,
-// and neither holder trusts a copy it stored under another.
+// and neither holder trusts a copy it stored under another. That holds
+// for a device that held the old epoch's sketch, and for one that stored
+// its copy before it held any: the page answer stated the old epoch, and
+// the device's first sketch, of the new one, does not vouch for it.
 func TestRestartedServerBehindEdgeAndDevice(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		// sketched: the device revisits the page before the restart, so
+		// it holds the old epoch's sketch.
+		sketched bool
+	}{
+		{"device held the old sketch", true},
+		{"device stored the page sketch-less", false},
+	} {
+		t.Run(row.name, func(t *testing.T) { restartBehindEdgeAndDevice(t, row.sketched) })
+	}
+}
+
+func restartBehindEdgeAndDevice(t *testing.T, sketched bool) {
 	const delta = 30 * time.Second
 	const path = "/product/p00004"
 	clk := clock.NewSimulated(time.Unix(1_000_000, 0))
@@ -78,8 +95,13 @@ func TestRestartedServerBehindEdgeAndDevice(t *testing.T) {
 	if err := ed.RefreshSketch(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := device.Load(ctx, path); err != nil || res.Version != 1 {
-		t.Fatalf("first load: v%d, %v", res.Version, err)
+	if res, err := device.Load(ctx, path); err != nil || res.Version != 1 || res.SketchRefreshed {
+		t.Fatalf("first load: v%d, sketch refreshed %v, %v; want v1 without a sketch", res.Version, res.SketchRefreshed, err)
+	}
+	if sketched {
+		if res, err := device.Load(ctx, path); err != nil || !res.SketchRefreshed || res.Source != proxy.SourceDevice {
+			t.Fatalf("revisit: %+v, %v; want the device under the old epoch's sketch", res, err)
+		}
 	}
 
 	// The restart: nothing of the first incarnation survives.
@@ -104,8 +126,9 @@ func TestRestartedServerBehindEdgeAndDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Version != 2 {
-		t.Fatalf("device read v%d past Δ after the write, want 2 (source %v, revalidated %v)", res.Version, res.Source, res.Revalidated)
+	if res.Version != 2 || !res.SketchRefreshed {
+		t.Fatalf("device read v%d past Δ after the write, want 2 (source %v, revalidated %v, sketch refreshed %v)",
+			res.Version, res.Source, res.Revalidated, res.SketchRefreshed)
 	}
 	resp, err := http.Get(edgeSrv.URL + "/v1/page?path=" + path)
 	if err != nil {

@@ -2,9 +2,10 @@
 // service-worker-style proxy installed in the user's device. It
 // intercepts page requests and enforces two disciplines at once:
 //
-//   - Coherence: before serving anything from the device cache it
-//     consults the Cache Sketch client (refreshing the sketch when older
-//     than Δ), so every load is Δ-atomic.
+//   - Coherence: a copy held in the device cache is served only under a
+//     Cache Sketch younger than Δ (fetched then, if the one held is not),
+//     so every load is Δ-atomic. A load with no copy to vouch for goes
+//     straight to the network and fetches no sketch.
 //   - Compliance: requests toward shared infrastructure (the CDN) carry
 //     only anonymous fields; all personalization happens on-device by
 //     swapping dynamic-block placeholders for fragments rendered from
@@ -338,12 +339,19 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 	trace := p.cfg.Tracer.Start("page_load", path)
 	ctx = obs.ContextWithTrace(ctx, trace)
 
-	// 1. Sketch freshness: refresh if older than Δ. The sketch itself is
-	// an anonymous resource fetched from the edge. A failed refresh
+	// 1. The sketch decides one thing: whether a copy the device holds may
+	// be served. Without an unexpired copy there is nothing for it to
+	// vouch for, and the load goes to the network without one — a plain
+	// fetch, which with no held version is the request a revalidation
+	// would send. Peek, not Get: Get reaps the expired copies the offline
+	// rung serves. With a copy, the sketch is refreshed if older than Δ;
+	// it is an anonymous resource fetched from the edge. A failed refresh
 	// (upstream fault, open breaker, exhausted budget) does not fail the
 	// load; it pushes the shell decision onto the degradation ladder.
-	sketchOK := !p.cfg.DisableSketch
-	if !p.cfg.DisableSketch && p.sketch.NeedsRefresh() {
+	_, holds := p.store.Peek(path)
+	consult := holds && !p.cfg.DisableSketch
+	sketchOK := consult
+	if consult && p.sketch.NeedsRefresh() {
 		var sn *cachesketch.Snapshot
 		sketchStart := res.Latency
 		err := p.withRetry(ctx, &res, p.brSketch, "sketch", func() error {
@@ -378,12 +386,16 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 		}
 	}
 	// Sketch state at decision time: how much of the Δ budget the held
-	// snapshot had consumed when it vouched for this load. The fraction
-	// feeds both the sampled trace and the SLO histogram (which counts
-	// every load, sampled or not).
+	// snapshot had consumed when it vouched for this load — none when the
+	// load consulted no sketch, since nothing was served on its word. The
+	// fraction feeds both the sampled trace and the SLO histogram (which
+	// counts every load, sampled or not).
 	budgetFrac := -1.0
 	if !p.cfg.DisableSketch {
-		age := p.sketch.Age()
+		var age time.Duration
+		if consult {
+			age = p.sketch.Age()
+		}
 		trace.SetSketch(p.sketch.Generation(), age, p.cfg.Delta)
 		if p.cfg.Delta > 0 {
 			budgetFrac = float64(age) / float64(p.cfg.Delta)
@@ -399,7 +411,7 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 	decision := cachesketch.ServeFromCache
 	var entry cache.Entry
 	served := false
-	if !p.cfg.DisableSketch {
+	if consult {
 		if sketchOK {
 			decision = p.sketch.Check(path)
 		} else if held, ok := p.heldWithinDelta(path); ok {
@@ -460,7 +472,7 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 
 	var err error
 	shellStart := res.Latency
-	if !served && decision == cachesketch.ServeFromCache {
+	if !served && decision == cachesketch.ServeFromCache && holds {
 		entry, served = p.store.Get(path)
 		// A copy stored before the held sketch's epoch was installed was
 		// vouched for by another incarnation: it is revalidated once.
@@ -583,29 +595,39 @@ func (p *Proxy) fetchShell(ctx context.Context, path string, res *PageLoad) (cac
 	// The entry's ExpiresAt is absolute, so the device copy expires in
 	// lockstep with every other cache of the same response — exactly the
 	// assumption the server's expiration table depends on.
-	p.store.Put(entry)
+	p.keep(entry)
 	return entry, nil
+}
+
+// keep stores a copy fetched from upstream and notes its epoch with the
+// sketch client, so that the next sketch installed trusts the copy only if
+// that sketch's epoch is the one that served it (cachesketch.Client.Note).
+func (p *Proxy) keep(e cache.Entry) {
+	p.store.Put(e)
+	p.sketch.Note(e.Epoch)
 }
 
 // revalidateShell refreshes a sketch-flagged page. When the device still
 // holds a copy (even an expired one), it issues a conditional fetch with
-// the held version: if the origin's version is unchanged, only the
-// expiration is renewed and no body travels — the protocol's
-// 304-equivalent. Without a held copy it degrades to a plain fetch.
+// the held version: if that version is still current, only the expiration
+// is renewed and no body travels — the protocol's 304-equivalent. The
+// request takes the CDN path like any fetch: an edge copy newer than the
+// held version answers it, and an edge at the held version takes it
+// upstream (core.Service.Revalidate, edge.Proxy). Without a held copy it
+// is a plain fetch.
 func (p *Proxy) revalidateShell(ctx context.Context, path string, res *PageLoad) (cache.Entry, error) {
-	// Without a held copy there is no version to condition on, but the
-	// request must still travel the revalidation path (version 0 never
-	// matches): a plain fetch could be answered by an edge still holding
-	// the pre-purge copy inside the purge-propagation window.
-	var knownVersion uint64
+	// With no copy there is no version to condition on. A conditional
+	// request for version 0 is a plain fetch everywhere but at an edge
+	// whose copy itself counts as version 0 — one filled from an answer
+	// without an ETag — which would answer 304 with no page to keep.
 	held, ok := p.store.PeekAny(path)
-	if ok {
-		knownVersion = held.Version
+	if !ok {
+		return p.fetchShell(ctx, path, res)
 	}
 	p.auditCDN("path")
 	var rr RevalidationResult
 	err := p.withRetry(ctx, res, p.brShell, "shell", func() error {
-		r, err := p.tr.Revalidate(ctx, p.cfg.Region, path, knownVersion)
+		r, err := p.tr.Revalidate(ctx, p.cfg.Region, path, held.Version)
 		if err != nil {
 			return err
 		}
@@ -623,14 +645,15 @@ func (p *Proxy) revalidateShell(ctx context.Context, path string, res *PageLoad)
 	default:
 		p.stats.OriginFetches++
 	}
-	if rr.NotModified && ok {
+	if rr.NotModified {
 		p.stats.NotModified++
 		held.ExpiresAt = rr.Entry.ExpiresAt
 		held.StoredAt = rr.Entry.StoredAt
-		p.store.Put(held)
+		held.Epoch = rr.Entry.Epoch
+		p.keep(held)
 		return held, nil
 	}
-	p.store.Put(rr.Entry)
+	p.keep(rr.Entry)
 	return rr.Entry, nil
 }
 
@@ -870,7 +893,7 @@ func (p *Proxy) prefetch(ctx context.Context, entry cache.Entry) {
 		if err != nil {
 			return // offline or server trouble: stop prefetching quietly
 		}
-		p.store.Put(fetched)
+		p.keep(fetched)
 		p.stats.Prefetches++
 		p.stats.PrefetchTime += lat
 		k--

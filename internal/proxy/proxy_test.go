@@ -29,12 +29,18 @@ type fakeTransport struct {
 	sketchLat  time.Duration
 	sketchDown bool
 	sketchAge  time.Duration // how long a cache on the path held the sketch
+	// calls logs every transport call by method, in order.
+	calls []string
+	// epochs, by path, replace the sketch server's epoch as the one a page
+	// answer states.
+	epochs     map[string]uint64
 	blockCalls int
 	lastBlocks []string
 	lastUser   *session.User
 }
 
 func (f *fakeTransport) FetchSketch(_ context.Context, _ netsim.Region) (*cachesketch.Snapshot, time.Duration, error) {
+	f.calls = append(f.calls, "FetchSketch")
 	if f.sketchDown {
 		return nil, 0, ErrOffline
 	}
@@ -44,6 +50,7 @@ func (f *fakeTransport) FetchSketch(_ context.Context, _ netsim.Region) (*caches
 }
 
 func (f *fakeTransport) Fetch(_ context.Context, _ netsim.Region, path string) (cache.Entry, time.Duration, Source, error) {
+	f.calls = append(f.calls, "Fetch")
 	if f.fetchHook != nil {
 		if err := f.fetchHook(); err != nil {
 			return cache.Entry{}, 0, 0, err
@@ -56,12 +63,23 @@ func (f *fakeTransport) Fetch(_ context.Context, _ netsim.Region, path string) (
 	if !ok {
 		return cache.Entry{}, 0, 0, errors.New("no such page")
 	}
-	// Mimic the service: report the cache fill to the sketch server.
+	// Mimic the service: report the cache fill to the sketch server, and
+	// state its epoch.
 	f.sketchSrv.ReportCachedRead(path, e.ExpiresAt)
+	e.Epoch = f.epoch(path)
 	return e, f.fetchLat, f.fetchSrc, nil
 }
 
+// epoch is the epoch an answer for path states.
+func (f *fakeTransport) epoch(path string) uint64 {
+	if e, ok := f.epochs[path]; ok {
+		return e
+	}
+	return f.sketchSrv.Epoch()
+}
+
 func (f *fakeTransport) Revalidate(_ context.Context, _ netsim.Region, path string, knownVersion uint64) (RevalidationResult, error) {
+	f.calls = append(f.calls, "Revalidate")
 	if f.fetchErr != nil {
 		return RevalidationResult{}, f.fetchErr
 	}
@@ -71,15 +89,18 @@ func (f *fakeTransport) Revalidate(_ context.Context, _ netsim.Region, path stri
 	}
 	if e.Version == knownVersion {
 		fresh := cache.TTLEntry(f.clk, path, nil, knownVersion, time.Hour)
+		fresh.Epoch = f.epoch(path)
 		f.sketchSrv.ReportCachedRead(path, fresh.ExpiresAt)
 		return RevalidationResult{NotModified: true, Entry: fresh,
 			Latency: 5 * time.Millisecond, Source: SourceOrigin}, nil
 	}
 	f.sketchSrv.ReportCachedRead(path, e.ExpiresAt)
+	e.Epoch = f.epoch(path)
 	return RevalidationResult{Entry: e, Latency: f.fetchLat, Source: f.fetchSrc}, nil
 }
 
 func (f *fakeTransport) FetchBlocks(_ context.Context, _ netsim.Region, names []string, u *session.User) (map[string][]byte, time.Duration, error) {
+	f.calls = append(f.calls, "FetchBlocks")
 	if f.blockErr != nil {
 		return nil, 0, f.blockErr
 	}
@@ -128,20 +149,22 @@ func loggedInUser() *session.User {
 		LoggedIn: true, Tier: "gold", ConsentPersonalization: true}
 }
 
-func TestLoadColdFetchesSketchAndShell(t *testing.T) {
-	p, _, _ := newTestProxy(t, loggedInUser())
+// TestLoadColdFetchesOnlyTheShell: a device that holds no copy has
+// nothing for a sketch to vouch for, so its load is the shell fetch alone.
+func TestLoadColdFetchesOnlyTheShell(t *testing.T) {
+	p, tr, _ := newTestProxy(t, loggedInUser())
 	res, err := p.Load(context.Background(), "/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.SketchRefreshed {
-		t.Fatal("cold load did not refresh sketch")
+	if res.SketchRefreshed || len(tr.calls) != 1 || tr.calls[0] != "Fetch" {
+		t.Fatalf("cold load: refreshed %v, transport calls %v; want one Fetch", res.SketchRefreshed, tr.calls)
 	}
 	if res.Source != SourceCDN {
 		t.Fatalf("source = %v", res.Source)
 	}
-	if res.Latency < 55*time.Millisecond {
-		t.Fatalf("latency %v missing sketch+fetch costs", res.Latency)
+	if res.Latency < 40*time.Millisecond || res.Latency >= 55*time.Millisecond {
+		t.Fatalf("latency %v, want the fetch's cost and no sketch's", res.Latency)
 	}
 	if res.Version != 1 {
 		t.Fatalf("version = %d", res.Version)
@@ -151,7 +174,15 @@ func TestLoadColdFetchesSketchAndShell(t *testing.T) {
 func TestLoadSecondHitServedFromDevice(t *testing.T) {
 	p, _, _ := newTestProxy(t, loggedInUser())
 	_, _ = p.Load(context.Background(), "/")
+	// The first load that holds a copy fetches the sketch to vouch for it.
 	res, err := p.Load(context.Background(), "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Source != SourceDevice || !res.SketchRefreshed {
+		t.Fatalf("revisit: source %v, refreshed %v; want the device under a new sketch", res.Source, res.SketchRefreshed)
+	}
+	res, err = p.Load(context.Background(), "/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +196,7 @@ func TestLoadSecondHitServedFromDevice(t *testing.T) {
 		t.Fatalf("device hit latency %v too high", res.Latency)
 	}
 	st := p.Stats()
-	if st.DeviceHits != 1 || st.CDNHits != 1 || st.Loads != 2 {
+	if st.DeviceHits != 2 || st.CDNHits != 1 || st.Loads != 3 || st.SketchRefreshes != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -304,6 +335,7 @@ func TestNoPIICrossesCDNBoundary(t *testing.T) {
 func TestSketchGovernsDeviceCache(t *testing.T) {
 	p, tr, clk := newTestProxy(t, nil)
 	_, _ = p.Load(context.Background(), "/") // cold: caches shell v1
+	_, _ = p.Load(context.Background(), "/") // revisit: fetches the sketch
 
 	// Origin writes the page; server sketch flags it.
 	tr.sketchSrv.ReportWrite("/")

@@ -148,10 +148,12 @@ func TestBudgetExceededDegradesToHeldCopy(t *testing.T) {
 }
 
 func TestBudgetExceededWithoutCopyReturnsTypedError(t *testing.T) {
-	p, _, _ := newTestProxy(t, nil)
+	p, tr, _ := newTestProxy(t, nil)
 	p.cfg.Resilience.LoadBudget = time.Nanosecond
-	// Cold load: the sketch fetch itself consumes the (tiny) budget, so
-	// the shell fetch is refused and no copy exists to degrade to.
+	tr.fetchErr = fmt.Errorf("flaky edge: %w", ErrUpstream)
+	// Cold load: the first shell attempt fails and its backoff consumes
+	// the (tiny) budget, so the retry is refused and no copy exists to
+	// degrade to.
 	_, err := p.Load(context.Background(), "/never-seen")
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)

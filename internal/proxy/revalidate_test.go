@@ -79,9 +79,10 @@ func TestRevalidationModifiedFetchesNewBody(t *testing.T) {
 	}
 }
 
-// TestRevalidationExpiredCopyStillConditional: an expired device copy
-// cannot be served, but its version still enables a conditional request.
-func TestRevalidationExpiredCopyStillConditional(t *testing.T) {
+// TestExpiredCopyIsFetchedWithoutSketch: an expired device copy cannot be
+// served, so no sketch decides anything about it — not even a fresh one
+// that flags the page. The load is a plain fetch, as for no copy at all.
+func TestExpiredCopyIsFetchedWithoutSketch(t *testing.T) {
 	p, tr, clk := newTestProxy(t, nil)
 	// Short-lived page.
 	body := []byte("short " + origin.BlockPlaceholder("cart"))
@@ -97,16 +98,17 @@ func TestRevalidationExpiredCopyStillConditional(t *testing.T) {
 	clk.Advance(11 * time.Second) // device copy expires; flag persists
 	p.sketch.Install(tr.sketchSrv.Snapshot())
 
+	tr.calls = nil
 	res, err := p.Load(context.Background(), "/short")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Version unchanged → 304 path even though the copy had expired.
-	if p.Stats().NotModified != 1 {
-		t.Fatalf("expired copy not conditionally revalidated: %+v", p.Stats())
+	if len(tr.calls) != 1 || tr.calls[0] != "Fetch" || res.Revalidated || res.SketchRefreshed {
+		t.Fatalf("load with an expired copy: calls %v, revalidated %v, refreshed %v; want one Fetch",
+			tr.calls, res.Revalidated, res.SketchRefreshed)
 	}
-	if len(res.Body) == 0 {
-		t.Fatal("body lost across expired-copy revalidation")
+	if len(res.Body) == 0 || res.Version != 1 {
+		t.Fatalf("expired copy refetched as v%d, %d bytes", res.Version, len(res.Body))
 	}
 }
 
