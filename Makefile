@@ -147,7 +147,9 @@ stitch:
 # Edge gate: a real speedkit-server and a speedkit edge proxy joined only
 # by loopback HTTP. Asserts a 100-client stampede reaches the origin
 # exactly once, backend writes purge the edge through the invalidation
-# pipeline, a seed-pinned kill torn into the disk tier's WAL mid-fill is
+# pipeline, the blocks API sent to the edge is its own 404, a device
+# behind the edge takes its reco fragment from the origin with its user
+# ID in no edge request, a seed-pinned kill torn into the disk tier's WAL mid-fill is
 # recovered warm by an in-process restart serving byte-identical bodies
 # without refetching, and no PII byte sits in anything the edge
 # persisted. Non-zero exit on violation.

@@ -1,13 +1,15 @@
 // Command speedkit-edge runs the edge cache: a streaming HTTP caching
 // reverse proxy in front of a speedkit-server, serving sketch-coherent
 // page bodies from memory and a crash-safe disk tier, and the Cache Sketch
-// itself from the copy it polls, while everything personalized passes
-// through untouched.
+// itself from the copy it polls. It answers pages, the sketch and purges,
+// and nothing else: every other request is its own 404, so the
+// personalized blocks API is reachable only at the server, and a device
+// sends it there.
 //
 //	speedkit-edge -addr :8081 -upstream http://localhost:8080 -cache-dir /var/cache/speedkit
 //
 //	curl localhost:8081/v1/page?path=/product/p00042        # X-Edge-Cache: miss, then hit
-//	curl localhost:8081/v1/page?path=/ -H 'Range: bytes=0-99'
+//	curl -i -X POST localhost:8081/v1/blocks                # 404 not_found, from the edge
 //	curl -i localhost:8081/v1/sketch                        # X-Edge-Cache: sketch, Age: <held for>
 //	curl -i -X POST 'localhost:8081/v1/purge?path=/product/p00042' # 204 No Content, no body
 //	curl localhost:8081/metrics                          # speedkit_edge_* counters
@@ -49,7 +51,6 @@ func main() {
 	upstream := flag.String("upstream", "http://localhost:8080", "speedkit-server base URL")
 	cacheDir := flag.String("cache-dir", "", "disk cache directory (empty = memory-only)")
 	maxEntries := flag.Int("max-entries", 4096, "in-memory entry bound")
-	defaultTTL := flag.Duration("default-ttl", 30*time.Second, "freshness when the upstream sends no max-age")
 	sketchRefresh := flag.Duration("sketch-refresh", 10*time.Second, "sketch poll interval (0 disables)")
 	snapshotEvery := flag.Int("snapshot-every", 256, "disk-tier journal records between snapshots")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
@@ -62,7 +63,6 @@ func main() {
 		Upstream:      *upstream,
 		CacheDir:      *cacheDir,
 		MaxEntries:    *maxEntries,
-		DefaultTTL:    *defaultTTL,
 		SnapshotEvery: *snapshotEvery,
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -23,6 +24,7 @@ import (
 	"speedkit/internal/httpbody"
 	"speedkit/internal/httpclient"
 	"speedkit/internal/netsim"
+	"speedkit/internal/proxy"
 )
 
 // runEdge is the -edge gate: a real speedkit-server and a speedkit edge
@@ -35,19 +37,25 @@ import (
 //  2. Purge propagation — a backend write flows through the
 //     invalidation pipeline to an edge purge, and the next edge read is
 //     a miss serving the new version.
-//  3. Sketch distribution — a device's sketch fetch through the edge is
+//  3. The closed surface and the paper's topology — the blocks API sent
+//     to the edge is the edge's own 404 and never reaches the origin; a
+//     logged-in, consenting device whose transport sends pages to the
+//     edge and blocks to the origin loads a personalized page, its
+//     origin-sourced fragment from the origin, and no request reaching
+//     the edge carries its user ID, in the URL or the body.
+//  4. Sketch distribution — a device's sketch fetch through the edge is
 //     answered from the edge's own copy (X-Edge-Cache: sketch, one
 //     origin fetch for any number of devices) with the Age it has
 //     reached, and the device dates what it got no later than the
 //     instant the origin served it: Δ counts from the server's snapshot,
 //     not from each hop's arrival.
-//  4. Crash durability — with seed-pinned kills armed on the disk
+//  5. Crash durability — with seed-pinned kills armed on the disk
 //     tier's WAL append path, a mid-fill tear is recovered warm by an
 //     in-process restart over the same directory: every entry
 //     acknowledged before the tear is served byte-identical, without
 //     touching the origin — the journaled sketch epoch matches the one
 //     the upstream still serves, so nothing is revalidated.
-//  5. GDPR — no PII field name and no simulated user identity appears
+//  6. GDPR — no PII field name and no simulated user identity appears
 //     in any byte the edge persisted, scanned over both cache
 //     directories exactly like the -crash gate scans the durability
 //     tier.
@@ -93,7 +101,22 @@ func runEdge(seed int64, products int) {
 		fmt.Fprintf(os.Stderr, "edge: proxy A: %v\n", err)
 		os.Exit(1)
 	}
-	edgeSrvA, edgeBaseA := serveLoopback(pa.Handler())
+	// The device of check 3 is a logged-in user who consents to
+	// personalization; edge A's listener counts every request that
+	// carries its ID.
+	var member *speedkit.User
+	for _, u := range users {
+		if u.LoggedIn && u.ConsentPersonalization {
+			member = u
+			break
+		}
+	}
+	if member == nil {
+		fmt.Fprintf(os.Stderr, "edge: no logged-in, consenting user among %d (seed %d)\n", len(users), seed)
+		os.Exit(1)
+	}
+	guardA := &identityGuard{next: pa.Handler(), id: []byte(member.ID)}
+	edgeSrvA, edgeBaseA := serveLoopback(guardA)
 
 	// Invalidations flow to edge purges the way cmd/speedkit-server's
 	// -notify-edge does, but synchronously so the gate is deterministic.
@@ -181,28 +204,59 @@ func runEdge(seed int64, products int) {
 	}
 	_ = body2
 
-	// Personalized fragments must bypass the cache entirely: the PII
-	// scan below then proves nothing of this response was persisted.
+	// 3. The edge is no relay: the blocks API sent to it is its own 404,
+	// and no blocks request reaches the origin through it.
+	probe := users[0]
+	if probe == member {
+		probe = users[1]
+	}
 	blockNames := []string{"cart", "recommendations"}
 	resp, err := http.Post(edgeBaseA+"/v1/blocks", "application/octet-stream",
-		bytes.NewReader(httpbody.BlocksRequest(users[0].ID, blockNames)))
+		bytes.NewReader(httpbody.BlocksRequest(probe.ID, blockNames)))
 	if err != nil {
-		fail("blocks through edge: %v", err)
+		fail("blocks sent to the edge: %v", err)
 	} else {
-		body, err := httpbody.ReadAll(resp)
+		var eb httpbody.ErrorBody
+		derr := json.NewDecoder(resp.Body).Decode(&eb)
 		resp.Body.Close()
-		if state := resp.Header.Get("X-Edge-Cache"); state != "bypass" {
-			fail("personalized blocks served with state %q, want bypass", state)
-		}
-		if _, perr := httpbody.ParseBlocksResponse(body, blockNames); err != nil || resp.StatusCode != http.StatusOK || perr != nil {
-			fail("blocks through edge: status %d, read %v, frames %v", resp.StatusCode, err, perr)
+		if resp.StatusCode != http.StatusNotFound || derr != nil || eb.Error.Code != httpbody.CodeNotFound {
+			fail("blocks sent to the edge: status %d, code %q (%v), want the edge's 404", resp.StatusCode, eb.Error.Code, derr)
 		}
 	}
+	if n := counter.blocks.Load(); n != 0 {
+		fail("blocks sent to the edge reached the origin %d times, want 0", n)
+	}
 
-	// 3. Sketch distribution. Nothing polls in this gate, so the first
+	// The paper's topology: the device sends pages to the edge and its
+	// blocks to the origin, so its origin-sourced fragment arrives while
+	// its identity never crosses the shared tier.
+	dev := proxy.New(proxy.Config{
+		User:         member,
+		Region:       netsim.EU,
+		Delta:        edgeGateDelta,
+		Clock:        clock.System,
+		OriginBlocks: map[string]bool{"reco": true},
+	}, httpclient.NewBehindEdge(edgeBaseA, originBase, nil))
+	if load, err := dev.Load(context.Background(), "/"); err != nil {
+		fail("personalized load behind the edge: %v", err)
+	} else if !bytes.Contains(load.Body, []byte(`class="reco"`)) {
+		fail("personalized load behind the edge has no reco fragment: %.120q", load.Body)
+	}
+	if s := dev.Stats(); s.BlocksOrigin != 1 {
+		fail("device took %d fragments from the origin, want 1 (stats %+v)", s.BlocksOrigin, s)
+	}
+	if n := counter.blocks.Load(); n != 1 {
+		fail("%d blocks requests reached the origin, want the device's 1", n)
+	}
+	if n := guardA.carried.Load(); n != 0 {
+		fail("%d requests reaching the edge carried the device user's ID", n)
+	} else if violations == 0 {
+		fmt.Println("edge: blocks sent to the edge -> 404, 0 origin requests; behind the edge a device took its reco fragment from the origin, its user ID in no edge request")
+	}
+
+	// 4. Sketch distribution. Nothing polls in this gate, so the first
 	// request finds the edge without a copy and makes it fetch one; every
 	// later one is answered from that copy.
-	bypassBefore := pa.Stats().Bypass
 	resp, err = http.Get(edgeBaseA + "/v1/sketch")
 	if err != nil {
 		fail("sketch through edge: %v", err)
@@ -239,8 +293,8 @@ func runEdge(seed int64, products int) {
 	if n := counter.sketches.Load(); n != 1 {
 		fail("4 sketch requests at the edge reached the origin %d times, want 1", n)
 	}
-	if s := pa.Stats(); s.SketchServes != 4 || s.Bypass != bypassBefore {
-		fail("sketch serves %d (want 4), bypasses %d -> %d (want unchanged)", s.SketchServes, bypassBefore, s.Bypass)
+	if s := pa.Stats(); s.SketchServes != 4 {
+		fail("sketch serves %d, want 4", s.SketchServes)
 	} else if violations == 0 {
 		fmt.Printf("edge: 4 sketch requests -> 1 origin fetch, device stamp %v before the origin's answer, Δ budget used %v of %v\n",
 			served.Sub(stamp).Round(time.Millisecond), device.Age().Round(time.Millisecond), edgeGateDelta)
@@ -346,7 +400,7 @@ func runEdge(seed int64, products int) {
 		fail("proxy B2 close: %v", err)
 	}
 
-	// 4. GDPR: no user identity in any byte the edge persisted. The
+	// 6. GDPR: no user identity in any byte the edge persisted. The
 	// cache holds the anonymous shared shell verbatim, so the scan looks
 	// for identity values — IDs, names, emails of the simulated
 	// population — not field names (shell markup legitimately contains
@@ -374,20 +428,21 @@ func runEdge(seed int64, products int) {
 		fmt.Fprintf(os.Stderr, "\nedge: %d violation(s)\n", violations)
 		os.Exit(1)
 	}
-	fmt.Println("edge: all invariants hold — coalescing, purge propagation, sketch distribution, crash recovery, zero persisted PII")
+	fmt.Println("edge: all invariants hold — coalescing, purge propagation, closed surface, identity only at the origin, sketch distribution, crash recovery, zero persisted PII")
 }
 
 // edgeGateDelta is the Δ the gate's origin announces and its device
 // enforces.
 const edgeGateDelta = 30 * time.Second
 
-// pageCounter counts page and sketch fetches reaching the origin, so the
-// gate can assert how many requests the edge let through, and keeps the
-// instant the last sketch response was complete.
+// pageCounter counts page, sketch and blocks requests reaching the
+// origin, so the gate can assert how many requests the edge let through,
+// and keeps the instant the last sketch response was complete.
 type pageCounter struct {
 	next     http.Handler
 	pages    atomic.Int64
 	sketches atomic.Int64
+	blocks   atomic.Int64
 	sketchAt atomic.Int64 // UnixNano
 	// hold, while set, keeps page requests waiting until it is closed.
 	hold atomic.Pointer[chan struct{}]
@@ -403,8 +458,33 @@ func (c *pageCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "/v1/sketch":
 		c.sketches.Add(1)
 		defer func() { c.sketchAt.Store(clock.System.Now().UnixNano()) }()
+	case "/v1/blocks":
+		c.blocks.Add(1)
 	}
 	c.next.ServeHTTP(w, r)
+}
+
+// identityGuard sits where an edge's listener is and counts every request
+// whose URL or body carries id, the way speedkit-load's pii_at_edge check
+// does, but with the body read too: since the user ID travels in the
+// blocks POST body, a guard of the query alone would miss it.
+type identityGuard struct {
+	next    http.Handler
+	id      []byte
+	carried atomic.Int64
+}
+
+func (g *identityGuard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "unreadable body")
+		return
+	}
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	if bytes.Contains([]byte(r.URL.RequestURI()), g.id) || bytes.Contains(body, g.id) {
+		g.carried.Add(1)
+	}
+	g.next.ServeHTTP(w, r)
 }
 
 // sketchServedAt is when the origin finished its last sketch response.

@@ -4,9 +4,10 @@ import "speedkit/internal/edge"
 
 // Edge is the streaming HTTP caching reverse proxy that fronts a
 // speedkit-server (see cmd/speedkit-edge for the deployable command):
-// sketch-coherent page bodies are cached and coalesced at the edge,
-// everything personalized passes through uncached, and the process
-// never sees identity — the GDPR boundary enforced at a real socket.
+// sketch-coherent page bodies are cached and coalesced at the edge, which
+// answers pages, the sketch and purges and 404s everything else. A device
+// sends its personalized blocks to the origin, so the process never sees
+// identity — the GDPR boundary enforced at a real socket.
 type Edge = edge.Proxy
 
 // EdgeOptions parameterizes NewEdge.

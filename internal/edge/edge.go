@@ -4,15 +4,22 @@
 //
 // Protocol behavior:
 //
-//   - Only GET page fetches (/v1/page) are cached, keyed by the ?path=
-//     value — the same key space the Cache Sketch and the
-//     invalidation pipeline speak. Cacheability is decided by the
-//     upstream's Cache-Control and the sketch, never by URL heuristics:
-//     path-pattern cacheability is exactly the web-cache-deception trap,
-//     where an attacker-shaped URL tricks the edge into storing a
-//     personalized response under a "static" key. Everything that is
-//     neither a page nor the sketch — the personalized /blocks API above
-//     all — is proxied through uncached.
+//   - The edge answers exactly three routes: GET /v1/page, GET /v1/sketch
+//     and POST /v1/purge (Handler adds /healthz and /metrics). Any other
+//     method or path is a 404 in the JSON envelope, answered by the edge
+//     itself: it makes no upstream request and echoes nothing of the
+//     request back. The personalized /v1/blocks API is the origin's alone;
+//     a device sends it there, never through the shared tier, so no user
+//     ID, cookie or request body ever reaches the edge to be leaked.
+//   - Page fetches are cached, keyed by the ?path= value — the same key
+//     space the Cache Sketch and the invalidation pipeline speak.
+//     Cacheability is decided by the upstream's Cache-Control and the
+//     sketch, never by URL heuristics: path-pattern cacheability is
+//     exactly the web-cache-deception trap, where an attacker-shaped URL
+//     tricks the edge into storing a personalized response under a
+//     "static" key. Freshness is the max-age the upstream states; an
+//     answer that states none is stored already expired and revalidated
+//     before it is served.
 //   - GET /v1/sketch is answered from the copy the edge polls, with the
 //     Age it has reached, for as long as that is below the max-age the
 //     copy came with; past it the edge fetches a new one first (see
@@ -25,7 +32,10 @@
 //     without moving the body again. So is every entry stored before the
 //     held sketch's epoch was installed: an upstream that restarted
 //     without its history vouches for none of them. Client If-None-Match
-//     gets 304s locally. Range requests are served from the cached body.
+//     gets 304s locally.
+//   - Every upstream answer reaches the device through one header
+//     allow-list (copyEntryHeaders); nothing else the upstream sends is
+//     relayed.
 //   - Every page answer states a sketch epoch (X-Sketch-Epoch): a hit the
 //     held sketch's, the only epoch the edge serves hits under; a relayed
 //     or refreshed answer the upstream's.
@@ -90,9 +100,6 @@ type Options struct {
 	CacheDir string
 	// MaxEntries bounds the in-memory cache (default 4096).
 	MaxEntries int
-	// DefaultTTL is the freshness granted when the upstream sends no
-	// max-age (default 30 s).
-	DefaultTTL time.Duration
 	// SnapshotEvery is the disk-tier journal-records-per-snapshot
 	// cadence (default 256).
 	SnapshotEvery int
@@ -100,13 +107,12 @@ type Options struct {
 	Faults *faults.Injector
 }
 
-// Proxy is the edge cache. It implements http.Handler for the proxied
-// surface; Handler() adds the edge's own operational endpoints.
+// Proxy is the edge cache. It implements http.Handler for the protocol's
+// three routes; Handler() adds the edge's own operational endpoints.
 type Proxy struct {
 	upstream string
 	hc       *http.Client
 	clk      clock.Clock
-	ttl      time.Duration
 
 	mem  *cache.Store
 	disk *diskTier
@@ -143,14 +149,10 @@ func New(o Options) (*Proxy, RecoveryInfo, error) {
 	if o.MaxEntries <= 0 {
 		o.MaxEntries = 4096
 	}
-	if o.DefaultTTL <= 0 {
-		o.DefaultTTL = 30 * time.Second
-	}
 	p := &Proxy{
 		upstream: strings.TrimRight(o.Upstream, "/"),
 		hc:       o.Client,
 		clk:      o.Clock,
-		ttl:      o.DefaultTTL,
 		mem:      cache.New(cache.Config{MaxItems: o.MaxEntries, Clock: o.Clock}),
 		fills:    make(map[string]*fill),
 	}
@@ -200,7 +202,7 @@ func (p *Proxy) SketchMaxAge() time.Duration {
 	return 0
 }
 
-// Handler returns the edge's full server surface: the proxied routes
+// Handler returns the edge's full server surface: the protocol's routes
 // plus the operational endpoints every deployment needs.
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -216,8 +218,9 @@ func (p *Proxy) Handler() http.Handler {
 }
 
 // ServeHTTP routes one request: purges apply locally, page fetches hit
-// the cache, the sketch is answered from the edge's copy, everything else
-// proxies through uncached.
+// the cache, the sketch is answered from the edge's copy. Nothing else is
+// a route: the 404 comes from the edge, reaches no upstream and repeats
+// nothing the request carried.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/purge":
@@ -231,7 +234,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "missing ?path=")
 	default:
-		p.passthrough(w, r)
+		httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, "no such endpoint")
 	}
 }
 
@@ -448,60 +451,57 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 	resp, err := p.upstreamGet(r.Context(), "/page", "?path="+url.QueryEscape(key), hdr)
 	received := p.clk.Now()
 	if err != nil {
-		// Upstream unreachable: serve the stale copy rather than fail —
-		// the sketch already bounds how stale it can be.
-		p.m.upstreamErrors.Add(1)
-		p.m.servedStale.Add(1)
-		p.serveEntry(w, r, e, "stale", p.sketch.Load().EpochValue())
+		p.serveStale(w, r, e)
 		return
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNotModified:
+	switch {
+	case resp.StatusCode == http.StatusNotModified:
 		ne := p.renewEntry(e, resp)
 		p.commit(ne)
 		p.m.revalidated.Add(1)
 		p.serveEntry(w, r, ne, "revalidated", resp.Header[cachesketch.EpochHeader])
-	case http.StatusOK:
-		body, err := httpbody.ReadAll(resp)
-		if err != nil {
-			p.m.upstreamErrors.Add(1)
-			p.m.servedStale.Add(1)
-			p.serveEntry(w, r, e, "stale", p.sketch.Load().EpochValue())
-			return
-		}
+		return
+	case resp.StatusCode >= 500:
+		// A transient upstream failure must not evict a servable copy.
+		p.serveStale(w, r, e)
+		return
+	}
+	body, err := httpbody.ReadAll(resp)
+	if err != nil {
+		p.serveStale(w, r, e)
+		return
+	}
+	if resp.StatusCode == http.StatusOK {
 		p.m.misses.Add(1)
 		// Same storability gate as lead(): an upstream that turned
 		// no-store/private must not be re-cached through revalidation.
-		if !cacheable(resp.Header) {
-			// Drop the copy the upstream disowned and relay the fresh
-			// answer verbatim — no edge freshness headers on a no-store
-			// response.
-			p.Purge(key)
-			copyEntryHeaders(w.Header(), resp.Header)
-			w.Header().Set("X-Edge-Cache", "miss")
-			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-			w.Write(body)
-			p.m.bytesServed.Add(uint64(len(body)))
+		if cacheable(resp.Header) {
+			ne := p.entryFromResponse(key, resp, body, received)
+			p.commit(ne)
+			p.serveEntry(w, r, ne, "miss", resp.Header[cachesketch.EpochHeader])
 			return
 		}
-		ne := p.entryFromResponse(key, resp, body, received)
-		p.commit(ne)
-		p.serveEntry(w, r, ne, "miss", resp.Header[cachesketch.EpochHeader])
-	default:
-		if resp.StatusCode >= 500 {
-			// A transient upstream failure must not evict a servable
-			// copy — treat it like the transport-error path above.
-			p.m.upstreamErrors.Add(1)
-			p.m.servedStale.Add(1)
-			p.serveEntry(w, r, e, "stale", p.sketch.Load().EpochValue())
-			return
-		}
-		// The resource is gone (4xx): drop the entry and relay the
-		// upstream's answer verbatim.
-		p.Purge(key)
-		relayResponse(w, resp)
 	}
+	// The upstream disowned the copy — it turned no-store/private, or the
+	// resource is gone (4xx): drop the entry and hand its answer on under
+	// the miss path's header allow-list, with no edge freshness headers.
+	p.Purge(key)
+	h := w.Header()
+	copyEntryHeaders(h, resp.Header)
+	h.Set("X-Edge-Cache", "miss")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(resp.StatusCode)
+	w.Write(body)
+	p.m.bytesServed.Add(uint64(len(body)))
+}
+
+// serveStale answers from a copy the upstream failed to refresh rather
+// than fail: the sketch already bounds how stale it can be.
+func (p *Proxy) serveStale(w http.ResponseWriter, r *http.Request, e cache.Entry) {
+	p.m.upstreamErrors.Add(1)
+	p.m.servedStale.Add(1)
+	p.serveEntry(w, r, e, "stale", p.sketch.Load().EpochValue())
 }
 
 // coalesce is the miss path: one leader fetches, followers stream the
@@ -638,11 +638,11 @@ func (p *Proxy) follow(w http.ResponseWriter, f *fill) {
 	}
 }
 
-// serveEntry answers from a committed entry: local 304s on matching
-// If-None-Match, 206/416 on Range, 200 otherwise. epoch is the
-// EpochHeader value the answer states (none when empty): the held
-// sketch's for a copy served from the cache, the only epoch the edge
-// serves hits under; the upstream's for one it has just answered.
+// serveEntry answers from a committed entry: a local 304 on a matching
+// If-None-Match, 200 otherwise. epoch is the EpochHeader value the answer
+// states (none when empty): the held sketch's for a copy served from the
+// cache, the only epoch the edge serves hits under; the upstream's for one
+// it has just answered.
 func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e cache.Entry, state string, epoch []string) {
 	now := p.clk.Now()
 	etag := fmt.Sprintf("%q", "v"+strconv.FormatUint(e.Version, 10))
@@ -668,50 +668,9 @@ func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e cache.Entry
 		return
 	}
 
-	body := e.Body
-	if spec := r.Header.Get("Range"); spec != "" {
-		rg, ok, unsat := parseRange(spec, int64(len(body)))
-		if unsat {
-			p.m.rangeRejected.Add(1)
-			h.Set("Content-Range", fmt.Sprintf("bytes */%d", len(body)))
-			w.WriteHeader(http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		if ok {
-			p.m.rangeRequests.Add(1)
-			h.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", rg.start, rg.end, len(body)))
-			h.Set("Content-Length", strconv.FormatInt(rg.length(), 10))
-			w.WriteHeader(http.StatusPartialContent)
-			w.Write(body[rg.start : rg.end+1])
-			p.m.bytesServed.Add(uint64(rg.length()))
-			return
-		}
-	}
-	h.Set("Accept-Ranges", "bytes")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.Write(body)
-	p.m.bytesServed.Add(uint64(len(body)))
-}
-
-// passthrough proxies a request the edge does not cache.
-func (p *Proxy) passthrough(w http.ResponseWriter, r *http.Request) {
-	p.m.bypass.Add(1)
-	u := p.upstream + r.URL.RequestURI()
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, u, r.Body)
-	if err != nil {
-		httpbody.WriteError(w, http.StatusBadGateway, httpbody.CodeUnavailable, err.Error())
-		return
-	}
-	copyProxyHeaders(req.Header, r.Header)
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		p.m.upstreamErrors.Add(1)
-		httpbody.WriteError(w, http.StatusBadGateway, httpbody.CodeUnavailable, "upstream: "+err.Error())
-		return
-	}
-	defer resp.Body.Close()
-	w.Header().Set("X-Edge-Cache", "bypass")
-	relayResponse(w, resp)
+	h.Set("Content-Length", strconv.Itoa(len(e.Body)))
+	w.Write(e.Body)
+	p.m.bytesServed.Add(uint64(len(e.Body)))
 }
 
 // commit stores an entry in memory and journals it.
@@ -727,7 +686,7 @@ func (p *Proxy) commit(e cache.Entry) {
 func (p *Proxy) renewEntry(e cache.Entry, resp *http.Response) cache.Entry {
 	now := p.clk.Now()
 	e.StoredAt = now
-	e.ExpiresAt = now.Add(p.freshness(resp.Header))
+	e.ExpiresAt = now.Add(freshness(resp.Header))
 	e.Metadata = cloneMeta(e.Metadata)
 	e.Metadata[metaGen] = strconv.FormatUint(p.Generation(), 10)
 	return e
@@ -742,7 +701,7 @@ func (p *Proxy) entryFromResponse(key string, resp *http.Response, body []byte, 
 		Body:      body,
 		Version:   parseVersionETag(resp.Header.Get("ETag")),
 		StoredAt:  now,
-		ExpiresAt: now.Add(p.freshness(resp.Header)),
+		ExpiresAt: now.Add(freshness(resp.Header)),
 		Metadata: map[string]string{
 			metaGen: strconv.FormatUint(p.Generation(), 10),
 		},
@@ -753,16 +712,14 @@ func (p *Proxy) entryFromResponse(key string, resp *http.Response, body []byte, 
 	return e
 }
 
-// freshness derives an entry TTL from upstream Cache-Control. Any max-age
-// the upstream states is the freshness, zero included: the server floors
-// what is left of the TTL its expiration table holds, so "max-age=0" is a
-// copy that table already counts as gone. Only a response without one
-// gets DefaultTTL.
-func (p *Proxy) freshness(h http.Header) time.Duration {
-	if maxAge, ok := httpbody.ParseMaxAge(h.Get("Cache-Control")); ok {
-		return maxAge
-	}
-	return p.ttl
+// freshness derives an entry TTL from upstream Cache-Control: the max-age
+// it states, zero included — the server floors what is left of the TTL
+// its expiration table holds, so "max-age=0" is a copy that table already
+// counts as gone. A response that states none proves no freshness, so it
+// gets none: its copy is revalidated before it is served.
+func freshness(h http.Header) time.Duration {
+	maxAge, _ := httpbody.ParseMaxAge(h.Get("Cache-Control"))
+	return maxAge
 }
 
 // upstreamGet issues a GET against the upstream's /v1 surface with hdr's
@@ -842,56 +799,14 @@ func copyTraceparent(r *http.Request, dst http.Header) {
 }
 
 // copyEntryHeaders copies the response headers worth relaying from an
-// origin fetch (hop-by-hop and connection headers stay behind).
+// upstream answer: a closed allow-list of protocol metadata, the one rule
+// for every answer the edge hands on. Everything else the upstream sends —
+// cookies, hop-by-hop and connection headers, anything unnamed — stays
+// behind.
 func copyEntryHeaders(dst, src http.Header) {
 	for _, k := range []string{"Content-Type", "Content-Length", "ETag", "Cache-Control", "X-Blocks", "X-Served-By", "X-Sketch-Generation", cachesketch.EpochHeader} {
 		if v := src.Get(k); v != "" {
 			dst.Set(k, v)
 		}
 	}
-}
-
-// hopByHop lists the headers a proxy must not forward (RFC 9110 §7.6.1).
-var hopByHop = map[string]bool{
-	"Connection": true, "Keep-Alive": true, "Proxy-Authenticate": true,
-	"Proxy-Authorization": true, "Te": true, "Trailer": true,
-	"Transfer-Encoding": true, "Upgrade": true,
-}
-
-func copyProxyHeaders(dst, src http.Header) {
-	for k, vs := range src {
-		if hopByHop[http.CanonicalHeaderKey(k)] {
-			continue
-		}
-		for _, v := range vs {
-			dst.Add(k, v)
-		}
-	}
-}
-
-// relayBufs holds the copy buffers of relayResponse: 16 KB covers the
-// block and write responses the edge relays in steady state. Idle buffers
-// are heap the process keeps, so they are no larger than that.
-var relayBufs = sync.Pool{New: func() any { return new([16 << 10]byte) }}
-
-// writerOnly hides every method of a ResponseWriter but Write. net/http's
-// ReadFrom hands a body of declared length to the socket's own ReadFrom,
-// which falls back to a generic copy through a fresh 32 KB buffer per
-// call; behind writerOnly, io.CopyBuffer uses the buffer it is given.
-type writerOnly struct{ io.Writer }
-
-// relayResponse copies an upstream response verbatim.
-func relayResponse(w http.ResponseWriter, resp *http.Response) {
-	for k, vs := range resp.Header {
-		if hopByHop[http.CanonicalHeaderKey(k)] {
-			continue
-		}
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	buf := relayBufs.Get().(*[16 << 10]byte)
-	io.CopyBuffer(writerOnly{w}, resp.Body, buf[:])
-	relayBufs.Put(buf)
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,8 +34,10 @@ type fakeUpstream struct {
 	epoch    uint64
 	sketch   *bloom.Filter
 
-	fetches atomic.Int64 // full-body /v1/page responses
-	conds   atomic.Int64 // If-None-Match requests seen
+	requests   atomic.Int64 // requests of any kind
+	identified atomic.Int64 // requests carrying Cookie or Authorization
+	fetches    atomic.Int64 // full-body /v1/page responses
+	conds      atomic.Int64 // If-None-Match requests seen
 	// hold, when non-nil, blocks page responses until closed — the
 	// stampede test uses it to keep the fill in flight.
 	hold chan struct{}
@@ -64,7 +67,13 @@ func newFakeUpstream() *fakeUpstream {
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, "no such endpoint: "+r.URL.Path)
 	})
-	u.srv = httptest.NewServer(mux)
+	u.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		u.requests.Add(1)
+		if r.Header.Get("Cookie") != "" || r.Header.Get("Authorization") != "" {
+			u.identified.Add(1)
+		}
+		mux.ServeHTTP(w, r)
+	}))
 	return u
 }
 
@@ -298,40 +307,6 @@ func TestClientIfNoneMatch(t *testing.T) {
 	}
 }
 
-func TestRangeRequests(t *testing.T) {
-	u := newFakeUpstream()
-	defer u.close()
-	u.set("/p", "0123456789", 1) // 10 bytes
-	p := newTestProxy(t, u, Options{})
-	get(t, p, "/v1/page?path=/p", nil)
-
-	cases := []struct {
-		spec string
-		code int
-		body string
-		cr   string
-	}{
-		{"bytes=0-3", http.StatusPartialContent, "0123", "bytes 0-3/10"},
-		{"bytes=4-", http.StatusPartialContent, "456789", "bytes 4-9/10"},
-		{"bytes=-2", http.StatusPartialContent, "89", "bytes 8-9/10"},
-		{"bytes=2-100", http.StatusPartialContent, "23456789", "bytes 2-9/10"},
-		{"bytes=10-", http.StatusRequestedRangeNotSatisfiable, "", "bytes */10"},
-		{"bytes=-0", http.StatusRequestedRangeNotSatisfiable, "", "bytes */10"},
-		// Multi-range and malformed specs are ignored: full body.
-		{"bytes=0-1,5-6", http.StatusOK, "0123456789", ""},
-		{"lines=0-3", http.StatusOK, "0123456789", ""},
-	}
-	for _, c := range cases {
-		w := get(t, p, "/v1/page?path=/p", map[string]string{"Range": c.spec})
-		if w.Code != c.code || w.Body.String() != c.body {
-			t.Fatalf("%s: code=%d body=%q", c.spec, w.Code, w.Body.String())
-		}
-		if got := w.Header().Get("Content-Range"); got != c.cr {
-			t.Fatalf("%s: Content-Range=%q want %q", c.spec, got, c.cr)
-		}
-	}
-}
-
 func TestPurgeEvicts(t *testing.T) {
 	u := newFakeUpstream()
 	defer u.close()
@@ -413,46 +388,116 @@ func TestNoStoreNotCached(t *testing.T) {
 	}
 }
 
-func TestPassthroughUncached(t *testing.T) {
-	u := newFakeUpstream()
-	defer u.close()
-	p := newTestProxy(t, u, Options{})
-
-	// The edge relays the framed request body to the upstream as it came.
-	for i := 0; i < 2; i++ {
-		r := httptest.NewRequest(http.MethodPost, "/v1/blocks", bytes.NewReader(httpbody.BlocksRequest("u1", []string{"cart"})))
-		w := httptest.NewRecorder()
-		p.ServeHTTP(w, r)
-		if state, want := w.Header().Get("X-Edge-Cache"), "\x073 items"; state != "bypass" || w.Body.String() != want {
-			t.Fatalf("blocks call %d: %d state=%q body=%q, want bypass %q", i, w.Code, state, w.Body.String(), want)
-		}
-	}
-}
-
-// TestUnversionedPathsAreNotRoutes: only /v1 is the wire surface. The
-// old /page and /purge spellings are requests like any other the edge
-// does not know — passed through, and answered by the upstream's 404 in
-// the JSON envelope — not a second way into the cache.
+// TestUnversionedPathsAreNotRoutes: the edge's surface is closed. Only
+// GET /v1/page, GET /v1/sketch and POST /v1/purge are routes; the old
+// unversioned spellings, the origin's own routes (the personalized blocks
+// API above all) and a known path under another method are the edge's own
+// 404 in the JSON envelope. That answer reaches no upstream and repeats
+// nothing the request carried. A page fetch that carries identity reaches
+// the upstream without it.
 func TestUnversionedPathsAreNotRoutes(t *testing.T) {
 	u := newFakeUpstream()
 	defer u.close()
 	u.set("/p", "body", 1)
+	u.set("/q", "other", 1)
 	p := newTestProxy(t, u, Options{})
 	get(t, p, "/v1/page?path=/p", nil)
 
-	for _, req := range []*http.Request{
-		httptest.NewRequest(http.MethodGet, "/page?path=/p", nil),
-		httptest.NewRequest(http.MethodPost, "/purge?path=/p", nil),
+	const user = "u-4711"
+	identity := map[string]string{"Cookie": "session=" + user, "Authorization": "Bearer " + user}
+	for _, row := range []struct {
+		method, target string
+		body           []byte
+		hdr            map[string]string
+		upstream       int64 // requests that may reach the upstream
+	}{
+		{method: http.MethodGet, target: "/page?path=/p"},
+		{method: http.MethodPost, target: "/purge?path=/p"},
+		{method: http.MethodPost, target: "/v1/blocks", body: httpbody.BlocksRequest(user, []string{"cart"}), hdr: identity},
+		{method: http.MethodPost, target: "/v1/write", body: []byte(`{"collection":"products","id":"` + user + `"}`)},
+		{method: http.MethodGet, target: "/v1/stats"},
+		{method: http.MethodGet, target: "/v1/purge?path=/p"},
+		{method: http.MethodPost, target: "/v1/page?path=/p"},
+		{method: http.MethodPut, target: "/v1/sketch"},
+		{method: http.MethodGet, target: "/v1/page?path=/q", hdr: identity, upstream: 1},
 	} {
+		r := httptest.NewRequest(row.method, row.target, bytes.NewReader(row.body))
+		for k, v := range row.hdr {
+			r.Header.Set(k, v)
+		}
+		before := u.requests.Load()
 		w := httptest.NewRecorder()
-		p.ServeHTTP(w, req)
+		p.ServeHTTP(w, r)
+		if n := u.requests.Load() - before; n != row.upstream {
+			t.Errorf("%s %s: %d upstream requests, want %d", row.method, row.target, n, row.upstream)
+		}
+		if row.upstream > 0 {
+			if w.Code != http.StatusOK || w.Body.String() != "other" {
+				t.Errorf("%s %s: %d %q, want the page", row.method, row.target, w.Code, w.Body.String())
+			}
+			continue
+		}
 		var eb httpbody.ErrorBody
 		if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || w.Code != http.StatusNotFound || eb.Error.Code != httpbody.CodeNotFound {
-			t.Fatalf("%s %s: %d %q (%v), want the envelope's 404", req.Method, req.URL.Path, w.Code, w.Body.String(), err)
+			t.Errorf("%s %s: %d %q (%v), want the envelope's 404", row.method, row.target, w.Code, w.Body.String(), err)
 		}
+		if strings.Contains(w.Body.String(), user) || strings.Contains(w.Body.String(), r.URL.Path) {
+			t.Errorf("%s %s: the 404 repeats the request: %q", row.method, row.target, w.Body.String())
+		}
+	}
+	if n := u.identified.Load(); n != 0 {
+		t.Fatalf("%d upstream requests carried Cookie or Authorization, want none", n)
 	}
 	if w := get(t, p, "/v1/page?path=/p", nil); w.Header().Get("X-Edge-Cache") != "hit" {
 		t.Fatalf("POST /purge evicted the entry: state %q", w.Header().Get("X-Edge-Cache"))
+	}
+	if s := p.Stats(); s.Purges != 0 {
+		t.Fatalf("%d purges applied, want none", s.Purges)
+	}
+}
+
+// TestRevalidationAnswerKeepsToTheAllowList: an upstream answer the edge
+// hands on from a revalidation reaches the device through the same header
+// allow-list as a miss. A 404 for a path that is gone carries its status,
+// body and protocol headers, and nothing else the upstream set.
+func TestRevalidationAnswerKeepsToTheAllowList(t *testing.T) {
+	var gone atomic.Bool
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if gone.Load() {
+			w.Header().Set("Set-Cookie", "session=u-4711")
+			w.Header().Set("X-Foo", "bar")
+			httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, "gone")
+			return
+		}
+		w.Header().Set("Cache-Control", "max-age=60")
+		w.Header().Set("ETag", `"v1"`)
+		io.WriteString(w, "body")
+	}))
+	defer upstream.Close()
+	p, _, err := New(Options{Upstream: upstream.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	get(t, p, "/v1/page?path=/p", nil)
+	gone.Store(true)
+	p.InstallSketch(snapshotWith(1, "/p"))
+
+	w := get(t, p, "/v1/page?path=/p", nil)
+	var eb httpbody.ErrorBody
+	if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || w.Code != http.StatusNotFound || eb.Error.Code != httpbody.CodeNotFound {
+		t.Fatalf("revalidation of a gone path: %d %q (%v), want the upstream's 404", w.Code, w.Body.String(), err)
+	}
+	for _, k := range []string{"Set-Cookie", "X-Foo"} {
+		if v := w.Header().Get(k); v != "" {
+			t.Errorf("the edge relayed %s: %q", k, v)
+		}
+	}
+	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q, want the upstream's application/json", ct)
+	}
+	if _, ok := p.mem.PeekAny("/p"); ok {
+		t.Fatal("the copy of a gone path is still held")
 	}
 }
 
@@ -460,7 +505,7 @@ func TestServeStaleOnUpstreamFailure(t *testing.T) {
 	u := newFakeUpstream()
 	u.set("/p", "survivor", 1)
 	clk := clock.NewSimulated(time.Unix(1000, 0))
-	p := newTestProxy(t, u, Options{Clock: clk, DefaultTTL: time.Second})
+	p := newTestProxy(t, u, Options{Clock: clk})
 	u.mu.Lock()
 	u.maxAge = 1
 	u.mu.Unlock()
@@ -497,6 +542,9 @@ func TestMetricsExposition(t *testing.T) {
 		if !contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	if contains(out, "bypass") || contains(out, "range") {
+		t.Fatalf("exposition counts what the edge no longer does:\n%s", out)
 	}
 }
 

@@ -3,6 +3,7 @@ package edge
 import (
 	"context"
 	"encoding/binary"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -213,16 +214,15 @@ func TestPreEpochSnapshotIsPassedOver(t *testing.T) {
 // TestFreshnessIsTheStatedMaxAge: any max-age the upstream states is the
 // entry's freshness, zero included — the server floors what is left of
 // its TTL, so "max-age=0" is a copy its expiration table already counts
-// as gone. Only a response without one gets DefaultTTL.
+// as gone. A response without one proves no freshness and gets none.
 func TestFreshnessIsTheStatedMaxAge(t *testing.T) {
-	p := &Proxy{ttl: 30 * time.Second}
 	for cc, want := range map[string]time.Duration{
 		"public, max-age=12": 12 * time.Second,
 		"max-age=0":          0,
-		"public":             30 * time.Second,
-		"":                   30 * time.Second,
+		"public":             0,
+		"":                   0,
 	} {
-		if got := p.freshness(http.Header{"Cache-Control": {cc}}); got != want {
+		if got := freshness(http.Header{"Cache-Control": {cc}}); got != want {
 			t.Errorf("Cache-Control %q: freshness %v, want %v", cc, got, want)
 		}
 	}
@@ -235,6 +235,28 @@ func TestFreshnessIsTheStatedMaxAge(t *testing.T) {
 	get(t, pr, "/v1/page?path=/p", nil)
 	if w := get(t, pr, "/v1/page?path=/p", nil); w.Header().Get("X-Edge-Cache") == "hit" {
 		t.Fatal("a copy the upstream sent with max-age=0 was a hit")
+	}
+
+	// An answer that states no max-age is stored already expired: the
+	// next request revalidates it before the copy is served.
+	silent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("ETag", `"v1"`)
+		if r.Header.Get("If-None-Match") == `"v1"` {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		io.WriteString(w, "body")
+	}))
+	defer silent.Close()
+	ps, _, err := New(Options{Upstream: silent.URL, Clock: clock.NewSimulated(time.Unix(1000, 0))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	for _, want := range []string{"miss", "revalidated", "revalidated"} {
+		if w := get(t, ps, "/v1/page?path=/p", nil); w.Header().Get("X-Edge-Cache") != want || w.Body.String() != "body" {
+			t.Fatalf("no max-age: state %q body %q, want %s", w.Header().Get("X-Edge-Cache"), w.Body.String(), want)
+		}
 	}
 }
 

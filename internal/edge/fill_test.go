@@ -3,11 +3,9 @@ package edge
 import (
 	"bytes"
 	"context"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -110,37 +108,6 @@ type discardWriter struct{ h http.Header }
 func (d discardWriter) Header() http.Header         { return d.h }
 func (d discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (d discardWriter) WriteHeader(int)             {}
-
-// TestRelayResponseReusesItsCopyBuffer: io.Copy would allocate 32 KB per
-// relayed response; the pooled buffer makes a relay cost its headers.
-func TestRelayResponseReusesItsCopyBuffer(t *testing.T) {
-	payload := make([]byte, 8<<10)
-	w := discardWriter{h: http.Header{}}
-	relay := func() {
-		resp := &http.Response{
-			StatusCode: http.StatusOK,
-			Header:     http.Header{"Content-Type": {"application/octet-stream"}},
-			// Wrapped so the reader offers no WriteTo shortcut, like the
-			// body of a real upstream response.
-			Body: io.NopCloser(struct{ io.Reader }{bytes.NewReader(payload)}),
-		}
-		clear(w.h)
-		relayResponse(w, resp)
-	}
-	relay() // fills the pool
-	const runs = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		relay()
-	}
-	runtime.ReadMemStats(&after)
-	// Half a pooled buffer per run leaves room for the race detector's
-	// sync.Pool, which drops a quarter of what is put back.
-	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 8<<10 {
-		t.Fatalf("relayResponse allocates %d bytes per 8 KB response; a copy buffer is being made each time", perRun)
-	}
-}
 
 // TestRefreshSketchStampsTheSend: the snapshot an edge holds was taken
 // while its request was in flight, so its age counts from the send. An

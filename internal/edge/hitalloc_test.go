@@ -53,6 +53,5 @@ func TestHitServeAllocations(t *testing.T) {
 	}
 }
 
-// hitServeAllocs is what a hit allocated, its fresh header map included,
-// before page answers stated an epoch.
-const hitServeAllocs = 17
+// hitServeAllocs is what a hit allocates, its fresh header map included.
+const hitServeAllocs = 16

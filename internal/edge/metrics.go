@@ -21,9 +21,6 @@ type metrics struct {
 	notModified      atomic.Uint64
 	coalescedWaiters atomic.Uint64
 	purges           atomic.Uint64
-	rangeRequests    atomic.Uint64
-	rangeRejected    atomic.Uint64
-	bypass           atomic.Uint64
 	upstreamErrors   atomic.Uint64
 	servedStale      atomic.Uint64
 	bytesServed      atomic.Uint64
@@ -48,12 +45,6 @@ type Stats struct {
 	CoalescedWaiters uint64
 	// Purges applied (pipeline notifications and manual).
 	Purges uint64
-	// RangeRequests served as 206 partial content.
-	RangeRequests uint64
-	// RangeRejected answered 416 (unsatisfiable).
-	RangeRejected uint64
-	// Bypass requests proxied through uncached.
-	Bypass uint64
 	// UpstreamErrors on fetch or revalidation.
 	UpstreamErrors uint64
 	// ServedStale hits answered from an expired copy because the
@@ -81,9 +72,6 @@ func (m *metrics) stats() Stats {
 		NotModified:      m.notModified.Load(),
 		CoalescedWaiters: m.coalescedWaiters.Load(),
 		Purges:           m.purges.Load(),
-		RangeRequests:    m.rangeRequests.Load(),
-		RangeRejected:    m.rangeRejected.Load(),
-		Bypass:           m.bypass.Load(),
 		UpstreamErrors:   m.upstreamErrors.Load(),
 		ServedStale:      m.servedStale.Load(),
 		BytesServed:      m.bytesServed.Load(),
@@ -109,9 +97,6 @@ func (m *metrics) write(w io.Writer) {
 		{"speedkit_edge_not_modified_total", s.NotModified},
 		{"speedkit_edge_coalesced_waiters_total", s.CoalescedWaiters},
 		{"speedkit_edge_purges_total", s.Purges},
-		{"speedkit_edge_range_requests_total", s.RangeRequests},
-		{"speedkit_edge_range_rejected_total", s.RangeRejected},
-		{"speedkit_edge_bypass_total", s.Bypass},
 		{"speedkit_edge_upstream_errors_total", s.UpstreamErrors},
 		{"speedkit_edge_served_stale_total", s.ServedStale},
 		{"speedkit_edge_bytes_served_total", s.BytesServed},

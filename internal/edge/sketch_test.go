@@ -200,7 +200,7 @@ func TestServeSketch(t *testing.T) {
 				}
 			}
 			if got := p.Stats(); got != row.wantStats {
-				t.Fatalf("stats %+v, want %+v (a sketch serve is no page hit, and never a bypass)", got, row.wantStats)
+				t.Fatalf("stats %+v, want %+v (a sketch serve is no page hit)", got, row.wantStats)
 			}
 		})
 	}

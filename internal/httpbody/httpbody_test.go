@@ -109,3 +109,36 @@ func TestParseMaxAge(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseMaxAge: an edge's freshness is the max-age the upstream states
+// and nothing else, so the parser must hold on any Cache-Control value. It
+// never panics; a value it accepts is a whole number of seconds from 0 to
+// 2³¹−1; and "max-age=N" reads back as N seconds for every N it can state.
+func FuzzParseMaxAge(f *testing.F) {
+	for _, cc := range []string{
+		"max-age=0",
+		"public, max-age=30",
+		"max-age=-1",
+		"s-maxage=5, max-age=7",
+		"max-age=12345678901234567890",
+		"",
+	} {
+		f.Add(cc, uint32(30))
+	}
+	f.Add("max-age=1", uint32(1<<31-1))
+	f.Add("max-age=2147483648", uint32(1<<31))
+	f.Fuzz(func(t *testing.T, cc string, n uint32) {
+		if d, ok := ParseMaxAge(cc); ok {
+			if d < 0 || d > (1<<31-1)*time.Second || d%time.Second != 0 {
+				t.Fatalf("ParseMaxAge(%q) = %v", cc, d)
+			}
+		} else if d != 0 {
+			t.Fatalf("ParseMaxAge(%q) refused with %v", cc, d)
+		}
+		secs := n % (1 << 31)
+		want := time.Duration(secs) * time.Second
+		if d, ok := ParseMaxAge("max-age=" + strconv.FormatUint(uint64(secs), 10)); !ok || d != want {
+			t.Fatalf("max-age=%d reads as %v,%v", secs, d, ok)
+		}
+	})
+}

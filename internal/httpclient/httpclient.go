@@ -35,21 +35,35 @@ import (
 
 // Transport talks to a Speed Kit HTTP API over its /v1 wire surface.
 type Transport struct {
+	// base answers pages and the sketch: an edge, or the origin itself.
 	base string
-	hc   *http.Client
-	clk  clock.Clock
+	// origin answers the first-party blocks API, the one request that
+	// carries a user ID; it is never sent to a shared tier.
+	origin string
+	hc     *http.Client
+	clk    clock.Clock
 }
 
-// New creates a transport for the API at base (e.g. "http://host:8080").
-// A nil client uses a default with a 10 s timeout.
+// New creates a transport for the API at base (e.g. "http://host:8080"),
+// one host for every request. A nil client uses a default with a 10 s
+// timeout.
 func New(base string, hc *http.Client) *Transport {
+	return NewBehindEdge(base, base, hc)
+}
+
+// NewBehindEdge creates a transport for the paper's topology: pages and
+// the sketch come from the edge at edgeURL, the personalized blocks from
+// the origin at originURL directly, so identity never crosses the shared
+// tier. A nil client uses a default with a 10 s timeout.
+func NewBehindEdge(edgeURL, originURL string, hc *http.Client) *Transport {
 	if hc == nil {
 		hc = &http.Client{Timeout: 10 * time.Second}
 	}
 	return &Transport{
-		base: strings.TrimRight(base, "/"),
-		hc:   hc,
-		clk:  clock.System,
+		base:   strings.TrimRight(edgeURL, "/"),
+		origin: strings.TrimRight(originURL, "/"),
+		hc:     hc,
+		clk:    clock.System,
 	}
 }
 
@@ -116,11 +130,11 @@ func injectTraceparent(ctx context.Context, req *http.Request) {
 }
 
 // do issues a ctx-bound request for the /v1 endpoint (e.g. "/page") plus
-// query. hdr's entries are set on the request (If-None-Match for
+// query at base. hdr's entries are set on the request (If-None-Match for
 // revalidation); the map itself is not kept, so a caller's literal stays
 // on its stack.
-func (t *Transport) do(ctx context.Context, method, endpoint, query string, body io.Reader, hdr http.Header) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, t.base+"/v1"+endpoint+query, body)
+func (t *Transport) do(ctx context.Context, base, method, endpoint, query string, body io.Reader, hdr http.Header) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, base+"/v1"+endpoint+query, body)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +148,7 @@ func (t *Transport) do(ctx context.Context, method, endpoint, query string, body
 // FetchSketch implements proxy.Transport.
 func (t *Transport) FetchSketch(ctx context.Context, _ netsim.Region) (*cachesketch.Snapshot, time.Duration, error) {
 	start := t.clk.Now()
-	resp, err := t.do(ctx, http.MethodGet, "/sketch", "", nil, nil)
+	resp, err := t.do(ctx, t.base, http.MethodGet, "/sketch", "", nil, nil)
 	if err != nil {
 		return nil, 0, asOffline(err)
 	}
@@ -205,7 +219,7 @@ func sourceFromHeader(h string) proxy.Source {
 // Fetch implements proxy.Transport.
 func (t *Transport) Fetch(ctx context.Context, _ netsim.Region, path string) (cache.Entry, time.Duration, proxy.Source, error) {
 	start := t.clk.Now()
-	resp, err := t.do(ctx, http.MethodGet, "/page", "?path="+url.QueryEscape(path), nil, nil)
+	resp, err := t.do(ctx, t.base, http.MethodGet, "/page", "?path="+url.QueryEscape(path), nil, nil)
 	if err != nil {
 		return cache.Entry{}, 0, 0, asOffline(err)
 	}
@@ -227,7 +241,7 @@ func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string
 	start := t.clk.Now()
 	hdr := http.Header{}
 	hdr.Set("If-None-Match", fmt.Sprintf("%q", "v"+strconv.FormatUint(knownVersion, 10)))
-	resp, err := t.do(ctx, http.MethodGet, "/page", "?path="+url.QueryEscape(path), nil, hdr)
+	resp, err := t.do(ctx, t.base, http.MethodGet, "/page", "?path="+url.QueryEscape(path), nil, hdr)
 	if err != nil {
 		return proxy.RevalidationResult{}, asOffline(err)
 	}
@@ -257,8 +271,8 @@ func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string
 	}
 }
 
-// FetchBlocks implements proxy.Transport over the first-party API. Only
-// the user ID crosses the wire — the server resolves the session — and it
+// FetchBlocks implements proxy.Transport over the first-party API, sent
+// to the origin. Only the user ID crosses the wire — the server resolves the session — and it
 // travels in the POST body, never in the URL. The fragments are slices of
 // the one buffer the answer is read into.
 func (t *Transport) FetchBlocks(ctx context.Context, _ netsim.Region, names []string, u *session.User) (map[string][]byte, time.Duration, error) {
@@ -269,7 +283,7 @@ func (t *Transport) FetchBlocks(ctx context.Context, _ netsim.Region, names []st
 	}
 	// No Content-Type: a body without one is application/octet-stream
 	// (RFC 9110 §8.3), and the server reads nothing else.
-	resp, err := t.do(ctx, http.MethodPost, "/blocks", "", bytes.NewReader(httpbody.BlocksRequest(user, names)), nil)
+	resp, err := t.do(ctx, t.origin, http.MethodPost, "/blocks", "", bytes.NewReader(httpbody.BlocksRequest(user, names)), nil)
 	if err != nil {
 		return nil, 0, asOffline(err)
 	}
