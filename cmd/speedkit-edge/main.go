@@ -21,9 +21,12 @@
 // coherence contract the client proxy enforces, applied one tier out.
 // Devices asking the edge for the sketch get that copy, with the Age it
 // has reached, while that is below the max-age (Δ) the server sent it
-// with; a copy past it is refreshed before it is served. -sketch-refresh
-// therefore belongs well below Δ: at or above it (or at 0) every Δ some
-// device's request waits for the upstream fetch the poller did not make.
+// with; a copy past it is refreshed before it is served. The edge's own
+// hits rest on the same copy: once it is Δ old, no sketch vouches for a
+// cached body and every hit is revalidated (speedkit_edge_degraded_total).
+// -sketch-refresh therefore belongs well below Δ: at or above it (or at 0)
+// every Δ some device's request waits for the upstream fetch the poller
+// did not make, and hits turn into revalidations until the next poll.
 //
 // This process deploys on shared points of presence. It never sees a
 // session, a consent record, or a user identifier, and the lint suite
@@ -94,13 +97,13 @@ func main() {
 			logger.Warn(ctx).
 				Dur("sketch_refresh", *sketchRefresh).
 				Dur("delta", delta).
-				Msg("-sketch-refresh is not below Δ: device sketch requests will wait on upstream fetches")
+				Msg("-sketch-refresh is not below Δ: device sketch requests will wait on upstream fetches, and hits will be revalidated")
 		}
 	}
 
 	// Prime the sketch before serving, then poll. A failed first fetch is
-	// tolerated — the edge serves TTL-fresh entries without a sketch and
-	// picks one up on the next tick.
+	// tolerated — until a sketch arrives, on the next tick, the edge
+	// revalidates every hit: no sketch vouches for its copies.
 	if err := proxy.RefreshSketch(ctx); err != nil {
 		logger.Warn(ctx).Err(err).Msg("initial sketch fetch failed")
 	}

@@ -71,19 +71,28 @@ type ClientStats struct {
 }
 
 // NewClient creates a client enforcing the given Δ. A zero or negative
-// delta defaults to 60 s, a common production refresh interval.
+// delta means Δ is the max-age the held snapshot came with (MaxAge): a
+// holder that learns Δ from the sketch response, as an edge does, trusts
+// each copy for as long as its sender said. A snapshot that stated no
+// max-age then vouches for nothing.
 func NewClient(clk clock.Clock, delta time.Duration) *Client {
 	if clk == nil {
 		clk = clock.CoarseSystem
 	}
-	if delta <= 0 {
-		delta = 60 * time.Second
-	}
-	return &Client{clk: clk, delta: delta}
+	return &Client{clk: clk, delta: max(delta, 0)}
 }
 
-// Delta returns the client's staleness bound Δ.
-func (c *Client) Delta() time.Duration { return c.delta }
+// Delta returns the client's staleness bound Δ: the one it was built with,
+// or else the held snapshot's MaxAge (zero while it holds none).
+func (c *Client) Delta() time.Duration {
+	if c.delta > 0 {
+		return c.delta
+	}
+	if sn := c.snap.Load(); sn != nil {
+		return sn.MaxAge
+	}
+	return 0
+}
 
 // NeedsRefresh reports whether the held snapshot is missing or older than
 // Δ. While this is true the client MUST NOT serve cached content based on
@@ -94,7 +103,14 @@ func (c *Client) NeedsRefresh() bool {
 
 //speedkit:hotpath
 func (c *Client) stale(sn *Snapshot, now time.Time) bool {
-	return sn == nil || now.Sub(sn.TakenAt) >= c.delta
+	if sn == nil {
+		return true
+	}
+	delta := c.delta
+	if delta == 0 {
+		delta = sn.MaxAge
+	}
+	return now.Sub(sn.TakenAt) >= delta
 }
 
 // Supersedes reports whether sn replaces cur as the snapshot a holder
@@ -113,24 +129,46 @@ func (sn *Snapshot) Supersedes(cur *Snapshot) bool {
 // (see Supersedes): out-of-order fetches can happen with concurrent
 // refreshes. It moves EpochSince to now when sn's epoch differs from the
 // held snapshot's or from that of any copy noted since the last Install.
-func (c *Client) Install(sn *Snapshot) {
+//
+// It reports whether the epoch state changed: the mark moved, or sn is the
+// first epoch held and no noted copy named one. A holder that journals
+// (epoch, EpochSince) writes it again exactly then.
+func (c *Client) Install(sn *Snapshot) bool {
 	if sn == nil {
-		return
+		return false
 	}
 	c.installMu.Lock()
 	defer c.installMu.Unlock()
 	cur := c.snap.Load()
 	if !sn.Supersedes(cur) {
-		return
+		return false
 	}
-	if cur != nil && cur.Epoch != sn.Epoch || c.notes.other(sn.Epoch) {
+	marked := cur != nil && cur.Epoch != sn.Epoch || c.notes.other(sn.Epoch)
+	if marked {
 		// Marked before the store, so whoever sees sn sees the mark.
 		now := c.clk.Now()
 		c.epochSince.Store(&now)
 	}
+	changed := marked || cur == nil && c.notes.n == 0
 	c.notes = epochNotes{}
 	c.snap.Store(sn)
 	c.refreshes.Add(1)
+	return changed
+}
+
+// Resume seeds a client that holds no snapshot yet with the epoch state a
+// previous incarnation of its holder journaled: the epoch its copies were
+// stored under, and when that epoch last replaced another (the zero time:
+// never). The recovered copies count as noted in that epoch, so a first
+// Install of the same epoch keeps them warm and keeps the mark, and one of
+// another epoch moves the mark and has each revalidated once.
+func (c *Client) Resume(epoch uint64, since time.Time) {
+	c.installMu.Lock()
+	defer c.installMu.Unlock()
+	c.notes = epochNotes{n: 1, epoch: epoch}
+	if !since.IsZero() {
+		c.epochSince.Store(&since)
+	}
 }
 
 // Note records the epoch of a copy the device has just stored: the one
@@ -160,6 +198,9 @@ func (c *Client) EpochSince() time.Time {
 	return time.Time{}
 }
 
+// Snapshot returns the held snapshot, nil while none is.
+func (c *Client) Snapshot() *Snapshot { return c.snap.Load() }
+
 // Generation returns the generation of the held snapshot (0 if none is
 // held). Like Check, it is one atomic load — cheap enough for
 // per-request trace stamping.
@@ -177,7 +218,7 @@ func (c *Client) Generation() uint64 {
 func (c *Client) Age() time.Duration {
 	sn := c.snap.Load()
 	if sn == nil {
-		return c.delta + time.Second
+		return c.Delta() + time.Second
 	}
 	return c.clk.Now().Sub(sn.TakenAt)
 }
@@ -193,8 +234,8 @@ const (
 	// Revalidate: the sketch flags the key (or a cached copy should be
 	// bypassed); fetch an up-to-date representation.
 	Revalidate
-	// RefreshSketch: the sketch is older than Δ; it must be refreshed
-	// before cached content may be used.
+	// RefreshSketch: no sketch is held, or the held one is Δ old; it must
+	// be refreshed before cached content may be used.
 	RefreshSketch
 )
 

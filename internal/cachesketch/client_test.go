@@ -92,10 +92,34 @@ func TestClientAge(t *testing.T) {
 	}
 }
 
+// TestClientDefaults: a client built with no Δ takes the max-age its held
+// snapshot came with. It vouches for nothing while it holds none, nor once
+// the held one is its max-age old, and a snapshot that stated no max-age
+// vouches for nothing at all.
 func TestClientDefaults(t *testing.T) {
-	c := NewClient(nil, 0)
-	if c.Delta() != 60*time.Second {
-		t.Fatalf("default Δ = %v", c.Delta())
+	if c := NewClient(nil, -time.Second); c.Delta() != 0 || c.Check("/x") != RefreshSketch {
+		t.Fatalf("empty client without Δ: Δ %v, Check %v", c.Delta(), c.Check("/x"))
+	}
+	clk := clock.NewSimulated(time.Unix(1000, 0))
+	c := NewClient(clk, 0)
+	srv := NewServer(ServerConfig{Clock: clk})
+	sn := srv.Snapshot()
+	sn.MaxAge = 4 * time.Second
+	c.Install(sn)
+	if c.Delta() != 4*time.Second || c.Check("/x") != ServeFromCache {
+		t.Fatalf("held max-age 4s: Δ %v, Check %v", c.Delta(), c.Check("/x"))
+	}
+	clk.Advance(4*time.Second - time.Nanosecond)
+	if d := c.Check("/x"); d != ServeFromCache {
+		t.Fatalf("just short of its max-age: Check %v", d)
+	}
+	clk.Advance(time.Nanosecond)
+	if d := c.Check("/x"); d != RefreshSketch {
+		t.Fatalf("at its max-age: Check %v, want RefreshSketch", d)
+	}
+	c.Install(srv.Snapshot())
+	if c.Delta() != 0 || c.Check("/x") != RefreshSketch {
+		t.Fatalf("no max-age stated: Δ %v, Check %v", c.Delta(), c.Check("/x"))
 	}
 }
 

@@ -70,36 +70,66 @@ func TestSupersedes(t *testing.T) {
 
 // TestClientEpochSince: the first epoch sets no mark, a snapshot of the
 // held epoch none either; each change of epoch — a straggler from the dead
-// incarnation included — moves the mark to the install.
+// incarnation included — moves the mark to the install. Install reports
+// the first epoch and every move of the mark, and nothing else.
 func TestClientEpochSince(t *testing.T) {
 	clk := clock.NewSimulated(time.Unix(1000, 0))
 	c := NewClient(clk, time.Minute)
 	snap := func(epoch, gen uint64) *Snapshot {
 		return &Snapshot{Filter: bloom.NewFilter(64, 4), Epoch: epoch, Generation: gen, TakenAt: clk.Now()}
 	}
-	c.Install(snap(1, 7))
-	if !c.EpochSince().IsZero() {
-		t.Fatalf("the first epoch marked %v", c.EpochSince())
+	if !c.Install(snap(1, 7)) || !c.EpochSince().IsZero() {
+		t.Fatalf("the first epoch went unreported or marked %v", c.EpochSince())
 	}
 	clk.Advance(time.Second)
-	c.Install(snap(1, 8))
-	if !c.EpochSince().IsZero() {
-		t.Fatalf("a generation of the held epoch marked %v", c.EpochSince())
+	if c.Install(snap(1, 8)) || !c.EpochSince().IsZero() {
+		t.Fatalf("a generation of the held epoch was reported or marked %v", c.EpochSince())
+	}
+	if c.Install(snap(1, 3)) {
+		t.Fatal("a straggler of the held epoch, not installed, was reported")
 	}
 	clk.Advance(time.Second)
 	restarted := clk.Now()
-	c.Install(snap(2, 0))
-	if c.Generation() != 0 || !c.EpochSince().Equal(restarted) {
-		t.Fatalf("after a restart: generation %d, mark %v; want 0 and %v", c.Generation(), c.EpochSince(), restarted)
+	if !c.Install(snap(2, 0)) || c.Generation() != 0 || !c.EpochSince().Equal(restarted) {
+		t.Fatalf("after a restart: generation %d, mark %v; want 0 and %v, reported", c.Generation(), c.EpochSince(), restarted)
 	}
 	clk.Advance(time.Second)
 	straggler := clk.Now()
-	c.Install(snap(1, 9))
-	if c.Generation() != 9 || !c.EpochSince().Equal(straggler) {
+	if !c.Install(snap(1, 9)) || c.Generation() != 9 || !c.EpochSince().Equal(straggler) {
 		t.Fatalf("after a straggler: generation %d, mark %v; want 9 and %v", c.Generation(), c.EpochSince(), straggler)
 	}
 	if got := c.Stats().Refreshes; got != 4 {
 		t.Fatalf("refreshes = %d, want 4", got)
+	}
+}
+
+// TestClientResume: a client seeded with a journaled mark treats the
+// recovered copies as stored in its epoch. A first install of that epoch
+// keeps the recovered mark and reports nothing to journal; one of another
+// epoch moves the mark to the install and reports it.
+func TestClientResume(t *testing.T) {
+	clk := clock.NewSimulated(time.Unix(1000, 0))
+	before := clk.Now()
+	clk.Advance(time.Minute)
+	snap := func(epoch uint64) *Snapshot {
+		return &Snapshot{Filter: bloom.NewFilter(64, 4), Epoch: epoch, Generation: 1, TakenAt: clk.Now()}
+	}
+	for _, row := range []struct {
+		name       string
+		since      time.Time
+		install    uint64
+		report     bool
+		wantMarked time.Time
+	}{
+		{"same epoch, never changed", time.Time{}, 1, false, time.Time{}},
+		{"same epoch, changed before", before, 1, false, before},
+		{"another epoch", before, 2, true, clk.Now()},
+	} {
+		c := NewClient(clk, time.Minute)
+		c.Resume(1, row.since)
+		if got := c.Install(snap(row.install)); got != row.report || !c.EpochSince().Equal(row.wantMarked) {
+			t.Errorf("%s: reported %v, mark %v; want %v and %v", row.name, got, c.EpochSince(), row.report, row.wantMarked)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"speedkit/internal/cache"
+	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
 	"speedkit/internal/faults"
 	"speedkit/internal/wal"
@@ -98,8 +99,9 @@ type diskTier struct {
 	mu        sync.Mutex
 	dead      bool // guarded by mu
 	sinceSnap int  // guarded by mu; records appended since the last checkpoint
-	// mark is the epoch mark last journaled or recovered; nil while there
-	// is none.
+	// mark is the epoch mark last journaled or recovered, nil while there
+	// is none: what a checkpoint writes, and what the edge's sketch holder
+	// resumes from at open.
 	mark *epochMark // guarded by mu
 }
 
@@ -107,58 +109,8 @@ type diskTier struct {
 // surviving entries into mem.
 func openDisk(dir string, every int, clk clock.Clock, inj *faults.Injector, mem *cache.Store, m *metrics) (*diskTier, RecoveryInfo, error) {
 	var mark *epochMark
-	restore := func(p []byte) error {
-		if len(p) == 0 || p[0] > 1 || p[0] == 1 && len(p) < 1+markLen {
-			return errors.New("edge: malformed snapshot")
-		}
-		if p[0] == 1 {
-			mark = readMark(p[1:])
-			p = p[1+markLen:]
-		} else {
-			p = p[1:]
-		}
-		count, n := binary.Uvarint(p)
-		if n <= 0 {
-			return errors.New("edge: malformed snapshot")
-		}
-		p = p[n:]
-		for i := uint64(0); i < count; i++ {
-			enc, rest, ok := readBytes(p)
-			if !ok {
-				return errors.New("edge: malformed snapshot")
-			}
-			e, ok := decodeEntry(enc)
-			if !ok {
-				return errors.New("edge: malformed snapshot entry")
-			}
-			mem.Put(e)
-			p = rest
-		}
-		return nil
-	}
-	replay := func(_ uint64, rec []byte) error {
-		if len(rec) == 0 {
-			return errors.New("edge: empty disk record")
-		}
-		switch rec[0] {
-		case recFill:
-			e, ok := decodeEntry(rec[1:])
-			if !ok {
-				return errors.New("edge: malformed fill record")
-			}
-			mem.Put(e)
-		case recPurge:
-			mem.Delete(string(rec[1:]))
-		case recEpoch:
-			if len(rec) != 1+markLen {
-				return errors.New("edge: malformed epoch record")
-			}
-			mark = readMark(rec[1:])
-		default:
-			return fmt.Errorf("edge: unknown disk record type %d", rec[0])
-		}
-		return nil
-	}
+	restore := func(p []byte) error { return restoreSnapshot(p, mem, &mark) }
+	replay := func(_ uint64, rec []byte) error { return replayRecord(rec, mem, &mark) }
 	log, rec, err := wal.OpenSnapshotted(wal.Options{Dir: dir, Clock: clk, Faults: inj}, snapMagic, restore, replay)
 	if err != nil {
 		return nil, RecoveryInfo{}, err
@@ -185,6 +137,64 @@ func openDisk(dir string, every int, clk clock.Clock, inj *faults.Injector, mem 
 	return d, info, nil
 }
 
+// restoreSnapshot loads a snapshot payload (see export) into mem, and its
+// epoch mark, if it holds one, into *mark.
+func restoreSnapshot(p []byte, mem *cache.Store, mark **epochMark) error {
+	if len(p) == 0 || p[0] > 1 || p[0] == 1 && len(p) < 1+markLen {
+		return errors.New("edge: malformed snapshot")
+	}
+	if p[0] == 1 {
+		*mark = readMark(p[1:])
+		p = p[1+markLen:]
+	} else {
+		p = p[1:]
+	}
+	count, n := binary.Uvarint(p)
+	if n <= 0 {
+		return errors.New("edge: malformed snapshot")
+	}
+	p = p[n:]
+	for i := uint64(0); i < count; i++ {
+		enc, rest, ok := readBytes(p)
+		if !ok {
+			return errors.New("edge: malformed snapshot")
+		}
+		e, ok := decodeEntry(enc)
+		if !ok {
+			return errors.New("edge: malformed snapshot entry")
+		}
+		mem.Put(e)
+		p = rest
+	}
+	return nil
+}
+
+// replayRecord applies one journal record to mem, or to *mark for an
+// epoch record.
+func replayRecord(rec []byte, mem *cache.Store, mark **epochMark) error {
+	if len(rec) == 0 {
+		return errors.New("edge: empty disk record")
+	}
+	switch rec[0] {
+	case recFill:
+		e, ok := decodeEntry(rec[1:])
+		if !ok {
+			return errors.New("edge: malformed fill record")
+		}
+		mem.Put(e)
+	case recPurge:
+		mem.Delete(string(rec[1:]))
+	case recEpoch:
+		if len(rec) != 1+markLen {
+			return errors.New("edge: malformed epoch record")
+		}
+		*mark = readMark(rec[1:])
+	default:
+		return fmt.Errorf("edge: unknown disk record type %d", rec[0])
+	}
+	return nil
+}
+
 // appendFill journals one committed entry. A failed append (injected
 // crash, disk error) marks the tier dead: the edge keeps serving from
 // memory, and the owner's restart path runs recovery.
@@ -199,24 +209,24 @@ func (d *diskTier) appendPurge(key string) {
 	d.m.diskPurges.Add(1)
 }
 
-// appendEpoch journals the epoch mark of a sketch the edge just installed.
-func (d *diskTier) appendEpoch(m epochMark) {
-	d.mu.Lock()
-	d.mark = &m
-	d.mu.Unlock()
-	d.append(appendMark([]byte{recEpoch}, m))
-}
-
-// epoch returns the epoch mark last journaled or recovered, nil if none.
-func (d *diskTier) epoch() *epochMark {
+// appendEpoch journals the epoch mark the edge's sketch holder holds once
+// an install has changed it. The mark is read under mu, so of two installs
+// racing to journal, the later record states what both left behind.
+func (d *diskTier) appendEpoch(c *cachesketch.Client) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.mark
+	d.mark = &epochMark{epoch: c.Snapshot().Epoch, since: c.EpochSince()}
+	d.appendLocked(appendMark([]byte{recEpoch}, *d.mark))
 }
 
 func (d *diskTier) append(payload []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.appendLocked(payload)
+}
+
+// appendLocked is append with mu held.
+func (d *diskTier) appendLocked(payload []byte) {
 	if d.dead {
 		return
 	}
@@ -356,7 +366,9 @@ func decodeEntry(b []byte) (cache.Entry, bool) {
 	e.ExpiresAt = fromUnixNano(ns)
 	b = b[n:]
 	nmeta, n := binary.Uvarint(b)
-	if n <= 0 {
+	// Each pair takes two bytes at least, so a count past that is damage,
+	// and must not size the map.
+	if n <= 0 || nmeta > uint64(len(b)-n)/2 {
 		return e, false
 	}
 	b = b[n:]

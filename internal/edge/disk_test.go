@@ -265,6 +265,7 @@ func TestProxyRestartServesIdenticalBodies(t *testing.T) {
 	if info.Entries != 1 {
 		t.Fatalf("recovered entries = %d: %+v", info.Entries, info)
 	}
+	prime(t, p2)
 	w = get(t, p2, "/v1/page?path=/p", nil)
 	if w.Body.String() != want || w.Header().Get("X-Edge-Cache") != "hit" {
 		t.Fatalf("restart: state=%q body=%q want=%q", w.Header().Get("X-Edge-Cache"), w.Body.String(), want)

@@ -33,6 +33,12 @@
 //     held sketch's epoch was installed: an upstream that restarted
 //     without its history vouches for none of them. Client If-None-Match
 //     gets 304s locally.
+//   - A hit needs a sketch that vouches for it. The edge holds its sketch
+//     in a cachesketch.Client, the device's holder, with Δ the max-age the
+//     sketch came with: while it holds none, or the one it holds is Δ old,
+//     every TTL-fresh hit is revalidated instead and counted as degraded.
+//     An edge cut off from its server so stops vouching for its copies
+//     after Δ, as a device does.
 //   - Every upstream answer reaches the device through one header
 //     allow-list (copyEntryHeaders); nothing else the upstream sends is
 //     relayed.
@@ -61,7 +67,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"speedkit/internal/cache"
@@ -118,20 +123,12 @@ type Proxy struct {
 	disk *diskTier
 	m    metrics
 
-	sketch atomic.Pointer[cachesketch.Snapshot]
+	// sketch holds the sketch the edge installed last, its epoch mark and
+	// Δ (the max-age it came with), by the rules a device holds its own.
+	sketch *cachesketch.Client
 	// sketchMu is held across an on-demand sketch fetch (freshSketch), so
 	// the requests waiting on one expired copy share one upstream fetch.
 	sketchMu sync.Mutex
-	// installMu serializes InstallSketch, so the epoch comparison, the
-	// mark and the journal record agree with the sketch held.
-	installMu sync.Mutex
-	// epochSince is when the held sketch's epoch replaced another (nil
-	// until one has): an entry stored before it is revalidated once before
-	// it can be a hit. Like cachesketch.Client.EpochSince, but the disk
-	// tier's recovered mark counts as the one held before the first
-	// install, so a restart against the same upstream epoch stays warm
-	// and still revalidates what the last epoch change left unrenewed.
-	epochSince atomic.Pointer[time.Time]
 
 	fillsMu sync.Mutex
 	fills   map[string]*fill
@@ -154,6 +151,7 @@ func New(o Options) (*Proxy, RecoveryInfo, error) {
 		hc:       o.Client,
 		clk:      o.Clock,
 		mem:      cache.New(cache.Config{MaxItems: o.MaxEntries, Clock: o.Clock}),
+		sketch:   cachesketch.NewClient(o.Clock, 0),
 		fills:    make(map[string]*fill),
 	}
 	var info RecoveryInfo
@@ -163,8 +161,12 @@ func New(o Options) (*Proxy, RecoveryInfo, error) {
 		if err != nil {
 			return nil, info, err
 		}
-		if m := p.disk.epoch(); m != nil && !m.since.IsZero() {
-			p.epochSince.Store(&m.since)
+		// The recovered mark is the epoch the recovered entries were
+		// stored under: a restart against the same upstream epoch stays
+		// warm and still revalidates what the last epoch change left
+		// unrenewed.
+		if m := p.disk.mark; m != nil {
+			p.sketch.Resume(m.epoch, m.since)
 		}
 	}
 	return p, info, nil
@@ -184,23 +186,10 @@ func (p *Proxy) Stats() Stats { return p.m.stats() }
 // Crashed reports whether an injected fault killed the disk tier.
 func (p *Proxy) Crashed() bool { return p.disk != nil && p.disk.crashed() }
 
-// Generation returns the sketch generation the edge currently holds.
-func (p *Proxy) Generation() uint64 {
-	if sn := p.sketch.Load(); sn != nil {
-		return sn.Generation
-	}
-	return 0
-}
-
 // SketchMaxAge returns the Δ the edge has learned: the max-age the sketch
 // it holds came with, zero while it holds none or the upstream stated
 // none.
-func (p *Proxy) SketchMaxAge() time.Duration {
-	if sn := p.sketch.Load(); sn != nil {
-		return sn.MaxAge
-	}
-	return 0
-}
+func (p *Proxy) SketchMaxAge() time.Duration { return p.sketch.Delta() }
 
 // Handler returns the edge's full server surface: the protocol's routes
 // plus the operational endpoints every deployment needs.
@@ -278,50 +267,15 @@ func sketchAge(sn *cachesketch.Snapshot, now time.Time) (age time.Duration, serv
 }
 
 // InstallSketch hands the edge a sketch snapshot: a poll's, an on-demand
-// fetch's, or one its owner already holds (tests). Responses can arrive
-// out of order, so the held copy stays when sn does not supersede it
-// (cachesketch.Snapshot.Supersedes, the rule devices install by). An
-// upstream that restarted without its history comes back under another
-// epoch, which supersedes whatever generation the edge holds. A change of
-// epoch moves epochSince to now; a new epoch is journaled with it.
+// fetch's, or one its owner already holds (tests). The edge keeps it by
+// the rules a device installs by (cachesketch.Client.Install): a copy
+// that does not supersede the held one is dropped, and another epoch
+// moves the mark before which no stored entry is a hit unrevalidated.
+// When the epoch state changes, the disk tier journals it.
 func (p *Proxy) InstallSketch(sn *cachesketch.Snapshot) {
-	p.installMu.Lock()
-	defer p.installMu.Unlock()
-	cur := p.sketch.Load()
-	if !sn.Supersedes(cur) {
-		return
+	if p.sketch.Install(sn) && p.disk != nil {
+		p.disk.appendEpoch(p.sketch)
 	}
-	var held uint64
-	known := cur != nil
-	if known {
-		held = cur.Epoch
-	} else if p.disk != nil {
-		if m := p.disk.epoch(); m != nil {
-			held, known = m.epoch, true
-		}
-	}
-	if known && held == sn.Epoch {
-		p.sketch.Store(sn)
-		return
-	}
-	if known {
-		now := p.clk.Now()
-		p.epochSince.Store(&now)
-	}
-	p.sketch.Store(sn)
-	if p.disk != nil {
-		p.disk.appendEpoch(epochMark{epoch: sn.Epoch, since: p.trustedSince()})
-	}
-}
-
-// trustedSince is the instant before which no stored entry may be a hit
-// without a revalidation (see epochSince); the zero time while no entry
-// needs one.
-func (p *Proxy) trustedSince() time.Time {
-	if t := p.epochSince.Load(); t != nil {
-		return *t
-	}
-	return time.Time{}
 }
 
 // RefreshSketch pulls the current sketch from the upstream. The edge
@@ -360,13 +314,13 @@ func (p *Proxy) fetchSketch(ctx context.Context) (*cachesketch.Snapshot, error) 
 // they get the lock. An expired copy is never the answer; a failed fetch
 // is the error.
 func (p *Proxy) freshSketch(ctx context.Context) (*cachesketch.Snapshot, time.Duration, error) {
-	sn := p.sketch.Load()
+	sn := p.sketch.Snapshot()
 	if age, servable := sketchAge(sn, p.clk.Now()); servable {
 		return sn, age, nil
 	}
 	p.sketchMu.Lock()
 	defer p.sketchMu.Unlock()
-	sn = p.sketch.Load()
+	sn = p.sketch.Snapshot()
 	if age, servable := sketchAge(sn, p.clk.Now()); servable {
 		return sn, age, nil
 	}
@@ -410,37 +364,46 @@ func (p *Proxy) serveSketch(w http.ResponseWriter, r *http.Request) {
 
 // servePage is the cache path for one page key.
 func (p *Proxy) servePage(w http.ResponseWriter, r *http.Request, key string) {
-	now := p.clk.Now()
 	// PeekAny, not Get: Get reaps expired entries, but an expired copy
 	// is still valuable — its version enables a conditional refresh
 	// (saving the body transfer on 304) and its body backs the
 	// serve-stale path when the upstream is down.
-	if e, ok := p.mem.PeekAny(key); ok {
-		snap := p.sketch.Load()
-		fresh := !e.Expired(now)
-		// The sketch overrides TTL freshness: a key reported written on
-		// a generation newer than the one this entry was validated
-		// against might be stale and must be revalidated. A key the
-		// sketch does not flag is fresh by Δ-atomicity even if another
-		// key changed. Watermarks count in the held sketch's epoch, so an
-		// entry stored before that epoch was installed vouches for nothing
-		// until a revalidation renews it.
-		if fresh && (e.StoredAt.Before(p.trustedSince()) ||
-			snap != nil && entryGen(e) < snap.Generation && snap.MightBeStale(key)) {
-			fresh = false
-		}
-		if fresh {
-			// Promote in the eviction order; the entry is unexpired, so
-			// this cannot reap it.
-			p.mem.Get(key)
-			p.m.hits.Add(1)
-			p.serveEntry(w, r, e, "hit", snap.EpochValue())
-			return
-		}
-		p.revalidatePath(w, r, key, e)
+	e, ok := p.mem.PeekAny(key)
+	if !ok {
+		p.coalesce(w, r, key)
 		return
 	}
-	p.coalesce(w, r, key)
+	if !e.Expired(p.clk.Now()) && p.vouched(key, e) {
+		// Promote in the eviction order; the entry is unexpired, so this
+		// cannot reap it.
+		p.mem.Get(key)
+		p.m.hits.Add(1)
+		p.serveEntry(w, r, e, "hit", p.sketch.Snapshot().EpochValue())
+		return
+	}
+	p.revalidatePath(w, r, key, e)
+}
+
+// vouched reports whether the held sketch vouches for a TTL-fresh entry,
+// which the sketch overrides. One within Δ that does not flag the key
+// vouches for it. A key it flags might be stale, unless the entry was
+// validated at or after the held generation (its watermark). No sketch, or
+// one Δ old, vouches for nothing: the edge degrades to revalidating, and
+// counts it. Watermarks count in the held sketch's epoch, so an entry
+// stored before that epoch was installed is not vouched for until a
+// revalidation renews it. Check loads the snapshot before the generation
+// and the mark are read, so neither is older than its verdict.
+func (p *Proxy) vouched(key string, e cache.Entry) bool {
+	switch p.sketch.Check(key) {
+	case cachesketch.RefreshSketch:
+		p.m.degraded.Add(1)
+		return false
+	case cachesketch.Revalidate:
+		if entryGen(e) < p.sketch.Generation() {
+			return false
+		}
+	}
+	return !e.StoredAt.Before(p.sketch.EpochSince())
 }
 
 // revalidatePath refreshes a stale entry with a conditional GET.
@@ -501,7 +464,7 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 func (p *Proxy) serveStale(w http.ResponseWriter, r *http.Request, e cache.Entry) {
 	p.m.upstreamErrors.Add(1)
 	p.m.servedStale.Add(1)
-	p.serveEntry(w, r, e, "stale", p.sketch.Load().EpochValue())
+	p.serveEntry(w, r, e, "stale", p.sketch.Snapshot().EpochValue())
 }
 
 // coalesce is the miss path: one leader fetches, followers stream the
@@ -540,7 +503,7 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 	resp, err := p.upstreamGet(ctx, "/page", "?path="+url.QueryEscape(key), hdr)
 	// The copy dates from the answer, not from the commit after the body
 	// has streamed: a sketch of another epoch installed in between must
-	// find it stored before the install (see trustedSince).
+	// find it stored before the install (see Client.EpochSince).
 	received := p.clk.Now()
 	if err != nil {
 		f.finish(err)
@@ -688,7 +651,7 @@ func (p *Proxy) renewEntry(e cache.Entry, resp *http.Response) cache.Entry {
 	e.StoredAt = now
 	e.ExpiresAt = now.Add(freshness(resp.Header))
 	e.Metadata = cloneMeta(e.Metadata)
-	e.Metadata[metaGen] = strconv.FormatUint(p.Generation(), 10)
+	e.Metadata[metaGen] = strconv.FormatUint(p.sketch.Generation(), 10)
 	return e
 }
 
@@ -703,7 +666,7 @@ func (p *Proxy) entryFromResponse(key string, resp *http.Response, body []byte, 
 		StoredAt:  now,
 		ExpiresAt: now.Add(freshness(resp.Header)),
 		Metadata: map[string]string{
-			metaGen: strconv.FormatUint(p.Generation(), 10),
+			metaGen: strconv.FormatUint(p.sketch.Generation(), 10),
 		},
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {

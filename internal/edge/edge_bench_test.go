@@ -12,8 +12,8 @@ import (
 )
 
 // BenchmarkEdgeHit measures the steady-state serving path: an in-memory
-// hit answered without touching the upstream — the latency every POP
-// request pays once the working set is warm.
+// hit answered without touching the upstream, under a sketch within Δ —
+// the latency every POP request pays once the working set is warm.
 func BenchmarkEdgeHit(b *testing.B) {
 	u := newFakeUpstream()
 	defer u.close()
@@ -23,6 +23,7 @@ func BenchmarkEdgeHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer p.Close()
+	prime(b, p)
 	// Warm the entry; every timed iteration is a pure hit.
 	r := httptest.NewRequest(http.MethodGet, "/v1/page?path=/p", nil)
 	if w := httptest.NewRecorder(); true {
@@ -40,6 +41,10 @@ func BenchmarkEdgeHit(b *testing.B) {
 			b.Fatalf("hit: %d", w.Code)
 		}
 	}
+	b.StopTimer()
+	if s := p.Stats(); s.Hits != uint64(b.N) {
+		b.Fatalf("%d hits in %d iterations: the sketch stopped vouching", s.Hits, b.N)
+	}
 }
 
 // BenchmarkEdgeCoalescedMiss measures the stampede path: 8 concurrent
@@ -55,6 +60,9 @@ func BenchmarkEdgeCoalescedMiss(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer p.Close()
+	// A racer that arrives after the fill committed is a hit, as behind a
+	// polling edge, not a revalidation for want of a sketch.
+	prime(b, p)
 	const racers = 8
 	b.ReportAllocs()
 	b.ResetTimer()

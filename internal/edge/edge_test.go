@@ -2,9 +2,11 @@ package edge
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -22,8 +24,8 @@ import (
 )
 
 // fakeUpstream is a minimal speedkit-server stand-in: /v1/page with
-// versioned bodies and ETags, /v1/sketch with a marshaled Bloom filter,
-// and counters the tests assert against.
+// versioned bodies and ETags, /v1/sketch with a marshaled Bloom filter
+// under sketchMaxAge, and counters the tests assert against.
 type fakeUpstream struct {
 	mu       sync.Mutex
 	bodies   map[string][]byte
@@ -131,7 +133,7 @@ func (u *fakeUpstream) serveSketch(w http.ResponseWriter) {
 		f = bloom.NewFilterForCapacity(64, 0.01)
 	}
 	sn := &cachesketch.Snapshot{Filter: f, Generation: gen, Epoch: epoch}
-	if err := sn.WriteHTTP(w, "", 0); err != nil {
+	if err := sn.WriteHTTP(w, "public, max-age="+strconv.Itoa(int(sketchMaxAge/time.Second)), 0); err != nil {
 		httpbody.WriteError(w, http.StatusInternalServerError, httpbody.CodeInternal, err.Error())
 	}
 }
@@ -147,7 +149,22 @@ func snapshotIn(epoch, gen uint64, keys ...string) *cachesketch.Snapshot {
 	for _, k := range keys {
 		f.Add(k)
 	}
-	return &cachesketch.Snapshot{Filter: f, Generation: gen, Epoch: epoch, TakenAt: time.Unix(0, 0)}
+	return &cachesketch.Snapshot{Filter: f, Generation: gen, Epoch: epoch, TakenAt: time.Unix(0, 0), MaxAge: heldForever}
+}
+
+// heldForever is the max-age of a snapshot a test installs by hand. Those
+// tests exercise the watermark and epoch rules, so the snapshot stays
+// within Δ whatever the test's clock reads; the Δ rule has tests of its
+// own.
+const heldForever = time.Duration(math.MaxInt64)
+
+// prime polls the upstream's sketch once, as speedkit-edge does before it
+// serves: a hit needs a sketch within Δ to vouch for it.
+func prime(t testing.TB, p *Proxy) {
+	t.Helper()
+	if err := p.RefreshSketch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func newTestProxy(t *testing.T, u *fakeUpstream, opts Options) *Proxy {
@@ -180,6 +197,7 @@ func TestMissThenHit(t *testing.T) {
 	defer u.close()
 	u.set("/p", "hello page", 1)
 	p := newTestProxy(t, u, Options{})
+	prime(t, p)
 
 	w := get(t, p, "/v1/page?path=/p", nil)
 	if w.Code != http.StatusOK || w.Body.String() != "hello page" {
@@ -287,6 +305,48 @@ func TestSketchDrivenRevalidation(t *testing.T) {
 	w = get(t, p, "/v1/page?path=/p", nil)
 	if w.Body.String() != "v2 body" || w.Header().Get("X-Edge-Cache") != "miss" {
 		t.Fatalf("changed body: state=%q body=%q", w.Header().Get("X-Edge-Cache"), w.Body.String())
+	}
+}
+
+// TestUnvouchedHitsRevalidate: a hit needs a sketch within Δ. An edge that
+// holds none revalidates every TTL-fresh hit, and so does one whose sketch
+// is Δ old, as an edge cut off from its server's polls holds; /metrics
+// counts each as degraded. A poll makes them hits again.
+func TestUnvouchedHitsRevalidate(t *testing.T) {
+	u := newFakeUpstream()
+	defer u.close()
+	u.set("/p", "body", 1)
+	clk := clock.NewSimulated(time.Unix(1000, 0))
+	p := newTestProxy(t, u, Options{Clock: clk})
+	h := p.Handler()
+	expect := func(step, want string) {
+		t.Helper()
+		if got := get(t, h, "/v1/page?path=/p", nil).Header().Get("X-Edge-Cache"); got != want {
+			t.Fatalf("%s: served as %q, want %q", step, got, want)
+		}
+	}
+
+	expect("fill", "miss")
+	expect("no sketch", "revalidated")
+	expect("still no sketch", "revalidated")
+	prime(t, p)
+	expect("sketch within Δ", "hit")
+	clk.Advance(sketchMaxAge - time.Nanosecond)
+	expect("sketch just short of Δ", "hit")
+	clk.Advance(time.Nanosecond)
+	expect("sketch Δ old", "revalidated")
+	expect("sketch still Δ old", "revalidated")
+	prime(t, p)
+	expect("polled again", "hit")
+
+	if n := u.conds.Load(); n != 4 {
+		t.Fatalf("%d conditional requests, want one per unvouched hit", n)
+	}
+	if s := p.Stats(); s.Degraded != 4 || s.Hits != 3 {
+		t.Fatalf("stats %+v, want 4 degraded and 3 hits", s)
+	}
+	if out := get(t, h, "/metrics", nil).Body.String(); !contains(out, "speedkit_edge_degraded_total 4\n") {
+		t.Fatalf("exposition does not count the degraded hits:\n%s", out)
 	}
 }
 
@@ -401,6 +461,7 @@ func TestUnversionedPathsAreNotRoutes(t *testing.T) {
 	u.set("/p", "body", 1)
 	u.set("/q", "other", 1)
 	p := newTestProxy(t, u, Options{})
+	prime(t, p)
 	get(t, p, "/v1/page?path=/p", nil)
 
 	const user = "u-4711"
@@ -529,6 +590,7 @@ func TestMetricsExposition(t *testing.T) {
 	defer u.close()
 	u.set("/p", "body", 1)
 	p := newTestProxy(t, u, Options{})
+	prime(t, p)
 	h := p.Handler()
 	get(t, h, "/v1/page?path=/p", nil)
 	get(t, h, "/v1/page?path=/p", nil)

@@ -131,7 +131,7 @@ func TestRefreshSketchStampsTheSend(t *testing.T) {
 	if err := p.RefreshSketch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if sn := p.sketch.Load(); sn.Generation != 7 || !sn.TakenAt.Equal(sent) {
+	if sn := p.sketch.Snapshot(); sn.Generation != 7 || !sn.TakenAt.Equal(sent) {
 		t.Fatalf("snapshot generation %d taken at %v, want 7 at the send, %v", sn.Generation, sn.TakenAt, sent)
 	}
 }

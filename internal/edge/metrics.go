@@ -23,6 +23,7 @@ type metrics struct {
 	purges           atomic.Uint64
 	upstreamErrors   atomic.Uint64
 	servedStale      atomic.Uint64
+	degraded         atomic.Uint64
 	bytesServed      atomic.Uint64
 	diskFills        atomic.Uint64
 	diskPurges       atomic.Uint64
@@ -50,6 +51,9 @@ type Stats struct {
 	// ServedStale hits answered from an expired copy because the
 	// upstream was unreachable.
 	ServedStale uint64
+	// Degraded counts TTL-fresh hits revalidated because no sketch within
+	// Δ vouched for them: none was held, or the held one was Δ old.
+	Degraded uint64
 	// BytesServed counts response body bytes from the cache path.
 	BytesServed uint64
 	// DiskFills / DiskPurges are WAL records appended to the disk tier.
@@ -74,6 +78,7 @@ func (m *metrics) stats() Stats {
 		Purges:           m.purges.Load(),
 		UpstreamErrors:   m.upstreamErrors.Load(),
 		ServedStale:      m.servedStale.Load(),
+		Degraded:         m.degraded.Load(),
 		BytesServed:      m.bytesServed.Load(),
 		DiskFills:        m.diskFills.Load(),
 		DiskPurges:       m.diskPurges.Load(),
@@ -99,6 +104,7 @@ func (m *metrics) write(w io.Writer) {
 		{"speedkit_edge_purges_total", s.Purges},
 		{"speedkit_edge_upstream_errors_total", s.UpstreamErrors},
 		{"speedkit_edge_served_stale_total", s.ServedStale},
+		{"speedkit_edge_degraded_total", s.Degraded},
 		{"speedkit_edge_bytes_served_total", s.BytesServed},
 		{"speedkit_edge_disk_fills_total", s.DiskFills},
 		{"speedkit_edge_disk_purges_total", s.DiskPurges},

@@ -192,7 +192,7 @@ func TestServeSketch(t *testing.T) {
 				}
 				// What a device makes of it: a copy it may still use, taken
 				// no later than the edge's own.
-				if held := p.sketch.Load(); sn.TakenAt.After(held.TakenAt) || !sn.TakenAt.After(sent.Add(-sketchMaxAge)) {
+				if held := p.sketch.Snapshot(); sn.TakenAt.After(held.TakenAt) || !sn.TakenAt.After(sent.Add(-sketchMaxAge)) {
 					t.Fatalf("step %d: device dates the copy %v; the edge took it %v, and Δ before the request is %v", i, sn.TakenAt, held.TakenAt, sent.Add(-sketchMaxAge))
 				}
 				if w.Body.Len() != 21 || sn.MightBeStale("/never/written") != row.wantStale {
@@ -286,17 +286,17 @@ func TestInstallSketchInOrder(t *testing.T) {
 	if err := <-slow; err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Generation(); got != 8 {
+	if got := p.sketch.Generation(); got != 8 {
 		t.Fatalf("edge holds generation %d after the slow poll landed, want 8", got)
 	}
 
 	// Same generation, later snapshot: replaces (an idle server's polls).
 	clk.Advance(time.Second)
-	before := p.sketch.Load()
+	before := p.sketch.Snapshot()
 	if err := p.RefreshSketch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if after := p.sketch.Load(); after == before || !after.TakenAt.After(before.TakenAt) {
+	if after := p.sketch.Snapshot(); after == before || !after.TakenAt.After(before.TakenAt) {
 		t.Fatal("a later snapshot of the same generation did not replace the held one")
 	}
 
@@ -305,8 +305,8 @@ func TestInstallSketchInOrder(t *testing.T) {
 	if err := p.RefreshSketch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Generation(); got != 8 || !p.trustedSince().IsZero() {
-		t.Fatalf("generation %d (mark %v) replaced generation 8 of the same epoch", got, p.trustedSince())
+	if got := p.sketch.Generation(); got != 8 || !p.sketch.EpochSince().IsZero() {
+		t.Fatalf("generation %d (mark %v) replaced generation 8 of the same epoch", got, p.sketch.EpochSince())
 	}
 	// An upstream that restarted without its history counts from zero
 	// again, under a new epoch: that replaces the held copy at once — an
@@ -317,8 +317,8 @@ func TestInstallSketchInOrder(t *testing.T) {
 	if err := p.RefreshSketch(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Generation(); got != 2 || !p.trustedSince().Equal(clk.Now()) {
-		t.Fatalf("after the upstream's restart: generation %d, mark %v; want 2 and %v", got, p.trustedSince(), clk.Now())
+	if got := p.sketch.Generation(); got != 2 || !p.sketch.EpochSince().Equal(clk.Now()) {
+		t.Fatalf("after the upstream's restart: generation %d, mark %v; want 2 and %v", got, p.sketch.EpochSince(), clk.Now())
 	}
 	if w := get(t, p, "/v1/sketch", nil); w.Code != http.StatusOK || w.Header().Get(cachesketch.EpochHeader) != "0000000000000002" {
 		t.Fatalf("after the upstream's restart: %d, epoch %q; want the new epoch", w.Code, w.Header().Get(cachesketch.EpochHeader))

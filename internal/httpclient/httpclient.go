@@ -216,6 +216,16 @@ func sourceFromHeader(h string) proxy.Source {
 	}
 }
 
+// staleOr returns src, unless the answer is an edge's stale serve: a copy
+// the edge answered from because its upstream failed to refresh it, which
+// it says in X-Edge-Cache.
+func staleOr(h http.Header, src proxy.Source) proxy.Source {
+	if h.Get("X-Edge-Cache") == "stale" {
+		return proxy.SourceCDNStale
+	}
+	return src
+}
+
 // Fetch implements proxy.Transport.
 func (t *Transport) Fetch(ctx context.Context, _ netsim.Region, path string) (cache.Entry, time.Duration, proxy.Source, error) {
 	start := t.clk.Now()
@@ -233,7 +243,7 @@ func (t *Transport) Fetch(ctx context.Context, _ netsim.Region, path string) (ca
 		return cache.Entry{}, lat, 0, asOffline(err)
 	}
 	lat = t.clk.Now().Sub(start)
-	return t.entryFromResponse(path, resp, body), lat, sourceFromHeader(resp.Header.Get("X-Served-By")), nil
+	return t.entryFromResponse(path, resp, body), lat, staleOr(resp.Header, sourceFromHeader(resp.Header.Get("X-Served-By"))), nil
 }
 
 // Revalidate implements proxy.Transport via If-None-Match.
@@ -254,7 +264,7 @@ func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string
 		e := cache.Entry{Key: path, Version: knownVersion, StoredAt: now, ExpiresAt: expiresAt(resp.Header, now),
 			Epoch: cachesketch.PageEpoch(resp.Header)}
 		return proxy.RevalidationResult{
-			NotModified: true, Entry: e, Latency: lat, Source: proxy.SourceOrigin,
+			NotModified: true, Entry: e, Latency: lat, Source: staleOr(resp.Header, proxy.SourceOrigin),
 		}, nil
 	case http.StatusOK:
 		body, err := httpbody.ReadAll(resp)
@@ -264,7 +274,7 @@ func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string
 		return proxy.RevalidationResult{
 			Entry:   t.entryFromResponse(path, resp, body),
 			Latency: t.clk.Now().Sub(start),
-			Source:  sourceFromHeader(resp.Header.Get("X-Served-By")),
+			Source:  staleOr(resp.Header, sourceFromHeader(resp.Header.Get("X-Served-By"))),
 		}, nil
 	default:
 		return proxy.RevalidationResult{}, statusErr("revalidate", path, resp)

@@ -12,6 +12,7 @@ package origin
 import (
 	"errors"
 	"fmt"
+	"html"
 	"sort"
 	"strconv"
 	"strings"
@@ -258,10 +259,14 @@ func (s *Server) Render(path string) (Page, error) {
 	}
 }
 
+// renderShell wraps content, which is markup, in the page shell. Data the
+// page shows goes in escaped (see writeText), so a placeholder in the shell
+// is one the origin wrote: a document value that spells one, or a tag,
+// arrives as text.
 func (s *Server) renderShell(path string, version uint64, content string, blocks []string) Page {
 	var b strings.Builder
 	b.WriteString("<!doctype html><html><head><title>")
-	b.WriteString(path)
+	b.WriteString(html.EscapeString(path))
 	b.WriteString("</title></head><body>")
 	b.WriteString(content)
 	for _, name := range blocks {
@@ -289,10 +294,14 @@ func (s *Server) renderProductPage(path string, version uint64, spec *productSpe
 		return Page{}, fmt.Errorf("origin: render %s: %w", path, err)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "<article id=%q>", docID)
+	writeAttr(&b, "<article id=", docID)
+	b.WriteString(">")
 	for i := 0; i < doc.Len(); i++ {
 		k, v := doc.Field(i)
-		fmt.Fprintf(&b, "<p class=%q>%v</p>", k, v)
+		writeAttr(&b, "<p class=", k)
+		b.WriteString(">")
+		writeText(&b, v)
+		b.WriteString("</p>")
 	}
 	b.WriteString("</article>")
 	return s.renderShell(path, version, b.String(), spec.blocks), nil
@@ -316,18 +325,28 @@ func (s *Server) renderQueryPage(path string, version uint64, spec *querySpec) (
 	detailPrefix, linkable := s.detailPrefixFor(spec.q.Collection)
 	var links []string
 	var b strings.Builder
-	fmt.Fprintf(&b, "<h1>%s</h1><ul>", spec.title)
+	b.WriteString("<h1>")
+	b.WriteString(html.EscapeString(spec.title))
+	b.WriteString("</h1><ul>")
 	for _, d := range docs {
 		// A document's own "id" field, when it has one, is what the page
 		// has always shown and linked; Lookup falls back to the store ID.
 		id, _ := d.Lookup("id")
-		fmt.Fprintf(&b, "<li data-id=%q>", id)
+		if sid, ok := id.(string); ok {
+			writeAttr(&b, "<li data-id=", sid)
+		} else {
+			fmt.Fprintf(&b, "<li data-id=%q", id)
+		}
+		b.WriteString(">")
 		for i := 0; i < d.Len(); i++ {
 			k, v := d.Field(i)
 			if k == "id" {
 				continue
 			}
-			fmt.Fprintf(&b, "<span class=%q>%v</span>", k, v)
+			writeAttr(&b, "<span class=", k)
+			b.WriteString(">")
+			writeText(&b, v)
+			b.WriteString("</span>")
 		}
 		b.WriteString("</li>")
 		if linkable {
@@ -338,6 +357,31 @@ func (s *Server) renderQueryPage(path string, version uint64, spec *querySpec) (
 	page := s.renderShell(path, version, b.String(), spec.blocks)
 	page.Links = links
 	return page, nil
+}
+
+// writeAttr writes prefix and then value as a double-quoted attribute
+// value, escaped. html.EscapeString hands back a string with nothing to
+// escape as it is, so clean data costs no allocation.
+func writeAttr(b *strings.Builder, prefix, value string) {
+	b.WriteString(prefix)
+	b.WriteByte('"')
+	b.WriteString(html.EscapeString(value))
+	b.WriteByte('"')
+}
+
+// writeText writes a document value as element text. A string is escaped,
+// and so is what a list or a nested document prints, since either may hold
+// strings; a number or a bool prints as %v prints it, as it cannot carry
+// markup.
+func writeText(b *strings.Builder, v any) {
+	switch x := v.(type) {
+	case string:
+		b.WriteString(html.EscapeString(x))
+	case bool, int, int8, int16, int32, int64, uint, uint8, uint16, uint32, uint64, float32, float64:
+		fmt.Fprint(b, x)
+	default:
+		b.WriteString(html.EscapeString(fmt.Sprint(x)))
+	}
 }
 
 // RenderBlock produces the personalized fragment for a user. Unknown

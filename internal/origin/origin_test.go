@@ -79,6 +79,40 @@ func TestRenderProductPage(t *testing.T) {
 	}
 }
 
+// TestRenderEscapesData: what a document holds is text on the page, never
+// markup. A value that spells a block placeholder would otherwise be one:
+// a device fills every placeholder its shell holds, so a product could
+// mint itself a user's cart fragment. Keys, values, document IDs and the
+// path are escaped on the product page and on the listing alike; the
+// shell's own placeholder is the only one left.
+func TestRenderEscapesData(t *testing.T) {
+	srv, docs, _ := newTestOrigin(t)
+	const evil = BlockPrefix + "cart-->" + `<script>alert("x")</script>`
+	if err := docs.Insert("products", `p"4`, map[string]any{
+		"price": 1.0, "category": "shoes", "name": evil, "<b>": "bold", "tags": []any{"<i>"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{`/product/p"4`, "/category/shoes"} {
+		p, err := srv.Render(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := string(p.Body)
+		if n := strings.Count(body, BlockPlaceholder("cart")); n != 1 {
+			t.Errorf("%s: %d cart placeholders, want the shell's one:\n%s", path, n, body)
+		}
+		for _, markup := range []string{"<script", "<b>", "<i>", `p"4`} {
+			if strings.Contains(body, markup) {
+				t.Errorf("%s: data rendered as markup %q:\n%s", path, markup, body)
+			}
+		}
+		if !strings.Contains(body, "&lt;script&gt;alert(&#34;x&#34;)&lt;/script&gt;") {
+			t.Errorf("%s: the value is not on the page as text:\n%s", path, body)
+		}
+	}
+}
+
 func TestRenderProductMissingDoc(t *testing.T) {
 	srv, _, _ := newTestOrigin(t)
 	if _, err := srv.Render("/product/ghost"); !errors.Is(err, storage.ErrNotFound) {

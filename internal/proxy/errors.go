@@ -64,7 +64,9 @@ const (
 	// DegradeServeStale: the sketch (or shell upstream) was unavailable
 	// and a held copy stored within the last Δ was served. Such a copy
 	// cannot exceed the staleness bound: any invalidating write
-	// postdates its StoredAt, which is at most Δ ago.
+	// postdates its StoredAt, which is at most Δ ago. A CDN edge that
+	// answers from a copy its upstream failed to refresh is the same rung
+	// one tier out (SourceCDNStale).
 	DegradeServeStale DegradeReason = "serve_stale"
 	// DegradeRevalidate: the sketch was unavailable and no held copy
 	// was young enough, so the load was forced through the

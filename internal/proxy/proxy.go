@@ -48,6 +48,10 @@ const (
 	SourceCDN
 	// SourceOrigin: a full origin fetch (CDN miss or revalidation).
 	SourceOrigin
+	// SourceCDNStale: a CDN edge answered from a copy its upstream failed
+	// to refresh. Only a Transport returns it: the proxy marks the load
+	// DegradeServeStale and records the answer as SourceCDN's.
+	SourceCDNStale
 )
 
 // String names the source.
@@ -59,6 +63,8 @@ func (s Source) String() string {
 		return "cdn"
 	case SourceOrigin:
 		return "origin"
+	case SourceCDNStale:
+		return "cdn-stale"
 	}
 	return "unknown"
 }
@@ -585,6 +591,7 @@ func (p *Proxy) fetchShell(ctx context.Context, path string, res *PageLoad) (cac
 	if err != nil {
 		return cache.Entry{}, fmt.Errorf("proxy: fetch %s: %w", path, err)
 	}
+	src = p.tier(ctx, res, src)
 	res.Source = src
 	switch src {
 	case SourceCDN:
@@ -597,6 +604,17 @@ func (p *Proxy) fetchShell(ctx context.Context, path string, res *PageLoad) (cac
 	// assumption the server's expiration table depends on.
 	p.keep(entry)
 	return entry, nil
+}
+
+// tier returns the tier that answered a shell fetch. An edge's stale serve
+// is the CDN's answer, and it degrades the load: the edge could not
+// refresh the copy, so nothing upstream vouched for it.
+func (p *Proxy) tier(ctx context.Context, res *PageLoad, src Source) Source {
+	if src != SourceCDNStale {
+		return src
+	}
+	p.markDegraded(res, obs.TraceFromContext(ctx), DegradeServeStale)
+	return SourceCDN
 }
 
 // keep stores a copy fetched from upstream and notes its epoch with the
@@ -638,6 +656,7 @@ func (p *Proxy) revalidateShell(ctx context.Context, path string, res *PageLoad)
 		return cache.Entry{}, fmt.Errorf("proxy: revalidate %s: %w", path, err)
 	}
 	res.Latency += rr.Latency
+	rr.Source = p.tier(ctx, res, rr.Source)
 	res.Source = rr.Source
 	switch rr.Source {
 	case SourceCDN:
