@@ -1,7 +1,9 @@
 package bent
 
 import (
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -116,8 +118,64 @@ note: measured on the seed box
 		Baseline: "BENCH_wal.json", Benchtime: "300x", Noise: 0.60,
 		AllocNoise: 0, Note: "measured on the seed box",
 	}
-	if s != want {
+	if !reflect.DeepEqual(s, want) {
 		t.Fatalf("suite = %+v, want %+v", s, want)
+	}
+}
+
+// TestAllocNoiseOverride: an "alloc-noise <name>" line bounds that one
+// benchmark's allocs/op growth, in either direction from the suite's, and
+// the suite's bound still holds for every other row.
+func TestAllocNoiseOverride(t *testing.T) {
+	s, err := ParseSuite("benchsuites/edge.suite", []byte(`name: edge
+package: ./internal/edge
+bench: ^BenchmarkEdge(Hit|CoalescedMiss|Purge)$
+alloc-noise: 64
+alloc-noise BenchmarkEdgeHit: 0   # the hit path is exact
+alloc-noise BenchmarkEdgePurge: 80
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]uint64{"BenchmarkEdgeHit": 0, "BenchmarkEdgePurge": 80}; !reflect.DeepEqual(s.AllocNoiseFor, want) || s.AllocNoise != 64 {
+		t.Fatalf("alloc-noise %d, overrides %v, want 64 and %v", s.AllocNoise, s.AllocNoiseFor, want)
+	}
+	base := Report{Benchmarks: []Result{
+		{Name: "BenchmarkEdgeHit", Procs: 4, NsPerOp: 100, AllocsPerOp: u64(5)},
+		{Name: "BenchmarkEdgeCoalescedMiss", Procs: 4, NsPerOp: 100, AllocsPerOp: u64(300)},
+		{Name: "BenchmarkEdgePurge", Procs: 4, NsPerOp: 100, AllocsPerOp: u64(60)},
+	}}
+	run := func(hit, miss, purge uint64) []string {
+		cur := Report{Benchmarks: []Result{
+			{Name: "BenchmarkEdgeHit", Procs: 4, NsPerOp: 100, AllocsPerOp: u64(hit)},
+			{Name: "BenchmarkEdgeCoalescedMiss", Procs: 4, NsPerOp: 100, AllocsPerOp: u64(miss)},
+			{Name: "BenchmarkEdgePurge", Procs: 4, NsPerOp: 100, AllocsPerOp: u64(purge)},
+		}}
+		var out []string
+		for _, r := range Compare(s, cur, base, 1) {
+			out = append(out, fmt.Sprintf("%s %s %.0f", r.Name, r.Metric, r.Allowed))
+		}
+		return out
+	}
+	if regs := run(5, 364, 140); len(regs) != 0 {
+		t.Fatalf("every row at its bound: %v", regs)
+	}
+	if regs := run(6, 364, 140); !reflect.DeepEqual(regs, []string{"BenchmarkEdgeHit-4 allocs/op 5"}) {
+		t.Fatalf("one allocation more on the hit: %v", regs)
+	}
+	if regs := run(5, 365, 141); !reflect.DeepEqual(regs, []string{"BenchmarkEdgeCoalescedMiss-4 allocs/op 364", "BenchmarkEdgePurge-4 allocs/op 140"}) {
+		t.Fatalf("past the suite's and the purge's bounds: %v", regs)
+	}
+
+	for _, c := range []struct{ data, wantErr string }{
+		{"alloc-noise BenchmarkEdgeHit: -1", "bad alloc-noise override"},
+		{"alloc-noise BenchmarkEdgeHit: 1.5", "bad alloc-noise override"},
+		{"alloc-noise BenchmarkEdgeHits: 0", "does not select"},
+	} {
+		data := "name: edge\npackage: .\nbench: ^BenchmarkEdge(Hit|Purge)$\n" + c.data
+		if _, err := ParseSuite("edge.suite", []byte(data)); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%q: err = %v, want containing %q", c.data, err, c.wantErr)
+		}
 	}
 }
 

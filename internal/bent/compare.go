@@ -41,8 +41,8 @@ func CanonicalName(r Result) string {
 // Compare diffs a fresh run against the committed baseline for a suite.
 // Every baseline benchmark must be present in the current run and inside
 // the noise band: ns/op may grow to baseline*(1+noise*scale); allocs/op
-// may grow by at most the suite's absolute alloc-noise (never scaled, so
-// zero-alloc promises stay hard). New benchmarks with no baseline entry
+// may grow by at most the benchmark's absolute alloc-noise (AllocBound;
+// never scaled, so zero-alloc promises stay hard). New benchmarks with no baseline entry
 // are ignored — they start gating once the baseline is regenerated.
 // Matching is by CanonicalName, so baselines seeded on a box with a
 // different GOMAXPROCS default still line up as long as the suite pins
@@ -72,7 +72,7 @@ func Compare(s Suite, current, baseline Report, scale float64) []Regression {
 			})
 		}
 		if base.AllocsPerOp != nil && got.AllocsPerOp != nil {
-			if allowed := *base.AllocsPerOp + s.AllocNoise; *got.AllocsPerOp > allowed {
+			if allowed := *base.AllocsPerOp + s.AllocBound(base.Name); *got.AllocsPerOp > allowed {
 				regs = append(regs, Regression{
 					Suite: s.Name, Name: CanonicalName(base), Metric: "allocs/op",
 					Baseline: float64(*base.AllocsPerOp),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,12 +25,16 @@ import (
 //	cpu:        4                       # optional -cpu value
 //	noise:      0.60                    # allowed fractional ns/op growth
 //	alloc-noise: 0                      # allowed allocs/op growth
+//	alloc-noise BenchmarkX: 0           # the same, for one benchmark
 //	note:       free-form provenance text
 //
 // noise is the suite's noise band: a benchmark regresses when its ns/op
 // exceeds baseline*(1+noise*scale) (scale is the runner's -noise-scale).
 // alloc-noise bounds allocs/op growth in absolute allocations and is NOT
 // scaled — the zero-alloc gates stay tight no matter how noisy the box.
+// "alloc-noise <name>" overrides it for the benchmark of that name (no -P
+// suffix), which the bench regexp must select: a suite whose rows wobble
+// by different amounts gates each at its own bound.
 type Suite struct {
 	Name       string
 	Package    string
@@ -39,7 +44,19 @@ type Suite struct {
 	CPU        string
 	Noise      float64
 	AllocNoise uint64
-	Note       string
+	// AllocNoiseFor holds the per-benchmark alloc-noise overrides, by
+	// benchmark name; nil when the suite declares none.
+	AllocNoiseFor map[string]uint64
+	Note          string
+}
+
+// AllocBound is the allocs/op growth s allows the benchmark named name:
+// its own alloc-noise line, else the suite's.
+func (s Suite) AllocBound(name string) uint64 {
+	if n, ok := s.AllocNoiseFor[name]; ok {
+		return n
+	}
+	return s.AllocNoise
 }
 
 // defaultNoise is the noise band for suites that do not declare one:
@@ -63,6 +80,18 @@ func ParseSuite(path string, data []byte) (Suite, error) {
 			return Suite{}, fmt.Errorf("%s:%d: not a 'key: value' line: %q", path, ln+1, raw)
 		}
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+		if bench, ok := strings.CutPrefix(key, "alloc-noise "); ok {
+			bench = strings.TrimSpace(bench)
+			n, err := strconv.ParseUint(val, 10, 64)
+			if err != nil || bench == "" {
+				return Suite{}, fmt.Errorf("%s:%d: bad alloc-noise override %q", path, ln+1, raw)
+			}
+			if s.AllocNoiseFor == nil {
+				s.AllocNoiseFor = make(map[string]uint64)
+			}
+			s.AllocNoiseFor[bench] = n
+			continue
+		}
 		switch key {
 		case "name":
 			s.Name = val
@@ -99,6 +128,19 @@ func ParseSuite(path string, data []byte) (Suite, error) {
 	}
 	if want := strings.TrimSuffix(filepath.Base(path), ".suite"); s.Name != want {
 		return Suite{}, fmt.Errorf("%s: suite name %q does not match filename", path, s.Name)
+	}
+	if len(s.AllocNoiseFor) > 0 {
+		// An override naming no benchmark the suite runs would gate
+		// nothing, and the row it meant would keep the suite's bound.
+		re, err := regexp.Compile(s.Bench)
+		if err != nil {
+			return Suite{}, fmt.Errorf("%s: bad bench regexp: %v", path, err)
+		}
+		for bench := range s.AllocNoiseFor {
+			if top, _, _ := strings.Cut(bench, "/"); !re.MatchString(top) {
+				return Suite{}, fmt.Errorf("%s: alloc-noise override for %q, which bench %q does not select", path, bench, s.Bench)
+			}
+		}
 	}
 	return s, nil
 }

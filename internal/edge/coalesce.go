@@ -1,9 +1,6 @@
 package edge
 
-import (
-	"net/http"
-	"sync"
-)
+import "sync"
 
 // fill is one in-flight origin fetch that any number of concurrent
 // requests for the same key share. The first requester (the leader)
@@ -21,7 +18,7 @@ type fill struct {
 	// write their response preamble from that point.
 	hdrDone bool
 	status  int
-	header  http.Header
+	header  *values
 
 	// buf is the body so far. Bytes once published never change — the
 	// leader writes only past len(buf), or into a new array — so a follower
@@ -37,8 +34,9 @@ func newFill() *fill {
 	return f
 }
 
-// publishHeader makes status and selected headers visible to followers.
-func (f *fill) publishHeader(status int, h http.Header) {
+// publishHeader makes status and the relayed header values visible to
+// followers.
+func (f *fill) publishHeader(status int, h *values) {
 	f.mu.Lock()
 	f.status = status
 	f.header = h
@@ -72,7 +70,7 @@ func (f *fill) finish(err error) {
 
 // waitHeader blocks until the response preamble (or a terminal error)
 // is available.
-func (f *fill) waitHeader() (status int, header http.Header, err error) {
+func (f *fill) waitHeader() (status int, header *values, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for !f.hdrDone {

@@ -338,6 +338,9 @@ func encodeEntry(e cache.Entry) []byte {
 	return b
 }
 
+// decodeEntry reads an entry encodeEntry wrote. Its answer values are
+// formatted again (answerMeta), not taken from the record: a record
+// written before they were kept has none.
 func decodeEntry(b []byte) (cache.Entry, bool) {
 	var e cache.Entry
 	var ok bool
@@ -385,5 +388,6 @@ func decodeEntry(b []byte) (cache.Entry, bool) {
 			e.Metadata[k] = v
 		}
 	}
+	answerMeta(&e)
 	return e, true
 }

@@ -37,6 +37,11 @@ func TestEntryEncodingRoundTrip(t *testing.T) {
 	if got.Metadata[metaGen] != "9" || got.Metadata[metaContentType] != "text/html" {
 		t.Fatalf("metadata mismatch: %+v", got.Metadata)
 	}
+	// The answer values are formatted from the version and the body, so a
+	// record written before entries kept them serves the same headers.
+	if got.Metadata[metaETag] != `"v7"` || got.Metadata[metaLength] != "14" {
+		t.Fatalf("answer values %q, %q, want \"v7\" and 14", got.Metadata[metaETag], got.Metadata[metaLength])
+	}
 
 	// Zero times survive as zero (a never-expiring entry stays one).
 	z, ok := decodeEntry(encodeEntry(cache.Entry{Key: "k", Body: []byte("b")}))

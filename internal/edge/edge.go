@@ -5,7 +5,7 @@
 // Protocol behavior:
 //
 //   - The edge answers exactly three routes: GET /v1/page, GET /v1/sketch
-//     and POST /v1/purge (Handler adds /healthz and /metrics). Any other
+//     and POST /v1/purge, beside its own GET /healthz and /metrics. Any other
 //     method or path is a 404 in the JSON envelope, answered by the edge
 //     itself: it makes no upstream request and echoes nothing of the
 //     request back. The personalized /v1/blocks API is the origin's alone;
@@ -40,8 +40,10 @@
 //     An edge cut off from its server so stops vouching for its copies
 //     after Δ, as a device does.
 //   - Every upstream answer reaches the device through one header
-//     allow-list (copyEntryHeaders); nothing else the upstream sends is
-//     relayed.
+//     allow-list (relay); nothing else the upstream sends is relayed.
+//   - An answer's header values are formatted once: an entry's ETag and
+//     Content-Length when the entry is made, the rest into one values
+//     array per answer (see values), the X-Edge-Cache states not at all.
 //   - Every page answer states a sketch epoch (X-Sketch-Epoch): a hit the
 //     held sketch's, the only epoch the edge serves hits under; a relayed
 //     or refreshed answer the upstream's.
@@ -77,10 +79,14 @@ import (
 	"speedkit/internal/tracectx"
 )
 
-// Metadata keys stored per entry.
+// Metadata keys stored per entry. metaETag and metaLength are header
+// values every answer from the entry states unchanged, formatted once where
+// the entry is made (answerMeta).
 const (
 	metaGen         = "sketch-gen"
 	metaContentType = "content-type"
+	metaETag        = "etag"
+	metaLength      = "content-length"
 )
 
 // fillTimeout bounds a coalesced origin fetch once it is detached from
@@ -112,8 +118,8 @@ type Options struct {
 	Faults *faults.Injector
 }
 
-// Proxy is the edge cache. It implements http.Handler for the protocol's
-// three routes; Handler() adds the edge's own operational endpoints.
+// Proxy is the edge cache. It implements http.Handler: the protocol's
+// three routes and the edge's own operational endpoints.
 type Proxy struct {
 	upstream string
 	hc       *http.Client
@@ -191,37 +197,34 @@ func (p *Proxy) Crashed() bool { return p.disk != nil && p.disk.crashed() }
 // none.
 func (p *Proxy) SketchMaxAge() time.Duration { return p.sketch.Delta() }
 
-// Handler returns the edge's full server surface: the protocol's routes
-// plus the operational endpoints every deployment needs.
-func (p *Proxy) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		io.WriteString(w, "ok\n")
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		p.m.write(w)
-	})
-	mux.Handle("/", p)
-	return mux
-}
+// Handler returns the edge's full server surface, the protocol's routes
+// and the operational endpoints every deployment needs: the Proxy itself.
+func (p *Proxy) Handler() http.Handler { return p }
 
 // ServeHTTP routes one request: purges apply locally, page fetches hit
-// the cache, the sketch is answered from the edge's copy. Nothing else is
-// a route: the 404 comes from the edge, reaches no upstream and repeats
-// nothing the request carried.
+// the cache, the sketch is answered from the edge's copy; GET or HEAD
+// /healthz and /metrics are the edge's own. Nothing else is a route: the
+// 404 comes from the edge, reaches no upstream and repeats nothing the
+// request carried.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	get := r.Method == http.MethodGet
+	read := get || r.Method == http.MethodHead
 	switch {
-	case r.Method == http.MethodPost && r.URL.Path == "/v1/purge":
-		p.handlePurge(w, r)
-	case r.Method == http.MethodGet && r.URL.Path == "/v1/sketch":
-		p.serveSketch(w, r)
-	case r.Method == http.MethodGet && r.URL.Path == "/v1/page":
-		if key := r.URL.Query().Get("path"); key != "" {
+	case get && r.URL.Path == "/v1/page":
+		if key := httpbody.PathParam(r.URL.RawQuery); key != "" {
 			p.servePage(w, r, key)
 			return
 		}
 		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "missing ?path=")
+	case get && r.URL.Path == "/v1/sketch":
+		p.serveSketch(w, r)
+	case r.Method == http.MethodPost && r.URL.Path == "/v1/purge":
+		p.handlePurge(w, r)
+	case read && r.URL.Path == "/healthz":
+		io.WriteString(w, "ok\n")
+	case read && r.URL.Path == "/metrics":
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		p.m.write(w)
 	default:
 		httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, "no such endpoint")
 	}
@@ -234,7 +237,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // closes the response unread keeps its connection only when there is no
 // body left to discard.
 func (p *Proxy) handlePurge(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Query().Get("path")
+	path := httpbody.PathParam(r.URL.RawQuery)
 	if path == "" {
 		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "missing ?path=")
 		return
@@ -353,9 +356,9 @@ func (p *Proxy) serveSketch(w http.ResponseWriter, r *http.Request) {
 	if sn.MaxAge > 0 {
 		cacheControl = "public, max-age=" + strconv.Itoa(int(sn.MaxAge/time.Second))
 	}
-	w.Header().Set("X-Edge-Cache", "sketch")
+	w.Header()[xEdgeCache] = stateSketch
 	if err := sn.WriteHTTP(w, cacheControl, age); err != nil {
-		w.Header().Del("X-Edge-Cache")
+		w.Header().Del(xEdgeCache)
 		httpbody.WriteError(w, http.StatusInternalServerError, httpbody.CodeInternal, err.Error())
 		return
 	}
@@ -378,7 +381,7 @@ func (p *Proxy) servePage(w http.ResponseWriter, r *http.Request, key string) {
 		// cannot reap it.
 		p.mem.Get(key)
 		p.m.hits.Add(1)
-		p.serveEntry(w, r, e, "hit", p.sketch.Snapshot().EpochValue())
+		p.serveEntry(w, r, e, stateHit, p.sketch.Snapshot().EpochValue())
 		return
 	}
 	p.revalidatePath(w, r, key, e)
@@ -408,8 +411,7 @@ func (p *Proxy) vouched(key string, e cache.Entry) bool {
 
 // revalidatePath refreshes a stale entry with a conditional GET.
 func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key string, e cache.Entry) {
-	hdr := http.Header{}
-	hdr.Set("If-None-Match", fmt.Sprintf("%q", "v"+strconv.FormatUint(e.Version, 10)))
+	hdr := http.Header{"If-None-Match": {e.Metadata[metaETag]}}
 	copyTraceparent(r, hdr)
 	resp, err := p.upstreamGet(r.Context(), "/page", "?path="+url.QueryEscape(key), hdr)
 	received := p.clk.Now()
@@ -423,7 +425,7 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 		ne := p.renewEntry(e, resp)
 		p.commit(ne)
 		p.m.revalidated.Add(1)
-		p.serveEntry(w, r, ne, "revalidated", resp.Header[cachesketch.EpochHeader])
+		p.serveEntry(w, r, ne, stateRevalidated, resp.Header[cachesketch.EpochHeader])
 		return
 	case resp.StatusCode >= 500:
 		// A transient upstream failure must not evict a servable copy.
@@ -442,7 +444,7 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 		if cacheable(resp.Header) {
 			ne := p.entryFromResponse(key, resp, body, received)
 			p.commit(ne)
-			p.serveEntry(w, r, ne, "miss", resp.Header[cachesketch.EpochHeader])
+			p.serveEntry(w, r, ne, stateMiss, resp.Header[cachesketch.EpochHeader])
 			return
 		}
 	}
@@ -451,9 +453,8 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 	// the miss path's header allow-list, with no edge freshness headers.
 	p.Purge(key)
 	h := w.Header()
-	copyEntryHeaders(h, resp.Header)
-	h.Set("X-Edge-Cache", "miss")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	relay(resp.Header, int64(len(body))).set(h)
+	h[xEdgeCache] = stateMiss
 	w.WriteHeader(resp.StatusCode)
 	w.Write(body)
 	p.m.bytesServed.Add(uint64(len(body)))
@@ -464,7 +465,7 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 func (p *Proxy) serveStale(w http.ResponseWriter, r *http.Request, e cache.Entry) {
 	p.m.upstreamErrors.Add(1)
 	p.m.servedStale.Add(1)
-	p.serveEntry(w, r, e, "stale", p.sketch.Snapshot().EpochValue())
+	p.serveEntry(w, r, e, stateStale, p.sketch.Snapshot().EpochValue())
 }
 
 // coalesce is the miss path: one leader fetches, followers stream the
@@ -512,16 +513,14 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 		return
 	}
 	defer resp.Body.Close()
-	respHdr := resp.Header.Clone()
-	// Relay the upstream length so a truncated fill is detectable by
-	// clients instead of ending in a clean-looking chunk terminator.
-	if resp.ContentLength >= 0 {
-		respHdr.Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
-	}
-	f.publishHeader(resp.StatusCode, respHdr)
-
-	copyEntryHeaders(w.Header(), respHdr)
-	w.Header().Set("X-Edge-Cache", "miss")
+	// The followers get what the leader's client gets: the allow-listed
+	// headers, with the upstream length, so a truncated fill is detectable
+	// by clients instead of ending in a clean-looking chunk terminator.
+	vals := relay(resp.Header, resp.ContentLength)
+	f.publishHeader(resp.StatusCode, vals)
+	h := w.Header()
+	vals.set(h)
+	h[xEdgeCache] = stateMiss
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
 	// The body is read straight into the buffer the followers stream from
@@ -573,13 +572,14 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 
 // follow streams another request's in-flight fill.
 func (p *Proxy) follow(w http.ResponseWriter, f *fill) {
-	status, header, err := f.waitHeader()
+	status, vals, err := f.waitHeader()
 	if err != nil {
 		httpbody.WriteError(w, http.StatusBadGateway, httpbody.CodeUnavailable, "upstream: "+err.Error())
 		return
 	}
-	copyEntryHeaders(w.Header(), header)
-	w.Header().Set("X-Edge-Cache", "coalesced")
+	h := w.Header()
+	vals.set(h)
+	h[xEdgeCache] = stateCoalesced
 	w.WriteHeader(status)
 	flusher, _ := w.(http.Flusher)
 	off := 0
@@ -602,36 +602,30 @@ func (p *Proxy) follow(w http.ResponseWriter, f *fill) {
 }
 
 // serveEntry answers from a committed entry: a local 304 on a matching
-// If-None-Match, 200 otherwise. epoch is the EpochHeader value the answer
-// states (none when empty): the held sketch's for a copy served from the
-// cache, the only epoch the edge serves hits under; the upstream's for one
-// it has just answered.
-func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e cache.Entry, state string, epoch []string) {
-	now := p.clk.Now()
-	etag := fmt.Sprintf("%q", "v"+strconv.FormatUint(e.Version, 10))
+// If-None-Match, 200 otherwise. state is the X-Edge-Cache value; epoch is
+// the EpochHeader value the answer states (none when empty): the held
+// sketch's for a copy served from the cache, the only epoch the edge
+// serves hits under; the upstream's for one it has just answered.
+func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e cache.Entry, state, epoch []string) {
+	var vals values
+	vals[slotETag] = e.Metadata[metaETag]
+	vals[slotType] = e.Metadata[metaContentType]
+	vals[slotCacheControl], vals[slotAge] = freshAndAge(e, p.clk.Now())
+	notModified := httpbody.MatchETag(r.Header.Get("If-None-Match"), vals[slotETag])
+	if !notModified {
+		vals[slotLength] = e.Metadata[metaLength]
+	}
 	h := w.Header()
-	h.Set("ETag", etag)
-	h.Set("X-Edge-Cache", state)
+	vals.set(h)
+	h[xEdgeCache] = state
 	if len(epoch) > 0 {
 		h[cachesketch.EpochHeader] = epoch
 	}
-	if ct := e.Metadata[metaContentType]; ct != "" {
-		h.Set("Content-Type", ct)
-	}
-	if fresh := e.FreshFor(now); fresh > 0 {
-		h.Set("Cache-Control", "max-age="+strconv.Itoa(int(fresh/time.Second)))
-	}
-	if age := now.Sub(e.StoredAt); age > 0 {
-		h.Set("Age", strconv.Itoa(int(age/time.Second)))
-	}
-
-	if matchesETag(r.Header.Get("If-None-Match"), etag) {
+	if notModified {
 		p.m.notModified.Add(1)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-
-	h.Set("Content-Length", strconv.Itoa(len(e.Body)))
 	w.Write(e.Body)
 	p.m.bytesServed.Add(uint64(len(e.Body)))
 }
@@ -657,12 +651,14 @@ func (p *Proxy) renewEntry(e cache.Entry, resp *http.Response) cache.Entry {
 
 // entryFromResponse builds the cached representation of a 200 page
 // response received at now. Only protocol metadata is retained: key, body,
-// version, expiry, content type, and the sketch generation watermark.
+// version, expiry, content type, the sketch generation watermark, and the
+// answer values they format to.
 func (p *Proxy) entryFromResponse(key string, resp *http.Response, body []byte, now time.Time) cache.Entry {
+	version, _ := httpbody.ParseETag(resp.Header.Get("ETag"))
 	e := cache.Entry{
 		Key:       key,
 		Body:      body,
-		Version:   parseVersionETag(resp.Header.Get("ETag")),
+		Version:   version,
 		StoredAt:  now,
 		ExpiresAt: now.Add(freshness(resp.Header)),
 		Metadata: map[string]string{
@@ -672,7 +668,37 @@ func (p *Proxy) entryFromResponse(key string, resp *http.Response, body []byte, 
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		e.Metadata[metaContentType] = ct
 	}
+	answerMeta(&e)
 	return e
+}
+
+// answerMeta formats into e's metadata the header values every answer
+// from e states unchanged, its ETag and Content-Length: once, where the
+// entry is made, by a fill (entryFromResponse) or by a recovery
+// (decodeEntry). A renewal keeps them with the body and version they
+// describe.
+func answerMeta(e *cache.Entry) {
+	if e.Metadata == nil {
+		e.Metadata = make(map[string]string, 2)
+	}
+	e.Metadata[metaETag] = httpbody.ETag(e.Version)
+	e.Metadata[metaLength] = strconv.Itoa(len(e.Body))
+}
+
+// freshAndAge formats the Cache-Control and Age values an answer from e
+// states at now, into one string: "" for a header it states none of.
+func freshAndAge(e cache.Entry, now time.Time) (cacheControl, age string) {
+	var buf [48]byte
+	b := buf[:0]
+	if fresh := e.FreshFor(now); fresh > 0 {
+		b = strconv.AppendInt(append(b, "max-age="...), int64(fresh/time.Second), 10)
+	}
+	cut := len(b)
+	if held := now.Sub(e.StoredAt); held > 0 {
+		b = strconv.AppendInt(b, int64(held/time.Second), 10)
+	}
+	s := string(b)
+	return s[:cut], s[cut:]
 }
 
 // freshness derives an entry TTL from upstream Cache-Control: the max-age
@@ -722,35 +748,6 @@ func cacheable(h http.Header) bool {
 	return !strings.Contains(cc, "no-store") && !strings.Contains(cc, "private")
 }
 
-// matchesETag checks a client If-None-Match against the entry's ETag
-// (weak-comparison: a W/ prefix on either side is ignored).
-func matchesETag(inm, etag string) bool {
-	if inm == "" {
-		return false
-	}
-	strip := func(s string) string { return strings.TrimPrefix(strings.TrimSpace(s), "W/") }
-	if strings.TrimSpace(inm) == "*" {
-		return true
-	}
-	want := strip(etag)
-	for _, cand := range strings.Split(inm, ",") {
-		if strip(cand) == want {
-			return true
-		}
-	}
-	return false
-}
-
-// parseVersionETag extracts the version from the server's `"v<n>"` ETags.
-func parseVersionETag(tag string) uint64 {
-	tag = strings.Trim(strings.TrimPrefix(strings.TrimSpace(tag), "W/"), `"`)
-	if !strings.HasPrefix(tag, "v") {
-		return 0
-	}
-	v, _ := strconv.ParseUint(tag[1:], 10, 64)
-	return v
-}
-
 // copyTraceparent forwards the anonymous trace identity of an incoming
 // request; the edge never invents or strips one mid-trace.
 func copyTraceparent(r *http.Request, dst http.Header) {
@@ -761,15 +758,65 @@ func copyTraceparent(r *http.Request, dst http.Header) {
 	}
 }
 
-// copyEntryHeaders copies the response headers worth relaying from an
-// upstream answer: a closed allow-list of protocol metadata, the one rule
-// for every answer the edge hands on. Everything else the upstream sends —
-// cookies, hop-by-hop and connection headers, anything unnamed — stays
-// behind.
-func copyEntryHeaders(dst, src http.Header) {
-	for _, k := range []string{"Content-Type", "Content-Length", "ETag", "Cache-Control", "X-Blocks", "X-Served-By", "X-Sketch-Generation", cachesketch.EpochHeader} {
-		if v := src.Get(k); v != "" {
-			dst.Set(k, v)
+// xEdgeCache is the header an answer states its cache state in, with one
+// of the shared values below.
+const xEdgeCache = "X-Edge-Cache"
+
+// The X-Edge-Cache values. Every answer shares them, so each has len ==
+// cap and is never written: a header added to one answer reallocates.
+var (
+	stateHit         = []string{"hit"}
+	stateMiss        = []string{"miss"}
+	stateCoalesced   = []string{"coalesced"}
+	stateRevalidated = []string{"revalidated"}
+	stateStale       = []string{"stale"}
+	stateSketch      = []string{"sketch"}
+)
+
+// answerHeaders names the headers an edge answer states values of its
+// own for, in the slot order of its values array, in canonical form
+// ("Etag"): they index header maps directly. The allow-list an upstream
+// answer is relayed through is every slot before slotAge.
+var answerHeaders = [...]string{
+	"Content-Type", "Content-Length", "Etag", "Cache-Control",
+	"X-Blocks", "X-Served-By", "X-Sketch-Generation", cachesketch.EpochHeader,
+	"Age",
+}
+
+const (
+	slotType = iota
+	slotLength
+	slotETag
+	slotCacheControl
+	_ // X-Blocks
+	_ // X-Served-By
+	_ // X-Sketch-Generation
+	_ // the epoch
+	slotAge
+)
+
+// values is one answer's header values, a slot per answerHeaders name, ""
+// for a header the answer does not state: the answer's one allocation for
+// them (httpbody.SetValues). A fill's followers share its leader's.
+type values [len(answerHeaders)]string
+
+// set states v's headers in h.
+func (v *values) set(h http.Header) { httpbody.SetValues(h, answerHeaders[:], v[:]) }
+
+// relay reads the headers worth relaying from an upstream answer: a closed
+// allow-list of protocol metadata, the first value of each, the one rule
+// for every answer the edge hands on. length, when not negative, is the
+// Content-Length stated. Everything else the upstream sends — cookies,
+// hop-by-hop and connection headers, anything unnamed — stays behind.
+func relay(src http.Header, length int64) *values {
+	v := new(values)
+	for i := range v[:slotAge] {
+		if vs := src[answerHeaders[i]]; len(vs) > 0 {
+			v[i] = vs[0]
 		}
 	}
+	if length >= 0 {
+		v[slotLength] = strconv.FormatInt(length, 10)
+	}
+	return v
 }

@@ -47,7 +47,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"time"
 
 	"speedkit/internal/cache"
@@ -341,26 +340,11 @@ func (a *API) handleSketch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// etagFor renders a page version as a strong ETag.
-func etagFor(version uint64) string { return fmt.Sprintf("%q", "v"+strconv.FormatUint(version, 10)) }
-
-// parseETag extracts the version from an ETag produced by etagFor.
-func parseETag(tag string) (uint64, bool) {
-	tag = strings.TrimSpace(tag)
-	tag = strings.TrimPrefix(tag, "W/")
-	tag = strings.Trim(tag, `"`)
-	if !strings.HasPrefix(tag, "v") {
-		return 0, false
-	}
-	v, err := strconv.ParseUint(tag[1:], 10, 64)
-	return v, err == nil
-}
-
 // handlePage serves the anonymous page shell. With If-None-Match it runs
 // the protocol's conditional revalidation: unchanged versions answer 304
 // with a renewed freshness lifetime.
 func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Query().Get("path")
+	path := httpbody.PathParam(r.URL.RawQuery)
 	if path == "" {
 		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "missing ?path=")
 		return
@@ -372,7 +356,7 @@ func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
 	tr, ctx := a.startRemote(r, "http.page", path)
 
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		if known, ok := parseETag(inm); ok {
+		if known, ok := httpbody.ParseETag(inm); ok {
 			rr, err := a.svc.Revalidate(ctx, a.region, path, known)
 			if err != nil {
 				a.finishRemote(tr, "", 0)
@@ -382,12 +366,11 @@ func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
 			tr.MarkRevalidated()
 			a.finishRemote(tr, rr.Source.String(), rr.Latency)
 			if rr.NotModified {
-				a.setCachingHeaders(w, rr.Entry.ExpiresAt, known)
-				w.Header().Set("X-Simulated-Latency", rr.Latency.String())
+				a.setPageHeaders(w, rr.Entry.ExpiresAt, known, "", "")
 				w.WriteHeader(http.StatusNotModified)
 				return
 			}
-			a.writePage(w, rr.Entry, rr.Latency, rr.Source.String())
+			a.writePage(w, rr.Entry, rr.Source.String())
 			return
 		}
 	}
@@ -399,32 +382,43 @@ func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a.finishRemote(tr, src.String(), simLat)
-	a.writePage(w, entry, simLat, src.String())
+	a.writePage(w, entry, src.String())
 }
 
-// setCachingHeaders derives max-age from the entry expiration relative to
-// the service clock (which may be simulated in tests), and states the
-// sketch epoch whose expiration table now knows the copy: the server's,
-// shared, not formatted per answer.
-func (a *API) setCachingHeaders(w http.ResponseWriter, expiresAt time.Time, version uint64) {
-	ttl := int(expiresAt.Sub(a.svc.Clock().Now()).Seconds())
+// pageHeaders names the headers a page answer states values of its own
+// for, in the order of its values array (setPageHeaders), in canonical
+// form ("Etag"): they index the header map directly.
+var pageHeaders = []string{"Cache-Control", "Etag", "X-Served-By", "X-Blocks"}
+
+// htmlType is every page answer's Content-Type, shared: len == cap, never
+// written.
+var htmlType = []string{"text/html; charset=utf-8"}
+
+// setPageHeaders states a page answer's headers but its Content-Type: the
+// max-age left until expiresAt on the service clock (which may be
+// simulated in tests), the version's ETag, the source that served it and
+// the blocks its shell names (none when empty), and the sketch epoch whose
+// expiration table now knows the copy — the server's, shared, not
+// formatted per answer. The two numbers are formatted into one string,
+// the values into one array (httpbody.SetValues).
+func (a *API) setPageHeaders(w http.ResponseWriter, expiresAt time.Time, version uint64, src, blocks string) {
+	ttl := int64(expiresAt.Sub(a.svc.Clock().Now()).Seconds())
 	if ttl < 0 {
 		ttl = 0
 	}
+	var buf [64]byte
+	b := strconv.AppendInt(append(buf[:0], "public, max-age="...), ttl, 10)
+	cut := len(b)
+	nums := string(httpbody.AppendETag(b, version))
 	h := w.Header()
-	h.Set("Cache-Control", fmt.Sprintf("public, max-age=%d", ttl))
-	h.Set("ETag", etagFor(version))
+	httpbody.SetValues(h, pageHeaders, []string{nums[:cut], nums[cut:], src, blocks})
 	h[cachesketch.EpochHeader] = a.svc.SketchServer().EpochValue()
 }
 
-func (a *API) writePage(w http.ResponseWriter, entry cache.Entry, simLat time.Duration, src string) {
-	a.setCachingHeaders(w, entry.ExpiresAt, entry.Version)
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.Header().Set("X-Served-By", src)
-	w.Header().Set("X-Simulated-Latency", simLat.String())
-	if blocks := entry.Metadata["blocks"]; blocks != "" {
-		w.Header().Set("X-Blocks", blocks)
-	}
+// writePage answers 200 with entry, served by src.
+func (a *API) writePage(w http.ResponseWriter, entry cache.Entry, src string) {
+	a.setPageHeaders(w, entry.ExpiresAt, entry.Version, src, entry.Metadata["blocks"])
+	w.Header()["Content-Type"] = htmlType
 	_, _ = w.Write(entry.Body)
 }
 
@@ -522,7 +516,7 @@ func (a *API) handleWrite(w http.ResponseWriter, r *http.Request) {
 // purges are idempotent eviction requests, not resource lookups, so the
 // answer is 204 with no body — the edge's purge contract.
 func (a *API) handlePurge(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Query().Get("path")
+	path := httpbody.PathParam(r.URL.RawQuery)
 	if path == "" {
 		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "missing ?path=")
 		return

@@ -2,9 +2,10 @@
 // may import from another — the device transport (internal/httpclient),
 // the edge, the server's API and the cluster sit on different sides of
 // the GDPR fence: how a response body is read (ReadAll), how long a
-// response may be kept (ParseMaxAge), the JSON error envelope
-// (ErrorBody, WriteError) and the frames of the first-party blocks wire
-// (blocks.go). It sees bytes and status codes; the one identity it
+// response may be kept (ParseMaxAge), a page's validator (ETag,
+// ParseETag, MatchETag) and the path a page request names (PathParam),
+// the JSON error envelope (ErrorBody, WriteError) and the frames of the
+// first-party blocks wire (blocks.go). It sees bytes and status codes; the one identity it
 // handles is the user ID a blocks request frames, which it keeps nowhere.
 package httpbody
 
@@ -51,12 +52,14 @@ func readBody(r io.Reader, n int64) ([]byte, error) {
 // duration never overflows; no directive, or one that is not a
 // non-negative integer, is false.
 func ParseMaxAge(cacheControl string) (time.Duration, bool) {
-	for _, part := range strings.Split(cacheControl, ",") {
-		rest, ok := strings.CutPrefix(strings.TrimSpace(part), "max-age=")
+	for rest, more := cacheControl, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
+		value, ok := strings.CutPrefix(strings.TrimSpace(part), "max-age=")
 		if !ok {
 			continue
 		}
-		secs, err := strconv.ParseInt(rest, 10, 32)
+		secs, err := strconv.ParseInt(value, 10, 32)
 		if (err != nil && !errors.Is(err, strconv.ErrRange)) || secs < 0 {
 			return 0, false
 		}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -112,8 +113,10 @@ func TestParseMaxAge(t *testing.T) {
 
 // FuzzParseMaxAge: an edge's freshness is the max-age the upstream states
 // and nothing else, so the parser must hold on any Cache-Control value. It
-// never panics; a value it accepts is a whole number of seconds from 0 to
-// 2³¹−1; and "max-age=N" reads back as N seconds for every N it can state.
+// never panics; it reads every value as the strings.Split loop it replaced
+// did (oldParseMaxAge); a value it accepts is a whole number of seconds
+// from 0 to 2³¹−1; and "max-age=N" reads back as N seconds for every N it
+// can state.
 func FuzzParseMaxAge(f *testing.F) {
 	for _, cc := range []string{
 		"max-age=0",
@@ -128,6 +131,10 @@ func FuzzParseMaxAge(f *testing.F) {
 	f.Add("max-age=1", uint32(1<<31-1))
 	f.Add("max-age=2147483648", uint32(1<<31))
 	f.Fuzz(func(t *testing.T, cc string, n uint32) {
+		got, gotOK := ParseMaxAge(cc)
+		if want, wantOK := oldParseMaxAge(cc); got != want || gotOK != wantOK {
+			t.Fatalf("ParseMaxAge(%q) = %v,%v; the strings.Split loop reads %v,%v", cc, got, gotOK, want, wantOK)
+		}
 		if d, ok := ParseMaxAge(cc); ok {
 			if d < 0 || d > (1<<31-1)*time.Second || d%time.Second != 0 {
 				t.Fatalf("ParseMaxAge(%q) = %v", cc, d)
@@ -141,4 +148,21 @@ func FuzzParseMaxAge(f *testing.F) {
 			t.Fatalf("max-age=%d reads as %v,%v", secs, d, ok)
 		}
 	})
+}
+
+// oldParseMaxAge is ParseMaxAge as it was written over strings.Split: the
+// fuzz oracle for the strings.Cut loop that replaced it.
+func oldParseMaxAge(cacheControl string) (time.Duration, bool) {
+	for _, part := range strings.Split(cacheControl, ",") {
+		rest, ok := strings.CutPrefix(strings.TrimSpace(part), "max-age=")
+		if !ok {
+			continue
+		}
+		secs, err := strconv.ParseInt(rest, 10, 32)
+		if (err != nil && !errors.Is(err, strconv.ErrRange)) || secs < 0 {
+			return 0, false
+		}
+		return time.Duration(secs) * time.Second, true
+	}
+	return 0, false
 }

@@ -19,7 +19,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
@@ -165,16 +164,6 @@ func (t *Transport) FetchSketch(ctx context.Context, _ netsim.Region) (*cacheske
 	return sn, t.clk.Now().Sub(start), nil
 }
 
-// parseVersionETag extracts the version from the server's `"v<n>"` ETags.
-func parseVersionETag(tag string) uint64 {
-	tag = strings.Trim(strings.TrimPrefix(strings.TrimSpace(tag), "W/"), `"`)
-	if !strings.HasPrefix(tag, "v") {
-		return 0
-	}
-	v, _ := strconv.ParseUint(tag[1:], 10, 64)
-	return v
-}
-
 // expiresAt is the expiration a response stating h grants a copy stored
 // at now. Any max-age is the freshness, zero included: the server floors
 // what is left of the TTL its expiration table holds, so "max-age=0" is a
@@ -191,10 +180,11 @@ func expiresAt(h http.Header, now time.Time) time.Time {
 // the epoch the answer states.
 func (t *Transport) entryFromResponse(path string, resp *http.Response, body []byte) cache.Entry {
 	now := t.clk.Now()
+	version, _ := httpbody.ParseETag(resp.Header.Get("ETag"))
 	e := cache.Entry{
 		Key:       path,
 		Body:      body,
-		Version:   parseVersionETag(resp.Header.Get("ETag")),
+		Version:   version,
 		StoredAt:  now,
 		ExpiresAt: expiresAt(resp.Header, now),
 		Epoch:     cachesketch.PageEpoch(resp.Header),
@@ -249,8 +239,7 @@ func (t *Transport) Fetch(ctx context.Context, _ netsim.Region, path string) (ca
 // Revalidate implements proxy.Transport via If-None-Match.
 func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string, knownVersion uint64) (proxy.RevalidationResult, error) {
 	start := t.clk.Now()
-	hdr := http.Header{}
-	hdr.Set("If-None-Match", fmt.Sprintf("%q", "v"+strconv.FormatUint(knownVersion, 10)))
+	hdr := http.Header{"If-None-Match": {httpbody.ETag(knownVersion)}}
 	resp, err := t.do(ctx, t.base, http.MethodGet, "/page", "?path="+url.QueryEscape(path), nil, hdr)
 	if err != nil {
 		return proxy.RevalidationResult{}, asOffline(err)

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"speedkit/internal/cache"
+	"speedkit/internal/cachesketch"
 	"speedkit/internal/core"
 	"speedkit/internal/httpapi"
 	"speedkit/internal/httpbody"
@@ -276,9 +278,39 @@ func TestBlocksUserLeavesTheURL(t *testing.T) {
 	}
 }
 
+// TestParseVersionETag: a page answer's entry carries the version its
+// ETag names, weak or strong; an ETag that names none reads version 0.
 func TestParseVersionETag(t *testing.T) {
-	if parseVersionETag(`"v42"`) != 42 || parseVersionETag(`W/"v7"`) != 7 ||
-		parseVersionETag(`"x"`) != 0 || parseVersionETag("") != 0 {
-		t.Fatal("etag parsing wrong")
+	tr := New("http://unused", nil)
+	for tag, want := range map[string]uint64{`"v42"`: 42, `W/"v7"`: 7, `"x"`: 0, "": 0} {
+		resp := &http.Response{Header: http.Header{"Etag": {tag}}}
+		if got := tr.entryFromResponse("/p", resp, nil).Version; got != want {
+			t.Errorf("ETag %q: version %d, want %d", tag, got, want)
+		}
+	}
+}
+
+// TestEntryFromResponseAllocations pins what reading a page answer's
+// headers into an entry costs on the device: nothing for the ETag, the
+// max-age and the epoch; only the metadata map an X-Blocks value is kept
+// in.
+func TestEntryFromResponseAllocations(t *testing.T) {
+	tr := New("http://unused", nil)
+	resp := &http.Response{Header: http.Header{
+		"Etag":                  {`"v42"`},
+		"Cache-Control":         {"public, max-age=60"},
+		cachesketch.EpochHeader: {"00000000000000aa"},
+		"X-Blocks":              {"cart,tier"},
+	}}
+	body := []byte("<html>shell</html>")
+	var e cache.Entry
+	withBlocks := testing.AllocsPerRun(100, func() { e = tr.entryFromResponse("/p", resp, body) })
+	if e.Version != 42 || e.Epoch != 0xaa || e.Metadata["blocks"] != "cart,tier" || e.ExpiresAt.IsZero() {
+		t.Fatalf("entry %+v", e)
+	}
+	delete(resp.Header, "X-Blocks")
+	without := testing.AllocsPerRun(100, func() { e = tr.entryFromResponse("/p", resp, body) })
+	if without != 0 || withBlocks > 2 {
+		t.Fatalf("entryFromResponse allocates %.0f, %.0f with X-Blocks; want 0 and at most 2", without, withBlocks)
 	}
 }
