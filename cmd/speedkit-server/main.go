@@ -110,7 +110,6 @@ func main() {
 			Str("mode", info.Mode.String()).
 			Uint("replayed", info.Replayed).
 			Bool("saturated", info.Saturated).
-			Uint("watermark", info.Watermark).
 			Msg("durability recovered")
 	}
 

@@ -415,7 +415,7 @@ func runCrash(cfg bench.FieldConfig, rate float64) {
 	} else {
 		fmt.Printf("sketch generation %d (identical across runs)\n", g1)
 	}
-	if !bytes.Equal(run1.Service.SketchServer().ExportState(), run2.Service.SketchServer().ExportState()) {
+	if !bytes.Equal(run1.Service.SketchServer().AppendState(nil), run2.Service.SketchServer().AppendState(nil)) {
 		fail("twin runs recovered to different sketch states")
 	}
 

@@ -102,8 +102,8 @@ func TestCrashTwinRunsConverge(t *testing.T) {
 	if g1 != g2 {
 		t.Fatalf("twin runs recovered to generations %d vs %d", g1, g2)
 	}
-	s1 := r1.Service.SketchServer().ExportState()
-	s2 := r2.Service.SketchServer().ExportState()
+	s1 := r1.Service.SketchServer().AppendState(nil)
+	s2 := r2.Service.SketchServer().AppendState(nil)
 	if !bytes.Equal(s1, s2) {
 		t.Fatal("twin runs recovered to different sketch states")
 	}

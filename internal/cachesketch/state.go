@@ -48,18 +48,18 @@ var stateMagic = [4]byte{'S', 'K', 'S', 'S'}
 
 const stateVersion = 1
 
-// ExportState serializes the server's full coherence state: generation,
-// expiration table, and sketch residency map. The counting filter itself
-// is not encoded — it is a pure function of the residency map and is
-// rebuilt on import, which also heals any counter drift.
-func (s *Server) ExportState() []byte {
+// AppendState appends the server's full coherence state to dst and
+// returns the extended slice: generation, expiration table, and sketch
+// residency map. The counting filter itself is not encoded — it is a pure
+// function of the residency map and is rebuilt on import, which also
+// heals any counter drift. AppendState(nil) is the state on its own.
+func (s *Server) AppendState(dst []byte) []byte {
 	now := s.cfg.Clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.advanceLocked(now)
 
-	out := make([]byte, 0, 64+32*(len(s.expiry)+len(s.inSketch)))
-	out = append(out, stateMagic[:]...)
+	out := append(dst, stateMagic[:]...)
 	out = append(out, stateVersion)
 	out = binary.BigEndian.AppendUint64(out, s.generation)
 	out = appendStampMap(out, s.expiry)

@@ -27,17 +27,17 @@ func buildServer(sim *clock.Simulated) *Server {
 func TestServerStateRoundTrip(t *testing.T) {
 	sim := clock.NewSimulated(time.Time{})
 	s := buildServer(sim)
-	blob := s.ExportState()
+	blob := s.AppendState(nil)
 
 	s2 := NewServer(ServerConfig{Clock: sim})
 	if err := s2.ImportState(blob); err != nil {
 		t.Fatalf("ImportState: %v", err)
 	}
 	// Deterministic: re-export is byte-identical, and so is a repeat.
-	if !bytes.Equal(blob, s2.ExportState()) {
+	if !bytes.Equal(blob, s2.AppendState(nil)) {
 		t.Fatal("re-exported state differs")
 	}
-	if !bytes.Equal(s.ExportState(), s.ExportState()) {
+	if !bytes.Equal(s.AppendState(nil), s.AppendState(nil)) {
 		t.Fatal("repeated export is not deterministic")
 	}
 	if s2.Generation() != s.Generation() {
@@ -71,7 +71,7 @@ func TestServerImportRejectsGarbage(t *testing.T) {
 		}
 	}
 	sim := clock.NewSimulated(time.Time{})
-	good := buildServer(sim).ExportState()
+	good := buildServer(sim).AppendState(nil)
 	if err := s.ImportState(good[:len(good)-3]); err == nil {
 		t.Fatal("truncated blob accepted")
 	}

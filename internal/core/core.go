@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -93,8 +94,8 @@ type Config struct {
 	// device so jitter streams never correlate across a fleet.
 	DeviceResilience proxy.ResilienceConfig
 	// Durable, when non-nil, persists the coherence state: the sketch
-	// server journals through it, invalidations advance its watermark,
-	// and NewService recovers from it (snapshot + WAL replay, or the
+	// server journals through it, the write pipeline snapshots it, and
+	// NewService recovers from it (snapshot + WAL replay, or the
 	// conservative cold start after an unclean shutdown). Create it with
 	// durable.New over the service's data directory.
 	Durable *durable.Store
@@ -185,12 +186,13 @@ type Service struct {
 	recovery    durable.RecoveryInfo
 	recoveryErr error
 
-	// purgeMu guards the purge-listener registry. Listeners are invoked
-	// synchronously from the invalidation pipeline and from PurgePath, so
-	// they must be fast and must not call back into the Service.
+	// purgeListeners is copy-on-write, in registration order: OnPurge and
+	// its cancel rebuild it under purgeMu, a purge reads it without a
+	// lock. Listeners are invoked synchronously from the invalidation
+	// pipeline and from PurgePath, so they must be fast and must not call
+	// back into the Service.
 	purgeMu        sync.Mutex
-	purgeListeners map[int64]func(path string)
-	purgeSeq       int64
+	purgeListeners atomic.Pointer[[]*purgeListener]
 
 	// writeParent is the span context of the write request currently
 	// executing under WithWriteSpan, if any. The document store's change
@@ -395,7 +397,7 @@ func (s *Service) deliver(c faults.Component, hop func()) {
 // installed as the causal parent for every invalidation-pipeline run the
 // write triggers. The change stream delivers synchronously, so the
 // pipeline traces started inside fn adopt sc's trace ID and the write's
-// full fan-out (sketch report, CDN purge, durable advance) stitches to
+// full fan-out (sketch report, CDN purge, durable snapshot) stitches to
 // the HTTP write request that caused it. An invalid sc just runs fn:
 // pipeline traces root locally as before.
 func (s *Service) WithWriteSpan(sc tracectx.SpanContext, fn func()) {
@@ -447,26 +449,20 @@ func (s *Service) handleInvalidation(path string) {
 	}
 	s.m.invalidations.Inc()
 	s.stats.invalidations.Add(1)
-	if s.cfg.Durable != nil {
-		// Advance the store-owned durable watermark (the stats counter
-		// restarts at zero each incarnation, so its first values after a
-		// recovery would fall below the recovered watermark and be
-		// dropped), then take the periodic snapshot if enough journal
-		// accumulated. This runs outside every sketch lock — Snapshot
-		// exports the sketch state, which takes that lock itself.
+	if d := s.cfg.Durable; d != nil && d.ShouldSnapshot() {
+		// Take the periodic snapshot once enough journal accumulated. This
+		// runs outside every sketch lock — Snapshot exports the sketch
+		// state, which takes that lock itself. A failed snapshot (injected
+		// crash, disk error) is not fatal here: the WAL still holds the
+		// records, and the store's Crashed flag is the owner's signal to
+		// run recovery.
 		if tr != nil {
 			sw.Reset()
 		}
-		s.cfg.Durable.AdvanceInvalidation()
-		if s.cfg.Durable.ShouldSnapshot() {
-			// A failed snapshot (injected crash, disk error) is not fatal
-			// here: the WAL still holds the records, and the store's
-			// Crashed flag is the owner's signal to run recovery.
-			_ = s.cfg.Durable.Snapshot()
-			tr.AddEvent("durable.snapshot", "lsn="+strconv.FormatUint(s.cfg.Durable.SnapshotLSN(), 10))
-		}
+		_ = d.Snapshot()
 		if tr != nil {
-			tr.AddSpan("durable.advance", "pipeline", sw.Elapsed())
+			tr.AddSpan("durable.snapshot", "pipeline", sw.Elapsed())
+			tr.AddEvent("durable.snapshot", "lsn="+strconv.FormatUint(d.SnapshotLSN(), 10))
 		}
 	}
 	if tr != nil {
@@ -497,31 +493,37 @@ func (s *Service) PurgePath(path string) {
 // the purging goroutine, so they must be fast and must not call back
 // into the Service. The returned cancel func removes the listener.
 func (s *Service) OnPurge(fn func(path string)) (cancel func()) {
-	s.purgeMu.Lock()
-	if s.purgeListeners == nil {
-		s.purgeListeners = make(map[int64]func(path string))
-	}
-	s.purgeSeq++
-	id := s.purgeSeq
-	s.purgeListeners[id] = fn
-	s.purgeMu.Unlock()
+	l := &purgeListener{fn: fn}
+	s.editPurgeListeners(func(ls []*purgeListener) []*purgeListener { return append(ls, l) })
 	return func() {
-		s.purgeMu.Lock()
-		delete(s.purgeListeners, id)
-		s.purgeMu.Unlock()
+		s.editPurgeListeners(func(ls []*purgeListener) []*purgeListener {
+			return slices.DeleteFunc(ls, func(x *purgeListener) bool { return x == l })
+		})
 	}
+}
+
+// purgeListener is one OnPurge call; its address is its identity.
+type purgeListener struct{ fn func(path string) }
+
+// editPurgeListeners publishes edit's result over a copy of the current
+// listeners.
+func (s *Service) editPurgeListeners(edit func([]*purgeListener) []*purgeListener) {
+	s.purgeMu.Lock()
+	defer s.purgeMu.Unlock()
+	var cur []*purgeListener
+	if p := s.purgeListeners.Load(); p != nil {
+		cur = *p
+	}
+	next := edit(slices.Clone(cur))
+	s.purgeListeners.Store(&next)
 }
 
 // notifyPurge fans a purge out to the registered listeners.
 func (s *Service) notifyPurge(path string) {
-	s.purgeMu.Lock()
-	fns := make([]func(string), 0, len(s.purgeListeners))
-	for _, fn := range s.purgeListeners {
-		fns = append(fns, fn)
-	}
-	s.purgeMu.Unlock()
-	for _, fn := range fns {
-		fn(path)
+	if p := s.purgeListeners.Load(); p != nil {
+		for _, l := range *p {
+			l.fn(path)
+		}
 	}
 }
 

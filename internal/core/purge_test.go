@@ -123,3 +123,31 @@ func TestPurgesOnlyWhatACacheCanHold(t *testing.T) {
 		})
 	}
 }
+
+// TestPurgeFanOutAllocatesNothing: the listeners are published
+// copy-on-write, so a purge reads them without building a slice, and a
+// cancelled listener is gone from every purge after its cancel.
+func TestPurgeFanOutAllocatesNothing(t *testing.T) {
+	svc, err := NewStorefront(StorefrontConfig{
+		Config:   Config{Clock: clock.NewSimulated(time.Unix(1000, 0)), Seed: 1},
+		Products: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	var first, cancelled, last int
+	svc.OnPurge(func(string) { first++ })
+	cancel := svc.OnPurge(func(string) { cancelled++ })
+	svc.OnPurge(func(string) { last++ })
+	svc.notifyPurge("/product/p00001")
+	cancel()
+
+	if n := testing.AllocsPerRun(100, func() { svc.notifyPurge("/product/p00001") }); n != 0 {
+		t.Fatalf("a purge with two listeners allocates %.1f, want 0", n)
+	}
+	// One purge before the cancel, then AllocsPerRun's warm-up and 100 runs.
+	if first != 102 || last != 102 || cancelled != 1 {
+		t.Fatalf("listeners called %d, %d and (cancelled) %d times, want 102, 102 and 1", first, last, cancelled)
+	}
+}

@@ -1,14 +1,13 @@
 // Package durable persists the service tier's coherence state — the
-// Cache Sketch server, the adaptive TTL estimator, and the invalidation
-// watermark — across process death, so that a restarted server still
-// honours the Δ-atomicity bound instead of silently publishing an empty
-// sketch.
+// Cache Sketch server and the adaptive TTL estimator — across process
+// death, so that a restarted server still honours the Δ-atomicity bound
+// instead of silently publishing an empty sketch.
 //
 // Two mechanisms compose:
 //
 //   - A write-ahead log (internal/wal) records every state-changing
-//     coherence event (cache-fill report, tracked write, invalidation
-//     watermark) as it happens, via the cachesketch.Journal hooks.
+//     coherence event (cache-fill report, tracked write, exposed sketch
+//     generation) as it happens, via the cachesketch.Journal hooks.
 //   - Periodic snapshots capture the full exported state, so recovery
 //     replays only the log above the newest one and the log can be pruned
 //     behind it.
@@ -127,8 +126,9 @@ type RecoveryInfo struct {
 	// Replayed is how many journal records were replayed past the
 	// snapshot (shutdown markers included).
 	Replayed uint64
-	// Watermark is the recovered invalidation watermark.
-	Watermark uint64
+	// Foreign is true when a snapshot of another layout (see snapMagic)
+	// was passed over: the history replayed above it is partial.
+	Foreign bool
 	// TruncatedBytes is how much torn tail the WAL scan discarded.
 	TruncatedBytes int64
 }
@@ -137,6 +137,8 @@ type RecoveryInfo struct {
 const (
 	recCachedRead byte = 1
 	recWrite      byte = 2
+	// recWatermark is reserved: logs written while the store journaled an
+	// invalidation watermark hold it. It decodes, and replay ignores it.
 	recWatermark  byte = 3
 	recClean      byte = 4
 	recGeneration byte = 5
@@ -179,7 +181,7 @@ type Store struct {
 	est       *ttl.Estimator      // guarded by mu; wired by first Recover
 	replaying bool                // guarded by mu; suppresses journaling during Apply
 	crashed   bool                // guarded by mu; injected kill observed
-	watermark uint64              // guarded by mu; highest journaled invalidation seq
+	scratch   []byte              // guarded by mu; encodes one journal record at a time
 	pending   int                 // guarded by mu; records since last snapshot
 	snapLSN   uint64              // guarded by mu; LSN covered by newest snapshot
 	stats     Stats               // guarded by mu
@@ -194,41 +196,47 @@ func New(cfg Config) *Store {
 
 // --- journaling ----------------------------------------------------------
 
-// appendLocked frames and appends one journal record. The caller must
-// hold s.mu. Injected crashes flip the store dead; journaling is fire-
-// and-forget by contract (the hooks run under the sketch mutex), so the
-// error surfaces through Crashed() rather than a return value.
-func (s *Store) appendLocked(payload []byte) {
+// recordLocked starts a journal record of type typ in the store's
+// scratch buffer. The caller must hold s.mu and hand the record to
+// appendLocked before releasing it.
+func (s *Store) recordLocked(typ byte) []byte { return append(s.scratch[:0], typ) }
+
+// appendLocked appends one journal record, keeping its buffer as the
+// scratch for the next: the log copies the payload into its staged batch,
+// so a record costs no allocation once the scratch has grown. The caller
+// must hold s.mu. Injected crashes flip the store dead; journaling is
+// fire-and-forget by contract (the hooks run under the sketch mutex), so
+// the error surfaces through Crashed() rather than a return value.
+func (s *Store) appendLocked(rec []byte) {
+	s.scratch = rec[:0]
 	if s.crashed || s.replaying || s.log == nil {
 		return
 	}
-	if _, err := s.log.Append(payload); err != nil {
+	if _, err := s.log.Append(rec); err != nil {
 		s.noteCrashLocked(err)
 		return
 	}
 	s.pending++
 }
 
+// appendKey appends key, length-prefixed, to a journal record.
+func appendKey(rec []byte, key string) []byte {
+	rec = binary.BigEndian.AppendUint32(rec, uint32(len(key)))
+	return append(rec, key...)
+}
+
 // JournalCachedRead implements cachesketch.Journal.
 func (s *Store) JournalCachedRead(key string, expiresAt time.Time) {
-	buf := make([]byte, 0, 13+len(key))
-	buf = append(buf, recCachedRead)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(key)))
-	buf = append(buf, key...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(expiresAt.UnixNano()))
 	s.mu.Lock()
-	s.appendLocked(buf)
+	rec := appendKey(s.recordLocked(recCachedRead), key)
+	s.appendLocked(binary.BigEndian.AppendUint64(rec, uint64(expiresAt.UnixNano())))
 	s.mu.Unlock()
 }
 
 // JournalWrite implements cachesketch.Journal.
 func (s *Store) JournalWrite(key string) {
-	buf := make([]byte, 0, 5+len(key))
-	buf = append(buf, recWrite)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(key)))
-	buf = append(buf, key...)
 	s.mu.Lock()
-	s.appendLocked(buf)
+	s.appendLocked(appendKey(s.recordLocked(recWrite), key))
 	s.mu.Unlock()
 }
 
@@ -236,50 +244,16 @@ func (s *Store) JournalWrite(key string) {
 // the sketch server just exposed to clients, giving recovery the
 // monotonicity floor it must restore.
 func (s *Store) JournalGeneration(gen uint64) {
-	buf := make([]byte, 0, 9)
-	buf = append(buf, recGeneration)
-	buf = binary.BigEndian.AppendUint64(buf, gen)
 	s.mu.Lock()
-	s.appendLocked(buf)
+	s.appendLocked(binary.BigEndian.AppendUint64(s.recordLocked(recGeneration), gen))
 	s.mu.Unlock()
 }
 
-// JournalInvalidation advances the invalidation watermark and logs it.
-func (s *Store) JournalInvalidation(seq uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq <= s.watermark {
-		return
-	}
-	s.watermark = seq
-	buf := make([]byte, 0, 9)
-	buf = append(buf, recWatermark)
-	buf = binary.BigEndian.AppendUint64(buf, seq)
-	s.appendLocked(buf)
-}
-
-// AdvanceInvalidation allocates the next invalidation sequence — one past
-// the current watermark — and journals it. Owners without a durable
-// counter of their own must use this instead of JournalInvalidation: an
-// in-memory counter restarts at zero every process start, so after a
-// recovery that restored a watermark of N its first N values would fall
-// below the guard and be dropped, freezing the durable watermark.
-func (s *Store) AdvanceInvalidation() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.watermark++
-	buf := make([]byte, 0, 9)
-	buf = append(buf, recWatermark)
-	buf = binary.BigEndian.AppendUint64(buf, s.watermark)
-	s.appendLocked(buf)
-	return s.watermark
-}
-
-// Watermark returns the highest invalidation sequence journaled so far.
-func (s *Store) Watermark() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.watermark
+// sealOpenLocked journals the open marker and the epoch this incarnation
+// serves under. The caller must hold s.mu.
+func (s *Store) sealOpenLocked(epoch uint64) {
+	s.appendLocked(s.recordLocked(recOpen))
+	s.appendLocked(binary.BigEndian.AppendUint64(s.recordLocked(recEpoch), epoch))
 }
 
 // Crashed reports whether an injected crash killed the store; only
@@ -344,12 +318,13 @@ func decodeRecord(payload []byte) (record, error) {
 // --- snapshots -----------------------------------------------------------
 
 // snapMagic marks a sketch-server snapshot file. Its payload, inside
-// wal.Snapshotted's frame: u64 watermark, u64 sketch epoch, u32
-// sketch-state length, sketch state, u32 ttl-state length, ttl state. The
-// magic changed ("SKSN" before) when the epoch joined the payload: a
-// snapshot of the older layout is foreign, passed over rather than
-// misread, and Recover treats the history above it as unclean.
-var snapMagic = [4]byte{'S', 'K', 'S', '2'}
+// wal.Snapshotted's frame: u64 sketch epoch, u32 sketch-state length,
+// sketch state, u32 ttl-state length, ttl state. The magic changes with
+// the layout — "SKSN" before the epoch joined the payload, "SKS2" while a
+// u64 invalidation watermark led it — so a snapshot of an older layout is
+// foreign, passed over rather than misread, and Recover treats the
+// history above it as unclean.
+var snapMagic = [4]byte{'S', 'K', 'S', '3'}
 
 // noteCrashLocked flips the store dead if err is an injected kill. The
 // caller must hold s.mu.
@@ -360,18 +335,28 @@ func (s *Store) noteCrashLocked(err error) {
 	}
 }
 
-// snapshotTargets copies the component pointers out under the lock,
-// refusing after a crash or before recovery.
-func (s *Store) snapshotTargets() (*wal.Snapshotted, *cachesketch.Server, *ttl.Estimator, error) {
+// snapshotTargets copies the component pointers and the previous
+// snapshot's size out under the lock, refusing after a crash or before
+// recovery.
+func (s *Store) snapshotTargets() (*wal.Snapshotted, *cachesketch.Server, *ttl.Estimator, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.crashed {
-		return nil, nil, nil, fmt.Errorf("durable: %w", faults.ErrCrash)
+		return nil, nil, nil, 0, fmt.Errorf("durable: %w", faults.ErrCrash)
 	}
 	if s.log == nil || s.sketch == nil {
-		return nil, nil, nil, errors.New("durable: not recovered")
+		return nil, nil, nil, 0, errors.New("durable: not recovered")
 	}
-	return s.log, s.sketch, s.est, nil
+	return s.log, s.sketch, s.est, s.stats.SnapshotBytes, nil
+}
+
+// appendSized appends a u32 length followed by the bytes state appends,
+// back-patching the length once they are known.
+func appendSized(buf []byte, state func([]byte) []byte) []byte {
+	at := len(buf)
+	buf = state(append(buf, 0, 0, 0, 0))
+	binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	return buf
 }
 
 // Snapshot atomically persists the full coherence state and prunes the
@@ -380,29 +365,25 @@ func (s *Store) snapshotTargets() (*wal.Snapshotted, *cachesketch.Server, *ttl.E
 // Concurrent calls coalesce: whoever loses the race returns nil
 // immediately, since the in-flight snapshot covers its trigger.
 func (s *Store) Snapshot() error {
-	log, sketch, est, err := s.snapshotTargets()
+	log, sketch, est, prev, err := s.snapshotTargets()
 	if err != nil {
 		return err
 	}
 	// The export runs after the covered LSN is fixed and outside s.mu:
 	// the journal hooks take s.mu under the sketch mutex, which
-	// ExportState takes. Records journaled meanwhile land above the
+	// AppendState takes. Records journaled meanwhile land above the
 	// snapshot and replay on top of it, which the sketch's report logic
-	// absorbs idempotently.
+	// absorbs idempotently. Both states append into one buffer, which
+	// Checkpoint writes without copying; sized from the previous snapshot
+	// with an eighth to spare, a state that grew a little since does not
+	// regrow it.
 	size, err := log.Checkpoint(func() []byte {
-		watermark := s.Watermark()
-		sketchState := sketch.ExportState()
-		var ttlState []byte
-		if est != nil {
-			ttlState = est.ExportState()
+		buf := binary.BigEndian.AppendUint64(make([]byte, 0, prev+prev/8), sketch.Epoch())
+		buf = appendSized(buf, sketch.AppendState)
+		if est == nil {
+			return binary.BigEndian.AppendUint32(buf, 0)
 		}
-		buf := make([]byte, 0, 24+len(sketchState)+len(ttlState))
-		buf = binary.BigEndian.AppendUint64(buf, watermark)
-		buf = binary.BigEndian.AppendUint64(buf, sketch.Epoch())
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(sketchState)))
-		buf = append(buf, sketchState...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(ttlState)))
-		return append(buf, ttlState...)
+		return appendSized(buf, est.AppendState)
 	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -469,31 +450,30 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 	// the snapshot's own, raised by every replayed recGeneration record.
 	// epoch is the last incarnation's: the snapshot's, or the newest
 	// recEpoch record's.
-	var wm, genFloor, epoch uint64
+	var genFloor, epoch uint64
 	haveSnap, haveEpoch := false, false
 	restore := func(p []byte) error {
-		if len(p) < 20 {
+		if len(p) < 12 {
 			return errors.New("durable: short snapshot")
 		}
-		skLen := int(binary.BigEndian.Uint32(p[16:20]))
-		if len(p) < 24+skLen {
+		skLen := int(binary.BigEndian.Uint32(p[8:12]))
+		if len(p) < 16+skLen {
 			return errors.New("durable: malformed snapshot")
 		}
-		ttLen := int(binary.BigEndian.Uint32(p[20+skLen:]))
-		if len(p) != 24+skLen+ttLen {
+		ttLen := int(binary.BigEndian.Uint32(p[12+skLen:]))
+		if len(p) != 16+skLen+ttLen {
 			return errors.New("durable: malformed snapshot")
 		}
-		if err := sketch.ImportState(p[20 : 20+skLen]); err != nil {
+		if err := sketch.ImportState(p[12 : 12+skLen]); err != nil {
 			return err
 		}
 		if est != nil && ttLen > 0 {
-			if err := est.ImportState(p[24+skLen:]); err != nil {
+			if err := est.ImportState(p[16+skLen:]); err != nil {
 				return err
 			}
 		}
 		haveSnap, haveEpoch = true, true
-		wm = binary.BigEndian.Uint64(p)
-		epoch = binary.BigEndian.Uint64(p[8:16])
+		epoch = binary.BigEndian.Uint64(p)
 		genFloor = sketch.Generation()
 		return nil
 	}
@@ -521,6 +501,7 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 	info := RecoveryInfo{
 		SnapshotLSN:    rec.SnapshotLSN,
 		Replayed:       rec.Replayed,
+		Foreign:        rec.Foreign,
 		TruncatedBytes: rec.TruncatedBytes,
 	}
 
@@ -552,10 +533,6 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 			sketch.ReportCachedRead(r.key, r.expiresAt)
 		case recWrite:
 			writeRun = append(writeRun, r.key)
-		case recWatermark:
-			if r.seq > wm {
-				wm = r.seq
-			}
 		case recGeneration:
 			if r.seq > genFloor {
 				genFloor = r.seq
@@ -569,10 +546,11 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 		case recOpen:
 			// A later incarnation started; nothing to apply. Its mere
 			// presence past a clean marker is what voids that marker.
+		case recWatermark:
+			// Reserved: what an older build journaled, and nothing reads.
 		}
 	}
 	flushWrites()
-	info.Watermark = wm
 
 	switch {
 	case rec.Reseeded:
@@ -625,7 +603,6 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 	s.est = est
 	s.replaying = false
 	s.crashed = false
-	s.watermark = wm
 	s.snapLSN = rec.SnapshotLSN
 	s.pending = 0
 	s.stats.Crashed = false
@@ -640,8 +617,7 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 	// like any other journaling failure — the owner's signal to recover.
 	// The epoch this incarnation serves under is sealed with it, before any
 	// snapshot of it can reach a client.
-	s.appendLocked([]byte{recOpen})
-	s.appendLocked(binary.BigEndian.AppendUint64([]byte{recEpoch}, epoch))
+	s.sealOpenLocked(epoch)
 	s.mu.Unlock()
 	if err := s.Sync(); err != nil && !errors.Is(err, faults.ErrCrash) && !errors.Is(err, wal.ErrCrashed) {
 		return info, err

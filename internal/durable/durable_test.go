@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -25,7 +26,7 @@ type harness struct {
 	est    *ttl.Estimator
 }
 
-func newHarness(t *testing.T, dir string, inj *faults.Injector) *harness {
+func newHarness(t testing.TB, dir string, inj *faults.Injector) *harness {
 	t.Helper()
 	h := &harness{dir: dir, sim: clock.NewSimulated(time.Time{})}
 	h.store = New(Config{
@@ -65,7 +66,6 @@ func TestFreshThenCleanRestartIsWarm(t *testing.T) {
 		t.Fatalf("fresh dir: %+v", info)
 	}
 	h.populate(20)
-	h.store.JournalInvalidation(7)
 	genBefore := h.sketch.Generation()
 	if err := h.store.Close(); err != nil {
 		t.Fatal(err)
@@ -78,9 +78,6 @@ func TestFreshThenCleanRestartIsWarm(t *testing.T) {
 	}
 	if info.Saturated {
 		t.Fatal("clean shutdown must not saturate")
-	}
-	if info.Watermark != 7 {
-		t.Fatalf("Watermark = %d, want 7", info.Watermark)
 	}
 	if got := h2.sketch.Generation(); got != genBefore {
 		t.Fatalf("generation = %d, want %d", got, genBefore)
@@ -100,14 +97,12 @@ func TestSnapshotReplayAndPrune(t *testing.T) {
 	h := newHarness(t, dir, nil)
 	h.recover(t)
 	h.populate(30)
-	h.store.JournalInvalidation(3)
 	if err := h.store.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	// Post-snapshot tail.
 	h.sketch.ReportCachedRead("/tail/a", h.sim.Now().Add(time.Hour))
 	h.sketch.ReportWrite("/tail/a")
-	h.store.JournalInvalidation(9)
 	if err := h.store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +114,6 @@ func TestSnapshotReplayAndPrune(t *testing.T) {
 	}
 	if info.SnapshotLSN == 0 {
 		t.Fatal("snapshot not found")
-	}
-	if info.Watermark != 9 {
-		t.Fatalf("Watermark = %d, want 9", info.Watermark)
 	}
 	if !h2.sketch.Contains("/tail/a") || !h2.sketch.Contains("/doc/000") {
 		t.Fatal("state lost across snapshot+replay restart")
@@ -376,7 +368,6 @@ func TestTornTailInsideSnapshotThenCleanRestart(t *testing.T) {
 	h := newHarness(t, dir, nil)
 	h.recover(t)
 	h.populate(30)
-	h.store.JournalInvalidation(5)
 	if err := h.store.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -425,9 +416,6 @@ func TestTornTailInsideSnapshotThenCleanRestart(t *testing.T) {
 	}
 	if !h3.sketch.Contains("/post/truncation") {
 		t.Fatal("journaled state lost despite clean shutdown")
-	}
-	if info.Watermark != 5 {
-		t.Fatalf("Watermark = %d, want 5", info.Watermark)
 	}
 }
 
@@ -583,40 +571,6 @@ func TestWholeLogTornToEmptySaturates(t *testing.T) {
 	}
 }
 
-// TestAdvanceInvalidationResumesFromWatermark pins the sequence-ownership
-// contract: the store allocates invalidation sequences one past the
-// recovered watermark, so an owner whose own counters restart at zero
-// never journals values the watermark guard would drop.
-func TestAdvanceInvalidationResumesFromWatermark(t *testing.T) {
-	dir := t.TempDir()
-	h := newHarness(t, dir, nil)
-	h.recover(t)
-	for want := uint64(1); want <= 3; want++ {
-		if got := h.store.AdvanceInvalidation(); got != want {
-			t.Fatalf("AdvanceInvalidation = %d, want %d", got, want)
-		}
-	}
-	if err := h.store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	h2 := newHarness(t, dir, nil)
-	if info := h2.recover(t); info.Watermark != 3 {
-		t.Fatalf("recovered Watermark = %d, want 3", info.Watermark)
-	}
-	if got := h2.store.AdvanceInvalidation(); got != 4 {
-		t.Fatalf("post-restart AdvanceInvalidation = %d, want 4", got)
-	}
-	if err := h2.store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	h3 := newHarness(t, dir, nil)
-	if info := h3.recover(t); info.Watermark != 4 {
-		t.Fatalf("Watermark = %d, want 4: the advanced sequence was not journaled", info.Watermark)
-	}
-}
-
 // TestConcurrentSnapshotsCoalesce hammers Snapshot from many goroutines:
 // exactly one writer may own the temp file at a time (interleaved writes
 // would fail the CRC and poison recovery), and losers must coalesce.
@@ -676,4 +630,51 @@ func TestShouldSnapshotTrigger(t *testing.T) {
 	if h.store.ShouldSnapshot() {
 		t.Fatal("trigger not reset by snapshot")
 	}
+}
+
+// TestJournalRecordsDoNotAllocate: every record type encodes into the
+// store's scratch buffer, and the log copies it into its staged batch, so
+// journaling allocates nothing once that buffer has grown.
+func TestJournalRecordsDoNotAllocate(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	h := newHarness(t, t.TempDir(), nil)
+	h.recover(t)
+	defer h.store.Close()
+	expires := h.sim.Now().Add(time.Hour)
+	for name, journal := range map[string]func(){
+		"cached read": func() { h.store.JournalCachedRead("/doc/001", expires) },
+		"write":       func() { h.store.JournalWrite("/doc/001") },
+		"generation":  func() { h.store.JournalGeneration(7) },
+		"open and epoch": func() {
+			h.store.mu.Lock()
+			h.store.sealOpenLocked(7)
+			h.store.mu.Unlock()
+		},
+	} {
+		journal() // grows the scratch buffer and the log's staged batch
+		if n := testing.AllocsPerRun(200, journal); n != 0 {
+			t.Errorf("journaling a %s record allocates %.1f per record, want 0", name, n)
+		}
+	}
+	if h.store.Crashed() {
+		t.Fatal("store crashed while journaling")
+	}
+}
+
+// raceEnabled reports whether the test binary was built with the race
+// detector: its instrumentation adds allocations (sync.Pool drops items at
+// random), so allocation pins hold only without it.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

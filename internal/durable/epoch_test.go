@@ -2,6 +2,8 @@ package durable
 
 import (
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -37,7 +39,7 @@ func TestPreEpochDirectoryColdStarts(t *testing.T) {
 	// with no epoch between.
 	src := cachesketch.NewServer(cachesketch.ServerConfig{Clock: clock.NewSimulated(time.Unix(0, 0))})
 	src.ReportCachedRead("/doc/snap", time.Unix(3600, 0))
-	state := src.ExportState()
+	state := src.AppendState(nil)
 	if _, err := old.Checkpoint(func() []byte {
 		b := binary.BigEndian.AppendUint64(nil, 1)
 		b = binary.BigEndian.AppendUint32(b, uint32(len(state)))
@@ -71,6 +73,96 @@ func TestPreEpochDirectoryColdStarts(t *testing.T) {
 	}
 	if got := h2.sketch.Epoch(); got != drawn {
 		t.Fatalf("clean restart serves epoch %x, want %x", got, drawn)
+	}
+}
+
+// TestPreWatermarkDirectoryRecovers: a directory written while the store
+// journaled an invalidation watermark — type-3 records between the reads
+// and writes, a snapshot led by the watermark under the "SKS2" magic —
+// recovers without error. The type-3 records decode and are passed over,
+// the reads and writes around them apply, and the snapshot is foreign: the
+// server cold-starts under a new epoch and snapshots its own layout at
+// once, so the next clean restart is warm from that snapshot.
+func TestPreWatermarkDirectoryRecovers(t *testing.T) {
+	dir := t.TempDir()
+	old, _, err := wal.OpenSnapshotted(wal.Options{Dir: dir}, [4]byte{'S', 'K', 'S', '2'},
+		func([]byte) error { return nil }, func(uint64, []byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const oldEpoch = 42
+	// The harness's clock starts where this one does.
+	sim := clock.NewSimulated(time.Time{})
+	expires := sim.Now().Add(time.Hour)
+	cachedRead := func(key string) []byte {
+		return binary.BigEndian.AppendUint64(appendKey([]byte{recCachedRead}, key), uint64(expires.UnixNano()))
+	}
+	write := func(key string) []byte { return appendKey([]byte{recWrite}, key) }
+	watermark := func(seq uint64) []byte { return binary.BigEndian.AppendUint64([]byte{recWatermark}, seq) }
+	appendAll := func(recs ...[]byte) {
+		t.Helper()
+		for _, rec := range recs {
+			if _, err := old.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendAll([]byte{recOpen}, binary.BigEndian.AppendUint64([]byte{recEpoch}, oldEpoch),
+		cachedRead("/doc/a"), watermark(1), write("/doc/a"), watermark(2))
+	// The older payload: u64 watermark, u64 epoch, then the two
+	// length-prefixed states.
+	src := cachesketch.NewServer(cachesketch.ServerConfig{Clock: sim})
+	src.ReportCachedRead("/doc/a", expires)
+	src.ReportWrite("/doc/a")
+	state := src.AppendState(nil)
+	if _, err := old.Checkpoint(func() []byte {
+		b := binary.BigEndian.AppendUint64(nil, 2)
+		b = binary.BigEndian.AppendUint64(b, oldEpoch)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(state)))
+		b = append(b, state...)
+		return binary.BigEndian.AppendUint32(b, 0)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(cachedRead("/doc/b"), watermark(3), write("/doc/b"), watermark(4), []byte{recClean})
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h := newHarness(t, dir, nil)
+	info := h.recover(t)
+	if !info.Foreign || !info.Saturated || info.Mode != Replay || info.SnapshotLSN != 0 {
+		t.Fatalf("pre-watermark directory recovered %+v, want its snapshot passed over as foreign, the log replayed and a cold start", info)
+	}
+	for _, key := range []string{"/doc/a", "/doc/b"} {
+		if !h.sketch.Contains(key) {
+			t.Fatalf("%s: the read and write around the type-3 records were not applied", key)
+		}
+	}
+	if h.sketch.Epoch() == oldEpoch {
+		t.Fatal("an unclean recovery continued the old epoch")
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot on disk: %v", err)
+	}
+	newest, err := os.ReadFile(snaps[len(snaps)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := [4]byte(newest[:4]); got != snapMagic {
+		t.Fatalf("newest snapshot has magic %q, want %q", got[:], snapMagic[:])
+	}
+	if err := h.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h2 := newHarness(t, dir, nil)
+	if info := h2.recover(t); info.Saturated || info.Foreign || info.SnapshotLSN == 0 {
+		t.Fatalf("clean restart after the upgrade: %+v, want warm from the new snapshot", info)
+	}
+	if !h2.sketch.Contains("/doc/b") {
+		t.Fatal("state lost across the clean restart")
 	}
 }
 

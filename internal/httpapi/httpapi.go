@@ -485,7 +485,7 @@ func (a *API) handleWrite(w http.ResponseWriter, r *http.Request) {
 	// pipeline run the patch triggers: the change stream delivers
 	// synchronously inside WithWriteSpan, so the pipeline traces adopt
 	// this trace's ID and the whole fan-out (sketch report, CDN purge,
-	// durable advance) is queryable under one /debug/traces/{id}.
+	// durable snapshot) is queryable under one /debug/traces/{id}.
 	tr, _ := a.startRemote(r, "http.write", path)
 	var sw *clock.Stopwatch
 	if tr != nil {

@@ -40,8 +40,9 @@ func decodeInstant(v int64) time.Time {
 	return time.Unix(0, v)
 }
 
-// ExportState serializes every tracked resource's statistics.
-func (e *Estimator) ExportState() []byte {
+// AppendState appends every tracked resource's statistics to dst and
+// returns the extended slice; AppendState(nil) is the state on its own.
+func (e *Estimator) AppendState(dst []byte) []byte {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ids := make([]string, 0, len(e.res))
@@ -50,8 +51,7 @@ func (e *Estimator) ExportState() []byte {
 	}
 	sort.Strings(ids)
 
-	out := make([]byte, 0, 8+len(ids)*64)
-	out = append(out, estMagic[:]...)
+	out := append(dst, estMagic[:]...)
 	out = append(out, estVersion)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(ids)))
 	for _, id := range ids {

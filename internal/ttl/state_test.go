@@ -30,19 +30,19 @@ func TestEstimatorStateRoundTrip(t *testing.T) {
 	sim := clock.NewSimulated(time.Time{})
 	e := buildEstimator(sim)
 
-	blob := e.ExportState()
+	blob := e.AppendState(nil)
 	e2 := NewEstimator(Config{Clock: sim})
 	if err := e2.ImportState(blob); err != nil {
 		t.Fatalf("ImportState: %v", err)
 	}
 
 	// Deterministic round-trip: re-export is byte-identical.
-	if !bytes.Equal(blob, e2.ExportState()) {
+	if !bytes.Equal(blob, e2.AppendState(nil)) {
 		t.Fatal("re-exported state differs from original export")
 	}
 	// Exporting twice from the same estimator is also byte-identical
 	// (sorted keys, no map-order leakage).
-	if !bytes.Equal(e.ExportState(), e.ExportState()) {
+	if !bytes.Equal(e.AppendState(nil), e.AppendState(nil)) {
 		t.Fatal("repeated export is not deterministic")
 	}
 	if e2.Tracked() != e.Tracked() {
@@ -85,7 +85,7 @@ func TestEstimatorImportRejectsGarbage(t *testing.T) {
 	}
 	// Truncated valid blob.
 	sim := clock.NewSimulated(time.Time{})
-	good := buildEstimator(sim).ExportState()
+	good := buildEstimator(sim).AppendState(nil)
 	if err := e.ImportState(good[:len(good)-5]); err == nil {
 		t.Fatal("truncated blob accepted")
 	}

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -50,5 +52,50 @@ func assertAppendZeroAlloc(t *testing.T, l interface{ Append([]byte) (uint64, er
 		}
 	}); n != 0 {
 		t.Fatalf("Append allocates %.1f per run, want 0", n)
+	}
+}
+
+// TestCheckpointHoldsTheExportOnce: Checkpoint writes the exported bytes
+// where export left them, behind a header of its own, so a checkpoint of
+// a 1 MiB state allocates far less than that state — not a framed copy of
+// it. The snapshot still reads back as the export.
+func TestCheckpointHoldsTheExportOnce(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := OpenSnapshotted(Options{Dir: dir}, testMagic,
+		func([]byte) error { return nil }, func(uint64, []byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append([]byte("covered")); err != nil {
+		t.Fatal(err)
+	}
+	export := bytes.Repeat([]byte{0xa5}, 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	size, err := s.Checkpoint(func() []byte { return export })
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(len(export)) {
+		t.Fatalf("Checkpoint of a %d-byte export allocated %d bytes, want less than the export", len(export), got)
+	}
+	if want := snapHeader + lsnBytes + len(export); size != want {
+		t.Fatalf("Checkpoint wrote %d bytes, want %d", size, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var restored []byte
+	s2, rec, err := OpenSnapshotted(Options{Dir: dir}, testMagic,
+		func(p []byte) error { restored = bytes.Clone(p); return nil },
+		func(uint64, []byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if rec.SnapshotLSN != 1 || !bytes.Equal(restored, export) {
+		t.Fatalf("snapshot at lsn %d restored %d bytes, want lsn 1 and the %d exported", rec.SnapshotLSN, len(restored), len(export))
 	}
 }

@@ -233,7 +233,9 @@ func wipe(dir string, trusted uint64) error {
 // Checkpoint writes export's bytes as the snapshot covering every record
 // appended so far, atomically (temp file, fsync, rename, directory
 // fsync), then drops the snapshots and segments no recovery needs any
-// more. The covered LSN is read before export runs: a record appended
+// more. The bytes are written where export left them, behind a header of
+// their own, never copied into a framed blob: a checkpoint holds its state
+// once. The covered LSN is read before export runs: a record appended
 // while it runs lands above the snapshot and is replayed on top of it, so
 // replay must tolerate records the snapshot already reflects. No lock
 // Append takes is held across export, which may itself wait on appenders.
@@ -251,12 +253,13 @@ func (s *Snapshotted) Checkpoint(export func() []byte) (int, error) {
 	lsn := s.NextLSN() - 1
 	payload := export()
 
-	blob := make([]byte, snapHeader+lsnBytes, snapHeader+lsnBytes+len(payload))
-	copy(blob, s.magic[:])
-	blob[4] = snapVersion
-	binary.BigEndian.PutUint64(blob[snapHeader:], lsn)
-	blob = append(blob, payload...)
-	binary.BigEndian.PutUint32(blob[5:snapHeader], crc32.Checksum(blob[snapHeader:], castagnoli))
+	var hdr [snapHeader + lsnBytes]byte
+	copy(hdr[:], s.magic[:])
+	hdr[4] = snapVersion
+	binary.BigEndian.PutUint64(hdr[snapHeader:], lsn)
+	crc := crc32.Update(crc32.Checksum(hdr[snapHeader:], castagnoli), castagnoli, payload)
+	binary.BigEndian.PutUint32(hdr[5:snapHeader], crc)
+	size := len(hdr) + len(payload)
 
 	dir := s.opts.Dir
 	final := filepath.Join(dir, snapName(lsn))
@@ -266,13 +269,14 @@ func (s *Snapshotted) Checkpoint(export func() []byte) (int, error) {
 		// place, and a dead log.
 		torn := d.TornBytes
 		if torn <= 0 {
-			torn = int(lsn % uint64(len(blob)))
+			torn = int(lsn % uint64(size))
 		}
-		_ = os.WriteFile(tmp, blob[:min(torn, len(blob)-1)], 0o644) // the kill's own debris
+		blob := append(hdr[:], payload...)
+		_ = os.WriteFile(tmp, blob[:min(torn, size-1)], 0o644) // the kill's own debris
 		s.kill()
 		return 0, fmt.Errorf("wal: checkpoint: %w: %w", faults.ErrCrash, ErrCrashed)
 	}
-	err := writeSynced(tmp, blob)
+	err := writeSynced(tmp, hdr[:], payload)
 	if err == nil {
 		err = os.Rename(tmp, final)
 	}
@@ -287,7 +291,7 @@ func (s *Snapshotted) Checkpoint(export func() []byte) (int, error) {
 	// next checkpoint retries whatever fails here.
 	snaps, err := listSnapshots(dir)
 	if err != nil {
-		return len(blob), err
+		return size, err
 	}
 	oldest, kept := lsn, 0
 	for _, v := range snaps {
@@ -301,17 +305,20 @@ func (s *Snapshotted) Checkpoint(export func() []byte) (int, error) {
 		}
 	}
 	_, err = s.PruneBelow(oldest)
-	return len(blob), err
+	return size, err
 }
 
-// writeSynced creates path holding data and fsyncs it.
-func writeSynced(path string, data []byte) error {
+// writeSynced creates path holding header then payload, and fsyncs it
+// once.
+func writeSynced(path string, header, payload []byte) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
+	if _, err = f.Write(header); err == nil {
+		if _, err = f.Write(payload); err == nil {
+			err = f.Sync()
+		}
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr

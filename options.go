@@ -42,7 +42,7 @@ func WithSeed(seed int64) Option {
 	return func(o *options) { o.cfg.Seed = seed }
 }
 
-// WithDataDir persists the coherence state (sketch journal, watermarks)
+// WithDataDir persists the coherence state (sketch journal and snapshots)
 // under dir and recovers it at startup. The durable store runs on the
 // deployment clock; combine with WithClock(clock.System) for a real
 // server (a data directory under simulated time is only useful in
