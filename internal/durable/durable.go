@@ -18,12 +18,17 @@
 // valid snapshot, replays the WAL tail through the real server logic,
 // and then decides trust. A log that ends in the clean-shutdown marker is
 // complete and the server resumes warm, continuing its sketch epoch.
-// Anything else — torn tail, acknowledged-but-unsynced records lost at the
-// group commit, mid-log corruption — means history may be missing, and the
-// server enters conservative cold start under a new epoch: a saturated
-// all-stale sketch for one full Δ window (every client revalidates; Δ
-// holds with zero trusted history) plus blind write tracking over the
-// residual-TTL horizon.
+// Anything else — torn tail, acknowledged records that power loss took
+// before their deferred fsync, mid-log corruption — means history may be
+// missing, and the server enters conservative cold start under a new
+// epoch: a saturated all-stale sketch for one full Δ window (every client
+// revalidates; Δ holds with zero trusted history) plus blind write
+// tracking over the residual-TTL horizon. That cold start, not a
+// synchronous write mode, is what covers power loss.
+//
+// Every append to the log runs under the store's mutex, which the journal
+// hooks take under the sketch server's: the log sees one appender at a
+// time, and each record is one write(2) of its own.
 //
 // GDPR: this package sits behind the same boundary as the CDN — it may
 // only ever see anonymous coherence metadata (resource IDs, expirations,
@@ -49,7 +54,8 @@ import (
 type Config struct {
 	// Dir is the durability directory holding WAL segments and snapshots.
 	Dir string
-	// Clock drives group commit and the recovery windows (default system).
+	// Clock drives the WAL's deferred fsync and the recovery windows
+	// (default system).
 	Clock clock.Clock
 	// Faults optionally injects crashes at the WAL and snapshot writers.
 	Faults *faults.Injector
@@ -148,8 +154,9 @@ const (
 	recEpoch byte = 7
 )
 
-// record is one decoded journal entry, buffered during the WAL scan so
-// nothing is applied from a log that later proves corrupt.
+// record is one journal entry: what the hooks encode, and what the WAL
+// scan decodes and buffers so nothing is applied from a log that later
+// proves corrupt.
 type record struct {
 	typ       byte
 	key       string
@@ -196,27 +203,38 @@ func New(cfg Config) *Store {
 
 // --- journaling ----------------------------------------------------------
 
-// recordLocked starts a journal record of type typ in the store's
-// scratch buffer. The caller must hold s.mu and hand the record to
-// appendLocked before releasing it.
-func (s *Store) recordLocked(typ byte) []byte { return append(s.scratch[:0], typ) }
-
-// appendLocked appends one journal record, keeping its buffer as the
-// scratch for the next: the log copies the payload into its staged batch,
-// so a record costs no allocation once the scratch has grown. The caller
-// must hold s.mu. Injected crashes flip the store dead; journaling is
-// fire-and-forget by contract (the hooks run under the sketch mutex), so
-// the error surfaces through Crashed() rather than a return value.
-func (s *Store) appendLocked(rec []byte) {
-	s.scratch = rec[:0]
+// appendLocked encodes r into the store's scratch buffer and appends it
+// to the log, which copies it into its own frame buffer: a record costs
+// no allocation once the scratch has grown. The caller must hold s.mu.
+// Injected crashes flip the store dead; journaling is fire-and-forget by
+// contract (the hooks run under the sketch mutex), so the error surfaces
+// through Crashed() rather than a return value.
+func (s *Store) appendLocked(r record) {
 	if s.crashed || s.replaying || s.log == nil {
 		return
 	}
-	if _, err := s.log.Append(rec); err != nil {
+	s.scratch = encodeRecord(s.scratch[:0], r)
+	if _, err := s.log.Append(s.scratch); err != nil {
 		s.noteCrashLocked(err)
 		return
 	}
 	s.pending++
+}
+
+// encodeRecord appends the journal payload of r to b: the inverse of
+// decodeRecord.
+func encodeRecord(b []byte, r record) []byte {
+	b = append(b, r.typ)
+	switch r.typ {
+	case recCachedRead:
+		b = appendKey(b, r.key)
+		return binary.BigEndian.AppendUint64(b, uint64(r.expiresAt.UnixNano()))
+	case recWrite:
+		return appendKey(b, r.key)
+	case recWatermark, recGeneration, recEpoch:
+		return binary.BigEndian.AppendUint64(b, r.seq)
+	}
+	return b
 }
 
 // appendKey appends key, length-prefixed, to a journal record.
@@ -228,15 +246,14 @@ func appendKey(rec []byte, key string) []byte {
 // JournalCachedRead implements cachesketch.Journal.
 func (s *Store) JournalCachedRead(key string, expiresAt time.Time) {
 	s.mu.Lock()
-	rec := appendKey(s.recordLocked(recCachedRead), key)
-	s.appendLocked(binary.BigEndian.AppendUint64(rec, uint64(expiresAt.UnixNano())))
+	s.appendLocked(record{typ: recCachedRead, key: key, expiresAt: expiresAt})
 	s.mu.Unlock()
 }
 
 // JournalWrite implements cachesketch.Journal.
 func (s *Store) JournalWrite(key string) {
 	s.mu.Lock()
-	s.appendLocked(appendKey(s.recordLocked(recWrite), key))
+	s.appendLocked(record{typ: recWrite, key: key})
 	s.mu.Unlock()
 }
 
@@ -245,15 +262,15 @@ func (s *Store) JournalWrite(key string) {
 // monotonicity floor it must restore.
 func (s *Store) JournalGeneration(gen uint64) {
 	s.mu.Lock()
-	s.appendLocked(binary.BigEndian.AppendUint64(s.recordLocked(recGeneration), gen))
+	s.appendLocked(record{typ: recGeneration, seq: gen})
 	s.mu.Unlock()
 }
 
 // sealOpenLocked journals the open marker and the epoch this incarnation
 // serves under. The caller must hold s.mu.
 func (s *Store) sealOpenLocked(epoch uint64) {
-	s.appendLocked(s.recordLocked(recOpen))
-	s.appendLocked(binary.BigEndian.AppendUint64(s.recordLocked(recEpoch), epoch))
+	s.appendLocked(record{typ: recOpen})
+	s.appendLocked(record{typ: recEpoch, seq: epoch})
 }
 
 // Crashed reports whether an injected crash killed the store; only
@@ -433,8 +450,8 @@ func (s *Store) beginRecover(sketch *cachesketch.Server, est *ttl.Estimator) (*c
 // Trust decision: a log whose final record is the clean-shutdown marker
 // is complete. Anything else engages the conservative cold start — the
 // sketch saturates for ColdWindow and blind-tracks writes for
-// BlindHorizon — because the group-commit contract means acknowledged
-// records may have died unsynced.
+// BlindHorizon — because an acknowledged record is only in the OS file
+// until its deferred fsync, and power loss may have taken it.
 func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (RecoveryInfo, error) {
 	sketch, est, err := s.beginRecover(sketch, est)
 	if err != nil {
@@ -680,8 +697,8 @@ func (s *Store) Kill() error {
 	return err
 }
 
-// Sync forces the WAL's group commit (SIGTERM flush path). An injected
-// crash during the fsync flips the store dead, like any journaling crash.
+// Sync fsyncs the WAL now (SIGTERM flush path). An injected crash during
+// the fsync flips the store dead, like any journaling crash.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	log := s.log

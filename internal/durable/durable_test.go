@@ -191,7 +191,7 @@ func TestLostUnsyncedSuffixIsNotClean(t *testing.T) {
 	// Everything synced so far (through the open marker) survives the
 	// power loss below; record the segment sizes at this durable point.
 	synced := segmentSizes(t, dir)
-	// Acknowledged but never synced: the group commit hasn't fired.
+	// Acknowledged but never synced: the deferred fsync hasn't fired.
 	h2.populate(3)
 
 	// Power loss: roll every segment back to its durable size and drop
@@ -633,7 +633,7 @@ func TestShouldSnapshotTrigger(t *testing.T) {
 }
 
 // TestJournalRecordsDoNotAllocate: every record type encodes into the
-// store's scratch buffer, and the log copies it into its staged batch, so
+// store's scratch buffer, and the log copies it into its frame buffer, so
 // journaling allocates nothing once that buffer has grown.
 func TestJournalRecordsDoNotAllocate(t *testing.T) {
 	if raceEnabled() {
@@ -653,7 +653,7 @@ func TestJournalRecordsDoNotAllocate(t *testing.T) {
 			h.store.mu.Unlock()
 		},
 	} {
-		journal() // grows the scratch buffer and the log's staged batch
+		journal() // grows the scratch buffer and the log's frame buffer
 		if n := testing.AllocsPerRun(200, journal); n != 0 {
 			t.Errorf("journaling a %s record allocates %.1f per record, want 0", name, n)
 		}

@@ -94,8 +94,9 @@ type diskTier struct {
 	// every is the journal-records-per-snapshot cadence.
 	every int
 
-	// mu serializes an append with the checkpoint it may trigger, so a
-	// checkpoint covers exactly the records counted toward it.
+	// mu serializes the tier's appends, and an append with the checkpoint
+	// it may trigger, so a checkpoint covers exactly the records counted
+	// toward it.
 	mu        sync.Mutex
 	dead      bool // guarded by mu
 	sinceSnap int  // guarded by mu; records appended since the last checkpoint

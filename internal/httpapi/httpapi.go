@@ -183,12 +183,11 @@ type Health struct {
 }
 
 // HealthDurability is the durability section of /healthz: enough to see
-// at a glance whether writes are reaching disk (appends, batched write
-// syscalls, fsyncs) and how much WAL tail a crash would replay (the gap
-// between the append counter and the last snapshot's LSN).
+// at a glance whether writes are reaching disk (appends, fsyncs) and how
+// much WAL tail a crash would replay (the gap between the append counter
+// and the last snapshot's LSN).
 type HealthDurability struct {
 	WALAppends      uint64 `json:"wal_appends"`
-	WALBatchWrites  uint64 `json:"wal_batch_writes"`
 	WALFsyncs       uint64 `json:"wal_fsyncs"`
 	Snapshots       uint64 `json:"snapshots"`
 	LastSnapshotLSN uint64 `json:"last_snapshot_lsn"`
@@ -207,7 +206,6 @@ func (a *API) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		h.RecoveryMode = st.LastRecovery.Mode.String()
 		h.Durability = &HealthDurability{
 			WALAppends:      st.WAL.Appends,
-			WALBatchWrites:  st.WAL.BatchWrites,
 			WALFsyncs:       st.WAL.Fsyncs,
 			Snapshots:       st.Snapshots,
 			LastSnapshotLSN: store.SnapshotLSN(),

@@ -202,3 +202,42 @@ func TestParseZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseTraceparent feeds the parser what any client can send in its
+// traceparent header; the edge hands it every one. Whatever arrives: no
+// panic. What is accepted is a valid context whose trace and span IDs are
+// the input's own bytes 3–52, and it renders to a header that parses back
+// to the same context.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, s := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-fe-extra",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, ok := ParseTraceparent(s)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("ParseTraceparent(%q) refused but returned %+v", s, sc)
+			}
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an invalid context %+v", s, sc)
+		}
+		wire := sc.Traceparent()
+		if wire[3:52] != s[3:52] {
+			t.Fatalf("ParseTraceparent(%q): ids render as %q", s, wire[3:52])
+		}
+		if again, ok := ParseTraceparent(wire); !ok || again != sc {
+			t.Fatalf("ParseTraceparent(%q) = %+v renders as %q, which parses to %+v, %v", s, sc, wire, again, ok)
+		}
+	})
+}

@@ -4,22 +4,16 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-	"time"
 )
 
 // Steady-state appends must not allocate: the frame marshal indexes into
-// the pooled staged buffer (see marshalFrame, //speedkit:hotpath) and the
-// flusher recycles batch buffers through framePool, so once the pool is
-// warm the only per-append costs are a CRC pass and two copies. This test
-// pins the property the wal-append bench's allocs/op column reports —
-// for the log, and for the snapshotted log on top of it, whose Append
-// adds nothing.
+// the log's reused frame buffer (see marshalFrame, //speedkit:hotpath), so
+// once that buffer has grown the only per-append costs are a CRC pass, two
+// copies and the write. This test pins the property the wal-append bench's
+// allocs/op column reports — for the log, and for the snapshotted log on
+// top of it, whose Append adds nothing.
 func TestAppendZeroAllocSteadyState(t *testing.T) {
-	opts := Options{
-		SegmentMaxBytes:   1 << 30,
-		GroupCommitWindow: time.Hour,
-		GroupCommitMax:    1 << 30,
-	}
+	opts := Options{SegmentMaxBytes: 1 << 30}
 	opts.Dir = t.TempDir()
 	l, err := Open(opts)
 	if err != nil {
@@ -40,7 +34,7 @@ func TestAppendZeroAllocSteadyState(t *testing.T) {
 
 func assertAppendZeroAlloc(t *testing.T, l interface{ Append([]byte) (uint64, error) }) {
 	payload := make([]byte, 64)
-	// Warm the pooled buffer past its growth phase.
+	// Warm the frame buffer past its growth phase.
 	for i := 0; i < 64; i++ {
 		if _, err := l.Append(payload); err != nil {
 			t.Fatal(err)

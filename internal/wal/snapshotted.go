@@ -102,8 +102,8 @@ type Snapshotted struct {
 //   - the wiped log reopens seeded above both the snapshot and the highest
 //     record LSN the scan saw, not at 1;
 //   - a torn tail that cuts the log back inside the snapshot's coverage
-//     (a snapshot is fsynced, the records under it only group-committed)
-//     is wiped and reseeded the same way.
+//     (a snapshot is fsynced, the records under it only written, their
+//     fsync deferred) is wiped and reseeded the same way.
 func OpenSnapshotted(opts Options, magic [4]byte, restore func(payload []byte) error, replay func(lsn uint64, record []byte) error) (*Snapshotted, Recovery, error) {
 	var rec Recovery
 	if opts.Dir == "" {

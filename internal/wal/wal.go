@@ -1,12 +1,11 @@
 // Package wal implements the segmented append-only write-ahead log under
 // the durability subsystem. Records are CRC32C-framed and carry a
-// monotonically increasing log sequence number (LSN); concurrent appends
-// group-commit: callers stage frames into a shared buffer, one flusher
-// writes the whole batch with a single write syscall, and fsyncs are
-// amortized over the batch on the injected clock so a burst of appends
-// shares one disk flush; segments rotate at a size threshold and are named
-// by their first LSN so whole-segment pruning after a snapshot is a file
-// delete.
+// monotonically increasing log sequence number (LSN). An append is one
+// write(2) of one frame under the log's mutex; fsyncs are deferred and
+// amortized on the injected clock (one per syncEvery appends or per
+// syncWindow, whichever comes first). Segments rotate at a size threshold
+// and are named by their first LSN so whole-segment pruning after a
+// snapshot is a file delete.
 //
 // Recovery discipline: Open scans every segment in LSN order, replaying
 // intact records through the OnRecord callback. A torn tail — an
@@ -29,13 +28,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"speedkit/internal/clock"
@@ -52,23 +48,16 @@ const (
 	maxRecord = 1 << 24
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// The deferred-fsync policy: an append fsyncs the active segment once
+// syncEvery appends are unsynced, or once syncWindow has passed on the
+// injected clock since the last fsync. syncEvery is a variable only so
+// BenchmarkWALAppend can widen it and time the append path rather than
+// the disk's flush latency; nothing else writes it.
+var syncEvery = 64
 
-// collectRounds bounds the flusher's batch-collection pause in scheduler
-// yields, applied only when appenders are arriving concurrently (see
-// flushLocked). One runtime.Gosched runs every runnable peer to its
-// blocking point — on a single-P box that collects the whole cohort in a
-// single round — so the loop exits as soon as a yield stops growing the
-// batch; the cap only guards against pathological arrival patterns.
-// ackYields similarly bounds a staged appender's yield-spin for its batch
-// write before it falls back to parking on the commit condition: every
-// iteration yields the processor (never a hot spin, which would starve
-// the flusher the appender is waiting on), and the fallback park keeps
-// long stalls — an fsync, a rotation — off the scheduler entirely.
-const (
-	collectRounds = 8
-	ackYields     = 2
-)
+const syncWindow = 2 * time.Millisecond
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports mid-log corruption: a damaged frame with intact
 // records after it, or a broken LSN chain. A torn tail is NOT corruption —
@@ -86,25 +75,10 @@ type Options struct {
 	// Dir is the segment directory (created if missing).
 	Dir string
 	// SegmentMaxBytes rotates segments at this size (default 1 MiB). A
-	// group-committed batch is never split across segments, so a segment
-	// may overshoot the threshold by up to one batch.
+	// frame is never split across segments, so a segment may overshoot
+	// the threshold by up to one frame.
 	SegmentMaxBytes int64
-	// GroupCommitWindow is the maximum time acknowledged appends may wait
-	// for their shared fsync (default 2 ms on the injected clock).
-	GroupCommitWindow time.Duration
-	// GroupCommitMax forces an fsync after this many unsynced appends
-	// regardless of the window (default 64).
-	GroupCommitMax int
-	// Dsync opens segment files with O_DSYNC, making every batch write
-	// synchronously durable: an acknowledged append then survives power
-	// loss, not just a process kill, and the deferred group-fsync policy
-	// (GroupCommitWindow/GroupCommitMax) is moot — each group-committed
-	// write IS the group's flush. This is the classic group-commit
-	// configuration: the per-write sync cost is flat in batch size, so
-	// batching N concurrent appends into one write divides the dominant
-	// cost by N.
-	Dsync bool
-	// Clock drives the group-commit window (default the system clock).
+	// Clock drives the deferred-fsync window (default the system clock).
 	Clock clock.Clock
 	// FirstLSN, when non-zero, seeds the LSN of the first append into an
 	// empty directory; OpenSnapshotted reopens a wiped log with it (see
@@ -129,12 +103,6 @@ func (o *Options) applyDefaults() {
 	if o.SegmentMaxBytes <= 0 {
 		o.SegmentMaxBytes = 1 << 20
 	}
-	if o.GroupCommitWindow <= 0 {
-		o.GroupCommitWindow = 2 * time.Millisecond
-	}
-	if o.GroupCommitMax <= 0 {
-		o.GroupCommitMax = 64
-	}
 	if o.Clock == nil {
 		o.Clock = clock.System
 	}
@@ -145,12 +113,11 @@ type Stats struct {
 	// Appends is how many records were durably framed (torn appends from
 	// injected crashes are not counted).
 	Appends uint64
-	// Fsyncs is how many disk flushes ran; group commit keeps it well
-	// below Appends under load.
+	// Fsyncs is how many disk flushes ran; the deferred-fsync policy
+	// keeps it well below Appends under load.
 	Fsyncs uint64
-	// BatchWrites is how many write syscalls carried the appended frames;
-	// group-commit batching keeps it at or below Appends (equal when
-	// appends are serialized, far below under concurrency).
+	// BatchWrites is how many write syscalls carried the appended frames.
+	// Every append is one write, so it always equals Appends.
 	BatchWrites uint64
 	// Rotations counts segment rolls.
 	Rotations uint64
@@ -168,58 +135,21 @@ type segment struct {
 	path     string
 }
 
-// framePool recycles staged-batch buffers so the steady-state append path
-// allocates nothing: the flusher swaps the full buffer for a pooled spare
-// before releasing the lock for the write syscall, and returns the written
-// buffer to the pool afterwards.
-var framePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 16<<10)
-		return &b
-	},
-}
-
-// Log is a segmented write-ahead log. Safe for concurrent use.
-//
-// Concurrency model: appenders marshal their frame into the shared staged
-// buffer under mu. The first appender to find no flusher active becomes
-// the flusher: it repeatedly swaps the staged buffer for an empty pooled
-// one, releases mu for the single write syscall covering the whole batch,
-// then reacquires mu, acknowledges the batch (written), and applies the
-// group-commit fsync policy. Everyone else waits on commit until their LSN
-// is written. Acknowledgement therefore means "in the OS file" — it
-// survives a process kill; surviving power loss still requires the group
-// fsync, which is the window the durable layer's conservative cold start
-// covers.
+// Log is a segmented write-ahead log. Safe for concurrent use: each
+// Append, Sync and Close runs start to finish under mu, the write and
+// any fsync included. Both callers in the tree already serialize their
+// appends under a mutex of their own, so holding mu across the syscalls
+// costs them no concurrency.
 type Log struct {
 	opts Options
 
-	// arrivals counts appenders currently inside Append — a heuristic the
-	// flusher reads without mu to decide whether to hold a batch open for
-	// concurrent arrivals. It overcounts (acknowledged appenders still on
-	// their way out are included), so the flusher pairs it with a
-	// growth-stall check rather than trusting the number.
-	arrivals atomic.Int64
-	// writtenA and deadA mirror written and dead for the waiters' lock-free
-	// acknowledgement fast path: a staged appender yield-spins on them
-	// briefly before parking on the commit condition, so in steady state a
-	// batch commit costs no per-waiter mutex handoff or futex wake at all.
-	writtenA atomic.Uint64
-	deadA    atomic.Bool
-
 	mu       sync.Mutex
-	commit   sync.Cond // signals written/dead/flusher-retired; tied to mu
 	segs     []segment // guarded by mu
 	file     *os.File  // guarded by mu; active segment (nil until first append)
 	size     int64     // guarded by mu; bytes written to the active segment
-	synced   int64     // guarded by mu; bytes of the active segment known flushed
-	buf      *[]byte   // guarded by mu; staged, unwritten frames (pooled)
-	bufFirst uint64    // guarded by mu; LSN of the first staged frame
-	bufCount int       // guarded by mu; staged frame count
-	flushing bool      // guarded by mu; an exclusive writer owns the file
-	written  uint64    // guarded by mu; highest LSN written to the OS file
-	pending  int       // guarded by mu; appends awaiting their group fsync
-	lastSync time.Time // guarded by mu; when the last group fsync ran
+	frame    []byte    // guarded by mu; reused to marshal one frame
+	pending  int       // guarded by mu; appends awaiting their deferred fsync
+	lastSync time.Time // guarded by mu; when the last fsync ran
 	nextLSN  uint64    // guarded by mu
 	dead     bool      // guarded by mu; true after an injected crash
 	stats    Stats     // guarded by mu
@@ -253,9 +183,6 @@ func Open(opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{opts: opts, nextLSN: 1, lastSync: opts.Clock.Now()}
-	l.commit.L = &l.mu
-	l.buf = framePool.Get().(*[]byte)
-	*l.buf = (*l.buf)[:0]
 
 	entries, err := os.ReadDir(opts.Dir)
 	if err != nil {
@@ -295,11 +222,10 @@ func Open(opts Options) (*Log, error) {
 		}
 		l.nextLSN = opts.FirstLSN
 	}
-	l.written = l.nextLSN - 1
 	l.stats.Segments = len(l.segs)
 	if n := len(l.segs); n > 0 {
 		// Reopen the last segment for appending after its good prefix.
-		f, err := os.OpenFile(l.segs[n-1].path, os.O_RDWR|l.dsyncFlag(), 0o644)
+		f, err := os.OpenFile(l.segs[n-1].path, os.O_RDWR, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
@@ -308,7 +234,6 @@ func Open(opts Options) (*Log, error) {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
 		l.file = f
-		l.synced = l.size
 	}
 	return l, nil
 }
@@ -379,9 +304,9 @@ func (l *Log) scanSegment(seg segment, last bool) error {
 
 // marshalFrame encodes one [len][crc][lsn][payload] frame into dst, which
 // must be exactly frameHeader+lsnBytes+len(payload) bytes. It is the
-// per-append marshal step of the group-commit path and must stay
-// allocation-free: it only indexes into dst, so staging an append costs a
-// CRC pass and two copies, never a heap allocation.
+// per-append marshal step and must stay allocation-free: it only indexes
+// into dst, so framing an append costs a CRC pass and two copies, never a
+// heap allocation.
 //
 //speedkit:hotpath
 func marshalFrame(dst []byte, lsn uint64, payload []byte) {
@@ -391,293 +316,76 @@ func marshalFrame(dst []byte, lsn uint64, payload []byte) {
 	binary.LittleEndian.PutUint32(dst[4:8], crc32.Checksum(dst[frameHeader:], castagnoli))
 }
 
-// stageLocked marshals the frame for (lsn, payload) onto the staged batch
-// buffer. The caller must hold l.mu. Growth happens here, outside the
-// annotated marshal path; steady state reuses pooled capacity and
-// allocates nothing.
-func (l *Log) stageLocked(lsn uint64, payload []byte) {
-	need := frameHeader + lsnBytes + len(payload)
-	b := *l.buf
-	off := len(b)
-	if cap(b) < off+need {
-		ncap := 2 * cap(b)
-		if ncap < off+need {
-			ncap = off + need
-		}
-		if ncap < 4096 {
-			ncap = 4096
-		}
-		nb := make([]byte, off, ncap)
-		copy(nb, b)
-		b = nb
-	}
-	b = b[:off+need]
-	marshalFrame(b[off:], lsn, payload)
-	*l.buf = b
-	if l.bufCount == 0 {
-		l.bufFirst = lsn
-	}
-	l.bufCount++
-}
-
-// Append frames payload as the next record, group-committing the write
-// with any concurrent appenders, and returns the record's LSN. A nil
+// Append writes payload as the next record and returns its LSN. A nil
 // error acknowledges that the frame reached the OS file: an acknowledged
 // append survives a process kill (including every injected crash) and is
-// replayed by recovery. It is NOT yet fsynced — group commit defers the
-// flush up to GroupCommitWindow/GroupCommitMax — so true power loss may
-// still drop the acknowledged suffix, which is exactly the window the
-// durable layer's conservative cold start covers.
+// replayed by recovery. It is not yet fsynced — the fsync is deferred up
+// to syncEvery appends or syncWindow — so power loss may still drop the
+// acknowledged suffix, which is exactly the window the durable layer's
+// conservative cold start covers.
 func (l *Log) Append(payload []byte) (uint64, error) {
-	l.arrivals.Add(1)
-	defer l.arrivals.Add(-1)
-	lsn, wait, err := l.stageAppend(payload)
-	if err != nil {
-		return 0, err
-	}
-	if !wait {
-		return lsn, nil
-	}
-	return l.awaitAppend(lsn)
-}
-
-// stageAppend stages the frame under the lock. If another appender is
-// flushing, it returns wait=true and the caller must await the
-// acknowledgement; otherwise this appender became the flusher and the
-// append is already acknowledged (or the log died trying).
-func (l *Log) stageAppend(payload []byte) (lsn uint64, wait bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.dead {
-		return 0, false, ErrCrashed
+		return 0, ErrCrashed
 	}
-
-	if d := l.opts.Faults.Decide(faults.WALAppend); d.Kind == faults.Crash {
-		return 0, false, l.crashAppendLocked(payload, d)
+	d := l.opts.Faults.Decide(faults.WALAppend)
+	lsn := l.nextLSN
+	need := frameHeader + lsnBytes + len(payload)
+	if l.file == nil || (l.size > 0 && l.size+int64(need) > l.opts.SegmentMaxBytes) {
+		if err := l.rotateLocked(); err != nil {
+			l.dead = true
+			return 0, err
+		}
 	}
+	// The buffer grows here, outside the annotated marshal path; once it
+	// holds the largest record seen, an append allocates nothing.
+	if cap(l.frame) < need {
+		l.frame = make([]byte, need)
+	}
+	frame := l.frame[:need]
+	marshalFrame(frame, lsn, payload)
 
-	lsn = l.nextLSN
+	if d.Kind == faults.Crash {
+		// A process kill mid-write: a deterministic prefix of the frame
+		// reaches the file, then the log is dead. Recovery sees at most a
+		// torn tail, never a torn middle, so every acknowledged append
+		// survives.
+		torn := d.TornBytes
+		if torn <= 0 {
+			torn = int(lsn % uint64(need))
+		}
+		if torn > 0 {
+			_, _ = l.file.Write(frame[:min(torn, need-1)])
+		}
+		l.dead = true
+		return 0, fmt.Errorf("wal: append lsn %d: %w: %w", lsn, faults.ErrCrash, ErrCrashed)
+	}
+	if _, err := l.file.Write(frame); err != nil {
+		// The file's tail state is unknown; refuse further use. The next
+		// Open scans and truncates whatever half-frame landed.
+		l.dead = true
+		return 0, fmt.Errorf("wal: %w", err)
+	}
 	l.nextLSN++
-	l.stageLocked(lsn, payload)
-
-	if l.flushing {
-		// A flusher is active; it will pick up our staged frame.
-		return lsn, true, nil
-	}
-
-	// No flusher: become it and drain the staged batch (ours included).
-	if err := l.flushLocked(); err != nil {
-		return 0, false, err
-	}
-	if l.written < lsn {
-		return 0, false, fmt.Errorf("wal: append lsn %d: %w", lsn, ErrCrashed)
-	}
-	return lsn, false, nil
-}
-
-// awaitAppend blocks until the staged frame at lsn is acknowledged by the
-// active flusher. It yield-spins on the acknowledgement mirror first —
-// each Gosched hands the processor to the flusher (or a staging peer), so
-// the common case resolves in a couple of yields with no mutex
-// reacquisition and no futex wake — then falls back to parking on the
-// commit condition for long stalls (a group fsync, a segment rotation).
-func (l *Log) awaitAppend(lsn uint64) (uint64, error) {
-	for r := 0; r < ackYields; r++ {
-		if l.writtenA.Load() >= lsn {
-			return lsn, nil
+	l.size += int64(need)
+	l.stats.Appends++
+	l.stats.BatchWrites++
+	l.pending++
+	if now := l.opts.Clock.Now(); l.pending >= syncEvery || now.Sub(l.lastSync) >= syncWindow {
+		if err := l.syncLocked(now); err != nil {
+			return 0, err
 		}
-		if l.deadA.Load() {
-			break
-		}
-		runtime.Gosched()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for !l.dead && l.written < lsn {
-		l.commit.Wait()
-	}
-	if l.written < lsn {
-		return 0, fmt.Errorf("wal: append lsn %d: %w", lsn, ErrCrashed)
 	}
 	return lsn, nil
 }
 
-// crashAppendLocked models a process kill mid-append: staged complete
-// frames from concurrent appenders are flushed intact (the kernel had
-// them), then a deterministic prefix of the doomed frame reaches the file,
-// then the log goes dead. Recovery sees at most a torn tail — never a torn
-// *middle* — so every previously acknowledged append survives. The caller
-// must hold l.mu throughout. Always returns a non-nil error.
-func (l *Log) crashAppendLocked(payload []byte, d faults.Decision) error {
-	// Wait out any active flusher so the file is exclusively ours; its
-	// batch writes complete before the kill lands.
-	for l.flushing && !l.dead {
-		l.commit.Wait()
-	}
-	if l.dead {
-		return ErrCrashed
-	}
-	l.flushing = true
-	lsn := l.nextLSN
-
-	frame := make([]byte, frameHeader+lsnBytes+len(payload))
-	marshalFrame(frame, lsn, payload)
-
-	need := int64(len(*l.buf) + len(frame))
-	if l.file == nil || (l.size > 0 && l.size+need > l.opts.SegmentMaxBytes) {
-		if err := l.rotateLocked(); err != nil {
-			l.flushing = false
-			l.dead = true
-			l.deadA.Store(true)
-			l.commit.Broadcast()
-			return err
-		}
-	}
-	if n := l.bufCount; n > 0 {
-		batch := *l.buf
-		if _, err := l.file.Write(batch); err == nil {
-			l.size += int64(len(batch))
-			l.written = l.bufFirst + uint64(n) - 1
-			l.writtenA.Store(l.written)
-			l.pending += n
-			l.stats.Appends += uint64(n)
-			l.stats.BatchWrites++
-		}
-		*l.buf = batch[:0]
-		l.bufCount = 0
-	}
-	torn := d.TornBytes
-	if torn <= 0 {
-		torn = int(lsn % uint64(len(frame)))
-	}
-	if torn >= len(frame) {
-		torn = len(frame) - 1
-	}
-	if torn > 0 {
-		_, _ = l.file.Write(frame[:torn])
-	}
-	l.flushing = false
-	l.dead = true
-	l.deadA.Store(true)
-	l.commit.Broadcast()
-	return fmt.Errorf("wal: append lsn %d: %w: %w", lsn, faults.ErrCrash, ErrCrashed)
-}
-
-// flushLocked drains the staged batch as the exclusive flusher: swap the
-// staged buffer for a pooled spare, write the whole batch with one
-// syscall (l.mu released during the write), acknowledge it, and apply the
-// group-commit fsync policy. Loops until no staged frames remain, so
-// appends staged while the write syscall ran are picked up immediately.
-// The caller must hold l.mu with l.flushing false.
-func (l *Log) flushLocked() error {
-	l.flushing = true
-	defer func() {
-		l.flushing = false
-		l.commit.Broadcast()
-	}()
-	for l.bufCount > 0 {
-		if l.dead {
-			return ErrCrashed
-		}
-		// Collection pause. A short write syscall never yields the
-		// processor, so a flusher that seals its batch immediately starves
-		// concurrent appenders of the chance to stage and settles into one
-		// frame per syscall — concurrency buys nothing. When the arrival
-		// counter shows other appenders in flight, yield instead: each
-		// runtime.Gosched runs every runnable peer up to its blocking point
-		// (staged and parked on commit), so the batch grows by the whole
-		// in-flight cohort per round and the loop stops the moment a yield
-		// adds nothing. A strictly serialized caller (arrivals == 1) never
-		// pauses and keeps the old one-write-per-append behavior (and its
-		// determinism) exactly.
-		for r := 0; r < collectRounds && l.bufCount < l.opts.GroupCommitMax; r++ {
-			if l.arrivals.Load() <= 1 {
-				break
-			}
-			before := l.bufCount
-			l.mu.Unlock()
-			runtime.Gosched()
-			l.mu.Lock()
-			if l.dead {
-				return ErrCrashed
-			}
-			if l.bufCount == before {
-				break
-			}
-		}
-		if l.file == nil || (l.size > 0 && l.size+int64(len(*l.buf)) > l.opts.SegmentMaxBytes) {
-			// Rotation fsyncs with l.mu briefly released, so appenders may
-			// stage more frames while it runs; the batch is snapshotted
-			// only afterwards so nothing staged in that window is dropped.
-			if err := l.rotateLocked(); err != nil {
-				l.dead = true
-				l.deadA.Store(true)
-				return err
-			}
-		}
-		count := l.bufCount
-		last := l.bufFirst + uint64(count) - 1
-		full := l.buf
-		batch := *full
-		spare := framePool.Get().(*[]byte)
-		*spare = (*spare)[:0]
-		l.buf = spare
-		l.bufCount = 0
-		file := l.file
-		l.mu.Unlock()
-		_, werr := file.Write(batch)
-		l.mu.Lock()
-		*full = batch[:0]
-		framePool.Put(full)
-		if werr != nil {
-			// The file's tail state is unknown; refuse further use. The
-			// next Open scans and truncates whatever half-frame landed.
-			l.dead = true
-			l.deadA.Store(true)
-			return fmt.Errorf("wal: %w", werr)
-		}
-		l.size += int64(len(batch))
-		l.written = last
-		l.writtenA.Store(last)
-		l.stats.Appends += uint64(count)
-		l.stats.BatchWrites++
-		l.commit.Broadcast()
-
-		if l.opts.Dsync {
-			// The O_DSYNC write was the group's flush: the batch is already
-			// on disk and nothing is pending for the deferred-fsync policy.
-			l.synced = l.size
-			l.stats.Fsyncs++
-			l.lastSync = l.opts.Clock.Now()
-			continue
-		}
-		l.pending += count
-		now := l.opts.Clock.Now()
-		if l.pending >= l.opts.GroupCommitMax || now.Sub(l.lastSync) >= l.opts.GroupCommitWindow {
-			if err := l.syncLocked(now); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Sync forces the group fsync immediately.
+// Sync fsyncs the active segment now.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.flushing && !l.dead {
-		l.commit.Wait()
-	}
 	if l.dead {
 		return ErrCrashed
-	}
-	if l.bufCount > 0 {
-		// Only possible if a staging appender raced in after the last
-		// flusher retired; drain it ourselves.
-		if err := l.flushLocked(); err != nil {
-			return err
-		}
 	}
 	if l.file == nil {
 		return nil
@@ -685,11 +393,7 @@ func (l *Log) Sync() error {
 	return l.syncLocked(l.opts.Clock.Now())
 }
 
-// syncLocked flushes the active segment. The caller must hold l.mu; the
-// mutex is released for the fsync itself (appenders may stage, and a
-// Sync-path flush may overlap a flusher's batch write — both are safe,
-// and the bookkeeping below only credits bytes/appends this fsync
-// actually covered).
+// syncLocked fsyncs the active segment. The caller must hold l.mu.
 func (l *Log) syncLocked(now time.Time) error {
 	if d := l.opts.Faults.Decide(faults.WALFsync); d.Kind == faults.Crash {
 		// Kill at the flush: the process dies, but bytes already written
@@ -698,33 +402,19 @@ func (l *Log) syncLocked(now time.Time) error {
 		// tests model by truncating segment files directly). The log is
 		// dead until recovery.
 		l.dead = true
-		l.deadA.Store(true)
-		l.commit.Broadcast()
 		return fmt.Errorf("wal: fsync: %w: %w", faults.ErrCrash, ErrCrashed)
 	}
-	f := l.file
-	covered := l.size
-	cleared := l.pending
-	l.mu.Unlock()
-	err := f.Sync()
-	l.mu.Lock()
-	if err != nil {
+	if err := l.file.Sync(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.stats.Fsyncs++
-	if covered > l.synced {
-		l.synced = covered
-	}
-	l.pending -= cleared
-	if l.pending < 0 {
-		l.pending = 0
-	}
+	l.pending = 0
 	l.lastSync = now
 	return nil
 }
 
-// rotateLocked seals the active segment and opens the next one. The
-// caller must hold l.mu and be the exclusive writer (flushing).
+// rotateLocked seals the active segment and opens the next one, named by
+// the LSN the next append receives. The caller must hold l.mu.
 func (l *Log) rotateLocked() error {
 	if l.file != nil {
 		if err := l.syncLocked(l.opts.Clock.Now()); err != nil {
@@ -736,36 +426,16 @@ func (l *Log) rotateLocked() error {
 		l.file = nil
 		l.stats.Rotations++
 	}
-	first := l.bufFirstOrNextLocked()
-	path := filepath.Join(l.opts.Dir, segName(first))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC|l.dsyncFlag(), 0o644)
+	path := filepath.Join(l.opts.Dir, segName(l.nextLSN))
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.file = f
 	l.size = 0
-	l.synced = 0
-	l.segs = append(l.segs, segment{firstLSN: first, path: path})
+	l.segs = append(l.segs, segment{firstLSN: l.nextLSN, path: path})
 	l.stats.Segments = len(l.segs)
 	return nil
-}
-
-// dsyncFlag returns the extra open flag for synchronous-durability mode.
-func (l *Log) dsyncFlag() int {
-	if l.opts.Dsync {
-		return syscall.O_DSYNC
-	}
-	return 0
-}
-
-// bufFirstOrNextLocked names the segment a rotation is about to open: the
-// first staged-but-unwritten LSN when a batch is pending, else the next
-// LSN to be assigned. The caller must hold l.mu.
-func (l *Log) bufFirstOrNextLocked() uint64 {
-	if l.bufCount > 0 {
-		return l.bufFirst
-	}
-	return l.nextLSN
 }
 
 // PruneBelow deletes every sealed segment whose records all have LSNs
@@ -793,17 +463,12 @@ func (l *Log) NextLSN() uint64 {
 }
 
 // kill marks the log dead the way an injected crash does, for a kill
-// injected outside the log's own writes (a checkpoint). Batches already
+// injected outside the log's own writes (a checkpoint). Appends already
 // written stay acknowledged.
 func (l *Log) kill() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.flushing && !l.dead {
-		l.commit.Wait()
-	}
 	l.dead = true
-	l.deadA.Store(true)
-	l.commit.Broadcast()
 }
 
 // Crashed reports whether an injected crash killed the log.
@@ -820,56 +485,25 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// Close flushes and closes the active segment. A crashed log closes
+// Close fsyncs and closes the active segment. A crashed log closes
 // without flushing — the torn state on disk is the point.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.flushing && !l.dead {
-		l.commit.Wait()
-	}
 	if l.file == nil {
 		return nil
 	}
 	f := l.file
 	l.file = nil
-	if l.dead {
+	if l.dead || l.pending == 0 {
 		return f.Close()
 	}
-	if l.bufCount > 0 {
-		// Shouldn't happen (a non-dead retired flusher leaves the batch
-		// empty), but never drop staged frames on a deliberate shutdown.
-		batch := *l.buf
-		if _, err := f.Write(batch); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: %w", err)
-		}
-		l.size += int64(len(batch))
-		l.written = l.bufFirst + uint64(l.bufCount) - 1
-		l.writtenA.Store(l.written)
-		l.pending += l.bufCount
-		l.stats.Appends += uint64(l.bufCount)
-		l.stats.BatchWrites++
-		*l.buf = batch[:0]
-		l.bufCount = 0
-	}
-	if l.pending > 0 {
-		if err := l.syncFileLocked(f); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
-}
-
-// syncFileLocked is the Close-path flush: no fault consult (the process
-// is exiting deliberately), just the fsync and counters.
-func (l *Log) syncFileLocked(f *os.File) error {
+	// No fault consult: the process is exiting deliberately.
 	if err := f.Sync(); err != nil {
+		f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.stats.Fsyncs++
-	l.synced = l.size
 	l.pending = 0
-	return nil
+	return f.Close()
 }

@@ -5,76 +5,56 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"speedkit/internal/clock"
 )
 
 // BenchmarkWALAppend measures sustained append throughput with a fixed
 // number of concurrent appenders sharing one log. This is the bench behind
-// the committed BENCH_wal.json baseline (suite "wal-append"), in two modes:
-//
-//   - buffered: acknowledgement means "in the OS file" and fsyncs follow
-//     the deferred group-commit policy, pinned wide (one per 4096 appends)
-//     so the lines compare the framing/coordination/write-syscall path
-//     rather than the disk's flush latency.
-//
-//   - durable: segments are opened O_DSYNC, so every acknowledged append
-//     is synchronously on disk. This is the mode group commit exists for:
-//     the per-write sync cost is flat in batch size, so the unbatched
-//     baseline pays it once per append (durable/appenders-1, and the
-//     pre-PR write path at any concurrency) while batched appenders share
-//     one sync per cohort — throughput scales with the appender count.
-//
-// The group-commit batching work is judged by durable/appenders-8 and
-// above against the pre-PR one-durable-write-per-append baseline, and by
-// buffered/appenders-8 staying at zero allocations per append.
+// the committed BENCH_wal.json baseline (suite "wal-append"). An
+// acknowledgement means "in the OS file". The fsync is pinned wide (one
+// per 4096 appends, and a clock that never advances), so the lines time
+// framing, the log's mutex and the write syscall rather than the disk's
+// flush latency. Every line must stay at zero allocations per append.
 func BenchmarkWALAppend(b *testing.B) {
+	defer func(n int) { syncEvery = n }(syncEvery)
+	syncEvery = 4096
 	payload := make([]byte, 64)
-	modes := []struct {
-		name      string
-		dsync     bool
-		appenders []int
-	}{
-		{"buffered", false, []int{1, 2, 4, 8, 16, 32, 64}},
-		{"durable", true, []int{1, 8, 16, 32}},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			for _, n := range m.appenders {
-				b.Run(fmt.Sprintf("appenders-%d", n), func(b *testing.B) {
-					l, err := Open(Options{
-						Dir:               b.TempDir(),
-						SegmentMaxBytes:   1 << 30,
-						GroupCommitWindow: 50 * time.Millisecond,
-						GroupCommitMax:    4096,
-						Dsync:             m.dsync,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer l.Close()
-					b.ReportAllocs()
-					b.ResetTimer()
-					var wg sync.WaitGroup
-					per, extra := b.N/n, b.N%n
-					for g := 0; g < n; g++ {
-						cnt := per
-						if g < extra {
-							cnt++
-						}
-						wg.Add(1)
-						go func(cnt int) {
-							defer wg.Done()
-							for i := 0; i < cnt; i++ {
-								if _, err := l.Append(payload); err != nil {
-									b.Error(err)
-									return
-								}
-							}
-						}(cnt)
-					}
-					wg.Wait()
-					b.StopTimer()
+	b.Run("buffered", func(b *testing.B) {
+		for _, n := range []int{1, 2, 4, 8, 16, 32, 64} {
+			b.Run(fmt.Sprintf("appenders-%d", n), func(b *testing.B) {
+				l, err := Open(Options{
+					Dir:             b.TempDir(),
+					SegmentMaxBytes: 1 << 30,
+					Clock:           clock.NewSimulated(time.Time{}),
 				})
-			}
-		})
-	}
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer l.Close()
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				per, extra := b.N/n, b.N%n
+				for g := 0; g < n; g++ {
+					cnt := per
+					if g < extra {
+						cnt++
+					}
+					wg.Add(1)
+					go func(cnt int) {
+						defer wg.Done()
+						for i := 0; i < cnt; i++ {
+							if _, err := l.Append(payload); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(cnt)
+				}
+				wg.Wait()
+				b.StopTimer()
+			})
+		}
+	})
 }

@@ -271,28 +271,23 @@ func TestFirstLSNSeedsEmptyLog(t *testing.T) {
 
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	sim := clock.NewSimulated(time.Time{})
-	l, err := Open(Options{
-		Dir:               t.TempDir(),
-		Clock:             sim,
-		GroupCommitMax:    8,
-		GroupCommitWindow: time.Second,
-	})
+	l, err := Open(Options{Dir: t.TempDir(), Clock: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	// Simulated time never advances, so only the count threshold fires.
-	for i := 0; i < 32; i++ {
+	for i := 0; i < 4*syncEvery; i++ {
 		if _, err := l.Append([]byte("batched")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := l.Stats()
 	if st.Fsyncs != 4 {
-		t.Fatalf("Fsyncs = %d, want 4 (32 appends / batch of 8)", st.Fsyncs)
+		t.Fatalf("Fsyncs = %d, want 4 (%d appends / one fsync per %d)", st.Fsyncs, 4*syncEvery, syncEvery)
 	}
 	// The window fires the next append's fsync once time passes.
-	sim.Advance(2 * time.Second)
+	sim.Advance(syncWindow)
 	if _, err := l.Append([]byte("windowed")); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +348,7 @@ func TestInjectedAppendCrashLeavesTornTail(t *testing.T) {
 func TestInjectedFsyncCrashPreservesAckedRecords(t *testing.T) {
 	dir := t.TempDir()
 	sim := clock.NewSimulated(time.Time{})
-	l, err := Open(Options{Dir: dir, Clock: sim, GroupCommitMax: 1 << 20, GroupCommitWindow: time.Hour})
+	l, err := Open(Options{Dir: dir, Clock: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,10 +400,11 @@ func TestInjectedFsyncCrashPreservesAckedRecords(t *testing.T) {
 
 // TestGroupCommitCrashPreservesEveryAckedAppend drives many concurrent
 // appenders into a log whose injector will kill it mid-stream, then
-// asserts the write-before-ack contract under group commit: recovery
-// replays EVERY append that returned an LSN, and the kill tore at most
-// the uncommitted tail (the LSN chain is intact by construction, or Open
-// would report ErrCorrupt).
+// asserts the write-before-ack contract: recovery replays EVERY append
+// that returned an LSN, and the kill tore at most the unacknowledged tail
+// (the LSN chain is intact by construction, or Open would report
+// ErrCorrupt). Each append is its own write, so BatchWrites equals
+// Appends however many appenders race.
 func TestGroupCommitCrashPreservesEveryAckedAppend(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		dir := t.TempDir()
@@ -417,7 +413,7 @@ func TestGroupCommitCrashPreservesEveryAckedAppend(t *testing.T) {
 			faults.Rule{Component: faults.WALAppend, Kind: faults.Crash, Probability: 0.002},
 			faults.Rule{Component: faults.WALFsync, Kind: faults.Crash, Probability: 0.02},
 		)
-		l, err := Open(Options{Dir: dir, Clock: sim, GroupCommitMax: 8, Faults: inj})
+		l, err := Open(Options{Dir: dir, Clock: sim, Faults: inj})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,6 +439,9 @@ func TestGroupCommitCrashPreservesEveryAckedAppend(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
+		if st := l.Stats(); st.BatchWrites != st.Appends {
+			t.Fatalf("seed %d: BatchWrites = %d, want Appends = %d", seed, st.BatchWrites, st.Appends)
+		}
 		if !l.Crashed() {
 			// This seed never drew a crash; the invariant holds trivially.
 			l.Close()
