@@ -270,13 +270,13 @@ func TestCompare(t *testing.T) {
 }
 
 func TestLoadSuitesFromRepo(t *testing.T) {
-	// The checked-in registry must parse and contain the ten suites
+	// The checked-in registry must parse and contain the eleven suites
 	// the harness promises.
 	suites, err := LoadSuites("../../benchsuites")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"cache-evict", "cluster-matching", "durable", "edge", "end-to-end-pageload", "hotpath", "invalidation-matching", "obs", "store", "wal-append"}
+	want := []string{"api", "cache-evict", "cluster-matching", "durable", "edge", "end-to-end-pageload", "hotpath", "invalidation-matching", "obs", "store", "wal-append"}
 	if len(suites) != len(want) {
 		t.Fatalf("loaded %d suites, want %d", len(suites), len(want))
 	}

@@ -35,7 +35,7 @@ type Store struct {
 type shard struct {
 	mu       sync.Mutex
 	entries  map[string]*list.Element // guarded by mu
-	order    *list.List               // guarded by mu; front = least recently used
+	order    list.List                // guarded by mu; front = least recently used
 	expiring expiryHeap               // guarded by mu; the entries that expire, soonest first
 	stats    Stats                    // guarded by mu
 	maxItems int
@@ -122,7 +122,6 @@ func New(cfg Config) *Store {
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			entries:  make(map[string]*list.Element),
-			order:    list.New(),
 			maxItems: perItems,
 		}
 	}

@@ -95,8 +95,8 @@ const (
 const fillTimeout = 60 * time.Second
 
 // unsizedReserve is the first buffer of a fill whose upstream declared no
-// length (or one too large to reserve on its word): most pages fit, and a
-// longer body grows it geometrically.
+// length (or one too large to reserve on its word), grown geometrically
+// past it. The server's page answers always declare theirs.
 const unsizedReserve = 4096
 
 // Options parameterizes a Proxy.
@@ -749,11 +749,12 @@ func cacheable(h http.Header) bool {
 }
 
 // copyTraceparent forwards the anonymous trace identity of an incoming
-// request; the edge never invents or strips one mid-trace.
+// request; the edge never invents or strips one mid-trace. The forwarded
+// value is the request's own, shared (len == cap), not copied.
 func copyTraceparent(r *http.Request, dst http.Header) {
-	if tp := r.Header.Get(tracectx.Header); tp != "" {
-		if _, ok := tracectx.ParseTraceparent(tp); ok {
-			dst.Set(tracectx.Header, tp)
+	if tp := r.Header[tracectx.MapKey]; len(tp) > 0 {
+		if _, ok := tracectx.ParseTraceparent(tp[0]); ok {
+			dst[tracectx.MapKey] = tp[:1:1]
 		}
 	}
 }

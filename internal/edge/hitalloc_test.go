@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"speedkit/internal/cachesketch"
+	"speedkit/internal/tracectx"
 )
 
 // TestHitServeAllocations pins what an edge hit costs, routed as a
@@ -59,3 +60,25 @@ func TestHitServeAllocations(t *testing.T) {
 
 // hitServeAllocs is what a hit allocates, its fresh header map included.
 const hitServeAllocs = 6
+
+// TestCopyTraceparent: a valid traceparent is forwarded under the key a
+// received header map holds it by, sharing the request's value, so the
+// lookup and the copy allocate nothing; a malformed one is dropped.
+func TestCopyTraceparent(t *testing.T) {
+	const tp = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	r := httptest.NewRequest(http.MethodGet, "/v1/page?path=%2Fp", nil)
+	r.Header.Set(tracectx.Header, tp) // stored as a server stores it received
+	dst := http.Header{}
+	n := testing.AllocsPerRun(100, func() { copyTraceparent(r, dst) })
+	if got := dst.Get(tracectx.Header); got != tp {
+		t.Fatalf("forwarded traceparent %q, want %q", got, tp)
+	}
+	if n != 0 {
+		t.Fatalf("copying the traceparent allocates %.0f, want 0", n)
+	}
+	r.Header.Set(tracectx.Header, "00-zz")
+	dst = http.Header{}
+	if copyTraceparent(r, dst); len(dst) != 0 {
+		t.Fatalf("a malformed traceparent was forwarded: %v", dst)
+	}
+}

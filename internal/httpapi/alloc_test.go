@@ -20,9 +20,10 @@ func (d headerWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (d headerWriter) WriteHeader(int)             {}
 
 // TestWritePageAllocations pins what writing a page answer costs: one
-// string holding the Cache-Control and ETag values, one array holding
-// every value of its own the answer states, and the fresh header map. The
-// Content-Type and the sketch epoch are shared slices, formatted once.
+// string holding the Cache-Control, ETag and Content-Length values, one
+// array holding every value of its own the answer states, and the fresh
+// header map. The Content-Type and the sketch epoch are shared slices,
+// formatted once.
 func TestWritePageAllocations(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's instrumentation allocates")
@@ -54,7 +55,8 @@ const writePageAllocs = 4
 // version the CDN tier still holds. Beside the answer's own headers
 // (setPageHeaders: one string, one array) it costs what the request's
 // trace, the path's unescaping and the service's revalidation cost; the
-// routing and the query parsing add nothing of their own.
+// routing, the query parsing, the traceparent lookup and the simulated
+// link's node names add nothing of their own.
 func TestPageAnswerAllocations(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's instrumentation allocates")
@@ -80,8 +82,10 @@ func TestPageAnswerAllocations(t *testing.T) {
 	}
 }
 
-// pageAnswerAllocs is what a routed 304 page answer allocates.
-const pageAnswerAllocs = 12
+// pageAnswerAllocs is what a routed 304 page answer allocates (12 while
+// the traceparent lookup canonicalized its key and node names were
+// formatted per request).
+const pageAnswerAllocs = 5
 
 // raceEnabled reports whether the test binary was built with the race
 // detector: its instrumentation adds allocations (sync.Pool drops items at

@@ -301,7 +301,10 @@ func (a *API) handleTraces(w http.ResponseWriter, r *http.Request) {
 // every downstream call treats as "off"). The returned ctx carries the
 // trace so the core transport methods attach their spans to it.
 func (a *API) startRemote(r *http.Request, kind, path string) (*obs.Trace, context.Context) {
-	parent, _ := tracectx.ParseTraceparent(r.Header.Get(tracectx.Header))
+	var parent tracectx.SpanContext
+	if tp := r.Header[tracectx.MapKey]; len(tp) > 0 {
+		parent, _ = tracectx.ParseTraceparent(tp[0])
+	}
 	tr := a.svc.Tracer().StartRemote(kind, path, parent)
 	return tr, obs.ContextWithTrace(r.Context(), tr)
 }
@@ -364,7 +367,7 @@ func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
 			tr.MarkRevalidated()
 			a.finishRemote(tr, rr.Source.String(), rr.Latency)
 			if rr.NotModified {
-				a.setPageHeaders(w, rr.Entry.ExpiresAt, known, "", "")
+				a.setPageHeaders(w, rr.Entry.ExpiresAt, known, -1, "", "")
 				w.WriteHeader(http.StatusNotModified)
 				return
 			}
@@ -386,7 +389,7 @@ func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
 // pageHeaders names the headers a page answer states values of its own
 // for, in the order of its values array (setPageHeaders), in canonical
 // form ("Etag"): they index the header map directly.
-var pageHeaders = []string{"Cache-Control", "Etag", "X-Served-By", "X-Blocks"}
+var pageHeaders = []string{"Cache-Control", "Etag", "Content-Length", "X-Served-By", "X-Blocks"}
 
 // htmlType is every page answer's Content-Type, shared: len == cap, never
 // written.
@@ -394,31 +397,45 @@ var htmlType = []string{"text/html; charset=utf-8"}
 
 // setPageHeaders states a page answer's headers but its Content-Type: the
 // max-age left until expiresAt on the service clock (which may be
-// simulated in tests), the version's ETag, the source that served it and
-// the blocks its shell names (none when empty), and the sketch epoch whose
+// simulated in tests), the version's ETag, the body's length (none when
+// negative: a 304 has no body), the source that served it and the blocks
+// its shell names (none when empty), and the sketch epoch whose
 // expiration table now knows the copy — the server's, shared, not
-// formatted per answer. The two numbers are formatted into one string,
+// formatted per answer. The three numbers are formatted into one string,
 // the values into one array (httpbody.SetValues).
-func (a *API) setPageHeaders(w http.ResponseWriter, expiresAt time.Time, version uint64, src, blocks string) {
+func (a *API) setPageHeaders(w http.ResponseWriter, expiresAt time.Time, version uint64, length int, src, blocks string) {
 	ttl := int64(expiresAt.Sub(a.svc.Clock().Now()).Seconds())
 	if ttl < 0 {
 		ttl = 0
 	}
 	var buf [64]byte
 	b := strconv.AppendInt(append(buf[:0], "public, max-age="...), ttl, 10)
-	cut := len(b)
-	nums := string(httpbody.AppendETag(b, version))
+	cc := len(b)
+	b = httpbody.AppendETag(b, version)
+	tag := len(b)
+	if length >= 0 {
+		b = strconv.AppendInt(b, int64(length), 10)
+	}
+	nums := string(b)
 	h := w.Header()
-	httpbody.SetValues(h, pageHeaders, []string{nums[:cut], nums[cut:], src, blocks})
+	httpbody.SetValues(h, pageHeaders, []string{nums[:cc], nums[cc:tag], nums[tag:], src, blocks})
 	h[cachesketch.EpochHeader] = a.svc.SketchServer().EpochValue()
 }
 
-// writePage answers 200 with entry, served by src.
+// writePage answers 200 with entry, served by src. It states the body's
+// length, so net/http sends the shell whole instead of chunking one larger
+// than its 2 048-byte buffer, and every reader sizes its buffer once.
 func (a *API) writePage(w http.ResponseWriter, entry cache.Entry, src string) {
-	a.setPageHeaders(w, entry.ExpiresAt, entry.Version, src, entry.Metadata["blocks"])
+	a.setPageHeaders(w, entry.ExpiresAt, entry.Version, len(entry.Body), src, entry.Metadata["blocks"])
 	w.Header()["Content-Type"] = htmlType
 	_, _ = w.Write(entry.Body)
 }
+
+// The blocks answer's fixed header values, shared like htmlType.
+var (
+	blocksType = []string{"application/octet-stream"}
+	noStore    = []string{"no-store"} // personalized: never shared-cached
+)
 
 // handleBlocks is the first-party personalization API. The user ID and
 // the block names arrive framed in the POST body, never in the URL that
@@ -443,22 +460,23 @@ func (a *API) handleBlocks(w http.ResponseWriter, r *http.Request) {
 	a.finishRemote(tr, "origin", lat)
 	body := httpbody.BlocksResponse(names, frs)
 	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	h.Set("Cache-Control", "no-store") // personalized: never shared-cached
+	h["Content-Type"] = blocksType
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	h["Cache-Control"] = noStore
 	_, _ = w.Write(body)
 }
 
 // handleWrite applies a catalog mutation, driving the invalidation
 // pipeline end to end.
 func (a *API) handleWrite(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("product")
+	q := r.URL.Query()
+	id := q.Get("product")
 	if id == "" {
 		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "missing ?product=")
 		return
 	}
 	patch := map[string]any{}
-	if p := r.URL.Query().Get("price"); p != "" {
+	if p := q.Get("price"); p != "" {
 		price, err := strconv.ParseFloat(p, 64)
 		if err != nil {
 			httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "bad price")
@@ -466,7 +484,7 @@ func (a *API) handleWrite(w http.ResponseWriter, r *http.Request) {
 		}
 		patch["price"] = price
 	}
-	if st := r.URL.Query().Get("stock"); st != "" {
+	if st := q.Get("stock"); st != "" {
 		n, err := strconv.ParseInt(st, 10, 64)
 		if err != nil {
 			httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "bad stock")

@@ -25,6 +25,12 @@ import (
 
 func newTestAPI(t *testing.T) (*API, *httptest.Server, *clock.Simulated) {
 	t.Helper()
+	return newTestAPIWith(t, 50)
+}
+
+// newTestAPIWith is newTestAPI over a catalog of the given size.
+func newTestAPIWith(t *testing.T, products int) (*API, *httptest.Server, *clock.Simulated) {
+	t.Helper()
 	clk := clock.NewSimulated(time.Time{})
 	svc, err := core.NewStorefront(core.StorefrontConfig{
 		Config: core.Config{
@@ -34,7 +40,7 @@ func newTestAPI(t *testing.T) (*API, *httptest.Server, *clock.Simulated) {
 			Obs:    obs.NewRegistry(),
 			Tracer: obs.NewTracer(clk, 1, 16),
 		},
-		Products: 50,
+		Products: products,
 	})
 	if err != nil {
 		t.Fatal(err)

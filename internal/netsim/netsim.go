@@ -9,10 +9,12 @@
 // Nothing here sleeps. Links return durations; the simulation harness adds
 // them to virtual time, which is how 30 days of traffic replay in
 // milliseconds of wall-clock.
+//
+// Node names (ClientNode, EdgeNode) are constants for the canonical
+// regions, so naming a link on the request path allocates nothing.
 package netsim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -118,11 +120,34 @@ const (
 	OriginNode = "origin"
 )
 
-// ClientNode returns the node name for a client in region r.
-func ClientNode(r Region) string { return fmt.Sprintf("client-%s", r) }
+// ClientNode returns the node name for a client in region r, "client-"
+// and the region: a constant for the canonical regions, which every
+// simulated request names.
+func ClientNode(r Region) string {
+	switch r {
+	case EU:
+		return "client-eu"
+	case US:
+		return "client-us"
+	case APAC:
+		return "client-apac"
+	}
+	return "client-" + string(r)
+}
 
-// EdgeNode returns the node name for the CDN edge serving region r.
-func EdgeNode(r Region) string { return fmt.Sprintf("edge-%s", r) }
+// EdgeNode returns the node name for the CDN edge serving region r,
+// "edge-" and the region, a constant for the canonical regions.
+func EdgeNode(r Region) string {
+	switch r {
+	case EU:
+		return "edge-eu"
+	case US:
+		return "edge-us"
+	case APAC:
+		return "edge-apac"
+	}
+	return "edge-" + string(r)
+}
 
 // DefaultTopology builds the field-study topology: one origin in the EU,
 // one CDN edge per region ~15 ms from its clients, and client→origin

@@ -137,3 +137,35 @@ func TestRegionsOrder(t *testing.T) {
 		t.Fatalf("regions = %v", rs)
 	}
 }
+
+// TestNodeNames: a name is "client-" or "edge-" and the region, and
+// naming a canonical region's nodes costs no allocation.
+func TestNodeNames(t *testing.T) {
+	for _, c := range []struct {
+		r            Region
+		client, edge string
+	}{
+		{EU, "client-eu", "edge-eu"},
+		{US, "client-us", "edge-us"},
+		{APAC, "client-apac", "edge-apac"},
+		{"mars", "client-mars", "edge-mars"},
+	} {
+		if got := ClientNode(c.r); got != c.client {
+			t.Errorf("ClientNode(%q) = %q, want %q", c.r, got, c.client)
+		}
+		if got := EdgeNode(c.r); got != c.edge {
+			t.Errorf("EdgeNode(%q) = %q, want %q", c.r, got, c.edge)
+		}
+	}
+	n := testing.AllocsPerRun(100, func() {
+		for _, r := range Regions() {
+			sinkName = ClientNode(r)
+			sinkName = EdgeNode(r)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("naming the canonical regions' nodes allocates %.0f, want 0", n)
+	}
+}
+
+var sinkName string

@@ -133,7 +133,8 @@ type Config struct {
 	// on-device.
 	OriginBlocks map[string]bool
 	// LocalBlocks maps block names to on-device renderers. Defaults to
-	// the origin package's built-ins for greeting/cart/reco/tier.
+	// the origin package's built-ins for greeting/cart/reco/tier, one map
+	// every device shares. It is only read, by personalize.
 	LocalBlocks map[string]origin.BlockRenderer
 	// DisableSketch turns off the coherence protocol: cached entries are
 	// served purely by TTL. This is the "traditional expiration-based
@@ -175,14 +176,18 @@ func (c *Config) applyDefaults() {
 		c.Network = netsim.DefaultTopology(1)
 	}
 	if c.LocalBlocks == nil {
-		c.LocalBlocks = map[string]origin.BlockRenderer{
-			"greeting": origin.GreetingBlock,
-			"cart":     origin.CartBlock,
-			"reco":     origin.RecommendationsBlock,
-			"tier":     origin.TierPriceBlock,
-		}
+		c.LocalBlocks = defaultLocalBlocks
 	}
 	c.Resilience.applyDefaults()
+}
+
+// defaultLocalBlocks is Config.LocalBlocks' default, built once: every
+// device reads it, none writes it.
+var defaultLocalBlocks = map[string]origin.BlockRenderer{
+	"greeting": origin.GreetingBlock,
+	"cart":     origin.CartBlock,
+	"reco":     origin.RecommendationsBlock,
+	"tier":     origin.TierPriceBlock,
 }
 
 // Stats counts proxy activity.

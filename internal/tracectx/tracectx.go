@@ -139,6 +139,10 @@ const (
 	invalidVersion = "ff"
 	// Header is the canonical (lowercase) traceparent header name.
 	Header = "traceparent"
+	// MapKey is Header in net/http's canonical form, the key a received
+	// header map holds it under: indexing by it skips the per-lookup
+	// allocation of Header.Get("traceparent").
+	MapKey = "Traceparent"
 )
 
 // Traceparent renders the context in the W3C wire form,
