@@ -107,3 +107,19 @@ func TestStoreStatsMonotoneUnderConcurrency(t *testing.T) {
 		})
 	}
 }
+
+// TestNewSingleShardAllocations: a single-shard store, the one every
+// device session builds, is the store with its shard inline and the
+// shard's map (4 while the shard, and a slice to hold it, were allocated
+// apart).
+func TestNewSingleShardAllocations(t *testing.T) {
+	var s *Store
+	n := testing.AllocsPerRun(100, func() { s = New(Config{MaxItems: 64, Clock: clock.System}) })
+	if n > 2 {
+		t.Fatalf("New allocates %.0f for one shard, want at most 2", n)
+	}
+	s.Put(Entry{Key: "/k", Body: []byte("v")})
+	if _, ok := s.Get("/k"); !ok || len(s.shards) != 1 || s.shards[0] != &s.one {
+		t.Fatal("the single shard is not the store's own")
+	}
+}

@@ -25,10 +25,14 @@ import (
 // distribution can evict from a hot shard while a cold one has room. A
 // single-shard store (the default) keeps the exact global LRU order.
 type Store struct {
-	// shards is immutable after New; each shard synchronizes itself.
+	// shards is immutable after New; each shard synchronizes itself. A
+	// single-shard store's is one, held inline: every device session
+	// builds one, so it costs the store and its map and nothing more.
 	shards []*shard
 	mask   uint64
 	clk    clock.Clock
+	one    shard
+	oneRef [1]*shard
 }
 
 // shard is one lock stripe of the store: a self-contained bounded LRU.
@@ -114,16 +118,19 @@ func New(cfg Config) *Store {
 	if n > 1 && perItems > 0 {
 		perItems = max(cfg.MaxItems/n, 1)
 	}
-	s := &Store{
-		shards: make([]*shard, n),
-		mask:   uint64(n - 1),
-		clk:    clk,
-	}
-	for i := range s.shards {
-		s.shards[i] = &shard{
-			entries:  make(map[string]*list.Element),
-			maxItems: perItems,
+	s := &Store{mask: uint64(n - 1), clk: clk}
+	if n == 1 {
+		s.oneRef[0] = &s.one
+		s.shards = s.oneRef[:]
+	} else {
+		s.shards = make([]*shard, n)
+		for i := range s.shards {
+			s.shards[i] = new(shard)
 		}
+	}
+	for _, sh := range s.shards {
+		sh.entries = make(map[string]*list.Element)
+		sh.maxItems = perItems
 	}
 	return s
 }

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -585,7 +586,10 @@ func (s *Service) Fetch(ctx context.Context, region netsim.Region, path string) 
 			return e, lat, proxy.SourceCDN, nil
 		}
 	}
-	e, lat, src, err := s.fetchFromOrigin(region, path)
+	// The miss keeps the path in every tier that tracks it, so it keeps a
+	// copy: the caller's may be a window onto a request line
+	// (httpbody.PathParam), which would stay alive as long as the key.
+	e, lat, src, err := s.fetchFromOrigin(region, strings.Clone(path))
 	if err == nil {
 		obs.TraceFromContext(ctx).AddSpan("core.fetch", "origin", lat+spike)
 	}

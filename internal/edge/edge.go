@@ -65,7 +65,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -89,9 +88,10 @@ const (
 	metaLength      = "content-length"
 )
 
-// fillTimeout bounds a coalesced origin fetch once it is detached from
-// the leader's request context; a hung upstream must still release the
-// followers eventually.
+// fillTimeout is the longest deadline an upstream request gets: New
+// bounds the upstream client's Timeout by it, and that Timeout is the one
+// deadline of a coalesced origin fetch detached from its leader's request
+// context, so a hung upstream still releases the followers.
 const fillTimeout = 60 * time.Second
 
 // unsizedReserve is the first buffer of a fill whose upstream declared no
@@ -104,6 +104,10 @@ type Options struct {
 	// Upstream is the speedkit-server base URL (e.g. "http://host:8080").
 	Upstream string
 	// Client performs upstream requests; nil uses a 10 s-timeout default.
+	// Its Timeout is the one deadline of every upstream request, a fill
+	// detached from its leader included: a client with no Timeout, or one
+	// longer than 60 s, is used through a copy bounded at 60 s, and the
+	// client passed in is left as it is.
 	Client *http.Client
 	// Clock drives expiry and Age math (default the system clock).
 	Clock clock.Clock
@@ -145,6 +149,11 @@ type Proxy struct {
 func New(o Options) (*Proxy, RecoveryInfo, error) {
 	if o.Client == nil {
 		o.Client = &http.Client{Timeout: 10 * time.Second}
+	}
+	if t := o.Client.Timeout; t <= 0 || t > fillTimeout {
+		hc := *o.Client
+		hc.Timeout = fillTimeout
+		o.Client = &hc
 	}
 	if o.Clock == nil {
 		o.Clock = clock.System
@@ -413,7 +422,7 @@ func (p *Proxy) vouched(key string, e cache.Entry) bool {
 func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key string, e cache.Entry) {
 	hdr := http.Header{"If-None-Match": {e.Metadata[metaETag]}}
 	copyTraceparent(r, hdr)
-	resp, err := p.upstreamGet(r.Context(), "/page", "?path="+url.QueryEscape(key), hdr)
+	resp, err := p.upstreamGet(r.Context(), "/page", "?path="+httpbody.QueryValue(key), hdr)
 	received := p.clk.Now()
 	if err != nil {
 		p.serveStale(w, r, e)
@@ -498,10 +507,10 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 	// The fetch is shared state, not the leader's own: a leader whose
 	// client disconnects mid-stream must not cancel the fill out from
 	// under its followers, so the upstream request is detached from the
-	// leader's context (the client's own timeout still bounds it).
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), fillTimeout)
-	defer cancel()
-	resp, err := p.upstreamGet(ctx, "/page", "?path="+url.QueryEscape(key), hdr)
+	// leader's context. The client's Timeout, at most fillTimeout, is its
+	// one deadline: a timer context on top would cost the miss a context,
+	// a timer and net/http's cancel registration.
+	resp, err := p.upstreamGet(context.WithoutCancel(r.Context()), "/page", "?path="+httpbody.QueryValue(key), hdr)
 	// The copy dates from the answer, not from the commit after the body
 	// has streamed: a sketch of another epoch installed in between must
 	// find it stored before the install (see Client.EpochSince).
@@ -652,11 +661,14 @@ func (p *Proxy) renewEntry(e cache.Entry, resp *http.Response) cache.Entry {
 // entryFromResponse builds the cached representation of a 200 page
 // response received at now. Only protocol metadata is retained: key, body,
 // version, expiry, content type, the sketch generation watermark, and the
-// answer values they format to.
+// answer values they format to. The key is copied: the request's is a
+// window onto its request line (httpbody.PathParam), which an entry would
+// otherwise keep whole for as long as it is stored. A hit reads its key
+// without one.
 func (p *Proxy) entryFromResponse(key string, resp *http.Response, body []byte, now time.Time) cache.Entry {
 	version, _ := httpbody.ParseETag(resp.Header.Get("ETag"))
 	e := cache.Entry{
-		Key:       key,
+		Key:       strings.Clone(key),
 		Body:      body,
 		Version:   version,
 		StoredAt:  now,

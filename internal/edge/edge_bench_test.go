@@ -15,7 +15,8 @@ import (
 // hit answered without touching the upstream, under a sketch within Δ —
 // the latency every POP request pays once the working set is warm. The
 // request is routed as a listener routes it (Handler) and names its path
-// as a device does (escaped).
+// escaped, the form whose unescaping costs the hit an allocation (a device
+// sends it as it is written: see TestHitServeAllocations).
 func BenchmarkEdgeHit(b *testing.B) {
 	u := newFakeUpstream()
 	defer u.close()

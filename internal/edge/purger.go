@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"speedkit/internal/httpbody"
 	counters "speedkit/internal/metrics"
 )
 
@@ -192,7 +192,7 @@ func (pu *Purger) run() {
 // send posts one purge and drains whatever body comes back, so the
 // connection goes back to the pool whatever the edge answered.
 func (pu *Purger) send(path string) error {
-	req, err := http.NewRequestWithContext(pu.ctx, http.MethodPost, pu.prefix+url.QueryEscape(path), nil)
+	req, err := http.NewRequestWithContext(pu.ctx, http.MethodPost, pu.prefix+httpbody.QueryValue(path), nil)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/netsim"
@@ -54,9 +55,11 @@ const writePageAllocs = 4
 // handler, the revalidation a device or an edge sends most: a 304 for a
 // version the CDN tier still holds. Beside the answer's own headers
 // (setPageHeaders: one string, one array) it costs what the request's
-// trace, the path's unescaping and the service's revalidation cost; the
-// routing, the query parsing, the traceparent lookup and the simulated
-// link's node names add nothing of their own.
+// trace, the path the service keeps and the service's revalidation cost:
+// the path is one allocation whether it was sent as it is written (a copy
+// off the request line) or escaped (the unescaping). The routing, the
+// query parsing, the traceparent lookup and the simulated link's node
+// names add nothing of their own.
 func TestPageAnswerAllocations(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's instrumentation allocates")
@@ -64,21 +67,22 @@ func TestPageAnswerAllocations(t *testing.T) {
 	a, _, _ := newTestAPI(t)
 	a.svc.Tracer().SetSampleEvery(0)
 	h := a.Handler()
-	const target = "/v1/page?path=%2Fproduct%2Fp00001"
-	warm := httptest.NewRecorder()
-	h.ServeHTTP(warm, httptest.NewRequest(http.MethodGet, target, nil))
-	r := httptest.NewRequest(http.MethodGet, target, nil)
-	r.Header.Set("If-None-Match", warm.Header().Get("ETag"))
-	var w headerWriter
-	n := testing.AllocsPerRun(200, func() {
-		w = headerWriter{h: http.Header{}}
-		h.ServeHTTP(w, r)
-	})
-	if w.h.Get("ETag") != warm.Header().Get("ETag") || w.h.Get("Cache-Control") == "" {
-		t.Fatalf("revalidation answered %v", w.h)
-	}
-	if n > pageAnswerAllocs {
-		t.Fatalf("a 304 page answer allocates %.0f, want at most %d", n, pageAnswerAllocs)
+	for _, target := range []string{"/v1/page?path=/product/p00001", "/v1/page?path=%2Fproduct%2Fp00001"} {
+		warm := httptest.NewRecorder()
+		h.ServeHTTP(warm, httptest.NewRequest(http.MethodGet, target, nil))
+		r := httptest.NewRequest(http.MethodGet, target, nil)
+		r.Header.Set("If-None-Match", warm.Header().Get("ETag"))
+		var w headerWriter
+		n := testing.AllocsPerRun(200, func() {
+			w = headerWriter{h: http.Header{}}
+			h.ServeHTTP(w, r)
+		})
+		if w.h.Get("ETag") != warm.Header().Get("ETag") || w.h.Get("Cache-Control") == "" {
+			t.Fatalf("revalidation of %s answered %v", target, w.h)
+		}
+		if n > pageAnswerAllocs {
+			t.Fatalf("a 304 page answer for %s allocates %.0f, want at most %d", target, n, pageAnswerAllocs)
+		}
 	}
 }
 
@@ -101,4 +105,27 @@ func raceEnabled() bool {
 		}
 	}
 	return false
+}
+
+// TestStoredPathIsOwned: a path sent as it is written reaches the service
+// as a window onto the request line. What the service keeps of it — the
+// cdn tier's copy of a page it rendered — is a copy, so no stored key
+// keeps a request line alive.
+func TestStoredPathIsOwned(t *testing.T) {
+	a, _, _ := newTestAPI(t)
+	r := httptest.NewRequest(http.MethodGet, "/v1/page?path=/product/p00002", nil)
+	w := httptest.NewRecorder()
+	a.Handler().ServeHTTP(w, r)
+	if w.Code != http.StatusOK {
+		t.Fatalf("page: %d", w.Code)
+	}
+	e, ok := a.svc.CDN().Edge(netsim.EU).Lookup("/product/p00002")
+	if !ok {
+		t.Fatal("the cdn tier holds no copy of the page it rendered")
+	}
+	q := r.URL.RawQuery
+	start, at := uintptr(unsafe.Pointer(unsafe.StringData(q))), uintptr(unsafe.Pointer(unsafe.StringData(e.Key)))
+	if at >= start && at < start+uintptr(len(q)) {
+		t.Fatalf("the cdn tier keeps %q as a window onto the request's query %q", e.Key, q)
+	}
 }

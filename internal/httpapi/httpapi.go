@@ -47,6 +47,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"time"
 
 	"speedkit/internal/cache"
@@ -345,7 +346,7 @@ func (a *API) handleSketch(w http.ResponseWriter, r *http.Request) {
 // the protocol's conditional revalidation: unchanged versions answer 304
 // with a renewed freshness lifetime.
 func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
-	path := httpbody.PathParam(r.URL.RawQuery)
+	path, owned := httpbody.PathParamOwned(r.URL.RawQuery)
 	if path == "" {
 		httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, "missing ?path=")
 		return
@@ -358,6 +359,12 @@ func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
 
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
 		if known, ok := httpbody.ParseETag(inm); ok {
+			// A revalidation keeps the path it is given, a 304 included
+			// (the sketch tracks the copy): not a window onto the
+			// request line. Fetch copies the path on the miss it keeps.
+			if !owned {
+				path = strings.Clone(path)
+			}
 			rr, err := a.svc.Revalidate(ctx, a.region, path, known)
 			if err != nil {
 				a.finishRemote(tr, "", 0)

@@ -91,8 +91,19 @@ func weak(tag string) string { return strings.TrimPrefix(strings.TrimSpace(tag),
 // &-separated pairs as ParseQuery does — a pair holding ';' or a bad %
 // escape is skipped, a bare key has the empty value — and returns the
 // value of the first pair whose key unescapes to "path". Only unescaping
-// allocates.
+// allocates: a value with nothing to unescape is a window onto rawQuery,
+// so a caller that keeps it keeps the whole request line (see
+// PathParamOwned).
 func PathParam(rawQuery string) string {
+	v, _ := PathParamOwned(rawQuery)
+	return v
+}
+
+// PathParamOwned is PathParam, also reporting whether the path has memory
+// of its own: it was unescaped (url.QueryUnescape hands back a value with
+// no '%' and no '+' as it is). A caller that stores a path not owned
+// copies it first.
+func PathParamOwned(rawQuery string) (path string, owned bool) {
 	for rest := rawQuery; rest != ""; {
 		var pair string
 		pair, rest, _ = strings.Cut(rest, "&")
@@ -109,8 +120,36 @@ func PathParam(rawQuery string) string {
 			}
 		}
 		if v, err := url.QueryUnescape(value); err == nil {
-			return v
+			return v, strings.ContainsAny(value, "%+")
 		}
 	}
-	return ""
+	return "", false
+}
+
+// QueryValue renders s for a query value: s itself when every byte may
+// stand there unescaped, url.QueryEscape(s) otherwise. RFC 3986 §3.4 lets
+// '/', '?', ':' and '@' stand in a query beside the unreserved bytes, so a
+// page path crosses a hop as it is written, and the receiver's PathParam
+// has nothing to unescape. '&', '+', '=', ';', '#', '%', space and every
+// other byte are escaped: they would end, or change, the value.
+func QueryValue(s string) string {
+	for i := 0; i < len(s); i++ {
+		if !queryLiteral(s[i]) {
+			return url.QueryEscape(s)
+		}
+	}
+	return s
+}
+
+// queryLiteral reports whether c stands unescaped in a query value.
+func queryLiteral(c byte) bool {
+	switch {
+	case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		return true
+	}
+	switch c {
+	case '-', '.', '_', '~', '/', '?', ':', '@':
+		return true
+	}
+	return false
 }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestParseETag(t *testing.T) {
@@ -164,13 +165,96 @@ func queryPath(raw string) string {
 
 // FuzzPathParam: PathParam reads every raw query as
 // url.ParseQuery(raw).Get("path") does.
+// Every string sent as QueryValue renders it reads back as itself, by
+// PathParam and by url.ParseQuery, and one made only of query-literal
+// bytes is sent as it is, at no allocation.
 func FuzzPathParam(f *testing.F) {
 	for _, raw := range pathParamSeeds {
 		f.Add(raw)
 	}
+	f.Add("/product/p00001?view=full:a@b~c")
 	f.Fuzz(func(t *testing.T, raw string) {
 		if got, want := PathParam(raw), queryPath(raw); got != want {
 			t.Fatalf("PathParam(%q) = %q, url.ParseQuery reads %q", raw, got, want)
 		}
+		p := raw
+		q := "path=" + QueryValue(p)
+		if got := PathParam(q); got != p {
+			t.Fatalf("PathParam(%q) = %q, sent %q", q, got, p)
+		}
+		if got := queryPath(q); got != p {
+			t.Fatalf("url.ParseQuery(%q) reads %q, sent %q", q, got, p)
+		}
+		if !literal(p) {
+			return
+		}
+		if v := QueryValue(p); v != p {
+			t.Fatalf("QueryValue(%q) = %q: a literal value was escaped", p, v)
+		}
+		if n := testing.AllocsPerRun(10, func() { sinkString = QueryValue(p) }); n != 0 {
+			t.Fatalf("QueryValue(%q) allocates %.0f, want 0", p, n)
+		}
 	})
+}
+
+// literal reports whether every byte of s is one RFC 3986 §3.4 lets stand
+// in a query value and QueryValue sends as it is: the unreserved bytes and
+// '/', '?', ':', '@'.
+func literal(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			strings.IndexByte("-._~/?:@", c) >= 0) {
+			return false
+		}
+	}
+	return true
+}
+
+var sinkString string
+
+// TestQueryValueEscapesDelimiters: a byte that would end the value, start
+// another or change what it reads as is escaped, and the path's own
+// separators are not.
+func TestQueryValueEscapesDelimiters(t *testing.T) {
+	cases := map[string]string{
+		"/product/p00001": "/product/p00001",
+		"/search?q=a:b@c": "%2Fsearch%3Fq%3Da%3Ab%40c",
+		"/a?b:c@d":        "/a?b:c@d",
+		"/a&path=/b":      "%2Fa%26path%3D%2Fb",
+		"/a b+c;d#e%":     "%2Fa+b%2Bc%3Bd%23e%25",
+		"/caf\u00e9":      "%2Fcaf%C3%A9",
+		"":                "",
+	}
+	for in, want := range cases {
+		if got := QueryValue(in); got != want {
+			t.Errorf("QueryValue(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestPathParamOwned: a path that was unescaped has memory of its own, and
+// one that was not is a window onto the query, read at no allocation.
+func TestPathParamOwned(t *testing.T) {
+	for _, c := range []struct {
+		raw   string
+		owned bool
+	}{
+		{"path=/product/p00001", false},
+		{"path=%2Fproduct%2Fp00001", true},
+	} {
+		var got string
+		var owned bool
+		n := testing.AllocsPerRun(100, func() { got, owned = PathParamOwned(c.raw) })
+		if got != "/product/p00001" || owned != c.owned {
+			t.Fatalf("PathParamOwned(%q) = %q, %v; want /product/p00001, %v", c.raw, got, owned, c.owned)
+		}
+		start := uintptr(unsafe.Pointer(unsafe.StringData(c.raw)))
+		at := uintptr(unsafe.Pointer(unsafe.StringData(got)))
+		if window := at >= start && at < start+uintptr(len(c.raw)); window == owned {
+			t.Fatalf("PathParamOwned(%q) reads owned %v for a path that is a window onto the query: %v", c.raw, owned, window)
+		}
+		if want := map[bool]float64{false: 0, true: 1}[c.owned]; n != want {
+			t.Fatalf("PathParamOwned(%q) allocates %.0f, want %.0f", c.raw, n, want)
+		}
+	}
 }

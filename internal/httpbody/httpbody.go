@@ -3,10 +3,11 @@
 // the edge, the server's API and the cluster sit on different sides of
 // the GDPR fence: how a response body is read (ReadAll), how long a
 // response may be kept (ParseMaxAge), a page's validator (ETag,
-// ParseETag, MatchETag) and the path a page request names (PathParam),
-// the JSON error envelope (ErrorBody, WriteError) and the frames of the
-// first-party blocks wire (blocks.go). It sees bytes and status codes; the one identity it
-// handles is the user ID a blocks request frames, which it keeps nowhere.
+// ParseETag, MatchETag), the path a page request names (QueryValue to
+// send it, PathParam to read it), the JSON error envelope (ErrorBody,
+// WriteError) and the frames of the first-party blocks wire (blocks.go).
+// It sees bytes and status codes; the one identity it handles is the user
+// ID a blocks request frames, which it keeps nowhere.
 package httpbody
 
 import (

@@ -170,12 +170,3 @@ func TestRevalidateServerError(t *testing.T) {
 		t.Fatalf("500 revalidation: %v, want ErrUpstream", err)
 	}
 }
-
-func TestSourceFromHeader(t *testing.T) {
-	if sourceFromHeader("cdn") != proxy.SourceCDN ||
-		sourceFromHeader("device") != proxy.SourceDevice ||
-		sourceFromHeader("origin") != proxy.SourceOrigin ||
-		sourceFromHeader("") != proxy.SourceOrigin {
-		t.Fatal("source mapping wrong")
-	}
-}

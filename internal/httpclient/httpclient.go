@@ -195,8 +195,20 @@ func (t *Transport) entryFromResponse(path string, resp *http.Response, body []b
 	return e
 }
 
-func sourceFromHeader(h string) proxy.Source {
-	switch h {
+// source reads the tier that answered from h. An edge states it in
+// X-Edge-Cache: a hit, or a copy the edge revalidated and answered from,
+// is the CDN's; a stale serve is a copy the edge answered from because its
+// upstream failed to refresh it. An edge states no X-Served-By on either,
+// so only what it relays (a miss, a coalesced follower) or a direct
+// answer names its tier there; an answer that names none is the origin's.
+func source(h http.Header) proxy.Source {
+	switch h.Get("X-Edge-Cache") {
+	case "hit", "revalidated":
+		return proxy.SourceCDN
+	case "stale":
+		return proxy.SourceCDNStale
+	}
+	switch h.Get("X-Served-By") {
 	case "cdn":
 		return proxy.SourceCDN
 	case "device":
@@ -206,20 +218,10 @@ func sourceFromHeader(h string) proxy.Source {
 	}
 }
 
-// staleOr returns src, unless the answer is an edge's stale serve: a copy
-// the edge answered from because its upstream failed to refresh it, which
-// it says in X-Edge-Cache.
-func staleOr(h http.Header, src proxy.Source) proxy.Source {
-	if h.Get("X-Edge-Cache") == "stale" {
-		return proxy.SourceCDNStale
-	}
-	return src
-}
-
 // Fetch implements proxy.Transport.
 func (t *Transport) Fetch(ctx context.Context, _ netsim.Region, path string) (cache.Entry, time.Duration, proxy.Source, error) {
 	start := t.clk.Now()
-	resp, err := t.do(ctx, t.base, http.MethodGet, "/page", "?path="+url.QueryEscape(path), nil, nil)
+	resp, err := t.do(ctx, t.base, http.MethodGet, "/page", "?path="+httpbody.QueryValue(path), nil, nil)
 	if err != nil {
 		return cache.Entry{}, 0, 0, asOffline(err)
 	}
@@ -233,14 +235,14 @@ func (t *Transport) Fetch(ctx context.Context, _ netsim.Region, path string) (ca
 		return cache.Entry{}, lat, 0, asOffline(err)
 	}
 	lat = t.clk.Now().Sub(start)
-	return t.entryFromResponse(path, resp, body), lat, staleOr(resp.Header, sourceFromHeader(resp.Header.Get("X-Served-By"))), nil
+	return t.entryFromResponse(path, resp, body), lat, source(resp.Header), nil
 }
 
 // Revalidate implements proxy.Transport via If-None-Match.
 func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string, knownVersion uint64) (proxy.RevalidationResult, error) {
 	start := t.clk.Now()
 	hdr := http.Header{"If-None-Match": {httpbody.ETag(knownVersion)}}
-	resp, err := t.do(ctx, t.base, http.MethodGet, "/page", "?path="+url.QueryEscape(path), nil, hdr)
+	resp, err := t.do(ctx, t.base, http.MethodGet, "/page", "?path="+httpbody.QueryValue(path), nil, hdr)
 	if err != nil {
 		return proxy.RevalidationResult{}, asOffline(err)
 	}
@@ -253,7 +255,7 @@ func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string
 		e := cache.Entry{Key: path, Version: knownVersion, StoredAt: now, ExpiresAt: expiresAt(resp.Header, now),
 			Epoch: cachesketch.PageEpoch(resp.Header)}
 		return proxy.RevalidationResult{
-			NotModified: true, Entry: e, Latency: lat, Source: staleOr(resp.Header, proxy.SourceOrigin),
+			NotModified: true, Entry: e, Latency: lat, Source: source(resp.Header),
 		}, nil
 	case http.StatusOK:
 		body, err := httpbody.ReadAll(resp)
@@ -263,7 +265,7 @@ func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string
 		return proxy.RevalidationResult{
 			Entry:   t.entryFromResponse(path, resp, body),
 			Latency: t.clk.Now().Sub(start),
-			Source:  staleOr(resp.Header, sourceFromHeader(resp.Header.Get("X-Served-By"))),
+			Source:  source(resp.Header),
 		}, nil
 	default:
 		return proxy.RevalidationResult{}, statusErr("revalidate", path, resp)

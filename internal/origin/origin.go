@@ -249,7 +249,7 @@ func (s *Server) Render(path string) (Page, error) {
 
 	switch {
 	case st != nil:
-		return s.renderShell(path, version, string(st.body), st.blocks), nil
+		return s.renderShell(path, version, st.body, st.blocks), nil
 	case qspec != nil:
 		return s.renderQueryPage(path, version, qspec)
 	case pspec != nil:
@@ -259,33 +259,59 @@ func (s *Server) Render(path string) (Page, error) {
 	}
 }
 
-// renderShell wraps content, which is markup, in the page shell. Data the
-// page shows goes in escaped (see writeText), so a placeholder in the shell
-// is one the origin wrote: a document value that spells one, or a tag,
-// arrives as text.
-func (s *Server) renderShell(path string, version uint64, content string, blocks []string) Page {
-	var b strings.Builder
-	b.WriteString("<!doctype html><html><head><title>")
-	b.WriteString(html.EscapeString(path))
-	b.WriteString("</title></head><body>")
-	b.WriteString(content)
+// renderBufs holds the scratch buffers a render appends its page into,
+// before the page is copied once into a body of its exact size.
+var renderBufs = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
+
+// maxPooledBuf bounds the scratch buffer a render hands back to the pool:
+// one huge page must not pin its buffer for every render after it.
+const maxPooledBuf = 1 << 20
+
+// openPage takes a scratch buffer and appends the shell's head for path
+// to it; the page's content follows, and closePage ends it.
+func openPage(path string) (*[]byte, []byte) {
+	bp := renderBufs.Get().(*[]byte)
+	b := append((*bp)[:0], "<!doctype html><html><head><title>"...)
+	b = append(b, html.EscapeString(path)...)
+	return bp, append(b, "</title></head><body>"...)
+}
+
+// closePage appends the shell's tail, one placeholder per block, to b,
+// copies the page out of the scratch buffer bp into a body of its exact
+// size and hands the buffer back. Data the page shows went in escaped
+// (see appendText), so a placeholder in the shell is one the origin wrote:
+// a document value that spells one, or a tag, arrives as text.
+func closePage(bp *[]byte, b []byte, path string, version uint64, blocks []string) Page {
 	for _, name := range blocks {
-		b.WriteString(`<div class="dyn" data-block="`)
-		b.WriteString(name)
-		b.WriteString(`">`)
-		b.WriteString(BlockPlaceholder(name))
-		b.WriteString("</div>")
+		b = append(b, `<div class="dyn" data-block="`...)
+		b = append(b, name...)
+		b = append(b, `">`...)
+		b = append(b, BlockPrefix...)
+		b = append(b, name...)
+		b = append(b, BlockSuffix...)
+		b = append(b, "</div>"...)
 	}
-	b.WriteString("</body></html>")
+	b = append(b, "</body></html>"...)
+	body := append(make([]byte, 0, len(b)), b...)
+	if cap(b) <= maxPooledBuf {
+		*bp = b[:0]
+		renderBufs.Put(bp)
+	}
 	sorted := append([]string(nil), blocks...)
 	sort.Strings(sorted)
 	return Page{
 		Path:        path,
-		Body:        []byte(b.String()),
+		Body:        body,
 		Version:     version,
 		ContentType: "text/html",
 		Blocks:      sorted,
 	}
+}
+
+// renderShell wraps content, which is markup, in the page shell.
+func (s *Server) renderShell(path string, version uint64, content []byte, blocks []string) Page {
+	bp, b := openPage(path)
+	return closePage(bp, append(b, content...), path, version, blocks)
 }
 
 func (s *Server) renderProductPage(path string, version uint64, spec *productSpec, docID string) (Page, error) {
@@ -293,18 +319,18 @@ func (s *Server) renderProductPage(path string, version uint64, spec *productSpe
 	if err != nil {
 		return Page{}, fmt.Errorf("origin: render %s: %w", path, err)
 	}
-	var b strings.Builder
-	writeAttr(&b, "<article id=", docID)
-	b.WriteString(">")
+	bp, b := openPage(path)
+	b = appendAttr(b, "<article id=", docID)
+	b = append(b, '>')
 	for i := 0; i < doc.Len(); i++ {
 		k, v := doc.Field(i)
-		writeAttr(&b, "<p class=", k)
-		b.WriteString(">")
-		writeText(&b, v)
-		b.WriteString("</p>")
+		b = appendAttr(b, "<p class=", k)
+		b = append(b, '>')
+		b = appendText(b, v)
+		b = append(b, "</p>"...)
 	}
-	b.WriteString("</article>")
-	return s.renderShell(path, version, b.String(), spec.blocks), nil
+	b = append(b, "</article>"...)
+	return closePage(bp, b, path, version, spec.blocks), nil
 }
 
 // detailPrefixFor returns the product-page prefix registered for the
@@ -324,63 +350,70 @@ func (s *Server) renderQueryPage(path string, version uint64, spec *querySpec) (
 	docs := s.docs.Query(spec.q)
 	detailPrefix, linkable := s.detailPrefixFor(spec.q.Collection)
 	var links []string
-	var b strings.Builder
-	b.WriteString("<h1>")
-	b.WriteString(html.EscapeString(spec.title))
-	b.WriteString("</h1><ul>")
+	if linkable {
+		links = make([]string, 0, len(docs))
+	}
+	bp, b := openPage(path)
+	b = append(b, "<h1>"...)
+	b = append(b, html.EscapeString(spec.title)...)
+	b = append(b, "</h1><ul>"...)
 	for _, d := range docs {
 		// A document's own "id" field, when it has one, is what the page
 		// has always shown and linked; Lookup falls back to the store ID.
 		id, _ := d.Lookup("id")
-		if sid, ok := id.(string); ok {
-			writeAttr(&b, "<li data-id=", sid)
+		sid, isString := id.(string)
+		if isString {
+			b = appendAttr(b, "<li data-id=", sid)
 		} else {
-			fmt.Fprintf(&b, "<li data-id=%q", id)
+			b = fmt.Appendf(b, "<li data-id=%q", id)
 		}
-		b.WriteString(">")
+		b = append(b, '>')
 		for i := 0; i < d.Len(); i++ {
 			k, v := d.Field(i)
 			if k == "id" {
 				continue
 			}
-			writeAttr(&b, "<span class=", k)
-			b.WriteString(">")
-			writeText(&b, v)
-			b.WriteString("</span>")
+			b = appendAttr(b, "<span class=", k)
+			b = append(b, '>')
+			b = appendText(b, v)
+			b = append(b, "</span>"...)
 		}
-		b.WriteString("</li>")
+		b = append(b, "</li>"...)
 		if linkable {
-			links = append(links, detailPrefix+fmt.Sprint(id))
+			if !isString {
+				sid = fmt.Sprint(id)
+			}
+			links = append(links, detailPrefix+sid)
 		}
 	}
-	b.WriteString("</ul>")
-	page := s.renderShell(path, version, b.String(), spec.blocks)
+	b = append(b, "</ul>"...)
+	page := closePage(bp, b, path, version, spec.blocks)
 	page.Links = links
 	return page, nil
 }
 
-// writeAttr writes prefix and then value as a double-quoted attribute
+// appendAttr appends prefix and then value as a double-quoted attribute
 // value, escaped. html.EscapeString hands back a string with nothing to
 // escape as it is, so clean data costs no allocation.
-func writeAttr(b *strings.Builder, prefix, value string) {
-	b.WriteString(prefix)
-	b.WriteByte('"')
-	b.WriteString(html.EscapeString(value))
-	b.WriteByte('"')
+func appendAttr(b []byte, prefix, value string) []byte {
+	b = append(b, prefix...)
+	b = append(b, '"')
+	b = append(b, html.EscapeString(value)...)
+	return append(b, '"')
 }
 
-// writeText writes a document value as element text. A string is escaped,
-// and so is what a list or a nested document prints, since either may hold
-// strings; a number or a bool prints as %v prints it, as it cannot carry
-// markup.
-func writeText(b *strings.Builder, v any) {
+// appendText appends a document value as element text. A string is
+// escaped, and so is what a list or a nested document prints, since either
+// may hold strings; a number or a bool prints as %v prints it, as it
+// cannot carry markup, straight from the value the document holds.
+func appendText(b []byte, v any) []byte {
 	switch x := v.(type) {
 	case string:
-		b.WriteString(html.EscapeString(x))
+		return append(b, html.EscapeString(x)...)
 	case bool, int, int8, int16, int32, int64, uint, uint8, uint16, uint32, uint64, float32, float64:
-		fmt.Fprint(b, x)
+		return fmt.Append(b, x)
 	default:
-		b.WriteString(html.EscapeString(fmt.Sprint(x)))
+		return append(b, html.EscapeString(fmt.Sprint(x))...)
 	}
 }
 

@@ -11,10 +11,12 @@ import (
 
 // TestNewAllocations pins what building a device costs with the
 // configuration a load generator gives each one (a user, a region, Δ, the
-// system clock and a shared topology): the proxy, its sketch holder, its
-// one-shard cache and three breakers. The default block renderers are one
-// shared map and the cache's LRU list lives in its shard (12 while each
-// device built both).
+// system clock and a shared topology): the proxy, its sketch holder, and
+// its one-shard cache with that shard's map. The three breakers live in
+// the proxy, the one shard in its store, the default block renderers are
+// one shared map and the cache's LRU list lives in its shard (12 while
+// each device built the renderers and the list, 9 while it allocated its
+// breakers and its shard).
 func TestNewAllocations(t *testing.T) {
 	cfg := Config{
 		User:    session.Population(1, 1)[0],
@@ -34,6 +36,6 @@ func TestNewAllocations(t *testing.T) {
 }
 
 // newAllocs is what New allocates for one device.
-const newAllocs = 9
+const newAllocs = 4
 
 var sinkProxy *Proxy

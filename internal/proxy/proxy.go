@@ -229,10 +229,11 @@ type Proxy struct {
 	// never retry).
 	rng     *rand.Rand
 	backoff resilience.Backoff
-	// One breaker per upstream the device talks to.
-	brSketch *resilience.Breaker
-	brShell  *resilience.Breaker
-	brBlocks *resilience.Breaker
+	// One breaker per upstream the device talks to, held by value: a
+	// device is built once per session.
+	brSketch resilience.Breaker
+	brShell  resilience.Breaker
+	brBlocks resilience.Breaker
 }
 
 // proxyMetrics are the device-side instruments, pre-resolved from the
@@ -290,9 +291,9 @@ func New(cfg Config, tr Transport) *Proxy {
 		Threshold: cfg.Resilience.BreakerThreshold,
 		Cooldown:  cfg.Resilience.BreakerCooldown,
 	}
-	p.brSketch = resilience.NewBreaker(brCfg)
-	p.brShell = resilience.NewBreaker(brCfg)
-	p.brBlocks = resilience.NewBreaker(brCfg)
+	p.brSketch.Init(brCfg)
+	p.brShell.Init(brCfg)
+	p.brBlocks.Init(brCfg)
 	if cfg.Obs != nil {
 		p.m = newProxyMetrics(cfg.Obs)
 	}
@@ -365,7 +366,7 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 	if consult && p.sketch.NeedsRefresh() {
 		var sn *cachesketch.Snapshot
 		sketchStart := res.Latency
-		err := p.withRetry(ctx, &res, p.brSketch, "sketch", func() error {
+		err := p.withRetry(ctx, &res, &p.brSketch, "sketch", func() error {
 			s, lat, err := p.tr.FetchSketch(ctx, p.cfg.Region)
 			if err != nil {
 				return err
@@ -584,7 +585,7 @@ func (p *Proxy) fetchShell(ctx context.Context, path string, res *PageLoad) (cac
 	p.auditCDN("path")
 	var entry cache.Entry
 	var src Source
-	err := p.withRetry(ctx, res, p.brShell, "shell", func() error {
+	err := p.withRetry(ctx, res, &p.brShell, "shell", func() error {
 		e, lat, s, err := p.tr.Fetch(ctx, p.cfg.Region, path)
 		if err != nil {
 			return err
@@ -649,7 +650,7 @@ func (p *Proxy) revalidateShell(ctx context.Context, path string, res *PageLoad)
 	}
 	p.auditCDN("path")
 	var rr RevalidationResult
-	err := p.withRetry(ctx, res, p.brShell, "shell", func() error {
+	err := p.withRetry(ctx, res, &p.brShell, "shell", func() error {
 		r, err := p.tr.Revalidate(ctx, p.cfg.Region, path, held.Version)
 		if err != nil {
 			return err
@@ -724,7 +725,7 @@ func (p *Proxy) personalize(ctx context.Context, entry cache.Entry, res *PageLoa
 			p.cfg.Auditor.RecordFlow(gdpr.BoundaryOrigin, []string{"user_id", "path"})
 		}
 		var frs map[string][]byte
-		err := p.withRetry(ctx, res, p.brBlocks, "blocks", func() error {
+		err := p.withRetry(ctx, res, &p.brBlocks, "blocks", func() error {
 			f, lat, err := p.tr.FetchBlocks(ctx, p.cfg.Region, originNames, p.cfg.User)
 			if err != nil {
 				return err

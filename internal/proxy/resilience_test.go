@@ -171,7 +171,7 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 
 	// Rebuild breakers with the tightened threshold (cfg was copied at
 	// New); drive failures until the shell breaker opens.
-	p.brShell = resilience.NewBreaker(resilience.BreakerConfig{
+	p.brShell.Init(resilience.BreakerConfig{
 		Clock: p.cfg.Clock, Threshold: 3, Cooldown: 15 * time.Second})
 	for i := 0; i < 2; i++ {
 		_, _ = p.Load(context.Background(), "/cold")
@@ -203,7 +203,7 @@ func TestBreakerRecoversAfterCooldown(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.fetchErr = fmt.Errorf("dead edge: %w", ErrUpstream)
-	p.brShell = resilience.NewBreaker(resilience.BreakerConfig{
+	p.brShell.Init(resilience.BreakerConfig{
 		Clock: clk, Threshold: 2, Cooldown: 15 * time.Second})
 	for i := 0; i < 2; i++ {
 		_, _ = p.Load(context.Background(), "/cold")

@@ -147,6 +147,16 @@ type Breaker struct {
 // NewBreaker builds a breaker from cfg, applying defaults for zero
 // fields.
 func NewBreaker(cfg BreakerConfig) *Breaker {
+	b := new(Breaker)
+	b.Init(cfg)
+	return b
+}
+
+// Init makes b a closed breaker configured from cfg, applying defaults for
+// zero fields, as NewBreaker does: for a breaker held by value in the
+// struct it guards, which builds it without an allocation of its own. It
+// must not be called while b is in use.
+func (b *Breaker) Init(cfg BreakerConfig) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System
 	}
@@ -156,7 +166,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 15 * time.Second
 	}
-	return &Breaker{clk: cfg.Clock, threshold: cfg.Threshold, cooldown: cfg.Cooldown}
+	*b = Breaker{clk: cfg.Clock, threshold: cfg.Threshold, cooldown: cfg.Cooldown}
 }
 
 // Allow reports whether a call may proceed. While open it starts
