@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"speedkit/internal/httpclient"
-	"speedkit/internal/netsim"
 	"speedkit/internal/proxy"
 	"speedkit/internal/session"
 )
@@ -41,11 +40,11 @@ func main() {
 		u.AddToCart("p00001", 2)
 	}
 
-	dev := proxy.New(proxy.Config{
-		User:   u,
-		Region: netsim.EU,
-		Delta:  *delta,
-	}, httpclient.New(*server, nil))
+	transport := httpclient.NewDirect(*server, nil)
+	dev := proxy.NewSplit(proxy.Config{
+		User:  u,
+		Delta: *delta,
+	}, transport, transport)
 
 	pathList := strings.Split(*paths, ",")
 	failures := 0

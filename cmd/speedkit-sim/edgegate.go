@@ -23,7 +23,6 @@ import (
 	"speedkit/internal/httpapi"
 	"speedkit/internal/httpbody"
 	"speedkit/internal/httpclient"
-	"speedkit/internal/netsim"
 	"speedkit/internal/proxy"
 )
 
@@ -230,13 +229,13 @@ func runEdge(seed int64, products int) {
 	// The paper's topology: the device sends pages to the edge and its
 	// blocks to the origin, so its origin-sourced fragment arrives while
 	// its identity never crosses the shared tier.
-	dev := proxy.New(proxy.Config{
+	behindEdge := httpclient.NewBehindEdge(edgeBaseA, originBase, nil)
+	dev := proxy.NewSplit(proxy.Config{
 		User:         member,
-		Region:       netsim.EU,
 		Delta:        edgeGateDelta,
 		Clock:        clock.System,
 		OriginBlocks: map[string]bool{"reco": true},
-	}, httpclient.NewBehindEdge(edgeBaseA, originBase, nil))
+	}, behindEdge, behindEdge)
 	if load, err := dev.Load(context.Background(), "/"); err != nil {
 		fail("personalized load behind the edge: %v", err)
 	} else if !bytes.Contains(load.Body, []byte(`class="reco"`)) {
@@ -269,10 +268,10 @@ func runEdge(seed int64, products int) {
 	}
 	served := counter.sketchServedAt()
 	device := cachesketch.NewClient(clock.System, edgeGateDelta)
-	transport := httpclient.New(edgeBaseA, nil)
+	transport := httpclient.NewDirect(edgeBaseA, nil)
 	var stamp time.Time
 	for i := 0; i < 3; i++ {
-		sn, _, err := transport.FetchSketch(context.Background(), netsim.EU)
+		sn, err := transport.FetchSketch(context.Background())
 		if err != nil {
 			fail("device sketch fetch %d through edge: %v", i, err)
 			break

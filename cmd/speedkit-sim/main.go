@@ -274,8 +274,13 @@ func runChaos(cfg bench.FieldConfig, rate float64) {
 	fmt.Print(run1.Faults.String())
 	if len(run1.DegradedLoads) > 0 {
 		fmt.Println("degraded loads by rung:")
-		for reason, n := range run1.DegradedLoads {
-			fmt.Printf("  %-18s %d\n", reason, n)
+		reasons := make([]proxy.DegradeReason, 0, len(run1.DegradedLoads))
+		for reason := range run1.DegradedLoads {
+			reasons = append(reasons, reason)
+		}
+		sort.Slice(reasons, func(i, j int) bool { return reasons[i] < reasons[j] })
+		for _, reason := range reasons {
+			fmt.Printf("  %-18s %d\n", reason, run1.DegradedLoads[reason])
 		}
 	}
 

@@ -14,7 +14,6 @@ import (
 	"speedkit/internal/core"
 	"speedkit/internal/httpapi"
 	"speedkit/internal/httpclient"
-	"speedkit/internal/netsim"
 	"speedkit/internal/obs"
 	"speedkit/internal/proxy"
 	"speedkit/internal/tracectx"
@@ -145,12 +144,12 @@ func stitchOnce(seed int64, delta time.Duration, products int) (stitchRun, error
 	// Device process: full client proxy over the real HTTP transport.
 	devClk := clock.NewSimulated(stitchEpoch)
 	devTracer := obs.NewTracerSeeded(devClk, 1, 64, seed)
-	dev := proxy.New(proxy.Config{
-		Region: netsim.EU,
+	transport := httpclient.NewDirect(base, nil)
+	dev := proxy.NewSplit(proxy.Config{
 		Delta:  delta,
 		Clock:  devClk,
 		Tracer: devTracer,
-	}, httpclient.New(base, nil))
+	}, transport, transport)
 
 	// Two loads of one page: the cold one's shell fetch and the revisit's
 	// sketch fetch each cross the wire carrying their page_load span

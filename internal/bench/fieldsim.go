@@ -287,7 +287,7 @@ func RunField(cfg FieldConfig) (*FieldResult, error) {
 	}
 
 	users := session.Population(cfg.Seed, cfg.Users)
-	devices := make([]*proxy.Proxy, len(users))
+	devices := make([]*core.Device, len(users))
 	for i, u := range users {
 		devices[i] = svc.NewDevice(u, u.Region)
 	}

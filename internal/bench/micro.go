@@ -218,9 +218,10 @@ func runOriginBlocksArm(seed int64, ops int) (*FieldResult, error) {
 	defer svc.Close()
 
 	users := session.Population(seed, 90)
-	devices := make([]*proxy.Proxy, len(users))
+	devices := make([]*core.Device, len(users))
 	for i, u := range users {
-		devices[i] = newProxyWithBlocks(svc, u)
+		// Every dynamic block comes from the origin (strategy 2).
+		devices[i] = svc.NewDevice(u, u.Region, "greeting", "cart", "reco", "tier")
 	}
 	gen := workload.NewGenerator(workload.Config{Seed: seed + 100, Products: 500, Users: 90})
 
@@ -450,20 +451,4 @@ func (a *AblationA4Result) String() string {
 		fmt.Fprintf(&b, "%10d %13.1f%% %16.2f %14d\n", r.PrefetchK, r.DeviceShare*100, r.ProductP50ms, r.ServiceLoad)
 	}
 	return b.String()
-}
-
-// newProxyWithBlocks creates a device proxy configured to fetch every
-// dynamic block from the origin (ablation strategy 2).
-func newProxyWithBlocks(svc *core.Service, u *session.User) *proxy.Proxy {
-	return proxy.New(proxy.Config{
-		User:    u,
-		Region:  u.Region,
-		Delta:   60 * time.Second,
-		Clock:   svc.Clock(),
-		Network: svc.Network(),
-		Auditor: svc.Auditor(),
-		OriginBlocks: map[string]bool{
-			"greeting": true, "cart": true, "reco": true, "tier": true,
-		},
-	}, svc)
 }

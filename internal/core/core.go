@@ -1,8 +1,9 @@
 // Package core assembles the Speed Kit service from its substrates: the
 // document store (system of record), the origin server, the CDN, the
 // Cache Sketch coherence server, the real-time invalidation engine, and
-// the adaptive TTL estimator. It implements the client proxy's Transport
-// and wires the invalidation pipeline:
+// the adaptive TTL estimator. It serves the calls of the client proxy's
+// two channels (and httpapi serves them over HTTP), hands out simulated
+// devices (Device), and wires the invalidation pipeline:
 //
 //	write → change stream → { product-page version bump,
 //	                          query matching (invalidb) }
@@ -70,11 +71,11 @@ type Config struct {
 	DisableInvalidation bool
 	// DisableSketchOnDevices makes NewDevice hand out TTL-only proxies.
 	DisableSketchOnDevices bool
-	// PrefetchLinks makes NewDevice proxies warm their caches with up to
-	// this many links per loaded page (0 disables).
+	// PrefetchLinks makes NewDevice devices warm their caches with up to
+	// this many links after each loaded page (0 disables).
 	PrefetchLinks int
 	// Obs is the metrics registry service-side instruments register under
-	// and NewDevice hands to proxies (default obs.Default, so one scrape
+	// and NewDevice hands to devices (default obs.Default, so one scrape
 	// sees the whole process; tests that assert on values inject a fresh
 	// registry).
 	Obs *obs.Registry
@@ -536,10 +537,13 @@ func (s *Service) renderJitter() time.Duration {
 	return time.Duration(float64(s.cfg.OriginRenderTime) * f)
 }
 
-// --- proxy.Transport -------------------------------------------------------
+// --- the device's two channels ---------------------------------------------
+//
+// Each call takes the calling device's region and returns, beside its
+// answer, the network time the simulator models for it.
 
-// FetchSketch implements proxy.Transport: the sketch is an anonymous
-// resource served from the nearest edge.
+// FetchSketch is proxy.Shared's call: the sketch is an anonymous resource
+// served from the nearest edge.
 func (s *Service) FetchSketch(ctx context.Context, region netsim.Region) (*cachesketch.Snapshot, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -565,9 +569,9 @@ func (s *Service) FetchSketch(ctx context.Context, region netsim.Region) (*cache
 	return sn, lat + spike, nil
 }
 
-// Fetch implements proxy.Transport: serve the anonymous page through the
-// CDN, filling the edge and reporting the cache fill to the sketch server
-// on misses.
+// Fetch is proxy.Shared's call: serve the anonymous page through the CDN,
+// filling the edge and reporting the cache fill to the sketch server on
+// misses.
 func (s *Service) Fetch(ctx context.Context, region netsim.Region, path string) (cache.Entry, time.Duration, proxy.Source, error) {
 	if err := ctx.Err(); err != nil {
 		return cache.Entry{}, 0, 0, err
@@ -648,8 +652,8 @@ func (s *Service) fetchFromOrigin(region netsim.Region, path string) (cache.Entr
 // response: status line and caching headers, no body.
 const revalidationHeaderBytes = 256
 
-// Revalidate implements proxy.Transport: a conditional fetch carrying
-// the client's held version. The request goes through the CDN — the
+// Revalidate is proxy.Shared's call: a conditional fetch carrying the
+// client's held version. The request goes through the CDN — the
 // sketch exists to govern the caches that purges cannot reach (device
 // caches); the edge itself is purge-maintained, so a strictly newer edge
 // copy is trustworthy and answers the revalidation at edge latency. Only
@@ -661,20 +665,20 @@ const revalidationHeaderBytes = 256
 // the full fetch and its error, and nothing is tracked for it). The
 // residual staleness an edge answer can carry is bounded by the purge
 // propagation delay (milliseconds), far inside every Δ.
-func (s *Service) Revalidate(ctx context.Context, region netsim.Region, path string, knownVersion uint64) (proxy.RevalidationResult, error) {
+func (s *Service) Revalidate(ctx context.Context, region netsim.Region, path string, knownVersion uint64) (proxy.RevalidationResult, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
-		return proxy.RevalidationResult{}, err
+		return proxy.RevalidationResult{}, 0, err
 	}
 	spike, err := s.inject(faults.OriginFetch)
 	if err != nil {
-		return proxy.RevalidationResult{}, err
+		return proxy.RevalidationResult{}, 0, err
 	}
 	if edge := s.cdnNet.Edge(region); edge != nil {
 		if e, ok := edge.Lookup(path); ok && e.Version > knownVersion {
 			lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.EdgeNode(region), len(e.Body)) + spike
 			s.m.revalidations[revalEdge].Inc()
 			obs.TraceFromContext(ctx).AddSpan("core.revalidate", "cdn", lat)
-			return proxy.RevalidationResult{Entry: e, Latency: lat, Source: proxy.SourceCDN}, nil
+			return proxy.RevalidationResult{Entry: e, Source: proxy.SourceCDN}, lat, nil
 		}
 	}
 	current := s.origin.Version(path)
@@ -687,23 +691,18 @@ func (s *Service) Revalidate(ctx context.Context, region netsim.Region, path str
 			s.cfg.Network.Latency(netsim.EdgeNode(region), netsim.OriginNode, revalidationHeaderBytes) + spike
 		s.m.revalidations[revalNotModified].Inc()
 		obs.TraceFromContext(ctx).AddSpan("core.revalidate", "origin", lat)
-		return proxy.RevalidationResult{
-			NotModified: true,
-			Entry:       entry,
-			Latency:     lat,
-			Source:      proxy.SourceOrigin,
-		}, nil
+		return proxy.RevalidationResult{NotModified: true, Entry: entry, Source: proxy.SourceOrigin}, lat, nil
 	}
 	entry, lat, src, err := s.fetchFromOrigin(region, path)
 	if err != nil {
-		return proxy.RevalidationResult{}, err
+		return proxy.RevalidationResult{}, 0, err
 	}
 	s.m.revalidations[revalFull].Inc()
 	obs.TraceFromContext(ctx).AddSpan("core.revalidate", "origin", lat+spike)
-	return proxy.RevalidationResult{Entry: entry, Latency: lat + spike, Source: src}, nil
+	return proxy.RevalidationResult{Entry: entry, Source: src}, lat + spike, nil
 }
 
-// FetchBlocks implements proxy.Transport: personalized fragments over the
+// FetchBlocks is proxy.FirstParty's call: personalized fragments over the
 // first-party channel (client → origin directly, bypassing the CDN).
 func (s *Service) FetchBlocks(ctx context.Context, region netsim.Region, names []string, u *session.User) (map[string][]byte, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
@@ -725,49 +724,6 @@ func (s *Service) FetchBlocks(ctx context.Context, region netsim.Region, names [
 	lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.OriginNode, size) + s.renderJitter()/2 + spike
 	obs.TraceFromContext(ctx).AddSpan("core.blocks", "origin", lat)
 	return out, lat, nil
-}
-
-var _ proxy.Transport = (*Service)(nil)
-
-// NewDevice creates a client proxy for a user in a region, bound to this
-// service with the service's Δ and shared auditor/consent ledger. The
-// user's consent choices (collected by the cookie banner in production)
-// are recorded in the ledger at enrollment — the ledger is strict
-// opt-in, so an unrecorded user is never personalized.
-func (s *Service) NewDevice(u *session.User, region netsim.Region) *proxy.Proxy {
-	if u != nil && u.LoggedIn {
-		now := s.cfg.Clock.Now()
-		if u.ConsentPersonalization {
-			s.consent.Grant(u.ID, gdpr.PurposePersonalization, now)
-		}
-		if u.ConsentAnalytics {
-			s.consent.Grant(u.ID, gdpr.PurposeAnalytics, now)
-		}
-	}
-	s.mu.Lock()
-	s.devSeq++
-	seq := s.devSeq
-	s.mu.Unlock()
-	// Each device gets a distinct deterministic seed for its retry-jitter
-	// stream: correlated jitter across a fleet would re-synchronize the
-	// retry storms backoff exists to break up.
-	res := s.cfg.DeviceResilience
-	res.Seed = s.cfg.Seed + res.Seed + seq*7919
-	return proxy.New(proxy.Config{
-		User:          u,
-		Region:        region,
-		Delta:         s.cfg.Delta,
-		Clock:         s.cfg.Clock,
-		Network:       s.cfg.Network,
-		Auditor:       s.auditor,
-		Consent:       s.consent,
-		DisableSketch: s.cfg.DisableSketchOnDevices,
-		PrefetchLinks: s.cfg.PrefetchLinks,
-		Obs:           s.cfg.Obs,
-		Tracer:        s.cfg.Tracer,
-		SLO:           s.cfg.SLO,
-		Resilience:    res,
-	}, s)
 }
 
 // EraseUser implements the right to erasure (GDPR Art. 17) for the

@@ -98,8 +98,20 @@ func TestDeviceLoadInstrumentsRegistryAndTracer(t *testing.T) {
 			t.Fatalf("spans %+v: want %q and personalize, not %q", c.tr.Spans, c.want, c.none)
 		}
 	}
-	if cold.Total <= 0 {
-		t.Fatalf("trace total = %v", cold.Total)
+	// The proxy times the trace on the device's clock, the service's
+	// simulated one, which no load advances; the modelled network time is
+	// on the service's own span.
+	if cold.Total != 0 {
+		t.Fatalf("trace total = %v, want 0 on a simulated clock", cold.Total)
+	}
+	var modelled time.Duration
+	for _, sp := range cold.Spans {
+		if sp.Name == "core.fetch" {
+			modelled += sp.Duration
+		}
+	}
+	if modelled <= 0 {
+		t.Fatalf("spans %+v: want core.fetch with the modelled fetch time", cold.Spans)
 	}
 }
 

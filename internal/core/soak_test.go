@@ -104,13 +104,13 @@ func TestSoakHeapFlat(t *testing.T) {
 		case i%12 == 4:
 			// The cheapest key-minting request: a conditional one.
 			path := "/product/minted-" + strconv.Itoa(i)
-			if res, err := svc.Revalidate(ctx, netsim.EU, path, 1); err == nil {
+			if res, _, err := svc.Revalidate(ctx, netsim.EU, path, 1); err == nil {
 				t.Fatalf("revalidation of %s answered %+v", path, res)
 			}
 			ghosts++
 		case i%12 == 10:
 			p := pages[rng.Intn(products)]
-			if _, err := svc.Revalidate(ctx, netsim.EU, p, svc.Origin().Version(p)); err != nil {
+			if _, _, err := svc.Revalidate(ctx, netsim.EU, p, svc.Origin().Version(p)); err != nil {
 				t.Fatal(err)
 			}
 		default:

@@ -18,7 +18,7 @@ func TestServiceRevalidateNotModified(t *testing.T) {
 	if _, _, _, err := svc.Fetch(context.Background(), netsim.EU, "/product/p00001"); err != nil {
 		t.Fatal(err)
 	}
-	rr, err := svc.Revalidate(context.Background(), netsim.EU, "/product/p00001", 1)
+	rr, _, err := svc.Revalidate(context.Background(), netsim.EU, "/product/p00001", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestServiceRevalidateModifiedBypassesStaleEdge(t *testing.T) {
 	if _, ok := svc.CDN().Edge(netsim.EU).Lookup("/product/p00002"); !ok {
 		t.Skip("edge already purged; propagation-window scenario not reproducible")
 	}
-	rr, err := svc.Revalidate(context.Background(), netsim.EU, "/product/p00002", 1)
+	rr, _, err := svc.Revalidate(context.Background(), netsim.EU, "/product/p00002", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRevalidationServedByFresherEdgeCopy(t *testing.T) {
 	clk.Advance(20 * time.Millisecond) // purge propagates; edge empty
 
 	// First revalidation falls through to the origin and refills the edge.
-	rr, err := svc.Revalidate(context.Background(), netsim.EU, path, 1)
+	rr, _, err := svc.Revalidate(context.Background(), netsim.EU, path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRevalidationServedByFresherEdgeCopy(t *testing.T) {
 	// Subsequent revalidations from clients still holding v1 are answered
 	// by the purge-maintained edge at edge latency — the behaviour that
 	// keeps flagged-path traffic off the origin.
-	rr, err = svc.Revalidate(context.Background(), netsim.EU, path, 1)
+	rr, _, err = svc.Revalidate(context.Background(), netsim.EU, path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRevalidationServedByFresherEdgeCopy(t *testing.T) {
 
 func TestServiceRevalidateUnknownPath(t *testing.T) {
 	svc, _ := newTestStorefront(t)
-	if _, err := svc.Revalidate(context.Background(), netsim.EU, "/ghost", 1); err == nil {
+	if _, _, err := svc.Revalidate(context.Background(), netsim.EU, "/ghost", 1); err == nil {
 		t.Fatal("unknown path revalidated")
 	}
 }
@@ -171,7 +171,7 @@ func TestRevalidateGhostPathNotFound(t *testing.T) {
 	before := svc.SketchServer().Stats().TableSize
 	for i := 0; i < 100; i++ {
 		path := fmt.Sprintf("/product/ghost-%d", i)
-		if res, err := svc.Revalidate(ctx, netsim.EU, path, 1); err == nil {
+		if res, _, err := svc.Revalidate(ctx, netsim.EU, path, 1); err == nil {
 			t.Fatalf("Revalidate(%s, 1) = %+v, want an error", path, res)
 		}
 	}
@@ -179,7 +179,7 @@ func TestRevalidateGhostPathNotFound(t *testing.T) {
 		t.Fatalf("expiry table %d → %d entries after ghost revalidations", before, got)
 	}
 	// A real page still gets its 304, and is (still) tracked.
-	res, err := svc.Revalidate(ctx, netsim.EU, "/product/p00001", 1)
+	res, _, err := svc.Revalidate(ctx, netsim.EU, "/product/p00001", 1)
 	if err != nil || !res.NotModified {
 		t.Fatalf("real page: %+v, %v", res, err)
 	}
@@ -195,7 +195,7 @@ func TestRevalidateDeletedProductNotFound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := svc.Revalidate(ctx, netsim.EU, path, e.Version); err != nil || !res.NotModified {
+	if res, _, err := svc.Revalidate(ctx, netsim.EU, path, e.Version); err != nil || !res.NotModified {
 		t.Fatalf("first revalidation: %+v, %v", res, err)
 	}
 	if err := svc.Docs().Delete("products", "p00002"); err != nil {
@@ -204,7 +204,7 @@ func TestRevalidateDeletedProductNotFound(t *testing.T) {
 	// Whatever version the device holds — the one it fetched, or the one
 	// the delete moved the page to — there is no page to confirm.
 	for _, known := range []uint64{e.Version, svc.Origin().Version(path)} {
-		if res, err := svc.Revalidate(ctx, netsim.EU, path, known); err == nil {
+		if res, _, err := svc.Revalidate(ctx, netsim.EU, path, known); err == nil {
 			t.Fatalf("Revalidate(v%d) after delete = %+v, want an error", known, res)
 		}
 	}

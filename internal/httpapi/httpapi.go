@@ -365,14 +365,14 @@ func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
 			if !owned {
 				path = strings.Clone(path)
 			}
-			rr, err := a.svc.Revalidate(ctx, a.region, path, known)
+			rr, lat, err := a.svc.Revalidate(ctx, a.region, path, known)
 			if err != nil {
 				a.finishRemote(tr, "", 0)
 				httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, err.Error())
 				return
 			}
 			tr.MarkRevalidated()
-			a.finishRemote(tr, rr.Source.String(), rr.Latency)
+			a.finishRemote(tr, rr.Source.String(), lat)
 			if rr.NotModified {
 				a.setPageHeaders(w, rr.Entry.ExpiresAt, known, -1, "", "")
 				w.WriteHeader(http.StatusNotModified)

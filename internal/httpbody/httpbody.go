@@ -43,6 +43,11 @@ func readBody(r io.Reader, n int64) ([]byte, error) {
 	// connection goes back to the idle pool.
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
+		if err == io.EOF {
+			// Nothing at all arrived of a body declared non-empty: as
+			// short as any other.
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	return body, nil

@@ -86,6 +86,46 @@ func TestReadAllDoesNotTrustHugeDeclaration(t *testing.T) {
 	}
 }
 
+// FuzzReadAll: a body of declared length n reads as net/http's sized body
+// does, io.LimitReader over the bytes sent. A declaration the body meets
+// reads what io.ReadAll reads, one the body falls short of is
+// io.ErrUnexpectedEOF, and no declaration (n < 0) or one past MaxReserve
+// is io.ReadAll.
+func FuzzReadAll(f *testing.F) {
+	f.Add([]byte("<html>shell</html>"), int64(18))
+	f.Add([]byte("<html>shell</html>"), int64(5))
+	f.Add([]byte("<html>shell</html>"), int64(19))
+	f.Add([]byte{}, int64(0))
+	f.Add([]byte{}, int64(1))
+	f.Add([]byte("chunked"), int64(-1))
+	f.Add([]byte("short"), int64(MaxReserve+1))
+	f.Fuzz(func(t *testing.T, body []byte, n int64) {
+		// A declaration far past the body fails as one just past it does,
+		// but would reserve up to MaxReserve bytes per execution.
+		const slack = 1 << 10
+		if n > int64(len(body))+slack && n <= MaxReserve {
+			n = int64(len(body)) + n%slack
+		}
+		reader := func() io.Reader {
+			if n < 0 {
+				return bytes.NewReader(body)
+			}
+			return io.LimitReader(bytes.NewReader(body), n)
+		}
+		got, err := readBody(reader(), n)
+		if n > int64(len(body)) && n <= MaxReserve {
+			if err != io.ErrUnexpectedEOF {
+				t.Fatalf("readBody(%d bytes, n=%d) = %d bytes, %v; want io.ErrUnexpectedEOF", len(body), n, len(got), err)
+			}
+			return
+		}
+		want, wantErr := io.ReadAll(reader())
+		if !bytes.Equal(got, want) || err != wantErr {
+			t.Fatalf("readBody(%d bytes, n=%d) = %d bytes, %v; io.ReadAll reads %d bytes, %v", len(body), n, len(got), err, len(want), wantErr)
+		}
+	})
+}
+
 func TestParseMaxAge(t *testing.T) {
 	cases := []struct {
 		in   string

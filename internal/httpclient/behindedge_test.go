@@ -11,7 +11,6 @@ import (
 	"speedkit/internal/bloom"
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/httpbody"
-	"speedkit/internal/netsim"
 )
 
 // tierRecorder is one host of the split topology: it answers every /v1
@@ -78,22 +77,22 @@ func TestBehindEdgeSendsBlocksToTheOrigin(t *testing.T) {
 		wantEdge, wantOrigin string
 	}{
 		{"FetchSketch", func() error {
-			_, _, err := tr.FetchSketch(ctx, netsim.EU)
+			_, err := tr.FetchSketch(ctx)
 			return err
 		}, "GET /v1/sketch", ""},
 		{"Fetch", func() error {
-			_, _, _, err := tr.Fetch(ctx, netsim.EU, "/p")
+			_, _, err := tr.Fetch(ctx, "/p")
 			return err
 		}, "GET /v1/page", ""},
 		{"Revalidate", func() error {
-			res, err := tr.Revalidate(ctx, netsim.EU, "/p", 1)
+			res, err := tr.Revalidate(ctx, "/p", 1)
 			if err == nil && !res.NotModified {
 				t.Errorf("Revalidate: %+v, want not modified", res)
 			}
 			return err
 		}, "GET /v1/page", ""},
 		{"FetchBlocks", func() error {
-			frs, _, err := tr.FetchBlocks(ctx, netsim.EU, []string{"reco"}, loggedInUser())
+			frs, err := tr.FetchBlocks(ctx, []string{"reco"}, loggedInUser())
 			if err == nil && string(frs["reco"]) != "for you" {
 				t.Errorf("FetchBlocks: fragments %q", frs)
 			}

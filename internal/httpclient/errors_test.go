@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"speedkit/internal/httpbody"
-	"speedkit/internal/netsim"
 	"speedkit/internal/proxy"
 )
 
@@ -27,8 +26,8 @@ func brokenServer(t *testing.T, status int, body string) *httptest.Server {
 
 func TestFetchServerErrorIsRetryableNotOffline(t *testing.T) {
 	ts := brokenServer(t, http.StatusInternalServerError, "boom")
-	tr := New(ts.URL, ts.Client())
-	_, _, _, err := tr.Fetch(context.Background(), netsim.EU, "/x")
+	tr := NewDirect(ts.URL, ts.Client())
+	_, _, err := tr.Fetch(context.Background(), "/x")
 	if err == nil {
 		t.Fatal("500 swallowed")
 	}
@@ -42,8 +41,8 @@ func TestFetchServerErrorIsRetryableNotOffline(t *testing.T) {
 
 func TestFetchClientErrorIsNotRetryable(t *testing.T) {
 	ts := brokenServer(t, http.StatusNotFound, "no such page")
-	tr := New(ts.URL, ts.Client())
-	_, _, _, err := tr.Fetch(context.Background(), netsim.EU, "/x")
+	tr := NewDirect(ts.URL, ts.Client())
+	_, _, err := tr.Fetch(context.Background(), "/x")
 	if err == nil {
 		t.Fatal("404 swallowed")
 	}
@@ -53,12 +52,12 @@ func TestFetchClientErrorIsNotRetryable(t *testing.T) {
 }
 
 func TestFetchConnectionRefusedIsOffline(t *testing.T) {
-	tr := New("http://127.0.0.1:1", nil) // nothing listens on port 1
-	_, _, _, err := tr.Fetch(context.Background(), netsim.EU, "/x")
+	tr := NewDirect("http://127.0.0.1:1", nil) // nothing listens on port 1
+	_, _, err := tr.Fetch(context.Background(), "/x")
 	if !errors.Is(err, proxy.ErrOffline) {
 		t.Fatalf("err = %v, want ErrOffline", err)
 	}
-	_, rerr := tr.Revalidate(context.Background(), netsim.EU, "/x", 1)
+	_, rerr := tr.Revalidate(context.Background(), "/x", 1)
 	if !errors.Is(rerr, proxy.ErrOffline) {
 		t.Fatalf("revalidate err = %v, want ErrOffline", rerr)
 	}
@@ -75,14 +74,14 @@ func TestCancellationIsNotOffline(t *testing.T) {
 		close(blocked)
 	}))
 	t.Cleanup(ts.Close)
-	tr := New(ts.URL, ts.Client())
+	tr := NewDirect(ts.URL, ts.Client())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	_, _, _, err := tr.Fetch(ctx, netsim.EU, "/x")
+	_, _, err := tr.Fetch(ctx, "/x")
 	<-blocked
 	if err == nil {
 		t.Fatal("cancelled fetch succeeded")
@@ -100,11 +99,11 @@ func TestDeadlineIsNotOffline(t *testing.T) {
 		<-r.Context().Done()
 	}))
 	t.Cleanup(ts.Close)
-	tr := New(ts.URL, ts.Client())
+	tr := NewDirect(ts.URL, ts.Client())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, _, _, err := tr.Fetch(ctx, netsim.EU, "/x")
+	_, _, err := tr.Fetch(ctx, "/x")
 	if err == nil {
 		t.Fatal("deadline-bound fetch succeeded")
 	}
@@ -118,27 +117,27 @@ func TestDeadlineIsNotOffline(t *testing.T) {
 
 func TestFetchSketchErrors(t *testing.T) {
 	// Unreachable server → offline.
-	tr := New("http://127.0.0.1:1", nil)
-	if _, _, err := tr.FetchSketch(context.Background(), netsim.EU); !errors.Is(err, proxy.ErrOffline) {
+	tr := NewDirect("http://127.0.0.1:1", nil)
+	if _, err := tr.FetchSketch(context.Background()); !errors.Is(err, proxy.ErrOffline) {
 		t.Fatalf("dead server: %v, want ErrOffline", err)
 	}
 	// Server up but returning garbage → decode error, not offline.
 	ts := brokenServer(t, http.StatusOK, "not-a-bloom-filter")
-	tr2 := New(ts.URL, ts.Client())
-	if sn, _, err := tr2.FetchSketch(context.Background(), netsim.EU); err == nil || sn != nil {
+	tr2 := NewDirect(ts.URL, ts.Client())
+	if sn, err := tr2.FetchSketch(context.Background()); err == nil || sn != nil {
 		t.Fatal("snapshot decoded from garbage")
 	}
 	// 503 → retryable upstream failure.
 	ts503 := brokenServer(t, http.StatusServiceUnavailable, "")
-	tr3 := New(ts503.URL, ts503.Client())
-	if _, _, err := tr3.FetchSketch(context.Background(), netsim.EU); !errors.Is(err, proxy.ErrUpstream) {
+	tr3 := NewDirect(ts503.URL, ts503.Client())
+	if _, err := tr3.FetchSketch(context.Background()); !errors.Is(err, proxy.ErrUpstream) {
 		t.Fatalf("503 sketch: %v, want ErrUpstream", err)
 	}
 }
 
 func TestFetchBlocksErrors(t *testing.T) {
-	tr := New("http://127.0.0.1:1", nil)
-	if _, _, err := tr.FetchBlocks(context.Background(), netsim.EU, []string{"cart"}, nil); !errors.Is(err, proxy.ErrOffline) {
+	tr := NewDirect("http://127.0.0.1:1", nil)
+	if _, err := tr.FetchBlocks(context.Background(), []string{"cart"}, nil); !errors.Is(err, proxy.ErrOffline) {
 		t.Fatalf("dead server: %v, want ErrOffline", err)
 	}
 	for _, body := range []string{
@@ -150,14 +149,14 @@ func TestFetchBlocksErrors(t *testing.T) {
 		"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", // the largest length
 	} {
 		ts := brokenServer(t, http.StatusOK, body)
-		frs, _, err := New(ts.URL, ts.Client()).FetchBlocks(context.Background(), netsim.EU, []string{"cart"}, nil)
+		frs, err := NewDirect(ts.URL, ts.Client()).FetchBlocks(context.Background(), []string{"cart"}, nil)
 		if !errors.Is(err, httpbody.ErrBlocksFrame) || frs != nil || errors.Is(err, proxy.ErrOffline) {
 			t.Errorf("blocks answer %q: %q, %v; want a frame error", body, frs, err)
 		}
 	}
 	ts400 := brokenServer(t, http.StatusBadRequest, "")
-	tr3 := New(ts400.URL, ts400.Client())
-	_, _, err := tr3.FetchBlocks(context.Background(), netsim.EU, []string{"cart"}, nil)
+	tr3 := NewDirect(ts400.URL, ts400.Client())
+	_, err := tr3.FetchBlocks(context.Background(), []string{"cart"}, nil)
 	if err == nil || errors.Is(err, proxy.ErrUpstream) || errors.Is(err, proxy.ErrOffline) {
 		t.Fatalf("400 blocks misclassified: %v", err)
 	}
@@ -165,8 +164,8 @@ func TestFetchBlocksErrors(t *testing.T) {
 
 func TestRevalidateServerError(t *testing.T) {
 	ts := brokenServer(t, http.StatusInternalServerError, "oops")
-	tr := New(ts.URL, ts.Client())
-	if _, err := tr.Revalidate(context.Background(), netsim.EU, "/x", 1); !errors.Is(err, proxy.ErrUpstream) {
+	tr := NewDirect(ts.URL, ts.Client())
+	if _, err := tr.Revalidate(context.Background(), "/x", 1); !errors.Is(err, proxy.ErrUpstream) {
 		t.Fatalf("500 revalidation: %v, want ErrUpstream", err)
 	}
 }

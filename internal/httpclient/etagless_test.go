@@ -10,7 +10,6 @@ import (
 
 	"speedkit/internal/clock"
 	"speedkit/internal/edge"
-	"speedkit/internal/netsim"
 	"speedkit/internal/proxy"
 )
 
@@ -41,9 +40,9 @@ func TestETaglessUpstreamNeverYieldsAnEmptyPage(t *testing.T) {
 
 	// The first device fills the edge; the second finds its version-0 copy.
 	for _, name := range []string{"filling device", "second device"} {
-		tr := New(edgeSrv.URL, edgeSrv.Client())
+		tr := NewDirect(edgeSrv.URL, edgeSrv.Client())
 		tr.clk = clk
-		dev := proxy.New(proxy.Config{Region: netsim.EU, Delta: 30 * time.Second, Clock: clk}, tr)
+		dev := proxy.NewSplit(proxy.Config{Delta: 30 * time.Second, Clock: clk}, tr, tr)
 		res, err := dev.Load(context.Background(), "/p")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -1,12 +1,10 @@
-// Package httpclient implements the client proxy's Transport over real
-// HTTP against the endpoints served by internal/httpapi. Together with
-// cmd/speedkit-server it closes the loop: the same proxy.Proxy that runs
-// in-process inside the simulator can drive the protocol across an actual
-// network — binary sketch downloads, ETag-conditional page fetches, the
-// first-party blocks API, and offline detection on connection failure.
-//
-// Latencies reported through this transport are measured wall-clock
-// round-trip times, not simulated ones.
+// Package httpclient implements the client proxy's two channels,
+// proxy.Shared and proxy.FirstParty, over real HTTP against the endpoints
+// served by internal/httpapi. Together with cmd/speedkit-server it closes
+// the loop: the same proxy.Proxy that runs in-process inside the
+// simulator can drive the protocol across an actual network — binary
+// sketch downloads, ETag-conditional page fetches, the first-party blocks
+// API, and offline detection on connection failure.
 package httpclient
 
 import (
@@ -26,7 +24,6 @@ import (
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
 	"speedkit/internal/httpbody"
-	"speedkit/internal/netsim"
 	"speedkit/internal/proxy"
 	"speedkit/internal/session"
 	"speedkit/internal/tracectx"
@@ -40,14 +37,28 @@ type Transport struct {
 	// carries a user ID; it is never sent to a shared tier.
 	origin string
 	hc     *http.Client
-	clk    clock.Clock
+	// clk dates the copies fetched and stamps a sketch with its send.
+	clk clock.Clock
 }
 
-// New creates a transport for the API at base (e.g. "http://host:8080"),
-// one host for every request. A nil client uses a default with a 10 s
+// NewDirect creates a transport for the API at base (e.g.
+// "http://host:8080"), one host for every request: a device with no edge
+// in front of the server. A nil client uses a default with a 10 s
 // timeout.
-func New(base string, hc *http.Client) *Transport {
+func NewDirect(base string, hc *http.Client) *Transport {
 	return NewBehindEdge(base, base, hc)
+}
+
+// New is NewDirect in the pre-split proxy.Transport shape, for callers of
+// proxy.New.
+func New(base string, hc *http.Client) *proxy.Joined {
+	// The transport and its adapter are one allocation, as NewDirect's is.
+	j := &struct {
+		Transport
+		joined proxy.Joined
+	}{Transport: newTransport(base, base, hc)}
+	j.joined = proxy.Joined{Shared: &j.Transport, First: &j.Transport}
+	return &j.joined
 }
 
 // NewBehindEdge creates a transport for the paper's topology: pages and
@@ -55,10 +66,15 @@ func New(base string, hc *http.Client) *Transport {
 // the origin at originURL directly, so identity never crosses the shared
 // tier. A nil client uses a default with a 10 s timeout.
 func NewBehindEdge(edgeURL, originURL string, hc *http.Client) *Transport {
+	t := newTransport(edgeURL, originURL, hc)
+	return &t
+}
+
+func newTransport(edgeURL, originURL string, hc *http.Client) Transport {
 	if hc == nil {
 		hc = &http.Client{Timeout: 10 * time.Second}
 	}
-	return &Transport{
+	return Transport{
 		base:   strings.TrimRight(edgeURL, "/"),
 		origin: strings.TrimRight(originURL, "/"),
 		hc:     hc,
@@ -144,24 +160,24 @@ func (t *Transport) do(ctx context.Context, base, method, endpoint, query string
 	return t.hc.Do(req)
 }
 
-// FetchSketch implements proxy.Transport.
-func (t *Transport) FetchSketch(ctx context.Context, _ netsim.Region) (*cachesketch.Snapshot, time.Duration, error) {
-	start := t.clk.Now()
+// FetchSketch implements proxy.Shared.
+func (t *Transport) FetchSketch(ctx context.Context) (*cachesketch.Snapshot, error) {
+	sent := t.clk.Now()
 	resp, err := t.do(ctx, t.base, http.MethodGet, "/sketch", "", nil, nil)
 	if err != nil {
-		return nil, 0, asOffline(err)
+		return nil, asOffline(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, t.clk.Now().Sub(start), statusErr("sketch", "/sketch", resp)
+		return nil, statusErr("sketch", "/sketch", resp)
 	}
 	// The snapshot is stamped with the send (see ReadHTTP). A body cut
 	// short is lost connectivity; a body that does not decode is not.
-	sn, err := cachesketch.ReadHTTP(resp, start)
+	sn, err := cachesketch.ReadHTTP(resp, sent)
 	if err != nil {
-		return nil, t.clk.Now().Sub(start), asOffline(err)
+		return nil, asOffline(err)
 	}
-	return sn, t.clk.Now().Sub(start), nil
+	return sn, nil
 }
 
 // expiresAt is the expiration a response stating h grants a copy stored
@@ -218,66 +234,57 @@ func source(h http.Header) proxy.Source {
 	}
 }
 
-// Fetch implements proxy.Transport.
-func (t *Transport) Fetch(ctx context.Context, _ netsim.Region, path string) (cache.Entry, time.Duration, proxy.Source, error) {
-	start := t.clk.Now()
+// Fetch implements proxy.Shared.
+func (t *Transport) Fetch(ctx context.Context, path string) (cache.Entry, proxy.Source, error) {
 	resp, err := t.do(ctx, t.base, http.MethodGet, "/page", "?path="+httpbody.QueryValue(path), nil, nil)
 	if err != nil {
-		return cache.Entry{}, 0, 0, asOffline(err)
+		return cache.Entry{}, 0, asOffline(err)
 	}
 	defer resp.Body.Close()
-	lat := t.clk.Now().Sub(start)
 	if resp.StatusCode != http.StatusOK {
-		return cache.Entry{}, lat, 0, statusErr("fetch", path, resp)
+		return cache.Entry{}, 0, statusErr("fetch", path, resp)
 	}
 	body, err := httpbody.ReadAll(resp)
 	if err != nil {
-		return cache.Entry{}, lat, 0, asOffline(err)
+		return cache.Entry{}, 0, asOffline(err)
 	}
-	lat = t.clk.Now().Sub(start)
-	return t.entryFromResponse(path, resp, body), lat, source(resp.Header), nil
+	return t.entryFromResponse(path, resp, body), source(resp.Header), nil
 }
 
-// Revalidate implements proxy.Transport via If-None-Match.
-func (t *Transport) Revalidate(ctx context.Context, _ netsim.Region, path string, knownVersion uint64) (proxy.RevalidationResult, error) {
-	start := t.clk.Now()
+// Revalidate implements proxy.Shared via If-None-Match.
+func (t *Transport) Revalidate(ctx context.Context, path string, knownVersion uint64) (proxy.RevalidationResult, error) {
 	hdr := http.Header{"If-None-Match": {httpbody.ETag(knownVersion)}}
 	resp, err := t.do(ctx, t.base, http.MethodGet, "/page", "?path="+httpbody.QueryValue(path), nil, hdr)
 	if err != nil {
 		return proxy.RevalidationResult{}, asOffline(err)
 	}
 	defer resp.Body.Close()
-	lat := t.clk.Now().Sub(start)
 
 	switch resp.StatusCode {
 	case http.StatusNotModified:
 		now := t.clk.Now()
 		e := cache.Entry{Key: path, Version: knownVersion, StoredAt: now, ExpiresAt: expiresAt(resp.Header, now),
 			Epoch: cachesketch.PageEpoch(resp.Header)}
-		return proxy.RevalidationResult{
-			NotModified: true, Entry: e, Latency: lat, Source: source(resp.Header),
-		}, nil
+		return proxy.RevalidationResult{NotModified: true, Entry: e, Source: source(resp.Header)}, nil
 	case http.StatusOK:
 		body, err := httpbody.ReadAll(resp)
 		if err != nil {
 			return proxy.RevalidationResult{}, asOffline(err)
 		}
 		return proxy.RevalidationResult{
-			Entry:   t.entryFromResponse(path, resp, body),
-			Latency: t.clk.Now().Sub(start),
-			Source:  source(resp.Header),
+			Entry:  t.entryFromResponse(path, resp, body),
+			Source: source(resp.Header),
 		}, nil
 	default:
 		return proxy.RevalidationResult{}, statusErr("revalidate", path, resp)
 	}
 }
 
-// FetchBlocks implements proxy.Transport over the first-party API, sent
-// to the origin. Only the user ID crosses the wire — the server resolves the session — and it
-// travels in the POST body, never in the URL. The fragments are slices of
-// the one buffer the answer is read into.
-func (t *Transport) FetchBlocks(ctx context.Context, _ netsim.Region, names []string, u *session.User) (map[string][]byte, time.Duration, error) {
-	start := t.clk.Now()
+// FetchBlocks implements proxy.FirstParty over the first-party API, sent
+// to the origin. Only the user ID crosses the wire — the server resolves
+// the session — and it travels in the POST body, never in the URL. The
+// fragments are slices of the one buffer the answer is read into.
+func (t *Transport) FetchBlocks(ctx context.Context, names []string, u *session.User) (map[string][]byte, error) {
 	var user string
 	if u != nil {
 		user = u.ID
@@ -286,21 +293,24 @@ func (t *Transport) FetchBlocks(ctx context.Context, _ netsim.Region, names []st
 	// (RFC 9110 §8.3), and the server reads nothing else.
 	resp, err := t.do(ctx, t.origin, http.MethodPost, "/blocks", "", bytes.NewReader(httpbody.BlocksRequest(user, names)), nil)
 	if err != nil {
-		return nil, 0, asOffline(err)
+		return nil, asOffline(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, t.clk.Now().Sub(start), statusErr("blocks", strings.Join(names, ","), resp)
+		return nil, statusErr("blocks", strings.Join(names, ","), resp)
 	}
 	body, err := httpbody.ReadAll(resp)
 	if err != nil {
-		return nil, t.clk.Now().Sub(start), asOffline(err)
+		return nil, asOffline(err)
 	}
 	frs, err := httpbody.ParseBlocksResponse(body, names)
 	if err != nil {
-		return nil, t.clk.Now().Sub(start), fmt.Errorf("httpclient: blocks decode: %w", err)
+		return nil, fmt.Errorf("httpclient: blocks decode: %w", err)
 	}
-	return frs, t.clk.Now().Sub(start), nil
+	return frs, nil
 }
 
-var _ proxy.Transport = (*Transport)(nil)
+var (
+	_ proxy.Shared     = (*Transport)(nil)
+	_ proxy.FirstParty = (*Transport)(nil)
+)

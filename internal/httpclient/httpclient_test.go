@@ -15,7 +15,6 @@ import (
 	"speedkit/internal/core"
 	"speedkit/internal/httpapi"
 	"speedkit/internal/httpbody"
-	"speedkit/internal/netsim"
 	"speedkit/internal/proxy"
 	"speedkit/internal/session"
 )
@@ -45,12 +44,11 @@ func newStack(t *testing.T, u *session.User) (*proxy.Proxy, *core.Service, *http
 	ts := httptest.NewServer(httpapi.New(svc, users).Handler())
 	t.Cleanup(ts.Close)
 
-	tr := New(ts.URL, ts.Client())
-	dev := proxy.New(proxy.Config{
-		User:   u,
-		Region: netsim.EU,
-		Delta:  30 * time.Second,
-	}, tr)
+	tr := NewDirect(ts.URL, ts.Client())
+	dev := proxy.NewSplit(proxy.Config{
+		User:  u,
+		Delta: 30 * time.Second,
+	}, tr, tr)
 	return dev, svc, ts
 }
 
@@ -115,8 +113,8 @@ func TestWriteInvalidationVisibleOverHTTP(t *testing.T) {
 
 	// A brand-new device holds no copy → fetches the page, which the purge
 	// has taken from the CDN → sees v2 with the new price.
-	dev2 := proxy.New(proxy.Config{Region: netsim.EU, Delta: 30 * time.Second},
-		transportOf(t, svc))
+	tr := transportOf(t, svc)
+	dev2 := proxy.NewSplit(proxy.Config{Delta: 30 * time.Second}, tr, tr)
 	res, err := dev2.Load(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +139,7 @@ func mustServerURL(t *testing.T, svc *core.Service) string {
 }
 
 func transportOf(t *testing.T, svc *core.Service) *Transport {
-	return New(mustServerURL(t, svc), nil)
+	return NewDirect(mustServerURL(t, svc), nil)
 }
 
 func TestConditionalRevalidationOverHTTP(t *testing.T) {
@@ -157,7 +155,7 @@ func TestConditionalRevalidationOverHTTP(t *testing.T) {
 	// report a cached copy and write, then revert the version by checking
 	// the 304 directly through the transport.
 	tr := transportOf(t, svc)
-	rr, err := tr.Revalidate(context.Background(), netsim.EU, path, svc.Origin().Version(path))
+	rr, err := tr.Revalidate(context.Background(), path, svc.Origin().Version(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +168,7 @@ func TestConditionalRevalidationOverHTTP(t *testing.T) {
 
 	// And a stale version gets the full new body.
 	_ = svc.Docs().Patch("products", "p00009", map[string]any{"price": 8.88})
-	rr, err = tr.Revalidate(context.Background(), netsim.EU, path, 1)
+	rr, err = tr.Revalidate(context.Background(), path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +210,8 @@ func TestOfflineModeOverHTTP(t *testing.T) {
 
 	// Δ of one nanosecond: every load must contact the sketch endpoint,
 	// so a dead network is always noticed.
-	dev := proxy.New(proxy.Config{
-		User: u, Region: netsim.EU, Delta: time.Nanosecond,
-	}, New(ts.URL, ts.Client()))
+	tr := NewDirect(ts.URL, ts.Client())
+	dev := proxy.NewSplit(proxy.Config{User: u, Delta: time.Nanosecond}, tr, tr)
 
 	if _, err := dev.Load(context.Background(), "/"); err != nil {
 		t.Fatal(err)
@@ -243,12 +240,9 @@ func TestFetchUnknownPathOverHTTP(t *testing.T) {
 func TestBlocksOverHTTPAnonymous(t *testing.T) {
 	_, svc, _ := newStack(t, nil)
 	tr := transportOf(t, svc)
-	frs, lat, err := tr.FetchBlocks(context.Background(), netsim.EU, []string{"greeting"}, nil)
+	frs, err := tr.FetchBlocks(context.Background(), []string{"greeting"}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if lat <= 0 {
-		t.Fatal("no latency measured")
 	}
 	if !strings.Contains(string(frs["greeting"]), "Welcome!") {
 		t.Fatalf("greeting = %s", frs["greeting"])
@@ -266,7 +260,7 @@ func TestBlocksUserLeavesTheURL(t *testing.T) {
 		w.Write(httpbody.BlocksResponse([]string{"cart", "tier"}, map[string][]byte{"cart": []byte("4 items")}))
 	}))
 	t.Cleanup(ts.Close)
-	frs, _, err := New(ts.URL, ts.Client()).FetchBlocks(context.Background(), netsim.EU, []string{"cart", "tier"}, loggedInUser())
+	frs, err := NewDirect(ts.URL, ts.Client()).FetchBlocks(context.Background(), []string{"cart", "tier"}, loggedInUser())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +275,7 @@ func TestBlocksUserLeavesTheURL(t *testing.T) {
 // TestParseVersionETag: a page answer's entry carries the version its
 // ETag names, weak or strong; an ETag that names none reads version 0.
 func TestParseVersionETag(t *testing.T) {
-	tr := New("http://unused", nil)
+	tr := NewDirect("http://unused", nil)
 	for tag, want := range map[string]uint64{`"v42"`: 42, `W/"v7"`: 7, `"x"`: 0, "": 0} {
 		resp := &http.Response{Header: http.Header{"Etag": {tag}}}
 		if got := tr.entryFromResponse("/p", resp, nil).Version; got != want {
@@ -295,7 +289,7 @@ func TestParseVersionETag(t *testing.T) {
 // max-age and the epoch; only the metadata map an X-Blocks value is kept
 // in.
 func TestEntryFromResponseAllocations(t *testing.T) {
-	tr := New("http://unused", nil)
+	tr := NewDirect("http://unused", nil)
 	resp := &http.Response{Header: http.Header{
 		"Etag":                  {`"v42"`},
 		"Cache-Control":         {"public, max-age=60"},

@@ -12,7 +12,6 @@ import (
 	"speedkit/internal/core"
 	"speedkit/internal/edge"
 	"speedkit/internal/httpapi"
-	"speedkit/internal/netsim"
 	"speedkit/internal/proxy"
 )
 
@@ -84,9 +83,9 @@ func restartBehindEdgeAndDevice(t *testing.T, sketched bool) {
 			ed.Purge(p)
 		})
 	}
-	tr := New(edgeSrv.URL, edgeSrv.Client())
+	tr := NewDirect(edgeSrv.URL, edgeSrv.Client())
 	tr.clk = clk
-	device := proxy.New(proxy.Config{Region: netsim.EU, Delta: delta, Clock: clk}, tr)
+	device := proxy.NewSplit(proxy.Config{Delta: delta, Clock: clk}, tr, tr)
 	ctx := context.Background()
 
 	before := storefront()
@@ -166,15 +165,15 @@ func TestMaxAgeZeroIsExpired(t *testing.T) {
 		w.Write([]byte("page"))
 	}))
 	defer srv.Close()
-	tr := New(srv.URL, srv.Client())
-	e, _, _, err := tr.Fetch(context.Background(), netsim.EU, "/p")
+	tr := NewDirect(srv.URL, srv.Client())
+	e, _, err := tr.Fetch(context.Background(), "/p")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.ExpiresAt.IsZero() || e.ExpiresAt.After(e.StoredAt) {
 		t.Fatalf("a max-age=0 page stored at %v expires at %v", e.StoredAt, e.ExpiresAt)
 	}
-	rr, err := tr.Revalidate(context.Background(), netsim.EU, "/p", 1)
+	rr, err := tr.Revalidate(context.Background(), "/p", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

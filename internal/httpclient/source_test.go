@@ -11,7 +11,6 @@ import (
 	"speedkit/internal/core"
 	"speedkit/internal/edge"
 	"speedkit/internal/httpapi"
-	"speedkit/internal/netsim"
 	"speedkit/internal/proxy"
 )
 
@@ -45,28 +44,28 @@ func TestEdgeAnswerSource(t *testing.T) {
 	if err := ed.RefreshSketch(ctx); err != nil {
 		t.Fatal(err)
 	}
-	tr := New(edgeSrv.URL, edgeSrv.Client())
+	tr := NewDirect(edgeSrv.URL, edgeSrv.Client())
 	tr.clk = clk
 
-	e, _, src, err := tr.Fetch(ctx, netsim.EU, path)
+	e, src, err := tr.Fetch(ctx, path)
 	if err != nil || src != proxy.SourceOrigin {
 		t.Fatalf("cold fetch: source %v, %v; want %v relayed from the server", src, err, proxy.SourceOrigin)
 	}
-	if _, _, src, err := tr.Fetch(ctx, netsim.EU, path); err != nil || src != proxy.SourceCDN {
+	if _, src, err := tr.Fetch(ctx, path); err != nil || src != proxy.SourceCDN {
 		t.Fatalf("edge hit: source %v, %v; want %v", src, err, proxy.SourceCDN)
 	}
-	if rr, err := tr.Revalidate(ctx, netsim.EU, path, e.Version); err != nil || !rr.NotModified || rr.Source != proxy.SourceCDN {
+	if rr, err := tr.Revalidate(ctx, path, e.Version); err != nil || !rr.NotModified || rr.Source != proxy.SourceCDN {
 		t.Fatalf("revalidation the edge answers: %+v, %v; want a 304 from %v", rr, err, proxy.SourceCDN)
 	}
 	ed.Purge(path)
-	if _, _, src, err := tr.Fetch(ctx, netsim.EU, path); err != nil || src != proxy.SourceCDN {
+	if _, src, err := tr.Fetch(ctx, path); err != nil || src != proxy.SourceCDN {
 		t.Fatalf("edge miss on a page the server's cdn tier holds: source %v, %v; want %v relayed", src, err, proxy.SourceCDN)
 	}
 	if s := ed.Stats(); s.Hits != 2 || s.Misses != 2 {
 		t.Fatalf("edge stats %+v, want 2 hits and 2 misses", s)
 	}
 
-	device := proxy.New(proxy.Config{Region: netsim.EU, Delta: 30 * time.Second, Clock: clk}, tr)
+	device := proxy.NewSplit(proxy.Config{Delta: 30 * time.Second, Clock: clk}, tr, tr)
 	if res, err := device.Load(ctx, path); err != nil || res.Source != proxy.SourceCDN {
 		t.Fatalf("a device's load of an edge hit: %+v, %v; want source %v", res, err, proxy.SourceCDN)
 	}

@@ -10,7 +10,6 @@ import (
 	"speedkit/internal/core"
 	"speedkit/internal/edge"
 	"speedkit/internal/httpapi"
-	"speedkit/internal/netsim"
 	"speedkit/internal/proxy"
 )
 
@@ -45,23 +44,23 @@ func TestEdgeStaleServeIsDegraded(t *testing.T) {
 	if err := ed.RefreshSketch(ctx); err != nil {
 		t.Fatal(err)
 	}
-	tr := New(edgeSrv.URL, edgeSrv.Client())
+	tr := NewDirect(edgeSrv.URL, edgeSrv.Client())
 	tr.clk = clk
-	e, _, src, err := tr.Fetch(ctx, netsim.EU, path)
+	e, src, err := tr.Fetch(ctx, path)
 	if err != nil || src == proxy.SourceCDNStale {
 		t.Fatalf("filling the edge: source %v, %v", src, err)
 	}
 
 	origin.Close()
 	clk.Advance(delta)
-	if _, _, src, err := tr.Fetch(ctx, netsim.EU, path); err != nil || src != proxy.SourceCDNStale {
+	if _, src, err := tr.Fetch(ctx, path); err != nil || src != proxy.SourceCDNStale {
 		t.Fatalf("fetch from the cut-off edge: source %v, %v; want %v", src, err, proxy.SourceCDNStale)
 	}
-	if rr, err := tr.Revalidate(ctx, netsim.EU, path, e.Version); err != nil || !rr.NotModified || rr.Source != proxy.SourceCDNStale {
+	if rr, err := tr.Revalidate(ctx, path, e.Version); err != nil || !rr.NotModified || rr.Source != proxy.SourceCDNStale {
 		t.Fatalf("revalidation at the cut-off edge: %+v, %v; want a 304 from %v", rr, err, proxy.SourceCDNStale)
 	}
 
-	device := proxy.New(proxy.Config{Region: netsim.EU, Delta: delta, Clock: clk}, tr)
+	device := proxy.NewSplit(proxy.Config{Delta: delta, Clock: clk}, tr, tr)
 	res, err := device.Load(ctx, path)
 	if err != nil {
 		t.Fatal(err)

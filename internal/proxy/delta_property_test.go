@@ -10,7 +10,6 @@ import (
 	"speedkit/internal/cache"
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
-	"speedkit/internal/netsim"
 	"speedkit/internal/session"
 )
 
@@ -48,7 +47,7 @@ func runProxyDeltaTrial(t *testing.T, seed int64, delta time.Duration) {
 			return versions[i]
 		},
 	}
-	p := New(Config{Region: netsim.EU, Clock: clk, Delta: delta}, tr)
+	p := NewSplit(Config{Clock: clk, Delta: delta}, tr, tr)
 
 	for i := 0; i < nKeys; i++ {
 		versions[i] = 1
@@ -88,27 +87,26 @@ type versionedTransport struct {
 
 const trialTTL = 45 * time.Second
 
-func (v *versionedTransport) FetchSketch(context.Context, netsim.Region) (*cachesketch.Snapshot, time.Duration, error) {
-	return v.srv.Snapshot(), time.Millisecond, nil
+func (v *versionedTransport) FetchSketch(context.Context) (*cachesketch.Snapshot, error) {
+	return v.srv.Snapshot(), nil
 }
 
-func (v *versionedTransport) Fetch(_ context.Context, _ netsim.Region, path string) (cache.Entry, time.Duration, Source, error) {
+func (v *versionedTransport) Fetch(_ context.Context, path string) (cache.Entry, Source, error) {
 	e := cache.TTLEntry(v.clk, path, []byte("body"), v.current(path), trialTTL)
 	v.srv.ReportCachedRead(path, e.ExpiresAt)
-	return e, 5 * time.Millisecond, SourceOrigin, nil
+	return e, SourceOrigin, nil
 }
 
-func (v *versionedTransport) Revalidate(ctx context.Context, region netsim.Region, path string, known uint64) (RevalidationResult, error) {
+func (v *versionedTransport) Revalidate(ctx context.Context, path string, known uint64) (RevalidationResult, error) {
 	if v.current(path) == known {
 		e := cache.TTLEntry(v.clk, path, nil, known, trialTTL)
 		v.srv.ReportCachedRead(path, e.ExpiresAt)
-		return RevalidationResult{NotModified: true, Entry: e,
-			Latency: time.Millisecond, Source: SourceOrigin}, nil
+		return RevalidationResult{NotModified: true, Entry: e, Source: SourceOrigin}, nil
 	}
-	e, lat, src, err := v.Fetch(ctx, region, path)
-	return RevalidationResult{Entry: e, Latency: lat, Source: src}, err
+	e, src, err := v.Fetch(ctx, path)
+	return RevalidationResult{Entry: e, Source: src}, err
 }
 
-func (v *versionedTransport) FetchBlocks(context.Context, netsim.Region, []string, *session.User) (map[string][]byte, time.Duration, error) {
-	return nil, 0, nil
+func (v *versionedTransport) FetchBlocks(context.Context, []string, *session.User) (map[string][]byte, error) {
+	return nil, nil
 }

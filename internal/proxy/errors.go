@@ -12,32 +12,27 @@ import "errors"
 //     dropped response). Retried with jittered exponential backoff; the
 //     per-upstream circuit breakers count these.
 //   - ErrDegraded: umbrella for "the resilience layer refused to call
-//     the upstream". ErrBudgetExceeded and ErrCircuitOpen both match it,
-//     so callers can branch on the family or the precise cause.
+//     the upstream". ErrCircuitOpen matches it, so callers can branch on
+//     the family or the precise cause.
 //
 // Application errors (unknown page, rendering failure) belong to none
 // of the families and propagate unchanged: a healthy upstream saying
 // "no" is not a fault to retry or degrade around.
 var (
-	// ErrOffline is returned by Transport implementations when the
-	// network is unreachable. The proxy answers it with its offline
-	// mode: any held device copy is served rather than failing the
-	// page load.
+	// ErrOffline is returned by Shared and FirstParty implementations
+	// when the network is unreachable. The proxy answers it with its
+	// offline mode: any held device copy is served rather than failing
+	// the page load.
 	ErrOffline = errors.New("proxy: network unreachable")
 
 	// ErrUpstream marks a transient upstream failure worth retrying.
-	// Transport implementations wrap retryable causes (5xx responses,
-	// injected chaos faults) with it.
+	// Shared and FirstParty implementations wrap retryable causes (5xx
+	// responses, injected chaos faults) with it.
 	ErrUpstream = errors.New("proxy: transient upstream failure")
 
 	// ErrDegraded is the umbrella the resilience-layer refusals match:
-	// errors.Is(err, ErrDegraded) is true for ErrBudgetExceeded and
-	// ErrCircuitOpen.
+	// errors.Is(err, ErrDegraded) is true for ErrCircuitOpen.
 	ErrDegraded = errors.New("proxy: degraded service")
-
-	// ErrBudgetExceeded reports that the per-load latency budget was
-	// exhausted before the upstream call could be made.
-	ErrBudgetExceeded error = &degradedError{msg: "proxy: per-load latency budget exceeded"}
 
 	// ErrCircuitOpen reports that the upstream's circuit breaker is
 	// open and the call was refused without touching the network.
@@ -78,8 +73,6 @@ const (
 	DegradeOfflineShell DegradeReason = "offline_shell"
 	// DegradeCircuitOpen: a breaker refused the upstream call.
 	DegradeCircuitOpen DegradeReason = "circuit_open"
-	// DegradeBudget: the per-load latency budget ran out.
-	DegradeBudget DegradeReason = "budget"
 	// DegradeRetriesExhausted: transient upstream failures persisted
 	// through the whole retry schedule.
 	DegradeRetriesExhausted DegradeReason = "retries_exhausted"
@@ -92,6 +85,6 @@ const (
 // pre-resolution.
 var degradeReasons = []DegradeReason{
 	DegradeServeStale, DegradeRevalidate, DegradeOfflineShell,
-	DegradeCircuitOpen, DegradeBudget, DegradeRetriesExhausted,
+	DegradeCircuitOpen, DegradeRetriesExhausted,
 	DegradeBlocksLocal,
 }

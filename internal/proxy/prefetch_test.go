@@ -8,12 +8,11 @@ import (
 	"speedkit/internal/cache"
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
-	"speedkit/internal/netsim"
 )
 
 // newPrefetchProxy builds a proxy over a fake transport where the listing
 // page "/list" links three detail pages.
-func newPrefetchProxy(t *testing.T, k int) (*Proxy, *fakeTransport, *clock.Simulated) {
+func newPrefetchProxy(t *testing.T) (*Proxy, *fakeTransport, *clock.Simulated) {
 	t.Helper()
 	clk := clock.NewSimulated(time.Time{})
 	tr := &fakeTransport{
@@ -29,26 +28,24 @@ func newPrefetchProxy(t *testing.T, k int) (*Proxy, *fakeTransport, *clock.Simul
 	for _, p := range []string{"/item/1", "/item/2", "/item/3"} {
 		tr.pages[p] = cache.TTLEntry(clk, p, []byte("<item>"+p+"</item>"), 1, time.Hour)
 	}
-	p := New(Config{Region: netsim.EU, Clock: clk, PrefetchLinks: k}, tr)
+	p := NewSplit(Config{Clock: clk}, tr, tr)
 	return p, tr, clk
 }
 
 func TestPrefetchWarmsLinkedPages(t *testing.T) {
-	p, _, _ := newPrefetchProxy(t, 2)
+	p, _, _ := newPrefetchProxy(t)
 	res, err := p.Load(context.Background(), "/list")
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.Prefetch(context.Background(), "/list", 2)
 	st := p.Stats()
 	if st.Prefetches != 2 {
 		t.Fatalf("prefetches = %d, want 2 (K cap)", st.Prefetches)
 	}
-	if st.PrefetchTime == 0 {
-		t.Fatal("prefetch cost not accounted")
-	}
-	// Prefetch cost is NOT part of the page latency.
-	if res.Latency > 100*time.Millisecond {
-		t.Fatalf("page latency %v includes prefetch cost", res.Latency)
+	// The page's latency is its own fetch's; prefetching comes after it.
+	if res.Latency != 20*time.Millisecond {
+		t.Fatalf("page latency %v, want the one fetch's 20ms", res.Latency)
 	}
 	// The next click is a device hit.
 	r2, _ := p.Load(context.Background(), "/item/1")
@@ -62,42 +59,40 @@ func TestPrefetchWarmsLinkedPages(t *testing.T) {
 	}
 }
 
+// TestPrefetchDisabledByDefault: a load prefetches nothing by itself, and
+// neither does Prefetch with k = 0 or for a page the device does not hold.
 func TestPrefetchDisabledByDefault(t *testing.T) {
-	p, _, _ := newPrefetchProxy(t, 0)
+	p, _, _ := newPrefetchProxy(t)
 	_, _ = p.Load(context.Background(), "/list")
+	p.Prefetch(context.Background(), "/list", 0)
+	p.Prefetch(context.Background(), "/item/1", 3)
 	if p.Stats().Prefetches != 0 {
 		t.Fatal("prefetch ran despite K=0")
 	}
 }
 
 func TestPrefetchSkipsHeldPages(t *testing.T) {
-	p, _, _ := newPrefetchProxy(t, 3)
+	p, _, _ := newPrefetchProxy(t)
 	_, _ = p.Load(context.Background(), "/item/2") // warm one link by visiting it
 	_, _ = p.Load(context.Background(), "/list")
+	p.Prefetch(context.Background(), "/list", 3)
 	// 3 links, one already held → only 2 prefetches.
 	if got := p.Stats().Prefetches; got != 2 {
 		t.Fatalf("prefetches = %d, want 2", got)
 	}
 }
 
+// TestPrefetchStopsWhenOffline: the first link fetch that fails ends the
+// prefetch quietly, with nothing counted.
 func TestPrefetchStopsWhenOffline(t *testing.T) {
-	p, tr, _ := newPrefetchProxy(t, 3)
+	p, tr, _ := newPrefetchProxy(t)
 	_, _ = p.Load(context.Background(), "/list") // caches the listing itself
-	p.store.Delete("/item/1")
-	p.store.Delete("/item/2")
-	p.store.Delete("/item/3")
-	before := p.Stats().Prefetches
 
 	goOffline(tr)
-	res, err := p.Load(context.Background(), "/list") // offline: listing from device cache
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Offline && res.Source != SourceDevice {
-		t.Fatalf("unexpected result %+v", res)
-	}
-	if p.Stats().Prefetches != before {
-		t.Fatal("prefetch attempted while offline")
+	tr.calls = nil
+	p.Prefetch(context.Background(), "/list", 3)
+	if p.Stats().Prefetches != 0 || len(tr.calls) != 1 {
+		t.Fatalf("prefetches %d, transport calls %v; want one failed fetch and none counted", p.Stats().Prefetches, tr.calls)
 	}
 }
 

@@ -12,8 +12,11 @@
 //     device-local session state, or fetched over the first-party origin
 //     channel when the user has consented.
 //
-// The proxy accumulates simulated latency for every step so that the
-// page-load experiments measure the full pipeline.
+// The proxy talks to two parties through two interfaces: Shared carries
+// the anonymous calls to the CDN path, FirstParty the one call that
+// carries identity, to the origin. It times each load on its injected
+// clock; a simulator that models network time does so on its side of
+// those interfaces.
 package proxy
 
 import (
@@ -30,7 +33,6 @@ import (
 	"speedkit/internal/clock"
 	"speedkit/internal/gdpr"
 	"speedkit/internal/metrics"
-	"speedkit/internal/netsim"
 	"speedkit/internal/obs"
 	"speedkit/internal/origin"
 	"speedkit/internal/resilience"
@@ -49,7 +51,7 @@ const (
 	// SourceOrigin: a full origin fetch (CDN miss or revalidation).
 	SourceOrigin
 	// SourceCDNStale: a CDN edge answered from a copy its upstream failed
-	// to refresh. Only a Transport returns it: the proxy marks the load
+	// to refresh. Only a Shared call returns it: the proxy marks the load
 	// DegradeServeStale and records the answer as SourceCDN's.
 	SourceCDNStale
 )
@@ -69,30 +71,37 @@ func (s Source) String() string {
 	return "unknown"
 }
 
-// Transport is the proxy's view of the Speed Kit service. The core
-// package implements it over the CDN, sketch server, and origin. Every
-// method takes the request context first; implementations must honor
-// cancellation and propagate the ctx into any real network call.
+// Shared is the proxy's view of the shared caching tier: the CDN path to
+// the anonymous page shells and the Cache Sketch. No method takes or
+// returns anything that identifies the user, so no implementation can
+// forward identity to a shared cache.
 //
-// Error contract: implementations return ErrOffline (possibly wrapped)
-// when the network is unreachable and wrap transient failures worth
-// retrying (5xx, injected faults) with ErrUpstream; anything else is
-// treated as an application error and surfaces unchanged.
-type Transport interface {
-	// FetchSketch returns the current sketch snapshot and the simulated
-	// latency of transferring it from the nearest edge.
-	FetchSketch(ctx context.Context, region netsim.Region) (*cachesketch.Snapshot, time.Duration, error)
+// Every method takes the request context first; implementations must
+// honor cancellation and propagate the ctx into any real network call.
+// Error contract (Shared and FirstParty): implementations return
+// ErrOffline (possibly wrapped) when the network is unreachable and wrap
+// transient failures worth retrying (5xx, injected faults) with
+// ErrUpstream; anything else is treated as an application error and
+// surfaces unchanged.
+type Shared interface {
+	// FetchSketch returns the current sketch snapshot from the nearest
+	// edge.
+	FetchSketch(ctx context.Context) (*cachesketch.Snapshot, error)
 	// Fetch returns the anonymous page representation via the CDN path,
-	// the simulated latency, and whether the edge or the origin served it.
-	Fetch(ctx context.Context, region netsim.Region, path string) (cache.Entry, time.Duration, Source, error)
+	// and whether the edge or the origin served it.
+	Fetch(ctx context.Context, path string) (cache.Entry, Source, error)
 	// Revalidate is the conditional variant of Fetch: the client holds a
 	// copy at knownVersion. If that version is still current the
-	// transport returns notModified=true with a fresh expiration and only
-	// a header-sized transfer cost; otherwise it behaves like Fetch.
-	Revalidate(ctx context.Context, region netsim.Region, path string, knownVersion uint64) (RevalidationResult, error)
-	// FetchBlocks returns origin-rendered personalized fragments over the
-	// first-party channel, with the simulated latency of that round trip.
-	FetchBlocks(ctx context.Context, region netsim.Region, names []string, u *session.User) (map[string][]byte, time.Duration, error)
+	// transport returns NotModified with a fresh expiration and no body;
+	// otherwise it behaves like Fetch.
+	Revalidate(ctx context.Context, path string, knownVersion uint64) (RevalidationResult, error)
+}
+
+// FirstParty is the proxy's consented channel to the origin, the only
+// one that carries the user.
+type FirstParty interface {
+	// FetchBlocks returns origin-rendered personalized fragments.
+	FetchBlocks(ctx context.Context, names []string, u *session.User) (map[string][]byte, error)
 }
 
 // RevalidationResult is the outcome of a conditional fetch.
@@ -102,27 +111,23 @@ type RevalidationResult struct {
 	NotModified bool
 	// Entry is the new representation (full on modification, expiry-only
 	// on a 304-equivalent).
-	Entry   cache.Entry
-	Latency time.Duration
-	Source  Source
+	Entry  cache.Entry
+	Source Source
 }
 
 // Config parameterizes a device proxy.
 type Config struct {
 	// User owns the device (nil for an anonymous visitor).
 	User *session.User
-	// Region locates the device.
-	Region netsim.Region
 	// Delta is the staleness bound Δ enforced via sketch refreshes
 	// (default 60s).
 	Delta time.Duration
 	// CacheItems bounds the service-worker cache (default 500 entries —
 	// device caches are small).
 	CacheItems int
-	// Clock supplies time (default system).
+	// Clock supplies time (default system). Every load is timed on it,
+	// and retry backoff sleeps on it (clock.Sleep).
 	Clock clock.Clock
-	// Network models device-local latencies.
-	Network *netsim.Network
 	// Auditor records data flows across trust boundaries (optional).
 	Auditor *gdpr.Auditor
 	// Consent is the consent ledger consulted before any personalized
@@ -141,9 +146,6 @@ type Config struct {
 	// caching" baseline of the consistency experiments — never use it in
 	// production configurations.
 	DisableSketch bool
-	// PrefetchLinks warms the device cache with up to this many of each
-	// loaded page's links (0 disables prefetching).
-	PrefetchLinks int
 	// Tracer samples page-load traces (nil disables tracing at zero
 	// per-load cost).
 	Tracer *obs.Tracer
@@ -152,14 +154,19 @@ type Config struct {
 	// decision time — keyed by serving tier, with the load's trace ID as
 	// exemplar when the load was sampled (nil disables).
 	SLO *obs.DeltaSLO
-	// Obs registers device-side metrics — loads by serving tier, load and
-	// block-personalization latency — under the shared registry (nil
-	// disables).
+	// Obs registers device-side counters — loads by serving tier,
+	// refreshes, revalidations, retries, degradations — under the shared
+	// registry (nil disables).
 	Obs *obs.Registry
-	// Resilience shapes retries, per-load budgets, and the per-upstream
-	// circuit breakers. The zero value applies the documented defaults
-	// (2 retries, no budget, breakers at 5 failures / 15s cooldown).
+	// Resilience shapes retries and the per-upstream circuit breakers.
+	// The zero value applies the documented defaults (2 retries, breakers
+	// at 5 failures / 15s cooldown). A caller that bounds a load passes a
+	// ctx deadline.
 	Resilience ResilienceConfig
+	// Region is read by New alone, and Network by nothing: both remain
+	// for New's callers (see legacy.go).
+	Region  region
+	Network network
 }
 
 func (c *Config) applyDefaults() {
@@ -171,9 +178,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Clock == nil {
 		c.Clock = clock.System
-	}
-	if c.Network == nil {
-		c.Network = netsim.DefaultTopology(1)
 	}
 	if c.LocalBlocks == nil {
 		c.LocalBlocks = defaultLocalBlocks
@@ -201,10 +205,8 @@ type Stats struct {
 	// the network was unreachable.
 	OfflineServes             uint64
 	BlocksLocal, BlocksOrigin uint64
-	// Prefetches counts background link fetches; PrefetchTime is their
-	// accumulated (simulated) cost, accounted apart from page latency.
-	Prefetches   uint64
-	PrefetchTime time.Duration
+	// Prefetches counts the link fetches Prefetch made.
+	Prefetches uint64
 	// Retries counts backed-off retry attempts against upstreams.
 	Retries uint64
 	// Degraded counts degradation decisions (a single load can record
@@ -212,13 +214,15 @@ type Stats struct {
 	Degraded uint64
 }
 
-// Proxy is one device's service worker. Safe for concurrent use, though
-// a device issues requests sequentially in practice.
+// Proxy is one device's service worker. It runs one load at a time, as a
+// device does: Load and Prefetch must not be called concurrently on one
+// Proxy (its counters and its retry RNG are unsynchronized).
 type Proxy struct {
 	cfg    Config
 	sketch *cachesketch.Client
 	store  *cache.Store
-	tr     Transport
+	shared Shared
+	first  FirstParty
 	stats  Stats
 	// m holds metric handles resolved once at construction, so the load
 	// path never does a registry lookup; nil when no registry is wired.
@@ -245,8 +249,6 @@ type proxyMetrics struct {
 	revalidations   *metrics.Counter
 	retries         *metrics.Counter
 	degraded        map[DegradeReason]*metrics.Counter
-	loadLatency     *metrics.Histogram
-	blockLatency    *metrics.Histogram
 }
 
 func newProxyMetrics(r *obs.Registry) *proxyMetrics {
@@ -256,8 +258,6 @@ func newProxyMetrics(r *obs.Registry) *proxyMetrics {
 		revalidations:   r.Counter("speedkit.device.revalidations.total"),
 		retries:         r.Counter("speedkit.device.retries.total"),
 		degraded:        make(map[DegradeReason]*metrics.Counter, len(degradeReasons)),
-		loadLatency:     r.Histogram("speedkit.device.load_latency_us"),
-		blockLatency:    r.Histogram("speedkit.device.block_latency_us"),
 	}
 	for _, src := range []Source{SourceDevice, SourceCDN, SourceOrigin} {
 		m.loads[src] = r.Counter("speedkit.device.loads.total", obs.L("source", src.String()))
@@ -268,17 +268,26 @@ func newProxyMetrics(r *obs.Registry) *proxyMetrics {
 	return m
 }
 
-// New creates a proxy bound to a transport.
-func New(cfg Config, tr Transport) *Proxy {
+// NewSplit creates a proxy that sends its anonymous calls to shared and
+// its personalized ones to first. One value may serve as both, as
+// httpclient.Transport does.
+func NewSplit(cfg Config, shared Shared, first FirstParty) *Proxy {
+	p := new(Proxy)
+	p.init(cfg, shared, first)
+	return p
+}
+
+func (p *Proxy) init(cfg Config, shared Shared, first FirstParty) {
 	cfg.applyDefaults()
-	p := &Proxy{
+	*p = Proxy{
 		cfg:    cfg,
 		sketch: cachesketch.NewClient(cfg.Clock, cfg.Delta),
 		store: cache.New(cache.Config{
 			MaxItems: cfg.CacheItems,
 			Clock:    cfg.Clock,
 		}),
-		tr: tr,
+		shared: shared,
+		first:  first,
 		backoff: resilience.Backoff{
 			Base:   cfg.Resilience.RetryBase,
 			Max:    cfg.Resilience.RetryMaxDelay,
@@ -297,7 +306,6 @@ func New(cfg Config, tr Transport) *Proxy {
 	if cfg.Obs != nil {
 		p.m = newProxyMetrics(cfg.Obs)
 	}
-	return p
 }
 
 // PageLoad is the result of one intercepted page request.
@@ -307,7 +315,8 @@ type PageLoad struct {
 	Body []byte
 	// Version is the content version of the anonymous shell served.
 	Version uint64
-	// Latency is the simulated end-to-end load time.
+	// Latency is the load's time on the proxy's clock, from the request
+	// to the assembled page.
 	Latency time.Duration
 	// Source is the tier that served the shell.
 	Source Source
@@ -336,10 +345,10 @@ func (p *Proxy) auditCDN(fields ...string) {
 }
 
 // Load intercepts one page request and runs the full pipeline. The ctx
-// rides every transport call (cancellation is honored between retries
-// and inside real HTTP transports); the simulated-latency budget, if
-// configured, is enforced by the resilience layer.
+// rides every transport call: cancellation and deadlines are honored
+// between retries and inside real HTTP transports.
 func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
+	start := p.cfg.Clock.Now()
 	res := PageLoad{Path: path}
 	p.stats.Loads++
 	// Unsampled and disabled tracing both yield a nil trace; every trace
@@ -365,15 +374,10 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 	sketchOK := consult
 	if consult && p.sketch.NeedsRefresh() {
 		var sn *cachesketch.Snapshot
-		sketchStart := res.Latency
-		err := p.withRetry(ctx, &res, &p.brSketch, "sketch", func() error {
-			s, lat, err := p.tr.FetchSketch(ctx, p.cfg.Region)
-			if err != nil {
-				return err
-			}
-			sn = s
-			res.Latency += lat
-			return nil
+		sketchStart := p.spanStart(trace)
+		err := p.withRetry(ctx, &p.brSketch, "sketch", func() (err error) {
+			sn, err = p.shared.FetchSketch(ctx)
+			return err
 		})
 		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			return PageLoad{}, err
@@ -384,7 +388,7 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 			p.stats.SketchRefreshes++
 			p.auditCDN("sketch")
 			trace.MarkSketchRefreshed()
-			trace.AddSpan("sketch.fetch", "cdn", res.Latency-sketchStart)
+			trace.AddSpan("sketch.fetch", "cdn", p.spanSince(trace, sketchStart))
 			// A snapshot that arrives already Δ old — a cache on the path
 			// held it that long and said so in Age — vouches for nothing:
 			// the same ladder as no sketch at all.
@@ -430,7 +434,6 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 			entry = held
 			served = true
 			res.Source = SourceDevice
-			res.Latency += p.cfg.Network.DeviceLatency()
 			p.stats.DeviceHits++
 			p.markDegraded(&res, trace, DegradeServeStale)
 		} else {
@@ -454,7 +457,6 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 			}
 			res.Offline = true
 			res.Source = SourceDevice
-			res.Latency += p.cfg.Network.DeviceLatency()
 			p.stats.OfflineServes++
 			p.markDegraded(&res, trace, DegradeOfflineShell)
 			res.Degraded = DegradeOfflineShell // the terminal rung names the load
@@ -464,8 +466,6 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 		switch {
 		case errors.Is(err, ErrCircuitOpen):
 			reason = DegradeCircuitOpen
-		case errors.Is(err, ErrBudgetExceeded):
-			reason = DegradeBudget
 		case errors.Is(err, ErrUpstream):
 			reason = DegradeRetriesExhausted
 		default:
@@ -476,14 +476,13 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 			return cache.Entry{}, err
 		}
 		res.Source = SourceDevice
-		res.Latency += p.cfg.Network.DeviceLatency()
 		p.stats.DeviceHits++
 		p.markDegraded(&res, trace, reason)
 		return held, nil
 	}
 
 	var err error
-	shellStart := res.Latency
+	shellStart := p.spanStart(trace)
 	if !served && decision == cachesketch.ServeFromCache && holds {
 		entry, served = p.store.Get(path)
 		// A copy stored before the held sketch's epoch was installed was
@@ -493,7 +492,6 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 		}
 		if served {
 			res.Source = SourceDevice
-			res.Latency += p.cfg.Network.DeviceLatency()
 			p.stats.DeviceHits++
 		}
 	}
@@ -523,7 +521,7 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 		}
 	}
 
-	trace.AddSpan("shell.fetch", res.Source.String(), res.Latency-shellStart)
+	trace.AddSpan("shell.fetch", res.Source.String(), p.spanSince(trace, shellStart))
 	if res.Revalidated {
 		trace.MarkRevalidated()
 	}
@@ -532,25 +530,20 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 	}
 
 	// 3. On-device personalization: swap placeholders for fragments.
-	blockStart := res.Latency
+	blockStart := p.spanStart(trace)
 	body, blocks, err := p.personalize(ctx, entry, &res, trace)
 	if err != nil {
 		return PageLoad{}, err
 	}
+	res.Latency = clock.Since(p.cfg.Clock, start)
 	res.Body = body
 	res.Version = entry.Version
 	res.BlocksPersonalized = blocks
-	blockLatency := res.Latency - blockStart
+	blockLatency := p.spanSince(trace, blockStart)
 	if blocks > 0 {
 		trace.AddSpan("personalize", "device", blockLatency)
 	}
 	trace.SetBlocks(blocks, blockLatency)
-
-	// 4. Background prefetch of linked pages (never while offline or
-	// degraded — a struggling upstream should not absorb warmup traffic).
-	if !res.Offline && res.Degraded == DegradeNone {
-		p.prefetch(ctx, entry)
-	}
 
 	trace.SetSource(res.Source.String())
 	trace.SetTotal(res.Latency)
@@ -562,10 +555,6 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 	}
 	if p.m != nil {
 		p.m.loads[res.Source].Inc()
-		p.m.loadLatency.ObserveDuration(res.Latency)
-		if blocks > 0 {
-			p.m.blockLatency.ObserveDuration(blockLatency)
-		}
 		if res.SketchRefreshed {
 			p.m.sketchRefreshes.Inc()
 		}
@@ -579,20 +568,33 @@ func (p *Proxy) Load(ctx context.Context, path string) (PageLoad, error) {
 	return res, nil
 }
 
+// spanStart reads the clock for a span of a traced load; an untraced load
+// reads it only at its start and at its assembled page.
+func (p *Proxy) spanStart(trace *obs.Trace) time.Time {
+	if trace == nil {
+		return time.Time{}
+	}
+	return p.cfg.Clock.Now()
+}
+
+// spanSince is the duration of a span opened by spanStart (zero for an
+// untraced load).
+func (p *Proxy) spanSince(trace *obs.Trace, start time.Time) time.Duration {
+	if trace == nil {
+		return 0
+	}
+	return clock.Since(p.cfg.Clock, start)
+}
+
 // fetchShell pulls the anonymous page via the CDN path (through the
 // resilience layer) and fills the device cache.
 func (p *Proxy) fetchShell(ctx context.Context, path string, res *PageLoad) (cache.Entry, error) {
 	p.auditCDN("path")
 	var entry cache.Entry
 	var src Source
-	err := p.withRetry(ctx, res, &p.brShell, "shell", func() error {
-		e, lat, s, err := p.tr.Fetch(ctx, p.cfg.Region, path)
-		if err != nil {
-			return err
-		}
-		entry, src = e, s
-		res.Latency += lat
-		return nil
+	err := p.withRetry(ctx, &p.brShell, "shell", func() (err error) {
+		entry, src, err = p.shared.Fetch(ctx, path)
+		return err
 	})
 	if err != nil {
 		return cache.Entry{}, fmt.Errorf("proxy: fetch %s: %w", path, err)
@@ -650,18 +652,13 @@ func (p *Proxy) revalidateShell(ctx context.Context, path string, res *PageLoad)
 	}
 	p.auditCDN("path")
 	var rr RevalidationResult
-	err := p.withRetry(ctx, res, &p.brShell, "shell", func() error {
-		r, err := p.tr.Revalidate(ctx, p.cfg.Region, path, held.Version)
-		if err != nil {
-			return err
-		}
-		rr = r
-		return nil
+	err := p.withRetry(ctx, &p.brShell, "shell", func() (err error) {
+		rr, err = p.shared.Revalidate(ctx, path, held.Version)
+		return err
 	})
 	if err != nil {
 		return cache.Entry{}, fmt.Errorf("proxy: revalidate %s: %w", path, err)
 	}
-	res.Latency += rr.Latency
 	rr.Source = p.tier(ctx, res, rr.Source)
 	res.Source = rr.Source
 	switch rr.Source {
@@ -725,20 +722,16 @@ func (p *Proxy) personalize(ctx context.Context, entry cache.Entry, res *PageLoa
 			p.cfg.Auditor.RecordFlow(gdpr.BoundaryOrigin, []string{"user_id", "path"})
 		}
 		var frs map[string][]byte
-		err := p.withRetry(ctx, res, &p.brBlocks, "blocks", func() error {
-			f, lat, err := p.tr.FetchBlocks(ctx, p.cfg.Region, originNames, p.cfg.User)
-			if err != nil {
-				return err
-			}
-			frs = f
-			res.Latency += lat
-			return nil
+		err := p.withRetry(ctx, &p.brBlocks, "blocks", func() (err error) {
+			frs, err = p.first.FetchBlocks(ctx, originNames, p.cfg.User)
+			return err
 		})
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, 0, err
 			}
 			// Degrade to local fallbacks for every origin-sourced block.
+			frs = nil
 			p.markDegraded(res, trace, DegradeBlocksLocal)
 			for _, name := range originNames {
 				renderLocal(name)
@@ -750,7 +743,6 @@ func (p *Proxy) personalize(ctx context.Context, entry cache.Entry, res *PageLoa
 		}
 	}
 
-	res.Latency += p.cfg.Network.DeviceLatency() // assembly cost
 	body, count := assemble(entry.Body, fragments)
 	return body, count, nil
 }
@@ -885,19 +877,21 @@ func linkNames(e cache.Entry) []string {
 	return strings.Split(raw, ",")
 }
 
-// prefetch warms the device cache with the page's first K links that are
-// not already held — plus held links the coherence sketch flags as
-// possibly stale, which are refetched so the warm copy is coherent before
-// the user navigates to it. The staleness verdicts for the whole link
-// list come from one CheckBatch call (a single snapshot load and clock
-// read); without a fresh sketch the verdict is RefreshSketch and held
-// links are conservatively left alone. In production this runs
-// asynchronously after the page is displayed, so its cost is accounted
-// separately from the page load; the simulated latency is accumulated in
-// Stats.PrefetchTime.
-func (p *Proxy) prefetch(ctx context.Context, entry cache.Entry) {
-	k := p.cfg.PrefetchLinks
+// Prefetch warms the device cache with the first k links of the copy held
+// for path that are not already held — plus held links the coherence
+// sketch flags as possibly stale, which are refetched so the warm copy is
+// coherent before the user navigates to it. The staleness verdicts for the
+// whole link list come from one CheckBatch call (a single snapshot load
+// and clock read); without a fresh sketch the verdict is RefreshSketch and
+// held links are conservatively left alone. A device calls it after a
+// page is displayed, and not after an offline or degraded load: a
+// struggling upstream should not absorb warmup traffic.
+func (p *Proxy) Prefetch(ctx context.Context, path string, k int) {
 	if k <= 0 {
+		return
+	}
+	entry, ok := p.store.PeekAny(path)
+	if !ok {
 		return
 	}
 	links := linkNames(entry)
@@ -914,13 +908,12 @@ func (p *Proxy) prefetch(ctx context.Context, entry cache.Entry) {
 			continue
 		}
 		p.auditCDN("path")
-		fetched, lat, _, err := p.tr.Fetch(ctx, p.cfg.Region, link)
+		fetched, _, err := p.shared.Fetch(ctx, link)
 		if err != nil {
 			return // offline or server trouble: stop prefetching quietly
 		}
 		p.keep(fetched)
 		p.stats.Prefetches++
-		p.stats.PrefetchTime += lat
 		k--
 	}
 }
@@ -936,6 +929,3 @@ func (p *Proxy) SketchStats() cachesketch.ClientStats { return p.sketch.Stats() 
 
 // User returns the device owner (may be nil).
 func (p *Proxy) User() *session.User { return p.cfg.User }
-
-// Region returns the device region.
-func (p *Proxy) Region() netsim.Region { return p.cfg.Region }

@@ -11,12 +11,12 @@ import (
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
 	"speedkit/internal/gdpr"
-	"speedkit/internal/netsim"
 	"speedkit/internal/origin"
 	"speedkit/internal/session"
 )
 
-// fakeTransport is a controllable Transport for proxy unit tests.
+// fakeTransport is a controllable Shared and FirstParty for proxy unit
+// tests. A call that succeeds takes its latency on the test's clock.
 type fakeTransport struct {
 	clk        *clock.Simulated
 	sketchSrv  *cachesketch.Server
@@ -39,35 +39,37 @@ type fakeTransport struct {
 	lastUser   *session.User
 }
 
-func (f *fakeTransport) FetchSketch(_ context.Context, _ netsim.Region) (*cachesketch.Snapshot, time.Duration, error) {
+func (f *fakeTransport) FetchSketch(_ context.Context) (*cachesketch.Snapshot, error) {
 	f.calls = append(f.calls, "FetchSketch")
 	if f.sketchDown {
-		return nil, 0, ErrOffline
+		return nil, ErrOffline
 	}
 	sn := f.sketchSrv.Snapshot()
 	sn.TakenAt = sn.TakenAt.Add(-f.sketchAge)
-	return sn, f.sketchLat, nil
+	f.clk.Advance(f.sketchLat)
+	return sn, nil
 }
 
-func (f *fakeTransport) Fetch(_ context.Context, _ netsim.Region, path string) (cache.Entry, time.Duration, Source, error) {
+func (f *fakeTransport) Fetch(_ context.Context, path string) (cache.Entry, Source, error) {
 	f.calls = append(f.calls, "Fetch")
 	if f.fetchHook != nil {
 		if err := f.fetchHook(); err != nil {
-			return cache.Entry{}, 0, 0, err
+			return cache.Entry{}, 0, err
 		}
 	}
 	if f.fetchErr != nil {
-		return cache.Entry{}, 0, 0, f.fetchErr
+		return cache.Entry{}, 0, f.fetchErr
 	}
 	e, ok := f.pages[path]
 	if !ok {
-		return cache.Entry{}, 0, 0, errors.New("no such page")
+		return cache.Entry{}, 0, errors.New("no such page")
 	}
 	// Mimic the service: report the cache fill to the sketch server, and
 	// state its epoch.
 	f.sketchSrv.ReportCachedRead(path, e.ExpiresAt)
 	e.Epoch = f.epoch(path)
-	return e, f.fetchLat, f.fetchSrc, nil
+	f.clk.Advance(f.fetchLat)
+	return e, f.fetchSrc, nil
 }
 
 // epoch is the epoch an answer for path states.
@@ -78,7 +80,7 @@ func (f *fakeTransport) epoch(path string) uint64 {
 	return f.sketchSrv.Epoch()
 }
 
-func (f *fakeTransport) Revalidate(_ context.Context, _ netsim.Region, path string, knownVersion uint64) (RevalidationResult, error) {
+func (f *fakeTransport) Revalidate(_ context.Context, path string, knownVersion uint64) (RevalidationResult, error) {
 	f.calls = append(f.calls, "Revalidate")
 	if f.fetchErr != nil {
 		return RevalidationResult{}, f.fetchErr
@@ -91,18 +93,19 @@ func (f *fakeTransport) Revalidate(_ context.Context, _ netsim.Region, path stri
 		fresh := cache.TTLEntry(f.clk, path, nil, knownVersion, time.Hour)
 		fresh.Epoch = f.epoch(path)
 		f.sketchSrv.ReportCachedRead(path, fresh.ExpiresAt)
-		return RevalidationResult{NotModified: true, Entry: fresh,
-			Latency: 5 * time.Millisecond, Source: SourceOrigin}, nil
+		f.clk.Advance(5 * time.Millisecond)
+		return RevalidationResult{NotModified: true, Entry: fresh, Source: SourceOrigin}, nil
 	}
 	f.sketchSrv.ReportCachedRead(path, e.ExpiresAt)
 	e.Epoch = f.epoch(path)
-	return RevalidationResult{Entry: e, Latency: f.fetchLat, Source: f.fetchSrc}, nil
+	f.clk.Advance(f.fetchLat)
+	return RevalidationResult{Entry: e, Source: f.fetchSrc}, nil
 }
 
-func (f *fakeTransport) FetchBlocks(_ context.Context, _ netsim.Region, names []string, u *session.User) (map[string][]byte, time.Duration, error) {
+func (f *fakeTransport) FetchBlocks(_ context.Context, names []string, u *session.User) (map[string][]byte, error) {
 	f.calls = append(f.calls, "FetchBlocks")
 	if f.blockErr != nil {
-		return nil, 0, f.blockErr
+		return nil, f.blockErr
 	}
 	f.blockCalls++
 	f.lastBlocks = names
@@ -111,8 +114,15 @@ func (f *fakeTransport) FetchBlocks(_ context.Context, _ netsim.Region, names []
 	for _, n := range names {
 		out[n] = []byte("<origin:" + n + ">")
 	}
-	return out, 30 * time.Millisecond, nil
+	f.clk.Advance(30 * time.Millisecond)
+	return out, nil
 }
+
+// sleepyClock is a simulated clock on which a backoff sleep takes time,
+// so a retried load's Latency shows its backoff.
+type sleepyClock struct{ *clock.Simulated }
+
+func (c sleepyClock) Sleep(d time.Duration) { c.Advance(d) }
 
 func newTestProxy(t *testing.T, user *session.User) (*Proxy, *fakeTransport, *clock.Simulated) {
 	t.Helper()
@@ -133,14 +143,12 @@ func newTestProxy(t *testing.T, user *session.User) (*Proxy, *fakeTransport, *cl
 	plain := cache.TTLEntry(clk, "/plain", []byte("<html>no blocks</html>"), 1, time.Hour)
 	tr.pages["/plain"] = plain
 
-	p := New(Config{
+	p := NewSplit(Config{
 		User:    user,
-		Region:  netsim.EU,
 		Delta:   30 * time.Second,
-		Clock:   clk,
-		Network: netsim.DefaultTopology(1),
+		Clock:   sleepyClock{clk},
 		Auditor: gdpr.NewAuditor(),
-	}, tr)
+	}, tr, tr)
 	return p, tr, clk
 }
 
@@ -263,7 +271,7 @@ func TestConsentLedgerOverridesUserFlag(t *testing.T) {
 	e := cache.TTLEntry(clk, "/", body, 1, time.Hour)
 	e.Metadata = BlocksMetadata([]string{"greeting"})
 	tr.pages["/"] = e
-	p := New(Config{User: u, Region: netsim.EU, Clock: clk, Consent: ledger}, tr)
+	p := NewSplit(Config{User: u, Clock: clk, Consent: ledger}, tr, tr)
 
 	res, _ := p.Load(context.Background(), "/")
 	if strings.Contains(string(res.Body), "Ada") {

@@ -13,10 +13,8 @@ import (
 	"speedkit/internal/resilience"
 )
 
-// ResilienceConfig shapes the proxy's retry, budget, and breaker
-// behavior. The zero value yields the defaults noted per field; budgets
-// are off by default so plain configurations keep their exact pre-
-// resilience latency accounting.
+// ResilienceConfig shapes the proxy's retry and breaker behavior. The
+// zero value yields the defaults noted per field.
 type ResilienceConfig struct {
 	// RetryMax is the number of retries after the first attempt for
 	// transient (ErrUpstream) failures (default 2; negative disables).
@@ -27,11 +25,6 @@ type ResilienceConfig struct {
 	RetryMaxDelay time.Duration
 	// RetryJitter is the ± fraction applied to each delay (default 0.5).
 	RetryJitter float64
-	// LoadBudget bounds the accumulated (simulated) latency a single
-	// Load may spend on network attempts; once exceeded, further
-	// attempts fail with ErrBudgetExceeded and the degradation ladder
-	// takes over. Zero disables the budget.
-	LoadBudget time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens an
 	// upstream's circuit (default 5).
 	BreakerThreshold int
@@ -70,36 +63,25 @@ func (r *ResilienceConfig) applyDefaults() {
 	}
 }
 
-// budgetLeft reports whether the load still has latency budget for
-// another network attempt.
-func (p *Proxy) budgetLeft(res *PageLoad) bool {
-	b := p.cfg.Resilience.LoadBudget
-	return b <= 0 || res.Latency < b
-}
-
 // withRetry runs one logical upstream call through the resilience
-// layer: breaker admission, per-load budget, and jittered exponential
-// retries for transient (ErrUpstream) failures. Backoff delays are
-// added to the load's simulated latency and slept on sleeping clocks
-// (clock.Sleep) so real deployments actually back off.
+// layer: breaker admission and jittered exponential retries for
+// transient (ErrUpstream) failures. Backoff delays are slept on the
+// proxy's clock (clock.Sleep): real deployments actually back off, and a
+// simulated device's clock accounts the delay as modelled time.
 //
 // Outcome mapping: ErrOffline fails fast (the offline ladder handles
 // it); application errors resolve the breaker as success (the upstream
 // answered) and propagate unchanged; ctx cancellation is never retried.
 // Sampled traces riding the ctx (obs.ContextWithTrace) collect the
 // resilience decisions as events: each retry attempt, breaker
-// rejections, breaker opens, and an exhausted budget — so a degraded
+// rejections and breaker opens — so a degraded
 // load's trace explains which rung fired and why. The unsampled path
 // pays one ctx lookup; every event call is a nil-safe no-op.
-func (p *Proxy) withRetry(ctx context.Context, res *PageLoad, br *resilience.Breaker, upstream string, op func() error) error {
+func (p *Proxy) withRetry(ctx context.Context, br *resilience.Breaker, upstream string, op func() error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	tr := obs.TraceFromContext(ctx)
-	if !p.budgetLeft(res) {
-		tr.AddEvent("budget.exhausted", upstream)
-		return ErrBudgetExceeded
-	}
 	if !br.Allow() {
 		tr.AddEvent("breaker.rejected", upstream)
 		return ErrCircuitOpen
@@ -132,7 +114,6 @@ func (p *Proxy) withRetry(ctx context.Context, res *PageLoad, br *resilience.Bre
 				p.rng = rand.New(rand.NewSource(p.cfg.Resilience.Seed))
 			}
 			delay := p.backoff.Delay(p.rng, attempt)
-			res.Latency += delay
 			p.stats.Retries++
 			if p.m != nil {
 				p.m.retries.Inc()
@@ -140,10 +121,6 @@ func (p *Proxy) withRetry(ctx context.Context, res *PageLoad, br *resilience.Bre
 			clock.Sleep(p.cfg.Clock, delay)
 			if err := ctx.Err(); err != nil {
 				return err
-			}
-			if !p.budgetLeft(res) {
-				tr.AddEvent("budget.exhausted", upstream)
-				return ErrBudgetExceeded
 			}
 		default:
 			// The upstream answered with an application error: healthy

@@ -206,21 +206,19 @@ func newLoadTopology(b *testing.B) *loadTopology {
 		edge:    ed,
 		user:    user,
 		viaEdge: httpclient.NewBehindEdge(edgeURL, serverURL, loopbackClient(b)),
-		direct:  httpclient.New(serverURL, loopbackClient(b)),
+		direct:  httpclient.NewDirect(serverURL, loopbackClient(b)),
 	}
 }
 
 // device builds a device for t's user on tr, with the configuration
 // cmd/speedkit-load gives each one.
-func (t *loadTopology) device(tr proxy.Transport, originBlocks map[string]bool) *proxy.Proxy {
-	return proxy.New(proxy.Config{
+func (t *loadTopology) device(tr *httpclient.Transport, originBlocks map[string]bool) *proxy.Proxy {
+	return proxy.NewSplit(proxy.Config{
 		User:         t.user,
-		Region:       netsim.EU,
 		Delta:        30 * time.Second,
 		Clock:        clock.System,
-		Network:      t.svc.Network(),
 		OriginBlocks: originBlocks,
-	}, tr)
+	}, tr, tr)
 }
 
 // load runs one load and fails b unless it crossed the network from the

@@ -32,9 +32,8 @@
 //     held. A load that CAN serve from the device instead returns
 //     normally with PageLoad.Offline set.
 //   - ErrDegraded — the umbrella for resilience give-ups. Its concrete
-//     members ErrBudgetExceeded (the per-load latency budget ran out)
-//     and ErrCircuitOpen (the upstream's circuit breaker is open) match
-//     both themselves and ErrDegraded.
+//     member ErrCircuitOpen (the upstream's circuit breaker is open)
+//     matches both itself and ErrDegraded.
 //   - ErrUpstream — a transient upstream failure that survived the
 //     device's retry budget.
 //
@@ -74,15 +73,16 @@ type Config = core.StorefrontConfig
 // callers assembling custom deployments with NewService.
 type ServiceConfig = core.Config
 
-// Device is the client proxy installed in a user's device (the
-// service-worker equivalent).
-type Device = proxy.Proxy
+// Device is a simulated user device: the client proxy installed in it
+// (the service-worker equivalent), and the load time the simulator
+// models for it.
+type Device = core.Device
 
 // PageLoad is the result of one device page load.
 type PageLoad = proxy.PageLoad
 
-// ResilienceConfig tunes a device's retry/backoff, per-load latency
-// budget, and circuit breakers (see ServiceConfig.DeviceResilience).
+// ResilienceConfig tunes a device's retry/backoff and circuit breakers
+// (see ServiceConfig.DeviceResilience).
 type ResilienceConfig = proxy.ResilienceConfig
 
 // Typed failure modes, all matchable with errors.Is; see the package
@@ -90,10 +90,8 @@ type ResilienceConfig = proxy.ResilienceConfig
 var (
 	// ErrOffline: connectivity loss with no offline shell to fall back on.
 	ErrOffline = proxy.ErrOffline
-	// ErrDegraded: umbrella for resilience give-ups (budget, breaker).
+	// ErrDegraded: umbrella for resilience give-ups (an open breaker).
 	ErrDegraded = proxy.ErrDegraded
-	// ErrBudgetExceeded: the per-load latency budget ran out. Is ErrDegraded.
-	ErrBudgetExceeded = proxy.ErrBudgetExceeded
 	// ErrCircuitOpen: the upstream's circuit breaker rejected the call.
 	// Is ErrDegraded.
 	ErrCircuitOpen = proxy.ErrCircuitOpen
@@ -112,7 +110,6 @@ const (
 	DegradeRevalidate       = proxy.DegradeRevalidate
 	DegradeOfflineShell     = proxy.DegradeOfflineShell
 	DegradeCircuitOpen      = proxy.DegradeCircuitOpen
-	DegradeBudget           = proxy.DegradeBudget
 	DegradeRetriesExhausted = proxy.DegradeRetriesExhausted
 	DegradeBlocksLocal      = proxy.DegradeBlocksLocal
 )
