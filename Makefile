@@ -151,8 +151,9 @@ stitch:
 # behind the edge takes its reco fragment from the origin with its user
 # ID in no edge request, a seed-pinned kill torn into the disk tier's WAL mid-fill is
 # recovered warm by an in-process restart serving byte-identical bodies
-# without refetching, and no PII byte sits in anything the edge
-# persisted. Non-zero exit on violation.
+# without refetching, an edge nobody purges serves a write from its next
+# sketch poll on (one overtaking a fill included), and no PII byte sits
+# in anything the edge persisted. Non-zero exit on violation.
 EDGE_SEED ?= 1
 
 edge:

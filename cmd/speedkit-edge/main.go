@@ -18,15 +18,19 @@
 // The edge polls the upstream's public sketch endpoint every
 // -sketch-refresh, so a cached body is revalidated as soon as the Bloom
 // sketch flags its path on a newer generation — the same Δ-bounded
-// coherence contract the client proxy enforces, applied one tier out.
-// Devices asking the edge for the sketch get that copy, with the Age it
-// has reached, while that is below the max-age (Δ) the server sent it
-// with; a copy past it is refreshed before it is served. The edge's own
-// hits rest on the same copy: once it is Δ old, no sketch vouches for a
-// cached body and every hit is revalidated (speedkit_edge_degraded_total).
-// -sketch-refresh therefore belongs well below Δ: at or above it (or at 0)
-// every Δ some device's request waits for the upstream fetch the poller
-// did not make, and hits turn into revalidations until the next poll.
+// coherence contract the client proxy enforces, applied one tier out. The
+// sketch is the edge's only invalidation feed: the server pushes no
+// purges, so -sketch-refresh is the bound on how long after a write the
+// edge keeps serving the old version. Devices asking the edge for the
+// sketch get that copy, with the Age it has reached, while that is below
+// the max-age (Δ) the server sent it with; a copy past it is refreshed
+// before it is served. The edge's own hits rest on the same copy: once it
+// is Δ old, no sketch vouches for a cached body and every hit is
+// revalidated (speedkit_edge_degraded_total). -sketch-refresh therefore
+// belongs well below Δ: at or above it (or at 0, and the edge warns at
+// both) every Δ some device's request waits for the upstream fetch the
+// poller did not make, and hits turn into revalidations until the next
+// poll.
 //
 // This process deploys on shared points of presence. It never sees a
 // session, a consent record, or a user identifier, and the lint suite
@@ -54,7 +58,7 @@ func main() {
 	upstream := flag.String("upstream", "http://localhost:8080", "speedkit-server base URL")
 	cacheDir := flag.String("cache-dir", "", "disk cache directory (empty = memory-only)")
 	maxEntries := flag.Int("max-entries", 4096, "in-memory entry bound")
-	sketchRefresh := flag.Duration("sketch-refresh", 10*time.Second, "sketch poll interval (0 disables)")
+	sketchRefresh := flag.Duration("sketch-refresh", 10*time.Second, "sketch poll interval: how long after a write this edge may serve the old version; 0 disables polling; writes then reach this edge only every Δ")
 	snapshotEvery := flag.Int("snapshot-every", 256, "disk-tier journal records between snapshots")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
 	flag.Parse()
@@ -93,11 +97,11 @@ func main() {
 		}
 		learned = true
 		logger.Info(ctx).Dur("delta", delta).Msg("learned Δ from the sketch response")
-		if *sketchRefresh > 0 && *sketchRefresh >= delta-time.Second {
+		if *sketchRefresh <= 0 || *sketchRefresh >= delta-time.Second {
 			logger.Warn(ctx).
 				Dur("sketch_refresh", *sketchRefresh).
 				Dur("delta", delta).
-				Msg("-sketch-refresh is not below Δ: device sketch requests will wait on upstream fetches, and hits will be revalidated")
+				Msg("-sketch-refresh is 0 or not below Δ: device sketch requests will wait on upstream fetches, and hits will be revalidated")
 		}
 	}
 

@@ -37,13 +37,12 @@ import (
 	"syscall"
 	"time"
 
-	"speedkit"
 	"speedkit/internal/clock"
 	"speedkit/internal/core"
 	"speedkit/internal/durable"
-	"speedkit/internal/edge"
 	"speedkit/internal/httpapi"
 	"speedkit/internal/obs"
+	"speedkit/internal/session"
 	"speedkit/internal/slog"
 	"speedkit/internal/workload"
 )
@@ -57,7 +56,6 @@ func main() {
 	traceRing := flag.Int("trace-ring", 256, "how many recent traces /debug/traces retains")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
 	dataDir := flag.String("data-dir", "", "durability directory (empty = memory-only); coherence state is journaled there and recovered at startup")
-	notifyEdge := flag.String("notify-edge", "", "edge base URL to POST purges to (e.g. http://localhost:8081); an invalidated path is purged only if the sketch server's expiration table says some cache can still hold a copy of it")
 	flag.Parse()
 
 	// The sanctioned process log: leveled logfmt on stderr, stamped with
@@ -125,34 +123,7 @@ func main() {
 		logger.Info(ctx).Int("warmed", int64(warmed)).Int("skipped", int64(len(skipped))).Msg("edges warmed")
 	}
 
-	if *notifyEdge != "" {
-		// Purge notifications ride the invalidation pipeline: every
-		// invalidb match that purges the simulated CDN also evicts the
-		// real edge — only for paths some cache can still hold, which the
-		// sketch server's expiration table knows. An edge copy older than
-		// this process is revalidated on the sketch's new epoch instead.
-		// Best-effort by design — a missed purge leaves the
-		// edge entry to the sketch, which flags the path on the next
-		// generation and forces revalidation within Δ.
-		purger := edge.NewPurger(*notifyEdge, edge.PurgerConfig{
-			Dropped: svc.Obs().Counter("speedkit.edge.purges_dropped.total"),
-			OnFailing: func(err error) {
-				logger.Warn(ctx).Err(err).Str("edge", *notifyEdge).Msg("edge purges failing; dropped until one succeeds")
-			},
-		})
-		cancel := svc.OnPurge(purger.Purge)
-		defer func() {
-			cancel()
-			// Bounded like srv.Shutdown: a hung edge must not hold SIGTERM.
-			cctx, ccancel := context.WithTimeout(ctx, 5*time.Second)
-			defer ccancel()
-			_ = purger.Close(cctx)
-			logger.Info(ctx).Uint("dropped", purger.Dropped()).Msg("edge purge notifications stopped")
-		}()
-		logger.Info(ctx).Str("edge", *notifyEdge).Msg("edge purge notifications enabled")
-	}
-
-	api := httpapi.New(svc, speedkit.NewUsers(1, 100))
+	api := httpapi.New(svc, session.Population(1, 100))
 	logger.Info(ctx).
 		Str("addr", *addr).
 		Int("products", int64(*products)).

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"os"
 	"sync"
@@ -24,6 +26,7 @@ import (
 	"speedkit/internal/httpbody"
 	"speedkit/internal/httpclient"
 	"speedkit/internal/proxy"
+	"speedkit/internal/workload"
 )
 
 // runEdge is the -edge gate: a real speedkit-server and a speedkit edge
@@ -54,7 +57,15 @@ import (
 //     acknowledged before the tear is served byte-identical, without
 //     touching the origin — the journaled sketch epoch matches the one
 //     the upstream still serves, so nothing is revalidated.
-//  6. GDPR — no PII field name and no simulated user identity appears
+//  6. The sketch as the only invalidation feed — an edge nobody purges,
+//     whose polls are the gate's own RefreshSketch calls, never a timer:
+//     (i) after a write it serves the old version until its next poll and
+//     the new one after it, through one conditional origin fetch, with
+//     its held sketch younger than Δ at every read; (ii) a write and a
+//     poll that land while a fill is in flight — the origin has rendered
+//     the old page and holds its answer — leave that fill unvouched, so
+//     the next read does not serve the old version as a hit.
+//  7. GDPR — no PII field name and no simulated user identity appears
 //     in any byte the edge persisted, scanned over both cache
 //     directories exactly like the -crash gate scans the durability
 //     tier.
@@ -117,9 +128,10 @@ func runEdge(seed int64, products int) {
 	guardA := &identityGuard{next: pa.Handler(), id: []byte(member.ID)}
 	edgeSrvA, edgeBaseA := serveLoopback(guardA)
 
-	// Invalidations flow to edge purges the way cmd/speedkit-server's
-	// -notify-edge does, but synchronously so the gate is deterministic.
-	// The answer must be the purge contract: 204 and no body.
+	// Check 2 has the write pipeline purge edge A, synchronously so the gate
+	// is deterministic, as the load harness purges its edge; no shipped tier
+	// sends purges (check 6 runs an edge without them). The answer must be
+	// the purge contract: 204 and no body.
 	cancel := svc.OnPurge(func(path string) {
 		resp, err := http.Post(edgeBaseA+"/v1/purge?path="+url.QueryEscape(path), "", nil)
 		if err != nil {
@@ -399,7 +411,9 @@ func runEdge(seed int64, products int) {
 		fail("proxy B2 close: %v", err)
 	}
 
-	// 6. GDPR: no user identity in any byte the edge persisted. The
+	runUnpurged(svc, counter, originBase, fail)
+
+	// 7. GDPR: no user identity in any byte the edge persisted. The
 	// cache holds the anonymous shared shell verbatim, so the scan looks
 	// for identity values — IDs, names, emails of the simulated
 	// population — not field names (shell markup legitimately contains
@@ -427,7 +441,110 @@ func runEdge(seed int64, products int) {
 		fmt.Fprintf(os.Stderr, "\nedge: %d violation(s)\n", violations)
 		os.Exit(1)
 	}
-	fmt.Println("edge: all invariants hold — coalescing, purge propagation, closed surface, identity only at the origin, sketch distribution, crash recovery, zero persisted PII")
+	fmt.Println("edge: all invariants hold — coalescing, purge propagation, closed surface, identity only at the origin, sketch distribution, crash recovery, the sketch as the only invalidation feed, zero persisted PII")
+}
+
+// runUnpurged is check 6: edge C, memory-only, which nobody purges, so the
+// sketch it holds is its only invalidation feed. It polls only when the
+// check calls RefreshSketch.
+func runUnpurged(svc *core.Service, counter *pageCounter, originBase string, fail func(string, ...any)) {
+	ctx := context.Background()
+	pc, _, err := edge.New(edge.Options{Upstream: originBase})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "edge: proxy C: %v\n", err)
+		os.Exit(1)
+	}
+	edgeSrvC, base := serveLoopback(pc.Handler())
+	defer func() {
+		edgeSrvC.Close()
+		if err := pc.Close(); err != nil {
+			fail("proxy C close: %v", err)
+		}
+	}()
+	var polled time.Time
+	poll := func() {
+		polled = clock.System.Now()
+		if err := pc.RefreshSketch(ctx); err != nil {
+			fail("proxy C sketch: %v", err)
+		}
+	}
+	// read returns the ETag and X-Edge-Cache state of one page read. The
+	// held sketch is no older than the poll that fetched it: below Δ here,
+	// its hits are vouched for by the sketch and not revalidated for want
+	// of one.
+	read := func(step, path string) (etag, state string) {
+		_, hdr, status, err := edgeGet(base, path, "")
+		if err != nil || status != http.StatusOK {
+			fail("unpurged edge, %s: status=%d err=%v", step, status, err)
+		}
+		if age := clock.System.Now().Sub(polled); age >= edgeGateDelta {
+			fail("unpurged edge, %s: held sketch %v old, not below Δ %v", step, age, edgeGateDelta)
+		}
+		return hdr.Get("ETag"), hdr.Get("X-Edge-Cache")
+	}
+	// write changes a product's price, then outwaits the simulated CDN's
+	// purge delay inside the origin, as check 2 does.
+	write := func(i int, price float64) {
+		if err := svc.Docs().Patch("products", workload.ProductID(i), map[string]any{"price": price}); err != nil {
+			fail("backend write: %v", err)
+		}
+		clock.Sleep(clock.System, 50*time.Millisecond)
+	}
+
+	// (i) A write reaches the edge with its next poll, and not before.
+	poll()
+	path := workload.ProductPath(7)
+	old, state := read("fill", path)
+	if state != "miss" {
+		fail("unpurged edge, fill of %s: state %q, want miss", path, state)
+	}
+	if _, state := read("warm read", path); state != "hit" {
+		fail("unpurged edge, warm read of %s: state %q, want hit", path, state)
+	}
+	write(7, 11.11)
+	if etag, state := read("read before the poll", path); etag != old || state != "hit" {
+		fail("unpurged edge, read before the poll: %s %s, want the old version %s as a hit", state, etag, old)
+	}
+	pages, conds := counter.pages.Load(), counter.conds.Load()
+	poll()
+	etag, state := read("read after the poll", path)
+	pages, conds = counter.pages.Load()-pages, counter.conds.Load()-conds
+	if etag == old || pages != 1 || conds != 1 {
+		fail("unpurged edge, read after the poll: %s %s with %d origin page fetches, %d conditional; want a new version through one conditional fetch", state, etag, pages, conds)
+	} else {
+		fmt.Printf("edge: unpurged edge served %s until its poll, then %s through 1 conditional origin fetch\n", old, etag)
+	}
+
+	// (ii) A write and a poll land while a fill is in flight: the origin
+	// has rendered the old page and holds the answer.
+	path = workload.ProductPath(13)
+	held := &answerHold{reached: make(chan struct{}), release: make(chan struct{})}
+	counter.holdAnswer.Store(held)
+	filled := make(chan [2]string, 1)
+	go func() {
+		etag, state := read("held fill", path)
+		filled <- [2]string{etag, state}
+	}()
+	select {
+	case <-held.reached:
+	case got := <-filled:
+		fail("unpurged edge: fill of %s answered %s %s before the origin held it", path, got[1], got[0])
+		return
+	}
+	write(13, 22.22)
+	poll()
+	close(held.release)
+	got := <-filled
+	old = got[0]
+	etag, state = read("read after the held fill", path)
+	if etag == old {
+		fail("unpurged edge: a fill the poll overtook was stored as validated at the new generation; the next read served the old version %s as %s", old, state)
+	} else {
+		fmt.Printf("edge: a write and a poll during a fill of %s left it unvouched: next read %s %s, not the fill's %s\n", path, state, etag, old)
+	}
+	if d := pc.Stats().Degraded; d != 0 {
+		fail("unpurged edge revalidated %d hits for want of a sketch within Δ", d)
+	}
 }
 
 // edgeGateDelta is the Δ the gate's origin announces and its device
@@ -443,16 +560,39 @@ type pageCounter struct {
 	sketches atomic.Int64
 	blocks   atomic.Int64
 	sketchAt atomic.Int64 // UnixNano
+	// conds counts the page requests that carry If-None-Match.
+	conds atomic.Int64
 	// hold, while set, keeps page requests waiting until it is closed.
 	hold atomic.Pointer[chan struct{}]
+	// holdAnswer, while set, holds the next page answer once it is
+	// rendered: the origin has chosen the version it serves and the edge
+	// has received none of it.
+	holdAnswer atomic.Pointer[answerHold]
 }
+
+// answerHold is one held page answer: the origin closes reached once the
+// answer is rendered and sends it once release is closed.
+type answerHold struct{ reached, release chan struct{} }
 
 func (c *pageCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/v1/page":
 		c.pages.Add(1)
+		if r.Header.Get("If-None-Match") != "" {
+			c.conds.Add(1)
+		}
 		if hold := c.hold.Load(); hold != nil {
 			<-*hold
+		}
+		if held := c.holdAnswer.Swap(nil); held != nil {
+			rec := httptest.NewRecorder()
+			c.next.ServeHTTP(rec, r)
+			close(held.reached)
+			<-held.release
+			maps.Copy(w.Header(), rec.Header())
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+			return
 		}
 	case "/v1/sketch":
 		c.sketches.Add(1)

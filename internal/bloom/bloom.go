@@ -185,26 +185,6 @@ func (f *Filter) AddProbes(p Probes) {
 	f.n++
 }
 
-// AddBatch inserts every key, processing the keys in groups of BatchSize:
-// each group's probe pairs are derived in one pass and then applied
-// back-to-back. The resulting filter state is bit-for-bit identical to
-// calling Add for each key in order (insertion is commutative idempotent
-// bit-setting), which the equivalence tests pin via MarshalBinary.
-func (f *Filter) AddBatch(keys []string) {
-	var pb [BatchSize]Probes
-	for off := 0; off < len(keys); off += BatchSize {
-		end := off + BatchSize
-		if end > len(keys) {
-			end = len(keys)
-		}
-		chunk := keys[off:end]
-		ProbesForBatch(chunk, &pb)
-		for i := range chunk {
-			f.AddProbes(pb[i])
-		}
-	}
-}
-
 // Contains reports whether key may be in the set. False positives are
 // possible; false negatives are not. Allocates nothing.
 //
@@ -288,22 +268,6 @@ func (f *Filter) FillRatio() float64 {
 		set += popcount(w)
 	}
 	return float64(set) / float64(f.m)
-}
-
-// EstimatedFPR estimates the current false-positive probability from the
-// realized fill ratio.
-func (f *Filter) EstimatedFPR() float64 {
-	return math.Pow(f.FillRatio(), float64(f.k))
-}
-
-// EstimatedCardinality estimates the number of distinct inserted keys from
-// the fill ratio using the standard inversion n ≈ -(m/k)·ln(1 - X/m).
-func (f *Filter) EstimatedCardinality() float64 {
-	fill := f.FillRatio()
-	if fill >= 1 {
-		return math.Inf(1)
-	}
-	return -float64(f.m) / float64(f.k) * math.Log(1-fill)
 }
 
 // Compact returns the smallest filter that answers for f's keys at f's

@@ -22,6 +22,13 @@ func halveTo(f *Filter, m uint32) *Filter {
 	return out
 }
 
+// addAll inserts every key.
+func addAll(f *Filter, keys []string) {
+	for _, k := range keys {
+		f.Add(k)
+	}
+}
+
 func marshal(t *testing.T, f *Filter) []byte {
 	t.Helper()
 	data, err := f.MarshalBinary()
@@ -44,10 +51,10 @@ func TestHalvedEqualsBuiltSmaller(t *testing.T) {
 			keys[i] = fmt.Sprintf("/p/%d/%d", round, rng.Int63())
 		}
 		full := NewFilter(top, k)
-		full.AddBatch(keys)
+		addAll(full, keys)
 		for m := uint32(top); m >= 64; m /= 2 {
 			direct := NewFilter(m, k)
-			direct.AddBatch(keys)
+			addAll(direct, keys)
 			if got, want := marshal(t, halveTo(full, m)), marshal(t, direct); !bytes.Equal(got, want) {
 				t.Fatalf("round %d (k=%d, %d keys): %d bits halved to %d differ from a direct build", round, k, len(keys), top, m)
 			}
@@ -68,7 +75,7 @@ func TestCompactStopsAtHalfFill(t *testing.T) {
 			keys[i] = fmt.Sprintf("/k/%d", rng.Int63())
 		}
 		full := NewFilter(top, k)
-		full.AddBatch(keys)
+		addAll(full, keys)
 		before := marshal(t, full)
 
 		c := full.Compact()
@@ -76,7 +83,7 @@ func TestCompactStopsAtHalfFill(t *testing.T) {
 			t.Fatalf("%d keys: Compact changed its receiver", n)
 		}
 		direct := NewFilter(c.Bits(), k)
-		direct.AddBatch(keys)
+		addAll(direct, keys)
 		if !bytes.Equal(marshal(t, c), marshal(t, direct)) {
 			t.Fatalf("%d keys: compacted to %d bits, differs from a direct build", n, c.Bits())
 		}

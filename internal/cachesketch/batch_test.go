@@ -134,9 +134,9 @@ func TestCheckBatchStaleSnapshot(t *testing.T) {
 	}
 }
 
-// CheckBatch and MightBeStaleBatch are //speedkit:hotpath: steady-state
-// batched checks must allocate nothing even for batches longer than
-// bloom.BatchSize (chunking reslices, never copies).
+// CheckBatch is //speedkit:hotpath: steady-state batched checks must
+// allocate nothing even for batches longer than bloom.BatchSize (chunking
+// reslices, never copies).
 func TestCheckBatchZeroAlloc(t *testing.T) {
 	s, clk := newTestServer()
 	keys := make([]string, 3*bloom.BatchSize+5)
@@ -148,18 +148,11 @@ func TestCheckBatchZeroAlloc(t *testing.T) {
 		}
 	}
 	cl := NewClient(clk, time.Hour)
-	sn := s.Snapshot()
-	cl.Install(sn)
+	cl.Install(s.Snapshot())
 	out := make([]Decision, len(keys))
 	if n := testing.AllocsPerRun(1000, func() {
 		cl.CheckBatch(keys, out)
 	}); n != 0 {
 		t.Fatalf("CheckBatch allocates %.1f per run, want 0", n)
-	}
-	hits := make([]bool, len(keys))
-	if n := testing.AllocsPerRun(1000, func() {
-		sn.MightBeStaleBatch(keys, hits)
-	}); n != 0 {
-		t.Fatalf("MightBeStaleBatch allocates %.1f per run, want 0", n)
 	}
 }

@@ -437,17 +437,6 @@ func (s *Server) Stats() ServerStats {
 	return st
 }
 
-// FilterParams returns the (m, k) Bloom parameters of the server's
-// counting filter — the parameters every flattened snapshot inherits. The
-// cluster merge layer validates incoming shard frames against them before
-// unioning, so a mis-sized node is rejected with bloom.ErrParamMismatch
-// instead of silently corrupting the merged sketch.
-func (s *Server) FilterParams() (m, k uint32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counting.Bits(), s.counting.Hashes()
-}
-
 // SketchBytes returns the length of the current generation's wire
 // encoding: what a device asking now would download. It follows the
 // tracked count, not the configured capacity (see Snapshot.Marshal).
@@ -495,16 +484,6 @@ type Snapshot struct {
 //speedkit:hotpath
 func (sn *Snapshot) MightBeStale(key string) bool {
 	return sn.Filter.Contains(key)
-}
-
-// MightBeStaleBatch answers MightBeStale for every key at once, writing
-// the verdicts into hits (which must be at least as long as keys). The
-// probes run through the filter's batched path, so one snapshot suffices
-// for the whole group and nothing is allocated.
-//
-//speedkit:hotpath
-func (sn *Snapshot) MightBeStaleBatch(keys []string, hits []bool) {
-	sn.Filter.ContainsBatch(keys, hits)
 }
 
 // Marshal encodes the snapshot for devices: the filter compacted to what

@@ -180,7 +180,7 @@ func TestSnapshotIsImmutableAgainstLaterWrites(t *testing.T) {
 // and SketchBytes is the length of exactly that.
 func TestSnapshotMarshal(t *testing.T) {
 	s, clk := newTestServer()
-	m, k := s.FilterParams()
+	m, k := s.counting.Bits(), s.counting.Hashes()
 	if m != 16<<10 {
 		t.Fatalf("counting filter of %d cells: not sized on the halving ladder", m)
 	}

@@ -494,6 +494,8 @@ func (s *Service) PurgePath(path string) {
 // invalidation pipeline or by PurgePath. Listeners run synchronously on
 // the purging goroutine, so they must be fast and must not call back
 // into the Service. The returned cancel func removes the listener.
+//
+// kept for cmd/speedkit-load (ROADMAP 13(i))
 func (s *Service) OnPurge(fn func(path string)) (cancel func()) {
 	l := &purgeListener{fn: fn}
 	s.editPurgeListeners(func(ls []*purgeListener) []*purgeListener { return append(ls, l) })

@@ -27,8 +27,10 @@
 //     it teaches the edge nothing.
 //   - Concurrent misses for one key coalesce into a single origin
 //     fetch; late joiners stream the shared in-flight body (see fill).
-//   - Hits whose key the Bloom sketch flags on a newer generation are
-//     revalidated upstream with If-None-Match; a 304 renews the entry
+//   - The held sketch is the edge's invalidation feed: no tier pushes
+//     purges to it. Hits whose key the Bloom sketch flags on a generation
+//     newer than the one held when the copy was requested (its watermark)
+//     are revalidated upstream with If-None-Match; a 304 renews the entry
 //     without moving the body again. So is every entry stored before the
 //     held sketch's epoch was installed: an upstream that restarted
 //     without its history vouches for none of them. Client If-None-Match
@@ -240,11 +242,13 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePurge evicts one key, journaling the purge, and answers 204 with
-// no body. The speedkit-server invalidation pipeline POSTs here when
-// invalidb matches a write (see Purger). A purge is an idempotent
-// eviction with nothing to report back, and a best-effort sender that
-// closes the response unread keeps its connection only when there is no
-// body left to discard.
+// no body. No tier of the system sends purges: the held sketch carries
+// every invalidation to the edge within one poll. The load harness and the
+// -edge gate still POST here themselves. A purge is an idempotent eviction
+// with nothing to report back, and a sender that closes the response
+// unread keeps its connection only when there is no body left to discard.
+//
+// kept for cmd/speedkit-load (ROADMAP 13(i))
 func (p *Proxy) handlePurge(w http.ResponseWriter, r *http.Request) {
 	path := httpbody.PathParam(r.URL.RawQuery)
 	if path == "" {
@@ -422,6 +426,7 @@ func (p *Proxy) vouched(key string, e cache.Entry) bool {
 func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key string, e cache.Entry) {
 	hdr := http.Header{"If-None-Match": {e.Metadata[metaETag]}}
 	copyTraceparent(r, hdr)
+	held := p.sketch.Snapshot()
 	resp, err := p.upstreamGet(r.Context(), "/page", "?path="+httpbody.QueryValue(key), hdr)
 	received := p.clk.Now()
 	if err != nil {
@@ -431,7 +436,7 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusNotModified:
-		ne := p.renewEntry(e, resp)
+		ne := p.renewEntry(e, resp, p.watermark(held))
 		p.commit(ne)
 		p.m.revalidated.Add(1)
 		p.serveEntry(w, r, ne, stateRevalidated, resp.Header[cachesketch.EpochHeader])
@@ -451,7 +456,7 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 		// Same storability gate as lead(): an upstream that turned
 		// no-store/private must not be re-cached through revalidation.
 		if cacheable(resp.Header) {
-			ne := p.entryFromResponse(key, resp, body, received)
+			ne := p.entryFromResponse(key, resp, body, received, p.watermark(held))
 			p.commit(ne)
 			p.serveEntry(w, r, ne, stateMiss, resp.Header[cachesketch.EpochHeader])
 			return
@@ -504,6 +509,7 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 	}()
 	hdr := http.Header{}
 	copyTraceparent(r, hdr)
+	held := p.sketch.Snapshot()
 	// The fetch is shared state, not the leader's own: a leader whose
 	// client disconnects mid-stream must not cancel the fill out from
 	// under its followers, so the upstream request is detached from the
@@ -575,7 +581,7 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 			// cache would hold it for the entry's lifetime.
 			buf = append(make([]byte, 0, len(buf)), buf...)
 		}
-		p.commit(p.entryFromResponse(key, resp, buf, received))
+		p.commit(p.entryFromResponse(key, resp, buf, received, p.watermark(held)))
 	}
 }
 
@@ -647,25 +653,40 @@ func (p *Proxy) commit(e cache.Entry) {
 	}
 }
 
-// renewEntry extends a 304-validated entry: same body, fresh expiry,
-// the current sketch generation as its validation watermark.
-func (p *Proxy) renewEntry(e cache.Entry, resp *http.Response) cache.Entry {
+// watermark returns the sketch generation a copy is validated at, given
+// held, the snapshot the edge held when it sent the copy's request: held's
+// generation, not the one held when the copy commits. A write that lands
+// while the copy streams, flagged by a sketch installed before the commit,
+// is then still newer than the copy, and the next hit revalidates it. With
+// no sketch held at the request, or another epoch's held at the commit,
+// whose generations say nothing about held's, the copy is validated at
+// none: 0.
+func (p *Proxy) watermark(held *cachesketch.Snapshot) uint64 {
+	if held == nil || p.sketch.Snapshot().Epoch != held.Epoch {
+		return 0
+	}
+	return held.Generation
+}
+
+// renewEntry extends a 304-validated entry: same body, fresh expiry, gen
+// as its validation watermark (see watermark).
+func (p *Proxy) renewEntry(e cache.Entry, resp *http.Response, gen uint64) cache.Entry {
 	now := p.clk.Now()
 	e.StoredAt = now
 	e.ExpiresAt = now.Add(freshness(resp.Header))
 	e.Metadata = cloneMeta(e.Metadata)
-	e.Metadata[metaGen] = strconv.FormatUint(p.sketch.Generation(), 10)
+	e.Metadata[metaGen] = strconv.FormatUint(gen, 10)
 	return e
 }
 
 // entryFromResponse builds the cached representation of a 200 page
-// response received at now. Only protocol metadata is retained: key, body,
-// version, expiry, content type, the sketch generation watermark, and the
-// answer values they format to. The key is copied: the request's is a
-// window onto its request line (httpbody.PathParam), which an entry would
-// otherwise keep whole for as long as it is stored. A hit reads its key
-// without one.
-func (p *Proxy) entryFromResponse(key string, resp *http.Response, body []byte, now time.Time) cache.Entry {
+// response received at now, validated at sketch generation gen (see
+// watermark). Only protocol metadata is retained: key, body, version,
+// expiry, content type, the watermark, and the answer values they format
+// to. The key is copied: the request's is a window onto its request line
+// (httpbody.PathParam), which an entry would otherwise keep whole for as
+// long as it is stored. A hit reads its key without one.
+func (p *Proxy) entryFromResponse(key string, resp *http.Response, body []byte, now time.Time, gen uint64) cache.Entry {
 	version, _ := httpbody.ParseETag(resp.Header.Get("ETag"))
 	e := cache.Entry{
 		Key:       strings.Clone(key),
@@ -674,7 +695,7 @@ func (p *Proxy) entryFromResponse(key string, resp *http.Response, body []byte, 
 		StoredAt:  now,
 		ExpiresAt: now.Add(freshness(resp.Header)),
 		Metadata: map[string]string{
-			metaGen: strconv.FormatUint(p.sketch.Generation(), 10),
+			metaGen: strconv.FormatUint(gen, 10),
 		},
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {

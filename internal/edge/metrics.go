@@ -44,7 +44,8 @@ type Stats struct {
 	NotModified uint64
 	// CoalescedWaiters attached to another request's in-flight fill.
 	CoalescedWaiters uint64
-	// Purges applied (pipeline notifications and manual).
+	// Purges applied: POST /v1/purge, and copies a revalidation found
+	// disowned upstream.
 	Purges uint64
 	// UpstreamErrors on fetch or revalidation.
 	UpstreamErrors uint64

@@ -74,8 +74,9 @@ func restartBehindEdgeAndDevice(t *testing.T, sketched bool) {
 	defer ed.Close()
 	edgeSrv := httptest.NewServer(ed.Handler())
 	defer edgeSrv.Close()
-	// Purges reach the edge the way speedkit-server -notify-edge sends
-	// them, counted.
+	// Purges reach the edge from the server's purge listener, as the load
+	// harness wires it, counted: the write after the restart must send
+	// none, so only the new epoch can bring the edge the new version.
 	var purges atomic.Int64
 	notify := func(svc *core.Service) {
 		svc.OnPurge(func(p string) {
