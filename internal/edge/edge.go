@@ -436,8 +436,9 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusNotModified:
-		ne := p.renewEntry(e, resp, p.watermark(held))
-		p.commit(ne)
+		gen, keep := p.watermark(held, resp.Header)
+		ne := p.renewEntry(e, resp, gen)
+		p.keepOrDrop(ne, keep)
 		p.m.revalidated.Add(1)
 		p.serveEntry(w, r, ne, stateRevalidated, resp.Header[cachesketch.EpochHeader])
 		return
@@ -456,8 +457,9 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 		// Same storability gate as lead(): an upstream that turned
 		// no-store/private must not be re-cached through revalidation.
 		if cacheable(resp.Header) {
-			ne := p.entryFromResponse(key, resp, body, received, p.watermark(held))
-			p.commit(ne)
+			gen, keep := p.watermark(held, resp.Header)
+			ne := p.entryFromResponse(key, resp, body, received, gen)
+			p.keepOrDrop(ne, keep)
 			p.serveEntry(w, r, ne, stateMiss, resp.Header[cachesketch.EpochHeader])
 			return
 		}
@@ -581,7 +583,9 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 			// cache would hold it for the entry's lifetime.
 			buf = append(make([]byte, 0, len(buf)), buf...)
 		}
-		p.commit(p.entryFromResponse(key, resp, buf, received, p.watermark(held)))
+		if gen, keep := p.watermark(held, resp.Header); keep {
+			p.commit(p.entryFromResponse(key, resp, buf, received, gen))
+		}
 	}
 }
 
@@ -653,19 +657,42 @@ func (p *Proxy) commit(e cache.Entry) {
 	}
 }
 
-// watermark returns the sketch generation a copy is validated at, given
-// held, the snapshot the edge held when it sent the copy's request: held's
-// generation, not the one held when the copy commits. A write that lands
-// while the copy streams, flagged by a sketch installed before the commit,
-// is then still newer than the copy, and the next hit revalidates it. With
-// no sketch held at the request, or another epoch's held at the commit,
-// whose generations say nothing about held's, the copy is validated at
-// none: 0.
-func (p *Proxy) watermark(held *cachesketch.Snapshot) uint64 {
-	if held == nil || p.sketch.Snapshot().Epoch != held.Epoch {
-		return 0
+// keepOrDrop commits a revalidated copy, or, when watermark refused to
+// keep it, drops the copy it would have replaced: that one was validated
+// before the held sketch's epoch was installed, and stored at the install
+// instant it would still read as vouched for.
+func (p *Proxy) keepOrDrop(e cache.Entry, keep bool) {
+	if keep {
+		p.commit(e)
+		return
 	}
-	return held.Generation
+	p.Purge(e.Key)
+}
+
+// watermark returns the sketch generation a copy is validated at, given
+// held, the snapshot the edge held when it sent the copy's request, and
+// whether the copy may be stored at all. It is held's generation, not the
+// one held when the copy commits: a write that lands while the copy
+// streams, flagged by a sketch installed before the commit, is then still
+// newer than the copy, and the next hit revalidates it.
+//
+// With no sketch held at the request, or another epoch's held at the
+// commit, held's generations say nothing about the held sketch's, so the
+// copy is validated at none: 0. It is stored only if its answer states
+// the epoch held at the commit (cachesketch.PageEpoch): an answer from
+// another incarnation, committed after the install it raced, would be
+// dated after the epoch mark, and a write there that the held sketch does
+// not flag would leave it a hit past Δ. The answer's header is read on
+// that path alone.
+func (p *Proxy) watermark(held *cachesketch.Snapshot, h http.Header) (gen uint64, keep bool) {
+	now := p.sketch.Snapshot()
+	switch {
+	case now == nil:
+		return 0, true
+	case held != nil && now.Epoch == held.Epoch:
+		return held.Generation, true
+	}
+	return 0, cachesketch.PageEpoch(h) == now.Epoch
 }
 
 // renewEntry extends a 304-validated entry: same body, fresh expiry, gen

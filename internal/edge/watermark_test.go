@@ -16,7 +16,8 @@ import (
 
 // raceUpstream serves one page, /p, at a version a test moves, and holds
 // an armed request after it has chosen its answer: a 200 with the first
-// half of its body sent, a 304 before its status line.
+// half of its body sent, or before its status line if the hold says so, a
+// 304 before its status line.
 type raceUpstream struct {
 	mu      sync.Mutex
 	version uint64
@@ -26,7 +27,17 @@ type raceUpstream struct {
 
 // holdPoint is one armed hold: the upstream closes reached once the
 // request is held and answers the rest once release is closed.
-type holdPoint struct{ reached, release chan struct{} }
+type holdPoint struct {
+	reached, release chan struct{}
+	// beforeStatus holds a 200 before its status line too.
+	beforeStatus bool
+}
+
+// wait is the hold itself.
+func (hp *holdPoint) wait() {
+	close(hp.reached)
+	<-hp.release
+}
 
 func newRaceUpstream(version uint64) *raceUpstream {
 	u := &raceUpstream{version: version}
@@ -40,19 +51,21 @@ func newRaceUpstream(version uint64) *raceUpstream {
 		w.Header().Set("Cache-Control", "max-age=60")
 		if r.Header.Get("If-None-Match") == etag {
 			if hp != nil {
-				close(hp.reached)
-				<-hp.release
+				hp.wait()
 			}
 			w.WriteHeader(http.StatusNotModified)
 			return
+		}
+		if hp != nil && hp.beforeStatus {
+			hp.wait()
+			hp = nil
 		}
 		body := "the page at version " + strconv.FormatUint(v, 10)
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.Write([]byte(body[:len(body)/2]))
 		if hp != nil {
 			w.(http.Flusher).Flush()
-			close(hp.reached)
-			<-hp.release
+			hp.wait()
 		}
 		w.Write([]byte(body[len(body)/2:]))
 	}))
@@ -75,13 +88,22 @@ func (u *raceUpstream) set(version uint64) {
 // held. The next request must not be a hit on the old version. The clock
 // stands still, so the epoch mark (EpochSince) cannot tell the copy from
 // one stored after the install: the watermark alone must.
+//
+// In the last install the clock moves 1 s first, the upstream holds a
+// 200 before its status line, and the sketch of the other epoch flags
+// nothing, as the sketch of an incarnation that never served the copy
+// does not. The copy then arrives after the epoch mark, and no watermark
+// can stop the hit: the answer states no epoch, and one that is not the
+// held sketch's must not be stored.
 func TestWatermarkPredatesTheRequest(t *testing.T) {
 	installs := []struct {
-		name string
-		sn   *cachesketch.Snapshot
+		name    string
+		sn      *cachesketch.Snapshot
+		advance time.Duration
 	}{
-		{"newer generation", snapshotIn(1, 6, "/p")},
-		{"another epoch", snapshotIn(2, 2, "/p")},
+		{"newer generation", snapshotIn(1, 6, "/p"), 0},
+		{"another epoch", snapshotIn(2, 2, "/p"), 0},
+		{"another epoch flagging nothing, 1 s later", snapshotIn(2, 2), time.Second},
 	}
 	for _, path := range []struct {
 		name string
@@ -121,12 +143,13 @@ func TestWatermarkPredatesTheRequest(t *testing.T) {
 				p.InstallSketch(snapshotIn(1, 4))
 				want := path.setup(t, p, u)
 
-				hp := &holdPoint{reached: make(chan struct{}), release: make(chan struct{})}
+				hp := &holdPoint{reached: make(chan struct{}), release: make(chan struct{}), beforeStatus: in.advance > 0}
 				u.hold.Store(hp)
 				done := make(chan *httptest.ResponseRecorder)
 				go func() { done <- get(t, p, "/v1/page?path=/p", nil) }()
 				<-hp.reached
 				u.set(2)
+				clk.Advance(in.advance)
 				p.InstallSketch(in.sn)
 				close(hp.release)
 				if w := <-done; w.Header().Get("X-Edge-Cache") != want || w.Header().Get("Etag") != httpbody.ETag(1) {

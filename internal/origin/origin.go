@@ -439,68 +439,146 @@ func (s *Server) Stats() Stats {
 
 // --- built-in block renderers ---------------------------------------------
 
-// Renderers run once per block per page load. The greeting, cart and tier
-// renderers build their fragment in one allocation sized up front.
+// Renderers run once per block per page load. Each built-in comes in two
+// forms: AppendX appends the fragment to a buffer the caller owns, which
+// is how a device writes it straight into the page it assembles, and XBlock
+// renders it into one allocation sized up front, which is what the origin
+// answers a blocks request with (RegisterBlock).
+
+// BlockAppender is the append form of a BlockRenderer: it appends the
+// fragment for u to dst and returns the extended buffer.
+type BlockAppender func(dst []byte, u *session.User) []byte
 
 // maxIntLen is the longest decimal rendering of an int64.
 const maxIntLen = 20
 
-// GreetingBlock renders a per-user greeting; anonymous users get a
+const (
+	greetingAnon              = "<p>Welcome!</p>"
+	greetingPre, greetingPost = "<p>Welcome back, ", "!</p>"
+)
+
+// AppendGreeting appends a per-user greeting; anonymous users get a
 // generic one.
-func GreetingBlock(u *session.User) []byte {
+func AppendGreeting(dst []byte, u *session.User) []byte {
 	if u == nil || !u.LoggedIn {
-		return []byte("<p>Welcome!</p>")
+		return append(dst, greetingAnon...)
 	}
-	const pre, post = "<p>Welcome back, ", "!</p>"
-	b := make([]byte, 0, len(pre)+len(u.Name)+len(post))
-	b = append(b, pre...)
-	b = append(b, u.Name...)
-	return append(b, post...)
+	dst = append(dst, greetingPre...)
+	dst = append(dst, u.Name...)
+	return append(dst, greetingPost...)
 }
 
-// CartBlock renders the cart widget from on-device state.
+// GreetingBlock renders AppendGreeting's fragment.
+func GreetingBlock(u *session.User) []byte {
+	n := len(greetingAnon)
+	if u != nil && u.LoggedIn {
+		n = len(greetingPre) + len(u.Name) + len(greetingPost)
+	}
+	return AppendGreeting(make([]byte, 0, n), u)
+}
+
+const cartPre, cartPost = `<div class="cart">`, ` items</div>`
+
+// AppendCart appends the cart widget, rendered from on-device state.
+func AppendCart(dst []byte, u *session.User) []byte {
+	n := 0
+	if u != nil {
+		n = u.CartSize()
+	}
+	dst = append(dst, cartPre...)
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	return append(dst, cartPost...)
+}
+
+// CartBlock renders AppendCart's fragment.
 func CartBlock(u *session.User) []byte {
-	if u == nil {
-		return []byte(`<div class="cart">0 items</div>`)
-	}
-	const pre, post = `<div class="cart">`, ` items</div>`
-	b := make([]byte, 0, len(pre)+maxIntLen+len(post))
-	b = append(b, pre...)
-	b = strconv.AppendInt(b, int64(u.CartSize()), 10)
-	return append(b, post...)
+	return AppendCart(make([]byte, 0, len(cartPre)+maxIntLen+len(cartPost)), u)
 }
 
-// RecommendationsBlock renders recently viewed products — personalization
-// computed entirely from device-local history.
+// recoItems is how many recently viewed products the reco block lists.
+const recoItems = 4
+
+const (
+	recoPopular       = `<div class="reco">Popular products</div>`
+	recoPre, recoPost = `<div class="reco">Recently viewed: `, `</div>`
+	recoSep           = ", "
+)
+
+// AppendRecommendations appends the user's recently viewed products —
+// personalization computed entirely from device-local history.
+func AppendRecommendations(dst []byte, u *session.User) []byte {
+	var buf [recoItems]string
+	return appendReco(dst, recent(buf[:0], u))
+}
+
+// RecommendationsBlock renders AppendRecommendations' fragment.
 func RecommendationsBlock(u *session.User) []byte {
-	if u == nil || len(u.History()) == 0 {
-		return []byte(`<div class="reco">Popular products</div>`)
+	var buf [recoItems]string
+	ids := recent(buf[:0], u)
+	n := len(recoPopular)
+	if len(ids) > 0 {
+		n = len(recoPre) + len(recoPost) + (len(ids)-1)*len(recoSep)
+		for _, id := range ids {
+			n += len(id)
+		}
 	}
-	h := u.History()
-	if len(h) > 4 {
-		h = h[len(h)-4:]
-	}
-	return []byte(fmt.Sprintf(`<div class="reco">Recently viewed: %s</div>`, strings.Join(h, ", ")))
+	return appendReco(make([]byte, 0, n), ids)
 }
 
-// TierPriceBlock renders loyalty-tier pricing hints.
+// recent appends u's last recoItems views to dst (none for no user).
+func recent(dst []string, u *session.User) []string {
+	if u == nil {
+		return dst
+	}
+	return u.AppendRecent(dst, recoItems)
+}
+
+// appendReco appends the reco fragment listing ids, or the generic one
+// when there are none.
+func appendReco(dst []byte, ids []string) []byte {
+	if len(ids) == 0 {
+		return append(dst, recoPopular...)
+	}
+	dst = append(dst, recoPre...)
+	for i, id := range ids {
+		if i > 0 {
+			dst = append(dst, recoSep...)
+		}
+		dst = append(dst, id...)
+	}
+	return append(dst, recoPost...)
+}
+
+const tierPre, tierMid, tierPost = `<div class="tier">`, ": ", `% off</div>`
+
+// AppendTierPrice appends loyalty-tier pricing hints.
+func AppendTierPrice(dst []byte, u *session.User) []byte {
+	tier, discount := tierOf(u)
+	dst = append(dst, tierPre...)
+	dst = append(dst, tier...)
+	dst = append(dst, tierMid...)
+	dst = strconv.AppendInt(dst, int64(discount), 10)
+	return append(dst, tierPost...)
+}
+
+// TierPriceBlock renders AppendTierPrice's fragment.
 func TierPriceBlock(u *session.User) []byte {
+	tier, _ := tierOf(u)
+	return AppendTierPrice(make([]byte, 0, len(tierPre)+len(tier)+len(tierMid)+maxIntLen+len(tierPost)), u)
+}
+
+// tierOf is u's loyalty tier and its discount in percent; anonymous
+// users price at "standard".
+func tierOf(u *session.User) (string, int) {
 	tier := "standard"
 	if u != nil && u.LoggedIn {
 		tier = u.Tier
 	}
-	discount := 0
 	switch tier {
 	case "silver":
-		discount = 5
+		return tier, 5
 	case "gold":
-		discount = 10
+		return tier, 10
 	}
-	const pre, mid, post = `<div class="tier">`, ": ", `% off</div>`
-	b := make([]byte, 0, len(pre)+len(tier)+len(mid)+maxIntLen+len(post))
-	b = append(b, pre...)
-	b = append(b, tier...)
-	b = append(b, mid...)
-	b = strconv.AppendInt(b, int64(discount), 10)
-	return append(b, post...)
+	return tier, 0
 }

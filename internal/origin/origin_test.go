@@ -232,13 +232,37 @@ func TestBuiltinBlocks(t *testing.T) {
 }
 
 // TestBuiltinBlocksAllocateOnce: a personalized fragment is one
-// allocation, the fragment itself.
+// allocation, the fragment itself, and its append form writes into a
+// buffer with room without allocating. Each form renders what the other
+// does, for a user with a history longer than the reco block shows and
+// for none.
 func TestBuiltinBlocksAllocateOnce(t *testing.T) {
 	u := &session.User{ID: "u1", Name: "Ada", LoggedIn: true, Tier: "gold"}
 	u.AddToCart("p1", 3)
-	for name, r := range map[string]BlockRenderer{"greeting": GreetingBlock, "cart": CartBlock, "tier": TierPriceBlock} {
-		if allocs := testing.AllocsPerRun(100, func() { r(u) }); allocs != 1 {
-			t.Errorf("%s renders in %v allocations, want 1", name, allocs)
+	for _, id := range []string{"p1", "p2", "p3", "p4", "p5"} {
+		u.RecordView(id)
+	}
+	buf := make([]byte, 0, 256)
+	for _, b := range []struct {
+		name string
+		r    BlockRenderer
+		a    BlockAppender
+	}{
+		{"greeting", GreetingBlock, AppendGreeting},
+		{"cart", CartBlock, AppendCart},
+		{"reco", RecommendationsBlock, AppendRecommendations},
+		{"tier", TierPriceBlock, AppendTierPrice},
+	} {
+		for _, who := range []*session.User{u, nil} {
+			if got, want := string(b.a(buf[:0], who)), string(b.r(who)); got != want {
+				t.Errorf("%s appends %q, renders %q", b.name, got, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { b.r(u) }); allocs != 1 {
+			t.Errorf("%s renders in %v allocations, want 1", b.name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { b.a(buf[:0], u) }); allocs != 0 {
+			t.Errorf("%s appends in %v allocations, want 0", b.name, allocs)
 		}
 	}
 }

@@ -37,36 +37,37 @@ type (
 // cfg.Region and drops the duration reported; cfg.Network is ignored.
 func New(cfg Config, tr Transport) *Proxy {
 	// The proxy and its adapter are one allocation, as a NewSplit proxy is.
-	lp := &struct {
-		Proxy
-		regioned
-	}{regioned: regioned{tr: tr, region: cfg.Region}}
-	lp.Proxy.init(cfg, &lp.regioned, &lp.regioned)
-	return &lp.Proxy
+	r := &regioned{tr: tr}
+	r.init(cfg, r, r)
+	return &r.Proxy
 }
 
-// regioned is a Transport seen as Shared and FirstParty.
+// regioned is a proxy whose Transport it sees as Shared and FirstParty,
+// naming the region of the proxy's own Config in each call. It adds one
+// interface to the proxy and no more: over 512 B a pointerful object
+// carries an 8-byte header, so more would move every such device to a
+// larger size class (TestNewAllocations).
 type regioned struct {
-	tr     Transport
-	region netsim.Region
+	Proxy
+	tr Transport
 }
 
 func (r *regioned) FetchSketch(ctx context.Context) (*cachesketch.Snapshot, error) {
-	sn, _, err := r.tr.FetchSketch(ctx, r.region)
+	sn, _, err := r.tr.FetchSketch(ctx, r.cfg.Region)
 	return sn, err
 }
 
 func (r *regioned) Fetch(ctx context.Context, path string) (cache.Entry, Source, error) {
-	e, _, src, err := r.tr.Fetch(ctx, r.region, path)
+	e, _, src, err := r.tr.Fetch(ctx, r.cfg.Region, path)
 	return e, src, err
 }
 
 func (r *regioned) Revalidate(ctx context.Context, path string, knownVersion uint64) (RevalidationResult, error) {
-	return r.tr.Revalidate(ctx, r.region, path, knownVersion)
+	return r.tr.Revalidate(ctx, r.cfg.Region, path, knownVersion)
 }
 
 func (r *regioned) FetchBlocks(ctx context.Context, names []string, u *session.User) (map[string][]byte, error) {
-	frs, _, err := r.tr.FetchBlocks(ctx, r.region, names, u)
+	frs, _, err := r.tr.FetchBlocks(ctx, r.cfg.Region, names, u)
 	return frs, err
 }
 

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -100,7 +101,9 @@ type Shared interface {
 // FirstParty is the proxy's consented channel to the origin, the only
 // one that carries the user.
 type FirstParty interface {
-	// FetchBlocks returns origin-rendered personalized fragments.
+	// FetchBlocks returns origin-rendered personalized fragments, keyed
+	// by name. It must not keep names past its return: the proxy reuses
+	// the slice on its next load.
 	FetchBlocks(ctx context.Context, names []string, u *session.User) (map[string][]byte, error)
 }
 
@@ -137,10 +140,11 @@ type Config struct {
 	// fetched from the origin (server-side data). All other blocks render
 	// on-device.
 	OriginBlocks map[string]bool
-	// LocalBlocks maps block names to on-device renderers. Defaults to
+	// LocalBlocks maps block names to on-device renderers, in append
+	// form: each writes its fragment straight into the page. Defaults to
 	// the origin package's built-ins for greeting/cart/reco/tier, one map
 	// every device shares. It is only read, by personalize.
-	LocalBlocks map[string]origin.BlockRenderer
+	LocalBlocks map[string]origin.BlockAppender
 	// DisableSketch turns off the coherence protocol: cached entries are
 	// served purely by TTL. This is the "traditional expiration-based
 	// caching" baseline of the consistency experiments — never use it in
@@ -163,8 +167,8 @@ type Config struct {
 	// at 5 failures / 15s cooldown). A caller that bounds a load passes a
 	// ctx deadline.
 	Resilience ResilienceConfig
-	// Region is read by New alone, and Network by nothing: both remain
-	// for New's callers (see legacy.go).
+	// Region is read by the proxies New builds alone, and Network by
+	// nothing: both remain for New's callers (see legacy.go).
 	Region  region
 	Network network
 }
@@ -187,11 +191,11 @@ func (c *Config) applyDefaults() {
 
 // defaultLocalBlocks is Config.LocalBlocks' default, built once: every
 // device reads it, none writes it.
-var defaultLocalBlocks = map[string]origin.BlockRenderer{
-	"greeting": origin.GreetingBlock,
-	"cart":     origin.CartBlock,
-	"reco":     origin.RecommendationsBlock,
-	"tier":     origin.TierPriceBlock,
+var defaultLocalBlocks = map[string]origin.BlockAppender{
+	"greeting": origin.AppendGreeting,
+	"cart":     origin.AppendCart,
+	"reco":     origin.AppendRecommendations,
+	"tier":     origin.AppendTierPrice,
 }
 
 // Stats counts proxy activity.
@@ -231,13 +235,17 @@ type Proxy struct {
 	// schedules replay deterministically. Only a retry draws from it, so
 	// the first retry creates it (a rand.Rand is 5 KB, and most sessions
 	// never retry).
-	rng     *rand.Rand
-	backoff resilience.Backoff
+	rng *rand.Rand
 	// One breaker per upstream the device talks to, held by value: a
 	// device is built once per session.
 	brSketch resilience.Breaker
 	brShell  resilience.Breaker
 	brBlocks resilience.Breaker
+	// Scratch that personalize reuses from load to load: the names of the
+	// blocks a page takes from the origin, and the page it writes (what
+	// PageLoad.Body holds until the next load).
+	names []string
+	page  []byte
 }
 
 // proxyMetrics are the device-side instruments, pre-resolved from the
@@ -288,12 +296,6 @@ func (p *Proxy) init(cfg Config, shared Shared, first FirstParty) {
 		}),
 		shared: shared,
 		first:  first,
-		backoff: resilience.Backoff{
-			Base:   cfg.Resilience.RetryBase,
-			Max:    cfg.Resilience.RetryMaxDelay,
-			Factor: 2,
-			Jitter: cfg.Resilience.RetryJitter,
-		},
 	}
 	brCfg := resilience.BreakerConfig{
 		Clock:     cfg.Clock,
@@ -311,7 +313,10 @@ func (p *Proxy) init(cfg Config, shared Shared, first FirstParty) {
 // PageLoad is the result of one intercepted page request.
 type PageLoad struct {
 	Path string
-	// Body is the fully assembled, personalized page.
+	// Body is the fully assembled, personalized page. A page with blocks
+	// filled is written into a buffer the device reuses, so Body is valid
+	// until the device's next Load; a caller that keeps it longer copies
+	// it.
 	Body []byte
 	// Version is the content version of the anonymous shell served.
 	Version uint64
@@ -679,93 +684,35 @@ func (p *Proxy) revalidateShell(ctx context.Context, path string, res *PageLoad)
 	return rr.Entry, nil
 }
 
-// personalize replaces each block placeholder with its fragment. A
-// failed origin-fragment fetch never fails the page: the device falls
-// back to locally rendered variants (DegradeBlocksLocal).
+// personalize fills the shell's block placeholders with their fragments
+// in one scan and one write. A failed origin-fragment fetch never fails
+// the page: the device falls back to locally rendered variants
+// (DegradeBlocksLocal).
+//
+// The scan finds each placeholder (origin.BlockPrefix, a name,
+// origin.BlockSuffix) whose name the entry's "blocks" metadata lists, and
+// decides per block, at its first placeholder, whether the origin renders
+// it; those names go out in one FetchBlocks batch. The write copies the
+// shell around the placeholders into the device's page buffer, with each
+// block's fragment in their place: the origin's as it arrived, a local one
+// appended by its renderer, and a block's later placeholders a copy of its
+// first fill. Fragments are never scanned. A placeholder of a block that
+// is not listed, that the origin did not answer, or that lacks its suffix
+// stays in the page. It returns the page and the number of distinct
+// blocks filled; a shell with nothing to fill comes back as it is, and a
+// filled page is valid until the next load.
 func (p *Proxy) personalize(ctx context.Context, entry cache.Entry, res *PageLoad, trace *obs.Trace) ([]byte, int, error) {
-	names := blockNames(entry)
-	if len(names) == 0 {
+	list := entry.Metadata["blocks"]
+	if list == "" {
 		return entry.Body, 0, nil
 	}
-
+	shell := entry.Body
 	consented := p.consented()
-	var originNames []string
-	fragments := make(map[string][]byte, len(names))
-	renderLocal := func(name string) {
-		// On-device rendering from local session state. Without consent,
-		// render the anonymous variant by passing a nil user.
-		r := p.cfg.LocalBlocks[name]
-		if r == nil {
-			fragments[name] = nil
-			return
-		}
-		u := p.cfg.User
-		if !consented {
-			u = nil
-		}
-		fragments[name] = r(u)
-		p.stats.BlocksLocal++
-	}
-	for _, name := range names {
-		if p.cfg.OriginBlocks[name] && consented && !res.Offline {
-			originNames = append(originNames, name)
-			continue
-		}
-		renderLocal(name)
-	}
-
-	// Origin-sourced fragments travel over the first-party channel, one
-	// batched round trip per page. PII crossing this boundary is lawful
-	// (first-party, consented) but still audited.
-	if len(originNames) > 0 {
-		if p.cfg.Auditor != nil {
-			p.cfg.Auditor.RecordFlow(gdpr.BoundaryOrigin, []string{"user_id", "path"})
-		}
-		var frs map[string][]byte
-		err := p.withRetry(ctx, &p.brBlocks, "blocks", func() (err error) {
-			frs, err = p.first.FetchBlocks(ctx, originNames, p.cfg.User)
-			return err
-		})
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, 0, err
-			}
-			// Degrade to local fallbacks for every origin-sourced block.
-			frs = nil
-			p.markDegraded(res, trace, DegradeBlocksLocal)
-			for _, name := range originNames {
-				renderLocal(name)
-			}
-		}
-		for name, fr := range frs {
-			fragments[name] = fr
-			p.stats.BlocksOrigin++
-		}
-	}
-
-	body, count := assemble(entry.Body, fragments)
-	return body, count, nil
-}
-
-// placeholder is one fillable block placeholder in a shell: its bytes
-// shell[start:end], and the fragment that replaces them.
-type placeholder struct {
-	start, end int
-	frag       []byte
-}
-
-// assemble replaces every placeholder in shell whose block has an entry
-// in fragments (a nil fragment fills it with nothing) and counts the
-// distinct blocks it filled. One scan for origin.BlockPrefix finds the
-// placeholders, and the page is written into one exactly-sized buffer;
-// fragments go in verbatim and are never scanned. A placeholder with no
-// entry, or one missing its origin.BlockSuffix, stays in the page, and a
-// shell with nothing to fill comes back as it is.
-func assemble(shell []byte, fragments map[string][]byte) ([]byte, int) {
-	// A page has a handful of blocks; more than eight spill to the heap.
+	// A page has a handful of placeholders; more than eight spill to the
+	// heap.
 	var stack [8]placeholder
 	found := stack[:0]
-	size, count := len(shell), 0
+	p.names = p.names[:0]
 	for i := 0; ; {
 		j := bytes.Index(shell[i:], blockPrefix)
 		if j < 0 {
@@ -776,49 +723,154 @@ func assemble(shell []byte, fragments map[string][]byte) ([]byte, int) {
 		if k < 0 {
 			break
 		}
-		name := shell[nameAt : nameAt+k]
-		frag, ok := fragments[string(name)]
+		raw := shell[nameAt : nameAt+k]
+		name, ok := listed(list, raw)
 		if !ok {
 			// Not a block of this page. A placeholder may still start
 			// inside what looked like its name: at the last prefix there,
 			// since every one of them ends at the same suffix.
-			if l := bytes.LastIndex(name, blockPrefix); l >= 0 {
+			if l := bytes.LastIndex(raw, blockPrefix); l >= 0 {
 				i = nameAt + l
 			} else {
 				i = nameAt + k + len(blockSuffix)
 			}
 			continue
 		}
-		ph := placeholder{start: i + j, end: nameAt + k + len(blockSuffix), frag: frag}
-		if !seenBlock(shell, found, name) {
-			count++
+		ph := placeholder{start: i + j, end: nameAt + k + len(blockSuffix), name: name, first: len(found)}
+		for f := range found {
+			if found[f].name == name {
+				ph.first = f
+				break
+			}
+		}
+		if ph.first == len(found) && p.cfg.OriginBlocks[name] && consented && !res.Offline {
+			ph.origin = true
+			p.names = append(p.names, name)
 		}
 		found = append(found, ph)
-		size += len(frag) - (ph.end - ph.start)
 		i = ph.end
 	}
 	if len(found) == 0 {
-		return shell, 0
+		return shell, 0, nil
 	}
-	out := make([]byte, 0, size)
-	prev := 0
-	for _, ph := range found {
-		out = append(out, shell[prev:ph.start]...)
-		out = append(out, ph.frag...)
-		prev = ph.end
-	}
-	return append(out, shell[prev:]...), count
-}
 
-// seenBlock reports whether one of the placeholders found in shell is
-// for the block name.
-func seenBlock(shell []byte, found []placeholder, name []byte) bool {
+	// Origin-sourced fragments travel over the first-party channel, one
+	// batched round trip per page. PII crossing this boundary is lawful
+	// (first-party, consented) but still audited.
+	var frs map[string][]byte
+	if len(p.names) > 0 {
+		if p.cfg.Auditor != nil {
+			p.cfg.Auditor.RecordFlow(gdpr.BoundaryOrigin, []string{"user_id", "path"})
+		}
+		err := p.withRetry(ctx, &p.brBlocks, "blocks", func() (err error) {
+			frs, err = p.first.FetchBlocks(ctx, p.names, p.cfg.User)
+			return err
+		})
+		if err != nil {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				return nil, 0, err
+			}
+			// Degrade to local fallbacks for every origin-sourced block.
+			frs = nil
+			p.markDegraded(res, trace, DegradeBlocksLocal)
+			for f := range found {
+				found[f].origin = false
+			}
+		}
+		p.stats.BlocksOrigin += uint64(len(frs))
+	}
+
+	// On-device rendering reads local session state. Without consent,
+	// blocks render their anonymous variant from a nil user.
+	u := p.cfg.User
+	if !consented {
+		u = nil
+	}
+	page := p.page[:0]
+	need := len(shell) + localReserve*len(found)
 	for _, ph := range found {
-		if bytes.Equal(shell[ph.start+len(blockPrefix):ph.end-len(blockSuffix)], name) {
-			return true
+		if ph.origin {
+			need += len(frs[ph.name])
 		}
 	}
-	return false
+	if cap(page) < need {
+		// Grown from nothing, the buffer takes its allocation's whole size
+		// class as capacity: slack a long fragment may use.
+		page = slices.Grow([]byte(nil), need)
+	}
+	count, prev := 0, 0
+	for f := range found {
+		ph := &found[f]
+		page = append(page, shell[prev:ph.start]...)
+		prev = ph.end
+		from := len(page)
+		switch {
+		case ph.first < f:
+			if first := &found[ph.first]; first.filled {
+				page = append(page, page[first.from:first.to]...)
+			} else {
+				page = append(page, shell[ph.start:ph.end]...)
+			}
+			continue
+		case ph.origin:
+			fr, ok := frs[ph.name]
+			if !ok {
+				page = append(page, shell[ph.start:ph.end]...)
+				continue
+			}
+			page = append(page, fr...)
+		default:
+			// A block with no renderer fills with nothing.
+			if r := p.cfg.LocalBlocks[ph.name]; r != nil {
+				page = r(page, u)
+				p.stats.BlocksLocal++
+			}
+		}
+		ph.filled, ph.from, ph.to = true, from, len(page)
+		count++
+	}
+	page = append(page, shell[prev:]...)
+	p.page = page
+	return page, count, nil
+}
+
+// localReserve is the room the page buffer reserves for each placeholder
+// beyond the bytes it replaces, for a fragment rendered on the device,
+// whose length is known only once it is written. The built-ins mostly fit
+// in it; one that does not grows the buffer once, and the device keeps
+// the larger one.
+const localReserve = 32
+
+// placeholder is one fillable block placeholder in a shell:
+// shell[start:end], for the block name.
+type placeholder struct {
+	start, end int
+	// name is the block's entry in the entry's block list.
+	name string
+	// first indexes the block's first placeholder in the shell; only
+	// that one is rendered or fetched.
+	first int
+	// origin reports that the origin renders the block.
+	origin bool
+	// filled reports that the placeholder was filled, with page[from:to].
+	filled   bool
+	from, to int
+}
+
+// listed returns the entry of the comma-separated block list that spells
+// name, as a substring of list, and whether there is one. It reads list
+// as strings.Split does, without allocating.
+func listed(list string, name []byte) (string, bool) {
+	for {
+		i := strings.IndexByte(list, ',')
+		if i < 0 {
+			return list, list == string(name)
+		}
+		if list[:i] == string(name) {
+			return list[:i], true
+		}
+		list = list[i+1:]
+	}
 }
 
 var blockPrefix, blockSuffix = []byte(origin.BlockPrefix), []byte(origin.BlockSuffix)
@@ -833,15 +885,6 @@ func (p *Proxy) consented() bool {
 		return p.cfg.Consent.Allowed(u.ID, gdpr.PurposePersonalization)
 	}
 	return u.ConsentPersonalization
-}
-
-// blockNames extracts the dynamic block list from the entry metadata.
-func blockNames(e cache.Entry) []string {
-	raw := e.Metadata["blocks"]
-	if raw == "" {
-		return nil
-	}
-	return strings.Split(raw, ",")
 }
 
 // BlocksMetadata renders a page's block list into cache-entry metadata.
@@ -923,9 +966,6 @@ func (p *Proxy) Stats() Stats { return p.stats }
 
 // CacheStats exposes the device cache counters.
 func (p *Proxy) CacheStats() cache.Stats { return p.store.Stats() }
-
-// SketchStats exposes the sketch client counters.
-func (p *Proxy) SketchStats() cachesketch.ClientStats { return p.sketch.Stats() }
 
 // User returns the device owner (may be nil).
 func (p *Proxy) User() *session.User { return p.cfg.User }

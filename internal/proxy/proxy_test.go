@@ -108,7 +108,7 @@ func (f *fakeTransport) FetchBlocks(_ context.Context, names []string, u *sessio
 		return nil, f.blockErr
 	}
 	f.blockCalls++
-	f.lastBlocks = names
+	f.lastBlocks = append([]string(nil), names...) // the proxy reuses names
 	f.lastUser = u
 	out := make(map[string][]byte, len(names))
 	for _, n := range names {

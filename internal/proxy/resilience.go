@@ -63,6 +63,12 @@ func (r *ResilienceConfig) applyDefaults() {
 	}
 }
 
+// backoff is the retry schedule r configures, built where a retry needs
+// it rather than held by every device.
+func (r *ResilienceConfig) backoff() resilience.Backoff {
+	return resilience.Backoff{Base: r.RetryBase, Max: r.RetryMaxDelay, Factor: 2, Jitter: r.RetryJitter}
+}
+
 // withRetry runs one logical upstream call through the resilience
 // layer: breaker admission and jittered exponential retries for
 // transient (ErrUpstream) failures. Backoff delays are slept on the
@@ -113,7 +119,7 @@ func (p *Proxy) withRetry(ctx context.Context, br *resilience.Breaker, upstream 
 			if p.rng == nil {
 				p.rng = rand.New(rand.NewSource(p.cfg.Resilience.Seed))
 			}
-			delay := p.backoff.Delay(p.rng, attempt)
+			delay := p.cfg.Resilience.backoff().Delay(p.rng, attempt)
 			p.stats.Retries++
 			if p.m != nil {
 				p.m.retries.Inc()
@@ -158,12 +164,6 @@ func (p *Proxy) heldWithinDelta(path string) (cache.Entry, bool) {
 		return cache.Entry{}, false
 	}
 	return held, true
-}
-
-// BreakerStates reports the sketch, shell, and blocks breaker states,
-// for diagnostics and tests.
-func (p *Proxy) BreakerStates() (sketch, shell, blocks resilience.State) {
-	return p.brSketch.State(), p.brShell.State(), p.brBlocks.State()
 }
 
 // BreakerStats reports the per-upstream breaker counters.

@@ -93,13 +93,18 @@ func (u *User) RecordView(productID string) {
 	}
 }
 
-// History returns a copy of the browsing history, oldest first.
-func (u *User) History() []string {
+// AppendRecent appends the k most recent entries of the browsing history,
+// oldest first, to dst and returns the extended slice. They are copied
+// under the lock, so a caller that passes an array with room for k keeps
+// no view of the history and allocates nothing.
+func (u *User) AppendRecent(dst []string, k int) []string {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	out := make([]string, len(u.history))
-	copy(out, u.history)
-	return out
+	h := u.history
+	if k < len(h) {
+		h = h[len(h)-max(k, 0):]
+	}
+	return append(dst, h...)
 }
 
 // tiers in generation proportion order.

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"speedkit/internal/netsim"
@@ -49,8 +50,8 @@ func TestHistoryBounded(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		u.RecordView("p")
 	}
-	if len(u.History()) != 20 {
-		t.Fatalf("history len = %d, want 20", len(u.History()))
+	if h := u.AppendRecent(nil, 30); len(h) != 20 {
+		t.Fatalf("history len = %d, want 20", len(h))
 	}
 }
 
@@ -58,13 +59,26 @@ func TestHistoryOrder(t *testing.T) {
 	u := &User{ID: "u1"}
 	u.RecordView("a")
 	u.RecordView("b")
-	h := u.History()
-	if h[0] != "a" || h[1] != "b" {
-		t.Fatalf("history = %v", h)
+	u.RecordView("c")
+	for _, c := range []struct {
+		k    int
+		want string
+	}{{-1, ""}, {0, ""}, {2, "b c"}, {3, "a b c"}, {20, "a b c"}} {
+		if got := strings.Join(u.AppendRecent(nil, c.k), " "); got != c.want {
+			t.Errorf("AppendRecent(nil, %d) = %q, want %q", c.k, got, c.want)
+		}
 	}
-	h[0] = "mutated"
-	if u.History()[0] != "a" {
-		t.Fatal("History returns aliased slice")
+	var buf [4]string
+	h := u.AppendRecent(buf[:1], 2)
+	if len(h) != 3 || &h[0] != &buf[0] || h[1] != "b" {
+		t.Fatalf("AppendRecent into a buffer with room = %v, want it appended in place", h)
+	}
+	h[1] = "mutated"
+	if u.AppendRecent(nil, 2)[0] != "b" {
+		t.Fatal("AppendRecent returns an aliased slice")
+	}
+	if n := testing.AllocsPerRun(100, func() { u.AppendRecent(buf[:0], 4) }); n != 0 {
+		t.Fatalf("AppendRecent into a buffer with room allocates %.0f", n)
 	}
 }
 

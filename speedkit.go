@@ -78,7 +78,9 @@ type ServiceConfig = core.Config
 // models for it.
 type Device = core.Device
 
-// PageLoad is the result of one device page load.
+// PageLoad is the result of one device page load. Its Body is valid
+// until the device's next Load: a personalized page is written into a
+// buffer the device reuses.
 type PageLoad = proxy.PageLoad
 
 // ResilienceConfig tunes a device's retry/backoff and circuit breakers
