@@ -51,7 +51,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	products := flag.Int("products", 1000, "catalog size")
 	delta := flag.Duration("delta", 60*time.Second, "staleness bound Δ")
-	warm := flag.Bool("warm", false, "pre-fill every edge with the home and category pages")
+	warm := flag.Bool("warm", false, "pre-fill the server's CDN tier with the home and category pages")
 	traceSample := flag.Int("trace-sample", 1, "trace 1 in N requests (0 disables tracing)")
 	traceRing := flag.Int("trace-ring", 256, "how many recent traces /debug/traces retains")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
@@ -120,7 +120,7 @@ func main() {
 		if err != nil {
 			fatal(logger.Error(ctx), err)
 		}
-		logger.Info(ctx).Int("warmed", int64(warmed)).Int("skipped", int64(len(skipped))).Msg("edges warmed")
+		logger.Info(ctx).Int("warmed", int64(warmed)).Int("skipped", int64(len(skipped))).Msg("cdn warmed")
 	}
 
 	api := httpapi.New(svc, session.Population(1, 100))

@@ -12,7 +12,6 @@ package cdn
 
 import (
 	"container/heap"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,16 +113,6 @@ func (c *CDN) Edge(r netsim.Region) *Edge {
 	return c.edges[r]
 }
 
-// Regions lists deployed regions, sorted for stable reports.
-func (c *CDN) Regions() []netsim.Region {
-	out := make([]netsim.Region, 0, len(c.edges))
-	for r := range c.edges {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // applyDuePurges executes purges whose propagation delay has passed. A
 // purge removes an entry only if the entry was stored at or before the
 // purge was issued: copies fetched after the write are already fresh.
@@ -206,13 +195,4 @@ func (c *CDN) Stats() Stats {
 		Purges:        c.purgesIssued.Load(),
 		PurgedEntries: c.purgedEntries.Load(),
 	}
-}
-
-// EdgeStats returns the cache-level stats of the edge in region r.
-func (c *CDN) EdgeStats(r netsim.Region) cache.Stats {
-	e, ok := c.edges[r]
-	if !ok {
-		return cache.Stats{}
-	}
-	return e.store.Stats()
 }

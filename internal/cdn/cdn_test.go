@@ -19,8 +19,8 @@ func newTestCDN() (*CDN, *clock.Simulated) {
 
 func TestCDNEdgesDeployed(t *testing.T) {
 	c, _ := newTestCDN()
-	if len(c.Regions()) != 3 {
-		t.Fatalf("regions = %v", c.Regions())
+	if len(c.edges) != 3 {
+		t.Fatalf("%d edges, want 3", len(c.edges))
 	}
 	for _, r := range netsim.Regions() {
 		if c.Edge(r) == nil {
@@ -122,19 +122,6 @@ func TestCDNPurgeAll(t *testing.T) {
 	}
 }
 
-func TestCDNEdgeStats(t *testing.T) {
-	c, clk := newTestCDN()
-	c.Edge(netsim.EU).Fill(cache.TTLEntry(clk, "/p/1", nil, 1, time.Hour))
-	c.Edge(netsim.EU).Lookup("/p/1")
-	st := c.EdgeStats(netsim.EU)
-	if st.Hits != 1 || st.Puts != 1 {
-		t.Fatalf("edge stats = %+v", st)
-	}
-	if st := c.EdgeStats(netsim.Region("mars")); st.Puts != 0 {
-		t.Fatal("ghost edge has stats")
-	}
-}
-
 func TestCDNHitRatio(t *testing.T) {
 	if (Stats{}).HitRatio() != 0 {
 		t.Fatal("empty ratio nonzero")
@@ -146,8 +133,8 @@ func TestCDNHitRatio(t *testing.T) {
 
 func TestCDNDefaults(t *testing.T) {
 	c := New(nil)
-	if len(c.Regions()) != 3 || c.clk != clock.CoarseSystem {
-		t.Fatalf("defaults: regions %v, clock %T", c.Regions(), c.clk)
+	if len(c.edges) != 3 || c.clk != clock.CoarseSystem {
+		t.Fatalf("defaults: %d edges, clock %T", len(c.edges), c.clk)
 	}
 }
 

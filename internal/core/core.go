@@ -1,9 +1,11 @@
 // Package core assembles the Speed Kit service from its substrates: the
 // document store (system of record), the origin server, the CDN, the
 // Cache Sketch coherence server, the real-time invalidation engine, and
-// the adaptive TTL estimator. It serves the calls of the client proxy's
-// two channels (and httpapi serves them over HTTP), hands out simulated
-// devices (Device), and wires the invalidation pipeline:
+// the adaptive TTL estimator. It answers the server's calls (Sketch, Page,
+// Revalidate and Blocks, which httpapi serves over HTTP and which time
+// themselves on the service clock), hands out simulated devices (Device,
+// whose link models the network time of the same calls), and wires the
+// invalidation pipeline:
 //
 //	write → change stream → { product-page version bump,
 //	                          query matching (invalidb) }
@@ -48,7 +50,8 @@ import (
 type Config struct {
 	// Clock drives every component (default: a fresh simulated clock).
 	Clock clock.Clock
-	// Network models latencies (default: DefaultTopology(Seed)).
+	// Network models the network time of simulated devices (default:
+	// DefaultTopology(Seed)). The server's calls draw nothing from it.
 	Network *netsim.Network
 	// Seed makes service-side randomness (render jitter) deterministic.
 	Seed int64
@@ -88,7 +91,9 @@ type Config struct {
 	SLO *obs.DeltaSLO
 	// Faults is the optional deterministic fault injector consulted at
 	// every transport call and invalidation-delivery hop (nil disables
-	// injection — the common, non-chaos case).
+	// injection — the common, non-chaos case). A Latency fault is
+	// modelled time, which only a simulated device's link adds up: over
+	// HTTP only error faults act.
 	Faults *faults.Injector
 	// DeviceResilience parameterizes the retry/backoff/breaker layer of
 	// proxies created by NewDevice. The zero value takes the proxy
@@ -160,6 +165,7 @@ type Service struct {
 	docs    *storage.DocumentStore
 	origin  *origin.Server
 	cdnNet  *cdn.CDN
+	home    *cdn.Edge // the PoP the server's calls go through
 	sketch  *cachesketch.Server
 	engine  *invalidb.Engine
 	est     *ttl.Estimator // nil when a static TTLSource is installed
@@ -286,6 +292,7 @@ func NewService(cfg Config, docs *storage.DocumentStore, org *origin.Server) *Se
 		rng:     rand.New(rand.NewSource(cfg.Seed + 7)),
 	}
 	s.m = newServiceMetrics(cfg.Obs)
+	s.home = s.cdnNet.Edge(netsim.EU)
 
 	if cfg.TTLSource != nil {
 		s.ttlSrc = cfg.TTLSource
@@ -539,42 +546,110 @@ func (s *Service) renderJitter() time.Duration {
 	return time.Duration(float64(s.cfg.OriginRenderTime) * f)
 }
 
-// --- the device's two channels ---------------------------------------------
+// --- the server's calls ------------------------------------------------------
 //
-// Each call takes the calling device's region and returns, beside its
-// answer, the network time the simulator models for it.
+// Sketch, Page, Revalidate and Blocks are what httpapi serves. Each goes
+// through the home PoP, does the call's work (the bodies below) and
+// records how long that took on the service clock: wall time over HTTP,
+// and 0 on a simulated clock, which no call advances. A simulated device
+// runs the same bodies through its link, which models the time instead
+// (device.go).
 
-// FetchSketch is proxy.Shared's call: the sketch is an anonymous resource
-// served from the nearest edge.
-func (s *Service) FetchSketch(ctx context.Context, region netsim.Region) (*cachesketch.Snapshot, time.Duration, error) {
+// Sketch is the sketch answer: an anonymous resource served by the CDN.
+func (s *Service) Sketch(ctx context.Context) (*cachesketch.Snapshot, error) {
+	start := s.cfg.Clock.Now()
+	sn, _, _, err := s.sketchSnapshot(ctx)
+	if err == nil {
+		s.observe(ctx, "core.sketch", proxy.SourceCDN, clock.Since(s.cfg.Clock, start), false)
+	}
+	return sn, err
+}
+
+// Page is the anonymous page answer, served through the CDN.
+func (s *Service) Page(ctx context.Context, path string) (cache.Entry, proxy.Source, error) {
+	start := s.cfg.Clock.Now()
+	e, src, _, err := s.page(ctx, s.home, path)
+	if err == nil {
+		s.observe(ctx, "core.fetch", src, clock.Since(s.cfg.Clock, start), true)
+	}
+	return e, src, err
+}
+
+// Revalidate is the conditional page answer to a client holding
+// knownVersion (see revalidate).
+func (s *Service) Revalidate(ctx context.Context, path string, knownVersion uint64) (proxy.RevalidationResult, error) {
+	start := s.cfg.Clock.Now()
+	rr, _, err := s.revalidate(ctx, s.home, path, knownVersion)
+	if err == nil {
+		s.observe(ctx, "core.revalidate", rr.Source, clock.Since(s.cfg.Clock, start), rendered(rr))
+	}
+	return rr, err
+}
+
+// Blocks is the first-party answer: u's fragments for names.
+func (s *Service) Blocks(ctx context.Context, names []string, u *session.User) (map[string][]byte, error) {
+	start := s.cfg.Clock.Now()
+	frs, _, err := s.blocks(ctx, names, u)
+	if err == nil {
+		s.observe(ctx, "core.blocks", proxy.SourceOrigin, clock.Since(s.cfg.Clock, start), false)
+	}
+	return frs, err
+}
+
+// observe records the time d of one answer from src: the core.* span on
+// whatever trace rides the ctx (the device's own page-load trace
+// in-process, the server's http.* trace over the wire; a nil-safe no-op
+// otherwise) and, for a fetched page (a CDN hit or an origin render), the
+// fetch counter and fetch_latency_us.
+func (s *Service) observe(ctx context.Context, span string, src proxy.Source, d time.Duration, fetched bool) {
+	if fetched {
+		i := fetchOrigin
+		if src == proxy.SourceCDN {
+			i = fetchCDN
+		}
+		s.m.fetches[i].Inc()
+		s.m.fetchLatency[i].ObserveDuration(d)
+	}
+	obs.TraceFromContext(ctx).AddSpan(span, src.String(), d)
+}
+
+// rendered reports whether a revalidation was answered by a full origin
+// render, which counts as a page fetch.
+func rendered(rr proxy.RevalidationResult) bool {
+	return rr.Source == proxy.SourceOrigin && !rr.NotModified
+}
+
+// --- the work ----------------------------------------------------------------
+//
+// Each body does one call's work: fault injection, the CDN lookup, the
+// render and fill, the sketch report and the counters. None draws time:
+// each returns the latency spike an injected Latency fault adds, which
+// only a simulated device's modelled time can carry.
+
+// sketchSnapshot takes the sketch a device downloads, and the size of its
+// encoding, which the generation caches: WriteHTTP sends these same bytes.
+func (s *Service) sketchSnapshot(ctx context.Context) (*cachesketch.Snapshot, int, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	spike, err := s.inject(faults.SketchFetch)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	sn := s.sketch.Snapshot()
-	// The transfer is the encoding a device downloads, which the
-	// generation caches: WriteHTTP sends these same bytes.
 	wire, err := sn.Marshal()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.EdgeNode(region), len(wire))
 	s.stats.sketchFetches.Add(1)
 	s.m.sketchFetches.Inc()
-	// Attach the service-side step to whatever trace rides the ctx: the
-	// device's own page-load trace in-process, or the server's http.*
-	// trace when the call arrived over the wire. Nil-safe no-op otherwise.
-	obs.TraceFromContext(ctx).AddSpan("core.sketch", "cdn", lat+spike)
-	return sn, lat + spike, nil
+	return sn, len(wire), spike, nil
 }
 
-// Fetch is proxy.Shared's call: serve the anonymous page through the CDN,
-// filling the edge and reporting the cache fill to the sketch server on
-// misses.
-func (s *Service) Fetch(ctx context.Context, region netsim.Region, path string) (cache.Entry, time.Duration, proxy.Source, error) {
+// page serves the anonymous page through edge (none: straight from the
+// origin), filling it and reporting the cache fill to the sketch server
+// on a miss.
+func (s *Service) page(ctx context.Context, edge *cdn.Edge, path string) (cache.Entry, proxy.Source, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return cache.Entry{}, 0, 0, err
 	}
@@ -582,33 +657,27 @@ func (s *Service) Fetch(ctx context.Context, region netsim.Region, path string) 
 	if err != nil {
 		return cache.Entry{}, 0, 0, err
 	}
-	edge := s.cdnNet.Edge(region)
 	if edge != nil {
 		if e, ok := edge.Lookup(path); ok {
-			lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.EdgeNode(region), len(e.Body)) + spike
-			s.m.fetches[fetchCDN].Inc()
-			s.m.fetchLatency[fetchCDN].ObserveDuration(lat)
-			obs.TraceFromContext(ctx).AddSpan("core.fetch", "cdn", lat)
-			return e, lat, proxy.SourceCDN, nil
+			return e, proxy.SourceCDN, spike, nil
 		}
 	}
 	// The miss keeps the path in every tier that tracks it, so it keeps a
 	// copy: the caller's may be a window onto a request line
 	// (httpbody.PathParam), which would stay alive as long as the key.
-	e, lat, src, err := s.fetchFromOrigin(region, strings.Clone(path))
-	if err == nil {
-		obs.TraceFromContext(ctx).AddSpan("core.fetch", "origin", lat+spike)
-	}
-	return e, lat + spike, src, err
-}
-
-// fetchFromOrigin renders the page at the origin, fills the regional
-// edge, and reports the cache fill to the sketch server.
-func (s *Service) fetchFromOrigin(region netsim.Region, path string) (cache.Entry, time.Duration, proxy.Source, error) {
-	edge := s.cdnNet.Edge(region)
-	page, err := s.origin.Render(path)
+	e, err := s.fetchFromOrigin(edge, strings.Clone(path))
 	if err != nil {
 		return cache.Entry{}, 0, 0, err
+	}
+	return e, proxy.SourceOrigin, spike, nil
+}
+
+// fetchFromOrigin renders the page at the origin, fills edge (if any),
+// and reports the cache fill to the sketch server.
+func (s *Service) fetchFromOrigin(edge *cdn.Edge, path string) (cache.Entry, error) {
+	page, err := s.origin.Render(path)
+	if err != nil {
+		return cache.Entry{}, err
 	}
 	s.stats.originRenders.Add(1)
 	if s.est != nil {
@@ -641,33 +710,23 @@ func (s *Service) fetchFromOrigin(region netsim.Region, path string) (cache.Entr
 	if s.origin.Version(path) != page.Version {
 		s.handleInvalidation(path)
 	}
-
-	lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.EdgeNode(region), len(page.Body)) +
-		s.cfg.Network.Latency(netsim.EdgeNode(region), netsim.OriginNode, len(page.Body)) +
-		s.renderJitter()
-	s.m.fetches[fetchOrigin].Inc()
-	s.m.fetchLatency[fetchOrigin].ObserveDuration(lat)
-	return entry, lat, proxy.SourceOrigin, nil
+	return entry, nil
 }
 
-// revalidationHeaderBytes approximates the wire size of a 304-style
-// response: status line and caching headers, no body.
-const revalidationHeaderBytes = 256
-
-// Revalidate is proxy.Shared's call: a conditional fetch carrying the
-// client's held version. The request goes through the CDN — the
-// sketch exists to govern the caches that purges cannot reach (device
-// caches); the edge itself is purge-maintained, so a strictly newer edge
-// copy is trustworthy and answers the revalidation at edge latency. Only
-// when the edge cannot prove progress (no copy, or a copy at the
-// client's own version — possibly the pre-purge body inside the
-// propagation window) does the request fall through to the origin, which
-// answers 304 when the version is still current and a page stands behind
-// it (the version of a path nobody wrote is 1 too; such a request takes
-// the full fetch and its error, and nothing is tracked for it). The
-// residual staleness an edge answer can carry is bounded by the purge
-// propagation delay (milliseconds), far inside every Δ.
-func (s *Service) Revalidate(ctx context.Context, region netsim.Region, path string, knownVersion uint64) (proxy.RevalidationResult, time.Duration, error) {
+// revalidate is a conditional fetch carrying the client's held version.
+// The request goes through the CDN — the sketch exists to govern the
+// caches that purges cannot reach (device caches); the edge itself is
+// purge-maintained, so a strictly newer edge copy is trustworthy and
+// answers the revalidation at edge latency. Only when the edge cannot
+// prove progress (no copy, or a copy at the client's own version —
+// possibly the pre-purge body inside the propagation window) does the
+// request fall through to the origin, which answers 304 when the version
+// is still current and a page stands behind it (the version of a path
+// nobody wrote is 1 too; such a request takes the full fetch and its
+// error, and nothing is tracked for it). The residual staleness an edge
+// answer can carry is bounded by the purge propagation delay
+// (milliseconds), far inside every Δ.
+func (s *Service) revalidate(ctx context.Context, edge *cdn.Edge, path string, knownVersion uint64) (proxy.RevalidationResult, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return proxy.RevalidationResult{}, 0, err
 	}
@@ -675,12 +734,10 @@ func (s *Service) Revalidate(ctx context.Context, region netsim.Region, path str
 	if err != nil {
 		return proxy.RevalidationResult{}, 0, err
 	}
-	if edge := s.cdnNet.Edge(region); edge != nil {
+	if edge != nil {
 		if e, ok := edge.Lookup(path); ok && e.Version > knownVersion {
-			lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.EdgeNode(region), len(e.Body)) + spike
 			s.m.revalidations[revalEdge].Inc()
-			obs.TraceFromContext(ctx).AddSpan("core.revalidate", "cdn", lat)
-			return proxy.RevalidationResult{Entry: e, Source: proxy.SourceCDN}, lat, nil
+			return proxy.RevalidationResult{Entry: e, Source: proxy.SourceCDN}, spike, nil
 		}
 	}
 	current := s.origin.Version(path)
@@ -689,24 +746,20 @@ func (s *Service) Revalidate(ctx context.Context, region netsim.Region, path str
 		entry := cache.TTLEntry(s.cfg.Clock, path, nil, knownVersion, ttlDur)
 		entry.Epoch = s.sketch.Epoch()
 		s.sketch.ReportCachedRead(path, entry.ExpiresAt)
-		lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.EdgeNode(region), revalidationHeaderBytes) +
-			s.cfg.Network.Latency(netsim.EdgeNode(region), netsim.OriginNode, revalidationHeaderBytes) + spike
 		s.m.revalidations[revalNotModified].Inc()
-		obs.TraceFromContext(ctx).AddSpan("core.revalidate", "origin", lat)
-		return proxy.RevalidationResult{NotModified: true, Entry: entry, Source: proxy.SourceOrigin}, lat, nil
+		return proxy.RevalidationResult{NotModified: true, Entry: entry, Source: proxy.SourceOrigin}, spike, nil
 	}
-	entry, lat, src, err := s.fetchFromOrigin(region, path)
+	entry, err := s.fetchFromOrigin(edge, path)
 	if err != nil {
 		return proxy.RevalidationResult{}, 0, err
 	}
 	s.m.revalidations[revalFull].Inc()
-	obs.TraceFromContext(ctx).AddSpan("core.revalidate", "origin", lat+spike)
-	return proxy.RevalidationResult{Entry: entry, Source: src}, lat + spike, nil
+	return proxy.RevalidationResult{Entry: entry, Source: proxy.SourceOrigin}, spike, nil
 }
 
-// FetchBlocks is proxy.FirstParty's call: personalized fragments over the
-// first-party channel (client → origin directly, bypassing the CDN).
-func (s *Service) FetchBlocks(ctx context.Context, region netsim.Region, names []string, u *session.User) (map[string][]byte, time.Duration, error) {
+// blocks renders u's personalized fragments at the origin: the
+// first-party channel bypasses the CDN.
+func (s *Service) blocks(ctx context.Context, names []string, u *session.User) (map[string][]byte, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -715,17 +768,12 @@ func (s *Service) FetchBlocks(ctx context.Context, region netsim.Region, names [
 		return nil, 0, err
 	}
 	out := make(map[string][]byte, len(names))
-	size := 0
 	for _, n := range names {
-		fr := s.origin.RenderBlock(n, u)
-		out[n] = fr
-		size += len(fr)
+		out[n] = s.origin.RenderBlock(n, u)
 	}
 	s.stats.blockFetches.Add(1)
 	s.m.blockFetches.Inc()
-	lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.OriginNode, size) + s.renderJitter()/2 + spike
-	obs.TraceFromContext(ctx).AddSpan("core.blocks", "origin", lat)
-	return out, lat, nil
+	return out, spike, nil
 }
 
 // EraseUser implements the right to erasure (GDPR Art. 17) for the
@@ -745,26 +793,20 @@ func (s *Service) EraseUser(u *session.User) {
 	u.ClearCart()
 }
 
-// Warm pre-renders the given paths and fills every deployed edge, so the
-// first real visitors hit warm caches — the deploy-time bootstrap a
-// production rollout runs before shifting traffic. Unknown paths are
-// skipped and reported; rendering errors for routed paths abort.
+// Warm pre-renders the given paths into the home PoP the server's calls
+// read, so the first real visitors hit a warm cache — the deploy-time
+// bootstrap a production rollout runs before shifting traffic. Each path
+// is filled as a miss fills it. Unknown paths are skipped and reported;
+// rendering errors for routed paths abort.
 func (s *Service) Warm(paths []string) (warmed int, skipped []string, err error) {
 	for _, path := range paths {
 		if !s.origin.HasRoute(path) {
 			skipped = append(skipped, path)
 			continue
 		}
-		page, rerr := s.origin.Render(path)
-		if rerr != nil {
+		if _, rerr := s.fetchFromOrigin(s.home, path); rerr != nil {
 			return warmed, skipped, fmt.Errorf("core: warm %s: %w", path, rerr)
 		}
-		entry := cache.TTLEntry(s.cfg.Clock, path, page.Body, page.Version, s.ttlSrc.TTL(path))
-		entry.Metadata = proxy.EntryMetadata(page.Blocks, page.Links)
-		for _, region := range s.cdnNet.Regions() {
-			s.cdnNet.Edge(region).Fill(entry)
-		}
-		s.sketch.ReportCachedRead(path, entry.ExpiresAt)
 		warmed++
 	}
 	return warmed, skipped, nil
@@ -799,9 +841,6 @@ func (s *Service) Auditor() *gdpr.Auditor { return s.auditor }
 
 // Consent returns the shared consent ledger.
 func (s *Service) Consent() *gdpr.ConsentLedger { return s.consent }
-
-// Network returns the latency model.
-func (s *Service) Network() *netsim.Network { return s.cfg.Network }
 
 // Clock returns the shared clock.
 func (s *Service) Clock() clock.Clock { return s.cfg.Clock }

@@ -107,7 +107,11 @@ func (d *Device) Load(ctx context.Context, path string) (proxy.PageLoad, error) 
 }
 
 // link is a Device's side of the simulator: its clock, and its two
-// channels to the service, called from the device's region.
+// channels to the service, called through its region's PoP. After each
+// answer it draws the time the simulator models for it from the answer's
+// shape and records it as the server's calls record theirs (observe). No
+// body draws from the network, so drawing after the call keeps the
+// network RNG's order.
 type link struct {
 	svc    *Service
 	region netsim.Region
@@ -124,35 +128,108 @@ func (l *link) Now() time.Time { return l.svc.cfg.Clock.Now() }
 // (clock.Sleeper).
 func (l *link) Sleep(d time.Duration) { l.spent += d }
 
-// took adds a call's modelled network time when the call succeeded.
-func (l *link) took(lat time.Duration, err error) time.Duration {
-	if err != nil {
-		return 0
-	}
-	l.spent += lat
-	return lat
+// revalidationHeaderBytes approximates the wire size of a 304-style
+// response: status line and caching headers, no body.
+const revalidationHeaderBytes = 256
+
+// toEdge draws one exchange of size bytes between the device and its PoP.
+func (l *link) toEdge(size int) time.Duration {
+	return l.svc.cfg.Network.Latency(netsim.ClientNode(l.region), netsim.EdgeNode(l.region), size)
+}
+
+// edgeToOrigin draws one exchange of size bytes between the PoP and the
+// origin.
+func (l *link) edgeToOrigin(size int) time.Duration {
+	return l.svc.cfg.Network.Latency(netsim.EdgeNode(l.region), netsim.OriginNode, size)
+}
+
+// spend adds an answer's modelled time d to the load and records it.
+func (l *link) spend(ctx context.Context, span string, src proxy.Source, d time.Duration, fetched bool) {
+	l.spent += d
+	l.svc.observe(ctx, span, src, d, fetched)
 }
 
 func (l *link) FetchSketch(ctx context.Context) (*cachesketch.Snapshot, error) {
-	sn, lat, err := l.svc.FetchSketch(ctx, l.region)
-	l.took(lat, err)
-	return sn, err
+	sn, size, spike, err := l.svc.sketchSnapshot(ctx)
+	if err != nil {
+		return nil, err
+	}
+	l.spend(ctx, "core.sketch", proxy.SourceCDN, l.toEdge(size)+spike, false)
+	return sn, nil
 }
 
 func (l *link) Fetch(ctx context.Context, path string) (cache.Entry, proxy.Source, error) {
-	e, lat, src, err := l.svc.Fetch(ctx, l.region, path)
-	l.took(lat, err)
-	return e, src, err
+	e, src, spike, err := l.svc.page(ctx, l.svc.cdnNet.Edge(l.region), path)
+	if err != nil {
+		return e, src, err
+	}
+	d := l.toEdge(len(e.Body))
+	if src == proxy.SourceOrigin {
+		d += l.edgeToOrigin(len(e.Body)) + l.svc.renderJitter()
+	}
+	l.spend(ctx, "core.fetch", src, d+spike, true)
+	return e, src, nil
 }
 
 func (l *link) Revalidate(ctx context.Context, path string, knownVersion uint64) (proxy.RevalidationResult, error) {
-	rr, lat, err := l.svc.Revalidate(ctx, l.region, path, knownVersion)
-	l.took(lat, err)
-	return rr, err
+	rr, spike, err := l.svc.revalidate(ctx, l.svc.cdnNet.Edge(l.region), path, knownVersion)
+	if err != nil {
+		return rr, err
+	}
+	var d time.Duration
+	switch {
+	case rr.Source == proxy.SourceCDN:
+		d = l.toEdge(len(rr.Entry.Body))
+	case rr.NotModified:
+		d = l.toEdge(revalidationHeaderBytes) + l.edgeToOrigin(revalidationHeaderBytes)
+	default:
+		d = l.toEdge(len(rr.Entry.Body)) + l.edgeToOrigin(len(rr.Entry.Body)) + l.svc.renderJitter()
+	}
+	l.spend(ctx, "core.revalidate", rr.Source, d+spike, rendered(rr))
+	return rr, nil
 }
 
 func (l *link) FetchBlocks(ctx context.Context, names []string, u *session.User) (map[string][]byte, error) {
-	frs, lat, err := l.svc.FetchBlocks(ctx, l.region, names, u)
-	l.blocks += l.took(lat, err)
-	return frs, err
+	frs, spike, err := l.svc.blocks(ctx, names, u)
+	if err != nil {
+		return nil, err
+	}
+	size := 0
+	for _, n := range names {
+		size += len(frs[n])
+	}
+	d := l.svc.cfg.Network.Latency(netsim.ClientNode(l.region), netsim.OriginNode, size) + l.svc.renderJitter()/2 + spike
+	l.spend(ctx, "core.blocks", proxy.SourceOrigin, d, false)
+	l.blocks += d
+	return frs, nil
+}
+
+// The region forms of the device's calls: each runs one call through a
+// fresh link and returns, beside the answer, the time it modelled.
+
+// FetchSketch is link.FetchSketch from a device in region.
+//
+// kept for cmd/speedkit-load (ROADMAP 7(b))
+func (s *Service) FetchSketch(ctx context.Context, region netsim.Region) (*cachesketch.Snapshot, time.Duration, error) {
+	l := link{svc: s, region: region}
+	sn, err := l.FetchSketch(ctx)
+	return sn, l.spent, err
+}
+
+// Fetch is link.Fetch from a device in region.
+//
+// kept for cmd/speedkit-load (ROADMAP 7(b))
+func (s *Service) Fetch(ctx context.Context, region netsim.Region, path string) (cache.Entry, time.Duration, proxy.Source, error) {
+	l := link{svc: s, region: region}
+	e, src, err := l.Fetch(ctx, path)
+	return e, l.spent, src, err
+}
+
+// FetchBlocks is link.FetchBlocks from a device in region.
+//
+// kept for cmd/speedkit-load (ROADMAP 7(b))
+func (s *Service) FetchBlocks(ctx context.Context, region netsim.Region, names []string, u *session.User) (map[string][]byte, time.Duration, error) {
+	l := link{svc: s, region: region}
+	frs, err := l.FetchBlocks(ctx, names, u)
+	return frs, l.spent, err
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"speedkit/internal/clock"
-	"speedkit/internal/netsim"
 	"speedkit/internal/obs"
 	"speedkit/internal/workload"
 )
@@ -62,7 +61,7 @@ func TestSoakHeapFlat(t *testing.T) {
 	// readings see the same pages cached and tracked, then measures.
 	checkpoint := func() soakState {
 		for _, p := range pages {
-			if _, _, _, err := svc.Fetch(ctx, netsim.EU, p); err != nil {
+			if _, _, err := svc.Page(ctx, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -97,24 +96,24 @@ func TestSoakHeapFlat(t *testing.T) {
 			if i%12 == 1 {
 				path = "/nope/" + strconv.Itoa(i)
 			}
-			if _, _, _, err := svc.Fetch(ctx, netsim.EU, path); err == nil {
+			if _, _, err := svc.Page(ctx, path); err == nil {
 				t.Fatalf("fetch of %s succeeded", path)
 			}
 			ghosts++
 		case i%12 == 4:
 			// The cheapest key-minting request: a conditional one.
 			path := "/product/minted-" + strconv.Itoa(i)
-			if res, _, err := svc.Revalidate(ctx, netsim.EU, path, 1); err == nil {
+			if res, err := svc.Revalidate(ctx, path, 1); err == nil {
 				t.Fatalf("revalidation of %s answered %+v", path, res)
 			}
 			ghosts++
 		case i%12 == 10:
 			p := pages[rng.Intn(products)]
-			if _, _, err := svc.Revalidate(ctx, netsim.EU, p, svc.Origin().Version(p)); err != nil {
+			if _, err := svc.Revalidate(ctx, p, svc.Origin().Version(p)); err != nil {
 				t.Fatal(err)
 			}
 		default:
-			if _, _, _, err := svc.Fetch(ctx, netsim.EU, pages[rng.Intn(products)]); err != nil {
+			if _, _, err := svc.Page(ctx, pages[rng.Intn(products)]); err != nil {
 				t.Fatal(err)
 			}
 		}

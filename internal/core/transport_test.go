@@ -15,10 +15,10 @@ import (
 func TestServiceRevalidateNotModified(t *testing.T) {
 	svc, _ := newTestStorefront(t)
 	// Prime the version log and caches.
-	if _, _, _, err := svc.Fetch(context.Background(), netsim.EU, "/product/p00001"); err != nil {
+	if _, _, err := svc.Page(context.Background(), "/product/p00001"); err != nil {
 		t.Fatal(err)
 	}
-	rr, _, err := svc.Revalidate(context.Background(), netsim.EU, "/product/p00001", 1)
+	rr, err := svc.Revalidate(context.Background(), "/product/p00001", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestServiceRevalidateNotModified(t *testing.T) {
 
 func TestServiceRevalidateModifiedBypassesStaleEdge(t *testing.T) {
 	svc, _ := newTestStorefront(t)
-	if _, _, _, err := svc.Fetch(context.Background(), netsim.EU, "/product/p00002"); err != nil {
+	if _, _, err := svc.Page(context.Background(), "/product/p00002"); err != nil {
 		t.Fatal(err)
 	}
 	// Write; do NOT advance the clock, so the CDN purge has not
@@ -50,7 +50,7 @@ func TestServiceRevalidateModifiedBypassesStaleEdge(t *testing.T) {
 	if _, ok := svc.CDN().Edge(netsim.EU).Lookup("/product/p00002"); !ok {
 		t.Skip("edge already purged; propagation-window scenario not reproducible")
 	}
-	rr, _, err := svc.Revalidate(context.Background(), netsim.EU, "/product/p00002", 1)
+	rr, err := svc.Revalidate(context.Background(), "/product/p00002", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +68,14 @@ func TestServiceRevalidateModifiedBypassesStaleEdge(t *testing.T) {
 func TestRevalidationServedByFresherEdgeCopy(t *testing.T) {
 	svc, clk := newTestStorefront(t)
 	path := "/product/p00004"
-	if _, _, _, err := svc.Fetch(context.Background(), netsim.EU, path); err != nil {
+	if _, _, err := svc.Page(context.Background(), path); err != nil {
 		t.Fatal(err)
 	}
 	_ = svc.Docs().Patch("products", "p00004", map[string]any{"price": 5.55})
 	clk.Advance(20 * time.Millisecond) // purge propagates; edge empty
 
 	// First revalidation falls through to the origin and refills the edge.
-	rr, _, err := svc.Revalidate(context.Background(), netsim.EU, path, 1)
+	rr, err := svc.Revalidate(context.Background(), path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRevalidationServedByFresherEdgeCopy(t *testing.T) {
 	// Subsequent revalidations from clients still holding v1 are answered
 	// by the purge-maintained edge at edge latency — the behaviour that
 	// keeps flagged-path traffic off the origin.
-	rr, _, err = svc.Revalidate(context.Background(), netsim.EU, path, 1)
+	rr, err = svc.Revalidate(context.Background(), path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRevalidationServedByFresherEdgeCopy(t *testing.T) {
 
 func TestServiceRevalidateUnknownPath(t *testing.T) {
 	svc, _ := newTestStorefront(t)
-	if _, _, err := svc.Revalidate(context.Background(), netsim.EU, "/ghost", 1); err == nil {
+	if _, err := svc.Revalidate(context.Background(), "/ghost", 1); err == nil {
 		t.Fatal("unknown path revalidated")
 	}
 }
@@ -123,7 +123,7 @@ func TestServiceFetchBlocks(t *testing.T) {
 	}
 }
 
-func TestWarmFillsAllEdges(t *testing.T) {
+func TestWarmFillsTheHomeEdge(t *testing.T) {
 	svc, _ := newTestStorefront(t)
 	warmed, skipped, err := svc.Warm([]string{"/", "/product/p00001", "/ghost", "/category/shoes"})
 	if err != nil {
@@ -132,16 +132,19 @@ func TestWarmFillsAllEdges(t *testing.T) {
 	if warmed != 3 || len(skipped) != 1 || skipped[0] != "/ghost" {
 		t.Fatalf("warmed=%d skipped=%v", warmed, skipped)
 	}
-	// Every region serves warmed paths from the edge now.
-	for _, region := range netsim.Regions() {
-		dev := svc.NewDevice(nil, region)
-		res, err := dev.Load(context.Background(), "/product/p00001")
+	// The server's calls answer warmed paths from the edge now.
+	renders := svc.Stats().OriginRenders
+	for _, path := range []string{"/", "/product/p00001", "/category/shoes"} {
+		e, src, err := svc.Page(context.Background(), path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Source != proxy.SourceCDN {
-			t.Fatalf("%s: warmed path served from %v", region, res.Source)
+		if src != proxy.SourceCDN || e.Epoch != svc.SketchServer().Epoch() {
+			t.Fatalf("%s: warmed path served from %v, epoch %x", path, src, e.Epoch)
 		}
+	}
+	if got := svc.Stats().OriginRenders; got != renders {
+		t.Fatalf("origin renders %d → %d serving warmed paths", renders, got)
 	}
 	// Warmed copies are sketch-visible: a write must enter the sketch.
 	_ = svc.Docs().Patch("products", "p00001", map[string]any{"stock": int64(0)})
@@ -165,13 +168,13 @@ func TestWarmRenderErrorAborts(t *testing.T) {
 func TestRevalidateGhostPathNotFound(t *testing.T) {
 	svc, _ := newTestStorefront(t)
 	ctx := context.Background()
-	if _, _, _, err := svc.Fetch(ctx, netsim.EU, "/product/p00001"); err != nil {
+	if _, _, err := svc.Page(ctx, "/product/p00001"); err != nil {
 		t.Fatal(err)
 	}
 	before := svc.SketchServer().Stats().TableSize
 	for i := 0; i < 100; i++ {
 		path := fmt.Sprintf("/product/ghost-%d", i)
-		if res, _, err := svc.Revalidate(ctx, netsim.EU, path, 1); err == nil {
+		if res, err := svc.Revalidate(ctx, path, 1); err == nil {
 			t.Fatalf("Revalidate(%s, 1) = %+v, want an error", path, res)
 		}
 	}
@@ -179,7 +182,7 @@ func TestRevalidateGhostPathNotFound(t *testing.T) {
 		t.Fatalf("expiry table %d → %d entries after ghost revalidations", before, got)
 	}
 	// A real page still gets its 304, and is (still) tracked.
-	res, _, err := svc.Revalidate(ctx, netsim.EU, "/product/p00001", 1)
+	res, err := svc.Revalidate(ctx, "/product/p00001", 1)
 	if err != nil || !res.NotModified {
 		t.Fatalf("real page: %+v, %v", res, err)
 	}
@@ -191,11 +194,11 @@ func TestRevalidateDeletedProductNotFound(t *testing.T) {
 	svc, _ := newTestStorefront(t)
 	ctx := context.Background()
 	const path = "/product/p00002"
-	e, _, _, err := svc.Fetch(ctx, netsim.EU, path)
+	e, _, err := svc.Page(ctx, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, _, err := svc.Revalidate(ctx, netsim.EU, path, e.Version); err != nil || !res.NotModified {
+	if res, err := svc.Revalidate(ctx, path, e.Version); err != nil || !res.NotModified {
 		t.Fatalf("first revalidation: %+v, %v", res, err)
 	}
 	if err := svc.Docs().Delete("products", "p00002"); err != nil {
@@ -204,7 +207,7 @@ func TestRevalidateDeletedProductNotFound(t *testing.T) {
 	// Whatever version the device holds — the one it fetched, or the one
 	// the delete moved the page to — there is no page to confirm.
 	for _, known := range []uint64{e.Version, svc.Origin().Version(path)} {
-		if res, _, err := svc.Revalidate(ctx, netsim.EU, path, known); err == nil {
+		if res, err := svc.Revalidate(ctx, path, known); err == nil {
 			t.Fatalf("Revalidate(v%d) after delete = %+v, want an error", known, res)
 		}
 	}
@@ -212,7 +215,7 @@ func TestRevalidateDeletedProductNotFound(t *testing.T) {
 
 func TestServiceAccessors(t *testing.T) {
 	svc, clk := newTestStorefront(t)
-	if svc.Engine() == nil || svc.Network() == nil || svc.Clock() != clk {
+	if svc.Engine() == nil || svc.Clock() != clk {
 		t.Fatal("accessors broken")
 	}
 	if svc.Engine().Registered() == 0 {

@@ -9,7 +9,7 @@ import (
 	"unsafe"
 
 	"speedkit/internal/cachesketch"
-	"speedkit/internal/netsim"
+	"speedkit/internal/proxy"
 )
 
 // headerWriter is a ResponseWriter that keeps only its header map, so
@@ -30,7 +30,7 @@ func TestWritePageAllocations(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	a, _, _ := newTestAPI(t)
-	entry, _, src, err := a.svc.Fetch(context.Background(), netsim.EU, "/product/p00001")
+	entry, src, err := a.svc.Page(context.Background(), "/product/p00001")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +119,9 @@ func TestStoredPathIsOwned(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("page: %d", w.Code)
 	}
-	e, ok := a.svc.CDN().Edge(netsim.EU).Lookup("/product/p00002")
-	if !ok {
-		t.Fatal("the cdn tier holds no copy of the page it rendered")
+	e, src, err := a.svc.Page(context.Background(), "/product/p00002")
+	if err != nil || src != proxy.SourceCDN {
+		t.Fatalf("the cdn tier holds no copy of the page it rendered: %v, %v", src, err)
 	}
 	q := r.URL.RawQuery
 	start, at := uintptr(unsafe.Pointer(unsafe.StringData(q))), uintptr(unsafe.Pointer(unsafe.StringData(e.Key)))

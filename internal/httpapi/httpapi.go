@@ -13,7 +13,7 @@
 //	                                     order in the answer (httpbody)
 //	POST /v1/write?product=&price=       a catalog write driving the pipeline
 //	POST /v1/purge?path=...              purge one path from the CDN tier and
-//	                                     notify registered purge listeners (edges)
+//	                                     notify registered purge listeners
 //
 // Failures on every endpoint, a path that is no endpoint included, return
 // the JSON error envelope {"error":{"code","message"}} (see
@@ -57,7 +57,6 @@ import (
 	"speedkit/internal/durable"
 	"speedkit/internal/httpbody"
 	"speedkit/internal/metrics"
-	"speedkit/internal/netsim"
 	"speedkit/internal/obs"
 	"speedkit/internal/session"
 	"speedkit/internal/tracectx"
@@ -70,8 +69,6 @@ type API struct {
 	// production this is the session/auth layer; here it is an in-memory
 	// registry.
 	users map[string]*session.User
-	// region is the edge the HTTP surface represents.
-	region netsim.Region
 	// started is the service-clock instant the API was built, the zero
 	// point for the uptime /healthz reports.
 	started time.Time
@@ -105,7 +102,6 @@ func New(svc *core.Service, users []*session.User) *API {
 	a := &API{
 		svc:     svc,
 		users:   make(map[string]*session.User, len(users)),
-		region:  netsim.EU,
 		started: svc.Clock().Now(),
 
 		sketchCacheControl: "public, max-age=" + strconv.Itoa(int(svc.Delta().Seconds())),
@@ -310,14 +306,15 @@ func (a *API) startRemote(r *http.Request, kind, path string) (*obs.Trace, conte
 	return tr, obs.ContextWithTrace(r.Context(), tr)
 }
 
-// finishRemote stamps the shared trailer fields and publishes the trace.
-func (a *API) finishRemote(tr *obs.Trace, src string, total time.Duration) {
+// finishRemote stamps the shared trailer fields, the time since the trace
+// started on the service clock as its Total, and publishes the trace.
+func (a *API) finishRemote(tr *obs.Trace, src string) {
 	if tr == nil {
 		return
 	}
 	tr.SetSource(src)
 	tr.SetSketch(a.svc.SketchServer().Generation(), 0, 0)
-	tr.SetTotal(total)
+	tr.SetTotal(clock.Since(a.svc.Clock(), tr.Start))
 	a.svc.Tracer().Finish(tr)
 }
 
@@ -330,13 +327,13 @@ func (a *API) finishRemote(tr *obs.Trace, src string, total time.Duration) {
 // it on once that reaches max-age; a cache that does neither stretches Δ.
 func (a *API) handleSketch(w http.ResponseWriter, r *http.Request) {
 	tr, ctx := a.startRemote(r, "http.sketch", "/sketch")
-	sn, lat, err := a.svc.FetchSketch(ctx, a.region)
+	sn, err := a.svc.Sketch(ctx)
 	if err != nil {
-		a.finishRemote(tr, "", 0)
+		a.finishRemote(tr, "")
 		httpbody.WriteError(w, http.StatusServiceUnavailable, httpbody.CodeUnavailable, err.Error())
 		return
 	}
-	a.finishRemote(tr, "cdn", lat)
+	a.finishRemote(tr, "cdn")
 	if err := sn.WriteHTTP(w, a.sketchCacheControl, 0); err != nil {
 		httpbody.WriteError(w, http.StatusInternalServerError, httpbody.CodeInternal, err.Error())
 	}
@@ -365,14 +362,14 @@ func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
 			if !owned {
 				path = strings.Clone(path)
 			}
-			rr, lat, err := a.svc.Revalidate(ctx, a.region, path, known)
+			rr, err := a.svc.Revalidate(ctx, path, known)
 			if err != nil {
-				a.finishRemote(tr, "", 0)
+				a.finishRemote(tr, "")
 				httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, err.Error())
 				return
 			}
 			tr.MarkRevalidated()
-			a.finishRemote(tr, rr.Source.String(), lat)
+			a.finishRemote(tr, rr.Source.String())
 			if rr.NotModified {
 				a.setPageHeaders(w, rr.Entry.ExpiresAt, known, -1, "", "")
 				w.WriteHeader(http.StatusNotModified)
@@ -383,13 +380,13 @@ func (a *API) handlePage(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	entry, simLat, src, err := a.svc.Fetch(ctx, a.region, path)
+	entry, src, err := a.svc.Page(ctx, path)
 	if err != nil {
-		a.finishRemote(tr, "", 0)
+		a.finishRemote(tr, "")
 		httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, err.Error())
 		return
 	}
-	a.finishRemote(tr, src.String(), simLat)
+	a.finishRemote(tr, src.String())
 	a.writePage(w, entry, src.String())
 }
 
@@ -458,13 +455,13 @@ func (a *API) handleBlocks(w http.ResponseWriter, r *http.Request) {
 	// The trace path is the fixed endpoint, never the user: traces are
 	// identity-free by construction.
 	tr, ctx := a.startRemote(r, "http.blocks", "/blocks")
-	frs, lat, err := a.svc.FetchBlocks(ctx, a.region, names, u)
+	frs, err := a.svc.Blocks(ctx, names, u)
 	if err != nil {
-		a.finishRemote(tr, "", 0)
+		a.finishRemote(tr, "")
 		httpbody.WriteError(w, http.StatusServiceUnavailable, httpbody.CodeUnavailable, err.Error())
 		return
 	}
-	a.finishRemote(tr, "origin", lat)
+	a.finishRemote(tr, "origin")
 	body := httpbody.BlocksResponse(names, frs)
 	h := w.Header()
 	h["Content-Type"] = blocksType
@@ -510,32 +507,24 @@ func (a *API) handleWrite(w http.ResponseWriter, r *http.Request) {
 	// this trace's ID and the whole fan-out (sketch report, CDN purge,
 	// durable snapshot) is queryable under one /debug/traces/{id}.
 	tr, _ := a.startRemote(r, "http.write", path)
-	var sw *clock.Stopwatch
-	if tr != nil {
-		sw = clock.NewStopwatch(a.svc.Clock())
-	}
 	var patchErr error
 	a.svc.WithWriteSpan(tr.SpanContext(), func() {
 		patchErr = a.svc.Docs().Patch("products", id, patch)
 	})
 	if patchErr != nil {
-		a.finishRemote(tr, "", 0)
+		a.finishRemote(tr, "")
 		httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, patchErr.Error())
 		return
 	}
-	var total time.Duration
-	if sw != nil {
-		total = sw.Elapsed()
-	}
-	a.finishRemote(tr, "origin", total)
+	a.finishRemote(tr, "origin")
 	fmt.Fprintf(w, "ok: %s now v%d, in sketch: %v\n",
 		path, a.svc.Origin().Version(path), a.svc.SketchServer().Contains(path))
 }
 
 // handlePurge evicts one path from the shared caching tier: the CDN
 // edges drop their copies (after the modeled propagation delay) and
-// every registered purge listener — a speedkit-edge process fronting
-// this server — is notified. Purging an unknown path is not an error:
+// every registered purge listener is notified. A speedkit-edge process
+// registers none: it learns of writes from the sketch it polls. Purging an unknown path is not an error:
 // purges are idempotent eviction requests, not resource lookups, so the
 // answer is 204 with no body — the edge's purge contract.
 func (a *API) handlePurge(w http.ResponseWriter, r *http.Request) {
@@ -558,6 +547,3 @@ func (a *API) handleStats(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "cdn:     %+v (hit ratio %.1f%%)\n", cd, cd.HitRatio()*100)
 	fmt.Fprintf(w, "gdpr:\n%s", a.svc.Auditor())
 }
-
-// RegisteredUsers returns the user-registry size (primarily for tests).
-func (a *API) RegisteredUsers() int { return len(a.users) }

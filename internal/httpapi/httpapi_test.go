@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -32,6 +33,13 @@ func newTestAPI(t *testing.T) (*API, *httptest.Server, *clock.Simulated) {
 func newTestAPIWith(t *testing.T, products int) (*API, *httptest.Server, *clock.Simulated) {
 	t.Helper()
 	clk := clock.NewSimulated(time.Time{})
+	api, ts := newTestAPIOn(t, clk, products)
+	return api, ts, clk
+}
+
+// newTestAPIOn is newTestAPIWith on clk.
+func newTestAPIOn(t *testing.T, clk clock.Clock, products int) (*API, *httptest.Server) {
+	t.Helper()
 	svc, err := core.NewStorefront(core.StorefrontConfig{
 		Config: core.Config{
 			Clock: clk, Seed: 1, Delta: 30 * time.Second,
@@ -56,7 +64,7 @@ func newTestAPIWith(t *testing.T, products int) (*API, *httptest.Server, *clock.
 	api := New(svc, users)
 	ts := httptest.NewServer(api.Handler())
 	t.Cleanup(ts.Close)
-	return api, ts, clk
+	return api, ts
 }
 
 func get(t *testing.T, url string, headers ...string) (*http.Response, string) {
@@ -619,13 +627,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-func TestRegisteredUsers(t *testing.T) {
-	api, _, _ := newTestAPI(t)
-	if api.RegisteredUsers() != 10 {
-		t.Fatalf("users = %d", api.RegisteredUsers())
-	}
-}
-
 // TestSkippedPurgesAndEpochAreObservable: one scrape tells purges sent from
 // purges skipped — writes to pages no cache held — and the two add up to
 // the invalidations; /healthz names the epoch beside the generation,
@@ -668,5 +669,94 @@ func TestSkippedPurgesAndEpochAreObservable(t *testing.T) {
 	resp, _ := get(t, ts.URL+"/v1/sketch")
 	if want := resp.Header.Get(cachesketch.EpochHeader); h.SketchEpoch != want || want != fmt.Sprintf("%016x", sk.Epoch()) {
 		t.Fatalf("/healthz sketch_epoch %q, sketch response %q, server %x", h.SketchEpoch, want, sk.Epoch())
+	}
+}
+
+// steppingClock moves a fixed step forward at every read.
+type steppingClock struct {
+	step time.Duration
+	now  atomic.Int64
+}
+
+func (c *steppingClock) Now() time.Time { return time.Unix(0, c.now.Add(int64(c.step))) }
+
+// TestServerMeasuresItsOwnTime: the server's calls time themselves on the
+// service clock and model no network. On a frozen clock every
+// fetch_latency_us sum, trace Total and span reads 0, where a modelled
+// draw reads milliseconds. On a clock that steps at every read, each
+// reads a positive multiple of the step, and a call's span lies inside its
+// trace's Total.
+func TestServerMeasuresItsOwnTime(t *testing.T) {
+	const step = time.Millisecond
+	for _, tc := range []struct {
+		name string
+		clk  clock.Clock
+		step time.Duration
+	}{
+		{"frozen", clock.NewSimulated(time.Time{}), 0},
+		{"stepping", &steppingClock{step: step}, step},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			api, ts := newTestAPIOn(t, tc.clk, 50)
+			// measured checks one reading: 0 on the frozen clock, a
+			// positive multiple of the step on the stepping one.
+			measured := func(what string, d time.Duration) {
+				t.Helper()
+				if tc.step == 0 && d != 0 || tc.step > 0 && (d <= 0 || d%tc.step != 0) {
+					t.Errorf("%s = %v on the %s clock", what, d, tc.name)
+				}
+			}
+
+			page := ts.URL + "/v1/page?path=/product/p00001"
+			for _, want := range []string{"origin", "cdn"} {
+				if resp, _ := get(t, page); resp.StatusCode != http.StatusOK || resp.Header.Get("X-Served-By") != want {
+					t.Fatalf("page: %d from %q, want 200 from %s", resp.StatusCode, resp.Header.Get("X-Served-By"), want)
+				}
+			}
+			if resp, _ := get(t, page, "If-None-Match", string(httpbody.AppendETag(nil, 1))); resp.StatusCode != http.StatusNotModified {
+				t.Fatalf("conditional page: %d, want 304", resp.StatusCode)
+			}
+			if resp, _ := get(t, ts.URL+"/v1/sketch"); resp.StatusCode != http.StatusOK {
+				t.Fatalf("sketch: %d", resp.StatusCode)
+			}
+			if resp, _ := postBlocks(t, ts.URL, httpbody.BlocksRequest("u-test", []string{"greeting", "cart"})); resp.StatusCode != http.StatusOK {
+				t.Fatalf("blocks: %d", resp.StatusCode)
+			}
+
+			_, body := get(t, ts.URL+"/metrics")
+			sums := 0
+			for _, line := range strings.Split(body, "\n") {
+				if !strings.HasPrefix(line, "speedkit_service_fetch_latency_us_sum") {
+					continue
+				}
+				sums++
+				us, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+				if err != nil {
+					t.Fatalf("%q: %v", line, err)
+				}
+				measured(line, time.Duration(us)*time.Microsecond)
+			}
+			if sums != 2 {
+				t.Fatalf("%d fetch_latency_us sums, want cdn and origin:\n%s", sums, body)
+			}
+
+			kinds := map[string]int{}
+			for _, tr := range api.svc.Tracer().Recent(16) {
+				kinds[tr.Kind]++
+				measured(tr.Kind+" Total", tr.Total)
+				if len(tr.Spans) != 1 {
+					t.Fatalf("%s spans %+v, want the core call's", tr.Kind, tr.Spans)
+				}
+				for _, sp := range tr.Spans {
+					measured(tr.Kind+" span "+sp.Name, sp.Duration)
+					if tc.step > 0 && sp.Duration >= tr.Total {
+						t.Errorf("%s span %s %v outside the trace's %v", tr.Kind, sp.Name, sp.Duration, tr.Total)
+					}
+				}
+			}
+			if kinds["http.page"] != 3 || kinds["http.sketch"] != 1 || kinds["http.blocks"] != 1 {
+				t.Fatalf("traces by kind %v", kinds)
+			}
+		})
 	}
 }

@@ -81,12 +81,13 @@ func TestSharedCarriesNoIdentity(t *testing.T) {
 	}
 }
 
-// TestNoSimulatorImports: the device and its HTTP transport know nothing
-// of the network simulator. The one exception is legacy.go, the pre-split
-// Transport that exists for the load harness until it moves to NewSplit.
+// TestNoSimulatorImports: the device, its HTTP transport, the edge and
+// the HTTP server know nothing of the network simulator. The one
+// exception is legacy.go, the pre-split Transport that exists for the
+// load harness until it moves to NewSplit.
 func TestNoSimulatorImports(t *testing.T) {
 	const netsim = "speedkit/internal/netsim"
-	for _, dir := range []string{".", "../httpclient"} {
+	for _, dir := range []string{".", "../httpclient", "../httpapi", "../edge"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
