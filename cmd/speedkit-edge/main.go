@@ -42,7 +42,6 @@ package main
 import (
 	"context"
 	"flag"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -50,6 +49,7 @@ import (
 
 	"speedkit/internal/clock"
 	"speedkit/internal/edge"
+	"speedkit/internal/httpbody"
 	"speedkit/internal/slog"
 )
 
@@ -136,7 +136,7 @@ func main() {
 		Dur("sketch_refresh", *sketchRefresh).
 		Msg("speedkit-edge listening")
 
-	srv := &http.Server{Addr: *addr, Handler: proxy.Handler()}
+	srv := httpbody.NewServer(*addr, proxy.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 

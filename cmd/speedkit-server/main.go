@@ -31,7 +31,6 @@ package main
 import (
 	"context"
 	"flag"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -41,6 +40,7 @@ import (
 	"speedkit/internal/core"
 	"speedkit/internal/durable"
 	"speedkit/internal/httpapi"
+	"speedkit/internal/httpbody"
 	"speedkit/internal/obs"
 	"speedkit/internal/session"
 	"speedkit/internal/slog"
@@ -130,7 +130,7 @@ func main() {
 		Dur("delta", *delta).
 		Msg("speedkit-server listening")
 
-	srv := &http.Server{Addr: *addr, Handler: api.Handler()}
+	srv := httpbody.NewServer(*addr, api.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 

@@ -586,8 +586,9 @@ func (s *Service) Revalidate(ctx context.Context, path string, knownVersion uint
 	return rr, err
 }
 
-// Blocks is the first-party answer: u's fragments for names.
-func (s *Service) Blocks(ctx context.Context, names []string, u *session.User) (map[string][]byte, error) {
+// Blocks is the first-party answer: u's fragments for names, one per
+// name in order.
+func (s *Service) Blocks(ctx context.Context, names []string, u *session.User) ([][]byte, error) {
 	start := s.cfg.Clock.Now()
 	frs, _, err := s.blocks(ctx, names, u)
 	if err == nil {
@@ -757,9 +758,9 @@ func (s *Service) revalidate(ctx context.Context, edge *cdn.Edge, path string, k
 	return proxy.RevalidationResult{Entry: entry, Source: proxy.SourceOrigin}, spike, nil
 }
 
-// blocks renders u's personalized fragments at the origin: the
-// first-party channel bypasses the CDN.
-func (s *Service) blocks(ctx context.Context, names []string, u *session.User) (map[string][]byte, time.Duration, error) {
+// blocks renders u's personalized fragments at the origin, one per name
+// in order: the first-party channel bypasses the CDN.
+func (s *Service) blocks(ctx context.Context, names []string, u *session.User) ([][]byte, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -767,9 +768,9 @@ func (s *Service) blocks(ctx context.Context, names []string, u *session.User) (
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make(map[string][]byte, len(names))
-	for _, n := range names {
-		out[n] = s.origin.RenderBlock(n, u)
+	out := make([][]byte, len(names))
+	for i, n := range names {
+		out[i] = s.origin.RenderBlock(n, u)
 	}
 	s.stats.blockFetches.Add(1)
 	s.m.blockFetches.Inc()

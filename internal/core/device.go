@@ -189,14 +189,14 @@ func (l *link) Revalidate(ctx context.Context, path string, knownVersion uint64)
 	return rr, nil
 }
 
-func (l *link) FetchBlocks(ctx context.Context, names []string, u *session.User) (map[string][]byte, error) {
+func (l *link) FetchBlocks(ctx context.Context, names []string, u *session.User) ([][]byte, error) {
 	frs, spike, err := l.svc.blocks(ctx, names, u)
 	if err != nil {
 		return nil, err
 	}
 	size := 0
-	for _, n := range names {
-		size += len(frs[n])
+	for _, fr := range frs {
+		size += len(fr)
 	}
 	d := l.svc.cfg.Network.Latency(netsim.ClientNode(l.region), netsim.OriginNode, size) + l.svc.renderJitter()/2 + spike
 	l.spend(ctx, "core.blocks", proxy.SourceOrigin, d, false)
@@ -225,11 +225,19 @@ func (s *Service) Fetch(ctx context.Context, region netsim.Region, path string) 
 	return e, l.spent, src, err
 }
 
-// FetchBlocks is link.FetchBlocks from a device in region.
+// FetchBlocks is link.FetchBlocks from a device in region, its fragments
+// keyed by name.
 //
 // kept for cmd/speedkit-load (ROADMAP 7(b))
 func (s *Service) FetchBlocks(ctx context.Context, region netsim.Region, names []string, u *session.User) (map[string][]byte, time.Duration, error) {
 	l := link{svc: s, region: region}
 	frs, err := l.FetchBlocks(ctx, names, u)
-	return frs, l.spent, err
+	if err != nil {
+		return nil, l.spent, err
+	}
+	m := make(map[string][]byte, len(names))
+	for i, name := range names {
+		m[name] = frs[i]
+	}
+	return m, l.spent, nil
 }

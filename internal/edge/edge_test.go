@@ -64,7 +64,13 @@ func newFakeUpstream() *fakeUpstream {
 		}
 		// Personalized: never cacheable.
 		w.Header().Set("Cache-Control", "no-store")
-		w.Write(httpbody.BlocksResponse(names, map[string][]byte{"cart": []byte("3 items")}))
+		frs := make([][]byte, len(names))
+		for i, name := range names {
+			if name == "cart" {
+				frs[i] = []byte("3 items")
+			}
+		}
+		w.Write(httpbody.BlocksResponse(frs))
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, "no such endpoint: "+r.URL.Path)

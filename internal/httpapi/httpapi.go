@@ -444,7 +444,9 @@ var (
 // handleBlocks is the first-party personalization API. The user ID and
 // the block names arrive framed in the POST body, never in the URL that
 // intermediaries log and key on; the fragments go back framed in request
-// order (httpbody.BlocksRequest, httpbody.BlocksResponse).
+// order (httpbody.BlocksRequest, httpbody.BlocksResponse). Every answer
+// states its length: net/http's for one that fits its buffer, the
+// handler's for a longer one (responseBuffer).
 func (a *API) handleBlocks(w http.ResponseWriter, r *http.Request) {
 	user, names, err := httpbody.ReadBlocksRequest(r)
 	if err != nil {
@@ -462,13 +464,21 @@ func (a *API) handleBlocks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a.finishRemote(tr, "origin")
-	body := httpbody.BlocksResponse(names, frs)
+	body := httpbody.BlocksResponse(frs)
 	h := w.Header()
 	h["Content-Type"] = blocksType
-	h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	if len(body) > responseBuffer {
+		h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	}
 	h["Cache-Control"] = noStore
 	_, _ = w.Write(body)
 }
+
+// responseBuffer is the size of net/http's per-response buffer. A body
+// the handler writes whole into it goes out with a Content-Length that
+// net/http states itself once the handler returns; a longer one of
+// unstated length would be chunked, so handleBlocks states its length.
+const responseBuffer = 2048
 
 // handleWrite applies a catalog mutation, driving the invalidation
 // pipeline end to end.

@@ -480,19 +480,19 @@ func TestBlocksEndpoint(t *testing.T) {
 	if resp.ContentLength != int64(len(body)) {
 		t.Fatalf("Content-Length %d for a %d-byte body", resp.ContentLength, len(body))
 	}
-	frs, err := httpbody.ParseBlocksResponse(body, names)
+	frs, err := httpbody.ParseBlocksResponse(body, len(names))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(frs["greeting"]) != "<p>Welcome back, Test User!</p>" ||
-		len(frs["ghost"]) != 0 ||
-		string(frs["cart"]) != `<div class="cart">3 items</div>` {
+	if string(frs[0]) != "<p>Welcome back, Test User!</p>" ||
+		len(frs[1]) != 0 ||
+		string(frs[2]) != `<div class="cart">3 items</div>` {
 		t.Fatalf("fragments %q", frs)
 	}
 
 	// Unknown user → anonymous fragments, never an error.
 	_, body = postBlocks(t, ts.URL, httpbody.BlocksRequest("ghost", []string{"greeting"}))
-	if frs, err := httpbody.ParseBlocksResponse(body, []string{"greeting"}); err != nil || string(frs["greeting"]) != "<p>Welcome!</p>" {
+	if frs, err := httpbody.ParseBlocksResponse(body, 1); err != nil || string(frs[0]) != "<p>Welcome!</p>" {
 		t.Fatalf("anonymous fragment %q, %v", body, err)
 	}
 

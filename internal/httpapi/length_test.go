@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"speedkit/internal/edge"
+	"speedkit/internal/httpbody"
+	"speedkit/internal/session"
 	"speedkit/internal/tracectx"
 	"speedkit/internal/workload"
 )
@@ -46,6 +49,14 @@ func getSized(t *testing.T, target string, hdr http.Header) (*http.Response, []b
 	for k, v := range hdr {
 		req.Header[k] = v
 	}
+	return doSized(t, req)
+}
+
+// doSized sends req and checks the answer is a 200 that states its length
+// and is not chunked.
+func doSized(t *testing.T, req *http.Request) (*http.Response, []byte) {
+	t.Helper()
+	target := req.Method + " " + req.URL.String()
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -56,10 +67,10 @@ func getSized(t *testing.T, target string, hdr http.Header) (*http.Response, []b
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d: %s", target, resp.StatusCode, body)
+		t.Fatalf("%s: status %d: %s", target, resp.StatusCode, body)
 	}
 	if resp.ContentLength != int64(len(body)) || resp.TransferEncoding != nil {
-		t.Fatalf("GET %s: Content-Length %d, Transfer-Encoding %v for a %d-byte body, want its length and no chunking",
+		t.Fatalf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte body, want its length and no chunking",
 			target, resp.ContentLength, resp.TransferEncoding, len(body))
 	}
 	return resp, body
@@ -85,6 +96,48 @@ func TestPageAnswerStatesLength(t *testing.T) {
 	}
 	if _, ok := nm.Header["Content-Length"]; ok {
 		t.Fatalf("the 304 states Content-Length %q, want none", nm.Header.Get("Content-Length"))
+	}
+}
+
+// TestBlocksAnswerStatesLength: a blocks answer states its length and is
+// not chunked, on either side of net/http's buffer. The handler states
+// the length only past the buffer and leaves a shorter answer's to
+// net/http, so a release of Go that shrank the buffer would fail the rows
+// at its edge here rather than chunk answers on the wire.
+func TestBlocksAnswerStatesLength(t *testing.T) {
+	a, ts, _ := newTestAPI(t)
+	// pad renders a block of n bytes, framed behind a two-byte length.
+	pad := func(n int) string {
+		name := "pad" + strconv.Itoa(n)
+		fr := bytes.Repeat([]byte{'x'}, n)
+		a.svc.Origin().RegisterBlock(name, func(*session.User) []byte { return fr })
+		return name
+	}
+	many := make([]string, httpbody.MaxBlockNames)
+	for i := range many {
+		many[i] = []string{"greeting", "cart", "reco", "tier"}[i%4]
+	}
+	for _, c := range []struct {
+		name  string
+		names []string
+		size  int // the answer's length, when the row pins it
+	}{
+		{"one name", []string{"cart"}, len(`<div class="cart">3 items</div>`) + 1},
+		{"the buffer's size", []string{pad(chunkThreshold - 2)}, chunkThreshold},
+		{"one byte past the buffer", []string{pad(chunkThreshold - 1)}, chunkThreshold + 1},
+		{"the most names", many, 0},
+	} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/blocks", bytes.NewReader(httpbody.BlocksRequest("u-test", c.names)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, body := doSized(t, req)
+		if c.size != 0 && len(body) != c.size {
+			t.Errorf("%s: a %d-byte answer, want %d", c.name, len(body), c.size)
+		}
+		if _, err := httpbody.ParseBlocksResponse(body, len(c.names)); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
 	}
 }
 

@@ -90,36 +90,36 @@ func parseBlocksRequest(body string) (user string, names []string, err error) {
 	return user, names, nil
 }
 
-// BlocksResponse frames frs[name] for each name, in order, into one
-// exactly-sized buffer; a name frs lacks is an empty fragment.
-func BlocksResponse(names []string, frs map[string][]byte) []byte {
+// BlocksResponse frames the fragments, in order, into one exactly-sized
+// buffer.
+func BlocksResponse(frs [][]byte) []byte {
 	n := 0
-	for _, name := range names {
-		n += frameLen(len(frs[name]))
+	for _, fr := range frs {
+		n += frameLen(len(fr))
 	}
 	b := make([]byte, 0, n)
-	for _, name := range names {
-		b = appendFrame(b, frs[name])
+	for _, fr := range frs {
+		b = appendFrame(b, fr)
 	}
 	return b
 }
 
-// ParseBlocksResponse splits a blocks response body into one fragment per
-// name asked for. The fragments are slices of body, capped at their own
-// length. Fewer fragments than names, a length past the end, or bytes
-// after the last fragment is an error.
-func ParseBlocksResponse(body []byte, names []string) (map[string][]byte, error) {
-	frs := make(map[string][]byte, len(names))
-	for i, name := range names {
+// ParseBlocksResponse splits a blocks response body into its n fragments,
+// one per name asked for, in request order. The fragments are slices of
+// body, capped at their own length. Fewer than n fragments, a length past
+// the end, or bytes after the last fragment is an error.
+func ParseBlocksResponse(body []byte, n int) ([][]byte, error) {
+	frs := make([][]byte, n)
+	for i := range frs {
 		fr, rest, err := nextFrame(body)
 		if err != nil {
-			return nil, fmt.Errorf("fragment %d of %d: %w", i, len(names), err)
+			return nil, fmt.Errorf("fragment %d of %d: %w", i, n, err)
 		}
-		frs[name] = fr[:len(fr):len(fr)]
+		frs[i] = fr[:len(fr):len(fr)]
 		body = rest
 	}
 	if len(body) > 0 {
-		return nil, fmt.Errorf("%w: %d bytes after fragment %d of %d", ErrBlocksFrame, len(body), len(names), len(names))
+		return nil, fmt.Errorf("%w: %d bytes after fragment %d of %d", ErrBlocksFrame, len(body), n, n)
 	}
 	return frs, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -85,33 +84,38 @@ func TestReadBlocksRequestCapsTheBody(t *testing.T) {
 }
 
 func TestBlocksResponseRoundTrip(t *testing.T) {
-	names := []string{"cart", "ghost", "reco", "cart"}
-	frs := map[string][]byte{"cart": []byte("3 items"), "reco": []byte(strings.Repeat("r", 200))}
-	body := BlocksResponse(names, frs)
+	frs := [][]byte{[]byte("3 items"), nil, []byte(strings.Repeat("r", 200)), []byte("3 items")}
+	body := BlocksResponse(frs)
 	if cap(body) != len(body) {
 		t.Fatalf("cap %d over len %d", cap(body), len(body))
 	}
-	got, err := ParseBlocksResponse(body, names)
+	got, err := ParseBlocksResponse(body, len(frs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || string(got["cart"]) != "3 items" || string(got["reco"]) != string(frs["reco"]) {
-		t.Fatalf("decoded %q", got)
+	if len(got) != len(frs) {
+		t.Fatalf("decoded %d fragments, want %d", len(got), len(frs))
 	}
-	if fr, ok := got["ghost"]; !ok || len(fr) != 0 {
-		t.Fatalf("ghost fragment %q present=%v, want empty", fr, ok)
+	for i := range frs {
+		if !bytes.Equal(got[i], frs[i]) {
+			t.Fatalf("fragment %d decoded %q, want %q", i, got[i], frs[i])
+		}
+	}
+	// Every fragment is a slice of the one body.
+	if &got[2][0] != &body[len(body)-len("3 items")-1-len(frs[2])] {
+		t.Fatal("fragment 2 is not a slice of the body")
 	}
 	// A caller appending to one fragment must not write over the next.
-	if c := cap(got["cart"]); c != len("3 items") {
+	if c := cap(got[0]); c != len("3 items") {
 		t.Fatalf("fragment cap %d runs into the next frame", c)
 	}
 }
 
 func TestParseBlocksResponseRejects(t *testing.T) {
-	two := []string{"a", "b"}
+	const two = 2
 	for _, c := range []struct {
 		body  string
-		names []string
+		names int
 	}{
 		{"\x01A", two},           // one fragment for two names
 		{"\x01A\x01B\x01C", two}, // three fragments for two names
@@ -119,11 +123,12 @@ func TestParseBlocksResponseRejects(t *testing.T) {
 		{"\x01A\x01B\x00", two},  // trailing bytes
 		{"\x01A\x80", two},       // a length cut short
 		{"\x01A\x81\x00B", two},  // a padded length
-		{"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", []string{"a"}}, // 2⁶⁴−1 bytes claimed
+		// 2⁶⁴−1 bytes claimed
+		{"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", 1},
 	} {
 		frs, err := ParseBlocksResponse([]byte(c.body), c.names)
 		if !errors.Is(err, ErrBlocksFrame) || frs != nil {
-			t.Errorf("ParseBlocksResponse(%q, %q) = %q, %v; want ErrBlocksFrame", c.body, c.names, frs, err)
+			t.Errorf("ParseBlocksResponse(%q, %d) = %q, %v; want ErrBlocksFrame", c.body, c.names, frs, err)
 		}
 	}
 }
@@ -150,26 +155,22 @@ func FuzzBlocksFrame(f *testing.F) {
 			}
 		}
 
-		asked := make([]string, names)
-		for i := range asked {
-			asked[i] = "b" + strconv.Itoa(i)
-		}
-		frs, err := ParseBlocksResponse(body, asked)
+		frs, err := ParseBlocksResponse(body, int(names))
 		if err != nil {
 			if !errors.Is(err, ErrBlocksFrame) {
 				t.Fatalf("error %v does not wrap ErrBlocksFrame", err)
 			}
 			return
 		}
-		if len(frs) != len(asked) {
-			t.Fatalf("%d fragments for %d names", len(frs), len(asked))
+		if len(frs) != int(names) {
+			t.Fatalf("%d fragments for %d names", len(frs), names)
 		}
-		for name, fr := range frs {
+		for i, fr := range frs {
 			if cap(fr) != len(fr) {
-				t.Fatalf("fragment %s: cap %d over len %d", name, cap(fr), len(fr))
+				t.Fatalf("fragment %d: cap %d over len %d", i, cap(fr), len(fr))
 			}
 		}
-		if again := BlocksResponse(asked, frs); !bytes.Equal(again, body) {
+		if again := BlocksResponse(frs); !bytes.Equal(again, body) {
 			t.Fatalf("response %q re-encodes as %q", body, again)
 		}
 	})

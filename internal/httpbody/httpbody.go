@@ -5,7 +5,8 @@
 // response may be kept (ParseMaxAge), a page's validator (ETag,
 // ParseETag, MatchETag), the path a page request names (QueryValue to
 // send it, PathParam to read it), the JSON error envelope (ErrorBody,
-// WriteError) and the frames of the first-party blocks wire (blocks.go).
+// WriteError), the frames of the first-party blocks wire (blocks.go) and
+// the timeouts a tier's server holds a silent client to (NewServer).
 // It sees bytes and status codes; the one identity it handles is the user
 // ID a blocks request frames, which it keeps nowhere.
 package httpbody

@@ -47,7 +47,13 @@ func newTierRecorder(t *testing.T) *tierRecorder {
 				httpbody.WriteError(w, http.StatusBadRequest, httpbody.CodeBadRequest, err.Error())
 				return
 			}
-			w.Write(httpbody.BlocksResponse(names, map[string][]byte{"reco": []byte("for you")}))
+			frs := make([][]byte, len(names))
+			for i, name := range names {
+				if name == "reco" {
+					frs[i] = []byte("for you")
+				}
+			}
+			w.Write(httpbody.BlocksResponse(frs))
 		default:
 			httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, "no such endpoint")
 		}
@@ -93,7 +99,7 @@ func TestBehindEdgeSendsBlocksToTheOrigin(t *testing.T) {
 		}, "GET /v1/page", ""},
 		{"FetchBlocks", func() error {
 			frs, err := tr.FetchBlocks(ctx, []string{"reco"}, loggedInUser())
-			if err == nil && string(frs["reco"]) != "for you" {
+			if err == nil && (len(frs) != 1 || string(frs[0]) != "for you") {
 				t.Errorf("FetchBlocks: fragments %q", frs)
 			}
 			return err

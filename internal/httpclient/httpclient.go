@@ -283,8 +283,9 @@ func (t *Transport) Revalidate(ctx context.Context, path string, knownVersion ui
 // FetchBlocks implements proxy.FirstParty over the first-party API, sent
 // to the origin. Only the user ID crosses the wire — the server resolves
 // the session — and it travels in the POST body, never in the URL. The
-// fragments are slices of the one buffer the answer is read into.
-func (t *Transport) FetchBlocks(ctx context.Context, names []string, u *session.User) (map[string][]byte, error) {
+// fragments, one per name in request order, are slices of the one buffer
+// the answer is read into.
+func (t *Transport) FetchBlocks(ctx context.Context, names []string, u *session.User) ([][]byte, error) {
 	var user string
 	if u != nil {
 		user = u.ID
@@ -303,7 +304,7 @@ func (t *Transport) FetchBlocks(ctx context.Context, names []string, u *session.
 	if err != nil {
 		return nil, asOffline(err)
 	}
-	frs, err := httpbody.ParseBlocksResponse(body, names)
+	frs, err := httpbody.ParseBlocksResponse(body, len(names))
 	if err != nil {
 		return nil, fmt.Errorf("httpclient: blocks decode: %w", err)
 	}

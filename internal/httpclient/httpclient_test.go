@@ -244,8 +244,8 @@ func TestBlocksOverHTTPAnonymous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(frs["greeting"]), "Welcome!") {
-		t.Fatalf("greeting = %s", frs["greeting"])
+	if len(frs) != 1 || !strings.Contains(string(frs[0]), "Welcome!") {
+		t.Fatalf("fragments %q, want one greeting", frs)
 	}
 }
 
@@ -257,7 +257,7 @@ func TestBlocksUserLeavesTheURL(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		method, target = r.Method, r.URL.RequestURI()
 		body, _ = io.ReadAll(r.Body)
-		w.Write(httpbody.BlocksResponse([]string{"cart", "tier"}, map[string][]byte{"cart": []byte("4 items")}))
+		w.Write(httpbody.BlocksResponse([][]byte{[]byte("4 items"), nil}))
 	}))
 	t.Cleanup(ts.Close)
 	frs, err := NewDirect(ts.URL, ts.Client()).FetchBlocks(context.Background(), []string{"cart", "tier"}, loggedInUser())
@@ -267,7 +267,7 @@ func TestBlocksUserLeavesTheURL(t *testing.T) {
 	if method != http.MethodPost || target != "/v1/blocks" || !bytes.Equal(body, httpbody.BlocksRequest("u-wire", []string{"cart", "tier"})) {
 		t.Fatalf("sent %s %s with body %q", method, target, body)
 	}
-	if string(frs["cart"]) != "4 items" || len(frs["tier"]) != 0 || len(frs) != 2 {
+	if len(frs) != 2 || string(frs[0]) != "4 items" || len(frs[1]) != 0 {
 		t.Fatalf("fragments %q", frs)
 	}
 }

@@ -18,8 +18,9 @@ import (
 // store, the default block renderers are one shared map and the cache's
 // LRU list lives in its shard (12 while each device built the renderers
 // and the list, 9 while it allocated its breakers and its shard). New,
-// over a pre-split Transport with a region and a topology, costs the
-// same: its adapter lives in the proxy's allocation.
+// with a region and a topology, costs the same: over a Joined it is
+// NewSplit, and over any other pre-split Transport its adapter lives in
+// the proxy's allocation.
 func TestNewAllocations(t *testing.T) {
 	cfg := Config{
 		User:  session.Population(1, 1)[0],
@@ -44,6 +45,13 @@ func TestNewAllocations(t *testing.T) {
 	}
 	if b := bytesPerRun(100, func() { sinkProxy = New(cfg, joined) }); b > newBytes {
 		t.Fatalf("New allocates %d B, want at most %d", b, newBytes)
+	}
+	foreign := preSplit{joined}
+	if n := testing.AllocsPerRun(100, func() { sinkProxy = New(cfg, foreign) }); n > newAllocs {
+		t.Fatalf("New over a foreign Transport allocates %.0f, want at most %d", n, newAllocs)
+	}
+	if b := bytesPerRun(100, func() { sinkProxy = New(cfg, foreign) }); b > newBytes {
+		t.Fatalf("New over a foreign Transport allocates %d B, want at most %d", b, newBytes)
 	}
 }
 

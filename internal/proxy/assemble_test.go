@@ -19,7 +19,10 @@ import (
 // TestPersonalizeAssembly pins what a load does to the shell's
 // placeholders. Each row loads repeatedly: the fragment that holds a
 // placeholder came out two ways when assembly followed map order, and
-// the page buffer is reused from one load to the next.
+// the page buffer is reused from one load to the next. The origin renders
+// blocks o, short and over; its answer drops short's fragment and adds
+// one after over's, and an answer that is not one fragment per name
+// degrades the load to local fragments for every origin block.
 func TestPersonalizeAssembly(t *testing.T) {
 	ph := origin.BlockPlaceholder
 	cases := []struct {
@@ -38,15 +41,39 @@ func TestPersonalizeAssembly(t *testing.T) {
 		{"fragment longer than the reserve", ph("long") + ph("long"), []string{"long"}, strings.Repeat("L", 200), 1},
 		{"blocks named, none in the shell", "<p>static</p>", []string{"a"}, "<p>static</p>", 0},
 		{"no blocks", "<p>static " + ph("a") + "</p>", nil, "<p>static " + ph("a") + "</p>", 0},
+		{"origin block", "1" + ph("o") + "2" + ph("o") + ph("a"), []string{"a", "o"}, "1<o>2<o>A", 2},
+		{"short answer from the origin", ph("o") + ph("short") + ph("a"), []string{"a", "o", "short"}, "osA", 3},
+		{"long answer from the origin", ph("over") + ph("o"), []string{"over", "o"}, "vo", 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			p, tr, _ := newTestProxy(t, loggedInUser())
 			p.cfg.LocalBlocks = map[string]origin.BlockAppender{
-				"a":    func(dst []byte, _ *session.User) []byte { return append(dst, 'A') },
-				"b":    func(dst []byte, _ *session.User) []byte { return append(dst, ph("a")...) },
-				"long": func(dst []byte, _ *session.User) []byte { return append(dst, strings.Repeat("L", 100)...) },
+				"a":     func(dst []byte, _ *session.User) []byte { return append(dst, 'A') },
+				"b":     func(dst []byte, _ *session.User) []byte { return append(dst, ph("a")...) },
+				"long":  func(dst []byte, _ *session.User) []byte { return append(dst, strings.Repeat("L", 100)...) },
+				"o":     func(dst []byte, _ *session.User) []byte { return append(dst, 'o') },
+				"short": func(dst []byte, _ *session.User) []byte { return append(dst, 's') },
+				"over":  func(dst []byte, _ *session.User) []byte { return append(dst, 'v') },
 			}
+			p.cfg.OriginBlocks = map[string]bool{"o": true, "short": true, "over": true}
+			broken := false
+			p.first = firstPartyFunc(func(names []string) ([][]byte, error) {
+				var frs [][]byte
+				broken = false
+				for _, name := range names {
+					switch name {
+					case "short":
+						broken = true
+					case "over":
+						broken = true
+						frs = append(frs, []byte("<over>"), []byte("<extra>"))
+					default:
+						frs = append(frs, []byte("<"+name+">"))
+					}
+				}
+				return frs, nil
+			})
 			shell := []byte(c.shell)
 			e := cache.TTLEntry(tr.clk, "/t", shell, 1, time.Hour)
 			e.Metadata = BlocksMetadata(c.blocks)
@@ -58,6 +85,9 @@ func TestPersonalizeAssembly(t *testing.T) {
 				}
 				if string(res.Body) != c.want || res.BlocksPersonalized != c.filled {
 					t.Fatalf("load %d: body %q, %d blocks filled; want %q, %d", i, res.Body, res.BlocksPersonalized, c.want, c.filled)
+				}
+				if degraded := res.Degraded == DegradeBlocksLocal; degraded != broken {
+					t.Fatalf("load %d: degraded %q after an answer whose length was wrong: %v", i, res.Degraded, broken)
 				}
 				if c.filled == 0 && &res.Body[0] != &shell[0] {
 					t.Fatalf("load %d: a shell with nothing to fill was copied", i)
@@ -83,7 +113,7 @@ func TestPersonalizeAllocations(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		u.RecordView(workload.ProductID(i))
 	}
-	reco := map[string][]byte{"reco": origin.RecommendationsBlock(u)}
+	reco := [][]byte{origin.RecommendationsBlock(u)}
 	for _, c := range []struct {
 		name         string
 		originBlocks map[string]bool
@@ -116,14 +146,14 @@ func TestPersonalizeAllocations(t *testing.T) {
 	}
 }
 
-// cannedBlocks is a FirstParty that answers every fetch with one map and
+// cannedBlocks is a FirstParty that answers every fetch with one list and
 // allocates nothing.
 type cannedBlocks struct {
-	frs   map[string][]byte
+	frs   [][]byte
 	calls int
 }
 
-func (c *cannedBlocks) FetchBlocks(context.Context, []string, *session.User) (map[string][]byte, error) {
+func (c *cannedBlocks) FetchBlocks(context.Context, []string, *session.User) ([][]byte, error) {
 	c.calls++
 	return c.frs, nil
 }
@@ -152,7 +182,9 @@ func productShell(t testing.TB) cache.Entry {
 // the same count of blocks filled, and no panic. Bit i of originBits
 // sends the i-th listed name to the origin; every third name has no local
 // renderer; fragments spell placeholders of their own, which must go in
-// unscanned.
+// unscanned. The origin's answer holds extra fragments more than one per
+// name (fewer when negative); one of any other length than the names is
+// a failed fetch to the oracle.
 func FuzzPersonalize(f *testing.F) {
 	ph := origin.BlockPlaceholder
 	for _, s := range []struct {
@@ -169,11 +201,13 @@ func FuzzPersonalize(f *testing.F) {
 		{ph("a") + ph("c"), "a"},
 		{strings.Repeat(ph("n"), 10) + ph("m"), "m,n"},
 	} {
-		f.Add([]byte(s.shell), s.list, uint64(0b010), false, true)
-		f.Add([]byte(s.shell), s.list, uint64(0b111), true, true)
-		f.Add([]byte(s.shell), s.list, uint64(0b101), false, false)
+		f.Add([]byte(s.shell), s.list, uint64(0b010), false, int8(0), true)
+		f.Add([]byte(s.shell), s.list, uint64(0b111), true, int8(0), true)
+		f.Add([]byte(s.shell), s.list, uint64(0b101), false, int8(0), false)
+		f.Add([]byte(s.shell), s.list, uint64(0b011), false, int8(-1), true)
+		f.Add([]byte(s.shell), s.list, uint64(0b110), false, int8(1), true)
 	}
-	f.Fuzz(func(t *testing.T, shell []byte, list string, originBits uint64, fail, consent bool) {
+	f.Fuzz(func(t *testing.T, shell []byte, list string, originBits uint64, fail bool, extra int8, consent bool) {
 		u := &session.User{ID: "u1", Name: "Ada", LoggedIn: true, ConsentPersonalization: consent}
 		originBlocks := map[string]bool{}
 		local := map[string]origin.BlockAppender{}
@@ -191,13 +225,17 @@ func FuzzPersonalize(f *testing.F) {
 				oldLocal[name] = func(*session.User) []byte { return []byte(frag) }
 			}
 		}
-		fetch := func(names []string) (map[string][]byte, error) {
+		fetch := func(names []string) ([][]byte, error) {
 			if fail {
 				return nil, errors.New("blocks down")
 			}
-			frs := make(map[string][]byte, len(names))
-			for _, n := range names {
-				frs[n] = []byte("O(" + origin.BlockPlaceholder(n) + ")")
+			frs := make([][]byte, max(len(names)+int(extra), 0))
+			for i := range frs {
+				n := "extra"
+				if i < len(names) {
+					n = names[i]
+				}
+				frs[i] = []byte("O(" + origin.BlockPlaceholder(n) + ")")
 			}
 			return frs, nil
 		}
@@ -217,7 +255,10 @@ func FuzzPersonalize(f *testing.F) {
 			func(name string) bool { return originBlocks[name] && consent },
 			func(names []string) (map[string][]byte, bool) {
 				frs, err := fetch(names)
-				return frs, err == nil
+				if err != nil || len(frs) != len(names) {
+					return nil, false
+				}
+				return fragmentMap(names, frs), true
 			},
 			func(name string) ([]byte, bool) {
 				r := oldLocal[name]
@@ -236,10 +277,20 @@ func FuzzPersonalize(f *testing.F) {
 }
 
 // firstPartyFunc adapts a function to FirstParty.
-type firstPartyFunc func(names []string) (map[string][]byte, error)
+type firstPartyFunc func(names []string) ([][]byte, error)
 
-func (f firstPartyFunc) FetchBlocks(_ context.Context, names []string, _ *session.User) (map[string][]byte, error) {
+func (f firstPartyFunc) FetchBlocks(_ context.Context, names []string, _ *session.User) ([][]byte, error) {
 	return f(names)
+}
+
+// fragmentMap keys a blocks answer, one fragment per name, by name: the
+// shape oldPersonalize takes.
+func fragmentMap(names []string, frs [][]byte) map[string][]byte {
+	m := make(map[string][]byte, len(names))
+	for i, name := range names {
+		m[name] = frs[i]
+	}
+	return m
 }
 
 // oldPersonalize is the assembly a load ran before the device filled a

@@ -107,6 +107,6 @@ func (v *versionedTransport) Revalidate(ctx context.Context, path string, known 
 	return RevalidationResult{Entry: e, Source: src}, err
 }
 
-func (v *versionedTransport) FetchBlocks(context.Context, []string, *session.User) (map[string][]byte, error) {
+func (v *versionedTransport) FetchBlocks(context.Context, []string, *session.User) ([][]byte, error) {
 	return nil, nil
 }

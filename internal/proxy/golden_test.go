@@ -86,7 +86,10 @@ func TestPersonalizeGolden(t *testing.T) {
 						func(name string) bool { return originBlocks[name] && who.consented },
 						func(names []string) (map[string][]byte, bool) {
 							frs, err := first.FetchBlocks(context.Background(), names, who.u)
-							return frs, err == nil
+							if err != nil {
+								return nil, false
+							}
+							return proxy.FragmentMap(names, frs), true
 						},
 						func(name string) ([]byte, bool) {
 							r := oldLocal[name]
@@ -139,13 +142,13 @@ type storefrontBlocks struct {
 	fail bool
 }
 
-func (b *storefrontBlocks) FetchBlocks(_ context.Context, names []string, u *session.User) (map[string][]byte, error) {
+func (b *storefrontBlocks) FetchBlocks(_ context.Context, names []string, u *session.User) ([][]byte, error) {
 	if b.fail {
 		return nil, proxy.ErrOffline
 	}
-	frs := make(map[string][]byte, len(names))
-	for _, n := range names {
-		frs[n] = b.org.RenderBlock(n, u)
+	frs := make([][]byte, len(names))
+	for i, n := range names {
+		frs[i] = b.org.RenderBlock(n, u)
 	}
 	return frs, nil
 }

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"speedkit/internal/cache"
@@ -14,8 +15,11 @@ import (
 // party, for the one caller that still builds devices through it: the
 // load harness under cmd/speedkit-load, whose files change only together
 // with its benchmark. It is the only file of the package that names
-// netsim. Delete it, and Config.Region and Config.Network with it, when
-// that harness moves to NewSplit.
+// netsim, and the only one where a blocks answer is a map. New over a
+// Joined is NewSplit over its two halves; regioned serves only a foreign
+// pre-split Transport, such as the one the harness wraps around a Joined
+// to trace its calls. Delete the file, and Config.Region and
+// Config.Network with it, when that harness moves to NewSplit.
 
 // Transport is the pre-split device transport: every call names the
 // device's region and reports a duration, and one interface carries both
@@ -35,7 +39,12 @@ type (
 
 // New creates a proxy over a pre-split Transport. Every call names
 // cfg.Region and drops the duration reported; cfg.Network is ignored.
+// Over a Joined, which ignores the region and reports no duration, that
+// is NewSplit over its Shared and FirstParty.
 func New(cfg Config, tr Transport) *Proxy {
+	if j, ok := tr.(*Joined); ok {
+		return NewSplit(cfg, j.Shared, j.First)
+	}
 	// The proxy and its adapter are one allocation, as a NewSplit proxy is.
 	r := &regioned{tr: tr}
 	r.init(cfg, r, r)
@@ -66,9 +75,22 @@ func (r *regioned) Revalidate(ctx context.Context, path string, knownVersion uin
 	return r.tr.Revalidate(ctx, r.cfg.Region, path, knownVersion)
 }
 
-func (r *regioned) FetchBlocks(ctx context.Context, names []string, u *session.User) (map[string][]byte, error) {
-	frs, _, err := r.tr.FetchBlocks(ctx, r.cfg.Region, names, u)
-	return frs, err
+// FetchBlocks lists the map's fragments in request order. A map that
+// lacks a name answers short, so the proxy takes it as a failed fetch.
+func (r *regioned) FetchBlocks(ctx context.Context, names []string, u *session.User) ([][]byte, error) {
+	m, _, err := r.tr.FetchBlocks(ctx, r.cfg.Region, names, u)
+	if err != nil {
+		return nil, err
+	}
+	frs := make([][]byte, 0, len(names))
+	for _, name := range names {
+		fr, ok := m[name]
+		if !ok {
+			break
+		}
+		frs = append(frs, fr)
+	}
+	return frs, nil
 }
 
 // Joined gives a Shared and a FirstParty the pre-split Transport shape:
@@ -92,7 +114,19 @@ func (j *Joined) Revalidate(ctx context.Context, _ netsim.Region, path string, k
 	return j.Shared.Revalidate(ctx, path, knownVersion)
 }
 
+// FetchBlocks keys First's fragments by name. An answer that is not one
+// fragment per name is an error.
 func (j *Joined) FetchBlocks(ctx context.Context, _ netsim.Region, names []string, u *session.User) (map[string][]byte, time.Duration, error) {
 	frs, err := j.First.FetchBlocks(ctx, names, u)
-	return frs, 0, err
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(frs) != len(names) {
+		return nil, 0, fmt.Errorf("proxy: %d fragments for %d block names", len(frs), len(names))
+	}
+	m := make(map[string][]byte, len(names))
+	for i, name := range names {
+		m[name] = frs[i]
+	}
+	return m, 0, nil
 }

@@ -101,10 +101,11 @@ type Shared interface {
 // FirstParty is the proxy's consented channel to the origin, the only
 // one that carries the user.
 type FirstParty interface {
-	// FetchBlocks returns origin-rendered personalized fragments, keyed
-	// by name. It must not keep names past its return: the proxy reuses
-	// the slice on its next load.
-	FetchBlocks(ctx context.Context, names []string, u *session.User) (map[string][]byte, error)
+	// FetchBlocks returns origin-rendered personalized fragments, one per
+	// name in request order. It must not keep names past its return: the
+	// proxy reuses the slice on its next load. An answer of any other
+	// length is taken as a failed fetch.
+	FetchBlocks(ctx context.Context, names []string, u *session.User) ([][]byte, error)
 }
 
 // RevalidationResult is the outcome of a conditional fetch.
@@ -687,20 +688,21 @@ func (p *Proxy) revalidateShell(ctx context.Context, path string, res *PageLoad)
 // personalize fills the shell's block placeholders with their fragments
 // in one scan and one write. A failed origin-fragment fetch never fails
 // the page: the device falls back to locally rendered variants
-// (DegradeBlocksLocal).
+// (DegradeBlocksLocal), and so it does for an answer that does not hold
+// exactly one fragment per name asked.
 //
 // The scan finds each placeholder (origin.BlockPrefix, a name,
 // origin.BlockSuffix) whose name the entry's "blocks" metadata lists, and
 // decides per block, at its first placeholder, whether the origin renders
-// it; those names go out in one FetchBlocks batch. The write copies the
-// shell around the placeholders into the device's page buffer, with each
-// block's fragment in their place: the origin's as it arrived, a local one
-// appended by its renderer, and a block's later placeholders a copy of its
-// first fill. Fragments are never scanned. A placeholder of a block that
-// is not listed, that the origin did not answer, or that lacks its suffix
-// stays in the page. It returns the page and the number of distinct
-// blocks filled; a shell with nothing to fill comes back as it is, and a
-// filled page is valid until the next load.
+// it; those names go out in one FetchBlocks batch, and the placeholder
+// keeps its name's index in it. The write copies the shell around the
+// placeholders into the device's page buffer, with each block's fragment
+// in their place: the origin's as it arrived, a local one appended by its
+// renderer, and a block's later placeholders a copy of its first fill.
+// Fragments are never scanned. A placeholder of a block that is not
+// listed, or that lacks its suffix, stays in the page. It returns the page
+// and the number of distinct blocks filled; a shell with nothing to fill
+// comes back as it is, and a filled page is valid until the next load.
 func (p *Proxy) personalize(ctx context.Context, entry cache.Entry, res *PageLoad, trace *obs.Trace) ([]byte, int, error) {
 	list := entry.Metadata["blocks"]
 	if list == "" {
@@ -744,7 +746,7 @@ func (p *Proxy) personalize(ctx context.Context, entry cache.Entry, res *PageLoa
 			}
 		}
 		if ph.first == len(found) && p.cfg.OriginBlocks[name] && consented && !res.Offline {
-			ph.origin = true
+			ph.origin, ph.idx = true, len(p.names)
 			p.names = append(p.names, name)
 		}
 		found = append(found, ph)
@@ -757,7 +759,7 @@ func (p *Proxy) personalize(ctx context.Context, entry cache.Entry, res *PageLoa
 	// Origin-sourced fragments travel over the first-party channel, one
 	// batched round trip per page. PII crossing this boundary is lawful
 	// (first-party, consented) but still audited.
-	var frs map[string][]byte
+	var frs [][]byte
 	if len(p.names) > 0 {
 		if p.cfg.Auditor != nil {
 			p.cfg.Auditor.RecordFlow(gdpr.BoundaryOrigin, []string{"user_id", "path"})
@@ -766,11 +768,12 @@ func (p *Proxy) personalize(ctx context.Context, entry cache.Entry, res *PageLoa
 			frs, err = p.first.FetchBlocks(ctx, p.names, p.cfg.User)
 			return err
 		})
-		if err != nil {
+		if err != nil || len(frs) != len(p.names) {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, 0, err
 			}
-			// Degrade to local fallbacks for every origin-sourced block.
+			// A failed fetch, or an answer that is not one fragment per
+			// name, degrades to local fallbacks for every origin block.
 			frs = nil
 			p.markDegraded(res, trace, DegradeBlocksLocal)
 			for f := range found {
@@ -790,7 +793,7 @@ func (p *Proxy) personalize(ctx context.Context, entry cache.Entry, res *PageLoa
 	need := len(shell) + localReserve*len(found)
 	for _, ph := range found {
 		if ph.origin {
-			need += len(frs[ph.name])
+			need += len(frs[ph.idx])
 		}
 	}
 	if cap(page) < need {
@@ -813,12 +816,7 @@ func (p *Proxy) personalize(ctx context.Context, entry cache.Entry, res *PageLoa
 			}
 			continue
 		case ph.origin:
-			fr, ok := frs[ph.name]
-			if !ok {
-				page = append(page, shell[ph.start:ph.end]...)
-				continue
-			}
-			page = append(page, fr...)
+			page = append(page, frs[ph.idx]...)
 		default:
 			// A block with no renderer fills with nothing.
 			if r := p.cfg.LocalBlocks[ph.name]; r != nil {
@@ -850,8 +848,10 @@ type placeholder struct {
 	// first indexes the block's first placeholder in the shell; only
 	// that one is rendered or fetched.
 	first int
-	// origin reports that the origin renders the block.
+	// origin reports that the origin renders the block, whose fragment
+	// answers p.names[idx].
 	origin bool
+	idx    int
 	// filled reports that the placeholder was filled, with page[from:to].
 	filled   bool
 	from, to int

@@ -102,7 +102,7 @@ func (f *fakeTransport) Revalidate(_ context.Context, path string, knownVersion 
 	return RevalidationResult{Entry: e, Source: f.fetchSrc}, nil
 }
 
-func (f *fakeTransport) FetchBlocks(_ context.Context, names []string, u *session.User) (map[string][]byte, error) {
+func (f *fakeTransport) FetchBlocks(_ context.Context, names []string, u *session.User) ([][]byte, error) {
 	f.calls = append(f.calls, "FetchBlocks")
 	if f.blockErr != nil {
 		return nil, f.blockErr
@@ -110,9 +110,9 @@ func (f *fakeTransport) FetchBlocks(_ context.Context, names []string, u *sessio
 	f.blockCalls++
 	f.lastBlocks = append([]string(nil), names...) // the proxy reuses names
 	f.lastUser = u
-	out := make(map[string][]byte, len(names))
-	for _, n := range names {
-		out[n] = []byte("<origin:" + n + ">")
+	out := make([][]byte, len(names))
+	for i, n := range names {
+		out[i] = []byte("<origin:" + n + ">")
 	}
 	f.clk.Advance(30 * time.Millisecond)
 	return out, nil

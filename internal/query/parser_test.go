@@ -166,3 +166,28 @@ func TestParseDottedAndSlashedIdents(t *testing.T) {
 		t.Fatal("dotted/slashed identifiers mishandled")
 	}
 }
+
+// FuzzParse feeds the query parser any text: no panic, a query it
+// accepts names its collection, and parsing the same text again gives the
+// same cache key (ID), so no state leaks from one parse into the next.
+//
+// Seeds live in testdata/fuzz/FuzzParse: Parse's doc examples and a bare
+// collection.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := Parse(src)
+		if err != nil {
+			return
+		}
+		if q.Collection == "" {
+			t.Fatalf("%q parsed with no collection: %+v", src, q)
+		}
+		again, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%q parsed once, then failed: %v", src, err)
+		}
+		if q.ID() != again.ID() {
+			t.Fatalf("%q parsed to %s, then to %s", src, q.ID(), again.ID())
+		}
+	})
+}

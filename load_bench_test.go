@@ -93,7 +93,7 @@ func hopAnswers(b *testing.B) map[string]*cannedAnswer {
 	page := bytes.Repeat([]byte("<p>a storefront product page</p>"), 24)
 	length := []string{fmt.Sprint(len(page))}
 	epoch := []string{"00000000deadbeef"}
-	blocks := httpbody.BlocksResponse([]string{"reco"}, map[string][]byte{"reco": []byte(`<div class="reco">Recently viewed: /product/p00001</div>`)})
+	blocks := httpbody.BlocksResponse([][]byte{[]byte(`<div class="reco">Recently viewed: /product/p00001</div>`)})
 	sketch := httptest.NewRecorder()
 	srv := cachesketch.NewServer(cachesketch.ServerConfig{Capacity: 1024})
 	for i := 0; i < 64; i++ {
