@@ -71,14 +71,7 @@ func main() {
 
 	var store *durable.Store
 	if *dataDir != "" {
-		store = durable.New(durable.Config{
-			Dir:        *dataDir,
-			Clock:      clock.System,
-			ColdWindow: *delta,
-			// A lost cache-fill report can hide a stale copy for up to the
-			// TTL it was issued with; the adaptive estimator caps at 24h.
-			BlindHorizon: 24 * time.Hour,
-		})
+		store = durable.New(durable.Config{Dir: *dataDir, Clock: clock.System})
 	}
 
 	svc, err := core.NewStorefront(core.StorefrontConfig{
@@ -107,7 +100,7 @@ func main() {
 			Str("dir", *dataDir).
 			Str("mode", info.Mode.String()).
 			Uint("replayed", info.Replayed).
-			Bool("saturated", info.Saturated).
+			Bool("new_epoch", info.NewEpoch).
 			Msg("durability recovered")
 	}
 
@@ -135,8 +128,8 @@ func main() {
 	go func() { errCh <- srv.ListenAndServe() }()
 
 	// SIGTERM/SIGINT: stop serving, then seal the durability log with the
-	// clean-shutdown marker so the next start recovers warm instead of
-	// engaging the conservative cold start.
+	// clean-shutdown marker so the next start continues the sketch epoch
+	// instead of drawing a new one.
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
 	select {

@@ -26,9 +26,10 @@ import (
 // directories, delta exchange pulled over REAL loopback HTTP (every
 // member's DeltaSource is a cluster.Peer against its NodeHandler), and a
 // protocol client installing only the merged filter. Seeded faults kill
-// nodes (unclean WAL close, cold recovery) and blackhole exchange pulls
-// (partition); the driver advances one shared simulated clock, so twin
-// runs on one seed are bit-for-bit comparable. The gate asserts:
+// nodes (unclean WAL close, recovery under a new epoch) and blackhole
+// exchange pulls (partition); the driver advances one shared simulated
+// clock, so twin runs on one seed are bit-for-bit comparable. The gate
+// asserts:
 //
 //  1. Sharded matching is exact — with all nodes up, broadcasting a
 //     change event and unioning the per-node matches equals a single
@@ -51,7 +52,7 @@ import (
 //
 // The Δ budget mirrors DESIGN.md's cluster rule: client refresh (10s) +
 // sync period (2s) + MaxFrameAge (5s) ≤ Δ (30s), with the remainder
-// absorbing the kill→saturation transitions.
+// absorbing the kill→new-epoch transitions.
 func runCluster(seed int64, products int) {
 	const (
 		nodeCount    = 3
@@ -111,8 +112,6 @@ func runCluster(seed int64, products int) {
 				SketchCapacity: uint64(products) * 4,
 				DurableDir:     dir,
 				SnapshotEvery:  64,
-				ColdWindow:     10 * time.Second,
-				BlindHorizon:   time.Minute,
 			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "cluster: node:", err)
@@ -302,15 +301,14 @@ func runCluster(seed int64, products int) {
 			}
 		}
 
-		// Settle: recover everyone, run clean exchanges past the cold
-		// window, and capture the terminal merged state.
+		// Settle: recover everyone, run clean exchanges, and capture the
+		// terminal merged state.
 		for name := range recoverAt {
 			if err := c.Node(name).Recover(); err != nil {
 				fail("final recover %s: %v", name, err)
 			}
 			res.recoveries++
 		}
-		clk.Advance(15 * time.Second)
 		for i := 0; i < nodeCount+1; i++ {
 			if err := c.SyncDeltas(); err == nil {
 				break

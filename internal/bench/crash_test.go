@@ -32,9 +32,10 @@ func crashConfig(seed int64, dir string) FieldConfig {
 
 // TestCrashRecoveryPreservesDelta is the heart of the crash gate: injected
 // kills tear the WAL mid-write, every kill is recovered in place (the
-// in-process restart), and no connected load ever exceeds Δ — the
-// conservative cold start after each unclean recovery is what makes that
-// hold with lost coherence history.
+// in-process restart), and no connected load ever exceeds Δ — the new
+// sketch epoch after each unclean recovery is what makes that hold with
+// lost coherence history: every holder, the server's CDN tier included,
+// revalidates its older copies once.
 func TestCrashRecoveryPreservesDelta(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		cfg := crashConfig(seed, t.TempDir())
@@ -110,8 +111,8 @@ func TestCrashTwinRunsConverge(t *testing.T) {
 }
 
 // TestCrashRestartAcrossRuns exercises the cross-process path: a cleanly
-// shut-down run leaves a directory a second run restarts from warm — no
-// saturation, Δ still held.
+// shut-down run leaves a directory a second run restarts from warm — the
+// same epoch, Δ still held.
 func TestCrashRestartAcrossRuns(t *testing.T) {
 	dir := t.TempDir()
 	cfg := crashConfig(5, dir)
@@ -130,8 +131,8 @@ func TestCrashRestartAcrossRuns(t *testing.T) {
 	if r2.Recovery.Mode.String() == "fresh" {
 		t.Fatal("run 2 found no persisted state")
 	}
-	if r2.Recovery.Saturated {
-		t.Fatal("clean shutdown recovered cold — clean marker lost")
+	if r2.Recovery.NewEpoch {
+		t.Fatal("clean shutdown recovered under a new epoch — clean marker lost")
 	}
 	if r2.MaxStaleness > cfg.Delta {
 		t.Fatalf("run 2 staleness %v exceeds Δ=%v", r2.MaxStaleness, cfg.Delta)

@@ -111,11 +111,6 @@ type FieldConfig struct {
 	DataDir string
 	// SnapshotEvery passes through to durable.Config (0 = its default).
 	SnapshotEvery int
-	// BlindHorizon is how long post-crash recovery blind-tracks writes to
-	// unknown resources. It must cover the longest TTL a pre-crash cache
-	// fill could have been issued, or a lost report can hide a stale copy
-	// past Δ (default 24h, the adaptive estimator's cap).
-	BlindHorizon time.Duration
 }
 
 func (c *FieldConfig) applyDefaults() {
@@ -136,9 +131,6 @@ func (c *FieldConfig) applyDefaults() {
 	}
 	if c.MeanOpsPerSecond <= 0 {
 		c.MeanOpsPerSecond = 50
-	}
-	if c.BlindHorizon <= 0 {
-		c.BlindHorizon = 24 * time.Hour
 	}
 }
 
@@ -248,8 +240,6 @@ func RunField(cfg FieldConfig) (*FieldResult, error) {
 			Clock:         clk,
 			Faults:        inj,
 			SnapshotEvery: cfg.SnapshotEvery,
-			ColdWindow:    cfg.Delta,
-			BlindHorizon:  cfg.BlindHorizon,
 		})
 		svcCfg.Durable = store
 	}
@@ -473,7 +463,7 @@ func RunField(cfg FieldConfig) (*FieldResult, error) {
 		// An injected durability kill flips the store dead mid-op; the
 		// in-place recovery below is the process restart: memory is reset
 		// and rebuilt from the snapshot plus whatever WAL tail survived,
-		// with the conservative cold start covering what did not.
+		// with a new sketch epoch covering what did not.
 		if store != nil && store.Crashed() {
 			info, rerr := svc.RecoverDurable()
 			if rerr != nil {

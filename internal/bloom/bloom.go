@@ -238,9 +238,9 @@ func (f *Filter) Clear() {
 }
 
 // Saturate sets every bit, turning the filter into the all-stale sketch:
-// Contains returns true for every key. Crash recovery publishes a
-// saturated sketch during its conservative cold-start window so that,
-// with zero surviving coherence history, every client revalidates — the
+// Contains returns true for every key. The cluster merger serves a
+// saturated sketch while a shard's frame is missing or stale so that,
+// with that shard's writes unknown, every client revalidates — the
 // direction Bloom false positives are always allowed to err in.
 func (f *Filter) Saturate() {
 	for i := range f.bits {

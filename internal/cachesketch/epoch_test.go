@@ -26,10 +26,6 @@ func TestServerEpochIsAnIncarnation(t *testing.T) {
 	if sn := a.Snapshot(); sn.Epoch != a.Epoch() {
 		t.Fatalf("snapshot epoch %x, server's %x", sn.Epoch, a.Epoch())
 	}
-	a.ColdStart(clk.Now().Add(time.Minute), clk.Now().Add(time.Minute))
-	if sn := a.Snapshot(); sn.Epoch != a.Epoch() {
-		t.Fatalf("cold-start snapshot epoch %x, server's %x", sn.Epoch, a.Epoch())
-	}
 	old := a.Epoch()
 	a.Reset()
 	if a.Epoch() == old {

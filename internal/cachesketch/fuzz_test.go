@@ -74,3 +74,69 @@ func FuzzReadHTTP(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPageEpoch feeds PageEpoch any X-Sketch-Epoch value a page answer can
+// carry. Whatever arrives: no panic; the value the server states for an
+// epoch reads back as that epoch; and a value that is not one to sixteen
+// significant hex digits reads as 0, the epoch no sketch carries, so the
+// copy it came with is revalidated once rather than trusted.
+func FuzzPageEpoch(f *testing.F) {
+	for _, seed := range []struct {
+		e uint64
+		v string
+	}{
+		{0x0123456789abcdef, "0123456789abcdef"},
+		{1, "ABCDEF0123456789"},
+		{^uint64(0), "1ffffffffffffffff"},
+		{0, "0x1f"},
+		{0, "+1f"},
+		{0, "1_f"},
+		{0, ""},
+		{0, "00000000000000000000000000000001"},
+	} {
+		f.Add(seed.e, seed.v)
+	}
+	f.Fuzz(func(t *testing.T, e uint64, v string) {
+		if got := PageEpoch(http.Header{EpochHeader: epochValue(e)}); got != e {
+			t.Fatalf("epoch %x stated as %q reads back as %x", e, epochValue(e)[0], got)
+		}
+		want, ok := hexEpoch(v)
+		if !ok {
+			want = 0
+		}
+		if got := PageEpoch(http.Header{EpochHeader: {v}}); got != want {
+			t.Fatalf("PageEpoch(%q) = %x, want %x", v, got, want)
+		}
+		if got := PageEpoch(http.Header{}); got != 0 {
+			t.Fatalf("an answer that states no epoch reads as %x", got)
+		}
+	})
+}
+
+// hexEpoch is the reference reading of an epoch value: one or more hex
+// digits, of either case, worth less than 2⁶⁴.
+func hexEpoch(v string) (uint64, bool) {
+	if v == "" {
+		return 0, false
+	}
+	var e uint64
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		var d uint64
+		switch {
+		case '0' <= c && c <= '9':
+			d = uint64(c - '0')
+		case 'a' <= c && c <= 'f':
+			d = uint64(c-'a') + 10
+		case 'A' <= c && c <= 'F':
+			d = uint64(c-'A') + 10
+		default:
+			return 0, false
+		}
+		if e>>60 != 0 {
+			return 0, false
+		}
+		e = e<<4 | d
+	}
+	return e, true
+}

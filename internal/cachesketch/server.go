@@ -118,11 +118,6 @@ type Server struct {
 	// it — a pointer load instead of an O(m) projection — and every
 	// snapshot of that generation marshals to the same wire bytes.
 	flat atomic.Pointer[flatCache]
-
-	// Crash-recovery cold-start mode (see ColdStart in state.go).
-	coldUntil  time.Time     // guarded by mu; saturated-snapshot window end
-	blindUntil time.Time     // guarded by mu; conservative write-tracking window end
-	coldFilter *bloom.Filter // guarded by mu; the saturated sketch served while cold
 }
 
 // flatCache pairs a flattened client filter with the generation it was
@@ -228,15 +223,8 @@ func (h *expiryHeap) Pop() any {
 	return ev
 }
 
-// advanceLocked processes all due removal/cleanup events and retires the
-// cold-start window once it has fully elapsed.
+// advanceLocked processes all due removal/cleanup events.
 func (s *Server) advanceLocked(now time.Time) {
-	if s.coldFilter != nil && !s.coldUntil.After(now) {
-		// Cold window over: resume serving the real (rebuilt) sketch. The
-		// generation bump invalidates any snapshot of the saturated filter.
-		s.coldFilter = nil
-		s.generation++
-	}
 	for len(s.removals) > 0 && !s.removals[0].when.After(now) {
 		ev := heap.Pop(&s.removals).(expiryEvent)
 		switch ev.kind {
@@ -323,16 +311,8 @@ func (s *Server) ReportWrites(keys []string) int {
 func (s *Server) reportWriteLocked(key string, now time.Time) bool {
 	until, live := s.expiry[key]
 	if !live || !until.After(now) {
-		// Inside the post-crash blind window the expiration table cannot
-		// be trusted to know about pre-crash cache fills whose reports
-		// died with the log, so an "uncached" write is still tracked, with
-		// residency covering the longest such copy could survive.
-		if s.blindUntil.After(now) {
-			until, live = s.blindUntil, true
-		} else {
-			s.stats.WritesUncached++
-			return false
-		}
+		s.stats.WritesUncached++
+		return false
 	}
 	if cur, in := s.inSketch[key]; in {
 		if until.After(cur) {
@@ -393,11 +373,6 @@ func (s *Server) Snapshot() *Snapshot {
 // and has already run advanceLocked(now).
 func (s *Server) snapshotLocked(now time.Time) *Snapshot {
 	ep := s.epoch.Load()
-	if s.coldFilter != nil {
-		// Cold-start window: serve the saturated all-stale sketch so every
-		// client revalidates. Not flat-cached — the window retires itself.
-		return &Snapshot{Filter: s.coldFilter, Generation: s.generation, Epoch: ep.id, TakenAt: now, epochWire: ep.wire}
-	}
 	fc := s.flat.Load()
 	if fc == nil || fc.gen != s.generation {
 		fc = &flatCache{gen: s.generation, filter: s.counting.Flatten()}

@@ -222,25 +222,6 @@ func TestSnapshotMarshal(t *testing.T) {
 	}
 }
 
-// TestColdStartSnapshotMarshalsSmall: the all-stale sketch of the
-// cold-start window travels as the 64-bit all-ones, and still flags
-// everything.
-func TestColdStartSnapshotMarshalsSmall(t *testing.T) {
-	s, clk := newTestServer()
-	s.ColdStart(clk.Now().Add(time.Minute), clk.Now().Add(time.Hour))
-	data, err := s.Snapshot().Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bloom.Filter
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != 21 || s.SketchBytes() != 21 || !got.Contains("/never/written") {
-		t.Fatalf("cold-start sketch: %d bytes (SketchBytes %d), flags an unwritten key: %v", len(data), s.SketchBytes(), got.Contains("/never/written"))
-	}
-}
-
 // TestSnapshotMarshalEncodesOncePerGeneration: snapshots of one
 // generation hand out one encoding; a write that changes the sketch gets
 // a new one, and the old bytes still decode to the old filter.

@@ -1,6 +1,6 @@
 // Durability surface of the protocol server: journaling hooks, full-state
-// export/import for snapshots, and the conservative cold-start mode that
-// preserves the Δ bound when coherence history is lost.
+// export/import for snapshots, and the epoch a recovery hands back when the
+// log proves nothing was lost.
 //
 // The exported state is coherence metadata only — resource IDs and
 // expiration instants — and the journal carries the same. Nothing
@@ -140,9 +140,6 @@ func (s *Server) ImportState(data []byte) error {
 	s.journaledGen = 0
 	s.expiry = expiry
 	s.inSketch = inSketch
-	s.coldUntil = time.Time{}
-	s.blindUntil = time.Time{}
-	s.coldFilter = nil
 	s.counting.Clear()
 	s.removals = s.removals[:0]
 	for k, until := range inSketch {
@@ -158,10 +155,10 @@ func (s *Server) ImportState(data []byte) error {
 }
 
 // Reset returns the server to its just-constructed state: empty maps,
-// cleared filter, generation zero, no cold-start windows, and a newly
-// drawn epoch. Recovery calls it before applying a snapshot — the crash
-// model is that the previous incarnation's memory is gone — and hands the
-// old epoch back (SetEpoch) only when the log proves nothing was lost.
+// cleared filter, generation zero, and a newly drawn epoch. Recovery
+// calls it before applying a snapshot — the crash model is that the
+// previous incarnation's memory is gone — and hands the old epoch back
+// (SetEpoch) only when the log proves nothing was lost.
 func (s *Server) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -172,36 +169,6 @@ func (s *Server) Reset() {
 	s.removals = s.removals[:0]
 	s.generation = 0
 	s.journaledGen = 0
-	s.coldUntil = time.Time{}
-	s.blindUntil = time.Time{}
-	s.coldFilter = nil
-	s.flat.Store(nil)
-}
-
-// ColdStart switches the server into conservative recovery mode after a
-// crash that may have lost coherence history:
-//
-//   - Until saturateUntil (one full Δ window), Snapshot returns a
-//     saturated all-stale sketch, so every connected client revalidates
-//     every read — the direction the protocol is always allowed to err in.
-//   - Until blindUntil (the residual-TTL horizon), writes to resources
-//     with no live expiration entry are tracked in the sketch anyway,
-//     with residency blindUntil: a pre-crash cache fill whose report died
-//     with the log could still be holding a copy, and with the table
-//     blind the only safe assumption is that one is.
-//
-// Both windows bump the generation on entry and again on expiry, so
-// clients and monitoring observe the mode switch as sketch-content
-// changes.
-func (s *Server) ColdStart(saturateUntil, blindUntil time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.coldUntil = saturateUntil
-	s.blindUntil = blindUntil
-	s.generation++
-	fc := s.counting.Flatten()
-	fc.Saturate()
-	s.coldFilter = fc
 	s.flat.Store(nil)
 }
 
@@ -218,14 +185,4 @@ func (s *Server) EnsureGeneration(min uint64) {
 		s.generation = min
 		s.flat.Store(nil)
 	}
-}
-
-// ColdStartActive reports whether the saturated-sketch window is still
-// open.
-func (s *Server) ColdStartActive() bool {
-	now := s.cfg.Clock.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.advanceLocked(now)
-	return s.coldFilter != nil
 }

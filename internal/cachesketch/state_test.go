@@ -80,59 +80,12 @@ func TestServerImportRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestColdStartWindowSemantics(t *testing.T) {
-	sim := clock.NewSimulated(time.Time{})
-	s := buildServer(sim)
-	genBefore := s.Generation()
-	now := sim.Now()
-	s.ColdStart(now.Add(time.Minute), now.Add(10*time.Minute))
-
-	if s.Generation() == genBefore {
-		t.Fatal("ColdStart did not bump the generation")
-	}
-	if !s.ColdStartActive() {
-		t.Fatal("cold window not active")
-	}
-	snap := s.Snapshot()
-	if !snap.MightBeStale("/absolutely/anything") {
-		t.Fatal("cold snapshot not saturated")
-	}
-	// Blind window: unknown writes are tracked conservatively…
-	if !s.ReportWrite("/never/reported") {
-		t.Fatal("blind window did not track unknown write")
-	}
-	// …with residency ending at the blind horizon.
-	sim.Advance(2 * time.Minute) // past the cold window, inside blind
-	if s.ColdStartActive() {
-		t.Fatal("cold window did not retire")
-	}
-	if !s.Contains("/never/reported") {
-		t.Fatal("blind-tracked write evicted early")
-	}
-	snap = s.Snapshot()
-	if snap.MightBeStale("/some/key/never/seen") {
-		t.Fatal("sketch still saturated after the window")
-	}
-	sim.Advance(9 * time.Minute) // past the blind horizon
-	if s.Contains("/never/reported") {
-		t.Fatal("blind-tracked write outlived the horizon")
-	}
-	// Outside both windows, unknown writes are uncached again.
-	if s.ReportWrite("/after/horizon") {
-		t.Fatal("blind tracking persisted past the horizon")
-	}
-}
-
 func TestResetClearsEverything(t *testing.T) {
 	sim := clock.NewSimulated(time.Time{})
 	s := buildServer(sim)
-	s.ColdStart(sim.Now().Add(time.Minute), sim.Now().Add(time.Minute))
 	s.Reset()
 	if s.Generation() != 0 {
 		t.Fatalf("generation = %d after Reset", s.Generation())
-	}
-	if s.ColdStartActive() {
-		t.Fatal("cold window survived Reset")
 	}
 	st := s.Stats()
 	if st.Tracked != 0 || st.TableSize != 0 {

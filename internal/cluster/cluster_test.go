@@ -31,8 +31,6 @@ func testNodes(t *testing.T, clk clock.Clock, n int) []*Node {
 			Clock:          clk,
 			SketchCapacity: 512,
 			DurableDir:     t.TempDir(),
-			ColdWindow:     time.Minute,
-			BlindHorizon:   time.Hour,
 		})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
@@ -97,9 +95,9 @@ func TestClusterRoutedWriteReachesMergedSketch(t *testing.T) {
 
 // TestClusterKillDegradesAndRecoveryRestores drives the full node-kill
 // cycle: kill → routed ops to the dead shard fail and the merge degrades
-// to saturated; recover → the node comes back cold (saturated shard) and
-// the merge completes again, still conservative until the cold window
-// retires.
+// to saturated; recover → the node comes back under a new epoch with what
+// its log held, and the merge completes again under a new merged epoch,
+// which every holder installs and revalidates its older copies from.
 func TestClusterKillDegradesAndRecoveryRestores(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
 	nodes := testNodes(t, clk, 3)
@@ -111,7 +109,8 @@ func TestClusterKillDegradesAndRecoveryRestores(t *testing.T) {
 	if err := c.SyncDeltas(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
-	if c.Snapshot().MightBeStale("fresh-unwritten") {
+	pre := c.Snapshot()
+	if pre.MightBeStale("fresh-unwritten") {
 		t.Fatal("healthy cluster serving saturated sketch")
 	}
 
@@ -141,18 +140,17 @@ func TestClusterKillDegradesAndRecoveryRestores(t *testing.T) {
 	if err := c.SyncDeltas(); err != nil {
 		t.Fatalf("post-recovery sync: %v", err)
 	}
-	// Complete again, but the recovered shard publishes a cold (saturated)
-	// frame, so the union stays all-stale — conservative, exactly right.
-	if !c.Snapshot().MightBeStale("any-key-at-all") {
-		t.Fatal("cold recovered shard did not keep the merge conservative")
+	// Complete again, under a new merged epoch, and the write the log
+	// held is still flagged.
+	post := c.Snapshot()
+	if post.MightBeStale("fresh-unwritten-2") {
+		t.Fatal("merge still saturated after every member's frame is folded")
 	}
-	// Once the cold window retires the merge clears.
-	clk.Advance(2 * time.Minute)
-	if err := c.SyncDeltas(); err != nil {
-		t.Fatalf("warm sync: %v", err)
+	if post.Epoch == pre.Epoch {
+		t.Fatal("the recovered shard's new epoch left the merged epoch as it was")
 	}
-	if c.Snapshot().MightBeStale("fresh-unwritten-2") {
-		t.Fatal("merge still saturated after cold window retired")
+	if !post.MightBeStale("key-a") {
+		t.Fatal("the recovered shard lost the write its log held")
 	}
 	if err := c.ReportWrite("key-a"); err != nil {
 		t.Fatalf("write after recovery: %v", err)
@@ -205,7 +203,7 @@ func TestClusterGenerationNeverRegressesAcrossKill(t *testing.T) {
 	step("recovered")
 	clk.Advance(2 * time.Minute)
 	_ = c.SyncDeltas()
-	step("cold window retired")
+	step("two minutes on")
 	if last.Epoch == first {
 		t.Fatal("an unclean recovery left the merged sketch in its epoch")
 	}
@@ -441,8 +439,6 @@ func TestNodeDeltaShipsTheFullFilter(t *testing.T) {
 	nodes := testNodes(t, clk, 2)
 	c := testCluster(t, clk, nodes)
 	defer c.Close()
-	// Recovery's cold-start window first: a node inside it ships all ones.
-	clk.Advance(2 * time.Minute)
 	wantM, wantK := c.merger.Params()
 	for _, n := range nodes {
 		frame, err := n.Delta()
@@ -497,8 +493,8 @@ func TestClusterDeltaOverHTTPSources(t *testing.T) {
 }
 
 // TestNodeDurableKillRecoversState: state journaled before a kill must
-// survive into the recovered node, with the recovered sketch cold-started
-// under a new epoch — the unclean log may have lost exposed generations.
+// survive into the recovered node, under a new epoch — the unclean log
+// may have lost exposed generations.
 func TestNodeDurableKillRecoversState(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
 	dir := t.TempDir()
@@ -507,8 +503,6 @@ func TestNodeDurableKillRecoversState(t *testing.T) {
 		Clock:          clk,
 		SketchCapacity: 512,
 		DurableDir:     dir,
-		ColdWindow:     time.Minute,
-		BlindHorizon:   time.Hour,
 	})
 	if err != nil {
 		t.Fatalf("node: %v", err)
@@ -537,8 +531,12 @@ func TestNodeDurableKillRecoversState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-recovery delta: %v", err)
 	}
-	if !frame.Cold {
-		t.Fatal("unclean recovery did not cold-start the sketch")
+	var f bloom.Filter
+	if err := f.UnmarshalBinary(frame.Sketch); err != nil {
+		t.Fatal(err)
+	}
+	if !f.Contains("res-1") {
+		t.Fatal("the journaled write is missing from the recovered sketch")
 	}
 	if frame.Generation < preGen {
 		t.Fatalf("recovered generation %d below pre-kill %d: journaled writes lost", frame.Generation, preGen)

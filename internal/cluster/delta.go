@@ -23,10 +23,6 @@ type DeltaFrame struct {
 	Epoch uint64 `json:"epoch"`
 	// Sketch is the bloom.Filter MarshalBinary payload (base64 in JSON).
 	Sketch []byte `json:"sketch"`
-	// Cold marks a frame published during the node's post-crash cold
-	// window: the sketch is saturated, so folding it makes the merged
-	// filter conservative for the whole cluster.
-	Cold bool `json:"cold,omitempty"`
 }
 
 // RingInfo is the ring layout served at /v1/cluster/ring: everything a

@@ -53,7 +53,6 @@ type heldFrame struct {
 	gen      uint64
 	epoch    uint64
 	filter   *bloom.Filter
-	cold     bool
 	foldedAt time.Time
 }
 
@@ -123,8 +122,7 @@ func NewMerger(cfg MergerConfig) *Merger {
 		frames:    make(map[string]heldFrame, len(cfg.Members)),
 		epoch:     cachesketch.NewEpoch(),
 		// Before the first complete exchange the merger has zero trusted
-		// history, so it starts in the saturated state for the same reason
-		// crash recovery does.
+		// history, so it starts in the saturated state.
 		servingSat: true,
 	}
 	mg.m = sat.Bits()
@@ -183,7 +181,6 @@ func (mg *Merger) Fold(frame DeltaFrame) error {
 		gen:      frame.Generation,
 		epoch:    frame.Epoch,
 		filter:   &f,
-		cold:     frame.Cold,
 		foldedAt: mg.cfg.Clock.Now(),
 	}
 	mg.stats.Folds++

@@ -34,14 +34,11 @@ type NodeConfig struct {
 	SketchCapacity uint64
 	SketchFPR      float64
 	// DurableDir, when non-empty, gives the node its own WAL + snapshot
-	// directory; a kill then recovers from disk with the standard
-	// cold-start discipline. Empty runs the node memory-only.
+	// directory; a kill then recovers from disk, under a new epoch unless
+	// the log proves nothing was lost. Empty runs the node memory-only.
 	DurableDir string
-	// SnapshotEvery, ColdWindow, and BlindHorizon pass through to the
-	// node's durable.Config.
+	// SnapshotEvery passes through to the node's durable.Config.
 	SnapshotEvery int
-	ColdWindow    time.Duration
-	BlindHorizon  time.Duration
 }
 
 func (c *NodeConfig) applyDefaults() {
@@ -87,8 +84,8 @@ type Node struct {
 }
 
 // NewNode creates (and, when durable, recovers) a node. A node over a
-// directory with prior state comes back warm or cold exactly as a
-// restarted single-process server would.
+// directory with prior state comes back in its old epoch or a new one
+// exactly as a restarted single-process server would.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	cfg.applyDefaults()
 	if cfg.Member == "" {
@@ -111,8 +108,6 @@ func (n *Node) openLocked() error {
 			Dir:           n.cfg.DurableDir,
 			Clock:         n.cfg.Clock,
 			SnapshotEvery: n.cfg.SnapshotEvery,
-			ColdWindow:    n.cfg.ColdWindow,
-			BlindHorizon:  n.cfg.BlindHorizon,
 		})
 		journal = store
 	}
@@ -241,10 +236,9 @@ func (n *Node) ProcessEvent(ev storage.ChangeEvent) ([]invalidb.Invalidation, er
 }
 
 // Delta publishes the node's current shard frame: its flattened sketch,
-// content generation and epoch, and cold-start flag. The filter goes out
-// at its full size, not in the compacted encoding devices get
-// (Snapshot.Marshal): the merger unions frames, and a union needs equal
-// (m, k) on both sides.
+// content generation and epoch. The filter goes out at its full size, not
+// in the compacted encoding devices get (Snapshot.Marshal): the merger
+// unions frames, and a union needs equal (m, k) on both sides.
 func (n *Node) Delta() (DeltaFrame, error) {
 	sketch, _, _, _, err := n.parts()
 	if err != nil {
@@ -260,7 +254,6 @@ func (n *Node) Delta() (DeltaFrame, error) {
 		Generation: snap.Generation,
 		Epoch:      snap.Epoch,
 		Sketch:     body,
-		Cold:       sketch.ColdStartActive(),
 	}, nil
 }
 
@@ -276,8 +269,8 @@ func (n *Node) maybeSnapshot(store *durable.Store) {
 
 // Kill simulates the node's process dying: the WAL closes WITHOUT the
 // clean-shutdown marker (so the next recovery distrusts the tail and
-// saturates) and every subsequent operation fails with ErrNodeDown until
-// Recover.
+// draws a new epoch) and every subsequent operation fails with
+// ErrNodeDown until Recover.
 func (n *Node) Kill() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -293,11 +286,10 @@ func (n *Node) Kill() error {
 }
 
 // Recover restarts a killed node. With a durable dir this is the full
-// crash-recovery path — snapshot load, WAL replay, cold-start saturation
-// on the unclean tail — over fresh in-memory state; memory-only nodes
-// come back empty but saturate their sketch for the cold window, the same
-// zero-trusted-history discipline. Registrations are re-registered into
-// the rebuilt matcher.
+// crash-recovery path — snapshot load, WAL replay, a new epoch on the
+// unclean tail — over fresh in-memory state; memory-only nodes come back
+// empty under a new epoch, the same zero-trusted-history discipline.
+// Registrations are re-registered into the rebuilt matcher.
 func (n *Node) Recover() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -306,18 +298,6 @@ func (n *Node) Recover() error {
 	}
 	if err := n.openLocked(); err != nil {
 		return err
-	}
-	if n.store == nil {
-		now := n.cfg.Clock.Now()
-		cold := n.cfg.ColdWindow
-		if cold <= 0 {
-			cold = time.Minute
-		}
-		blind := n.cfg.BlindHorizon
-		if blind <= 0 {
-			blind = cold
-		}
-		n.sketch.ColdStart(now.Add(cold), now.Add(blind))
 	}
 	n.stats.Recoveries++
 	n.stats.Down = false

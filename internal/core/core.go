@@ -102,8 +102,8 @@ type Config struct {
 	DeviceResilience proxy.ResilienceConfig
 	// Durable, when non-nil, persists the coherence state: the sketch
 	// server journals through it, the write pipeline snapshots it, and
-	// NewService recovers from it (snapshot + WAL replay, or the
-	// conservative cold start after an unclean shutdown). Create it with
+	// NewService recovers from it (snapshot + WAL replay, under a new
+	// sketch epoch after an unclean shutdown). Create it with
 	// durable.New over the service's data directory.
 	Durable *durable.Store
 	// VersionLogHorizon bounds the staleness instrumentation's per-key
@@ -306,7 +306,7 @@ func NewService(cfg Config, docs *storage.DocumentStore, org *origin.Server) *Se
 
 	// Recover persisted coherence state before any traffic: the sketch and
 	// estimator rebuild from the newest snapshot plus the WAL tail, and an
-	// unclean prior shutdown engages the conservative cold start.
+	// unclean prior shutdown draws a new sketch epoch.
 	if cfg.Durable != nil {
 		s.recovery, s.recoveryErr = cfg.Durable.Recover(s.sketch, s.est)
 	}
@@ -649,7 +649,8 @@ func (s *Service) sketchSnapshot(ctx context.Context) (*cachesketch.Snapshot, in
 
 // page serves the anonymous page through edge (none: straight from the
 // origin), filling it and reporting the cache fill to the sketch server
-// on a miss.
+// on a miss. An edge copy of another epoch is a miss: only its own
+// epoch's expiration table knew it, so no write since has purged it.
 func (s *Service) page(ctx context.Context, edge *cdn.Edge, path string) (cache.Entry, proxy.Source, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return cache.Entry{}, 0, 0, err
@@ -659,7 +660,7 @@ func (s *Service) page(ctx context.Context, edge *cdn.Edge, path string) (cache.
 		return cache.Entry{}, 0, 0, err
 	}
 	if edge != nil {
-		if e, ok := edge.Lookup(path); ok {
+		if e, ok := edge.Lookup(path); ok && e.Epoch == s.sketch.Epoch() {
 			return e, proxy.SourceCDN, spike, nil
 		}
 	}
@@ -717,10 +718,11 @@ func (s *Service) fetchFromOrigin(edge *cdn.Edge, path string) (cache.Entry, err
 // revalidate is a conditional fetch carrying the client's held version.
 // The request goes through the CDN — the sketch exists to govern the
 // caches that purges cannot reach (device caches); the edge itself is
-// purge-maintained, so a strictly newer edge copy is trustworthy and
-// answers the revalidation at edge latency. Only when the edge cannot
-// prove progress (no copy, or a copy at the client's own version —
-// possibly the pre-purge body inside the propagation window) does the
+// purge-maintained, so a strictly newer edge copy of the current epoch is
+// trustworthy and answers the revalidation at edge latency. Only when the
+// edge cannot prove progress (no copy, a copy of another epoch, or a copy
+// at the client's own version — possibly the pre-purge body inside the
+// propagation window) does the
 // request fall through to the origin, which answers 304 when the version
 // is still current and a page stands behind it (the version of a path
 // nobody wrote is 1 too; such a request takes the full fetch and its
@@ -736,7 +738,7 @@ func (s *Service) revalidate(ctx context.Context, edge *cdn.Edge, path string, k
 		return proxy.RevalidationResult{}, 0, err
 	}
 	if edge != nil {
-		if e, ok := edge.Lookup(path); ok && e.Version > knownVersion {
+		if e, ok := edge.Lookup(path); ok && e.Version > knownVersion && e.Epoch == s.sketch.Epoch() {
 			s.m.revalidations[revalEdge].Inc()
 			return proxy.RevalidationResult{Entry: e, Source: proxy.SourceCDN}, spike, nil
 		}

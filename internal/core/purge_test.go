@@ -13,10 +13,9 @@ import (
 
 // TestPurgesOnlyWhatACacheCanHold tables when the write pipeline purges:
 // exactly when the sketch server's expiration table says a copy of the
-// written page may still be live — which, after a crash, the blind window
-// assumes of every page — plus every operator purge. A page nothing
-// cached gets none, and counts as skipped instead. The write to p00011
-// also invalidates its category listing, which no row reads.
+// written page may still be live, plus every operator purge. A page
+// nothing cached gets none, and counts as skipped instead. The write to
+// p00011 also invalidates its category listing, which no row reads.
 func TestPurgesOnlyWhatACacheCanHold(t *testing.T) {
 	const path = "/product/p00011"
 	const listing = "/category/shirts"
@@ -60,15 +59,6 @@ func TestPurgesOnlyWhatACacheCanHold(t *testing.T) {
 				write(t, svc)
 			},
 			wantSkipped: 2,
-		},
-		{
-			name: "blind window after a crash: every page purged",
-			run: func(t *testing.T, svc *Service, clk *clock.Simulated, _ *hookTTL) {
-				now := clk.Now()
-				svc.SketchServer().ColdStart(now.Add(time.Minute), now.Add(time.Hour))
-				write(t, svc)
-			},
-			wantPurged: []string{listing, path},
 		},
 		{
 			name: "operator purge: always",

@@ -20,10 +20,10 @@
 // complete and the server resumes warm, continuing its sketch epoch.
 // Anything else — torn tail, acknowledged records that power loss took
 // before their deferred fsync, mid-log corruption — means history may be
-// missing, and the server enters conservative cold start under a new
-// epoch: a saturated all-stale sketch for one full Δ window (every client
-// revalidates; Δ holds with zero trusted history) plus blind write
-// tracking over the residual-TTL horizon. That cold start, not a
+// missing, and the server draws a new sketch epoch. Every tier that holds
+// a sketch (device, edge, the server's own CDN tier) then trusts none of
+// its pre-restart copies: each is revalidated or fetched again once, so Δ
+// holds with no trusted history at all. That epoch change, not a
 // synchronous write mode, is what covers power loss.
 //
 // Every append to the log runs under the store's mutex, which the journal
@@ -54,8 +54,7 @@ import (
 type Config struct {
 	// Dir is the durability directory holding WAL segments and snapshots.
 	Dir string
-	// Clock drives the WAL's deferred fsync and the recovery windows
-	// (default system).
+	// Clock drives the WAL's deferred fsync (default system).
 	Clock clock.Clock
 	// Faults optionally injects crashes at the WAL and snapshot writers.
 	Faults *faults.Injector
@@ -65,13 +64,9 @@ type Config struct {
 	// (default 512); ShouldSnapshot exposes the trigger, the owner decides
 	// when to act on it (snapshots must not run under the sketch mutex).
 	SnapshotEvery int
-	// ColdWindow is how long recovery saturates the sketch after an
-	// unclean shutdown — one full Δ window (default 1 minute).
-	ColdWindow time.Duration
-	// BlindHorizon is how long recovery blind-tracks writes to unknown
-	// resources — the longest a pre-crash cache fill whose report was lost
-	// could still be live, i.e. the TTL cap (default: ColdWindow).
-	BlindHorizon time.Duration
+	// ColdWindow and BlindHorizon are read by nothing.
+	ColdWindow   time.Duration // kept for cmd/speedkit-load (ROADMAP 13(p))
+	BlindHorizon time.Duration // kept for cmd/speedkit-load (ROADMAP 13(p))
 }
 
 func (c *Config) applyDefaults() {
@@ -80,12 +75,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 512
-	}
-	if c.ColdWindow <= 0 {
-		c.ColdWindow = time.Minute
-	}
-	if c.BlindHorizon <= 0 {
-		c.BlindHorizon = c.ColdWindow
 	}
 }
 
@@ -101,7 +90,7 @@ const (
 	// Replay: a WAL tail (with or without a snapshot under it) replayed.
 	Replay
 	// ColdStart: the log was corrupt past the snapshot; only the
-	// snapshot (if any) was trusted and the server saturated.
+	// snapshot (if any) and the intact prefix above it were trusted.
 	ColdStart
 )
 
@@ -124,8 +113,9 @@ func (m Mode) String() string {
 // RecoveryInfo reports what Recover did.
 type RecoveryInfo struct {
 	Mode Mode
-	// Saturated is true when the unclean-shutdown cold start engaged.
-	Saturated bool
+	// NewEpoch is true when the history was not proven complete and the
+	// server serves under a newly drawn sketch epoch.
+	NewEpoch bool
 	// SnapshotLSN is the WAL position the loaded snapshot covered (0 if
 	// none).
 	SnapshotLSN uint64
@@ -448,10 +438,9 @@ func (s *Store) beginRecover(sketch *cachesketch.Server, est *ttl.Estimator) (*c
 // that memory died.
 //
 // Trust decision: a log whose final record is the clean-shutdown marker
-// is complete. Anything else engages the conservative cold start — the
-// sketch saturates for ColdWindow and blind-tracks writes for
-// BlindHorizon — because an acknowledged record is only in the OS file
-// until its deferred fsync, and power loss may have taken it.
+// is complete. Anything else keeps the new epoch Reset drew, because an
+// acknowledged record is only in the OS file until its deferred fsync,
+// and power loss may have taken it.
 func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (RecoveryInfo, error) {
 	sketch, est, err := s.beginRecover(sketch, est)
 	if err != nil {
@@ -524,7 +513,7 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 
 	// Replay the tail through the real server logic. Journaling is
 	// suppressed (the records are already in the log — except after a
-	// wipe, where the cold start covers the loss).
+	// wipe, where the new epoch covers the loss).
 	s.mu.Lock()
 	s.replaying = true
 	s.mu.Unlock()
@@ -585,7 +574,7 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 		// fsyncs an open marker at recovery, so a deployment's log always
 		// has a readable prefix unless damage reached the first frame and
 		// the torn-tail truncation swallowed everything. Recovering warm
-		// here would serve with zero history and no saturation window.
+		// here would continue the epoch with zero history.
 		info.Mode = ColdStart
 	default:
 		info.Mode = Fresh
@@ -595,19 +584,14 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 	// tail, a wipe, or any log not sealed by the shutdown marker does not.
 	// Nor does one whose newest snapshot is of another layout (see
 	// snapMagic): the log above it is a partial history.
-	unclean := info.Mode != Fresh && (!clean || rec.Reseeded || info.TruncatedBytes > 0 || rec.Foreign)
-	if unclean {
-		now := s.cfg.Clock.Now()
-		sketch.ColdStart(now.Add(s.cfg.ColdWindow), now.Add(s.cfg.BlindHorizon))
-		info.Saturated = true
-	}
+	info.NewEpoch = info.Mode != Fresh && (!clean || rec.Reseeded || info.TruncatedBytes > 0 || rec.Foreign)
 	// A clean log lost nothing: the restart continues the last epoch, and
 	// never republishes a generation of it any client already holds —
 	// Install keeps the newest one, so a regressed generation would leave
 	// connected clients rejecting every post-restart snapshot. Anything
 	// else keeps the epoch Reset drew: the lost tail may have exposed
 	// generations no floor knows, and a new epoch supersedes them all.
-	if !unclean && haveEpoch {
+	if !info.NewEpoch && haveEpoch {
 		sketch.SetEpoch(epoch)
 		sketch.EnsureGeneration(genFloor)
 	} else {
@@ -641,8 +625,8 @@ func (s *Store) Recover(sketch *cachesketch.Server, est *ttl.Estimator) (Recover
 	}
 	if rec.Foreign {
 		// Put a snapshot of this layout above the foreign one, or every
-		// restart would pass it over again and cold-start. One that fails
-		// leaves exactly that, which is safe.
+		// restart would pass it over again and draw a new epoch. One that
+		// fails leaves exactly that, which is safe.
 		_ = s.Snapshot()
 	}
 	return info, nil
@@ -678,10 +662,10 @@ func (s *Store) Close() error {
 // Kill simulates process death for this store's node: the log is closed
 // WITHOUT the clean-shutdown marker and the store goes dead, exactly the
 // disk state a real kill leaves behind. The next Recover over the same
-// directory therefore distrusts the tail and engages the conservative
-// cold start. The cluster gate uses this for node-level kill injection;
-// unlike an injected WAL crash it is driver-scheduled, so twin seeded
-// runs kill the same nodes at the same points.
+// directory therefore distrusts the tail and draws a new epoch. The
+// cluster gate uses this for node-level kill injection; unlike an
+// injected WAL crash it is driver-scheduled, so twin seeded runs kill the
+// same nodes at the same points.
 func (s *Store) Kill() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

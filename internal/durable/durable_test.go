@@ -29,13 +29,7 @@ type harness struct {
 func newHarness(t testing.TB, dir string, inj *faults.Injector) *harness {
 	t.Helper()
 	h := &harness{dir: dir, sim: clock.NewSimulated(time.Time{})}
-	h.store = New(Config{
-		Dir:          dir,
-		Clock:        h.sim,
-		Faults:       inj,
-		ColdWindow:   time.Minute,
-		BlindHorizon: 10 * time.Minute,
-	})
+	h.store = New(Config{Dir: dir, Clock: h.sim, Faults: inj})
 	h.sketch = cachesketch.NewServer(cachesketch.ServerConfig{Clock: h.sim, Journal: h.store})
 	h.est = ttl.NewEstimator(ttl.Config{Clock: h.sim})
 	return h
@@ -62,7 +56,7 @@ func (h *harness) populate(n int) {
 func TestFreshThenCleanRestartIsWarm(t *testing.T) {
 	dir := t.TempDir()
 	h := newHarness(t, dir, nil)
-	if info := h.recover(t); info.Mode != Fresh || info.Saturated {
+	if info := h.recover(t); info.Mode != Fresh || info.NewEpoch {
 		t.Fatalf("fresh dir: %+v", info)
 	}
 	h.populate(20)
@@ -76,8 +70,8 @@ func TestFreshThenCleanRestartIsWarm(t *testing.T) {
 	if info.Mode != Replay {
 		t.Fatalf("Mode = %v, want Replay", info.Mode)
 	}
-	if info.Saturated {
-		t.Fatal("clean shutdown must not saturate")
+	if info.NewEpoch {
+		t.Fatal("clean shutdown drew a new epoch")
 	}
 	if got := h2.sketch.Generation(); got != genBefore {
 		t.Fatalf("generation = %d, want %d", got, genBefore)
@@ -86,9 +80,6 @@ func TestFreshThenCleanRestartIsWarm(t *testing.T) {
 		if !h2.sketch.Contains(fmt.Sprintf("/doc/%03d", i)) {
 			t.Fatalf("key %d lost across clean restart", i)
 		}
-	}
-	if h2.sketch.ColdStartActive() {
-		t.Fatal("cold start active after clean restart")
 	}
 }
 
@@ -109,7 +100,7 @@ func TestSnapshotReplayAndPrune(t *testing.T) {
 
 	h2 := newHarness(t, dir, nil)
 	info := h2.recover(t)
-	if info.Mode != Replay || info.Saturated {
+	if info.Mode != Replay || info.NewEpoch {
 		t.Fatalf("info = %+v, want clean replay over snapshot", info)
 	}
 	if info.SnapshotLSN == 0 {
@@ -120,53 +111,6 @@ func TestSnapshotReplayAndPrune(t *testing.T) {
 	}
 	if h2.sketch.Generation() != h.sketch.Generation() {
 		t.Fatalf("generation %d != %d", h2.sketch.Generation(), h.sketch.Generation())
-	}
-}
-
-func TestUncleanShutdownSaturates(t *testing.T) {
-	dir := t.TempDir()
-	h := newHarness(t, dir, nil)
-	h.recover(t)
-	h.populate(10)
-	// Force the journal to disk, then "kill" the process: no Close, no
-	// clean-shutdown marker.
-	if err := h.store.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	h2 := newHarness(t, dir, nil)
-	info := h2.recover(t)
-	if !info.Saturated {
-		t.Fatal("unclean shutdown must saturate")
-	}
-	if !h2.sketch.ColdStartActive() {
-		t.Fatal("cold-start window not active")
-	}
-	// Saturated sketch: everything reads as possibly stale.
-	snap := h2.sketch.Snapshot()
-	if !snap.MightBeStale("/never/seen") || !snap.MightBeStale("/doc/000") {
-		t.Fatal("cold-start snapshot is not saturated")
-	}
-	// Blind window: a write to a resource with no expiry entry is still
-	// tracked conservatively.
-	if !h2.sketch.ReportWrite("/unknown/key") {
-		t.Fatal("blind window did not track unknown write")
-	}
-	genCold := h2.sketch.Generation()
-	// After the window the real (replayed) sketch returns.
-	h2.sim.Advance(2 * time.Minute)
-	if h2.sketch.ColdStartActive() {
-		t.Fatal("cold window did not retire")
-	}
-	if h2.sketch.Generation() == genCold {
-		t.Fatal("generation did not advance on cold-window exit")
-	}
-	snap = h2.sketch.Snapshot()
-	if snap.MightBeStale("/definitely/never/seen/anywhere") {
-		t.Fatal("sketch still saturated after window")
-	}
-	if !snap.MightBeStale("/doc/003") {
-		t.Fatal("replayed key lost after cold window")
 	}
 }
 
@@ -185,8 +129,8 @@ func TestLostUnsyncedSuffixIsNotClean(t *testing.T) {
 	}
 
 	h2 := newHarness(t, dir, nil)
-	if info := h2.recover(t); info.Saturated {
-		t.Fatalf("clean restart saturated: %+v", info)
+	if info := h2.recover(t); info.NewEpoch {
+		t.Fatalf("clean restart drew a new epoch: %+v", info)
 	}
 	// Everything synced so far (through the open marker) survives the
 	// power loss below; record the segment sizes at this durable point.
@@ -213,7 +157,7 @@ func TestLostUnsyncedSuffixIsNotClean(t *testing.T) {
 
 	h3 := newHarness(t, dir, nil)
 	info := h3.recover(t)
-	if !info.Saturated {
+	if !info.NewEpoch {
 		t.Fatalf("lost acknowledged suffix recovered as clean history: %+v", info)
 	}
 }
@@ -244,7 +188,7 @@ func TestInjectedCrashThenInPlaceRecovery(t *testing.T) {
 	inj := faults.New(sim, 42, faults.Rule{Component: faults.WALAppend, Kind: faults.Crash, Probability: 0.05})
 	h := newHarness(t, dir, inj)
 	h.sim = sim // share the injector's clock
-	h.store = New(Config{Dir: dir, Clock: sim, Faults: inj, ColdWindow: time.Minute, BlindHorizon: 10 * time.Minute})
+	h.store = New(Config{Dir: dir, Clock: sim, Faults: inj})
 	h.sketch = cachesketch.NewServer(cachesketch.ServerConfig{Clock: sim, Journal: h.store})
 	h.est = ttl.NewEstimator(ttl.Config{Clock: sim})
 	h.recover(t)
@@ -260,10 +204,10 @@ func TestInjectedCrashThenInPlaceRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("in-place recovery: %v", err)
 			}
-			if !info.Saturated {
-				t.Fatal("crash recovery must saturate")
+			if !info.NewEpoch {
+				t.Fatal("crash recovery continued the epoch")
 			}
-			sim.Advance(2 * time.Minute) // let the cold window pass
+			sim.Advance(2 * time.Minute)
 		}
 	}
 	if crashes == 0 {
@@ -284,7 +228,7 @@ func TestCorruptMidLogFallsBackToColdStart(t *testing.T) {
 	h := &harness{dir: dir, sim: sim}
 	// Tiny segments so the log spans several files: damage in a non-final
 	// segment is mid-log corruption, not a torn tail.
-	cfg := Config{Dir: dir, Clock: sim, SegmentMaxBytes: 256, ColdWindow: time.Minute, BlindHorizon: 10 * time.Minute}
+	cfg := Config{Dir: dir, Clock: sim, SegmentMaxBytes: 256}
 	h.store = New(cfg)
 	h.sketch = cachesketch.NewServer(cachesketch.ServerConfig{Clock: sim, Journal: h.store})
 	h.est = ttl.NewEstimator(ttl.Config{Clock: sim})
@@ -318,12 +262,12 @@ func TestCorruptMidLogFallsBackToColdStart(t *testing.T) {
 	if info.Mode != ColdStart {
 		t.Fatalf("Mode = %v, want ColdStart", info.Mode)
 	}
-	if !info.Saturated {
-		t.Fatal("corrupt log must saturate")
+	if !info.NewEpoch {
+		t.Fatal("corrupt log continued the epoch")
 	}
 	// The snapshot still applied: its keys are present.
 	if !h2.sketch.Contains("/doc/000") {
-		t.Fatal("snapshot state lost in cold start")
+		t.Fatal("snapshot state lost in the recovery")
 	}
 	// The wiped log must be appendable again.
 	h2.sketch.ReportCachedRead("/after/corruption", h2.sim.Now().Add(time.Hour))
@@ -346,8 +290,8 @@ func TestCorruptMidLogFallsBackToColdStart(t *testing.T) {
 	h3.sketch = cachesketch.NewServer(cachesketch.ServerConfig{Clock: sim, Journal: h3.store})
 	h3.est = ttl.NewEstimator(ttl.Config{Clock: sim})
 	info = h3.recover(t)
-	if info.Saturated {
-		t.Fatalf("clean restart after corruption recovery saturated: %+v", info)
+	if info.NewEpoch {
+		t.Fatalf("clean restart after corruption recovery drew a new epoch: %+v", info)
 	}
 	if info.Replayed == 0 {
 		t.Fatal("post-corruption incarnation's records were not replayed")
@@ -361,8 +305,8 @@ func TestCorruptMidLogFallsBackToColdStart(t *testing.T) {
 // bug: a torn tail that truncates the only segment back INSIDE the
 // snapshot's coverage used to leave the log reissuing covered LSNs, so
 // every record of the next incarnation — its clean-shutdown marker
-// included — was silently skipped by later recoveries (Replayed=0,
-// perpetually saturated, journaled state gone despite clean shutdowns).
+// included — was silently skipped by later recoveries (Replayed=0, a new
+// epoch every time, journaled state gone despite clean shutdowns).
 func TestTornTailInsideSnapshotThenCleanRestart(t *testing.T) {
 	dir := t.TempDir()
 	h := newHarness(t, dir, nil)
@@ -391,8 +335,8 @@ func TestTornTailInsideSnapshotThenCleanRestart(t *testing.T) {
 
 	h2 := newHarness(t, dir, nil)
 	info := h2.recover(t)
-	if info.Mode != ColdStart || !info.Saturated {
-		t.Fatalf("truncation inside snapshot coverage: %+v, want saturated ColdStart", info)
+	if info.Mode != ColdStart || !info.NewEpoch {
+		t.Fatalf("truncation inside snapshot coverage: %+v, want ColdStart under a new epoch", info)
 	}
 	if !h2.sketch.Contains("/doc/000") {
 		t.Fatal("snapshot state lost")
@@ -408,8 +352,8 @@ func TestTornTailInsideSnapshotThenCleanRestart(t *testing.T) {
 
 	h3 := newHarness(t, dir, nil)
 	info = h3.recover(t)
-	if info.Saturated {
-		t.Fatalf("clean shutdown recovered saturated: %+v", info)
+	if info.NewEpoch {
+		t.Fatalf("clean shutdown recovered under a new epoch: %+v", info)
 	}
 	if info.Replayed == 0 {
 		t.Fatal("post-truncation incarnation's records were not replayed")
@@ -456,11 +400,8 @@ func TestTornTailEveryOffset(t *testing.T) {
 		}
 		h := newHarness(t, dir, nil)
 		info := h.recover(t) // must not panic or error
-		if wantClean && info.Saturated {
-			t.Fatalf("untampered log saturated: %+v", info)
-		}
-		if !wantClean && !info.Saturated {
-			t.Fatalf("tampered log recovered warm: %+v", info)
+		if info.NewEpoch == wantClean {
+			t.Fatalf("untampered=%v, but NewEpoch=%v: %+v", wantClean, info.NewEpoch, info)
 		}
 		// The store must be fully usable either way.
 		h.sketch.ReportCachedRead("/post/recovery", h.sim.Now().Add(time.Hour))
@@ -490,7 +431,7 @@ func TestSnapshotCrashLeavesTornTempOnly(t *testing.T) {
 	sim := clock.NewSimulated(time.Time{})
 	inj := faults.New(sim, 1, faults.Rule{Component: faults.SnapshotWrite, Kind: faults.Crash, Probability: 1})
 	h := &harness{dir: dir, sim: sim}
-	h.store = New(Config{Dir: dir, Clock: sim, Faults: inj, ColdWindow: time.Minute})
+	h.store = New(Config{Dir: dir, Clock: sim, Faults: inj})
 	h.sketch = cachesketch.NewServer(cachesketch.ServerConfig{Clock: sim, Journal: h.store})
 	h.est = ttl.NewEstimator(ttl.Config{Clock: sim})
 	h.recover(t)
@@ -511,25 +452,26 @@ func TestSnapshotCrashLeavesTornTempOnly(t *testing.T) {
 			t.Fatalf("completed snapshot %s exists after crash", e.Name())
 		}
 	}
-	// Recovery ignores the torn temp and saturates (unclean shutdown).
+	// Recovery ignores the torn temp and draws a new epoch (unclean
+	// shutdown).
 	info, err := h.store.Recover(h.sketch, h.est)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Saturated {
-		t.Fatal("post-snapshot-crash recovery must saturate")
+	if !info.NewEpoch {
+		t.Fatal("post-snapshot-crash recovery continued the epoch")
 	}
 	if !h.sketch.Contains("/doc/000") {
 		t.Fatal("journaled state lost")
 	}
 }
 
-// TestWholeLogTornToEmptySaturates pins the first-frame damage case: when
-// the torn-tail truncation swallows every record (no snapshot yet), the
-// recovery must NOT classify the directory as a fresh deployment and come
-// up warm — segments that held bytes but yielded nothing are destroyed
-// history, and only the saturation window preserves Δ over it.
-func TestWholeLogTornToEmptySaturates(t *testing.T) {
+// TestWholeLogTornToEmptyDrawsANewEpoch pins the first-frame damage case:
+// when the torn-tail truncation swallows every record (no snapshot yet),
+// the recovery must NOT classify the directory as a fresh deployment —
+// segments that held bytes but yielded nothing are destroyed history, and
+// only a new epoch preserves Δ over it.
+func TestWholeLogTornToEmptyDrawsANewEpoch(t *testing.T) {
 	dir := t.TempDir()
 	h := newHarness(t, dir, nil)
 	h.recover(t)
@@ -554,8 +496,8 @@ func TestWholeLogTornToEmptySaturates(t *testing.T) {
 
 	h2 := newHarness(t, dir, nil)
 	info := h2.recover(t)
-	if info.Mode != ColdStart || !info.Saturated {
-		t.Fatalf("whole-log loss recovered as %+v, want saturated ColdStart", info)
+	if info.Mode != ColdStart || !info.NewEpoch {
+		t.Fatalf("whole-log loss recovered as %+v, want ColdStart under a new epoch", info)
 	}
 	// The store keeps working and a clean shutdown recovers warm.
 	h2.sketch.ReportCachedRead("/rebuilt", h2.sim.Now().Add(time.Hour))
@@ -566,7 +508,7 @@ func TestWholeLogTornToEmptySaturates(t *testing.T) {
 		t.Fatal(err)
 	}
 	h3 := newHarness(t, dir, nil)
-	if info := h3.recover(t); info.Saturated || !h3.sketch.Contains("/rebuilt") {
+	if info := h3.recover(t); info.NewEpoch || !h3.sketch.Contains("/rebuilt") {
 		t.Fatalf("clean restart after rebuild: %+v, contains=%v", info, h3.sketch.Contains("/rebuilt"))
 	}
 }
@@ -602,7 +544,7 @@ func TestConcurrentSnapshotsCoalesce(t *testing.T) {
 
 	h2 := newHarness(t, dir, nil)
 	info := h2.recover(t)
-	if info.Saturated || info.SnapshotLSN == 0 {
+	if info.NewEpoch || info.SnapshotLSN == 0 {
 		t.Fatalf("info = %+v, want clean recovery from a snapshot", info)
 	}
 	if !h2.sketch.Contains("/doc/049") {
@@ -614,7 +556,7 @@ func TestShouldSnapshotTrigger(t *testing.T) {
 	dir := t.TempDir()
 	sim := clock.NewSimulated(time.Time{})
 	h := &harness{dir: dir, sim: sim}
-	h.store = New(Config{Dir: dir, Clock: sim, SnapshotEvery: 10, ColdWindow: time.Minute})
+	h.store = New(Config{Dir: dir, Clock: sim, SnapshotEvery: 10})
 	h.sketch = cachesketch.NewServer(cachesketch.ServerConfig{Clock: sim, Journal: h.store})
 	h.recover(t)
 	if h.store.ShouldSnapshot() {

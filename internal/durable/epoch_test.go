@@ -16,8 +16,7 @@ import (
 // joined the snapshot — the older snapshot layout under the older magic, a
 // log sealed clean that names no epoch — recovers without error. Its
 // snapshot is passed over, so what replays is a partial history: the
-// server saturates under a new epoch, and a clean restart after that is
-// warm again.
+// server serves a new epoch, and a clean restart after that continues it.
 func TestPreEpochDirectoryColdStarts(t *testing.T) {
 	dir := t.TempDir()
 	old, _, err := wal.OpenSnapshotted(wal.Options{Dir: dir}, [4]byte{'S', 'K', 'S', 'N'},
@@ -59,8 +58,8 @@ func TestPreEpochDirectoryColdStarts(t *testing.T) {
 
 	h := newHarness(t, dir, nil)
 	info := h.recover(t)
-	if !info.Saturated || info.SnapshotLSN != 0 {
-		t.Fatalf("pre-epoch directory recovered %+v, want its snapshot passed over and a cold start", info)
+	if !info.NewEpoch || info.SnapshotLSN != 0 {
+		t.Fatalf("pre-epoch directory recovered %+v, want its snapshot passed over and a new epoch", info)
 	}
 	drawn := h.sketch.Epoch()
 	if err := h.store.Close(); err != nil {
@@ -68,8 +67,8 @@ func TestPreEpochDirectoryColdStarts(t *testing.T) {
 	}
 
 	h2 := newHarness(t, dir, nil)
-	if info := h2.recover(t); info.Saturated {
-		t.Fatalf("clean restart after the upgrade saturated: %+v", info)
+	if info := h2.recover(t); info.NewEpoch {
+		t.Fatalf("clean restart after the upgrade drew a new epoch: %+v", info)
 	}
 	if got := h2.sketch.Epoch(); got != drawn {
 		t.Fatalf("clean restart serves epoch %x, want %x", got, drawn)
@@ -81,8 +80,8 @@ func TestPreEpochDirectoryColdStarts(t *testing.T) {
 // and writes, a snapshot led by the watermark under the "SKS2" magic —
 // recovers without error. The type-3 records decode and are passed over,
 // the reads and writes around them apply, and the snapshot is foreign: the
-// server cold-starts under a new epoch and snapshots its own layout at
-// once, so the next clean restart is warm from that snapshot.
+// server serves a new epoch and snapshots its own layout at once, so the
+// next clean restart continues that epoch from that snapshot.
 func TestPreWatermarkDirectoryRecovers(t *testing.T) {
 	dir := t.TempDir()
 	old, _, err := wal.OpenSnapshotted(wal.Options{Dir: dir}, [4]byte{'S', 'K', 'S', '2'},
@@ -131,8 +130,8 @@ func TestPreWatermarkDirectoryRecovers(t *testing.T) {
 
 	h := newHarness(t, dir, nil)
 	info := h.recover(t)
-	if !info.Foreign || !info.Saturated || info.Mode != Replay || info.SnapshotLSN != 0 {
-		t.Fatalf("pre-watermark directory recovered %+v, want its snapshot passed over as foreign, the log replayed and a cold start", info)
+	if !info.Foreign || !info.NewEpoch || info.Mode != Replay || info.SnapshotLSN != 0 {
+		t.Fatalf("pre-watermark directory recovered %+v, want its snapshot passed over as foreign, the log replayed and a new epoch", info)
 	}
 	for _, key := range []string{"/doc/a", "/doc/b"} {
 		if !h.sketch.Contains(key) {
@@ -158,7 +157,7 @@ func TestPreWatermarkDirectoryRecovers(t *testing.T) {
 	}
 
 	h2 := newHarness(t, dir, nil)
-	if info := h2.recover(t); info.Saturated || info.Foreign || info.SnapshotLSN == 0 {
+	if info := h2.recover(t); info.NewEpoch || info.Foreign || info.SnapshotLSN == 0 {
 		t.Fatalf("clean restart after the upgrade: %+v, want warm from the new snapshot", info)
 	}
 	if !h2.sketch.Contains("/doc/b") {
@@ -191,8 +190,8 @@ func TestCleanRestartContinuesTheEpoch(t *testing.T) {
 		if h2.sketch.Epoch() == epoch {
 			t.Fatal("two servers drew the same epoch")
 		}
-		if info := h2.recover(t); info.Saturated {
-			t.Fatalf("snapshotted=%v: clean restart saturated: %+v", snapshotted, info)
+		if info := h2.recover(t); info.NewEpoch {
+			t.Fatalf("snapshotted=%v: clean restart drew a new epoch: %+v", snapshotted, info)
 		}
 		if got := h2.sketch.Epoch(); got != epoch {
 			t.Fatalf("snapshotted=%v: clean restart serves epoch %x, want the sealed %x", snapshotted, got, epoch)
@@ -206,8 +205,9 @@ func TestCleanRestartContinuesTheEpoch(t *testing.T) {
 // TestUncleanRecoveryDrawsANewEpoch: a log that may have lost its tail may
 // have lost exposed generations with it. No floor is padded to cover
 // them: the recovered server serves a new epoch, which every holder
-// installs whatever generation it held — and a clean restart after that
-// continues the new epoch, not the dead one.
+// installs whatever generation it held. What the log did hold still
+// replays, and a clean restart after that continues the new epoch, not the
+// dead one.
 func TestUncleanRecoveryDrawsANewEpoch(t *testing.T) {
 	dir := t.TempDir()
 	h := newHarness(t, dir, nil)
@@ -220,8 +220,11 @@ func TestUncleanRecoveryDrawsANewEpoch(t *testing.T) {
 	}
 
 	h2 := newHarness(t, dir, nil)
-	if info := h2.recover(t); !info.Saturated {
-		t.Fatalf("unclean shutdown did not saturate: %+v", info)
+	if info := h2.recover(t); !info.NewEpoch {
+		t.Fatalf("unclean shutdown continued the epoch: %+v", info)
+	}
+	if !h2.sketch.Contains("/doc/003") {
+		t.Fatal("a write the log held was lost across the unclean recovery")
 	}
 	reborn := h2.sketch.Epoch()
 	if reborn == dead {
@@ -231,9 +234,9 @@ func TestUncleanRecoveryDrawsANewEpoch(t *testing.T) {
 	if sn.Epoch != reborn {
 		t.Fatalf("snapshot epoch %x, server's %x", sn.Epoch, reborn)
 	}
-	// The recovered generation is the replayed state's plus the cold-start
-	// bump, not a floor padded past anything the dead incarnation exposed.
-	if sn.Generation > genBefore+1 {
+	// The recovered generation is the replayed state's, not a floor padded
+	// past anything the dead incarnation exposed.
+	if sn.Generation > genBefore {
 		t.Fatalf("generation %d after recovering from %d: a padded floor", sn.Generation, genBefore)
 	}
 	if err := h2.store.Close(); err != nil {

@@ -37,7 +37,7 @@ func TestRecoveryTable(t *testing.T) {
 			open := func(inj *faults.Injector) (*harness, RecoveryInfo) {
 				h := &harness{dir: dir, sim: clock.NewSimulated(time.Time{})}
 				// Segments of a few records, so the scripts span several.
-				h.store = New(Config{Dir: dir, Clock: h.sim, Faults: inj, SegmentMaxBytes: 256, ColdWindow: time.Minute})
+				h.store = New(Config{Dir: dir, Clock: h.sim, Faults: inj, SegmentMaxBytes: 256})
 				h.sketch = cachesketch.NewServer(cachesketch.ServerConfig{Clock: h.sim, Journal: h.store})
 				h.est = ttl.NewEstimator(ttl.Config{Clock: h.sim})
 				return h, h.recover(t)
@@ -51,10 +51,10 @@ func TestRecoveryTable(t *testing.T) {
 			if (info.Mode == ColdStart) != sc.Reseeded || (info.Mode == Fresh) != (sc.Script == nil) {
 				t.Fatalf("Mode = %v (%+v), reseeded row: %v", info.Mode, info, sc.Reseeded)
 			}
-			// Anything but a sealed, whole log saturates; a snapshot that
-			// does not read back is not the log's problem.
-			if want := sc.Reseeded || sc.Truncated || sc.KillCheckpoint; info.Saturated != want {
-				t.Fatalf("Saturated = %v, want %v (%+v)", info.Saturated, want, info)
+			// Anything but a sealed, whole log draws a new epoch; a
+			// snapshot that does not read back is not the log's problem.
+			if want := sc.Reseeded || sc.Truncated || sc.KillCheckpoint; info.NewEpoch != want {
+				t.Fatalf("NewEpoch = %v, want %v (%+v)", info.NewEpoch, want, info)
 			}
 			if (info.SnapshotLSN != 0) != (sc.Checkpoint != 0) {
 				t.Fatalf("SnapshotLSN = %d, row restores checkpoint %d", info.SnapshotLSN, sc.Checkpoint)
@@ -70,7 +70,7 @@ func TestRecoveryTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			h2, info2 := open(nil)
-			if info2.Saturated || info2.Replayed == 0 || !h2.sketch.Contains(itemKey(1000)) {
+			if info2.NewEpoch || info2.Replayed == 0 || !h2.sketch.Contains(itemKey(1000)) {
 				t.Fatalf("clean restart after the recovery: %+v, journaled item there = %v", info2, h2.sketch.Contains(itemKey(1000)))
 			}
 		})

@@ -151,12 +151,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func newDurableTestAPI(t *testing.T) (*API, *httptest.Server, *clock.Simulated) {
 	t.Helper()
 	clk := clock.NewSimulated(time.Time{})
-	store := durable.New(durable.Config{
-		Dir:          t.TempDir(),
-		Clock:        clk,
-		ColdWindow:   30 * time.Second,
-		BlindHorizon: 10 * time.Minute,
-	})
+	store := durable.New(durable.Config{Dir: t.TempDir(), Clock: clk})
 	svc, err := core.NewStorefront(core.StorefrontConfig{
 		Config: core.Config{
 			Clock: clk, Seed: 1, Delta: 30 * time.Second,

@@ -10,15 +10,17 @@ import (
 
 	"speedkit/internal/clock"
 	"speedkit/internal/core"
+	"speedkit/internal/durable"
 	"speedkit/internal/edge"
+	"speedkit/internal/faults"
 	"speedkit/internal/httpapi"
 	"speedkit/internal/proxy"
 )
 
-// TestRestartedServerBehindEdgeAndDevice is the memory-only restart: the
-// server comes back with an empty expiration table and a generation
-// counting from zero, while an edge and a device still hold copies it
-// served before. A write to such a page is one no cache holds, as far as
+// TestRestartedServerBehindEdgeAndDevice is a restart that lost the
+// server's coherence history: the server comes back with an expiration
+// table that does not know the copies an edge and a device still hold
+// from before. A write to such a page is one no cache holds, as far as
 // the restarted server knows: it sends no purge, and its sketch never
 // flags the page. Past Δ both holders must nonetheless read the new
 // version — because the restarted server's sketch carries a new epoch,
@@ -26,30 +28,55 @@ import (
 // for a device that held the old epoch's sketch, and for one that stored
 // its copy before it held any: the page answer stated the old epoch, and
 // the device's first sketch, of the new one, does not vouch for it.
+//
+// The restart is memory-only, or an unclean durable one whose log lost
+// the fill's report (the append tears as the process dies). The edge
+// polls the new sketch at once, or not at all: then the device's sketch
+// request past Δ is what makes the edge fetch the new epoch, before it
+// hands the sketch on, so the device never holds an epoch its edge does
+// not.
 func TestRestartedServerBehindEdgeAndDevice(t *testing.T) {
 	for _, row := range []struct {
 		name string
 		// sketched: the device revisits the page before the restart, so
 		// it holds the old epoch's sketch.
 		sketched bool
+		// durable: the server journals to a data directory and the
+		// restart is an unclean recovery over it.
+		durable bool
+		// polled: the edge polls the restarted server's sketch at once.
+		polled bool
 	}{
-		{"device held the old sketch", true},
-		{"device stored the page sketch-less", false},
+		{"device held the old sketch", true, false, true},
+		{"device stored the page sketch-less", false, false, true},
+		{"unclean durable restart", true, true, true},
+		{"edge has not polled since the restart", false, false, false},
 	} {
-		t.Run(row.name, func(t *testing.T) { restartBehindEdgeAndDevice(t, row.sketched) })
+		t.Run(row.name, func(t *testing.T) { restartBehindEdgeAndDevice(t, row.sketched, row.durable, row.polled) })
 	}
 }
 
-func restartBehindEdgeAndDevice(t *testing.T, sketched bool) {
+func restartBehindEdgeAndDevice(t *testing.T, sketched, durableRestart, polled bool) {
 	const delta = 30 * time.Second
 	const path = "/product/p00004"
 	clk := clock.NewSimulated(time.Unix(1_000_000, 0))
+	dir := t.TempDir()
+	// In the durable row, every append from the first millisecond on
+	// tears: the first is the fill's report, and the log is dead after it.
+	inj := faults.New(clk, 1, faults.Rule{Component: faults.WALAppend, Kind: faults.Crash,
+		Probability: 1, After: time.Millisecond, Until: time.Second})
+	var store *durable.Store
 	storefront := func() *core.Service {
-		svc, err := core.NewStorefront(core.StorefrontConfig{
-			Config:   core.Config{Clock: clk, Delta: delta, Seed: 1},
-			Products: 20,
-		})
+		cfg := core.Config{Clock: clk, Delta: delta, Seed: 1}
+		if durableRestart {
+			store = durable.New(durable.Config{Dir: dir, Clock: clk, Faults: inj})
+			cfg.Durable = store
+		}
+		svc, err := core.NewStorefront(core.StorefrontConfig{Config: cfg, Products: 20})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Recovery(); err != nil {
 			t.Fatal(err)
 		}
 		return svc
@@ -90,6 +117,7 @@ func restartBehindEdgeAndDevice(t *testing.T, sketched bool) {
 	ctx := context.Background()
 
 	before := storefront()
+	clk.Advance(time.Millisecond)
 	notify(before)
 	serve(before)
 	if err := ed.RefreshSketch(ctx); err != nil {
@@ -104,15 +132,34 @@ func restartBehindEdgeAndDevice(t *testing.T, sketched bool) {
 		}
 	}
 
-	// The restart: nothing of the first incarnation survives.
+	// The restart: nothing of the first incarnation's memory survives,
+	// and its log, if it kept one, lost the fill's report.
 	clk.Advance(time.Second)
 	before.Close()
+	if durableRestart {
+		if !store.Crashed() {
+			t.Fatal("the fill's report reached the log; the row needs it torn")
+		}
+		if err := store.Kill(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	after := storefront()
 	defer after.Close()
+	if durableRestart {
+		defer store.Close()
+		// Replay: the log held the first incarnation's open marker, and
+		// lost only what tore after it.
+		if info, _ := after.Recovery(); !info.NewEpoch || info.Mode != durable.Replay {
+			t.Fatalf("the unclean recovery: %+v, want a replay under a new epoch", info)
+		}
+	}
 	notify(after)
 	serve(after)
-	if err := ed.RefreshSketch(ctx); err != nil { // the edge's next poll
-		t.Fatal(err)
+	if polled {
+		if err := ed.RefreshSketch(ctx); err != nil { // the edge's next poll
+			t.Fatal(err)
+		}
 	}
 	if err := after.Docs().Patch("products", "p00004", map[string]any{"price": 3.33}); err != nil {
 		t.Fatal(err)

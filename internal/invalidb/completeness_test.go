@@ -41,8 +41,7 @@ func TestInvalidationCompleteness(t *testing.T) {
 
 	var fired map[string]bool
 	eng.OnInvalidation(func(inv Invalidation) { fired[inv.RegistrationID] = true })
-	cancel := eng.AttachTo(docs)
-	defer cancel()
+	defer docs.Watch(func(ev storage.ChangeEvent) { eng.Process(ev) })()
 
 	snapshot := func() map[string][]query.Doc {
 		out := make(map[string][]query.Doc, len(queries))
@@ -118,8 +117,7 @@ func TestInvalidationPrecisionBound(t *testing.T) {
 
 	var signals int
 	eng.OnInvalidation(func(Invalidation) { signals++ })
-	cancel := eng.AttachTo(docs)
-	defer cancel()
+	defer docs.Watch(func(ev storage.ChangeEvent) { eng.Process(ev) })()
 
 	spurious := 0
 	for step := 0; step < 2000; step++ {

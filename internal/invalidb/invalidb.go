@@ -258,15 +258,6 @@ func (e *Engine) Process(ev storage.ChangeEvent) []Invalidation {
 	return out
 }
 
-// AttachTo subscribes the engine to a document store's change stream so
-// every committed mutation is matched automatically. Returns a cancel
-// function detaching it.
-func (e *Engine) AttachTo(docs *storage.DocumentStore) (cancel func()) {
-	return docs.Watch(func(ev storage.ChangeEvent) {
-		e.Process(ev)
-	})
-}
-
 // Stats returns a copy of the counters.
 func (e *Engine) Stats() Stats {
 	return Stats{

@@ -156,8 +156,7 @@ func TestAttachToDocumentStore(t *testing.T) {
 
 	var signals []Invalidation
 	e.OnInvalidation(func(inv Invalidation) { signals = append(signals, inv) })
-	cancel := e.AttachTo(docs)
-	defer cancel()
+	defer docs.Watch(func(ev storage.ChangeEvent) { e.Process(ev) })()
 
 	_ = docs.Insert("products", "p1", map[string]any{"price": 50.0})
 	_ = docs.Patch("products", "p1", map[string]any{"price": 60.0})
@@ -259,7 +258,7 @@ func TestPageDefinedByIDIsInvalidated(t *testing.T) {
 	e := New(Config{})
 	e.Register("/one", one)
 	e.Register("/featured", featured)
-	defer e.AttachTo(docs)()
+	defer docs.Watch(func(ev storage.ChangeEvent) { e.Process(ev) })()
 	var got []string
 	e.OnInvalidation(func(inv Invalidation) { got = append(got, inv.RegistrationID+" "+inv.Kind.String()) })
 

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -305,18 +304,6 @@ func (s *DocumentStore) Count(collection string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.collections[collection])
-}
-
-// Collections lists collection names, sorted.
-func (s *DocumentStore) Collections() []string {
-	s.mu.RLock()
-	out := make([]string, 0, len(s.collections))
-	for name := range s.collections {
-		out = append(out, name)
-	}
-	s.mu.RUnlock()
-	sort.Strings(out)
-	return out
 }
 
 // Stats returns a copy of the operation counters.

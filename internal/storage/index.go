@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"sort"
 	"strconv"
 
 	"speedkit/internal/query"
@@ -73,30 +72,6 @@ func (s *DocumentStore) CreateIndex(collection, field string) {
 		indexAdd(idx, field, id, v.doc)
 	}
 	byField[field] = idx
-}
-
-// DropIndex removes an index, reporting whether it existed.
-func (s *DocumentStore) DropIndex(collection, field string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	byField := s.indexes[collection]
-	if _, ok := byField[field]; !ok {
-		return false
-	}
-	delete(byField, field)
-	return true
-}
-
-// Indexes lists the indexed fields of a collection, sorted.
-func (s *DocumentStore) Indexes(collection string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.indexes[collection]))
-	for f := range s.indexes[collection] {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // IndexStats returns the usage counters.

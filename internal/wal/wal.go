@@ -13,8 +13,8 @@
 // the expected crash signature and is truncated away; any damage before
 // that point (a bad frame in a non-final segment, a broken LSN chain) is
 // mid-log corruption and surfaces as ErrCorrupt, which the durable layer
-// answers with a conservative cold start rather than trusting a log with
-// a hole in it.
+// answers with a new sketch epoch rather than trusting a log with a hole
+// in it.
 //
 // The log stores only anonymous coherence records (resource paths,
 // expirations, versions): it is shared-infrastructure code under the
@@ -62,7 +62,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrCorrupt reports mid-log corruption: a damaged frame with intact
 // records after it, or a broken LSN chain. A torn tail is NOT corruption —
 // it is truncated silently — so ErrCorrupt means history cannot be
-// trusted and the caller should fall back to a conservative cold start.
+// trusted and the caller should fall back to what it can trust without it.
 var ErrCorrupt = errors.New("wal: mid-log corruption")
 
 // ErrCrashed reports that the log drew an injected crash (or hit an
@@ -322,7 +322,7 @@ func marshalFrame(dst []byte, lsn uint64, payload []byte) {
 // replayed by recovery. It is not yet fsynced — the fsync is deferred up
 // to syncEvery appends or syncWindow — so power loss may still drop the
 // acknowledged suffix, which is exactly the window the durable layer's
-// conservative cold start covers.
+// new epoch after an unclean recovery covers.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -99,19 +99,7 @@ func New(opts ...Option) (*Service, error) {
 			clk = clock.System
 			o.cfg.Clock = clk
 		}
-		delta := o.cfg.Delta
-		if delta <= 0 {
-			delta = 60 * time.Second
-		}
-		o.cfg.Durable = durable.New(durable.Config{
-			Dir:        o.dataDir,
-			Clock:      clk,
-			ColdWindow: delta,
-			// A lost cache-fill report can hide a stale copy for up to
-			// the TTL it was issued with; the adaptive estimator caps
-			// at 24h.
-			BlindHorizon: 24 * time.Hour,
-		})
+		o.cfg.Durable = durable.New(durable.Config{Dir: o.dataDir, Clock: clk})
 	}
 	return core.NewStorefront(o.cfg)
 }
