@@ -46,9 +46,9 @@ test:
 	$(GO) test ./...
 
 # Repo-specific static analysis: GDPR boundary (import-, API-, and
-# value-level), clock/lock/rand discipline, obs label hygiene, hot-path
-# allocation budget. Exits non-zero only on findings absent from
-# lint.baseline.json; baselined findings still print, marked as such.
+# value-level), clock/lock/rand discipline, obs label hygiene. Exits
+# non-zero only on findings absent from lint.baseline.json; baselined
+# findings still print, marked as such.
 lint:
 	$(GO) run ./cmd/speedkit-lint ./...
 

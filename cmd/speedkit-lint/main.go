@@ -1,8 +1,8 @@
 // Command speedkit-lint runs the repo-specific static-analysis suite
 // (internal/lint) over the whole module: the GDPR-boundary, clock-,
-// lock-, and randomness-discipline analyzers plus the interprocedural
-// piiflow and hotpathalloc passes that pin the invariants the paper's
-// claims depend on.
+// lock-, randomness- and obs-label-discipline analyzers plus the
+// interprocedural piiflow pass that pin the invariants the paper's claims
+// depend on.
 //
 // Usage:
 //

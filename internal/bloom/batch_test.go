@@ -71,9 +71,9 @@ func TestProbesForBatchMatchesProbesFor(t *testing.T) {
 	}
 }
 
-// The batched probe paths are //speedkit:hotpath: beyond the analyzer's
-// static check, pin at runtime that steady-state batch queries allocate
-// nothing (the probe array lives on the stack, chunking reslices only).
+// The batched probe paths sit on every sketch check of a page's worth of
+// keys: steady-state batch queries allocate nothing (the probe array
+// lives on the stack, chunking reslices only).
 func TestContainsBatchZeroAlloc(t *testing.T) {
 	f := NewFilterForCapacity(1024, 0.01)
 	keys := randomKeys(rand.New(rand.NewSource(3)), 3*BatchSize+5)

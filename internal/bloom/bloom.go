@@ -117,8 +117,6 @@ type Probes struct {
 // ProbesFor derives the probe pair for key with one inline FNV-1a pass.
 // It allocates nothing and is identical in distribution to the previous
 // hash/fnv-based derivation (same algorithm, same digest).
-//
-//speedkit:hotpath
 func ProbesFor(key string) Probes {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(key); i++ {
@@ -150,8 +148,6 @@ const BatchSize = 8
 // It is the vectorized form of ProbesFor — same digest per key, batched so
 // the hash loop runs back-to-back over the group without interleaved bit
 // tests — and allocates nothing.
-//
-//speedkit:hotpath
 func ProbesForBatch(keys []string, dst *[BatchSize]Probes) {
 	if len(keys) > BatchSize {
 		keys = keys[:BatchSize]
@@ -187,8 +183,6 @@ func (f *Filter) AddProbes(p Probes) {
 
 // Contains reports whether key may be in the set. False positives are
 // possible; false negatives are not. Allocates nothing.
-//
-//speedkit:hotpath
 func (f *Filter) Contains(key string) bool {
 	return f.ContainsProbes(ProbesFor(key))
 }
@@ -199,8 +193,6 @@ func (f *Filter) Contains(key string) bool {
 // the word probes each run back-to-back over the group, and a caller
 // amortizes one lock acquisition (or one snapshot load) over the whole
 // batch. Allocates nothing and answers identically to per-key Contains.
-//
-//speedkit:hotpath
 func (f *Filter) ContainsBatch(keys []string, hits []bool) {
 	var pb [BatchSize]Probes
 	for off := 0; off < len(keys); off += BatchSize {
@@ -217,8 +209,6 @@ func (f *Filter) ContainsBatch(keys []string, hits []bool) {
 }
 
 // ContainsProbes is Contains for a precomputed probe pair.
-//
-//speedkit:hotpath
 func (f *Filter) ContainsProbes(p Probes) bool {
 	for i := uint32(0); i < f.k; i++ {
 		b := p.bit(i, f.m)

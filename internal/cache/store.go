@@ -159,8 +159,6 @@ func (s *Store) shardFor(key string) *shard {
 // Get returns the entry stored under key if present and unexpired, and
 // makes it the most recently used. An expired entry it finds is dropped
 // and counted as a miss and an expiration.
-//
-//speedkit:hotpath
 func (s *Store) Get(key string) (Entry, bool) {
 	now := s.clk.Now()
 	return s.shardFor(key).get(key, now)
@@ -168,8 +166,6 @@ func (s *Store) Get(key string) (Entry, bool) {
 
 // get is Get under the key's shard lock, released at one place rather
 // than by a defer, whose record would cost the hit path its budget.
-//
-//speedkit:hotpath
 func (sh *shard) get(key string, now time.Time) (e Entry, ok bool) {
 	sh.mu.Lock()
 	if el, found := sh.entries[key]; !found {

@@ -134,9 +134,8 @@ func TestCheckBatchStaleSnapshot(t *testing.T) {
 	}
 }
 
-// CheckBatch is //speedkit:hotpath: steady-state batched checks must
-// allocate nothing even for batches longer than bloom.BatchSize (chunking
-// reslices, never copies).
+// Steady-state CheckBatch calls allocate nothing, even for batches longer
+// than bloom.BatchSize (chunking reslices, never copies).
 func TestCheckBatchZeroAlloc(t *testing.T) {
 	s, clk := newTestServer()
 	keys := make([]string, 3*bloom.BatchSize+5)

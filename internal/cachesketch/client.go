@@ -101,7 +101,6 @@ func (c *Client) NeedsRefresh() bool {
 	return c.stale(c.snap.Load(), c.clk.Now())
 }
 
-//speedkit:hotpath
 func (c *Client) stale(sn *Snapshot, now time.Time) bool {
 	if sn == nil {
 		return true
@@ -255,8 +254,6 @@ func (d Decision) String() string {
 // Check runs the client-side coherence protocol for one key. It is
 // lock-free and allocation-free: one atomic snapshot load, one clock
 // read, and an inline Bloom probe.
-//
-//speedkit:hotpath
 func (c *Client) Check(key string) Decision {
 	sn := c.snap.Load()
 	if c.stale(sn, c.clk.Now()) {
@@ -277,8 +274,6 @@ func (c *Client) Check(key string) Decision {
 // subresources at once — and the Bloom probes go through the filter's
 // batched path. If the held snapshot is stale every verdict is
 // RefreshSketch, exactly as per-key Check would answer.
-//
-//speedkit:hotpath
 func (c *Client) CheckBatch(keys []string, out []Decision) {
 	sn := c.snap.Load()
 	if c.stale(sn, c.clk.Now()) {

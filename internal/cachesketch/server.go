@@ -455,8 +455,6 @@ type Snapshot struct {
 // MightBeStale reports whether the key hits the sketch. True means "a
 // cached copy of this resource could be stale — revalidate"; false means
 // every cached copy is provably coherent up to the snapshot time.
-//
-//speedkit:hotpath
 func (sn *Snapshot) MightBeStale(key string) bool {
 	return sn.Filter.Contains(key)
 }

@@ -135,14 +135,16 @@ func (c *CDN) applyDuePurges(now time.Time) {
 	}
 }
 
-// Lookup serves key from the edge, honoring pending purges. Lookups on
+// Lookup serves key from the edge, honoring pending purges. A copy of
+// another epoch than the one given is a miss: only that epoch's
+// expiration table knew it, so no write since has purged it. Lookups on
 // different PoPs (or different keys of one PoP's striped store) proceed
 // in parallel; only the key's own cache stripe is locked.
-func (e *Edge) Lookup(key string) (cache.Entry, bool) {
+func (e *Edge) Lookup(key string, epoch uint64) (cache.Entry, bool) {
 	now := e.cdn.clk.Now()
 	e.cdn.applyDuePurges(now)
 	entry, ok := e.store.Get(key)
-	if ok {
+	if ok = ok && entry.Epoch == epoch; ok {
 		e.cdn.hits.Add(1)
 	} else {
 		e.cdn.misses.Add(1)

@@ -36,12 +36,12 @@ func TestCDNFillAndLookup(t *testing.T) {
 	c, clk := newTestCDN()
 	eu := c.Edge(netsim.EU)
 	eu.Fill(cache.TTLEntry(clk, "/p/1", []byte("body"), 1, time.Minute))
-	e, ok := eu.Lookup("/p/1")
+	e, ok := eu.Lookup("/p/1", 0)
 	if !ok || string(e.Body) != "body" {
 		t.Fatalf("lookup = %+v, %v", e, ok)
 	}
 	// Edges are independent: US edge has no copy.
-	if _, ok := c.Edge(netsim.US).Lookup("/p/1"); ok {
+	if _, ok := c.Edge(netsim.US).Lookup("/p/1", 0); ok {
 		t.Fatal("entry leaked across edges")
 	}
 	st := c.Stats()
@@ -50,12 +50,31 @@ func TestCDNFillAndLookup(t *testing.T) {
 	}
 }
 
+// TestCDNCopyOfAnotherEpochIsAMiss: a copy no held expiration table knows
+// is not served, and counts as the miss it is.
+func TestCDNCopyOfAnotherEpochIsAMiss(t *testing.T) {
+	c, clk := newTestCDN()
+	eu := c.Edge(netsim.EU)
+	entry := cache.TTLEntry(clk, "/p/1", []byte("body"), 1, time.Minute)
+	entry.Epoch = 7
+	eu.Fill(entry)
+	if _, ok := eu.Lookup("/p/1", 8); ok {
+		t.Fatal("a copy of epoch 7 served in epoch 8")
+	}
+	if _, ok := eu.Lookup("/p/1", 7); !ok {
+		t.Fatal("a copy of epoch 7 missed in epoch 7")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 hit and 1 miss", st)
+	}
+}
+
 func TestCDNTTLExpiry(t *testing.T) {
 	c, clk := newTestCDN()
 	eu := c.Edge(netsim.EU)
 	eu.Fill(cache.TTLEntry(clk, "/p/1", nil, 1, 30*time.Second))
 	clk.Advance(31 * time.Second)
-	if _, ok := eu.Lookup("/p/1"); ok {
+	if _, ok := eu.Lookup("/p/1", 0); ok {
 		t.Fatal("expired entry served")
 	}
 }
@@ -68,7 +87,7 @@ func TestCDNPurgeRemovesFromAllEdges(t *testing.T) {
 	c.Purge("/p/1")
 	clk.Advance(11 * time.Millisecond) // past purgeDelay
 	for _, r := range netsim.Regions() {
-		if _, ok := c.Edge(r).Lookup("/p/1"); ok {
+		if _, ok := c.Edge(r).Lookup("/p/1", 0); ok {
 			t.Fatalf("purged entry still served at %s", r)
 		}
 	}
@@ -86,11 +105,11 @@ func TestCDNPurgeDelayWindow(t *testing.T) {
 	// Before the delay elapses the stale copy is still served — this is
 	// the small window the sketch protocol covers.
 	clk.Advance(5 * time.Millisecond)
-	if _, ok := eu.Lookup("/p/1"); !ok {
+	if _, ok := eu.Lookup("/p/1", 0); !ok {
 		t.Fatal("purge took effect before its propagation delay")
 	}
 	clk.Advance(6 * time.Millisecond)
-	if _, ok := eu.Lookup("/p/1"); ok {
+	if _, ok := eu.Lookup("/p/1", 0); ok {
 		t.Fatal("purge never took effect")
 	}
 }
@@ -105,7 +124,7 @@ func TestCDNPurgeSparesNewerFills(t *testing.T) {
 	clk.Advance(5 * time.Millisecond)
 	eu.Fill(cache.TTLEntry(clk, "/p/1", nil, 2, time.Hour))
 	clk.Advance(6 * time.Millisecond)
-	e, ok := eu.Lookup("/p/1")
+	e, ok := eu.Lookup("/p/1", 0)
 	if !ok || e.Version != 2 {
 		t.Fatalf("fresh fill lost to stale purge: %+v, %v", e, ok)
 	}
@@ -149,7 +168,7 @@ func TestCDNConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("/p/%d", i%50)
 				edge.Fill(cache.TTLEntry(clk, key, nil, 1, time.Minute))
-				edge.Lookup(key)
+				edge.Lookup(key, 0)
 				if i%100 == 0 {
 					c.Purge(key)
 				}

@@ -118,12 +118,9 @@ func NewCoarse(res time.Duration) *Coarse {
 }
 
 // Now returns the cached wall-clock time, at most one resolution old.
-//
-//speedkit:hotpath
 func (c *Coarse) Now() time.Time {
 	// The lazy-start closure runs exactly once per process; every later
 	// call is the sync.Once fast path plus one atomic load.
-	//lint:ignore hotpathalloc one-time lazy start of the updater goroutine
 	c.start.Do(func() {
 		t := time.Now()
 		c.now.Store(&t)

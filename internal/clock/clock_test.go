@@ -96,3 +96,18 @@ func TestSimulatedConcurrentAdvance(t *testing.T) {
 		t.Fatalf("now = %v, want 8s", got)
 	}
 }
+
+// TestCoarseNowAllocatesNothing: the hot-path packages read the coarse
+// clock on every request. After the one-time start of its updater, Now is
+// the sync.Once fast path and one atomic load.
+func TestCoarseNowAllocatesNothing(t *testing.T) {
+	c := NewCoarse(time.Hour)
+	first := c.Now() // starts the updater
+	var now time.Time
+	if n := testing.AllocsPerRun(1000, func() { now = c.Now() }); n != 0 {
+		t.Fatalf("Coarse.Now allocates %.1f per run, want 0", n)
+	}
+	if now.Before(first) {
+		t.Fatalf("Coarse.Now went backwards: %v then %v", first, now)
+	}
+}

@@ -81,7 +81,8 @@ func (s *Service) LoadLegacy(u *session.User, region netsim.Region, path string)
 	key := legacyKey(u, path)
 	edge := s.cdnNet.Edge(region)
 	if edge != nil {
-		if e, ok := edge.Lookup(key); ok {
+		// Its copies belong to no sketch: epoch 0.
+		if e, ok := edge.Lookup(key, 0); ok {
 			lat := s.cfg.Network.Latency(netsim.ClientNode(region), netsim.EdgeNode(region), len(e.Body))
 			return BaselineResult{Path: path, Body: e.Body, Version: e.Version,
 				Latency: lat, Source: proxy.SourceCDN}, nil

@@ -660,7 +660,7 @@ func (s *Service) page(ctx context.Context, edge *cdn.Edge, path string) (cache.
 		return cache.Entry{}, 0, 0, err
 	}
 	if edge != nil {
-		if e, ok := edge.Lookup(path); ok && e.Epoch == s.sketch.Epoch() {
+		if e, ok := edge.Lookup(path, s.sketch.Epoch()); ok {
 			return e, proxy.SourceCDN, spike, nil
 		}
 	}
@@ -738,7 +738,7 @@ func (s *Service) revalidate(ctx context.Context, edge *cdn.Edge, path string, k
 		return proxy.RevalidationResult{}, 0, err
 	}
 	if edge != nil {
-		if e, ok := edge.Lookup(path); ok && e.Version > knownVersion && e.Epoch == s.sketch.Epoch() {
+		if e, ok := edge.Lookup(path, s.sketch.Epoch()); ok && e.Version > knownVersion {
 			s.m.revalidations[revalEdge].Inc()
 			return proxy.RevalidationResult{Entry: e, Source: proxy.SourceCDN}, spike, nil
 		}

@@ -100,7 +100,7 @@ func TestWritePipelinePurgesAndSketches(t *testing.T) {
 	}
 	// The CDN copy is purged after the propagation delay.
 	clk.Advance(20 * time.Millisecond)
-	if _, ok := svc.CDN().Edge(netsim.EU).Lookup(path); ok {
+	if _, ok := svc.CDN().Edge(netsim.EU).Lookup(path, svc.SketchServer().Epoch()); ok {
 		t.Fatal("CDN still serves purged entry")
 	}
 	if svc.Stats().Invalidations == 0 {
@@ -193,7 +193,7 @@ func TestWriteBetweenRenderAndFillIsFlagged(t *testing.T) {
 		t.Fatalf("version log says v%d is current, want 2", v)
 	}
 	clk.Advance(20 * time.Millisecond)
-	if _, ok := svc.CDN().Edge(netsim.EU).Lookup(path); ok {
+	if _, ok := svc.CDN().Edge(netsim.EU).Lookup(path, svc.SketchServer().Epoch()); ok {
 		t.Fatal("CDN still serves the superseded copy")
 	}
 
@@ -357,7 +357,7 @@ func TestStaticTTLSourceRespected(t *testing.T) {
 	}
 	dev := svc.NewDevice(nil, netsim.EU)
 	_, _ = dev.Load(context.Background(), "/product/p00001")
-	e, ok := svc.CDN().Edge(netsim.EU).Lookup("/product/p00001")
+	e, ok := svc.CDN().Edge(netsim.EU).Lookup("/product/p00001", svc.SketchServer().Epoch())
 	if !ok {
 		t.Fatal("edge not filled")
 	}

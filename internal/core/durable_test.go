@@ -126,13 +126,21 @@ func TestUncleanRestartThatLostAFillReadsTheWrite(t *testing.T) {
 	for _, dev := range []struct {
 		name string
 		d    *Device
-	}{{"a fresh device", svc.NewDevice(nil, netsim.EU)}, {"the holder", holder}} {
+		// hits is what the load adds to the CDN's hits: the fresh device's
+		// finds the copy of the old epoch, a miss; the holder's finds the
+		// copy that load filled.
+		hits uint64
+	}{{"a fresh device", svc.NewDevice(nil, netsim.EU), 0}, {"the holder", holder, 1}} {
+		before := svc.CDN().Stats().Hits
 		got, err := dev.d.Load(ctx, path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Version != written {
 			t.Errorf("%s read version %d from %v, %v after the write; want %d", dev.name, got.Version, got.Source, 2*delta, written)
+		}
+		if hits := svc.CDN().Stats().Hits - before; hits != dev.hits {
+			t.Errorf("%s's load counted %d CDN hits, want %d", dev.name, hits, dev.hits)
 		}
 	}
 }

@@ -47,7 +47,7 @@ func TestServiceRevalidateModifiedBypassesStaleEdge(t *testing.T) {
 	// Write; do NOT advance the clock, so the CDN purge has not
 	// propagated and the edge still holds v1.
 	_ = svc.Docs().Patch("products", "p00002", map[string]any{"price": 3.33})
-	if _, ok := svc.CDN().Edge(netsim.EU).Lookup("/product/p00002"); !ok {
+	if _, ok := svc.CDN().Edge(netsim.EU).Lookup("/product/p00002", svc.SketchServer().Epoch()); !ok {
 		t.Skip("edge already purged; propagation-window scenario not reproducible")
 	}
 	rr, err := svc.Revalidate(context.Background(), "/product/p00002", 1)

@@ -37,8 +37,6 @@ func SetValues(h http.Header, names, vals []string) {
 // in ETag's form. Surrounding space, a W/ prefix and the quotes are
 // ignored; anything else that is not "v" and a decimal uint64 is false. It
 // allocates nothing, refusals included.
-//
-//speedkit:hotpath
 func ParseETag(tag string) (uint64, bool) {
 	tag = strings.Trim(strings.TrimPrefix(strings.TrimSpace(tag), "W/"), `"`)
 	digits, ok := strings.CutPrefix(tag, "v")
@@ -59,8 +57,6 @@ func ParseETag(tag string) (uint64, bool) {
 // MatchETag reports whether an If-None-Match value names etag, by weak
 // comparison (a W/ prefix on either side is ignored): "*", or one of its
 // comma-separated tags. It allocates nothing.
-//
-//speedkit:hotpath
 func MatchETag(ifNoneMatch, etag string) bool {
 	if ifNoneMatch == "" {
 		return false
@@ -82,8 +78,6 @@ func MatchETag(ifNoneMatch, etag string) bool {
 }
 
 // weak is an entity tag as weak comparison sees it.
-//
-//speedkit:hotpath
 func weak(tag string) string { return strings.TrimPrefix(strings.TrimSpace(tag), "W/") }
 
 // PathParam returns the page path a raw query names:

@@ -267,8 +267,6 @@ func (s *sink) add(r *registration) {
 // A number above len(dst) says the rest were dropped: the caller runs it
 // again with room for all. This runs for every write and must not
 // allocate — the caller owns dst.
-//
-//speedkit:hotpath
 func (m *matcher) matchInto(ev *storage.ChangeEvent, dst []hit) int {
 	s := sink{ev: ev, dst: dst}
 	if ix := m.byCollection[ev.Collection]; ix != nil {

@@ -467,7 +467,7 @@ func TestRegisterMovesShardOnCollectionChange(t *testing.T) {
 	}
 }
 
-// The match loop is //speedkit:hotpath: with the destination owned by
+// The match loop runs for every write: with the destination owned by
 // the caller it must allocate nothing, whether rejecting or collecting,
 // through postings, intervals and the residual alike — and an event that
 // invalidates nothing must cost Process no allocation either.

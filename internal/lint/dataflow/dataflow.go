@@ -1,15 +1,14 @@
 // Package dataflow is a stdlib-only, summary-based interprocedural
 // dataflow engine over go/types and the AST. It exists so the lint suite
 // can prove *value-level* properties — "no PII value reaches a WAL
-// frame", "no allocation on an annotated hot path" — where the original
-// analyzers could only check imports and names.
+// frame" — where the original analyzers could only check imports and
+// names.
 //
 // The engine works bottom-up over the static call graph: every function
 // gets a transfer summary (which inputs flow to which outputs, which
 // inputs reach which sinks), strongly connected components are iterated
-// to a fixpoint so recursion converges, and clients (piiflow,
-// hotpathalloc) interpret the summaries against their own source/sink
-// catalogs. It is deliberately AST-level rather than SSA-level: the
+// to a fixpoint so recursion converges, and its client (piiflow)
+// interprets the summaries against its own source/sink catalog. It is deliberately AST-level rather than SSA-level: the
 // repo keeps zero dependencies, so golang.org/x/tools/go/ssa is off the
 // table, and a flow-insensitive abstract interpretation of the syntax is
 // exact enough for the boundary properties checked here while staying a
@@ -61,9 +60,6 @@ type FuncInfo struct {
 	Decl *ast.FuncDecl
 	// Pkg is the package the function is declared in.
 	Pkg *Package
-	// Directives holds the "//speedkit:..." machine comments from the
-	// function's doc comment, e.g. "speedkit:hotpath".
-	Directives []string
 	// Callees lists the module-local functions this function calls
 	// directly (deduplicated, deterministic order).
 	Callees []*FuncInfo
@@ -119,7 +115,7 @@ func NewProgram(pkgs []*Package) *Program {
 				if !ok {
 					continue
 				}
-				fi := &FuncInfo{Obj: obj, Decl: fd, Pkg: pkg, Directives: directives(fd.Doc)}
+				fi := &FuncInfo{Obj: obj, Decl: fd, Pkg: pkg}
 				p.Funcs[obj] = fi
 				all = append(all, fi)
 			}
@@ -285,34 +281,6 @@ func sccOrder(all []*FuncInfo) [][]*FuncInfo {
 	}
 	// Tarjan emits components callee-first already.
 	return sccs
-}
-
-// directives extracts "speedkit:..." machine directives from a doc
-// comment, in the gofmt-blessed "//speedkit:name" (no space) form.
-func directives(doc *ast.CommentGroup) []string {
-	if doc == nil {
-		return nil
-	}
-	var out []string
-	for _, c := range doc.List {
-		text := strings.TrimPrefix(c.Text, "//")
-		if strings.HasPrefix(text, "speedkit:") {
-			out = append(out, strings.TrimSpace(text))
-		}
-	}
-	return out
-}
-
-// HasDirective reports whether the function's doc comment carries the
-// given directive ("speedkit:hotpath"), exactly or as a "directive
-// argument..." prefix.
-func (f *FuncInfo) HasDirective(name string) bool {
-	for _, d := range f.Directives {
-		if d == name || strings.HasPrefix(d, name+" ") {
-			return true
-		}
-	}
-	return false
 }
 
 // recvOf returns the receiver variable of a method, or nil.

@@ -247,100 +247,6 @@ func c() {}
 	}
 }
 
-func TestDirectives(t *testing.T) {
-	pkg := checkPkg(t, "tstpkg", `package tstpkg
-
-// hot is special.
-//
-//speedkit:hotpath
-func hot() {}
-
-func cold() {}
-`)
-	prog := NewProgram([]*Package{pkg})
-	var hot, cold *FuncInfo
-	for _, fi := range prog.Funcs {
-		switch fi.Obj.Name() {
-		case "hot":
-			hot = fi
-		case "cold":
-			cold = fi
-		}
-	}
-	if hot == nil || !hot.HasDirective("speedkit:hotpath") {
-		t.Fatalf("hot directive missing: %+v", hot)
-	}
-	if cold.HasDirective("speedkit:hotpath") {
-		t.Fatalf("cold should not carry the directive")
-	}
-}
-
-func TestAllocDirectAndTransitive(t *testing.T) {
-	pkg := checkPkg(t, "tstpkg", `package tstpkg
-
-func helper() []int { return make([]int, 4) }
-
-func direct() {
-	defer func() {}()
-}
-
-func transitive() int {
-	v := helper()
-	return v[0]
-}
-
-func clean(a, b int) int { return a + b }
-`)
-	prog := NewProgram([]*Package{pkg})
-	aa := NewAllocAnalysis(prog)
-	byName := map[string]*FuncInfo{}
-	for _, fi := range prog.Funcs {
-		byName[fi.Obj.Name()] = fi
-	}
-	if !aa.Allocates(byName["direct"]) {
-		t.Fatalf("direct: defer + closure not flagged")
-	}
-	if !aa.Allocates(byName["transitive"]) {
-		t.Fatalf("transitive: call to make-ing helper not flagged")
-	}
-	if aa.Allocates(byName["clean"]) {
-		t.Fatalf("clean flagged: %+v", aa.Findings(byName["clean"]))
-	}
-	fs := aa.Findings(byName["transitive"])
-	foundChain := false
-	for _, f := range fs {
-		if len(f.Chain) > 0 && strings.Contains(f.Chain[0], "helper") {
-			foundChain = true
-		}
-	}
-	if !foundChain {
-		t.Fatalf("transitive finding lacks chain: %+v", fs)
-	}
-}
-
-func TestAllocBoxing(t *testing.T) {
-	pkg := checkPkg(t, "tstpkg", `package tstpkg
-
-func sink(v interface{}) {}
-
-func boxes(n int) { sink(n) }
-
-func pointerOK(p *int) { sink(p) }
-`)
-	prog := NewProgram([]*Package{pkg})
-	aa := NewAllocAnalysis(prog)
-	byName := map[string]*FuncInfo{}
-	for _, fi := range prog.Funcs {
-		byName[fi.Obj.Name()] = fi
-	}
-	if !aa.Allocates(byName["boxes"]) {
-		t.Fatalf("int -> interface{} not flagged")
-	}
-	if aa.Allocates(byName["pointerOK"]) {
-		t.Fatalf("pointer boxing false positive: %+v", aa.Findings(byName["pointerOK"]))
-	}
-}
-
 func TestCanonicalField(t *testing.T) {
 	cases := map[string]string{
 		"UserID":    "user_id",

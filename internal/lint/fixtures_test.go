@@ -118,7 +118,3 @@ func TestPIIFlowCoversClusterDeltaExchange(t *testing.T) {
 	// flagged, pseudonymized and anonymous resource IDs pass.
 	checkFixture(t, "clusterflow", "fixture/clusterflow", PIIFlow)
 }
-
-func TestHotPathAllocFixture(t *testing.T) {
-	checkFixture(t, "hotpathalloc", "fixture/hotpathalloc", HotPathAlloc)
-}

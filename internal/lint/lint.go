@@ -110,7 +110,6 @@ func Analyzers() []*Analyzer {
 		RandDiscipline,
 		ObsLabels,
 		PIIFlow,
-		HotPathAlloc,
 	}
 }
 

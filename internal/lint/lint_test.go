@@ -57,7 +57,7 @@ func TestAnalyzersAreRegistered(t *testing.T) {
 	want := map[string]bool{
 		"gdprboundary": true, "clockdiscipline": true,
 		"lockcheck": true, "randdiscipline": true,
-		"obslabels": true, "piiflow": true, "hotpathalloc": true,
+		"obslabels": true, "piiflow": true,
 	}
 	for _, a := range Analyzers() {
 		if !want[a.Name] {

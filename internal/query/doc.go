@@ -154,8 +154,6 @@ func (d Doc) Merge(patch map[string]any) Doc {
 // "id" reads the store ID when the document has no field called that, so
 // a predicate on id sees the same value wherever the document turns up —
 // a query row, a Get, a change event's image.
-//
-//speedkit:hotpath
 func (d Doc) Lookup(path string) (any, bool) {
 	for {
 		if d.d == nil {

@@ -314,7 +314,7 @@ func TestDocConcurrentWritersKeepStreamOrdered(t *testing.T) {
 
 // The read-side promises: a Get hit hands out the stored value and
 // delivering an event hands the same few words to every watcher. Neither
-// allocates (Get is also held by the hotpathalloc lint).
+// allocates.
 func TestDocReadPathsZeroAlloc(t *testing.T) {
 	s, _ := newTestDocs()
 	_ = s.Insert("products", "p1", map[string]any{"price": 10.0, "category": "shoes"})

@@ -7,7 +7,7 @@ import (
 )
 
 // Steady-state appends must not allocate: the frame marshal indexes into
-// the log's reused frame buffer (see marshalFrame, //speedkit:hotpath), so
+// the log's reused frame buffer (see marshalFrame), so
 // once that buffer has grown the only per-append costs are a CRC pass, two
 // copies and the write. This test pins the property the wal-append bench's
 // allocs/op column reports — for the log, and for the snapshotted log on

@@ -307,8 +307,6 @@ func (l *Log) scanSegment(seg segment, last bool) error {
 // per-append marshal step and must stay allocation-free: it only indexes
 // into dst, so framing an append costs a CRC pass and two copies, never a
 // heap allocation.
-//
-//speedkit:hotpath
 func marshalFrame(dst []byte, lsn uint64, payload []byte) {
 	binary.LittleEndian.PutUint32(dst[0:4], uint32(lsnBytes+len(payload)))
 	binary.LittleEndian.PutUint64(dst[frameHeader:frameHeader+lsnBytes], lsn)

@@ -24,6 +24,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -41,24 +42,24 @@ import (
 )
 
 // serveLoopback starts h on a loopback port and returns its base URL; the
-// listener closes when b ends.
-func serveLoopback(b *testing.B, h http.Handler) string {
-	b.Helper()
+// listener closes when tb ends.
+func serveLoopback(tb testing.TB, h http.Handler) string {
+	tb.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv := &httptest.Server{Listener: ln, Config: &http.Server{Handler: h}}
 	srv.Start()
-	b.Cleanup(srv.Close)
+	tb.Cleanup(srv.Close)
 	return srv.URL
 }
 
 // loopbackClient is a client on a transport of its own, so each benchmark
 // holds its own keep-alive connections and drops them when it ends.
-func loopbackClient(b *testing.B) *http.Client {
+func loopbackClient(tb testing.TB) *http.Client {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
-	b.Cleanup(tr.CloseIdleConnections)
+	tb.Cleanup(tr.CloseIdleConnections)
 	return &http.Client{Timeout: 10 * time.Second, Transport: tr}
 }
 
@@ -172,42 +173,87 @@ func BenchmarkHop(b *testing.B) {
 type loadTopology struct {
 	svc  *core.Service
 	edge *edge.Proxy
-	user *session.User
+	// edgeServed wraps the edge's handler, which stores a fill only after
+	// the answer's body has reached the device.
+	edgeServed *settledHandler
+	user       *session.User
 	// viaEdge sends pages and the sketch to the edge, blocks to the server;
 	// direct sends everything to the server.
 	viaEdge, direct *httpclient.Transport
 }
 
-func newLoadTopology(b *testing.B) *loadTopology {
-	b.Helper()
+func newLoadTopology(tb testing.TB) *loadTopology {
+	tb.Helper()
 	svc, err := core.NewStorefront(core.StorefrontConfig{
 		Config:   core.Config{Clock: clock.System, Delta: 30 * time.Second, Seed: 1, Obs: obs.NewRegistry()},
 		Products: 1000,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(svc.Close)
+	tb.Cleanup(svc.Close)
 	user := &session.User{ID: "u000001", Name: "User 1", Region: netsim.EU, Tier: "gold", LoggedIn: true, ConsentPersonalization: true}
-	serverURL := serveLoopback(b, httpapi.New(svc, []*session.User{user}).Handler())
-	ed, _, err := edge.New(edge.Options{Upstream: serverURL, Client: loopbackClient(b)})
+	serverURL := serveLoopback(tb, httpapi.New(svc, []*session.User{user}).Handler())
+	ed, _, err := edge.New(edge.Options{Upstream: serverURL, Client: loopbackClient(tb)})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { ed.Close() })
+	tb.Cleanup(func() { ed.Close() })
 	cancel := svc.OnPurge(ed.Purge)
-	b.Cleanup(cancel)
+	tb.Cleanup(cancel)
 	if err := ed.RefreshSketch(context.Background()); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	edgeURL := serveLoopback(b, ed.Handler())
+	served := newSettledHandler(ed.Handler())
+	edgeURL := serveLoopback(tb, served)
 	return &loadTopology{
-		svc:     svc,
-		edge:    ed,
-		user:    user,
-		viaEdge: httpclient.NewBehindEdge(edgeURL, serverURL, loopbackClient(b)),
-		direct:  httpclient.NewDirect(serverURL, loopbackClient(b)),
+		svc:        svc,
+		edge:       ed,
+		edgeServed: served,
+		user:       user,
+		viaEdge:    httpclient.NewBehindEdge(edgeURL, serverURL, loopbackClient(tb)),
+		direct:     httpclient.NewDirect(serverURL, loopbackClient(tb)),
 	}
+}
+
+// settledHandler is a handler that can wait until every request it has
+// started to serve has returned, whatever it does after its answer.
+type settledHandler struct {
+	h        http.Handler
+	mu       sync.Mutex
+	idle     sync.Cond
+	inflight int // guarded by mu
+}
+
+func newSettledHandler(h http.Handler) *settledHandler {
+	s := &settledHandler{h: h}
+	s.idle.L = &s.mu
+	return s
+}
+
+func (s *settledHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	s.inflight++
+	s.mu.Unlock()
+	defer s.done()
+	s.h.ServeHTTP(w, r)
+}
+
+func (s *settledHandler) done() {
+	s.mu.Lock()
+	if s.inflight--; s.inflight == 0 {
+		s.idle.Broadcast()
+	}
+	s.mu.Unlock()
+}
+
+// wait returns once no request is being served.
+func (s *settledHandler) wait() {
+	s.mu.Lock()
+	for s.inflight > 0 {
+		s.idle.Wait()
+	}
+	s.mu.Unlock()
 }
 
 // device builds a device for t's user on tr, with the configuration
@@ -221,95 +267,120 @@ func (t *loadTopology) device(tr *httpclient.Transport, originBlocks map[string]
 	}, tr, tr)
 }
 
-// load runs one load and fails b unless it crossed the network from the
+// load runs one load and fails tb unless it crossed the network from the
 // expected source.
-func load(b *testing.B, dev *proxy.Proxy, path string, want proxy.Source) {
+func load(tb testing.TB, dev *proxy.Proxy, path string, want proxy.Source) {
 	res, err := dev.Load(context.Background(), path)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if res.Source != want {
-		b.Fatalf("load of %s served by %v, want %v", path, res.Source, want)
+		tb.Fatalf("load of %s served by %v, want %v", path, res.Source, want)
 	}
 }
 
-// BenchmarkLoad is one whole page load, device to service, through real
-// loopback hops:
+// loadOp is one op of a topology: run is the load, and prepare, when set,
+// puts the topology back in the state every run starts from. prepare runs
+// before each run and is no part of what a load costs.
+type loadOp struct {
+	prepare, run func()
+}
+
+// loadPath is the page every topology loads.
+const loadPath = "/product/p00001"
+
+// loadCases are the topologies of one whole page load, device to service,
+// through real loopback hops:
 //
 //   - edge_hit: a fresh device's load of a page the edge holds (one hop);
 //   - edge_miss: a fresh device's load of a page no tier holds: the edge
 //     fills from the server, which renders it (two hops, one render); the
-//     page is dropped from both tiers before each op, outside the timer;
+//     page is dropped from both tiers before each load;
 //   - direct_personalized: a fresh device with no edge in front, a page
 //     the server's cdn tier holds and its reco block from /v1/blocks (two
 //     hops to the server);
 //   - revalidate: a device holding a copy its sketch flags, revalidated
 //     at the edge, which answers 304 from its own copy (one hop).
 //
-// Each op but a revalidation builds its device, as catalog_cold builds
-// one per load.
-func BenchmarkLoad(b *testing.B) {
-	const path = "/product/p00001"
-	b.Run("edge_hit", func(b *testing.B) {
-		t := newLoadTopology(b)
-		load(b, t.device(t.viaEdge, nil), path, proxy.SourceOrigin)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			load(b, t.device(t.viaEdge, nil), path, proxy.SourceCDN)
+// Each builds its topology, warms it to the state every op starts from
+// and returns the op. Each op but a revalidation builds its device, as
+// catalog_cold builds one per load.
+var loadCases = []struct {
+	name  string
+	build func(tb testing.TB) loadOp
+}{
+	{"edge_hit", func(tb testing.TB) loadOp {
+		t := newLoadTopology(tb)
+		load(tb, t.device(t.viaEdge, nil), loadPath, proxy.SourceOrigin)
+		t.edgeServed.wait()
+		return loadOp{run: func() { load(tb, t.device(t.viaEdge, nil), loadPath, proxy.SourceCDN) }}
+	}},
+	{"edge_miss", func(tb testing.TB) loadOp {
+		t := newLoadTopology(tb)
+		load(tb, t.device(t.viaEdge, nil), loadPath, proxy.SourceOrigin)
+		return loadOp{
+			prepare: func() {
+				// The edge stores its fill after the device has read the
+				// answer: a purge before that would miss it. The server's
+				// cdn tier applies a purge after its modeled propagation
+				// delay; dropping every copy is immediate.
+				t.edgeServed.wait()
+				t.svc.CDN().PurgeAll()
+				t.edge.Purge(loadPath)
+			},
+			run: func() { load(tb, t.device(t.viaEdge, nil), loadPath, proxy.SourceOrigin) },
 		}
-	})
-	b.Run("edge_miss", func(b *testing.B) {
-		t := newLoadTopology(b)
-		load(b, t.device(t.viaEdge, nil), path, proxy.SourceOrigin)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// The server's cdn tier applies a purge after its modeled
-			// propagation delay; dropping every copy is immediate.
-			b.StopTimer()
-			t.svc.CDN().PurgeAll()
-			t.edge.Purge(path)
-			b.StartTimer()
-			load(b, t.device(t.viaEdge, nil), path, proxy.SourceOrigin)
-		}
-	})
-	b.Run("direct_personalized", func(b *testing.B) {
-		t := newLoadTopology(b)
+	}},
+	{"direct_personalized", func(tb testing.TB) loadOp {
+		t := newLoadTopology(tb)
 		reco := map[string]bool{"reco": true}
-		load(b, t.device(t.direct, reco), path, proxy.SourceOrigin)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			load(b, t.device(t.direct, reco), path, proxy.SourceCDN)
-		}
-	})
-	b.Run("revalidate", func(b *testing.B) {
-		t := newLoadTopology(b)
+		load(tb, t.device(t.direct, reco), loadPath, proxy.SourceOrigin)
+		return loadOp{run: func() { load(tb, t.device(t.direct, reco), loadPath, proxy.SourceCDN) }}
+	}},
+	{"revalidate", func(tb testing.TB) loadOp {
+		t := newLoadTopology(tb)
 		dev := t.device(t.viaEdge, nil)
-		load(b, dev, path, proxy.SourceOrigin)
+		load(tb, dev, loadPath, proxy.SourceOrigin)
 		// A write the sketch flags the page for, seen by the edge's next
 		// poll. The device's first load after it fetches the sketch and
 		// refills the edge; every load after that revalidates its copy, and
 		// the edge, holding the copy from after the flag, answers 304.
 		if err := t.svc.Docs().Patch("products", "p00001", map[string]any{"stock": int64(1)}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := t.edge.RefreshSketch(context.Background()); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			if _, err := dev.Load(context.Background(), path); err != nil {
-				b.Fatal(err)
+			if _, err := dev.Load(context.Background(), loadPath); err != nil {
+				tb.Fatal(err)
 			}
+			t.edgeServed.wait()
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := dev.Load(context.Background(), path)
+		return loadOp{run: func() {
+			res, err := dev.Load(context.Background(), loadPath)
 			if err != nil || !res.Revalidated || res.Source != proxy.SourceCDN {
-				b.Fatalf("revalidation: %+v, %v", res, err)
+				tb.Fatalf("revalidation: %+v, %v", res, err)
 			}
-		}
-	})
+		}}
+	}},
+}
+
+// BenchmarkLoad is one whole page load per topology of loadCases.
+func BenchmarkLoad(b *testing.B) {
+	for _, c := range loadCases {
+		b.Run(c.name, func(b *testing.B) {
+			op := c.build(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if op.prepare != nil {
+					b.StopTimer()
+					op.prepare()
+					b.StartTimer()
+				}
+				op.run()
+			}
+		})
+	}
 }
