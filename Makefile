@@ -159,15 +159,18 @@ EDGE_SEED ?= 1
 edge:
 	$(GO) run ./cmd/speedkit-sim -edge -seed $(EDGE_SEED) -products 100
 
-# Cluster gate: a 3-node coordinator-free deployment — per-node shard
-# sketches over per-node WALs, delta exchange over real loopback HTTP —
-# driven on one shared simulated clock with seeded node kills and
-# exchange partitions. Asserts sharded invalidation matching equals a
-# single unsharded engine, every cache serve stays within Δ of its first
-# acknowledged write through every kill and partition, twin seeded runs
-# export byte-identical merged sketches, no raw identity reaches any
-# node's persisted bytes, and no goroutine leaks. Non-zero exit on
-# violation.
+# Cluster gate: a 3-node coordinator-free deployment of the coherence
+# kernel (cluster.Node; speedkit-server -nodes 3 runs the same in one
+# process) — per-node shard sketches over per-node WALs, delta exchange
+# over real loopback HTTP every Δ/30 — driven on one shared simulated
+# clock with seeded node kills and exchange partitions. Asserts sharded
+# invalidation matching equals a single unsharded engine, every cache
+# serve under a sketch trusted for Δ less the cluster's lag stays within
+# Δ of its first acknowledged write through every kill and partition,
+# twin seeded runs export byte-identical merged sketches, no raw identity
+# reaches any node's persisted bytes, and no goroutine leaks. Non-zero
+# exit on violation. Pages through an edge in front of a cluster are
+# TestEdgeInFrontOfACluster (internal/httpclient).
 CLUSTER_SEED ?= 42
 
 cluster:

@@ -6,6 +6,15 @@
 // client role.
 //
 //	speedkit-server -addr :8080 -products 1000
+//	speedkit-server -addr :8080 -nodes 3 -data-dir /var/lib/speedkit
+//
+// With -nodes N above 1 the coherence kernel is a cluster of N nodes in
+// this process: each node owns a ring shard of the sketch and of the
+// matcher's registrations, and with -data-dir journals into its own
+// node-<i> subdirectory. Every Δ/30 the merge layer pulls each node's
+// frame; /v1/sketch serves the merged sketch under max-age Δ less the
+// cluster's lag (cluster.Cluster.Lag), and page answers state the merged
+// epoch.
 //
 //	curl localhost:8080/v1/page?path=/product/p00042      # anonymous shell
 //	curl localhost:8080/v1/page?path=/product/p00042 -H 'If-None-Match: "v1"'
@@ -31,12 +40,15 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
 	"speedkit/internal/clock"
+	"speedkit/internal/cluster"
 	"speedkit/internal/core"
 	"speedkit/internal/durable"
 	"speedkit/internal/httpapi"
@@ -56,6 +68,7 @@ func main() {
 	traceRing := flag.Int("trace-ring", 256, "how many recent traces /debug/traces retains")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
 	dataDir := flag.String("data-dir", "", "durability directory (empty = memory-only); coherence state is journaled there and recovered at startup")
+	nodes := flag.Int("nodes", 1, "coherence nodes; above 1 they form a cluster, each journaling under <data-dir>/node-<i>")
 	flag.Parse()
 
 	// The sanctioned process log: leveled logfmt on stderr, stamped with
@@ -69,39 +82,98 @@ func main() {
 		os.Exit(1)
 	}
 
-	var store *durable.Store
-	if *dataDir != "" {
-		store = durable.New(durable.Config{Dir: *dataDir, Clock: clock.System})
+	if *nodes < 1 {
+		logger.Error(ctx).Msg("-nodes must be >= 1")
+		os.Exit(2)
 	}
-
-	svc, err := core.NewStorefront(core.StorefrontConfig{
-		Config: core.Config{
-			Clock: clock.System, // real time for a real server
-			Delta: *delta,
-			// Identity seed 2: devices root their traces from seed 1, so
-			// locally rooted server traces never collide with theirs.
-			Tracer:  obs.NewTracerSeeded(clock.System, *traceSample, *traceRing, 2),
-			SLO:     obs.NewDeltaSLO(obs.SLOConfig{Clock: clock.System}),
-			Durable: store,
-		},
-		Products: *products,
-	})
-	if err != nil {
-		fatal(logger.Error(ctx), err)
+	// One store per node: the lone node's over -data-dir itself, a
+	// cluster node's over its own subdirectory.
+	stores := make([]*durable.Store, *nodes)
+	dirs := make([]string, *nodes)
+	for i := range stores {
+		if *dataDir == "" {
+			continue
+		}
+		dirs[i] = *dataDir
+		if *nodes > 1 {
+			dirs[i] = filepath.Join(*dataDir, fmt.Sprintf("node-%d", i))
+		}
+		if err := os.MkdirAll(dirs[i], 0o755); err != nil {
+			fatal(logger.Error(ctx).Str("component", "durable"), err)
+		}
+		stores[i] = durable.New(durable.Config{Dir: dirs[i], Clock: clock.System})
 	}
-	defer svc.Close()
-
-	if store != nil {
-		info, rerr := svc.Recovery()
-		if rerr != nil {
-			fatal(logger.Error(ctx).Str("component", "durable"), rerr)
+	recovered := func(dir string, info durable.RecoveryInfo, err error) {
+		if err != nil {
+			fatal(logger.Error(ctx).Str("component", "durable"), err)
 		}
 		logger.Info(ctx).
-			Str("dir", *dataDir).
+			Str("dir", dir).
 			Str("mode", info.Mode.String()).
 			Uint("replayed", info.Replayed).
 			Bool("new_epoch", info.NewEpoch).
 			Msg("durability recovered")
+	}
+
+	cfg := core.Config{
+		Clock: clock.System, // real time for a real server
+		Delta: *delta,
+		// Identity seed 2: devices root their traces from seed 1, so
+		// locally rooted server traces never collide with theirs.
+		Tracer:  obs.NewTracerSeeded(clock.System, *traceSample, *traceRing, 2),
+		SLO:     obs.NewDeltaSLO(obs.SLOConfig{Clock: clock.System}),
+		Durable: stores[0],
+	}
+	var c *cluster.Cluster
+	if *nodes > 1 {
+		members := make([]*cluster.Node, *nodes)
+		for i := range members {
+			members[i] = cluster.NewNode(cluster.NodeConfig{
+				Member:  fmt.Sprintf("node-%d", i),
+				Clock:   clock.System,
+				Durable: stores[i],
+			})
+			if stores[i] != nil {
+				info, err := members[i].Recovery()
+				recovered(dirs[i], info, err)
+			}
+		}
+		var err error
+		if c, err = cluster.New(cluster.Config{Seed: 1, Delta: *delta}, members); err != nil {
+			fatal(logger.Error(ctx), err)
+		}
+		cfg.Kernel, cfg.Durable = c, nil
+		// Fold every node's first frame before serving, so the merged
+		// sketch leaves the saturated filter at once.
+		if err := c.SyncDeltas(); err != nil {
+			logger.Warn(ctx).Err(err).Msg("first delta exchange incomplete")
+		}
+	}
+
+	svc, err := core.NewStorefront(core.StorefrontConfig{Config: cfg, Products: *products})
+	if err != nil {
+		fatal(logger.Error(ctx), err)
+	}
+	defer svc.Close()
+	if c == nil && stores[0] != nil {
+		info, err := svc.Recovery()
+		recovered(dirs[0], info, err)
+	}
+	stopSync := make(chan struct{})
+	if c != nil {
+		go func() {
+			for {
+				clock.Sleep(clock.System, c.SyncPeriod())
+				select {
+				case <-stopSync:
+					return
+				default:
+				}
+				if err := c.SyncDeltas(); err != nil {
+					logger.Warn(ctx).Err(err).Msg("delta exchange incomplete")
+				}
+			}
+		}()
 	}
 
 	if *warm {
@@ -120,6 +192,7 @@ func main() {
 	logger.Info(ctx).
 		Str("addr", *addr).
 		Int("products", int64(*products)).
+		Int("nodes", int64(*nodes)).
 		Dur("delta", *delta).
 		Msg("speedkit-server listening")
 
@@ -140,9 +213,12 @@ func main() {
 		sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 		_ = srv.Shutdown(sctx)
 		cancel()
-		if store != nil {
-			if err := store.Close(); err != nil {
-				fatal(logger.Error(ctx).Str("component", "durable"), err)
+		close(stopSync)
+		if *dataDir != "" {
+			for _, store := range stores {
+				if err := store.Close(); err != nil {
+					fatal(logger.Error(ctx).Str("component", "durable"), err)
+				}
 			}
 			logger.Info(ctx).Msg("durability log sealed clean")
 		}

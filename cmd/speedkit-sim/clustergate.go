@@ -13,6 +13,7 @@ import (
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
 	"speedkit/internal/cluster"
+	"speedkit/internal/durable"
 	"speedkit/internal/faults"
 	"speedkit/internal/gdpr"
 	"speedkit/internal/invalidb"
@@ -50,18 +51,16 @@ import (
 //
 // Violations exit non-zero, so `make cluster` is a CI gate, not a demo.
 //
-// The Δ budget mirrors DESIGN.md's cluster rule: client refresh (10s) +
-// sync period (2s) + MaxFrameAge (5s) ≤ Δ (30s), with the remainder
-// absorbing the kill→new-epoch transitions.
+// The Δ budget is DESIGN.md's cluster rule, with nothing to spare: the
+// cluster derives its exchange period and frame age from Δ, and the
+// client trusts each merged sketch for Δ less their sum (Cluster.Lag), as
+// a device trusts the max-age /v1/sketch states.
 func runCluster(seed int64, products int) {
 	const (
 		nodeCount    = 3
 		delta        = 30 * time.Second
-		clientRfrsh  = 10 * time.Second
-		maxFrameAge  = 5 * time.Second
 		tick         = time.Second
 		rounds       = 600
-		syncEvery    = 2
 		opsPerRound  = 4
 		recoverAfter = 8 // ticks a killed node stays down
 	)
@@ -106,37 +105,30 @@ func runCluster(seed int64, products int) {
 				os.Exit(1)
 			}
 			res.dirs = append(res.dirs, dir)
-			n, err := cluster.NewNode(cluster.NodeConfig{
+			nodes[i] = cluster.NewNode(cluster.NodeConfig{
 				Member:         fmt.Sprintf("node-%d", i),
 				Clock:          clk,
 				SketchCapacity: uint64(products) * 4,
-				DurableDir:     dir,
-				SnapshotEvery:  64,
+				Durable:        durable.New(durable.Config{Dir: dir, Clock: clk, SnapshotEvery: 64}),
 			})
-			if err != nil {
+			if _, err := nodes[i].Recovery(); err != nil {
 				fmt.Fprintln(os.Stderr, "cluster: node:", err)
 				os.Exit(1)
 			}
-			nodes[i] = n
 		}
-		c, err := cluster.New(cluster.Config{
-			Seed:        seed,
-			Clock:       clk,
-			Faults:      inj,
-			Capacity:    uint64(products) * 4,
-			MaxFrameAge: maxFrameAge,
-		}, nodes)
+		c, err := cluster.New(cluster.Config{Seed: seed, Delta: delta, Faults: inj}, nodes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cluster:", err)
 			os.Exit(1)
 		}
+		syncEvery := int(c.SyncPeriod() / tick)
 
 		// Real loopback HTTP: each member serves its /v1/cluster surface
 		// and the merge layer pulls frames through a Peer, exactly as a
 		// multi-process deployment would.
 		servers := make([]*httptest.Server, 0, nodeCount)
 		for _, n := range nodes {
-			srv := httptest.NewServer(cluster.NodeHandler(n, c.Ring()))
+			srv := httptest.NewServer(cluster.NodeHandler(n))
 			servers = append(servers, srv)
 			if err := c.UseDeltaSource(cluster.NewPeer(n.Name(), srv.URL, srv.Client())); err != nil {
 				fmt.Fprintln(os.Stderr, "cluster: peer:", err)
@@ -164,7 +156,7 @@ func runCluster(seed int64, products int) {
 				After:      query.NewDoc(id, map[string]any{"category": fmt.Sprintf("cat-%d", (i+3)%8)}),
 				Time:       clk.Now(),
 			}
-			got, err := c.ProcessEvent(ev)
+			got, err := c.Process(ev)
 			if err != nil {
 				fail("event %d: %v", i, err)
 				continue
@@ -189,8 +181,8 @@ func runCluster(seed int64, products int) {
 		// pseudonymized; the raw identities must never reach a WAL.
 		for _, u := range session.Population(seed, 10) {
 			key := "/cart/" + gdpr.Pseudonymize(u.ID)
-			_ = c.ReportCachedRead(key, clk.Now().Add(time.Hour))
-			_ = c.ReportWrite(key)
+			_ = c.ReportFill(key, clk.Now().Add(time.Hour))
+			_, _ = c.ReportWrite(key)
 		}
 
 		// 2. Fault-driven main loop. The reference model records, per
@@ -203,7 +195,7 @@ func runCluster(seed int64, products int) {
 		}
 		model := map[string]*entry{}
 		rng := rand.New(rand.NewSource(seed))
-		client := cachesketch.NewClient(clk, clientRfrsh)
+		client := cachesketch.NewClient(clk, delta-c.Lag())
 		client.Install(c.Snapshot())
 		recoverAt := map[string]int{}
 
@@ -216,7 +208,7 @@ func runCluster(seed int64, products int) {
 				n := c.Node(name)
 				if at, down := recoverAt[name]; down {
 					if t >= at {
-						if err := n.Recover(); err != nil {
+						if _, err := n.Recover(); err != nil {
 							fail("recover %s: %v", name, err)
 						}
 						delete(recoverAt, name)
@@ -245,7 +237,7 @@ func runCluster(seed int64, products int) {
 					// Backend write. Only an acknowledged write creates a
 					// staleness obligation: a failed route means the shard
 					// owner never saw it.
-					if err := c.ReportWrite(key); err == nil {
+					if _, err := c.ReportWrite(key); err == nil {
 						if e.cached && e.firstInv.IsZero() {
 							e.firstInv = now
 						}
@@ -272,7 +264,7 @@ func runCluster(seed int64, products int) {
 									key, stale, delta)
 							}
 						}
-					} else if err := c.ReportCachedRead(key, now.Add(time.Hour)); err == nil {
+					} else if err := c.ReportFill(key, now.Add(time.Hour)); err == nil {
 						// Cache fill, acknowledged by the shard owner. An
 						// unacknowledged fill is not cached — the cluster
 						// would never invalidate a copy it cannot see.
@@ -282,7 +274,7 @@ func runCluster(seed int64, products int) {
 				case cachesketch.Revalidate:
 					// Revalidation fetches the current version: the copy is
 					// fresh again if the owner acknowledges it.
-					if err := c.ReportCachedRead(key, now.Add(time.Hour)); err == nil {
+					if err := c.ReportFill(key, now.Add(time.Hour)); err == nil {
 						e.cached = true
 						e.firstInv = time.Time{}
 					} else {
@@ -304,7 +296,7 @@ func runCluster(seed int64, products int) {
 		// Settle: recover everyone, run clean exchanges, and capture the
 		// terminal merged state.
 		for name := range recoverAt {
-			if err := c.Node(name).Recover(); err != nil {
+			if _, err := c.Node(name).Recover(); err != nil {
 				fail("final recover %s: %v", name, err)
 			}
 			res.recoveries++

@@ -57,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("   invalidation pipeline: sketch=%v, CDN purged\n",
-		svc.SketchServer().Contains("/product/p00010"))
+		svc.Kernel().Contains("/product/p00010"))
 
 	step("within Δ, Dana may still see the cached version (bounded staleness)")
 	page = mustLoad(device, "/product/p00010")

@@ -56,7 +56,7 @@ func main() {
 	if err := docs.Patch("articles", "a3", map[string]any{"breaking": true, "rank": int64(99)}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("   /breaking invalidation-tracked: %v\n", svc.SketchServer().Contains("/breaking"))
+	fmt.Printf("   /breaking invalidation-tracked: %v\n", svc.Kernel().Contains("/breaking"))
 
 	fmt.Println("== 6 seconds later (past Δ) the reader reloads")
 	clk.Advance(6 * time.Second)

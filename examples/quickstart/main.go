@@ -39,6 +39,6 @@ func main() {
 	if err := svc.Docs().Patch("products", "p00042", map[string]any{"price": 1.99}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  sketch tracks %s: %v\n", path, svc.SketchServer().Contains(path))
+	fmt.Printf("  sketch tracks %s: %v\n", path, svc.Kernel().Contains(path))
 	fmt.Printf("  (devices revalidate within Δ = %v — no read is ever staler)\n", svc.Delta())
 }

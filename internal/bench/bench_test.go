@@ -374,6 +374,13 @@ func TestAblationA2Shapes(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	counting, rebuild := res.Rows[0], res.Rows[1]
+	// Each arm is about a millisecond of wall clock, and go test ./...
+	// runs other packages on the same cores: one descheduled arm is not a
+	// shape. Measure again before failing, as TestAblationA3Shapes does.
+	for retry := 0; retry < 2 && counting.NsPerOp >= rebuild.NsPerOp; retry++ {
+		res = RunAblationA2(Scale(0.05))
+		counting, rebuild = res.Rows[0], res.Rows[1]
+	}
 	if counting.NsPerOp >= rebuild.NsPerOp {
 		t.Fatalf("counting filter (%.0f ns) not cheaper than rebuild (%.0f ns)",
 			counting.NsPerOp, rebuild.NsPerOp)

@@ -82,16 +82,23 @@ func NewClient(clk clock.Clock, delta time.Duration) *Client {
 	return &Client{clk: clk, delta: max(delta, 0)}
 }
 
-// Delta returns the client's staleness bound Δ: the one it was built with,
-// or else the held snapshot's MaxAge (zero while it holds none).
-func (c *Client) Delta() time.Duration {
-	if c.delta > 0 {
+// Delta returns how long the client trusts its held snapshot: the Δ it
+// was built with, or the snapshot's MaxAge where that is shorter or the
+// client was built without one (zero while it holds none).
+func (c *Client) Delta() time.Duration { return c.trust(c.snap.Load()) }
+
+// trust is how long the client trusts sn from its TakenAt. A max-age is
+// the sender's word on how long sn may be trusted — a cluster's merged
+// sketch states Δ less the merge's lag — so the client never trusts sn
+// longer than it says, whatever the client's own Δ.
+func (c *Client) trust(sn *Snapshot) time.Duration {
+	if sn == nil {
 		return c.delta
 	}
-	if sn := c.snap.Load(); sn != nil {
+	if c.delta == 0 || sn.MaxAge > 0 && sn.MaxAge < c.delta {
 		return sn.MaxAge
 	}
-	return 0
+	return c.delta
 }
 
 // NeedsRefresh reports whether the held snapshot is missing or older than
@@ -102,14 +109,7 @@ func (c *Client) NeedsRefresh() bool {
 }
 
 func (c *Client) stale(sn *Snapshot, now time.Time) bool {
-	if sn == nil {
-		return true
-	}
-	delta := c.delta
-	if delta == 0 {
-		delta = sn.MaxAge
-	}
-	return now.Sub(sn.TakenAt) >= delta
+	return sn == nil || now.Sub(sn.TakenAt) >= c.trust(sn)
 }
 
 // Supersedes reports whether sn replaces cur as the snapshot a holder

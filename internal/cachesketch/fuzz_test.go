@@ -97,8 +97,8 @@ func FuzzPageEpoch(f *testing.F) {
 		f.Add(seed.e, seed.v)
 	}
 	f.Fuzz(func(t *testing.T, e uint64, v string) {
-		if got := PageEpoch(http.Header{EpochHeader: epochValue(e)}); got != e {
-			t.Fatalf("epoch %x stated as %q reads back as %x", e, epochValue(e)[0], got)
+		if got := PageEpoch(http.Header{EpochHeader: EpochValue(e)}); got != e {
+			t.Fatalf("epoch %x stated as %q reads back as %x", e, EpochValue(e)[0], got)
 		}
 		want, ok := hexEpoch(v)
 		if !ok {

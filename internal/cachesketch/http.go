@@ -40,8 +40,8 @@ const GenerationHeader = "X-Sketch-Generation"
 // epoch can vouch for the copy (Client.Note).
 const EpochHeader = "X-Sketch-Epoch"
 
-// epochValue is the EpochHeader value of epoch e.
-func epochValue(e uint64) []string { return []string{fmt.Sprintf("%016x", e)} }
+// EpochValue returns the EpochHeader value of epoch e, newly formatted.
+func EpochValue(e uint64) []string { return []string{fmt.Sprintf("%016x", e)} }
 
 // EpochValue returns sn's EpochHeader value: the one it was taken or
 // received with, shared and read-only, else formatted now; nil for no
@@ -53,7 +53,7 @@ func (sn *Snapshot) EpochValue() []string {
 	if sn.epochWire != nil {
 		return sn.epochWire
 	}
-	return epochValue(sn.Epoch)
+	return EpochValue(sn.Epoch)
 }
 
 // PageEpoch returns the epoch a page answer states in h, or 0 when it

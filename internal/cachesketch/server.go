@@ -176,7 +176,7 @@ type epochName struct {
 
 // setEpochLocked switches the server to epoch e. Caller holds mu.
 func (s *Server) setEpochLocked(e uint64) {
-	s.epoch.Store(&epochName{id: e, wire: epochValue(e)})
+	s.epoch.Store(&epochName{id: e, wire: EpochValue(e)})
 }
 
 // Epoch returns the epoch the server's snapshots carry.

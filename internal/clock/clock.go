@@ -83,7 +83,7 @@ func (s *Stopwatch) Reset() {
 }
 
 // Coarse is a wall clock cached at a fixed resolution: Now is an atomic
-// pointer load instead of a clock_gettime call. On the read hot path —
+// load instead of a clock_gettime call. On the read hot path —
 // cache lookups and sketch probes that consult the clock on every request
 // — the vDSO time read is the single largest per-operation cost (~65 ns
 // on the reference hardware, versus ~2 ns for the cached load), so the
@@ -101,11 +101,15 @@ func (s *Stopwatch) Reset() {
 // The updater goroutine starts lazily on the first Now call (which
 // primes the cache synchronously, so the first read is exact) and runs
 // for the process lifetime, like the coarse-time tickers in nginx and
-// fasthttp.
+// fasthttp. A tick caches the wall time as Unix nanoseconds, a number, so
+// it allocates nothing. The times Now returns therefore carry no
+// monotonic reading, which costs a comparison with one a few
+// nanoseconds: Sub reads the wall clock instead (≈26 ns against ≈7, on
+// the reference hardware).
 type Coarse struct {
 	res   time.Duration
 	start sync.Once
-	now   atomic.Pointer[time.Time]
+	now   atomic.Int64 // the cached wall time, Unix nanoseconds
 }
 
 // NewCoarse returns a coarse clock with the given cache resolution
@@ -122,11 +126,10 @@ func (c *Coarse) Now() time.Time {
 	// The lazy-start closure runs exactly once per process; every later
 	// call is the sync.Once fast path plus one atomic load.
 	c.start.Do(func() {
-		t := time.Now()
-		c.now.Store(&t)
+		c.store()
 		go c.tick()
 	})
-	return *c.now.Load()
+	return time.Unix(0, c.now.Load())
 }
 
 // Resolution returns the cache refresh interval.
@@ -135,10 +138,12 @@ func (c *Coarse) Resolution() time.Duration { return c.res }
 func (c *Coarse) tick() {
 	for {
 		time.Sleep(c.res)
-		t := time.Now()
-		c.now.Store(&t)
+		c.store()
 	}
 }
+
+// store caches the wall time now: one tick's work.
+func (c *Coarse) store() { c.now.Store(time.Now().UnixNano()) }
 
 // CoarseSystem is the shared coarse wall clock used as the default time
 // source by the hot-path packages (cache, cdn, cachesketch). Its updater

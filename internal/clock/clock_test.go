@@ -111,3 +111,18 @@ func TestCoarseNowAllocatesNothing(t *testing.T) {
 		t.Fatalf("Coarse.Now went backwards: %v then %v", first, now)
 	}
 }
+
+// TestCoarseTickAllocatesNothing: the updater stores the wall time every
+// resolution for the life of the process, read or not, so its store step
+// must not allocate — an idle process would otherwise garbage-collect the
+// clock.
+func TestCoarseTickAllocatesNothing(t *testing.T) {
+	c := NewCoarse(time.Hour)
+	first := c.Now() // starts the updater, an hour from its first tick
+	if n := testing.AllocsPerRun(1000, c.store); n != 0 {
+		t.Fatalf("a Coarse tick allocates %.1f per run, want 0", n)
+	}
+	if now := c.Now(); now.Before(first) || time.Since(now) > time.Minute {
+		t.Fatalf("Coarse.Now reads %v after ticks, %v before them", now, first)
+	}
+}

@@ -21,17 +21,13 @@ func benchClusterFixture(b *testing.B, n, regs int) (*Node, []storage.ChangeEven
 	clk := clock.NewSimulated(epoch)
 	nodes := make([]*Node, n)
 	for i := range nodes {
-		node, err := NewNode(NodeConfig{
+		nodes[i] = NewNode(NodeConfig{
 			Member:         fmt.Sprintf("node-%d", i),
 			Clock:          clk,
 			SketchCapacity: uint64(regs) * 2,
 		})
-		if err != nil {
-			b.Fatalf("node %d: %v", i, err)
-		}
-		nodes[i] = node
 	}
-	c, err := New(Config{Seed: 42, Clock: clk, Capacity: uint64(regs) * 2}, nodes)
+	c, err := New(Config{Seed: 42}, nodes)
 	if err != nil {
 		b.Fatalf("cluster: %v", err)
 	}
@@ -46,7 +42,7 @@ func benchClusterFixture(b *testing.B, n, regs int) (*Node, []storage.ChangeEven
 	var busiest *Node
 	most := -1
 	for _, node := range nodes {
-		if regCount := node.Stats().Matcher.Registered; regCount > most {
+		if regCount := node.Engine().Registered(); regCount > most {
 			most, busiest = regCount, node
 		}
 	}
@@ -80,7 +76,7 @@ func BenchmarkClusterMatching(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := busiest.ProcessEvent(events[i%len(events)]); err != nil {
+				if _, err := busiest.Process(events[i%len(events)]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +14,7 @@ import (
 	"speedkit/internal/bloom"
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
+	"speedkit/internal/durable"
 	"speedkit/internal/httpbody"
 	"speedkit/internal/invalidb"
 	"speedkit/internal/query"
@@ -26,28 +26,33 @@ func testNodes(t *testing.T, clk clock.Clock, n int) []*Node {
 	t.Helper()
 	nodes := make([]*Node, n)
 	for i := range nodes {
-		node, err := NewNode(NodeConfig{
-			Member:         fmt.Sprintf("node-%d", i),
-			Clock:          clk,
-			SketchCapacity: 512,
-			DurableDir:     t.TempDir(),
-		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-		nodes[i] = node
+		nodes[i] = testNode(t, fmt.Sprintf("node-%d", i), clk, t.TempDir())
 	}
 	return nodes
 }
 
+// testNode builds one node of the test sizing, durable over dir unless it
+// is empty.
+func testNode(t *testing.T, name string, clk clock.Clock, dir string) *Node {
+	t.Helper()
+	cfg := NodeConfig{Member: name, Clock: clk, SketchCapacity: 512}
+	if dir != "" {
+		cfg.Durable = durable.New(durable.Config{Dir: dir, Clock: clk})
+	}
+	n := NewNode(cfg)
+	if _, err := n.Recovery(); err != nil {
+		t.Fatalf("node %s: %v", name, err)
+	}
+	return n
+}
+
+// testDelta is the Δ of the test clusters: a held frame ages out after
+// Δ/12, one minute.
+const testDelta = 12 * time.Minute
+
 func testCluster(t *testing.T, clk clock.Clock, nodes []*Node) *Cluster {
 	t.Helper()
-	c, err := New(Config{
-		Seed:        42,
-		Clock:       clk,
-		Capacity:    512,
-		MaxFrameAge: time.Minute,
-	}, nodes)
+	c, err := New(Config{Seed: 42, Delta: testDelta}, nodes)
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
@@ -63,11 +68,11 @@ func TestClusterRoutedWriteReachesMergedSketch(t *testing.T) {
 	defer c.Close()
 
 	// A write only enters the sketch while a cached copy may be live.
-	if err := c.ReportCachedRead("product-1", clk.Now().Add(time.Hour)); err != nil {
-		t.Fatalf("read report: %v", err)
+	if err := c.ReportFill("product-1", clk.Now().Add(time.Hour)); err != nil {
+		t.Fatalf("fill report: %v", err)
 	}
-	if err := c.ReportWrite("product-1"); err != nil {
-		t.Fatalf("write report: %v", err)
+	if held, err := c.ReportWrite("product-1"); err != nil || !held {
+		t.Fatalf("write report: held %v, %v", held, err)
 	}
 	if err := c.SyncDeltas(); err != nil {
 		t.Fatalf("sync: %v", err)
@@ -83,12 +88,8 @@ func TestClusterRoutedWriteReachesMergedSketch(t *testing.T) {
 	// Verify the write landed on exactly the ring owner.
 	owner := c.Ring().Owner("product-1")
 	for _, n := range nodes {
-		st := n.Stats()
-		if n.Name() == owner && st.Writes != 1 {
-			t.Errorf("owner %s recorded %d writes, want 1", n.Name(), st.Writes)
-		}
-		if n.Name() != owner && st.Writes != 0 {
-			t.Errorf("non-owner %s recorded %d writes", n.Name(), st.Writes)
+		if got := n.Contains("product-1"); got != (n.Name() == owner) {
+			t.Errorf("%s tracks the write: %v; the owner is %s", n.Name(), got, owner)
 		}
 	}
 }
@@ -104,8 +105,8 @@ func TestClusterKillDegradesAndRecoveryRestores(t *testing.T) {
 	c := testCluster(t, clk, nodes)
 	defer c.Close()
 
-	_ = c.ReportCachedRead("key-a", clk.Now().Add(time.Hour))
-	_ = c.ReportWrite("key-a")
+	_ = c.ReportFill("key-a", clk.Now().Add(time.Hour))
+	_, _ = c.ReportWrite("key-a")
 	if err := c.SyncDeltas(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
@@ -119,8 +120,8 @@ func TestClusterKillDegradesAndRecoveryRestores(t *testing.T) {
 	if err := victim.Kill(); err != nil {
 		t.Fatalf("kill: %v", err)
 	}
-	if err := c.ReportWrite("key-a"); !errors.Is(err, ErrNodeDown) {
-		t.Fatalf("write to dead shard: err = %v, want ErrNodeDown", err)
+	if held, err := c.ReportWrite("key-a"); !errors.Is(err, ErrNodeDown) || !held {
+		t.Fatalf("write to dead shard: held %v, err = %v; want held and ErrNodeDown", held, err)
 	}
 	// The victim's frame ages out; the merge must degrade, never serve a
 	// merge missing the dead shard.
@@ -130,12 +131,8 @@ func TestClusterKillDegradesAndRecoveryRestores(t *testing.T) {
 		t.Fatal("merge not saturated while a member is dead past MaxFrameAge")
 	}
 
-	if err := victim.Recover(); err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	st := victim.Stats()
-	if st.Recoveries != 1 || st.Down {
-		t.Fatalf("recovery stats: %+v", st)
+	if _, err := victim.Recover(); err != nil || victim.Down() {
+		t.Fatalf("recover: %v, down %v", err, victim.Down())
 	}
 	if err := c.SyncDeltas(); err != nil {
 		t.Fatalf("post-recovery sync: %v", err)
@@ -152,8 +149,44 @@ func TestClusterKillDegradesAndRecoveryRestores(t *testing.T) {
 	if !post.MightBeStale("key-a") {
 		t.Fatal("the recovered shard lost the write its log held")
 	}
-	if err := c.ReportWrite("key-a"); err != nil {
+	if _, err := c.ReportWrite("key-a"); err != nil {
 		t.Fatalf("write after recovery: %v", err)
+	}
+}
+
+// TestClusterWriteHeldUntilOwnerFolded: an owner that restarted since the
+// merge last folded its frame cannot tell what the copies of the merged
+// epoch were reported to it, so a write it takes counts as held — the
+// server's CDN tier purges — until its new frame moves the merged epoch.
+// Before the first exchange every write is held the same way.
+func TestClusterWriteHeldUntilOwnerFolded(t *testing.T) {
+	clk := clock.NewSimulated(epoch)
+	nodes := []*Node{testNode(t, "node-0", clk, ""), testNode(t, "node-1", clk, "")}
+	c := testCluster(t, clk, nodes)
+	defer c.Close()
+
+	if held, err := c.ReportWrite("never-cached"); err != nil || !held {
+		t.Fatalf("write before any exchange: held %v, %v; want held", held, err)
+	}
+	if err := c.SyncDeltas(); err != nil {
+		t.Fatal(err)
+	}
+	if held, _ := c.ReportWrite("never-cached"); held {
+		t.Fatal("a write no cache holds counts as held with every frame folded")
+	}
+	owner := c.Node(c.Ring().Owner("never-cached"))
+	_ = owner.Kill()
+	if _, err := owner.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if held, err := c.ReportWrite("never-cached"); err != nil || !held {
+		t.Fatalf("write to an owner restarted since the last fold: held %v, %v; want held", held, err)
+	}
+	if err := c.SyncDeltas(); err != nil {
+		t.Fatal(err)
+	}
+	if held, _ := c.ReportWrite("never-cached"); held {
+		t.Fatal("the owner's new frame is folded, and its write still counts as held")
 	}
 }
 
@@ -185,8 +218,8 @@ func TestClusterGenerationNeverRegressesAcrossKill(t *testing.T) {
 	first := last.Epoch
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		_ = c.ReportCachedRead(key, clk.Now().Add(time.Hour))
-		_ = c.ReportWrite(key)
+		_ = c.ReportFill(key, clk.Now().Add(time.Hour))
+		_, _ = c.ReportWrite(key)
 		clk.Advance(time.Second)
 		_ = c.SyncDeltas()
 		step(fmt.Sprintf("write %d", i))
@@ -196,7 +229,7 @@ func TestClusterGenerationNeverRegressesAcrossKill(t *testing.T) {
 	clk.Advance(2 * time.Minute)
 	_ = c.SyncDeltas()
 	step("dead member aged out")
-	if err := victim.Recover(); err != nil {
+	if _, err := victim.Recover(); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	_ = c.SyncDeltas()
@@ -247,7 +280,7 @@ func TestClusterEventBroadcastMatchesOracle(t *testing.T) {
 			After:      query.NewDoc(id, map[string]any{"category": fmt.Sprintf("cat-%d", (i+1)%8)}),
 			Time:       clk.Now(),
 		}
-		got, err := c.ProcessEvent(ev)
+		got, err := c.Process(ev)
 		if err != nil {
 			t.Fatalf("process: %v", err)
 		}
@@ -268,48 +301,95 @@ func TestClusterEventBroadcastMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestNodeHTTPSurface drives a node through its /v1/cluster endpoints
-// with a Peer over real loopback HTTP: report → delta → fold must carry a
-// key into the merged sketch, and the ring endpoint must describe the
-// deployment.
+// TestClusterDownShardIsConservative: a shard whose node is down answers
+// every question the safe way. Its registrations count as matched by any
+// event — a listing nobody could rule out is invalidated rather than left
+// at a version no write moves — and its keys get TTL 0, so nothing keeps
+// a copy the shard's sketch never learned of.
+func TestClusterDownShardIsConservative(t *testing.T) {
+	clk := clock.NewSimulated(epoch)
+	nodes := testNodes(t, clk, 3)
+	c := testCluster(t, clk, nodes)
+	defer c.Close()
+
+	var ids []string
+	for i := 0; i < 12; i++ {
+		id := fmt.Sprintf("/category/c%d", i)
+		ids = append(ids, id)
+		if err := c.Register(id, query.New("products", query.Eq("category", id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := c.Node(c.Ring().Owner(ids[0]))
+	var owned []string
+	for _, id := range ids {
+		if c.Ring().Owner(id) == victim.Name() {
+			owned = append(owned, id)
+		}
+	}
+	ev := storage.ChangeEvent{Collection: "products", ID: "p1", Kind: storage.ChangeUpdate,
+		Before: query.NewDoc("p1", map[string]any{"category": "none"}),
+		After:  query.NewDoc("p1", map[string]any{"category": "none"})}
+	if got, err := c.Process(ev); err != nil || len(got) != 0 {
+		t.Fatalf("an event no query matches: %d matches, %v", len(got), err)
+	}
+	if c.TTL("/product/p1") == 0 {
+		t.Fatal("a live owner answers TTL 0")
+	}
+
+	_ = victim.Kill()
+	got, err := c.Process(ev)
+	if !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("process with a down matcher: %v, want ErrNodeDown", err)
+	}
+	var matched []string
+	for _, inv := range got {
+		matched = append(matched, inv.RegistrationID)
+	}
+	if !sort.StringsAreSorted(matched) || fmt.Sprint(matched) != fmt.Sprint(owned) {
+		t.Fatalf("down matcher's registrations: matched %v, want %v sorted", matched, owned)
+	}
+	for _, n := range nodes {
+		key := "/product/" + n.Name()
+		for j := 0; c.Ring().Owner(key) != n.Name(); j++ {
+			key = fmt.Sprintf("/product/%s-%d", n.Name(), j)
+		}
+		if ttl := c.TTL(key); (ttl == 0) != (n == victim) {
+			t.Errorf("%s (down %v) answers TTL %v", n.Name(), n.Down(), ttl)
+		}
+	}
+}
+
+// TestNodeHTTPSurface drives a node's one endpoint with a Peer over real
+// loopback HTTP: a report taken in process travels in the frame the peer
+// reads back, and folds into the merged sketch.
 func TestNodeHTTPSurface(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	node, err := NewNode(NodeConfig{Member: "n0", Clock: clk, SketchCapacity: 512})
-	if err != nil {
-		t.Fatalf("node: %v", err)
-	}
-	ring := NewRing(1, 0, []string{"n0"})
-	srv := httptest.NewServer(NodeHandler(node, ring))
+	node := testNode(t, "n0", clk, "")
+	srv := httptest.NewServer(NodeHandler(node))
 	defer srv.Close()
 
+	if err := node.ReportFill("res-1", clk.Now().Add(time.Hour)); err != nil {
+		t.Fatalf("fill report: %v", err)
+	}
+	if _, err := node.ReportWrite("res-1"); err != nil {
+		t.Fatalf("write report: %v", err)
+	}
 	peer := NewPeer("n0", srv.URL, srv.Client())
-	if err := peer.ReportCachedRead("res-1", clk.Now().Add(time.Hour)); err != nil {
-		t.Fatalf("peer read report: %v", err)
-	}
-	if err := peer.ReportWrites([]string{"res-1"}); err != nil {
-		t.Fatalf("peer write report: %v", err)
-	}
 	frame, err := peer.Delta()
 	if err != nil {
 		t.Fatalf("peer delta: %v", err)
 	}
-	if sk, _, _, _, _ := node.parts(); frame.Node != "n0" || frame.Epoch != sk.Epoch() {
-		t.Fatalf("frame from %q in epoch %x, want n0's %x", frame.Node, frame.Epoch, sk.Epoch())
+	if frame.Node != "n0" || frame.Epoch != node.Epoch() || frame.Generation != node.Generation() {
+		t.Fatalf("frame from %q in epoch %x at generation %d, want n0's %x at %d",
+			frame.Node, frame.Epoch, frame.Generation, node.Epoch(), node.Generation())
 	}
 	mg := NewMerger(MergerConfig{Members: []string{"n0"}, Capacity: 512, Clock: clk})
 	if err := mg.Fold(frame); err != nil {
 		t.Fatalf("fold: %v", err)
 	}
 	if !mg.Snapshot().MightBeStale("res-1") {
-		t.Fatal("write reported over HTTP missing from merged sketch")
-	}
-
-	info, err := peer.Ring()
-	if err != nil {
-		t.Fatalf("peer ring: %v", err)
-	}
-	if info.Seed != 1 || len(info.Members) != 1 || info.Members[0] != "n0" {
-		t.Fatalf("ring info = %+v", info)
+		t.Fatal("write read back over HTTP missing from merged sketch")
 	}
 }
 
@@ -336,11 +416,8 @@ func expectEnvelope(t *testing.T, srv *httptest.Server, method, path, body strin
 // the envelope, and the peer maps a down node's 503 back onto ErrNodeDown.
 func TestNodeHandlerErrors(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	node, err := NewNode(NodeConfig{Member: "n0", Clock: clk})
-	if err != nil {
-		t.Fatalf("node: %v", err)
-	}
-	srv := httptest.NewServer(NodeHandler(node, NewRing(1, 0, []string{"n0"})))
+	node := testNode(t, "n0", clk, "")
+	srv := httptest.NewServer(NodeHandler(node))
 	defer srv.Close()
 
 	expectEnvelope(t, srv, http.MethodGet, "/v1/cluster/nope", "", http.StatusNotFound, httpbody.CodeNotFound)
@@ -352,82 +429,6 @@ func TestNodeHandlerErrors(t *testing.T) {
 	if _, err := peer.Delta(); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("peer against killed node: err = %v, want ErrNodeDown", err)
 	}
-}
-
-// TestFrontHandler drives the front's routes: a report is routed to its
-// shard owner and shows in the merged sketch, which is served the way
-// speedkit-server serves its own — a device's or an edge's reader takes
-// it unchanged, declared length included; failures travel in the envelope.
-func TestFrontHandler(t *testing.T) {
-	clk := clock.NewSimulated(epoch)
-	nodes := testNodes(t, clk, 2)
-	c := testCluster(t, clk, nodes)
-	defer c.Close()
-	srv := httptest.NewServer(FrontHandler(c, 30*time.Second))
-	defer srv.Close()
-
-	// The fill first: a write enters the sketch only while a copy may be
-	// cached, and one request's writes are applied before its reads.
-	for _, report := range []reportRequest{
-		{Reads: []readReport{{Key: "k", ExpiresAt: clk.Now().Add(time.Hour)}}},
-		{Writes: []string{"k"}},
-	} {
-		body, _ := json.Marshal(report)
-		resp, err := srv.Client().Post(srv.URL+"/v1/cluster/report", "application/json", bytes.NewReader(body))
-		if err != nil || resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("report %+v: %v, %v", report, resp, err)
-		}
-		resp.Body.Close()
-	}
-	if err := c.SyncDeltas(); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := srv.Client().Get(srv.URL + "/v1/sketch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	// One tracked key: the merged filter goes out compacted to 64 bits,
-	// not at the size the shards exchange it in.
-	if resp.ContentLength != 21 || resp.Header.Get("Cache-Control") != "public, max-age=30" || resp.Header.Get("Age") != "" {
-		t.Fatalf("sketch: Content-Length %d, Cache-Control %q, Age %q", resp.ContentLength, resp.Header.Get("Cache-Control"), resp.Header.Get("Age"))
-	}
-	sn, err := cachesketch.ReadHTTP(resp, clk.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sn.Generation != c.Snapshot().Generation || !sn.MightBeStale("k") || sn.MightBeStale("unwritten") {
-		t.Fatalf("sketch over HTTP: generation %d (merged %d), flags k: %v", sn.Generation, c.Snapshot().Generation, sn.MightBeStale("k"))
-	}
-
-	info, err := NewPeer("front", srv.URL, srv.Client()).Ring()
-	if err != nil || len(info.Members) != 2 {
-		t.Fatalf("ring: %+v, %v", info, err)
-	}
-	var health struct {
-		Status  string
-		Members []string
-		Stats   ClusterStats
-	}
-	resp, err = srv.Client().Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil || health.Status != "ok" || len(health.Members) != 2 || health.Stats.RoutedWrites != 1 {
-		t.Fatalf("healthz: %+v, %v", health, err)
-	}
-
-	expectEnvelope(t, srv, http.MethodGet, "/page", "", http.StatusNotFound, httpbody.CodeNotFound)
-	expectEnvelope(t, srv, http.MethodGet, "/v1/cluster/report", "", http.StatusMethodNotAllowed, httpbody.CodeBadRequest)
-	expectEnvelope(t, srv, http.MethodPost, "/v1/sketch", "", http.StatusMethodNotAllowed, httpbody.CodeBadRequest)
-	expectEnvelope(t, srv, http.MethodPost, "/v1/cluster/report", "{not json", http.StatusBadRequest, httpbody.CodeBadRequest)
-	expectEnvelope(t, srv, http.MethodPost, "/v1/cluster/report", `{"reads":[{"expires_at":"2030-01-01T00:00:00Z"}]}`, http.StatusBadRequest, httpbody.CodeBadRequest)
-	// A report for a shard whose owner is down is retryable, not lost
-	// silently.
-	_ = c.Node(c.Ring().Owner("k")).Kill()
-	expectEnvelope(t, srv, http.MethodPost, "/v1/cluster/report", `{"writes":["k"]}`, http.StatusServiceUnavailable, httpbody.CodeUnavailable)
 }
 
 // TestNodeDeltaShipsTheFullFilter: devices get the sketch compacted to
@@ -473,14 +474,14 @@ func TestClusterDeltaOverHTTPSources(t *testing.T) {
 	defer c.Close()
 
 	for _, n := range nodes {
-		srv := httptest.NewServer(NodeHandler(n, c.Ring()))
+		srv := httptest.NewServer(NodeHandler(n))
 		defer srv.Close()
 		if err := c.UseDeltaSource(NewPeer(n.Name(), srv.URL, srv.Client())); err != nil {
 			t.Fatalf("use source: %v", err)
 		}
 	}
-	_ = c.ReportCachedRead("k", clk.Now().Add(time.Hour))
-	_ = c.ReportWrite("k")
+	_ = c.ReportFill("k", clk.Now().Add(time.Hour))
+	_, _ = c.ReportWrite("k")
 	if err := c.SyncDeltas(); err != nil {
 		t.Fatalf("sync over HTTP: %v", err)
 	}
@@ -497,22 +498,10 @@ func TestClusterDeltaOverHTTPSources(t *testing.T) {
 // may have lost exposed generations.
 func TestNodeDurableKillRecoversState(t *testing.T) {
 	clk := clock.NewSimulated(epoch)
-	dir := t.TempDir()
-	node, err := NewNode(NodeConfig{
-		Member:         "n0",
-		Clock:          clk,
-		SketchCapacity: 512,
-		DurableDir:     dir,
-	})
-	if err != nil {
-		t.Fatalf("node: %v", err)
-	}
-	_ = node.ReportCachedRead("res-1", clk.Now().Add(time.Hour))
-	_ = node.ReportWrites([]string{"res-1"})
-	preGen, err := node.Generation()
-	if err != nil {
-		t.Fatalf("gen: %v", err)
-	}
+	node := testNode(t, "n0", clk, t.TempDir())
+	_ = node.ReportFill("res-1", clk.Now().Add(time.Hour))
+	_, _ = node.ReportWrite("res-1")
+	preGen := node.Generation()
 	// Publish a frame so the generation is journaled before the kill.
 	pre, err := node.Delta()
 	if err != nil {
@@ -524,7 +513,7 @@ func TestNodeDurableKillRecoversState(t *testing.T) {
 	if _, err := node.Delta(); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("delta on dead node: %v", err)
 	}
-	if err := node.Recover(); err != nil {
+	if _, err := node.Recover(); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	frame, err := node.Delta()

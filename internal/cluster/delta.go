@@ -1,10 +1,9 @@
 package cluster
 
-// delta.go defines the inter-node wire formats: the per-shard sketch
-// delta frame exchanged on /v1/cluster/delta and the ring description on
-// /v1/cluster/ring. Both are JSON on the /v1 surface and carry only
-// anonymous coherence metadata — a frame is a Bloom filter (bit material,
-// no resource IDs, no identity) plus a generation watermark.
+// delta.go defines the inter-node wire format: the per-shard sketch delta
+// frame exchanged on /v1/cluster/delta. It is JSON on the /v1 surface and
+// carries only anonymous coherence metadata — a Bloom filter (bit
+// material, no resource IDs, no identity) plus a generation watermark.
 
 // DeltaFrame is one node's published shard sketch: the flattened Bloom
 // filter of its possibly-stale resource shard at a generation. Frames are
@@ -23,12 +22,4 @@ type DeltaFrame struct {
 	Epoch uint64 `json:"epoch"`
 	// Sketch is the bloom.Filter MarshalBinary payload (base64 in JSON).
 	Sketch []byte `json:"sketch"`
-}
-
-// RingInfo is the ring layout served at /v1/cluster/ring: everything a
-// peer needs to derive the identical ring locally.
-type RingInfo struct {
-	Seed         int64    `json:"seed"`
-	VirtualNodes int      `json:"virtual_nodes"`
-	Members      []string `json:"members"`
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"speedkit/internal/bloom"
@@ -100,12 +101,27 @@ type Merger struct {
 	// saturated is the immutable all-stale filter served while degraded.
 	saturated *bloom.Filter
 
+	// epoch is the merged sketch's epoch with its header value, formatted
+	// once per epoch: written under mu, read without it.
+	epoch atomic.Pointer[mergedEpoch]
+
 	mu         sync.Mutex
 	frames     map[string]heldFrame // guarded by mu
-	epoch      uint64               // guarded by mu; the merged sketch's epoch
 	satBumps   uint64               // guarded by mu; transition counter folded into the generation
 	servingSat bool                 // guarded by mu; current serve state (starts saturated)
 	stats      MergerStats          // guarded by mu
+}
+
+// mergedEpoch names one merged epoch.
+type mergedEpoch struct {
+	id   uint64
+	wire []string
+}
+
+// newEpoch moves the merged sketch to a newly drawn epoch.
+func (mg *Merger) newEpoch() {
+	e := cachesketch.NewEpoch()
+	mg.epoch.Store(&mergedEpoch{id: e, wire: cachesketch.EpochValue(e)})
 }
 
 // NewMerger creates a merge layer over the given member set.
@@ -120,13 +136,13 @@ func NewMerger(cfg MergerConfig) *Merger {
 		cfg:       cfg,
 		saturated: sat,
 		frames:    make(map[string]heldFrame, len(cfg.Members)),
-		epoch:     cachesketch.NewEpoch(),
 		// Before the first complete exchange the merger has zero trusted
 		// history, so it starts in the saturated state.
 		servingSat: true,
 	}
 	mg.m = sat.Bits()
 	mg.k = sat.Hashes()
+	mg.newEpoch()
 	return mg
 }
 
@@ -170,7 +186,7 @@ func (mg *Merger) Fold(frame DeltaFrame) error {
 	if held, ok := mg.frames[frame.Node]; ok {
 		switch {
 		case frame.Epoch != held.epoch:
-			mg.epoch = cachesketch.NewEpoch()
+			mg.newEpoch()
 			mg.stats.EpochChanges++
 		case frame.Generation < held.gen:
 			mg.stats.StaleFolds++
@@ -219,13 +235,11 @@ func (mg *Merger) Snapshot() *cachesketch.Snapshot {
 		mg.satBumps++
 		mg.servingSat = !complete
 	}
-	gen := mg.satBumps
-	for _, m := range mg.cfg.Members {
-		gen += mg.frames[m].gen
-	}
+	gen := mg.generationLocked()
+	epoch := mg.epoch.Load().id
 	if !complete {
 		mg.stats.SaturatedServes++
-		return &cachesketch.Snapshot{Filter: mg.saturated, Generation: gen, Epoch: mg.epoch, TakenAt: now}
+		return &cachesketch.Snapshot{Filter: mg.saturated, Generation: gen, Epoch: epoch, TakenAt: now}
 	}
 	merged := bloom.NewFilter(mg.m, mg.k)
 	for _, m := range mg.cfg.Members {
@@ -236,11 +250,37 @@ func (mg *Merger) Snapshot() *cachesketch.Snapshot {
 			mg.stats.SaturatedServes++
 			mg.satBumps++
 			mg.servingSat = true
-			return &cachesketch.Snapshot{Filter: mg.saturated, Generation: gen + 1, Epoch: mg.epoch, TakenAt: now}
+			return &cachesketch.Snapshot{Filter: mg.saturated, Generation: gen + 1, Epoch: epoch, TakenAt: now}
 		}
 	}
 	mg.stats.MergedServes++
-	return &cachesketch.Snapshot{Filter: merged, Generation: gen, Epoch: mg.epoch, TakenAt: now}
+	return &cachesketch.Snapshot{Filter: merged, Generation: gen, Epoch: epoch, TakenAt: now}
+}
+
+// generationLocked is Σ(folded shard generations) + the transition
+// counter. Caller holds mg.mu.
+func (mg *Merger) generationLocked() uint64 {
+	gen := mg.satBumps
+	for _, m := range mg.cfg.Members {
+		gen += mg.frames[m].gen
+	}
+	return gen
+}
+
+// Generation returns the merged generation as of the last Snapshot's
+// serve state: a flip the next Snapshot makes is not counted yet.
+func (mg *Merger) Generation() uint64 {
+	mg.mu.Lock()
+	defer mg.mu.Unlock()
+	return mg.generationLocked()
+}
+
+// memberEpoch returns the epoch of the frame held for member, if any.
+func (mg *Merger) memberEpoch(member string) (uint64, bool) {
+	mg.mu.Lock()
+	defer mg.mu.Unlock()
+	held, ok := mg.frames[member]
+	return held.epoch, ok
 }
 
 // Export serializes the merged sketch deterministically: magic, the

@@ -2,9 +2,8 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"speedkit/internal/cachesketch"
@@ -21,24 +20,24 @@ import (
 // the operation did not happen and must not be acknowledged.
 var ErrNodeDown = errors.New("cluster: node is down")
 
-// NodeConfig parameterizes one cluster node.
+// NodeConfig parameterizes one node.
 type NodeConfig struct {
-	// Member is the node's member name on the ring.
+	// Member is the node's member name on the ring; a lone node needs none.
 	Member string
-	// Clock supplies time for the sketch, estimator, matcher, and WAL
-	// (default system clock). A deployment's nodes share one clock source.
+	// Clock drives the sketch, the estimator and the matcher (default
+	// system clock). A deployment's nodes share one clock source.
 	Clock clock.Clock
-	// SketchCapacity / SketchFPR size the node's shard sketch. Every node
-	// of a cluster MUST use identical values — the merge layer rejects
-	// frames whose Bloom parameters disagree.
+	// SketchCapacity / SketchFPR size the node's sketch (default 10000 and
+	// 0.05). Every node of a cluster MUST use identical values: the merge
+	// layer rejects frames whose Bloom parameters disagree.
 	SketchCapacity uint64
 	SketchFPR      float64
-	// DurableDir, when non-empty, gives the node its own WAL + snapshot
-	// directory; a kill then recovers from disk, under a new epoch unless
-	// the log proves nothing was lost. Empty runs the node memory-only.
-	DurableDir string
-	// SnapshotEvery passes through to the node's durable.Config.
-	SnapshotEvery int
+	// Durable, when non-nil, persists the node's sketch and estimator: the
+	// sketch journals through it, writes snapshot it when it is due, and
+	// NewNode and Recover rebuild from it, under a new epoch unless the
+	// log proves nothing was lost. Create it with durable.New over a
+	// directory of the node's own. Nil runs the node memory-only.
+	Durable *durable.Store
 }
 
 func (c *NodeConfig) applyDefaults() {
@@ -53,198 +52,171 @@ func (c *NodeConfig) applyDefaults() {
 	}
 }
 
-// NodeStats counts one node's activity.
-type NodeStats struct {
-	Writes, CachedReads, Events uint64
-	Sketch                      cachesketch.ServerStats
-	Matcher                     invalidb.Stats
-	Recoveries                  uint64
-	Down                        bool
+// Readout is what a kernel tells an operator about itself.
+type Readout struct {
+	// Members names the ring's members; nil for a lone node.
+	Members []string
+	// Sketch sums the sketch counters of the live members.
+	Sketch cachesketch.ServerStats
+	// SketchBytes is the length of the sketch a device asking now would
+	// download.
+	SketchBytes int
 }
 
-// Node is one cluster member: a shard-local Cache Sketch server, InvaliDB
-// matcher, TTL estimator, and (optionally) a durable WAL. Safe for
-// concurrent use.
+// Node is the coherence kernel: a Cache Sketch server, a TTL estimator,
+// an InvaliDB matcher, the optional durable store behind the first two,
+// and the sketch's epoch. One node is a whole single-process deployment;
+// a Cluster shards the same calls across several. Safe for concurrent
+// use.
 //
-// Registrations routed to the node are remembered in regs so Recover can
-// re-register them into the rebuilt matcher: continuous-query
-// registrations are soft state owned by the routing layer (clients
-// re-subscribe on reconnect in the production system), not WAL state.
+// The parts are built once and never swapped: Kill and Recover act on
+// them in place, so no call takes a node mutex — a killed node refuses
+// its reports, its matcher and its Delta by one atomic flag. The sketch
+// reads (Snapshot, Generation, Epoch, Contains, Readout) are a lone
+// node's, which nothing kills in place; a Cluster reads them only from
+// a node that is up. The matcher's registrations survive a
+// kill: continuous-query registrations are soft state the routing layer
+// owns (clients re-subscribe on reconnect in the production system), so
+// the recovered node answers for the same set.
 type Node struct {
-	cfg NodeConfig
+	cfg    NodeConfig
+	sketch *cachesketch.Server
+	est    *ttl.Estimator
+	engine *invalidb.Engine
+	down   atomic.Bool
 
-	mu     sync.Mutex
-	sketch *cachesketch.Server    // guarded by mu; swapped by Recover
-	est    *ttl.Estimator         // guarded by mu; swapped by Recover
-	engine *invalidb.Engine       // guarded by mu; swapped by Recover
-	store  *durable.Store         // guarded by mu; nil when memory-only
-	regs   map[string]query.Query // guarded by mu
-	down   bool                   // guarded by mu
-	stats  NodeStats              // guarded by mu
+	mu          sync.Mutex           // serializes Kill, Recover and Close
+	recovery    durable.RecoveryInfo // guarded by mu
+	recoveryErr error                // guarded by mu
 }
 
-// NewNode creates (and, when durable, recovers) a node. A node over a
+// NewNode builds a node and, when durable, recovers it: a node over a
 // directory with prior state comes back in its old epoch or a new one
-// exactly as a restarted single-process server would.
-func NewNode(cfg NodeConfig) (*Node, error) {
+// exactly as a restarted single-process server does. A failed recovery
+// leaves the node serving memory-only state; Recovery reports it.
+func NewNode(cfg NodeConfig) *Node {
 	cfg.applyDefaults()
-	if cfg.Member == "" {
-		return nil, errors.New("cluster: node needs a name")
-	}
-	n := &Node{cfg: cfg, regs: make(map[string]query.Query)}
-	if err := n.openLocked(); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// openLocked builds fresh protocol state and, when durable, recovers it
-// from disk. Callers either own n exclusively (NewNode) or hold n.mu.
-func (n *Node) openLocked() error {
 	var journal cachesketch.Journal
-	var store *durable.Store
-	if n.cfg.DurableDir != "" {
-		store = durable.New(durable.Config{
-			Dir:           n.cfg.DurableDir,
-			Clock:         n.cfg.Clock,
-			SnapshotEvery: n.cfg.SnapshotEvery,
-		})
-		journal = store
+	if cfg.Durable != nil {
+		journal = cfg.Durable
 	}
-	sketch := cachesketch.NewServer(cachesketch.ServerConfig{
-		Capacity:          n.cfg.SketchCapacity,
-		FalsePositiveRate: n.cfg.SketchFPR,
-		Clock:             n.cfg.Clock,
-		Journal:           journal,
-	})
-	est := ttl.NewEstimator(ttl.Config{Clock: n.cfg.Clock})
-	if store != nil {
-		if _, err := store.Recover(sketch, est); err != nil {
-			return fmt.Errorf("cluster: node %s recovery: %w", n.cfg.Member, err)
-		}
+	n := &Node{
+		cfg: cfg,
+		sketch: cachesketch.NewServer(cachesketch.ServerConfig{
+			Capacity:          cfg.SketchCapacity,
+			FalsePositiveRate: cfg.SketchFPR,
+			Clock:             cfg.Clock,
+			Journal:           journal,
+		}),
+		est:    ttl.NewEstimator(ttl.Config{Clock: cfg.Clock}),
+		engine: invalidb.New(invalidb.Config{Clock: cfg.Clock}),
 	}
-	engine := invalidb.New(invalidb.Config{Clock: n.cfg.Clock})
-	ids := make([]string, 0, len(n.regs))
-	for id := range n.regs {
-		ids = append(ids, id)
+	if cfg.Durable != nil {
+		n.recovery, n.recoveryErr = cfg.Durable.Recover(n.sketch, n.est)
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		engine.Register(id, n.regs[id])
-	}
-	n.sketch, n.est, n.engine, n.store = sketch, est, engine, store
-	n.down = false
-	return nil
+	return n
 }
 
 // Name returns the node's member name.
 func (n *Node) Name() string { return n.cfg.Member }
 
-// parts returns the live protocol components, or ErrNodeDown.
-func (n *Node) parts() (*cachesketch.Server, *ttl.Estimator, *invalidb.Engine, *durable.Store, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.down {
-		return nil, nil, nil, nil, ErrNodeDown
+// ReportWrite records a write of key: the estimator's write signal and
+// the sketch's. held reports whether a cache may still hold a copy; it is
+// true whenever err is not nil, because a node that did not answer cannot
+// tell. A durable node takes its snapshot here when one is due, outside
+// every sketch lock.
+func (n *Node) ReportWrite(key string) (held bool, err error) {
+	if n.down.Load() {
+		return true, ErrNodeDown
 	}
-	return n.sketch, n.est, n.engine, n.store, nil
+	n.est.RecordWrite(key)
+	held = n.sketch.ReportWrite(key)
+	if d := n.cfg.Durable; d != nil && d.ShouldSnapshot() {
+		// A failed snapshot is not fatal: the WAL still covers the state,
+		// and a crashed store reports through Crashed().
+		_ = d.Snapshot()
+	}
+	return held, nil
 }
 
-// ReportWrites records a batch of writes against this node's shard:
-// sketch residency, TTL estimator write signal, and WAL journaling all
-// happen node-locally. Returns ErrNodeDown without side effects on a
-// killed node.
-func (n *Node) ReportWrites(keys []string) error {
-	sketch, est, _, store, err := n.parts()
-	if err != nil {
-		return err
+// RecordRead records a miss read of key: the estimator's read signal,
+// which a fill sends and a 304 does not.
+func (n *Node) RecordRead(key string) error {
+	if n.down.Load() {
+		return ErrNodeDown
 	}
-	sketch.ReportWrites(keys)
-	for _, key := range keys {
-		est.RecordWrite(key)
-	}
-	n.mu.Lock()
-	n.stats.Writes += uint64(len(keys))
-	n.mu.Unlock()
-	n.maybeSnapshot(store)
+	n.est.RecordRead(key)
 	return nil
 }
 
-// ReportCachedRead records that a cache somewhere holds a copy of key
-// expiring at expiresAt, plus the estimator's read signal.
-func (n *Node) ReportCachedRead(key string, expiresAt time.Time) error {
-	sketch, est, _, store, err := n.parts()
-	if err != nil {
-		return err
+// ReportFill records that caches hold a copy of key until expiresAt.
+func (n *Node) ReportFill(key string, expiresAt time.Time) error {
+	if n.down.Load() {
+		return ErrNodeDown
 	}
-	sketch.ReportCachedRead(key, expiresAt)
-	est.RecordRead(key)
-	n.mu.Lock()
-	n.stats.CachedReads++
-	n.mu.Unlock()
-	n.maybeSnapshot(store)
+	n.sketch.ReportCachedRead(key, expiresAt)
 	return nil
 }
 
-// TTL returns the node's adaptive TTL estimate for key.
-func (n *Node) TTL(key string) (time.Duration, error) {
-	_, est, _, _, err := n.parts()
-	if err != nil {
-		return 0, err
+// TTL returns the estimator's TTL for key. A down node answers 0: a copy
+// its sketch could never learn of is not to be kept.
+func (n *Node) TTL(key string) time.Duration {
+	if n.down.Load() {
+		return 0
 	}
-	return est.TTL(key), nil
+	return n.est.TTL(key)
 }
 
-// Register adds a continuous query to this node's matcher shard.
+// Register adds a continuous query to the node's matcher.
 func (n *Node) Register(id string, q query.Query) error {
-	_, _, engine, _, err := n.parts()
-	if err != nil {
-		return err
+	if n.down.Load() {
+		return ErrNodeDown
 	}
-	n.mu.Lock()
-	n.regs[id] = q
-	n.mu.Unlock()
-	engine.Register(id, q)
+	n.engine.Register(id, q)
 	return nil
 }
 
-// Unregister removes a registration, reporting whether it existed.
-func (n *Node) Unregister(id string) (bool, error) {
-	_, _, engine, _, err := n.parts()
-	if err != nil {
-		return false, err
+// Process matches one change event against the node's registrations,
+// sorted by registration ID.
+func (n *Node) Process(ev storage.ChangeEvent) ([]invalidb.Invalidation, error) {
+	if n.down.Load() {
+		return nil, ErrNodeDown
 	}
-	n.mu.Lock()
-	_, had := n.regs[id]
-	delete(n.regs, id)
-	n.mu.Unlock()
-	return engine.Unregister(id) || had, nil
+	return n.engine.Process(ev), nil
 }
 
-// ProcessEvent matches one change event against this node's registration
-// shard — its slice of InvaliDB's two-dimensional partitioning. The
-// router broadcasts every event to every node and unions the matches.
-func (n *Node) ProcessEvent(ev storage.ChangeEvent) ([]invalidb.Invalidation, error) {
-	_, _, engine, _, err := n.parts()
-	if err != nil {
-		return nil, err
-	}
-	n.mu.Lock()
-	n.stats.Events++
-	n.mu.Unlock()
-	return engine.Process(ev), nil
+// Snapshot returns the client sketch (cachesketch.Server.Snapshot).
+func (n *Node) Snapshot() *cachesketch.Snapshot { return n.sketch.Snapshot() }
+
+// Generation returns the sketch's content generation.
+func (n *Node) Generation() uint64 { return n.sketch.Generation() }
+
+// Epoch returns the sketch's epoch.
+func (n *Node) Epoch() uint64 { return n.sketch.Epoch() }
+
+// EpochValue returns the sketch's epoch header value, formatted once.
+func (n *Node) EpochValue() []string { return n.sketch.EpochValue() }
+
+// Lag is how far a node's snapshot trails its writes: not at all.
+func (n *Node) Lag() time.Duration { return 0 }
+
+// Contains reports whether the sketch tracks key.
+func (n *Node) Contains(key string) bool { return n.sketch.Contains(key) }
+
+// Readout returns the node's sketch counters and size.
+func (n *Node) Readout() Readout {
+	return Readout{Sketch: n.sketch.Stats(), SketchBytes: n.sketch.SketchBytes()}
 }
 
-// Delta publishes the node's current shard frame: its flattened sketch,
-// content generation and epoch. The filter goes out at its full size, not
-// in the compacted encoding devices get (Snapshot.Marshal): the merger
-// unions frames, and a union needs equal (m, k) on both sides.
+// Delta publishes the node's current frame: its flattened sketch, content
+// generation and epoch. The filter goes out at its full size, not in the
+// compacted encoding devices get (Snapshot.Marshal): the merger unions
+// frames, and a union needs equal (m, k) on both sides.
 func (n *Node) Delta() (DeltaFrame, error) {
-	sketch, _, _, _, err := n.parts()
-	if err != nil {
-		return DeltaFrame{}, err
+	if n.down.Load() {
+		return DeltaFrame{}, ErrNodeDown
 	}
-	snap := sketch.Snapshot()
+	snap := n.sketch.Snapshot()
 	body, err := snap.Filter.MarshalBinary()
 	if err != nil {
 		return DeltaFrame{}, err
@@ -257,86 +229,67 @@ func (n *Node) Delta() (DeltaFrame, error) {
 	}, nil
 }
 
-// maybeSnapshot takes a durable snapshot when the journal suggests one.
-// Runs outside the sketch mutex, as the durable contract requires.
-func (n *Node) maybeSnapshot(store *durable.Store) {
-	if store != nil && store.ShouldSnapshot() {
-		// A failed snapshot is not fatal: the WAL still covers the state,
-		// and a crashed store reports through Crashed().
-		_ = store.Snapshot()
-	}
-}
-
-// Kill simulates the node's process dying: the WAL closes WITHOUT the
-// clean-shutdown marker (so the next recovery distrusts the tail and
-// draws a new epoch) and every subsequent operation fails with
-// ErrNodeDown until Recover.
+// Kill simulates the node's process dying: every call fails with
+// ErrNodeDown until Recover, and a durable store closes WITHOUT its
+// clean-shutdown marker, so the next recovery distrusts the tail and
+// draws a new epoch.
 func (n *Node) Kill() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.down {
+	if n.down.Swap(true) || n.cfg.Durable == nil {
 		return nil
 	}
-	n.down = true
-	n.stats.Down = true
-	if n.store != nil {
-		return n.store.Kill()
-	}
-	return nil
+	return n.cfg.Durable.Kill()
 }
 
-// Recover restarts a killed node. With a durable dir this is the full
-// crash-recovery path — snapshot load, WAL replay, a new epoch on the
-// unclean tail — over fresh in-memory state; memory-only nodes come back
+// Recover restarts the node in place, down or not. A durable node runs
+// the store's crash recovery over the parts it wired (snapshot load, WAL
+// replay, a new epoch on an unclean tail); a memory-only node comes back
 // empty under a new epoch, the same zero-trusted-history discipline.
-// Registrations are re-registered into the rebuilt matcher.
-func (n *Node) Recover() error {
+func (n *Node) Recover() (durable.RecoveryInfo, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.down {
-		return nil
+	var info durable.RecoveryInfo
+	var err error
+	if n.cfg.Durable != nil {
+		info, err = n.cfg.Durable.Recover(nil, nil)
+	} else {
+		n.sketch.Reset()
+		n.est.Reset()
 	}
-	if err := n.openLocked(); err != nil {
-		return err
-	}
-	n.stats.Recoveries++
-	n.stats.Down = false
-	return nil
+	n.recovery, n.recoveryErr = info, err
+	n.down.Store(false)
+	return info, err
 }
 
-// Close shuts the node down cleanly (clean-shutdown marker, warm next
-// recovery).
+// Recovery reports the last recovery of a durable node and its error;
+// the zero RecoveryInfo with a nil error for a memory-only one.
+func (n *Node) Recovery() (durable.RecoveryInfo, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.recovery, n.recoveryErr
+}
+
+// Close shuts the node down cleanly: a durable store seals its log with
+// the clean-shutdown marker, so the next recovery continues the epoch.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.down = true
-	n.stats.Down = true
-	if n.store != nil {
-		store := n.store
-		n.store = nil
-		return store.Close()
+	n.down.Store(true)
+	if n.cfg.Durable == nil {
+		return nil
 	}
-	return nil
+	return n.cfg.Durable.Close()
 }
 
-// Generation returns the node's shard sketch generation.
-func (n *Node) Generation() (uint64, error) {
-	sketch, _, _, _, err := n.parts()
-	if err != nil {
-		return 0, err
-	}
-	return sketch.Generation(), nil
-}
+// Down reports whether the node is killed or closed.
+func (n *Node) Down() bool { return n.down.Load() }
 
-// Stats returns a copy of the node's counters.
-func (n *Node) Stats() NodeStats {
-	n.mu.Lock()
-	sketch, engine := n.sketch, n.engine
-	st := n.stats
-	n.mu.Unlock()
-	if !st.Down {
-		st.Sketch = sketch.Stats()
-		st.Matcher = engine.Stats()
-	}
-	return st
-}
+// Sketch returns the node's sketch server.
+func (n *Node) Sketch() *cachesketch.Server { return n.sketch }
+
+// Engine returns the node's matcher.
+func (n *Node) Engine() *invalidb.Engine { return n.engine }
+
+// Estimator returns the node's TTL estimator.
+func (n *Node) Estimator() *ttl.Estimator { return n.est }

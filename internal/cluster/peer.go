@@ -1,20 +1,16 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"speedkit/internal/httpbody"
 )
 
-// Peer is the HTTP client for one remote node's /v1/cluster surface. It
-// implements DeltaSource (so the merge layer pulls real frames over the
-// wire) and mirrors the routed-report writers, which is how a router
-// forwards coherence traffic to a node in another process.
+// Peer is the HTTP client for one remote node's /v1/cluster surface: a
+// DeltaSource, so the merge layer pulls real frames over the wire.
 type Peer struct {
 	name string
 	base string
@@ -34,8 +30,8 @@ func NewPeer(name, baseURL string, hc *http.Client) *Peer {
 func (p *Peer) Name() string { return p.name }
 
 // decodeError turns a non-2xx response into an error: 503/unavailable
-// maps back onto ErrNodeDown so routers treat remote and in-process
-// outages identically.
+// maps back onto ErrNodeDown so the merge layer treats remote and
+// in-process outages identically.
 func decodeError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	var eb httpbody.ErrorBody
@@ -65,53 +61,4 @@ func (p *Peer) Delta() (DeltaFrame, error) {
 		return DeltaFrame{}, fmt.Errorf("cluster: peer delta decode: %w", err)
 	}
 	return frame, nil
-}
-
-// Ring fetches the node's view of the ring layout from /v1/cluster/ring.
-func (p *Peer) Ring() (RingInfo, error) {
-	resp, err := p.hc.Get(p.base + "/v1/cluster/ring")
-	if err != nil {
-		return RingInfo{}, fmt.Errorf("%w: %v", ErrNodeDown, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return RingInfo{}, decodeError(resp)
-	}
-	var info RingInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return RingInfo{}, fmt.Errorf("cluster: peer ring decode: %w", err)
-	}
-	return info, nil
-}
-
-// report POSTs one reportRequest to /v1/cluster/report. This is the
-// inter-node frame writer piiflow treats as a sink: only anonymous
-// resource IDs may reach it.
-func (p *Peer) report(req reportRequest) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	resp, err := p.hc.Post(p.base+"/v1/cluster/report", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNodeDown, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	return nil
-}
-
-// ReportWrites forwards a batch of write reports to the remote shard.
-func (p *Peer) ReportWrites(keys []string) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	return p.report(reportRequest{Writes: keys})
-}
-
-// ReportCachedRead forwards one cache-fill report to the remote shard.
-func (p *Peer) ReportCachedRead(key string, expiresAt time.Time) error {
-	return p.report(reportRequest{Reads: []readReport{{Key: key, ExpiresAt: expiresAt}}})
 }

@@ -1,10 +1,9 @@
-// Package cluster implements the coordinator-free multi-node deployment
-// of the Speed Kit server side. The single-process tree already contains
-// every mechanism a node needs — the counting Cache Sketch
+// Package cluster is the coherence kernel of the Speed Kit server side
+// and its multi-node deployment. A Node holds the counting Cache Sketch
 // (internal/cachesketch), the InvaliDB matcher (internal/invalidb), the
-// adaptive TTL estimator (internal/ttl), and per-node WAL + snapshot
-// durability (internal/durable). This package composes N of those nodes
-// into one deployment:
+// adaptive TTL estimator (internal/ttl), optional WAL + snapshot
+// durability (internal/durable) and the sketch's epoch; core.Service runs
+// on one Node directly, or on a Cluster of them:
 //
 //   - A seeded consistent-hash ring (Ring) partitions resource IDs across
 //     nodes; every coherence report for a key goes to exactly one owner,
@@ -14,19 +13,20 @@
 //     the same ring while change events broadcast to every node —
 //     InvaliDB's two-dimensional partitioning — so matching one event
 //     costs each node only its 1/N slice of the registration set.
-//   - Each node periodically publishes a DeltaFrame (its flattened shard
-//     sketch plus its generation) over the /v1 HTTP surface; the Merger
-//     folds the frames into the single Bloom filter clients fetch. The
-//     merged generation is the sum of the folded shard generations plus a
-//     saturation-transition counter, and a merged (non-saturated)
-//     snapshot is only served while every member's frame is folded and
-//     fresh — so client Check semantics are exactly the single-node ones.
+//   - Each node publishes a DeltaFrame (its flattened shard sketch plus
+//     its generation and epoch), in process or over /v1/cluster/delta;
+//     the Merger folds the frames into the single Bloom filter clients
+//     fetch. The merged generation is the sum of the folded shard
+//     generations plus a saturation-transition counter, and a merged
+//     (non-saturated) snapshot is only served while every member's frame
+//     is folded and fresh — so client Check semantics are exactly the
+//     single-node ones.
 //
 // GDPR: this package is shared infrastructure in the same sense as the
 // CDN and the durability layer — only anonymous coherence metadata
 // (resource IDs, generations, filter bits) may ever flow through it. The
 // gdprboundary analyzer enforces the import fence and piiflow treats the
-// report/delta writers as sinks.
+// report writers as sinks.
 package cluster
 
 import (
@@ -147,13 +147,6 @@ func (r *Ring) Members() []string {
 // Size returns the number of members.
 func (r *Ring) Size() int { return len(r.members) }
 
-// Seed returns the ring seed, served on /v1/cluster/ring so peers can
-// verify they derived the same ring.
-func (r *Ring) Seed() int64 { return r.seed }
-
-// VirtualNodes returns the per-member virtual-node count.
-func (r *Ring) VirtualNodes() int { return r.vnodes }
-
 // Without returns the ring with one member removed — the rebalanced
 // layout after a permanent node departure. Consistent hashing's defining
 // property, pinned by the rebalance tests: only keys owned by the removed
@@ -166,9 +159,4 @@ func (r *Ring) Without(member string) *Ring {
 		}
 	}
 	return NewRing(r.seed, r.vnodes, remaining)
-}
-
-// Info returns the wire description served at /v1/cluster/ring.
-func (r *Ring) Info() RingInfo {
-	return RingInfo{Seed: r.seed, VirtualNodes: r.vnodes, Members: r.Members()}
 }

@@ -1,7 +1,8 @@
 // Package core assembles the Speed Kit service from its substrates: the
-// document store (system of record), the origin server, the CDN, the
-// Cache Sketch coherence server, the real-time invalidation engine, and
-// the adaptive TTL estimator. It answers the server's calls (Sketch, Page,
+// document store (system of record), the origin server, the CDN, and the
+// coherence kernel — the Cache Sketch, the real-time invalidation engine
+// and the adaptive TTL estimator, one cluster.Node or a cluster.Cluster of
+// them (Kernel). It answers the server's calls (Sketch, Page,
 // Revalidate and Blocks, which httpapi serves over HTTP and which time
 // themselves on the service clock), hands out simulated devices (Device,
 // whose link models the network time of the same calls), and wires the
@@ -9,8 +10,8 @@
 //
 //	write → change stream → { product-page version bump,
 //	                          query matching (invalidb) }
-//	      → per affected path: sketch ReportWrite + CDN purge
-//	                          + TTL-estimator write sample
+//	      → per affected path: kernel ReportWrite (sketch + TTL-estimator
+//	                          write sample) + CDN purge
 //
 // Every component shares one injectable clock, so the full stack runs
 // deterministically under simulated time.
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,6 +31,7 @@ import (
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/cdn"
 	"speedkit/internal/clock"
+	"speedkit/internal/cluster"
 	"speedkit/internal/durable"
 	"speedkit/internal/faults"
 	"speedkit/internal/gdpr"
@@ -40,6 +41,7 @@ import (
 	"speedkit/internal/obs"
 	"speedkit/internal/origin"
 	"speedkit/internal/proxy"
+	"speedkit/internal/query"
 	"speedkit/internal/session"
 	"speedkit/internal/storage"
 	"speedkit/internal/tracectx"
@@ -55,20 +57,22 @@ type Config struct {
 	Network *netsim.Network
 	// Seed makes service-side randomness (render jitter) deterministic.
 	Seed int64
-	// Delta is the default staleness bound handed to devices (default 60s).
+	// Delta is the staleness bound Δ (default 60s). Devices and edges trust
+	// a sketch for Δ less the kernel's Lag (SketchMaxAge).
 	Delta time.Duration
-	// SketchCapacity sizes the coherence server (default 10000).
-	SketchCapacity uint64
-	// SketchFPR targets the client sketch false-positive rate (default 0.05).
-	SketchFPR float64
-	// TTLSource decides per-resource TTLs. Nil installs an adaptive
+	// Kernel is the coherence kernel the service runs on: a
+	// *cluster.Cluster for a multi-node deployment. Nil builds one
+	// cluster.Node of the default sketch sizing over Durable.
+	Kernel Kernel
+	// TTLSource decides per-resource TTLs. Nil asks the kernel's adaptive
 	// estimator (the paper's design); use ttl.Static for baselines.
 	TTLSource ttl.TTLSource
 	// OriginRenderTime is the mean server-side render latency
 	// (default 25ms, jittered ±40%).
 	OriginRenderTime time.Duration
 	// DisableInvalidation turns off the server-side coherence pipeline
-	// (no sketch updates, no CDN purges): caches converge by TTL alone.
+	// (no write reaches the kernel, no CDN purges): caches converge by TTL
+	// alone, so pair it with a static TTLSource.
 	// This models a traditional CDN deployment and exists for the
 	// consistency baselines; staleness instrumentation stays active.
 	DisableInvalidation bool
@@ -100,11 +104,10 @@ type Config struct {
 	// defaults; NewDevice derives a distinct deterministic RNG seed per
 	// device so jitter streams never correlate across a fleet.
 	DeviceResilience proxy.ResilienceConfig
-	// Durable, when non-nil, persists the coherence state: the sketch
-	// server journals through it, the write pipeline snapshots it, and
-	// NewService recovers from it (snapshot + WAL replay, under a new
-	// sketch epoch after an unclean shutdown). Create it with
-	// durable.New over the service's data directory.
+	// Durable, when non-nil, persists the coherence state of the node
+	// NewService builds (cluster.NodeConfig.Durable); a Kernel given here
+	// has its own. Create it with durable.New over the service's data
+	// directory.
 	Durable *durable.Store
 	// VersionLogHorizon bounds the staleness instrumentation's per-key
 	// history (default 48h — comfortably above the 24h TTL cap, so no
@@ -121,12 +124,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Delta <= 0 {
 		c.Delta = 60 * time.Second
-	}
-	if c.SketchCapacity == 0 {
-		c.SketchCapacity = 10000
-	}
-	if c.SketchFPR <= 0 || c.SketchFPR >= 1 {
-		c.SketchFPR = 0.05
 	}
 	if c.OriginRenderTime <= 0 {
 		c.OriginRenderTime = 25 * time.Millisecond
@@ -158,6 +155,42 @@ type Stats struct {
 	ForcedDeliveries uint64
 }
 
+// Kernel is the coherence kernel a Service runs on: the Cache Sketch, the
+// TTL estimator and the InvaliDB matcher, with their durable state and
+// epoch. A *cluster.Node is a one-node kernel; a *cluster.Cluster routes
+// the same calls to its nodes by ring. The service reports what it sees
+// and asks nothing else of it: a report the kernel could not take (a down
+// node) leaves the service to act as if it had — a write it could not
+// report counts as held, and its purge goes out.
+type Kernel interface {
+	// ReportWrite records a write of key; held is true when a cache may
+	// still hold a copy, and whenever err is not nil.
+	ReportWrite(key string) (held bool, err error)
+	// RecordRead records a miss read of key, which a fill sends and a 304
+	// does not.
+	RecordRead(key string) error
+	// ReportFill records that caches hold a copy of key until expiresAt.
+	ReportFill(key string, expiresAt time.Time) error
+	// TTL is the estimator's TTL for key.
+	TTL(key string) time.Duration
+	// Register and Process are the matcher: Process returns the matches
+	// of one change event sorted by registration ID.
+	Register(id string, q query.Query) error
+	Process(ev storage.ChangeEvent) ([]invalidb.Invalidation, error)
+	// Snapshot, Generation, Epoch and EpochValue are the sketch devices and
+	// edges hold: the snapshot, its content generation, its epoch and that
+	// epoch's header value.
+	Snapshot() *cachesketch.Snapshot
+	Generation() uint64
+	Epoch() uint64
+	EpochValue() []string
+	// Lag is how far a snapshot may trail a write the kernel took.
+	Lag() time.Duration
+	// Contains and Readout are what an operator reads.
+	Contains(key string) bool
+	Readout() cluster.Readout
+}
+
 // Service is one Speed Kit deployment.
 type Service struct {
 	cfg Config
@@ -166,9 +199,8 @@ type Service struct {
 	origin  *origin.Server
 	cdnNet  *cdn.CDN
 	home    *cdn.Edge // the PoP the server's calls go through
-	sketch  *cachesketch.Server
-	engine  *invalidb.Engine
-	est     *ttl.Estimator // nil when a static TTLSource is installed
+	kernel  Kernel
+	node    *cluster.Node // the kernel, when NewService built it; else nil
 	ttlSrc  ttl.TTLSource
 	verlog  *cachesketch.VersionLog
 	consent *gdpr.ConsentLedger
@@ -188,11 +220,6 @@ type Service struct {
 	// m holds the service-side metric handles, resolved once from
 	// cfg.Obs (see the metric catalog in DESIGN.md).
 	m *serviceMetrics
-
-	// recovery describes how the durable store rebuilt state at
-	// construction (zero when no Durable store was configured).
-	recovery    durable.RecoveryInfo
-	recoveryErr error
 
 	// purgeListeners is copy-on-write, in registration order: OnPurge and
 	// its cancel rebuild it under purgeMu, a purge reads it without a
@@ -275,17 +302,12 @@ func newServiceMetrics(r *obs.Registry) *serviceMetrics {
 func NewService(cfg Config, docs *storage.DocumentStore, org *origin.Server) *Service {
 	cfg.applyDefaults()
 	s := &Service{
-		cfg:    cfg,
-		docs:   docs,
-		origin: org,
-		cdnNet: cdn.New(cfg.Clock),
-		sketch: cachesketch.NewServer(cachesketch.ServerConfig{
-			Capacity:          cfg.SketchCapacity,
-			FalsePositiveRate: cfg.SketchFPR,
-			Clock:             cfg.Clock,
-			Journal:           sketchJournal(cfg.Durable),
-		}),
-		engine:  invalidb.New(invalidb.Config{Clock: cfg.Clock}),
+		cfg:     cfg,
+		docs:    docs,
+		origin:  org,
+		cdnNet:  cdn.New(cfg.Clock),
+		kernel:  cfg.Kernel,
+		ttlSrc:  cfg.TTLSource,
 		verlog:  cachesketch.NewVersionLog(),
 		consent: gdpr.NewConsentLedger(),
 		auditor: gdpr.NewAuditor(),
@@ -293,56 +315,46 @@ func NewService(cfg Config, docs *storage.DocumentStore, org *origin.Server) *Se
 	}
 	s.m = newServiceMetrics(cfg.Obs)
 	s.home = s.cdnNet.Edge(netsim.EU)
-
-	if cfg.TTLSource != nil {
-		s.ttlSrc = cfg.TTLSource
-	} else {
-		s.est = ttl.NewEstimator(ttl.Config{Clock: cfg.Clock})
-		s.ttlSrc = s.est
+	if s.kernel == nil {
+		// The node recovers persisted coherence state before any traffic:
+		// the sketch and estimator rebuild from the newest snapshot plus
+		// the WAL tail, and an unclean prior shutdown draws a new epoch.
+		s.node = cluster.NewNode(cluster.NodeConfig{Clock: cfg.Clock, Durable: cfg.Durable})
+		s.kernel = s.node
+	}
+	if s.ttlSrc == nil {
+		s.ttlSrc = s.kernel
+	}
+	if lag := s.kernel.Lag(); lag >= cfg.Delta {
+		panic(fmt.Sprintf("core: the kernel's lag %v leaves nothing of Δ=%v", lag, cfg.Delta))
 	}
 	if cfg.VersionLogHorizon > 0 {
 		s.verlog.SetHorizon(cfg.VersionLogHorizon)
 	}
 
-	// Recover persisted coherence state before any traffic: the sketch and
-	// estimator rebuild from the newest snapshot plus the WAL tail, and an
-	// unclean prior shutdown draws a new sketch epoch.
-	if cfg.Durable != nil {
-		s.recovery, s.recoveryErr = cfg.Durable.Recover(s.sketch, s.est)
-	}
-
 	// Register the origin's listing pages as continuous queries.
 	for path, q := range org.QueryPages() {
-		s.engine.Register(path, q)
+		_ = s.kernel.Register(path, q)
 	}
-	// Query invalidations → full pipeline. Listing pages have no owner
-	// bumping their content version (the origin only tracks product
-	// pages), so the service bumps it here before recording the write.
-	s.cancels = append(s.cancels, s.engine.OnInvalidation(func(inv invalidb.Invalidation) {
-		s.origin.Invalidate(inv.RegistrationID)
-		s.handleInvalidation(inv.RegistrationID)
-	}))
-	// Feed the matcher from the change stream, and handle direct
-	// product-page invalidations (the origin has already bumped the page
-	// version by the time this watcher runs, because it registered
-	// earlier on the same synchronous stream).
+	// Feed the matcher from the change stream. Query invalidations run the
+	// full pipeline: listing pages have no owner bumping their content
+	// version (the origin only tracks product pages), so the service bumps
+	// it here before recording the write. Then the direct product-page
+	// invalidation (the origin has already bumped the page version by the
+	// time this watcher runs, because it registered earlier on the same
+	// synchronous stream). A matcher that could not match names its
+	// registrations as matched all the same (cluster.Cluster.Process).
 	s.cancels = append(s.cancels, docs.Watch(func(ev storage.ChangeEvent) {
-		s.engine.Process(ev)
+		invs, _ := s.kernel.Process(ev)
+		for _, inv := range invs {
+			s.origin.Invalidate(inv.RegistrationID)
+			s.handleInvalidation(inv.RegistrationID)
+		}
 		if ev.Collection == "products" {
 			s.handleInvalidation("/product/" + ev.ID)
 		}
 	}))
 	return s
-}
-
-// sketchJournal converts the optional durable store into the sketch's
-// journal without smuggling a typed-nil interface into the comparison the
-// server makes.
-func sketchJournal(d *durable.Store) cachesketch.Journal {
-	if d == nil {
-		return nil
-	}
-	return d
 }
 
 // Close detaches the service from the change stream.
@@ -406,9 +418,9 @@ func (s *Service) deliver(c faults.Component, hop func()) {
 // installed as the causal parent for every invalidation-pipeline run the
 // write triggers. The change stream delivers synchronously, so the
 // pipeline traces started inside fn adopt sc's trace ID and the write's
-// full fan-out (sketch report, CDN purge, durable snapshot) stitches to
-// the HTTP write request that caused it. An invalid sc just runs fn:
-// pipeline traces root locally as before.
+// full fan-out (kernel report, durable snapshot included, and CDN purge)
+// stitches to the HTTP write request that caused it. An invalid sc just
+// runs fn: pipeline traces root locally as before.
 func (s *Service) WithWriteSpan(sc tracectx.SpanContext, fn func()) {
 	if sc.Valid() {
 		s.writeParent.Store(&sc)
@@ -431,16 +443,15 @@ func (s *Service) handleInvalidation(path string) {
 	}
 	now := s.cfg.Clock.Now()
 	s.verlog.RecordWrite(path, s.origin.Version(path), now)
-	if s.est != nil {
-		s.est.RecordWrite(path)
-	}
 	if !s.cfg.DisableInvalidation {
-		// The sketch server's expiration table knows every cached copy's
-		// expiry; a write it does not track has no live copy to purge. A
-		// holder that outlived the server's memory is covered by the epoch
-		// change instead (cachesketch.Snapshot.Epoch).
+		// The kernel's expiration table knows every cached copy's expiry; a
+		// write it does not track has no live copy to purge. A holder that
+		// outlived the kernel's memory is covered by the epoch change
+		// instead (cachesketch.Snapshot.Epoch). A write the kernel could
+		// not take has happened all the same — the document store
+		// acknowledged it — so it counts as held.
 		var held bool
-		s.deliver(faults.Invalidation, func() { held = s.sketch.ReportWrite(path) })
+		s.deliver(faults.Invalidation, func() { held, _ = s.kernel.ReportWrite(path) })
 		if tr != nil {
 			tr.AddSpan("sketch.report", "pipeline", sw.Elapsed())
 			sw.Reset()
@@ -458,24 +469,8 @@ func (s *Service) handleInvalidation(path string) {
 	}
 	s.m.invalidations.Inc()
 	s.stats.invalidations.Add(1)
-	if d := s.cfg.Durable; d != nil && d.ShouldSnapshot() {
-		// Take the periodic snapshot once enough journal accumulated. This
-		// runs outside every sketch lock — Snapshot exports the sketch
-		// state, which takes that lock itself. A failed snapshot (injected
-		// crash, disk error) is not fatal here: the WAL still holds the
-		// records, and the store's Crashed flag is the owner's signal to
-		// run recovery.
-		if tr != nil {
-			sw.Reset()
-		}
-		_ = d.Snapshot()
-		if tr != nil {
-			tr.AddSpan("durable.snapshot", "pipeline", sw.Elapsed())
-			tr.AddEvent("durable.snapshot", "lsn="+strconv.FormatUint(d.SnapshotLSN(), 10))
-		}
-	}
 	if tr != nil {
-		tr.SetSketch(s.sketch.Generation(), 0, 0)
+		tr.SetSketch(s.kernel.Generation(), 0, 0)
 		var total time.Duration
 		for _, sp := range tr.Spans {
 			total += sp.Duration
@@ -637,7 +632,7 @@ func (s *Service) sketchSnapshot(ctx context.Context) (*cachesketch.Snapshot, in
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	sn := s.sketch.Snapshot()
+	sn := s.kernel.Snapshot()
 	wire, err := sn.Marshal()
 	if err != nil {
 		return nil, 0, 0, err
@@ -660,7 +655,7 @@ func (s *Service) page(ctx context.Context, edge *cdn.Edge, path string) (cache.
 		return cache.Entry{}, 0, 0, err
 	}
 	if edge != nil {
-		if e, ok := edge.Lookup(path, s.sketch.Epoch()); ok {
+		if e, ok := edge.Lookup(path, s.kernel.Epoch()); ok {
 			return e, proxy.SourceCDN, spike, nil
 		}
 	}
@@ -675,15 +670,15 @@ func (s *Service) page(ctx context.Context, edge *cdn.Edge, path string) (cache.
 }
 
 // fetchFromOrigin renders the page at the origin, fills edge (if any),
-// and reports the cache fill to the sketch server.
+// and reports the cache fill to the kernel.
 func (s *Service) fetchFromOrigin(edge *cdn.Edge, path string) (cache.Entry, error) {
 	page, err := s.origin.Render(path)
 	if err != nil {
 		return cache.Entry{}, err
 	}
 	s.stats.originRenders.Add(1)
-	if s.est != nil {
-		s.est.RecordRead(path)
+	if s.cfg.TTLSource == nil {
+		_ = s.kernel.RecordRead(path)
 	}
 	// Record the initial version so the staleness instrumentation can
 	// judge later reads even for never-written pages. If a write has
@@ -697,13 +692,13 @@ func (s *Service) fetchFromOrigin(edge *cdn.Edge, path string) (cache.Entry, err
 	entry.Metadata = proxy.EntryMetadata(page.Blocks, page.Links)
 	// The epoch whose expiration table the report below reaches: an edge
 	// copy answers with it for as long as it is held.
-	entry.Epoch = s.sketch.Epoch()
+	entry.Epoch = s.kernel.Epoch()
 	if edge != nil {
 		edge.Fill(entry)
 	}
 	// One report covers every downstream cache of this response: they all
 	// share the entry's absolute expiration.
-	s.sketch.ReportCachedRead(path, entry.ExpiresAt)
+	_ = s.kernel.ReportFill(path, entry.ExpiresAt)
 	// A write that landed between the render and the fill ran its
 	// pipeline too early: the purge found no copy and the sketch did not
 	// track the page yet, so nothing would flag the superseded copy that
@@ -738,7 +733,7 @@ func (s *Service) revalidate(ctx context.Context, edge *cdn.Edge, path string, k
 		return proxy.RevalidationResult{}, 0, err
 	}
 	if edge != nil {
-		if e, ok := edge.Lookup(path, s.sketch.Epoch()); ok && e.Version > knownVersion {
+		if e, ok := edge.Lookup(path, s.kernel.Epoch()); ok && e.Version > knownVersion {
 			s.m.revalidations[revalEdge].Inc()
 			return proxy.RevalidationResult{Entry: e, Source: proxy.SourceCDN}, spike, nil
 		}
@@ -747,8 +742,8 @@ func (s *Service) revalidate(ctx context.Context, edge *cdn.Edge, path string, k
 	if current == knownVersion && s.origin.Serves(path) {
 		ttlDur := s.ttlSrc.TTL(path)
 		entry := cache.TTLEntry(s.cfg.Clock, path, nil, knownVersion, ttlDur)
-		entry.Epoch = s.sketch.Epoch()
-		s.sketch.ReportCachedRead(path, entry.ExpiresAt)
+		entry.Epoch = s.kernel.Epoch()
+		_ = s.kernel.ReportFill(path, entry.ExpiresAt)
 		s.m.revalidations[revalNotModified].Inc()
 		return proxy.RevalidationResult{NotModified: true, Entry: entry, Source: proxy.SourceOrigin}, spike, nil
 	}
@@ -826,15 +821,37 @@ func (s *Service) Origin() *origin.Server { return s.origin }
 // CDN returns the edge network.
 func (s *Service) CDN() *cdn.CDN { return s.cdnNet }
 
-// SketchServer returns the coherence server.
-func (s *Service) SketchServer() *cachesketch.Server { return s.sketch }
+// Kernel returns the coherence kernel.
+func (s *Service) Kernel() Kernel { return s.kernel }
 
-// Engine returns the invalidation engine.
-func (s *Service) Engine() *invalidb.Engine { return s.engine }
+// SketchServer returns the sketch server of the node NewService built
+// (nil when a Kernel was given).
+func (s *Service) SketchServer() *cachesketch.Server {
+	if s.node == nil {
+		return nil
+	}
+	return s.node.Sketch()
+}
 
-// Estimator returns the adaptive TTL estimator (nil when a static source
-// was configured).
-func (s *Service) Estimator() *ttl.Estimator { return s.est }
+// Engine returns the matcher of the node NewService built (nil when a
+// Kernel was given).
+//
+// kept for cmd/speedkit-load (ROADMAP 7(b))
+func (s *Service) Engine() *invalidb.Engine {
+	if s.node == nil {
+		return nil
+	}
+	return s.node.Engine()
+}
+
+// Estimator returns the adaptive TTL estimator of the node NewService
+// built (nil when a static source or a Kernel was given).
+func (s *Service) Estimator() *ttl.Estimator {
+	if s.node == nil || s.cfg.TTLSource != nil {
+		return nil
+	}
+	return s.node.Estimator()
+}
 
 // VersionLog returns the staleness instrumentation.
 func (s *Service) VersionLog() *cachesketch.VersionLog { return s.verlog }
@@ -851,6 +868,11 @@ func (s *Service) Clock() clock.Clock { return s.cfg.Clock }
 // Delta returns the configured staleness bound.
 func (s *Service) Delta() time.Duration { return s.cfg.Delta }
 
+// SketchMaxAge is how long a holder may trust a sketch the service hands
+// out: Δ less the kernel's Lag, so that a write the kernel took is in
+// every trusted sketch within Δ. Δ itself for a one-node kernel.
+func (s *Service) SketchMaxAge() time.Duration { return s.cfg.Delta - s.kernel.Lag() }
+
 // Obs returns the metrics registry the deployment's instruments register
 // under (never nil after NewService).
 func (s *Service) Obs() *obs.Registry { return s.cfg.Obs }
@@ -865,23 +887,25 @@ func (s *Service) SLO() *obs.DeltaSLO { return s.cfg.SLO }
 // memory-only).
 func (s *Service) Durable() *durable.Store { return s.cfg.Durable }
 
-// Recovery reports how the durable store rebuilt state at construction
-// and any recovery error. The zero RecoveryInfo with a nil error means
-// the service runs memory-only.
+// Recovery reports how the durable store rebuilt state, at construction
+// or at the last RecoverDurable, and any recovery error. The zero
+// RecoveryInfo with a nil error means the service runs memory-only, or
+// on a Kernel it was given, whose nodes report their own.
 func (s *Service) Recovery() (durable.RecoveryInfo, error) {
-	return s.recovery, s.recoveryErr
+	if s.node == nil {
+		return durable.RecoveryInfo{}, nil
+	}
+	return s.node.Recovery()
 }
 
-// RecoverDurable re-runs crash recovery in place over the already wired
-// sketch and estimator — the in-process analogue of a process restart,
-// used by the crash harness after an injected kill.
+// RecoverDurable restarts the node in place (cluster.Node.Recover) — the
+// in-process analogue of a process restart, used by the crash harness
+// after an injected kill.
 func (s *Service) RecoverDurable() (durable.RecoveryInfo, error) {
-	if s.cfg.Durable == nil {
+	if s.node == nil || s.cfg.Durable == nil {
 		return durable.RecoveryInfo{}, fmt.Errorf("core: no durable store configured")
 	}
-	info, err := s.cfg.Durable.Recover(nil, nil)
-	s.recovery, s.recoveryErr = info, err
-	return info, err
+	return s.node.Recover()
 }
 
 // Stats returns a copy of the service counters. Each is read on its own:

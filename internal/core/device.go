@@ -62,7 +62,7 @@ func (s *Service) NewDevice(u *session.User, region netsim.Region, originBlocks 
 	// The link is the proxy's clock and both of its channels.
 	d.Proxy = proxy.NewSplit(proxy.Config{
 		User:          u,
-		Delta:         s.cfg.Delta,
+		Delta:         s.SketchMaxAge(),
 		Clock:         &d.link,
 		Auditor:       s.auditor,
 		Consent:       s.consent,

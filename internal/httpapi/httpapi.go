@@ -104,7 +104,7 @@ func New(svc *core.Service, users []*session.User) *API {
 		users:   make(map[string]*session.User, len(users)),
 		started: svc.Clock().Now(),
 
-		sketchCacheControl: "public, max-age=" + strconv.Itoa(int(svc.Delta().Seconds())),
+		sketchCacheControl: "public, max-age=" + strconv.Itoa(int(svc.SketchMaxAge().Seconds())),
 	}
 	r := svc.Obs()
 	a.runtime = obs.NewRuntimeCollector(r)
@@ -170,6 +170,8 @@ type Health struct {
 	SketchEpoch string `json:"sketch_epoch"`
 	// SketchTracked is how many resource IDs the sketch currently tracks.
 	SketchTracked int `json:"sketch_tracked"`
+	// Members names the cluster's nodes; absent for a lone node.
+	Members []string `json:"members,omitempty"`
 	// RecoveryMode is how the durability subsystem rebuilt state at
 	// startup (fresh | snapshot | replay | coldstart); empty when the
 	// service runs memory-only.
@@ -191,12 +193,15 @@ type HealthDurability struct {
 }
 
 func (a *API) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	k := a.svc.Kernel()
+	ro := k.Readout()
 	h := Health{
 		Status:           "ok",
 		Uptime:           a.svc.Clock().Now().Sub(a.started).String(),
-		SketchGeneration: a.svc.SketchServer().Generation(),
-		SketchEpoch:      fmt.Sprintf("%016x", a.svc.SketchServer().Epoch()),
-		SketchTracked:    a.svc.SketchServer().Stats().Tracked,
+		SketchGeneration: k.Generation(),
+		SketchEpoch:      fmt.Sprintf("%016x", k.Epoch()),
+		SketchTracked:    ro.Sketch.Tracked,
+		Members:          ro.Members,
 	}
 	if store := a.svc.Durable(); store != nil {
 		st := store.Stats()
@@ -215,10 +220,11 @@ func (a *API) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handleMetrics is the scrape endpoint. Sketch-state gauges are refreshed
 // here, at observation time, instead of on every protocol operation.
 func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	srv := a.svc.SketchServer()
-	a.sketchGen.Set(int64(srv.Generation()))
-	a.sketchTracked.Set(int64(srv.Stats().Tracked))
-	a.sketchBytes.Set(int64(srv.SketchBytes()))
+	k := a.svc.Kernel()
+	ro := k.Readout()
+	a.sketchGen.Set(int64(k.Generation()))
+	a.sketchTracked.Set(int64(ro.Sketch.Tracked))
+	a.sketchBytes.Set(int64(ro.SketchBytes))
 	if store := a.svc.Durable(); store != nil {
 		st := store.Stats()
 		a.walAppends.Set(int64(st.WAL.Appends))
@@ -313,13 +319,14 @@ func (a *API) finishRemote(tr *obs.Trace, src string) {
 		return
 	}
 	tr.SetSource(src)
-	tr.SetSketch(a.svc.SketchServer().Generation(), 0, 0)
+	tr.SetSketch(a.svc.Kernel().Generation(), 0, 0)
 	tr.SetTotal(clock.Since(a.svc.Clock(), tr.Start))
 	a.svc.Tracer().Finish(tr)
 }
 
 // handleSketch serves the flattened client sketch, taken now: it goes out
-// without an Age. Cache-Control pins its shared-cache lifetime to Δ, so a
+// without an Age. Cache-Control pins its shared-cache lifetime to Δ less
+// the kernel's lag (core.Service.SketchMaxAge: Δ itself on one node), so a
 // cache in front of this endpoint amortizes sketch generation across the
 // client population — internal/edge does, answering /v1/sketch from the
 // copy it polls. The precondition is cachesketch.WriteHTTP's: a holder
@@ -423,7 +430,7 @@ func (a *API) setPageHeaders(w http.ResponseWriter, expiresAt time.Time, version
 	nums := string(b)
 	h := w.Header()
 	httpbody.SetValues(h, pageHeaders, []string{nums[:cc], nums[cc:tag], nums[tag:], src, blocks})
-	h[cachesketch.EpochHeader] = a.svc.SketchServer().EpochValue()
+	h[cachesketch.EpochHeader] = a.svc.Kernel().EpochValue()
 }
 
 // writePage answers 200 with entry, served by src. It states the body's
@@ -514,8 +521,9 @@ func (a *API) handleWrite(w http.ResponseWriter, r *http.Request) {
 	// The write span becomes the causal parent of every invalidation-
 	// pipeline run the patch triggers: the change stream delivers
 	// synchronously inside WithWriteSpan, so the pipeline traces adopt
-	// this trace's ID and the whole fan-out (sketch report, CDN purge,
-	// durable snapshot) is queryable under one /debug/traces/{id}.
+	// this trace's ID and the whole fan-out (kernel report, durable
+	// snapshot included, and CDN purge) is queryable under one
+	// /debug/traces/{id}.
 	tr, _ := a.startRemote(r, "http.write", path)
 	var patchErr error
 	a.svc.WithWriteSpan(tr.SpanContext(), func() {
@@ -528,7 +536,7 @@ func (a *API) handleWrite(w http.ResponseWriter, r *http.Request) {
 	}
 	a.finishRemote(tr, "origin")
 	fmt.Fprintf(w, "ok: %s now v%d, in sketch: %v\n",
-		path, a.svc.Origin().Version(path), a.svc.SketchServer().Contains(path))
+		path, a.svc.Origin().Version(path), a.svc.Kernel().Contains(path))
 }
 
 // handlePurge evicts one path from the shared caching tier: the CDN
@@ -550,10 +558,10 @@ func (a *API) handlePurge(w http.ResponseWriter, r *http.Request) {
 // handleStats dumps service counters in a human-readable form.
 func (a *API) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := a.svc.Stats()
-	sk := a.svc.SketchServer().Stats()
+	ro := a.svc.Kernel().Readout()
 	cd := a.svc.CDN().Stats()
 	fmt.Fprintf(w, "service: %+v\n", st)
-	fmt.Fprintf(w, "sketch:  %+v (bytes=%d)\n", sk, a.svc.SketchServer().SketchBytes())
+	fmt.Fprintf(w, "sketch:  %+v (bytes=%d)\n", ro.Sketch, ro.SketchBytes)
 	fmt.Fprintf(w, "cdn:     %+v (hit ratio %.1f%%)\n", cd, cd.HitRatio()*100)
 	fmt.Fprintf(w, "gdpr:\n%s", a.svc.Auditor())
 }

@@ -31,11 +31,10 @@ var sharedInfraSegments = []string{
 	// path here and by deployment role below.
 	"internal/edge",
 	"cmd/speedkit-edge",
-	// Cluster nodes exchange sketch frames and routed coherence reports
-	// over the network and persist per-node WALs: every byte that enters
-	// the delta-exchange plane fans out to N machines and to disk.
+	// Cluster nodes exchange sketch frames over the network and persist
+	// per-node WALs: every byte that enters the delta-exchange plane fans
+	// out to N machines and to disk.
 	"internal/cluster",
-	"cmd/speedkit-cluster",
 	// What the HTTP tiers on both sides of the fence share — body reads
 	// and the JSON error envelope — so that none imports another: bytes
 	// and status codes only.

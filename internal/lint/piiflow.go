@@ -196,19 +196,18 @@ func piiSinks() []dataflow.SinkSpec {
 			Params: []int{1},
 		},
 		{
-			// The inter-node delta-exchange writers: routed coherence
-			// reports become wire frames replicated to every cluster node
-			// and journaled into each node's WAL. A session ID reaching a
-			// frame would be a cluster-wide identity broadcast.
+			// The kernel's report writers: a reported key enters a node's
+			// sketch, whose frames replicate to every cluster node, and
+			// its WAL. A session ID reaching a frame would be a
+			// cluster-wide identity broadcast.
 			Description: "cluster delta-exchange frame (replicated to all nodes)",
 			Match: anyOf(
-				sinkMethod("internal/cluster", "Peer", "ReportWrites"),
-				sinkMethod("internal/cluster", "Peer", "ReportCachedRead"),
 				sinkMethod("internal/cluster", "Cluster", "ReportWrite"),
-				sinkMethod("internal/cluster", "Cluster", "ReportWrites"),
-				sinkMethod("internal/cluster", "Cluster", "ReportCachedRead"),
-				sinkMethod("internal/cluster", "Node", "ReportWrites"),
-				sinkMethod("internal/cluster", "Node", "ReportCachedRead"),
+				sinkMethod("internal/cluster", "Cluster", "ReportFill"),
+				sinkMethod("internal/cluster", "Cluster", "RecordRead"),
+				sinkMethod("internal/cluster", "Node", "ReportWrite"),
+				sinkMethod("internal/cluster", "Node", "ReportFill"),
+				sinkMethod("internal/cluster", "Node", "RecordRead"),
 			),
 			Params: []int{1},
 		},
