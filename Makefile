@@ -153,7 +153,8 @@ stitch:
 # recovered warm by an in-process restart serving byte-identical bodies
 # without refetching, an edge nobody purges serves a write from its next
 # sketch poll on (one overtaking a fill included), and no PII byte sits
-# in anything the edge persisted. Non-zero exit on violation.
+# in anything the edge persisted or in its /metrics scrape. Non-zero exit
+# on violation.
 EDGE_SEED ?= 1
 
 edge:

@@ -12,7 +12,7 @@
 //	curl -i -X POST localhost:8081/v1/blocks                # 404 not_found, from the edge
 //	curl -i localhost:8081/v1/sketch                        # X-Edge-Cache: sketch, Age: <held for>
 //	curl -i -X POST 'localhost:8081/v1/purge?path=/product/p00042' # 204 No Content, no body
-//	curl localhost:8081/metrics                          # speedkit_edge_* counters
+//	curl localhost:8081/metrics                          # speedkit_edge_* counters, sketch generation and age, runtime gauges
 //	curl localhost:8081/healthz
 //
 // The edge polls the upstream's public sketch endpoint every
@@ -32,7 +32,9 @@
 // poller did not make, and hits turn into revalidations until the next
 // poll.
 //
-// This process deploys on shared points of presence. It never sees a
+// Its /metrics is the same obs registry and exposition the server
+// uses; obs links no identity-bearing package, so neither does this
+// binary. It deploys on shared points of presence. It never sees a
 // session, a consent record, or a user identifier, and the lint suite
 // holds it to that:
 //

@@ -68,7 +68,8 @@ import (
 //  7. GDPR — no PII field name and no simulated user identity appears
 //     in any byte the edge persisted, scanned over both cache
 //     directories exactly like the -crash gate scans the durability
-//     tier.
+//     tier, nor in the /metrics scrapes of the edge the device went
+//     through and of the recovered edge.
 //
 // Violations exit non-zero, so `make edge` is a CI gate, not a demo.
 func runEdge(seed int64, products int) {
@@ -76,6 +77,13 @@ func runEdge(seed int64, products int) {
 	fail := func(format string, args ...any) {
 		violations++
 		fmt.Fprintf(os.Stderr, "EDGE VIOLATION: "+format+"\n", args...)
+	}
+	// scrapes holds each edge's /metrics body for check 7.
+	var scrapes [][]byte
+	scrape := func(p *edge.Proxy) {
+		w := httptest.NewRecorder()
+		p.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		scrapes = append(scrapes, w.Body.Bytes())
 	}
 
 	// Origin: a real storefront behind the HTTP API, wrapped in a
@@ -311,6 +319,7 @@ func runEdge(seed int64, products int) {
 			served.Sub(stamp).Round(time.Millisecond), device.Age().Round(time.Millisecond), edgeGateDelta)
 	}
 	cancel()
+	scrape(pa)
 	edgeSrvA.Close()
 	if err := pa.Close(); err != nil {
 		fail("proxy A close: %v", err)
@@ -406,6 +415,7 @@ func runEdge(seed int64, products int) {
 		fmt.Printf("edge: restart recovered %d entries warm, served byte-identical, 0 origin fetches\n",
 			len(durable))
 	}
+	scrape(pb2)
 	edgeSrvB2.Close()
 	if err := pb2.Close(); err != nil {
 		fail("proxy B2 close: %v", err)
@@ -436,12 +446,19 @@ func runEdge(seed int64, products int) {
 			fail("%s in edge-persisted bytes under %s", h, dir)
 		}
 	}
+	for i, body := range scrapes {
+		for _, id := range idents {
+			if bytes.Contains(body, []byte(id)) {
+				fail("%q in the /metrics scrape of edge %d", id, i)
+			}
+		}
+	}
 
 	if violations > 0 {
 		fmt.Fprintf(os.Stderr, "\nedge: %d violation(s)\n", violations)
 		os.Exit(1)
 	}
-	fmt.Println("edge: all invariants hold — coalescing, purge propagation, closed surface, identity only at the origin, sketch distribution, crash recovery, the sketch as the only invalidation feed, zero persisted PII")
+	fmt.Println("edge: all invariants hold — coalescing, purge propagation, closed surface, identity only at the origin, sketch distribution, crash recovery, the sketch as the only invalidation feed, zero PII persisted or scraped")
 }
 
 // runUnpurged is check 6: edge C, memory-only, which nobody purges, so the

@@ -17,8 +17,8 @@ import (
 	"speedkit/internal/core"
 	"speedkit/internal/durable"
 	"speedkit/internal/faults"
-	"speedkit/internal/metrics"
 	"speedkit/internal/netsim"
+	"speedkit/internal/obs"
 	"speedkit/internal/proxy"
 	"speedkit/internal/session"
 	"speedkit/internal/ttl"
@@ -139,9 +139,9 @@ type FieldResult struct {
 	Mode ClientMode
 	// Latency histograms, overall and per serving tier / region
 	// (microsecond values).
-	Latency         *metrics.Histogram
-	LatencyByTier   map[proxy.Source]*metrics.Histogram
-	LatencyByRegion map[netsim.Region]*metrics.Histogram
+	Latency         *obs.Histogram
+	LatencyByTier   map[proxy.Source]*obs.Histogram
+	LatencyByRegion map[netsim.Region]*obs.Histogram
 	// Loads per tier.
 	TierCounts map[proxy.Source]uint64
 	// PathLoads counts loads per path (bounded by the simulated catalog);
@@ -318,9 +318,9 @@ func RunField(cfg FieldConfig) (*FieldResult, error) {
 
 	res := &FieldResult{
 		Mode:            cfg.Mode,
-		Latency:         metrics.NewHistogram(),
-		LatencyByTier:   map[proxy.Source]*metrics.Histogram{},
-		LatencyByRegion: map[netsim.Region]*metrics.Histogram{},
+		Latency:         obs.NewHistogram(),
+		LatencyByTier:   map[proxy.Source]*obs.Histogram{},
+		LatencyByRegion: map[netsim.Region]*obs.Histogram{},
 		TierCounts:      map[proxy.Source]uint64{},
 		PathLoads:       map[string]uint64{},
 		Service:         svc,
@@ -330,10 +330,10 @@ func RunField(cfg FieldConfig) (*FieldResult, error) {
 		RecoveryModes:   recoveryModes,
 	}
 	for _, src := range []proxy.Source{proxy.SourceDevice, proxy.SourceCDN, proxy.SourceOrigin} {
-		res.LatencyByTier[src] = metrics.NewHistogram()
+		res.LatencyByTier[src] = obs.NewHistogram()
 	}
 	for _, rg := range netsim.Regions() {
-		res.LatencyByRegion[rg] = metrics.NewHistogram()
+		res.LatencyByRegion[rg] = obs.NewHistogram()
 	}
 	bounced := make([]bool, len(users))
 

@@ -10,7 +10,7 @@ import (
 	"speedkit/internal/clock"
 	"speedkit/internal/core"
 	"speedkit/internal/invalidb"
-	"speedkit/internal/metrics"
+	"speedkit/internal/obs"
 	"speedkit/internal/proxy"
 	"speedkit/internal/query"
 	"speedkit/internal/session"
@@ -227,7 +227,7 @@ func runOriginBlocksArm(seed int64, ops int) (*FieldResult, error) {
 
 	res := &FieldResult{
 		Mode:       ModeSpeedKit,
-		Latency:    metrics.NewHistogram(),
+		Latency:    obs.NewHistogram(),
 		TierCounts: map[proxy.Source]uint64{},
 	}
 	for i := 0; i < ops; i++ {

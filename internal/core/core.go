@@ -36,7 +36,6 @@ import (
 	"speedkit/internal/faults"
 	"speedkit/internal/gdpr"
 	"speedkit/internal/invalidb"
-	"speedkit/internal/metrics"
 	"speedkit/internal/netsim"
 	"speedkit/internal/obs"
 	"speedkit/internal/origin"
@@ -244,18 +243,18 @@ type Service struct {
 
 // serviceMetrics are the service-side instruments.
 type serviceMetrics struct {
-	fetches       [2]*metrics.Counter // 0 = cdn edge hit, 1 = origin render
-	fetchLatency  [2]*metrics.Histogram
-	sketchFetches *metrics.Counter
-	revalidations [3]*metrics.Counter // by outcome: not_modified, edge, full
-	blockFetches  *metrics.Counter
-	invalidations *metrics.Counter
-	purges        *metrics.Counter
-	purgesSkipped *metrics.Counter // writes no cache held a copy of
-	pipelineLat   *metrics.Histogram
-	faults        map[faults.Component]*metrics.Counter
-	redeliveries  *metrics.Counter
-	forced        *metrics.Counter
+	fetches       [2]*obs.Counter // 0 = cdn edge hit, 1 = origin render
+	fetchLatency  [2]*obs.Histogram
+	sketchFetches *obs.Counter
+	revalidations [3]*obs.Counter // by outcome: not_modified, edge, full
+	blockFetches  *obs.Counter
+	invalidations *obs.Counter
+	purges        *obs.Counter
+	purgesSkipped *obs.Counter // writes no cache held a copy of
+	pipelineLat   *obs.Histogram
+	faults        map[faults.Component]*obs.Counter
+	redeliveries  *obs.Counter
+	forced        *obs.Counter
 }
 
 // Serve-source indices for serviceMetrics.fetches / fetchLatency.
@@ -287,7 +286,7 @@ func newServiceMetrics(r *obs.Registry) *serviceMetrics {
 	for i, outcome := range []string{"not_modified", "edge", "full"} {
 		m.revalidations[i] = r.Counter("speedkit.service.revalidations.total", obs.L("result", outcome))
 	}
-	m.faults = make(map[faults.Component]*metrics.Counter, 4)
+	m.faults = make(map[faults.Component]*obs.Counter, 4)
 	for _, c := range faults.Components() {
 		m.faults[c] = r.Counter("speedkit.service.faults.total", obs.L("component", string(c)))
 	}
@@ -831,17 +830,6 @@ func (s *Service) SketchServer() *cachesketch.Server {
 		return nil
 	}
 	return s.node.Sketch()
-}
-
-// Engine returns the matcher of the node NewService built (nil when a
-// Kernel was given).
-//
-// kept for cmd/speedkit-load (ROADMAP 7(b))
-func (s *Service) Engine() *invalidb.Engine {
-	if s.node == nil {
-		return nil
-	}
-	return s.node.Engine()
 }
 
 // Estimator returns the adaptive TTL estimator of the node NewService

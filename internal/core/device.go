@@ -7,8 +7,8 @@ import (
 	"speedkit/internal/cache"
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/gdpr"
-	"speedkit/internal/metrics"
 	"speedkit/internal/netsim"
+	"speedkit/internal/obs"
 	"speedkit/internal/proxy"
 	"speedkit/internal/session"
 )
@@ -20,7 +20,7 @@ type Device struct {
 	*proxy.Proxy
 	link                      link
 	prefetch                  int
-	loadLatency, blockLatency *metrics.Histogram
+	loadLatency, blockLatency *obs.Histogram
 }
 
 // NewDevice creates a device for a user in a region, bound to this
@@ -202,42 +202,4 @@ func (l *link) FetchBlocks(ctx context.Context, names []string, u *session.User)
 	l.spend(ctx, "core.blocks", proxy.SourceOrigin, d, false)
 	l.blocks += d
 	return frs, nil
-}
-
-// The region forms of the device's calls: each runs one call through a
-// fresh link and returns, beside the answer, the time it modelled.
-
-// FetchSketch is link.FetchSketch from a device in region.
-//
-// kept for cmd/speedkit-load (ROADMAP 7(b))
-func (s *Service) FetchSketch(ctx context.Context, region netsim.Region) (*cachesketch.Snapshot, time.Duration, error) {
-	l := link{svc: s, region: region}
-	sn, err := l.FetchSketch(ctx)
-	return sn, l.spent, err
-}
-
-// Fetch is link.Fetch from a device in region.
-//
-// kept for cmd/speedkit-load (ROADMAP 7(b))
-func (s *Service) Fetch(ctx context.Context, region netsim.Region, path string) (cache.Entry, time.Duration, proxy.Source, error) {
-	l := link{svc: s, region: region}
-	e, src, err := l.Fetch(ctx, path)
-	return e, l.spent, src, err
-}
-
-// FetchBlocks is link.FetchBlocks from a device in region, its fragments
-// keyed by name.
-//
-// kept for cmd/speedkit-load (ROADMAP 7(b))
-func (s *Service) FetchBlocks(ctx context.Context, region netsim.Region, names []string, u *session.User) (map[string][]byte, time.Duration, error) {
-	l := link{svc: s, region: region}
-	frs, err := l.FetchBlocks(ctx, names, u)
-	if err != nil {
-		return nil, l.spent, err
-	}
-	m := make(map[string][]byte, len(names))
-	for i, name := range names {
-		m[name] = frs[i]
-	}
-	return m, l.spent, nil
 }

@@ -154,9 +154,8 @@ type record struct {
 	seq       uint64
 }
 
-// Stats counts durability activity for the obs layer (this package may
-// not import internal/obs — the httpapi/core layers register gauges over
-// these counters instead).
+// Stats counts durability activity; the httpapi layer sets its gauges
+// from these counters at scrape time.
 type Stats struct {
 	WAL           wal.Stats
 	SnapshotBytes int

@@ -201,13 +201,13 @@ func replayRecord(rec []byte, mem *cache.Store, mark **epochMark) error {
 // memory, and the owner's restart path runs recovery.
 func (d *diskTier) appendFill(e cache.Entry) {
 	d.append(append([]byte{recFill}, encodeEntry(e)...))
-	d.m.diskFills.Add(1)
+	d.m.diskFills.Inc()
 }
 
 // appendPurge journals one eviction.
 func (d *diskTier) appendPurge(key string) {
 	d.append(append([]byte{recPurge}, key...))
-	d.m.diskPurges.Add(1)
+	d.m.diskPurges.Inc()
 }
 
 // appendEpoch journals the epoch mark the edge's sketch holder holds once
@@ -241,7 +241,7 @@ func (d *diskTier) appendLocked(payload []byte) {
 		// record, so recovery replays what the snapshot missed.
 		if size, err := d.log.Checkpoint(d.export); err == nil && size > 0 {
 			d.sinceSnap = 0
-			d.m.snapshots.Add(1)
+			d.m.snapshots.Inc()
 		}
 	}
 }

@@ -51,7 +51,8 @@ func TestDiskTierRecoveryTable(t *testing.T) {
 			open := func(inj *faults.Injector) (tierOwner, RecoveryInfo) {
 				mem := cache.New(cache.Config{Clock: clk})
 				// The scripts place the checkpoints; the cadence never does.
-				d, info, err := openDisk(dir, 1<<30, clk, inj, mem, new(metrics))
+				m := newMetrics()
+				d, info, err := openDisk(dir, 1<<30, clk, inj, mem, &m)
 				if err != nil {
 					t.Fatal(err)
 				}

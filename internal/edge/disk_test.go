@@ -62,7 +62,7 @@ func TestDiskTierRecovery(t *testing.T) {
 
 	open := func() (*diskTier, *cache.Store, RecoveryInfo) {
 		mem := cache.New(cache.Config{Clock: clk})
-		var m metrics
+		m := newMetrics()
 		d, info, err := openDisk(dir, 1000, clk, nil, mem, &m)
 		if err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestDiskTierSnapshotAndPrune(t *testing.T) {
 	dir := t.TempDir()
 	clk := clock.NewSimulated(time.Unix(1000, 0))
 	mem := cache.New(cache.Config{Clock: clk})
-	var m metrics
+	m := newMetrics()
 	d, _, err := openDisk(dir, 2, clk, nil, mem, &m)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestDiskTierSnapshotAndPrune(t *testing.T) {
 		mem.Put(e)
 		d.appendFill(e)
 	}
-	if m.snapshots.Load() == 0 {
+	if m.snapshots.Value() == 0 {
 		t.Fatal("no snapshot taken")
 	}
 	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
@@ -122,7 +122,7 @@ func TestDiskTierSnapshotAndPrune(t *testing.T) {
 
 	// Recovery from snapshot + tail.
 	mem2 := cache.New(cache.Config{Clock: clk})
-	var m2 metrics
+	m2 := newMetrics()
 	d2, info, err := openDisk(dir, 2, clk, nil, mem2, &m2)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestDiskTierTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	clk := clock.NewSimulated(time.Unix(1000, 0))
 	mem := cache.New(cache.Config{Clock: clk})
-	var m metrics
+	m := newMetrics()
 	// Seeded probabilistic crash: deterministic per seed, so the tear
 	// lands on the same append every run; the test counts survivors
 	// dynamically instead of hard-coding the offset.
@@ -168,7 +168,7 @@ func TestDiskTierTornTailRecovery(t *testing.T) {
 	d.close()
 
 	mem2 := cache.New(cache.Config{Clock: clk})
-	var m2 metrics
+	m2 := newMetrics()
 	d2, info, err := openDisk(dir, 1000, clk, nil, mem2, &m2)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestDiskTierMidLogCorruptionColdStarts(t *testing.T) {
 	dir := t.TempDir()
 	clk := clock.NewSimulated(time.Unix(1000, 0))
 	mem := cache.New(cache.Config{Clock: clk})
-	var m metrics
+	m := newMetrics()
 	d, _, err := openDisk(dir, 1000, clk, nil, mem, &m)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestDiskTierMidLogCorruptionColdStarts(t *testing.T) {
 	}
 
 	mem2 := cache.New(cache.Config{Clock: clk})
-	var m2 metrics
+	m2 := newMetrics()
 	d2, info, err := openDisk(dir, 1000, clk, nil, mem2, &m2)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestDiskTierConcurrentAppend(t *testing.T) {
 	dir := t.TempDir()
 	clk := clock.NewSimulated(time.Unix(1000, 0))
 	mem := cache.New(cache.Config{Clock: clk})
-	var m metrics
+	m := newMetrics()
 	d, _, err := openDisk(dir, 4, clk, nil, mem, &m)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestDiskTierConcurrentAppend(t *testing.T) {
 
 	// Everything journaled must survive recovery intact.
 	mem2 := cache.New(cache.Config{Clock: clk})
-	var m2 metrics
+	m2 := newMetrics()
 	d2, _, err := openDisk(dir, 1000, clk, nil, mem2, &m2)
 	if err != nil {
 		t.Fatal(err)

@@ -54,12 +54,13 @@
 //     cache crash-safely, warm against the same upstream epoch.
 //
 // GDPR boundary: this package is shared infrastructure. It must never
-// import internal/session, internal/gdpr, or internal/obs — the edge
-// caches only sketch-governed public representations, carries only
-// anonymous trace identifiers (internal/tracectx), and owns its own
-// speedkit.edge.* metrics (see metrics.go). The gdprboundary and
-// piiflow analyzers enforce this at lint time; the smoke gate's PII
-// byte-scan enforces it over the disk tier at run time.
+// reach internal/session or internal/gdpr, through any import — the edge
+// caches only sketch-governed public representations and carries only
+// anonymous trace identifiers (internal/tracectx). It counts into an
+// obs registry of its own (speedkit.edge.*, see metrics.go), which links
+// neither. The gdprboundary and piiflow analyzers enforce this at lint
+// time; the smoke gate's PII byte-scan enforces it over the disk tier
+// and the /metrics scrape at run time.
 package edge
 
 import (
@@ -168,6 +169,7 @@ func New(o Options) (*Proxy, RecoveryInfo, error) {
 		hc:       o.Client,
 		clk:      o.Clock,
 		mem:      cache.New(cache.Config{MaxItems: o.MaxEntries, Clock: o.Clock}),
+		m:        newMetrics(),
 		sketch:   cachesketch.NewClient(o.Clock, 0),
 		fills:    make(map[string]*fill),
 	}
@@ -235,7 +237,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
 	case read && r.URL.Path == "/metrics":
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		p.m.write(w)
+		p.writeMetrics(w)
 	default:
 		httpbody.WriteError(w, http.StatusNotFound, httpbody.CodeNotFound, "no such endpoint")
 	}
@@ -265,7 +267,7 @@ func (p *Proxy) Purge(key string) {
 	if p.disk != nil {
 		p.disk.appendPurge(key)
 	}
-	p.m.purges.Add(1)
+	p.m.purges.Inc()
 }
 
 // sketchAge returns the Age a response handing sn on at now states —
@@ -318,7 +320,7 @@ func (p *Proxy) fetchSketch(ctx context.Context) (*cachesketch.Snapshot, error) 
 		return nil, fmt.Errorf("edge: %w", err)
 	}
 	p.InstallSketch(sn)
-	p.m.sketchRefreshes.Add(1)
+	p.m.sketchRefreshes.Inc()
 	return sn, nil
 }
 
@@ -361,7 +363,7 @@ func (p *Proxy) freshSketch(ctx context.Context) (*cachesketch.Snapshot, time.Du
 func (p *Proxy) serveSketch(w http.ResponseWriter, r *http.Request) {
 	sn, age, err := p.freshSketch(r.Context())
 	if err != nil {
-		p.m.upstreamErrors.Add(1)
+		p.m.upstreamErrors.Inc()
 		httpbody.WriteError(w, http.StatusBadGateway, httpbody.CodeUnavailable, "upstream: "+err.Error())
 		return
 	}
@@ -375,7 +377,7 @@ func (p *Proxy) serveSketch(w http.ResponseWriter, r *http.Request) {
 		httpbody.WriteError(w, http.StatusInternalServerError, httpbody.CodeInternal, err.Error())
 		return
 	}
-	p.m.sketchServes.Add(1)
+	p.m.sketchServes.Inc()
 }
 
 // servePage is the cache path for one page key.
@@ -393,7 +395,7 @@ func (p *Proxy) servePage(w http.ResponseWriter, r *http.Request, key string) {
 		// Promote in the eviction order; the entry is unexpired, so this
 		// cannot reap it.
 		p.mem.Get(key)
-		p.m.hits.Add(1)
+		p.m.hits.Inc()
 		p.serveEntry(w, r, e, stateHit, p.sketch.Snapshot().EpochValue())
 		return
 	}
@@ -412,7 +414,7 @@ func (p *Proxy) servePage(w http.ResponseWriter, r *http.Request, key string) {
 func (p *Proxy) vouched(key string, e cache.Entry) bool {
 	switch p.sketch.Check(key) {
 	case cachesketch.RefreshSketch:
-		p.m.degraded.Add(1)
+		p.m.degraded.Inc()
 		return false
 	case cachesketch.Revalidate:
 		if entryGen(e) < p.sketch.Generation() {
@@ -439,7 +441,7 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 		gen, keep := p.watermark(held, resp.Header)
 		ne := p.renewEntry(e, resp, gen)
 		p.keepOrDrop(ne, keep)
-		p.m.revalidated.Add(1)
+		p.m.revalidated.Inc()
 		p.serveEntry(w, r, ne, stateRevalidated, resp.Header[cachesketch.EpochHeader])
 		return
 	case resp.StatusCode >= 500:
@@ -453,7 +455,7 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 		return
 	}
 	if resp.StatusCode == http.StatusOK {
-		p.m.misses.Add(1)
+		p.m.misses.Inc()
 		// Same storability gate as lead(): an upstream that turned
 		// no-store/private must not be re-cached through revalidation.
 		if cacheable(resp.Header) {
@@ -473,14 +475,14 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 	h[xEdgeCache] = stateMiss
 	w.WriteHeader(resp.StatusCode)
 	w.Write(body)
-	p.m.bytesServed.Add(uint64(len(body)))
+	p.m.bytesServed.Add(len(body))
 }
 
 // serveStale answers from a copy the upstream failed to refresh rather
 // than fail: the sketch already bounds how stale it can be.
 func (p *Proxy) serveStale(w http.ResponseWriter, r *http.Request, e cache.Entry) {
-	p.m.upstreamErrors.Add(1)
-	p.m.servedStale.Add(1)
+	p.m.upstreamErrors.Inc()
+	p.m.servedStale.Inc()
 	p.serveEntry(w, r, e, stateStale, p.sketch.Snapshot().EpochValue())
 }
 
@@ -490,14 +492,14 @@ func (p *Proxy) coalesce(w http.ResponseWriter, r *http.Request, key string) {
 	p.fillsMu.Lock()
 	if f, ok := p.fills[key]; ok {
 		p.fillsMu.Unlock()
-		p.m.coalescedWaiters.Add(1)
+		p.m.coalescedWaiters.Inc()
 		p.follow(w, f)
 		return
 	}
 	f := newFill()
 	p.fills[key] = f
 	p.fillsMu.Unlock()
-	p.m.misses.Add(1)
+	p.m.misses.Inc()
 	p.lead(w, r, key, f)
 }
 
@@ -525,7 +527,7 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 	received := p.clk.Now()
 	if err != nil {
 		f.finish(err)
-		p.m.upstreamErrors.Add(1)
+		p.m.upstreamErrors.Inc()
 		httpbody.WriteError(w, http.StatusBadGateway, httpbody.CodeUnavailable, "upstream: "+err.Error())
 		return
 	}
@@ -562,7 +564,7 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 			if _, werr := w.Write(buf[len(buf)-n:]); werr == nil && flusher != nil {
 				flusher.Flush()
 			}
-			p.m.bytesServed.Add(uint64(n))
+			p.m.bytesServed.Add(n)
 		}
 		if rerr == io.EOF {
 			break
@@ -574,7 +576,7 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 	}
 	f.finish(streamErr)
 	if streamErr != nil {
-		p.m.upstreamErrors.Add(1)
+		p.m.upstreamErrors.Inc()
 		return
 	}
 	if resp.StatusCode == http.StatusOK && cacheable(resp.Header) {
@@ -612,7 +614,7 @@ func (p *Proxy) follow(w http.ResponseWriter, f *fill) {
 				flusher.Flush()
 			}
 			off += len(chunk)
-			p.m.bytesServed.Add(uint64(len(chunk)))
+			p.m.bytesServed.Add(len(chunk))
 		}
 		if done {
 			return
@@ -641,12 +643,12 @@ func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e cache.Entry
 		h[cachesketch.EpochHeader] = epoch
 	}
 	if notModified {
-		p.m.notModified.Add(1)
+		p.m.notModified.Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	w.Write(e.Body)
-	p.m.bytesServed.Add(uint64(len(e.Body)))
+	p.m.bytesServed.Add(len(e.Body))
 }
 
 // commit stores an entry in memory and journals it.

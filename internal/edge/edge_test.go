@@ -616,6 +616,28 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestEdgesCountApart: each Proxy counts into a registry of its own, so
+// two edges in one process report only their own traffic.
+func TestEdgesCountApart(t *testing.T) {
+	u := newFakeUpstream()
+	defer u.close()
+	u.set("/p", "body", 1)
+	a := newTestProxy(t, u, Options{})
+	b := newTestProxy(t, u, Options{})
+	prime(t, a)
+	get(t, a.Handler(), "/v1/page?path=/p", nil)
+	get(t, a.Handler(), "/v1/page?path=/p", nil)
+	if s := a.Stats(); s.Misses != 1 || s.Hits != 1 {
+		t.Fatalf("edge a: %+v, want 1 miss and 1 hit", s)
+	}
+	if s := b.Stats(); s != (Stats{}) {
+		t.Fatalf("edge b served nothing and counts %+v", s)
+	}
+	if out := get(t, b.Handler(), "/metrics", nil).Body.String(); !contains(out, "speedkit_edge_misses_total 0\n") {
+		t.Fatalf("edge b's scrape counts edge a's traffic:\n%s", out)
+	}
+}
+
 func contains(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {

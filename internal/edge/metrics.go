@@ -1,35 +1,66 @@
 package edge
 
 import (
-	"fmt"
 	"io"
-	"sync/atomic"
+	"time"
+
+	"speedkit/internal/obs"
 )
 
-// metrics holds the edge's own counters. The edge is shared
-// infrastructure under the GDPR boundary: it may not import
-// internal/obs (whose registry lives on the identity-bearing side of
-// the fence), so it owns a minimal atomic counter set and renders the
-// Prometheus exposition itself. Names live under speedkit.edge.* —
-// the same namespace convention the rest of the system uses — and the
-// rendering order is fixed, so two scrapes of identical state are
-// byte-identical (golden-testable, diffable).
+// metrics is the edge's telemetry: a registry of its own, so two edges in
+// one process count apart, and the handles into it, resolved once in New
+// so a request touches only the atomic a handle names. The counters are
+// speedkit.edge.<name>.total, exposed as speedkit_edge_<name>_total.
 type metrics struct {
-	hits             atomic.Uint64
-	misses           atomic.Uint64
-	revalidated      atomic.Uint64
-	notModified      atomic.Uint64
-	coalescedWaiters atomic.Uint64
-	purges           atomic.Uint64
-	upstreamErrors   atomic.Uint64
-	servedStale      atomic.Uint64
-	degraded         atomic.Uint64
-	bytesServed      atomic.Uint64
-	diskFills        atomic.Uint64
-	diskPurges       atomic.Uint64
-	snapshots        atomic.Uint64
-	sketchRefreshes  atomic.Uint64
-	sketchServes     atomic.Uint64
+	reg     *obs.Registry
+	runtime *obs.RuntimeCollector
+
+	hits             *obs.Counter
+	misses           *obs.Counter
+	revalidated      *obs.Counter
+	notModified      *obs.Counter
+	coalescedWaiters *obs.Counter
+	purges           *obs.Counter
+	upstreamErrors   *obs.Counter
+	servedStale      *obs.Counter
+	degraded         *obs.Counter
+	bytesServed      *obs.Counter
+	diskFills        *obs.Counter
+	diskPurges       *obs.Counter
+	snapshots        *obs.Counter
+	sketchRefreshes  *obs.Counter
+	sketchServes     *obs.Counter
+
+	// sketchGen and sketchAge state the held sketch's generation and age
+	// (whole seconds), set at scrape time only.
+	sketchGen *obs.Gauge
+	sketchAge *obs.Gauge
+}
+
+func newMetrics() metrics {
+	r := obs.NewRegistry()
+	c := func(name string) *obs.Counter { return r.Counter("speedkit.edge." + name + ".total") }
+	return metrics{
+		reg:              r,
+		runtime:          obs.NewRuntimeCollector(r),
+		hits:             c("hits"),
+		misses:           c("misses"),
+		revalidated:      c("revalidated"),
+		notModified:      c("not_modified"),
+		coalescedWaiters: c("coalesced_waiters"),
+		purges:           c("purges"),
+		upstreamErrors:   c("upstream_errors"),
+		servedStale:      c("served_stale"),
+		degraded:         c("degraded"),
+		bytesServed:      c("bytes_served"),
+		diskFills:        c("disk_fills"),
+		diskPurges:       c("disk_purges"),
+		snapshots:        c("snapshots"),
+		sketchRefreshes:  c("sketch_refreshes"),
+		sketchServes:     c("sketch_serves"),
+		sketchGen:        r.Gauge("speedkit.edge.sketch.generation"),
+		sketchAge:        r.Gauge("speedkit.edge.sketch.age_seconds"),
+	}
 }
 
 // Stats is a point-in-time copy of the edge counters.
@@ -71,49 +102,30 @@ type Stats struct {
 
 func (m *metrics) stats() Stats {
 	return Stats{
-		Hits:             m.hits.Load(),
-		Misses:           m.misses.Load(),
-		Revalidated:      m.revalidated.Load(),
-		NotModified:      m.notModified.Load(),
-		CoalescedWaiters: m.coalescedWaiters.Load(),
-		Purges:           m.purges.Load(),
-		UpstreamErrors:   m.upstreamErrors.Load(),
-		ServedStale:      m.servedStale.Load(),
-		Degraded:         m.degraded.Load(),
-		BytesServed:      m.bytesServed.Load(),
-		DiskFills:        m.diskFills.Load(),
-		DiskPurges:       m.diskPurges.Load(),
-		Snapshots:        m.snapshots.Load(),
-		SketchRefreshes:  m.sketchRefreshes.Load(),
-		SketchServes:     m.sketchServes.Load(),
+		Hits:             m.hits.Value(),
+		Misses:           m.misses.Value(),
+		Revalidated:      m.revalidated.Value(),
+		NotModified:      m.notModified.Value(),
+		CoalescedWaiters: m.coalescedWaiters.Value(),
+		Purges:           m.purges.Value(),
+		UpstreamErrors:   m.upstreamErrors.Value(),
+		ServedStale:      m.servedStale.Value(),
+		Degraded:         m.degraded.Value(),
+		BytesServed:      m.bytesServed.Value(),
+		DiskFills:        m.diskFills.Value(),
+		DiskPurges:       m.diskPurges.Value(),
+		Snapshots:        m.snapshots.Value(),
+		SketchRefreshes:  m.sketchRefreshes.Value(),
+		SketchServes:     m.sketchServes.Value(),
 	}
 }
 
-// write renders the Prometheus text exposition. The row order is the
-// declaration order below — fixed, so the output is deterministic.
-func (m *metrics) write(w io.Writer) {
-	s := m.stats()
-	rows := []struct {
-		name  string
-		value uint64
-	}{
-		{"speedkit_edge_hits_total", s.Hits},
-		{"speedkit_edge_misses_total", s.Misses},
-		{"speedkit_edge_revalidated_total", s.Revalidated},
-		{"speedkit_edge_not_modified_total", s.NotModified},
-		{"speedkit_edge_coalesced_waiters_total", s.CoalescedWaiters},
-		{"speedkit_edge_purges_total", s.Purges},
-		{"speedkit_edge_upstream_errors_total", s.UpstreamErrors},
-		{"speedkit_edge_served_stale_total", s.ServedStale},
-		{"speedkit_edge_degraded_total", s.Degraded},
-		{"speedkit_edge_bytes_served_total", s.BytesServed},
-		{"speedkit_edge_disk_fills_total", s.DiskFills},
-		{"speedkit_edge_disk_purges_total", s.DiskPurges},
-		{"speedkit_edge_snapshots_total", s.Snapshots},
-		{"speedkit_edge_sketch_refreshes_total", s.SketchRefreshes},
-		{"speedkit_edge_sketch_serves_total", s.SketchServes},
-	}
-	for _, r := range rows {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", r.name, r.name, r.value)
-	}
+// writeMetrics is GET /metrics: the runtime gauges and the held sketch's
+// generation and age are set here, at scrape time, and nowhere on the
+// request path; then the registry renders.
+func (p *Proxy) writeMetrics(w io.Writer) error {
+	p.m.runtime.Collect()
+	p.m.sketchGen.Set(int64(p.sketch.Generation()))
+	p.m.sketchAge.Set(int64(p.sketch.Age() / time.Second))
+	return p.m.reg.WriteText(w)
 }

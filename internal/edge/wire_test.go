@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -195,7 +196,10 @@ func TestAnswersOnTheWire(t *testing.T) {
 	got["sketch"] = answer(http.MethodGet, "/v1/sketch", "")
 	got["healthz"] = answer(http.MethodGet, "/healthz", "")
 	got["healthz head"] = answer(http.MethodHead, "/healthz", "")
-	got["metrics"] = answer(http.MethodGet, "/metrics", "")
+	// A scrape's length moves with the runtime gauges' digits.
+	got["metrics"] = slices.DeleteFunc(answer(http.MethodGet, "/metrics", ""), func(h string) bool {
+		return strings.HasPrefix(h, "Content-Length:")
+	})
 
 	for name, want := range wireGolden {
 		if g := strings.Join(got[name], "\n"); g != strings.Join(want, "\n") {
@@ -270,7 +274,6 @@ var wireGolden = map[string][]string{
 	},
 	"metrics": {
 		"status 200",
-		"Content-Length: 1211",
 		"Content-Type: text/plain; version=0.0.4",
 	},
 	"miss": {

@@ -56,7 +56,6 @@ import (
 	"speedkit/internal/core"
 	"speedkit/internal/durable"
 	"speedkit/internal/httpbody"
-	"speedkit/internal/metrics"
 	"speedkit/internal/obs"
 	"speedkit/internal/session"
 	"speedkit/internal/tracectx"
@@ -78,19 +77,19 @@ type API struct {
 
 	// Sketch-state gauges, refreshed at every /metrics scrape so the
 	// exposition reflects the coherence state at observation time.
-	sketchGen     *metrics.Gauge
-	sketchTracked *metrics.Gauge
-	sketchBytes   *metrics.Gauge
+	sketchGen     *obs.Gauge
+	sketchTracked *obs.Gauge
+	sketchBytes   *obs.Gauge
 
 	// Durability gauges (nil maps/pointers when the service runs
-	// memory-only). The wal/durable packages sit under the obslabels
-	// boundary and cannot self-register; the HTTP surface owns their
-	// exposition, refreshed per scrape from plain Stats structs.
-	walAppends    *metrics.Gauge
-	walFsyncs     *metrics.Gauge
-	walReplayed   *metrics.Gauge
-	snapshotBytes *metrics.Gauge
-	recoveryMode  map[string]*metrics.Gauge
+	// memory-only). The wal/durable packages keep no registry; the HTTP
+	// surface owns their exposition, refreshed per scrape from plain
+	// Stats structs.
+	walAppends    *obs.Gauge
+	walFsyncs     *obs.Gauge
+	walReplayed   *obs.Gauge
+	snapshotBytes *obs.Gauge
+	recoveryMode  map[string]*obs.Gauge
 
 	// runtime feeds Go runtime health (goroutines, heap, GC pauses) into
 	// the registry, refreshed per scrape like the gauges above.
@@ -116,7 +115,7 @@ func New(svc *core.Service, users []*session.User) *API {
 		a.walFsyncs = r.Gauge("speedkit.wal.fsyncs")
 		a.walReplayed = r.Gauge("speedkit.wal.replayed_records")
 		a.snapshotBytes = r.Gauge("speedkit.durable.snapshot_bytes")
-		a.recoveryMode = make(map[string]*metrics.Gauge)
+		a.recoveryMode = make(map[string]*obs.Gauge)
 		for _, mode := range []durable.Mode{durable.Fresh, durable.Snapshot, durable.Replay, durable.ColdStart} {
 			a.recoveryMode[mode.String()] = r.Gauge("speedkit.recovery.mode", obs.L("mode", mode.String()))
 		}

@@ -49,18 +49,6 @@ func NewDirect(base string, hc *http.Client) *Transport {
 	return NewBehindEdge(base, base, hc)
 }
 
-// New is NewDirect in the pre-split proxy.Transport shape, for callers of
-// proxy.New.
-func New(base string, hc *http.Client) *proxy.Joined {
-	// The transport and its adapter are one allocation, as NewDirect's is.
-	j := &struct {
-		Transport
-		joined proxy.Joined
-	}{Transport: newTransport(base, base, hc)}
-	j.joined = proxy.Joined{Shared: &j.Transport, First: &j.Transport}
-	return &j.joined
-}
-
 // NewBehindEdge creates a transport for the paper's topology: pages and
 // the sketch come from the edge at edgeURL, the personalized blocks from
 // the origin at originURL directly, so identity never crosses the shared

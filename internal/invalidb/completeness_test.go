@@ -40,8 +40,11 @@ func TestInvalidationCompleteness(t *testing.T) {
 	}
 
 	var fired map[string]bool
-	eng.OnInvalidation(func(inv Invalidation) { fired[inv.RegistrationID] = true })
-	defer docs.Watch(func(ev storage.ChangeEvent) { eng.Process(ev) })()
+	defer docs.Watch(func(ev storage.ChangeEvent) {
+		for _, inv := range eng.Process(ev) {
+			fired[inv.RegistrationID] = true
+		}
+	})()
 
 	snapshot := func() map[string][]query.Doc {
 		out := make(map[string][]query.Doc, len(queries))
@@ -116,8 +119,7 @@ func TestInvalidationPrecisionBound(t *testing.T) {
 	eng.Register("/q", q)
 
 	var signals int
-	eng.OnInvalidation(func(Invalidation) { signals++ })
-	defer docs.Watch(func(ev storage.ChangeEvent) { eng.Process(ev) })()
+	defer docs.Watch(func(ev storage.ChangeEvent) { signals += len(eng.Process(ev)) })()
 
 	spurious := 0
 	for step := 0; step < 2000; step++ {

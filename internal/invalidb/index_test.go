@@ -496,7 +496,6 @@ func TestMatchIntoZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("matchInto (hits) allocates %.1f per run, want 0", n)
 	}
-	e.OnInvalidation(func(Invalidation) {})
 	for _, ev := range []storage.ChangeEvent{miss, foreign} {
 		ev := ev
 		if n := testing.AllocsPerRun(1000, func() {

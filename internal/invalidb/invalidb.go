@@ -87,9 +87,6 @@ type registration struct {
 	q  query.Query
 }
 
-// subscriber is one OnInvalidation call; its address is its identity.
-type subscriber struct{ fn func(Invalidation) }
-
 // Engine matches change events against registered queries. Safe for
 // concurrent use.
 type Engine struct {
@@ -101,10 +98,8 @@ type Engine struct {
 	// next Process builds it again from regs, so a burst of
 	// registrations costs one build.
 	matcher atomic.Pointer[matcher]
-	// subs is copy-on-write, in subscription order.
-	subs atomic.Pointer[[]*subscriber]
 
-	mu   sync.Mutex               // also serializes the writers of matcher and subs
+	mu   sync.Mutex               // also serializes the writers of matcher
 	regs map[string]*registration // guarded by mu
 }
 
@@ -144,31 +139,6 @@ func (e *Engine) Registered() int {
 	defer e.mu.Unlock()
 	return len(e.regs)
 }
-
-// OnInvalidation subscribes fn to invalidation signals. Signals for one
-// event are delivered sorted by registration ID, synchronously from
-// Process. The returned cancel function unsubscribes.
-func (e *Engine) OnInvalidation(fn func(Invalidation)) (cancel func()) {
-	sub := &subscriber{fn: fn}
-	e.mu.Lock()
-	e.setSubs(append(slices.Clone(e.loadSubs()), sub))
-	e.mu.Unlock()
-	return func() {
-		e.mu.Lock()
-		e.setSubs(slices.DeleteFunc(slices.Clone(e.loadSubs()),
-			func(s *subscriber) bool { return s == sub }))
-		e.mu.Unlock()
-	}
-}
-
-func (e *Engine) loadSubs() []*subscriber {
-	if p := e.subs.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-func (e *Engine) setSubs(subs []*subscriber) { e.subs.Store(&subs) }
 
 // currentMatcher returns the index over the current registrations,
 // building it if a registration changed since the last build.
@@ -212,8 +182,7 @@ type hit struct {
 }
 
 // Process matches one change event against the registered queries and
-// delivers invalidation signals to subscribers. Returns the signals for
-// callers that prefer pull-style use.
+// returns its invalidation signals, sorted by registration ID.
 //
 // Only the index of the event's collection and the cross-collection
 // index are consulted, and in them only the queries the event's images
@@ -247,12 +216,6 @@ func (e *Engine) Process(ev storage.ChangeEvent) []Invalidation {
 			Kind:           h.kind,
 			Change:         ev,
 			DetectedAt:     now,
-		}
-	}
-	subs := e.loadSubs()
-	for _, inv := range out {
-		for _, s := range subs {
-			s.fn(inv)
 		}
 	}
 	return out

@@ -128,17 +128,13 @@ func TestRegisterReplaces(t *testing.T) {
 	}
 }
 
-func TestSubscribersReceiveSignals(t *testing.T) {
+func TestProcessReturnsSignals(t *testing.T) {
 	clk := clock.NewSimulated(time.Time{})
 	e := New(Config{Clock: clk})
 	e.Register("/all", query.New("products", nil))
-	var got []Invalidation
-	cancel := e.OnInvalidation(func(inv Invalidation) { got = append(got, inv) })
-	e.Process(insertEvent("p1", map[string]any{"x": 1}))
-	cancel()
-	e.Process(insertEvent("p2", map[string]any{"x": 1}))
+	got := e.Process(insertEvent("p1", map[string]any{"x": 1}))
 	if len(got) != 1 {
-		t.Fatalf("subscriber saw %d signals, want 1", len(got))
+		t.Fatalf("Process returned %d signals, want 1", len(got))
 	}
 	if !got[0].DetectedAt.Equal(clk.Now()) {
 		t.Fatal("DetectedAt wrong")
@@ -155,8 +151,7 @@ func TestAttachToDocumentStore(t *testing.T) {
 	e.Register("/cheap", query.MustParse(`products WHERE price < 100`))
 
 	var signals []Invalidation
-	e.OnInvalidation(func(inv Invalidation) { signals = append(signals, inv) })
-	defer docs.Watch(func(ev storage.ChangeEvent) { e.Process(ev) })()
+	defer docs.Watch(func(ev storage.ChangeEvent) { signals = append(signals, e.Process(ev)...) })()
 
 	_ = docs.Insert("products", "p1", map[string]any{"price": 50.0})
 	_ = docs.Patch("products", "p1", map[string]any{"price": 60.0})
@@ -258,9 +253,12 @@ func TestPageDefinedByIDIsInvalidated(t *testing.T) {
 	e := New(Config{})
 	e.Register("/one", one)
 	e.Register("/featured", featured)
-	defer docs.Watch(func(ev storage.ChangeEvent) { e.Process(ev) })()
 	var got []string
-	e.OnInvalidation(func(inv Invalidation) { got = append(got, inv.RegistrationID+" "+inv.Kind.String()) })
+	defer docs.Watch(func(ev storage.ChangeEvent) {
+		for _, inv := range e.Process(ev) {
+			got = append(got, inv.RegistrationID+" "+inv.Kind.String())
+		}
+	})()
 
 	_ = docs.Patch("products", "p1", map[string]any{"price": 5.0})
 	_ = docs.Patch("products", "p2", map[string]any{"price": 6.0})

@@ -49,15 +49,15 @@ var identityBearingSegments = []string{
 }
 
 // GDPRBoundary enforces the trust boundary statically: shared-infrastructure
-// packages must not import identity-bearing packages, and their exported
-// APIs must not carry struct fields that classify as PII under the same
-// field classification the runtime flow auditor uses.
+// packages must not reach identity-bearing packages through any import,
+// and their exported APIs must not carry struct fields that classify as
+// PII under the same field classification the runtime flow auditor uses.
 var GDPRBoundary = &Analyzer{
 	Name: "gdprboundary",
 	Doc: "shared-infrastructure packages (cdn, cache, bloom, invalidb, " +
-		"cachesketch, wal, durable) must not import internal/session or " +
-		"internal/gdpr and must not expose PII-classified fields in their " +
-		"exported APIs",
+		"cachesketch, wal, durable, edge, cluster, httpbody) must not reach " +
+		"internal/session or internal/gdpr through any import and must not " +
+		"expose PII-classified fields in their exported APIs",
 	Run: runGDPRBoundary,
 }
 
@@ -107,18 +107,28 @@ func runGDPRBoundary(pass *Pass) {
 		return
 	}
 
-	// Import side: no edge from shared infrastructure to identity-bearing
-	// packages, not even from test files — a test importing session into
-	// the CDN package is one refactor away from a production import.
+	// Import side: no path from shared infrastructure to an
+	// identity-bearing package, through any chain of imports, not even
+	// from test files — a test importing session into the CDN package is
+	// one refactor away from a production import, and a package that
+	// links session through another links it all the same.
+	imported := map[string]*types.Package{}
+	for _, p := range pass.Pkg.Imports() {
+		imported[p.Path()] = p
+	}
+	chains := map[*types.Package][]string{}
 	for _, f := range pass.Files {
 		for _, imp := range f.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
-			for _, seg := range identityBearingSegments {
-				if pathHasSegment(path, seg) {
-					pass.Reportf(imp.Pos(),
-						"shared-infrastructure package %s imports identity-bearing package %s",
-						pass.Path, path)
-				}
+			switch chain := identityChain(imported[path], chains); {
+			case len(chain) == 1:
+				pass.Reportf(imp.Pos(),
+					"shared-infrastructure package %s imports identity-bearing package %s",
+					pass.Path, path)
+			case chain != nil:
+				pass.Reportf(imp.Pos(),
+					"shared-infrastructure package %s reaches identity-bearing package %s through %s",
+					pass.Path, chain[len(chain)-1], strings.Join(chain, " → "))
 			}
 		}
 	}
@@ -139,6 +149,33 @@ func runGDPRBoundary(pass *Pass) {
 		}
 		w.walk(obj.Type())
 	}
+}
+
+// identityChain returns the import path from pkg to the first
+// identity-bearing package it reaches, pkg first, or nil if it reaches
+// none. memo holds each package's answer, so a pass walks each package's
+// imports once.
+func identityChain(pkg *types.Package, memo map[*types.Package][]string) []string {
+	if pkg == nil {
+		return nil
+	}
+	if chain, ok := memo[pkg]; ok {
+		return chain
+	}
+	memo[pkg] = nil
+	for _, seg := range identityBearingSegments {
+		if pathHasSegment(pkg.Path(), seg) {
+			memo[pkg] = []string{pkg.Path()}
+			return memo[pkg]
+		}
+	}
+	for _, dep := range pkg.Imports() {
+		if rest := identityChain(dep, memo); rest != nil {
+			memo[pkg] = append([]string{pkg.Path()}, rest...)
+			return memo[pkg]
+		}
+	}
+	return nil
 }
 
 // piiWalker traverses the type graph reachable from exported symbols,

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"strings"
 
 	"speedkit/internal/gdpr"
 )
@@ -13,16 +12,11 @@ import (
 // labels are exported verbatim by /metrics — to operators, scrape agents,
 // and whatever stores the time series — so a PII-derived label value is a
 // personal-data leak through the monitoring side channel. The analyzer
-// pins two invariants:
-//
-//   - shared-infrastructure packages never import internal/obs: obs
-//     depends on internal/gdpr for its PII classification, so the import
-//     would smuggle identity-bearing code across the boundary the
-//     gdprboundary analyzer defends;
-//   - no obs label is built from identity: constant label keys must not
-//     be PII-classified field names, and label value expressions must
-//     not touch values whose types come from internal/session or
-//     internal/gdpr.
+// pins that no obs label is built from identity: constant label keys must
+// not be PII-classified field names, and label value expressions must not
+// touch values whose types come from internal/session or internal/gdpr.
+// (Shared infrastructure may import obs: obs links neither, and
+// gdprboundary rejects any import chain that reaches one.)
 //
 // The same discipline covers the structured log: slog field keys and
 // values (Str, Int, Uint, Bool, Dur, Err, Msg, Named) are exported to
@@ -35,9 +29,8 @@ import (
 // runtime PII rejection with deliberately illegal keys.
 var ObsLabels = &Analyzer{
 	Name: "obslabels",
-	Doc: "shared infrastructure must not import internal/obs, and obs " +
-		"label and slog field keys/values must not be PII-classified or " +
-		"derived from identity-bearing types",
+	Doc: "obs label and slog field keys/values must not be PII-classified " +
+		"or derived from identity-bearing types",
 	Run: runObsLabels,
 }
 
@@ -46,19 +39,6 @@ func runObsLabels(pass *Pass) {
 	// their internals (and deliberately illegal test inputs) adds nothing.
 	if pathHasSegment(pass.Path, "internal/obs") || pathHasSegment(pass.Path, "internal/slog") {
 		return
-	}
-
-	if isSharedInfraPass(pass) {
-		for _, f := range pass.Files {
-			for _, imp := range f.Imports {
-				path := strings.Trim(imp.Path.Value, `"`)
-				if pathHasSegment(path, "internal/obs") {
-					pass.Reportf(imp.Pos(),
-						"shared-infrastructure package %s imports telemetry package %s (obs depends on internal/gdpr)",
-						pass.Path, path)
-				}
-			}
-		}
 	}
 
 	pii := map[string]bool{}

@@ -31,7 +31,7 @@ type FamilySnapshot struct {
 }
 
 // summaryQuantiles labels the quantiles a histogram family exposes, in
-// the order metrics.HistogramSnapshot carries them.
+// the order HistogramSnapshot carries them.
 var summaryQuantiles = []string{"0.5", "0.9", "0.95", "0.99"}
 
 // ExpositionName maps a dotted registry name to its exposition form.

@@ -5,16 +5,18 @@
 // invalidation pipeline.
 //
 // The package sits strictly on the anonymous side of the paper's
-// client/CDN split. Two mechanisms enforce that:
+// client/CDN split, and it links no identity-bearing package, so shared
+// infrastructure (the edge) counts and scrapes through it too. Two
+// mechanisms keep identity out of its labels:
 //
-//   - at registration time, every label key is validated against
-//     gdpr.PIIFields(): a PII-classified key (user_id, email, cart, ...)
-//     panics before a single sample can be recorded under it;
+//   - at registration time, every label key is checked against the keys
+//     DenyLabelKeys was given: a denied key panics before a single sample
+//     can be recorded under it. internal/gdpr denies every PII-classified
+//     field (user_id, email, cart, ...) from its init, so every binary
+//     that links identity gets the fence;
 //   - at build time, the obslabels analyzer in internal/lint statically
 //     rejects identity-derived expressions (anything typed by
-//     internal/session or internal/gdpr) flowing into label positions,
-//     and forbids shared-infrastructure packages from importing obs at
-//     all, so the registry can never become a transitive identity leak.
+//     internal/session or internal/gdpr) flowing into label positions.
 //
 // Telemetry must also never tax the request path it observes: disabled
 // or unsampled tracing is a single atomic load (plus one add when
@@ -28,8 +30,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"speedkit/internal/gdpr"
+	"sync"
 )
 
 // Label is one key/value dimension of a metric series or trace. Keys are
@@ -51,16 +52,50 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 // cardinality problem is being designed in.
 const maxLabels = 6
 
-// piiLabelKeys is the registration-time deny list, built once from the
-// same classification the runtime flow auditor and the static analyzers
-// use, so all three gates can never disagree about what counts as PII.
-var piiLabelKeys = func() map[string]bool {
-	m := make(map[string]bool)
-	for _, f := range gdpr.PIIFields() {
-		m[f] = true
+// labelKeys is the process-wide ledger of label keys: the ones
+// DenyLabelKeys denied, and every key some registry has created a series
+// under, with the first metric that did. One mutex keeps the two
+// consistent, so a denied key panics whichever of the registration and
+// the denial comes first.
+var labelKeys = struct {
+	mu     sync.Mutex
+	denied map[string]bool   // guarded by mu
+	seen   map[string]string // guarded by mu; key → first metric name
+}{denied: map[string]bool{}, seen: map[string]string{}}
+
+// DenyLabelKeys adds keys to the process-wide list of label keys no
+// metric may carry, as slog.DenyKeys does for log fields. A later
+// registration under a denied key panics, and so does this call if a
+// registry already holds a series under one. The list only grows.
+func DenyLabelKeys(keys ...string) {
+	labelKeys.mu.Lock()
+	defer labelKeys.mu.Unlock()
+	for _, k := range keys {
+		labelKeys.denied[k] = true
+		if name, ok := labelKeys.seen[k]; ok {
+			panic(deniedKey(name, k))
+		}
 	}
-	return m
-}()
+}
+
+// noteLabelKeys records the keys of a series about to be created, or
+// panics on a denied one.
+func noteLabelKeys(name string, labels []Label) {
+	labelKeys.mu.Lock()
+	defer labelKeys.mu.Unlock()
+	for _, l := range labels {
+		if labelKeys.denied[l.Key] {
+			panic(deniedKey(name, l.Key))
+		}
+		if _, ok := labelKeys.seen[l.Key]; !ok {
+			labelKeys.seen[l.Key] = name
+		}
+	}
+}
+
+func deniedKey(name, key string) string {
+	return fmt.Sprintf("obs: metric %q label key %q is denied; observability stays on the anonymous side of the GDPR boundary", name, key)
+}
 
 // validateName panics unless name is a well-formed dotted metric name:
 // lowercase snake_case segments separated by single dots, e.g.
@@ -92,8 +127,8 @@ func validSegment(seg string) bool {
 	return true
 }
 
-// validateLabels panics on malformed, duplicate, oversized, or
-// PII-classified label keys. It returns the labels sorted by key — the
+// validateLabels panics on malformed, duplicate or oversized label
+// keys. It returns the labels sorted by key — the
 // canonical order used for series identity and exposition.
 func validateLabels(name string, labels []Label) []Label {
 	if len(labels) > maxLabels {
@@ -105,9 +140,6 @@ func validateLabels(name string, labels []Label) []Label {
 	for i, l := range sorted {
 		if !validSegment(l.Key) {
 			panic(fmt.Sprintf("obs: metric %q has invalid label key %q", name, l.Key))
-		}
-		if piiLabelKeys[l.Key] {
-			panic(fmt.Sprintf("obs: metric %q label key %q classifies as PII; observability stays on the anonymous side of the GDPR boundary", name, l.Key))
 		}
 		if i > 0 && sorted[i-1].Key == l.Key {
 			panic(fmt.Sprintf("obs: metric %q has duplicate label key %q", name, l.Key))

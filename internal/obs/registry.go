@@ -3,8 +3,6 @@ package obs
 import (
 	"fmt"
 	"sync"
-
-	"speedkit/internal/metrics"
 )
 
 // Kind is the instrument type of a metric family.
@@ -39,9 +37,9 @@ const overflowSignature = "\x00overflow"
 // instrument pointers is set, matching the family kind.
 type series struct {
 	labels  []Label
-	counter *metrics.Counter
-	gauge   *metrics.Gauge
-	histo   *metrics.Histogram
+	counter *Counter
+	gauge   *Gauge
+	histo   *Histogram
 }
 
 // family is every series registered under one metric name.
@@ -58,7 +56,7 @@ type family struct {
 
 // Registry is the process-wide metric namespace: stable dotted names,
 // each with a small bounded label set, resolving to the shared
-// metrics.Counter/Gauge/Histogram instruments. Lookups create on first
+// Counter/Gauge/Histogram instruments. Lookups create on first
 // use and are safe for concurrent use; hot paths resolve their handles
 // once at construction and then touch only the lock-free instruments.
 type Registry struct {
@@ -83,20 +81,20 @@ func NewRegistry() *Registry {
 var Default = NewRegistry()
 
 // Counter resolves (creating on first use) the counter series for name
-// and labels. It panics on an invalid name, a PII-classified label key,
+// and labels. It panics on an invalid name, a denied label key,
 // or if name is already registered with a different kind — all
 // programmer errors the tests and the obslabels analyzer pin.
-func (r *Registry) Counter(name string, labels ...Label) *metrics.Counter {
+func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	return r.lookup(name, KindCounter, labels).counter
 }
 
 // Gauge resolves the gauge series for name and labels.
-func (r *Registry) Gauge(name string, labels ...Label) *metrics.Gauge {
+func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	return r.lookup(name, KindGauge, labels).gauge
 }
 
 // Histogram resolves the histogram series for name and labels.
-func (r *Registry) Histogram(name string, labels ...Label) *metrics.Histogram {
+func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	return r.lookup(name, KindSummary, labels).histo
 }
 
@@ -117,6 +115,7 @@ func (r *Registry) lookup(name string, kind Kind, labels []Label) *series {
 	if s, ok := fam.series[sig]; ok {
 		return s
 	}
+	noteLabelKeys(name, sorted)
 	max := r.MaxSeriesPerFamily
 	if max <= 0 {
 		max = 64
@@ -139,11 +138,11 @@ func newSeries(kind Kind, labels []Label) *series {
 	s := &series{labels: labels}
 	switch kind {
 	case KindCounter:
-		s.counter = metrics.NewCounter()
+		s.counter = NewCounter()
 	case KindGauge:
-		s.gauge = metrics.NewGauge()
+		s.gauge = NewGauge()
 	case KindSummary:
-		s.histo = metrics.NewHistogram()
+		s.histo = NewHistogram()
 	}
 	return s
 }

@@ -37,17 +37,31 @@ func TestRegistryLabelOrderIsCanonical(t *testing.T) {
 }
 
 func TestRegistryRejectsPIILabelKeys(t *testing.T) {
+	DenyLabelKeys("user_id", "cart", "tier")
 	r := NewRegistry()
-	for _, key := range []string{"user_id", "email", "cart", "tier"} {
+	for _, key := range []string{"user_id", "cart", "tier"} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("PII label key %q was accepted", key)
+					t.Errorf("denied label key %q was accepted", key)
 				}
 			}()
 			r.Counter("speedkit.test.pii", L(key, "x"))
 		}()
 	}
+}
+
+// TestDenyLabelKeysChecksRegisteredSeries: a key denied after some
+// registry created a series under it panics at the denial, so the fence
+// holds whatever the order of package inits.
+func TestDenyLabelKeysChecksRegisteredSeries(t *testing.T) {
+	NewRegistry().Counter("speedkit.test.early", L("email", "x"))
+	defer func() {
+		if recover() == nil {
+			t.Error("denying a key a registry already holds did not panic")
+		}
+	}()
+	DenyLabelKeys("email")
 }
 
 func TestRegistryRejectsBadNamesAndLabels(t *testing.T) {

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"runtime"
-
-	"speedkit/internal/metrics"
 )
 
 // RuntimeCollector feeds Go runtime health into the registry:
@@ -13,12 +11,12 @@ import (
 // gauges and the HTTP layer calls it at scrape time, so an idle process
 // pays nothing between scrapes.
 type RuntimeCollector struct {
-	goroutines   *metrics.Gauge
-	heapAlloc    *metrics.Gauge
-	heapObjects  *metrics.Gauge
-	gcCycles     *metrics.Gauge
-	gcPauseTotal *metrics.Gauge
-	lastPause    *metrics.Gauge
+	goroutines   *Gauge
+	heapAlloc    *Gauge
+	heapObjects  *Gauge
+	gcCycles     *Gauge
+	gcPauseTotal *Gauge
+	lastPause    *Gauge
 }
 
 // NewRuntimeCollector registers the runtime gauges on r (default

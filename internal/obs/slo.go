@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"speedkit/internal/clock"
-	"speedkit/internal/metrics"
 	"speedkit/internal/tracectx"
 )
 
@@ -95,7 +94,7 @@ type sloSource struct {
 	sum    float64
 	// permil mirrors the distribution into the registry (summary shape,
 	// Δ-budget in thousandths) so /metrics carries it too.
-	permil *metrics.Histogram
+	permil *Histogram
 }
 
 // DeltaSLO tracks the Δ-staleness SLO. A nil *DeltaSLO is fully
@@ -111,7 +110,7 @@ type DeltaSLO struct {
 	exemplars []Exemplar
 	exemNext  int
 
-	burnGauges []*metrics.Gauge // one per cfg.Windows entry
+	burnGauges []*Gauge // one per cfg.Windows entry
 }
 
 // NewDeltaSLO creates the SLO tracker and registers its instruments:

@@ -83,7 +83,7 @@ func TestSharedCarriesNoIdentity(t *testing.T) {
 
 // TestNoSimulatorImports: the device, its HTTP transport, the edge and
 // the HTTP server know nothing of the network simulator. The one
-// exception is legacy.go, the pre-split Transport that exists for the
+// exception is harness.go, the pre-split Transport that exists for the
 // load harness until it moves to NewSplit.
 func TestNoSimulatorImports(t *testing.T) {
 	const netsim = "speedkit/internal/netsim"
@@ -94,7 +94,7 @@ func TestNoSimulatorImports(t *testing.T) {
 		}
 		checked := 0
 		for _, name := range files {
-			if strings.HasSuffix(name, "_test.go") || (dir == "." && filepath.Base(name) == "legacy.go") {
+			if strings.HasSuffix(name, "_test.go") || (dir == "." && filepath.Base(name) == "harness.go") {
 				continue
 			}
 			src, err := os.ReadFile(name)

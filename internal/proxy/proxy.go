@@ -33,7 +33,6 @@ import (
 	"speedkit/internal/cachesketch"
 	"speedkit/internal/clock"
 	"speedkit/internal/gdpr"
-	"speedkit/internal/metrics"
 	"speedkit/internal/obs"
 	"speedkit/internal/origin"
 	"speedkit/internal/resilience"
@@ -169,7 +168,7 @@ type Config struct {
 	// ctx deadline.
 	Resilience ResilienceConfig
 	// Region is read by the proxies New builds alone, and Network by
-	// nothing: both remain for New's callers (see legacy.go).
+	// nothing: both remain for New's callers (see harness.go).
 	Region  region
 	Network network
 }
@@ -252,12 +251,12 @@ type Proxy struct {
 // proxyMetrics are the device-side instruments, pre-resolved from the
 // registry (see the metric catalog in DESIGN.md).
 type proxyMetrics struct {
-	loads           [3]*metrics.Counter // indexed by Source
-	offlineServes   *metrics.Counter
-	sketchRefreshes *metrics.Counter
-	revalidations   *metrics.Counter
-	retries         *metrics.Counter
-	degraded        map[DegradeReason]*metrics.Counter
+	loads           [3]*obs.Counter // indexed by Source
+	offlineServes   *obs.Counter
+	sketchRefreshes *obs.Counter
+	revalidations   *obs.Counter
+	retries         *obs.Counter
+	degraded        map[DegradeReason]*obs.Counter
 }
 
 func newProxyMetrics(r *obs.Registry) *proxyMetrics {
@@ -266,7 +265,7 @@ func newProxyMetrics(r *obs.Registry) *proxyMetrics {
 		sketchRefreshes: r.Counter("speedkit.device.sketch_refreshes.total"),
 		revalidations:   r.Counter("speedkit.device.revalidations.total"),
 		retries:         r.Counter("speedkit.device.retries.total"),
-		degraded:        make(map[DegradeReason]*metrics.Counter, len(degradeReasons)),
+		degraded:        make(map[DegradeReason]*obs.Counter, len(degradeReasons)),
 	}
 	for _, src := range []Source{SourceDevice, SourceCDN, SourceOrigin} {
 		m.loads[src] = r.Counter("speedkit.device.loads.total", obs.L("source", src.String()))

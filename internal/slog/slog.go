@@ -4,16 +4,16 @@
 // trace that produced it.
 //
 // It is deliberately a leaf below the GDPR boundary: it imports only
-// the stdlib, the clock discipline, and tracectx — never internal/obs,
-// internal/gdpr, or internal/session — so the shared-infrastructure
-// packages (cdn, cache, wal, durable, invalidb) that the obslabels
-// analyzer fences off from the telemetry registry may still log. The
+// the stdlib, the clock discipline, and tracectx — never internal/gdpr
+// or internal/session — so the shared-infrastructure packages (cdn,
+// cache, wal, durable, invalidb, edge) that the gdprboundary analyzer
+// fences off from identity may still log. The
 // fence against PII reaching log values is enforced twice: statically
 // by the piiflow and obslabels analyzers (field names classified PII
 // cannot flow into Event value positions, fail-closed), and at runtime
 // by a process-wide denied-key list that redacts values under keys the
-// GDPR classification marks PII (internal/obs installs the list from
-// gdpr.PIIFields at init, so any binary with telemetry has it).
+// GDPR classification marks PII (internal/gdpr installs the list from
+// PIIFields at init, so any binary that links identity has it).
 //
 // The API is allocation-disciplined in the zerolog style: a level
 // method returns a pooled *Event on the enabled path and nil on the

@@ -5,10 +5,10 @@
 // with the head-based sampling decision — over real HTTP hops.
 //
 // The package is a deliberate leaf: pure stdlib, no dependency on
-// internal/obs, internal/gdpr, or internal/session, so *every* tier of
-// the system may import it — including the shared-infrastructure
-// packages (cdn, cache, wal, durable) that the gdprboundary and
-// obslabels analyzers fence off from the telemetry registry. Identity
+// internal/gdpr or internal/session, so *every* tier of the system may
+// import it — including the shared-infrastructure packages (cdn, cache,
+// wal, durable, edge) that the gdprboundary analyzer fences off from
+// identity. Identity
 // here means *request* identity, never *user* identity: a SpanContext
 // carries random bits and a sampling flag, nothing else, which is what
 // keeps propagation GDPR-neutral.

@@ -104,7 +104,7 @@ func updateEWMA(ewma *float64, gap float64, alpha float64) {
 
 // RecordRead notes a cache-miss read of the resource (reads served from a
 // cache never reach the estimator, matching production where the origin
-// only observes misses — the estimator corrects for this in ReadRate by
+// only observes misses — the estimator corrects for this in readRate by
 // treating miss rate as a lower bound).
 func (e *Estimator) RecordRead(id string) {
 	now := e.cfg.Clock.Now()
@@ -131,9 +131,9 @@ func (e *Estimator) RecordWrite(id string) {
 	e.mu.Unlock()
 }
 
-// WriteRate returns the estimated writes/second for the resource (0 when
+// writeRate returns the estimated writes/second for the resource (0 when
 // fewer than two writes have been seen).
-func (e *Estimator) WriteRate(id string) float64 {
+func (e *Estimator) writeRate(id string) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s, ok := e.res[id]
@@ -143,8 +143,8 @@ func (e *Estimator) WriteRate(id string) float64 {
 	return 1 / s.writeGapEWMA
 }
 
-// ReadRate returns the estimated miss-reads/second for the resource.
-func (e *Estimator) ReadRate(id string) float64 {
+// readRate returns the estimated miss-reads/second for the resource.
+func (e *Estimator) readRate(id string) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s, ok := e.res[id]

@@ -105,7 +105,7 @@ func TestTTLBudgetWidensCappedAt08(t *testing.T) {
 			clk.Advance(10 * time.Millisecond)
 		}
 	}
-	lambdaW := e.WriteRate("r")
+	lambdaW := e.writeRate("r")
 	maxTTL := -math.Log(1-0.8) / lambdaW
 	if got := e.TTL("r").Seconds(); got > maxTTL*1.01 {
 		t.Fatalf("TTL %.1fs exceeds capped-budget bound %.1fs", got, maxTTL)
@@ -114,7 +114,7 @@ func TestTTLBudgetWidensCappedAt08(t *testing.T) {
 
 func TestRates(t *testing.T) {
 	e, clk := newTestEstimator()
-	if e.WriteRate("r") != 0 || e.ReadRate("r") != 0 {
+	if e.writeRate("r") != 0 || e.readRate("r") != 0 {
 		t.Fatal("rates nonzero before activity")
 	}
 	for i := 0; i < 10; i++ {
@@ -122,10 +122,10 @@ func TestRates(t *testing.T) {
 		e.RecordRead("r")
 		clk.Advance(2 * time.Second)
 	}
-	if w := e.WriteRate("r"); math.Abs(w-0.5) > 0.05 {
+	if w := e.writeRate("r"); math.Abs(w-0.5) > 0.05 {
 		t.Fatalf("write rate = %v, want ~0.5", w)
 	}
-	if r := e.ReadRate("r"); math.Abs(r-0.5) > 0.05 {
+	if r := e.readRate("r"); math.Abs(r-0.5) > 0.05 {
 		t.Fatalf("read rate = %v, want ~0.5", r)
 	}
 }

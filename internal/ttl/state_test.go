@@ -54,11 +54,11 @@ func TestEstimatorStateRoundTrip(t *testing.T) {
 		if e.TTL(id) != e2.TTL(id) {
 			t.Fatalf("%s: TTL %v != %v", id, e.TTL(id), e2.TTL(id))
 		}
-		if e.WriteRate(id) != e2.WriteRate(id) {
-			t.Fatalf("%s: WriteRate mismatch", id)
+		if e.writeRate(id) != e2.writeRate(id) {
+			t.Fatalf("%s: writeRate mismatch", id)
 		}
-		if e.ReadRate(id) != e2.ReadRate(id) {
-			t.Fatalf("%s: ReadRate mismatch", id)
+		if e.readRate(id) != e2.readRate(id) {
+			t.Fatalf("%s: readRate mismatch", id)
 		}
 		r1, w1, _ := e.Snapshot(id)
 		r2, w2, _ := e2.Snapshot(id)
