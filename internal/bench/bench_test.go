@@ -52,7 +52,7 @@ func TestRunFieldDeterministic(t *testing.T) {
 	b, _ := RunField(FieldConfig{Mode: ModeSpeedKit, Seed: 9, Ops: 2000})
 	if a.Loads != b.Loads || a.StaleReads != b.StaleReads ||
 		a.TierCounts[proxy.SourceDevice] != b.TierCounts[proxy.SourceDevice] ||
-		a.Latency.Sum() != b.Latency.Sum() {
+		a.Latency.Snapshot().Sum != b.Latency.Snapshot().Sum {
 		t.Fatal("same-seed field runs diverged")
 	}
 }
@@ -98,10 +98,10 @@ func TestTraceReplayMatchesLiveRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if live.Loads != replayed.Loads || live.StaleReads != replayed.StaleReads ||
-		live.Checkouts != replayed.Checkouts || live.Latency.Sum() != replayed.Latency.Sum() {
+		live.Checkouts != replayed.Checkouts || live.Latency.Snapshot().Sum != replayed.Latency.Snapshot().Sum {
 		t.Fatalf("replay diverged: live loads=%d stale=%d sum=%v; replay loads=%d stale=%d sum=%v",
-			live.Loads, live.StaleReads, live.Latency.Sum(),
-			replayed.Loads, replayed.StaleReads, replayed.Latency.Sum())
+			live.Loads, live.StaleReads, live.Latency.Snapshot().Sum,
+			replayed.Loads, replayed.StaleReads, replayed.Latency.Snapshot().Sum)
 	}
 }
 

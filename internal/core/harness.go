@@ -14,7 +14,7 @@ import (
 
 // This file holds the names kept only for the load harness under
 // cmd/speedkit-load, whose files change only together with its
-// benchmark. harness_test.go lists them; delete each with its last
+// benchmark. proxy.TestHarnessNames lists them; delete each with its last
 // caller there.
 
 // The region forms of the device's calls: each runs one call through a

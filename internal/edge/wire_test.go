@@ -196,10 +196,14 @@ func TestAnswersOnTheWire(t *testing.T) {
 	got["sketch"] = answer(http.MethodGet, "/v1/sketch", "")
 	got["healthz"] = answer(http.MethodGet, "/healthz", "")
 	got["healthz head"] = answer(http.MethodHead, "/healthz", "")
-	// A scrape's length moves with the runtime gauges' digits.
+	// A scrape's length moves with the runtime gauges' digits; its
+	// counters are pinned below.
 	got["metrics"] = slices.DeleteFunc(answer(http.MethodGet, "/metrics", ""), func(h string) bool {
 		return strings.HasPrefix(h, "Content-Length:")
 	})
+	if g := scrapeCounters(t, hc, srv.URL); g != wireCounters {
+		t.Errorf("metrics scraped\n%swant\n%s", g, wireCounters)
+	}
 
 	for name, want := range wireGolden {
 		if g := strings.Join(got[name], "\n"); g != strings.Join(want, "\n") {
@@ -210,6 +214,69 @@ func TestAnswersOnTheWire(t *testing.T) {
 		t.Errorf("%d answers, %d pinned", len(got), len(wireGolden))
 	}
 }
+
+// scrapeCounters is the edge's /metrics body less the lines of the
+// runtime gauges and of the held sketch's generation and age, which move
+// with the process and the clock.
+func scrapeCounters(t *testing.T, hc *http.Client, base string) string {
+	t.Helper()
+	resp, err := hc.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(string(body), "\n") {
+		name, _, _ := strings.Cut(strings.TrimPrefix(line, "# TYPE "), " ")
+		switch {
+		case strings.HasPrefix(name, "speedkit_runtime_"),
+			name == "speedkit_edge_sketch_generation",
+			name == "speedkit_edge_sketch_age_seconds":
+			continue
+		}
+		b.WriteString(line)
+	}
+	return b.String()
+}
+
+// wireCounters is what the scrape of TestAnswersOnTheWire states of the
+// edge's 15 counters: the lines, 1 211 bytes, that the edge's own writer
+// stated before it counted through obs, sorted by name.
+const wireCounters = `# TYPE speedkit_edge_bytes_served_total counter
+speedkit_edge_bytes_served_total 188
+# TYPE speedkit_edge_coalesced_waiters_total counter
+speedkit_edge_coalesced_waiters_total 1
+# TYPE speedkit_edge_degraded_total counter
+speedkit_edge_degraded_total 0
+# TYPE speedkit_edge_disk_fills_total counter
+speedkit_edge_disk_fills_total 0
+# TYPE speedkit_edge_disk_purges_total counter
+speedkit_edge_disk_purges_total 0
+# TYPE speedkit_edge_hits_total counter
+speedkit_edge_hits_total 2
+# TYPE speedkit_edge_misses_total counter
+speedkit_edge_misses_total 3
+# TYPE speedkit_edge_not_modified_total counter
+speedkit_edge_not_modified_total 2
+# TYPE speedkit_edge_purges_total counter
+speedkit_edge_purges_total 2
+# TYPE speedkit_edge_revalidated_total counter
+speedkit_edge_revalidated_total 2
+# TYPE speedkit_edge_served_stale_total counter
+speedkit_edge_served_stale_total 1
+# TYPE speedkit_edge_sketch_refreshes_total counter
+speedkit_edge_sketch_refreshes_total 0
+# TYPE speedkit_edge_sketch_serves_total counter
+speedkit_edge_sketch_serves_total 1
+# TYPE speedkit_edge_snapshots_total counter
+speedkit_edge_snapshots_total 0
+# TYPE speedkit_edge_upstream_errors_total counter
+speedkit_edge_upstream_errors_total 1
+`
 
 // wireGolden is what each answer of TestAnswersOnTheWire states.
 var wireGolden = map[string][]string{

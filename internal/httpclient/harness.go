@@ -8,7 +8,7 @@ import (
 
 // This file holds the names kept only for the load harness under
 // cmd/speedkit-load, whose files change only together with its
-// benchmark. harness_test.go lists them; delete each with its last
+// benchmark. proxy.TestHarnessNames lists them; delete each with its last
 // caller there.
 
 // New is NewDirect in the pre-split proxy.Transport shape, for callers of

@@ -112,15 +112,11 @@ func runGDPRBoundary(pass *Pass) {
 	// from test files — a test importing session into the CDN package is
 	// one refactor away from a production import, and a package that
 	// links session through another links it all the same.
-	imported := map[string]*types.Package{}
-	for _, p := range pass.Pkg.Imports() {
-		imported[p.Path()] = p
-	}
-	chains := map[*types.Package][]string{}
+	chains := map[*Package][]string{}
 	for _, f := range pass.Files {
 		for _, imp := range f.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
-			switch chain := identityChain(imported[path], chains); {
+			switch chain := identityChain(pass.deps[path], chains); {
 			case len(chain) == 1:
 				pass.Reportf(imp.Pos(),
 					"shared-infrastructure package %s imports identity-bearing package %s",
@@ -153,9 +149,10 @@ func runGDPRBoundary(pass *Pass) {
 
 // identityChain returns the import path from pkg to the first
 // identity-bearing package it reaches, pkg first, or nil if it reaches
-// none. memo holds each package's answer, so a pass walks each package's
-// imports once.
-func identityChain(pkg *types.Package, memo map[*types.Package][]string) []string {
+// none. It follows the imports of pkg's non-test files only: a
+// dependency's tests are not linked into its importers. memo holds each
+// package's answer, so a pass walks each package's imports once.
+func identityChain(pkg *Package, memo map[*Package][]string) []string {
 	if pkg == nil {
 		return nil
 	}
@@ -164,15 +161,20 @@ func identityChain(pkg *types.Package, memo map[*types.Package][]string) []strin
 	}
 	memo[pkg] = nil
 	for _, seg := range identityBearingSegments {
-		if pathHasSegment(pkg.Path(), seg) {
-			memo[pkg] = []string{pkg.Path()}
+		if pathHasSegment(pkg.Path, seg) {
+			memo[pkg] = []string{pkg.Path}
 			return memo[pkg]
 		}
 	}
-	for _, dep := range pkg.Imports() {
-		if rest := identityChain(dep, memo); rest != nil {
-			memo[pkg] = append([]string{pkg.Path()}, rest...)
-			return memo[pkg]
+	for _, f := range pkg.Files {
+		if pkg.testFiles[f] {
+			continue
+		}
+		for _, imp := range f.Imports {
+			if rest := identityChain(pkg.deps[strings.Trim(imp.Path.Value, `"`)], memo); rest != nil {
+				memo[pkg] = append([]string{pkg.Path}, rest...)
+				return memo[pkg]
+			}
 		}
 	}
 	return nil

@@ -54,6 +54,7 @@ type Pass struct {
 	Info *types.Info
 
 	testFiles map[*ast.File]bool
+	deps      map[string]*Package
 	report    func(Diagnostic)
 }
 
@@ -133,6 +134,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Pkg:       pkg.Types,
 				Info:      pkg.Info,
 				testFiles: pkg.testFiles,
+				deps:      pkg.deps,
 				report:    report,
 			}
 			a.Run(pass)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -26,6 +27,9 @@ type Package struct {
 	Info  *types.Info
 
 	testFiles map[*ast.File]bool
+	// deps maps each module-local import path of Files, test files'
+	// too, to its loaded package.
+	deps map[string]*Package
 }
 
 // Module loads and type-checks packages of a single Go module without the
@@ -224,6 +228,17 @@ func (m *Module) LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Type-checking loaded every module-local import; anything else is
+	// the standard library, which imports no module package.
+	deps := map[string]*Package{}
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if dep, ok := m.pkgs[p]; ok {
+				deps[p] = dep
+			}
+		}
+	}
 	pkg := &Package{
 		Path:      path,
 		Dir:       dir,
@@ -232,6 +247,7 @@ func (m *Module) LoadDir(dir, path string) (*Package, error) {
 		Types:     tpkg,
 		Info:      info,
 		testFiles: testFiles,
+		deps:      deps,
 	}
 	m.pkgs[path] = pkg
 	return pkg, nil

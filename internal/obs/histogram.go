@@ -163,45 +163,6 @@ func (h *Histogram) Count() uint64 {
 	return total
 }
 
-// Sum returns the running sum of all observations.
-func (h *Histogram) Sum() float64 {
-	var sum float64
-	for i := range h.stripes {
-		st := &h.stripes[i]
-		st.mu.Lock()
-		sum += st.sum
-		st.mu.Unlock()
-	}
-	return sum
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty histogram.
-func (h *Histogram) Mean() float64 {
-	m := h.merged()
-	if m.total == 0 {
-		return 0
-	}
-	return m.sum / float64(m.total)
-}
-
-// Min returns the smallest observed value, or 0 for an empty histogram.
-func (h *Histogram) Min() float64 {
-	m := h.merged()
-	if !m.nonZero {
-		return 0
-	}
-	return m.min
-}
-
-// Max returns the largest observed value, or 0 for an empty histogram.
-func (h *Histogram) Max() float64 {
-	m := h.merged()
-	if !m.nonZero {
-		return 0
-	}
-	return m.max
-}
-
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1) using the
 // bucket lower bound with linear interpolation within the bucket. Returns 0
 // for an empty histogram.

@@ -14,8 +14,8 @@ func TestHistogramEmpty(t *testing.T) {
 	if h.Count() != 0 {
 		t.Fatalf("empty count = %d", h.Count())
 	}
-	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
-		t.Fatalf("empty stats nonzero: mean=%v min=%v max=%v", h.Mean(), h.Min(), h.Max())
+	if h.Snapshot().Mean != 0 || h.Snapshot().Min != 0 || h.Snapshot().Max != 0 {
+		t.Fatalf("empty stats nonzero: mean=%v min=%v max=%v", h.Snapshot().Mean, h.Snapshot().Min, h.Snapshot().Max)
 	}
 	if q := h.Quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile = %v", q)
@@ -28,8 +28,8 @@ func TestHistogramSingleValue(t *testing.T) {
 	if h.Count() != 1 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if h.Min() != 42 || h.Max() != 42 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.Snapshot().Min != 42 || h.Snapshot().Max != 42 {
+		t.Fatalf("min/max = %v/%v", h.Snapshot().Min, h.Snapshot().Max)
 	}
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
 		if v := h.Quantile(q); v != 42 {
@@ -42,8 +42,8 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(-10)
 	h.Observe(math.NaN())
-	if h.Min() != 0 || h.Max() != 0 {
-		t.Fatalf("negative/NaN not clamped: min=%v max=%v", h.Min(), h.Max())
+	if h.Snapshot().Min != 0 || h.Snapshot().Max != 0 {
+		t.Fatalf("negative/NaN not clamped: min=%v max=%v", h.Snapshot().Min, h.Snapshot().Max)
 	}
 	if h.Count() != 2 {
 		t.Fatalf("count = %d", h.Count())
@@ -82,12 +82,12 @@ func TestHistogramMergePreservesTotals(t *testing.T) {
 	if a.Count() != 200 {
 		t.Fatalf("merged count = %d", a.Count())
 	}
-	if a.Min() != 0 || a.Max() != 1099 {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
+	if a.Snapshot().Min != 0 || a.Snapshot().Max != 1099 {
+		t.Fatalf("merged min/max = %v/%v", a.Snapshot().Min, a.Snapshot().Max)
 	}
-	wantSum := b.Sum() + (99 * 100 / 2)
-	if math.Abs(a.Sum()-wantSum) > 1e-6 {
-		t.Fatalf("merged sum = %v, want %v", a.Sum(), wantSum)
+	wantSum := b.Snapshot().Sum + (99 * 100 / 2)
+	if math.Abs(a.Snapshot().Sum-wantSum) > 1e-6 {
+		t.Fatalf("merged sum = %v, want %v", a.Snapshot().Sum, wantSum)
 	}
 }
 
@@ -105,8 +105,8 @@ func TestHistogramReset(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(123)
 	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatalf("reset incomplete: count=%d max=%v", h.Count(), h.Max())
+	if h.Count() != 0 || h.Snapshot().Max != 0 {
+		t.Fatalf("reset incomplete: count=%d max=%v", h.Count(), h.Snapshot().Max)
 	}
 }
 
@@ -159,7 +159,7 @@ func TestHistogramQuantilePropertyBounded(t *testing.T) {
 		prev := -1.0
 		for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
 			v := h.Quantile(q)
-			if v < h.Min()-1e-9 || v > h.Max()+1e-9 {
+			if v < h.Snapshot().Min-1e-9 || v > h.Snapshot().Max+1e-9 {
 				return false
 			}
 			if v < prev-1e-9 {
@@ -199,7 +199,7 @@ func TestExactQuantile(t *testing.T) {
 func TestObserveDuration(t *testing.T) {
 	h := NewHistogram()
 	h.ObserveDuration(2 * time.Millisecond)
-	if h.Max() != 2000 {
-		t.Fatalf("duration not recorded in µs: %v", h.Max())
+	if h.Snapshot().Max != 2000 {
+		t.Fatalf("duration not recorded in µs: %v", h.Snapshot().Max)
 	}
 }

@@ -165,10 +165,3 @@ func (r *Registry) familyFor(name string, kind Kind) *family {
 	}
 	return fam
 }
-
-// Families returns the number of registered metric names.
-func (r *Registry) Families() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.families)
-}

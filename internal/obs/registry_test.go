@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -22,7 +24,7 @@ func TestRegistryResolvesStableHandles(t *testing.T) {
 	if a.Value() != 2 || c.Value() != 1 {
 		t.Fatalf("counter values = %d, %d; want 2, 1", a.Value(), c.Value())
 	}
-	if got := r.Families(); got != 1 {
+	if got := len(r.Snapshot()); got != 1 {
 		t.Fatalf("families = %d, want 1", got)
 	}
 }
@@ -36,10 +38,19 @@ func TestRegistryLabelOrderIsCanonical(t *testing.T) {
 	}
 }
 
+// deniedRuns numbers the label keys the denial tests mint: a denial lasts
+// for the process, so each run denies keys no earlier run has used.
+var deniedRuns atomic.Int64
+
+func freshKey(base string) string {
+	return base + "_" + strconv.FormatInt(deniedRuns.Add(1), 10)
+}
+
 func TestRegistryRejectsPIILabelKeys(t *testing.T) {
-	DenyLabelKeys("user_id", "cart", "tier")
+	keys := []string{freshKey("user_id"), freshKey("cart"), freshKey("tier")}
+	DenyLabelKeys(keys...)
 	r := NewRegistry()
-	for _, key := range []string{"user_id", "cart", "tier"} {
+	for _, key := range keys {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -55,13 +66,14 @@ func TestRegistryRejectsPIILabelKeys(t *testing.T) {
 // registry created a series under it panics at the denial, so the fence
 // holds whatever the order of package inits.
 func TestDenyLabelKeysChecksRegisteredSeries(t *testing.T) {
-	NewRegistry().Counter("speedkit.test.early", L("email", "x"))
+	key := freshKey("email")
+	NewRegistry().Counter("speedkit.test.early", L(key, "x"))
 	defer func() {
 		if recover() == nil {
 			t.Error("denying a key a registry already holds did not panic")
 		}
 	}()
-	DenyLabelKeys("email")
+	DenyLabelKeys(key)
 }
 
 func TestRegistryRejectsBadNamesAndLabels(t *testing.T) {

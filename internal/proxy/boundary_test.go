@@ -1,11 +1,13 @@
 package proxy
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -114,6 +116,56 @@ func TestNoSimulatorImports(t *testing.T) {
 		}
 		if checked == 0 {
 			t.Fatalf("no Go files checked in %s", dir)
+		}
+	}
+}
+
+// TestHarnessNames: each package's harness.go holds exactly the names
+// kept only for the load harness, so a new one is added on purpose and a
+// deleted one is taken off the list.
+func TestHarnessNames(t *testing.T) {
+	for dir, want := range map[string][]string{
+		".": {"Transport", "region", "network", "New", "regioned", "regioned.FetchSketch", "regioned.Fetch",
+			"regioned.Revalidate", "regioned.FetchBlocks", "Joined", "Joined.FetchSketch", "Joined.Fetch",
+			"Joined.Revalidate", "Joined.FetchBlocks"},
+		"../core":       {"Service.FetchSketch", "Service.Fetch", "Service.FetchBlocks", "Service.Engine"},
+		"../httpclient": {"New"},
+	} {
+		name := filepath.Join(dir, "harness.go")
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				fn := d.Name.Name
+				if d.Recv != nil {
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					fn = recv.(*ast.Ident).Name + "." + fn
+				}
+				got = append(got, fn)
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						got = append(got, s.Name.Name)
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							got = append(got, n.Name)
+						}
+					}
+				}
+			}
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s declares %q, want %q", name, got, want)
 		}
 	}
 }

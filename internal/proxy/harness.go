@@ -18,7 +18,7 @@ import (
 // netsim, and the only one where a blocks answer is a map. New over a
 // Joined is NewSplit over its two halves; regioned serves only a foreign
 // pre-split Transport, such as the one the harness wraps around a Joined
-// to trace its calls. harness_test.go lists the file's names. Delete the
+// to trace its calls. TestHarnessNames lists the file's names. Delete the
 // file, and Config.Region and Config.Network with it, when that harness
 // moves to NewSplit.
 

@@ -104,8 +104,8 @@ func updateEWMA(ewma *float64, gap float64, alpha float64) {
 
 // RecordRead notes a cache-miss read of the resource (reads served from a
 // cache never reach the estimator, matching production where the origin
-// only observes misses — the estimator corrects for this in readRate by
-// treating miss rate as a lower bound).
+// only observes misses — TTL takes the miss rate as a lower bound on the
+// read rate).
 func (e *Estimator) RecordRead(id string) {
 	now := e.cfg.Clock.Now()
 	e.mu.Lock()
@@ -129,29 +129,6 @@ func (e *Estimator) RecordWrite(id string) {
 	s.lastWrite = now
 	s.writes++
 	e.mu.Unlock()
-}
-
-// writeRate returns the estimated writes/second for the resource (0 when
-// fewer than two writes have been seen).
-func (e *Estimator) writeRate(id string) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s, ok := e.res[id]
-	if !ok || s.writeGapEWMA == 0 {
-		return 0
-	}
-	return 1 / s.writeGapEWMA
-}
-
-// readRate returns the estimated miss-reads/second for the resource.
-func (e *Estimator) readRate(id string) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s, ok := e.res[id]
-	if !ok || s.readGapEWMA == 0 {
-		return 0
-	}
-	return 1 / s.readGapEWMA
 }
 
 // TTL estimates the TTL for the resource. Resources with no observed

@@ -105,16 +105,32 @@ func TestTTLBudgetWidensCappedAt08(t *testing.T) {
 			clk.Advance(10 * time.Millisecond)
 		}
 	}
-	lambdaW := e.writeRate("r")
+	_, lambdaW := rates(e, "r")
 	maxTTL := -math.Log(1-0.8) / lambdaW
 	if got := e.TTL("r").Seconds(); got > maxTTL*1.01 {
 		t.Fatalf("TTL %.1fs exceeds capped-budget bound %.1fs", got, maxTTL)
 	}
 }
 
+// rates is the resource's estimated miss-reads and writes per second, 0
+// until two of each have been seen: the reciprocals of its gap EWMAs.
+func rates(e *Estimator, id string) (read, write float64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if s := e.res[id]; s != nil {
+		if s.readGapEWMA != 0 {
+			read = 1 / s.readGapEWMA
+		}
+		if s.writeGapEWMA != 0 {
+			write = 1 / s.writeGapEWMA
+		}
+	}
+	return read, write
+}
+
 func TestRates(t *testing.T) {
 	e, clk := newTestEstimator()
-	if e.writeRate("r") != 0 || e.readRate("r") != 0 {
+	if r, w := rates(e, "r"); w != 0 || r != 0 {
 		t.Fatal("rates nonzero before activity")
 	}
 	for i := 0; i < 10; i++ {
@@ -122,10 +138,11 @@ func TestRates(t *testing.T) {
 		e.RecordRead("r")
 		clk.Advance(2 * time.Second)
 	}
-	if w := e.writeRate("r"); math.Abs(w-0.5) > 0.05 {
+	r, w := rates(e, "r")
+	if math.Abs(w-0.5) > 0.05 {
 		t.Fatalf("write rate = %v, want ~0.5", w)
 	}
-	if r := e.readRate("r"); math.Abs(r-0.5) > 0.05 {
+	if math.Abs(r-0.5) > 0.05 {
 		t.Fatalf("read rate = %v, want ~0.5", r)
 	}
 }

@@ -54,11 +54,13 @@ func TestEstimatorStateRoundTrip(t *testing.T) {
 		if e.TTL(id) != e2.TTL(id) {
 			t.Fatalf("%s: TTL %v != %v", id, e.TTL(id), e2.TTL(id))
 		}
-		if e.writeRate(id) != e2.writeRate(id) {
-			t.Fatalf("%s: writeRate mismatch", id)
+		read1, write1 := rates(e, id)
+		read2, write2 := rates(e2, id)
+		if write1 != write2 {
+			t.Fatalf("%s: write rate mismatch", id)
 		}
-		if e.readRate(id) != e2.readRate(id) {
-			t.Fatalf("%s: readRate mismatch", id)
+		if read1 != read2 {
+			t.Fatalf("%s: read rate mismatch", id)
 		}
 		r1, w1, _ := e.Snapshot(id)
 		r2, w2, _ := e2.Snapshot(id)
