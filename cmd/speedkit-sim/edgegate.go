@@ -141,7 +141,7 @@ func runEdge(seed int64, products int) {
 	// sends purges (check 6 runs an edge without them). The answer must be
 	// the purge contract: 204 and no body.
 	cancel := svc.OnPurge(func(path string) {
-		resp, err := http.Post(edgeBaseA+"/v1/purge?path="+url.QueryEscape(path), "", nil)
+		resp, err := gateClient.Post(edgeBaseA+"/v1/purge?path="+url.QueryEscape(path), "", nil)
 		if err != nil {
 			fail("purge %s: %v", path, err)
 			return
@@ -230,7 +230,7 @@ func runEdge(seed int64, products int) {
 		probe = users[1]
 	}
 	blockNames := []string{"cart", "recommendations"}
-	resp, err := http.Post(edgeBaseA+"/v1/blocks", "application/octet-stream",
+	resp, err := gateClient.Post(edgeBaseA+"/v1/blocks", "application/octet-stream",
 		bytes.NewReader(httpbody.BlocksRequest(probe.ID, blockNames)))
 	if err != nil {
 		fail("blocks sent to the edge: %v", err)
@@ -276,7 +276,7 @@ func runEdge(seed int64, products int) {
 	// 4. Sketch distribution. Nothing polls in this gate, so the first
 	// request finds the edge without a copy and makes it fetch one; every
 	// later one is answered from that copy.
-	resp, err = http.Get(edgeBaseA + "/v1/sketch")
+	resp, err = gateClient.Get(edgeBaseA + "/v1/sketch")
 	if err != nil {
 		fail("sketch through edge: %v", err)
 	} else {
@@ -659,6 +659,10 @@ func serveLoopback(h http.Handler) (*http.Server, string) {
 	return hs, "http://" + ln.Addr().String()
 }
 
+// gateClient sends the gates' own requests: a tier that hangs fails the
+// gate after 10 s instead of holding it until the runner's limit.
+var gateClient = &http.Client{Timeout: 10 * time.Second}
+
 // edgeGet fetches one page through the edge surface and returns the
 // body, headers, and status.
 func edgeGet(base, path, inm string) (string, http.Header, int, error) {
@@ -669,7 +673,7 @@ func edgeGet(base, path, inm string) (string, http.Header, int, error) {
 	if inm != "" {
 		req.Header.Set("If-None-Match", inm)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := gateClient.Do(req)
 	if err != nil {
 		return "", nil, 0, err
 	}

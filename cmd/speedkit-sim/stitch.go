@@ -179,7 +179,7 @@ func stitchOnce(seed int64, delta time.Duration, products int) (stitchRun, error
 		return run, err
 	}
 	req.Header.Set(tracectx.Header, wtr.SpanContext().Traceparent())
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := gateClient.Do(req)
 	if err != nil {
 		return run, fmt.Errorf("write: %w", err)
 	}

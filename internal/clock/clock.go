@@ -146,8 +146,9 @@ func (c *Coarse) tick() {
 func (c *Coarse) store() { c.now.Store(time.Now().UnixNano()) }
 
 // CoarseSystem is the shared coarse wall clock used as the default time
-// source by the hot-path packages (cache, cdn, cachesketch). Its updater
-// goroutine starts on first use.
+// source by the hot-path packages (cache, cdn, cachesketch) and as the
+// clock of httpbody's shared request deadlines. Its updater goroutine
+// starts on first use.
 var CoarseSystem Clock = NewCoarse(0)
 
 // Simulated is a manually advanced clock. The zero value is not usable; use

@@ -493,6 +493,55 @@ func TestClusterDeltaOverHTTPSources(t *testing.T) {
 	}
 }
 
+// TestSyncDeltasOutlivesAHungPeer: a member whose node takes a pull and
+// never answers fails that pull at its peer client's Timeout, as a down
+// node, and the members after it in the round are still pulled and
+// folded. A peer built with no client has the default Timeout.
+func TestSyncDeltasOutlivesAHungPeer(t *testing.T) {
+	if got := NewPeer("n0", "http://127.0.0.1:1", nil).send.Timeout(); got != httpbody.DefaultTimeout {
+		t.Fatalf("a peer with no client pulls under a %v timeout, want %v", got, httpbody.DefaultTimeout)
+	}
+	clk := clock.NewSimulated(epoch)
+	nodes := testNodes(t, clk, 3)
+	c := testCluster(t, clk, nodes)
+	defer c.Close()
+
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer hung.Close()
+	defer close(release)
+	hc := &http.Client{Timeout: 100 * time.Millisecond}
+	for i, n := range nodes {
+		target := hung.URL
+		if i > 0 {
+			srv := httptest.NewServer(NodeHandler(n))
+			defer srv.Close()
+			target = srv.URL
+		}
+		if err := c.UseDeltaSource(NewPeer(n.Name(), target, hc)); err != nil {
+			t.Fatalf("use source: %v", err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.SyncDeltas() }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrNodeDown) || !strings.Contains(err.Error(), nodes[0].Name()) {
+			t.Fatalf("SyncDeltas: %v, want %s down", err, nodes[0].Name())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SyncDeltas still waits on the hung member")
+	}
+	if st := c.merger.Stats(); st.Folds != 2 || st.Rejected != 0 {
+		t.Fatalf("merger stats after the round: %+v, want the two answering members folded", st)
+	}
+}
+
 // TestNodeDurableKillRecoversState: state journaled before a kill must
 // survive into the recovered node, under a new epoch — the unclean log
 // may have lost exposed generations.

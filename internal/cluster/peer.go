@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,16 +15,16 @@ import (
 type Peer struct {
 	name string
 	base string
-	hc   *http.Client
+	send httpbody.Sender
 }
 
 // NewPeer creates a client for the named node at baseURL (e.g.
-// "http://127.0.0.1:7101"). A nil hc uses http.DefaultClient.
+// "http://127.0.0.1:7101"). Its requests go through hc's Transport under
+// its Timeout (see httpbody.Sender); a nil hc is a 10 s timeout over
+// http.DefaultTransport. A pull from a hung node fails at the timeout, so
+// it cannot hold up the members after it in an exchange round.
 func NewPeer(name, baseURL string, hc *http.Client) *Peer {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	return &Peer{name: name, base: baseURL, hc: hc}
+	return &Peer{name: name, base: baseURL, send: httpbody.NewSender(hc)}
 }
 
 // Name returns the peer's member name.
@@ -48,7 +49,9 @@ func decodeError(resp *http.Response) error {
 // connection failure reports the node down — from the merge layer's
 // perspective an unreachable node and a dead one degrade identically.
 func (p *Peer) Delta() (DeltaFrame, error) {
-	resp, err := p.hc.Get(p.base + "/v1/cluster/delta")
+	// DeltaSource's Delta takes no context; the Sender's timeout bounds
+	// the pull.
+	resp, err := p.send.Send(context.TODO(), http.MethodGet, p.base+"/v1/cluster/delta", nil, nil)
 	if err != nil {
 		return DeltaFrame{}, fmt.Errorf("%w: %v", ErrNodeDown, err)
 	}

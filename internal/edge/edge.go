@@ -92,7 +92,7 @@ const (
 )
 
 // fillTimeout is the longest deadline an upstream request gets: New
-// bounds the upstream client's Timeout by it, and that Timeout is the one
+// bounds the upstream client's Timeout by it, and that Timeout is the
 // deadline of a coalesced origin fetch detached from its leader's request
 // context, so a hung upstream still releases the followers.
 const fillTimeout = 60 * time.Second
@@ -106,11 +106,13 @@ const unsizedReserve = 4096
 type Options struct {
 	// Upstream is the speedkit-server base URL (e.g. "http://host:8080").
 	Upstream string
-	// Client performs upstream requests; nil uses a 10 s-timeout default.
-	// Its Timeout is the one deadline of every upstream request, a fill
-	// detached from its leader included: a client with no Timeout, or one
-	// longer than 60 s, is used through a copy bounded at 60 s, and the
-	// client passed in is left as it is.
+	// Client is the upstream client: its Transport carries every upstream
+	// request, under its Timeout (see httpbody.Sender), and nil is a 10 s
+	// timeout over http.DefaultTransport. The Timeout is the deadline of a
+	// fill detached from its leader too, so a client with no Timeout, or
+	// one longer than 60 s, is used through a copy bounded at 60 s; the
+	// client passed in is left as it is. No redirect is followed: an
+	// upstream 3xx is relayed, and stored under no key.
 	Client *http.Client
 	// Clock drives expiry and Age math (default the system clock).
 	Clock clock.Clock
@@ -129,7 +131,7 @@ type Options struct {
 // three routes and the edge's own operational endpoints.
 type Proxy struct {
 	upstream string
-	hc       *http.Client
+	send     httpbody.Sender
 	clk      clock.Clock
 
 	mem  *cache.Store
@@ -150,13 +152,12 @@ type Proxy struct {
 // New builds a Proxy and, when Options.CacheDir is set, recovers the
 // disk tier into memory.
 func New(o Options) (*Proxy, RecoveryInfo, error) {
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if t := o.Client.Timeout; t <= 0 || t > fillTimeout {
-		hc := *o.Client
-		hc.Timeout = fillTimeout
-		o.Client = &hc
+	if o.Client != nil {
+		if t := o.Client.Timeout; t <= 0 || t > fillTimeout {
+			hc := *o.Client
+			hc.Timeout = fillTimeout
+			o.Client = &hc
+		}
 	}
 	if o.Clock == nil {
 		o.Clock = clock.System
@@ -166,7 +167,7 @@ func New(o Options) (*Proxy, RecoveryInfo, error) {
 	}
 	p := &Proxy{
 		upstream: strings.TrimRight(o.Upstream, "/"),
-		hc:       o.Client,
+		send:     httpbody.NewSender(o.Client),
 		clk:      o.Clock,
 		mem:      cache.New(cache.Config{MaxItems: o.MaxEntries, Clock: o.Clock}),
 		m:        newMetrics(),
@@ -307,7 +308,7 @@ func (p *Proxy) RefreshSketch(ctx context.Context) error {
 // fetchSketch is RefreshSketch returning what it fetched.
 func (p *Proxy) fetchSketch(ctx context.Context) (*cachesketch.Snapshot, error) {
 	sent := p.clk.Now()
-	resp, err := p.upstreamGet(ctx, "/sketch", "", nil)
+	resp, err := p.send.Send(ctx, http.MethodGet, p.upstream+"/v1/sketch", nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +430,7 @@ func (p *Proxy) revalidatePath(w http.ResponseWriter, r *http.Request, key strin
 	hdr := http.Header{"If-None-Match": {e.Metadata[metaETag]}}
 	copyTraceparent(r, hdr)
 	held := p.sketch.Snapshot()
-	resp, err := p.upstreamGet(r.Context(), "/page", "?path="+httpbody.QueryValue(key), hdr)
+	resp, err := p.send.Send(r.Context(), http.MethodGet, p.upstream+"/v1/page?path="+httpbody.QueryValue(key), nil, hdr)
 	received := p.clk.Now()
 	if err != nil {
 		p.serveStale(w, r, e)
@@ -516,11 +517,12 @@ func (p *Proxy) lead(w http.ResponseWriter, r *http.Request, key string, f *fill
 	held := p.sketch.Snapshot()
 	// The fetch is shared state, not the leader's own: a leader whose
 	// client disconnects mid-stream must not cancel the fill out from
-	// under its followers, so the upstream request is detached from the
-	// leader's context. The client's Timeout, at most fillTimeout, is its
-	// one deadline: a timer context on top would cost the miss a context,
-	// a timer and net/http's cancel registration.
-	resp, err := p.upstreamGet(context.WithoutCancel(r.Context()), "/page", "?path="+httpbody.QueryValue(key), hdr)
+	// under its followers, so the upstream request runs under no context
+	// of the leader's (its traceparent is in hdr). The client's Timeout,
+	// at most fillTimeout, is its deadline: a parent that cannot end takes
+	// the Sender's shared deadline, which costs the miss no context and no
+	// timer of its own.
+	resp, err := p.send.Send(context.Background(), http.MethodGet, p.upstream+"/v1/page?path="+httpbody.QueryValue(key), nil, hdr)
 	// The copy dates from the answer, not from the commit after the body
 	// has streamed: a sketch of another epoch installed in between must
 	// find it stored before the install (see Client.EpochSince).
@@ -771,19 +773,6 @@ func freshAndAge(e cache.Entry, now time.Time) (cacheControl, age string) {
 func freshness(h http.Header) time.Duration {
 	maxAge, _ := httpbody.ParseMaxAge(h.Get("Cache-Control"))
 	return maxAge
-}
-
-// upstreamGet issues a GET against the upstream's /v1 surface with hdr's
-// entries set on the request.
-func (p *Proxy) upstreamGet(ctx context.Context, endpoint, query string, hdr http.Header) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.upstream+"/v1"+endpoint+query, nil)
-	if err != nil {
-		return nil, err
-	}
-	for k, vs := range hdr {
-		req.Header[k] = vs
-	}
-	return p.hc.Do(req)
 }
 
 // --- small helpers -------------------------------------------------------

@@ -115,24 +115,51 @@ func TestHungUpstreamReleasesTheFill(t *testing.T) {
 // TestNewBoundsTheClient: a client with no Timeout, or one past
 // fillTimeout, is used through a copy bounded at fillTimeout; a shorter
 // Timeout is the client's own, and the client passed in is never changed.
+// The hung row holds the edge to it: a fill from an upstream that never
+// answers fails as a 502 no sooner than the Timeout and within 9/8 of it
+// plus scheduling slack.
 func TestNewBoundsTheClient(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer hung.Close()
+	defer close(release)
 	for _, c := range []struct {
 		timeout, want time.Duration
+		hung          bool
 	}{
-		{0, fillTimeout},
-		{2 * fillTimeout, fillTimeout},
-		{time.Second, time.Second},
+		{0, fillTimeout, false},
+		{2 * fillTimeout, fillTimeout, false},
+		{time.Second, time.Second, false},
+		{200 * time.Millisecond, 200 * time.Millisecond, true},
 	} {
 		hc := &http.Client{Timeout: c.timeout}
-		p, _, err := New(Options{Upstream: "http://127.0.0.1:1", Client: hc})
+		upstream := "http://127.0.0.1:1"
+		if c.hung {
+			upstream = hung.URL
+		}
+		p, _, err := New(Options{Upstream: upstream, Client: hc})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.hc.Timeout != c.want {
-			t.Errorf("a client with Timeout %v is used with %v, want %v", c.timeout, p.hc.Timeout, c.want)
+		if got := p.send.Timeout(); got != c.want {
+			t.Errorf("a client with Timeout %v is used with %v, want %v", c.timeout, got, c.want)
 		}
 		if hc.Timeout != c.timeout {
 			t.Errorf("New changed the caller's client: Timeout %v, was %v", hc.Timeout, c.timeout)
+		}
+		if c.hung {
+			start := time.Now()
+			code := get(t, p, "/v1/page?path=/hung", nil).Code
+			took := time.Since(start)
+			if code != http.StatusBadGateway || took < c.want || took > c.want*9/8+time.Second {
+				t.Errorf("a hung upstream under a %v client: %d after %v, want %d in [%v, %v + 1s]",
+					c.want, code, took, http.StatusBadGateway, c.want, c.want*9/8)
+			}
 		}
 		p.Close()
 	}
@@ -141,7 +168,39 @@ func TestNewBoundsTheClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if p.hc.Timeout != 10*time.Second {
-		t.Fatalf("the default client's Timeout is %v, want 10s", p.hc.Timeout)
+	if got := p.send.Timeout(); got != 10*time.Second {
+		t.Fatalf("the default client's Timeout is %v, want 10s", got)
+	}
+}
+
+// TestRedirectIsRelayedNotFollowed: an upstream 302 for a page reaches
+// the client as the 302 it is, and nothing is stored under the key. An
+// edge that followed it would fetch a body from wherever Location pointed
+// and could keep it under the requested key.
+func TestRedirectIsRelayedNotFollowed(t *testing.T) {
+	u := newFakeUpstream()
+	defer u.close()
+	u.set("/p", "another page", 1)
+	redirecting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("path") == "/moved" {
+			http.Redirect(w, r, u.srv.URL+"/v1/page?path=/p", http.StatusFound)
+			return
+		}
+		u.srv.Config.Handler.ServeHTTP(w, r)
+	}))
+	defer redirecting.Close()
+	p, _, err := New(Options{Upstream: redirecting.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	prime(t, p)
+	for i := 0; i < 2; i++ {
+		if w := get(t, p, "/v1/page?path=/moved", nil); w.Code != http.StatusFound || w.Header().Get("X-Edge-Cache") != "miss" {
+			t.Fatalf("request %d: %d %s %q, want the upstream's 302 as a miss", i, w.Code, w.Header().Get("X-Edge-Cache"), w.Body.String())
+		}
+	}
+	if n := p.mem.Len(); n != 0 || u.fetches.Load() != 0 {
+		t.Fatalf("%d entries stored, %d fetches of the redirect's target; want none", n, u.fetches.Load())
 	}
 }

@@ -5,8 +5,9 @@
 // response may be kept (ParseMaxAge), a page's validator (ETag,
 // ParseETag, MatchETag), the path a page request names (QueryValue to
 // send it, PathParam to read it), the JSON error envelope (ErrorBody,
-// WriteError), the frames of the first-party blocks wire (blocks.go) and
-// the timeouts a tier's server holds a silent client to (NewServer).
+// WriteError), the frames of the first-party blocks wire (blocks.go), the
+// timeouts a tier's server holds a silent client to (NewServer) and the
+// one path every tier's client sends through, under a deadline (Sender).
 // It sees bytes and status codes; the one identity it handles is the user
 // ID a blocks request frames, which it keeps nowhere.
 package httpbody

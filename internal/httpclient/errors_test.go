@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,6 +52,25 @@ func TestFetchClientErrorIsNotRetryable(t *testing.T) {
 	}
 }
 
+// TestRedirectIsAStatusError: a device follows no redirect. An upstream
+// 302 is an application error, neither offline nor retryable, and the
+// page Location names is never fetched.
+func TestRedirectIsAStatusError(t *testing.T) {
+	target := brokenServer(t, http.StatusOK, "a page from elsewhere")
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Redirect(w, r, target.URL+"/v1/page?path=/x", http.StatusFound)
+	}))
+	defer ts.Close()
+	tr := NewDirect(ts.URL, nil)
+	_, _, err := tr.Fetch(context.Background(), "/x")
+	if err == nil || !strings.Contains(err.Error(), "302") {
+		t.Fatalf("err = %v, want the 302 as a status error", err)
+	}
+	if errors.Is(err, proxy.ErrOffline) || errors.Is(err, proxy.ErrUpstream) {
+		t.Fatalf("a redirect misclassified: %v", err)
+	}
+}
+
 func TestFetchConnectionRefusedIsOffline(t *testing.T) {
 	tr := NewDirect("http://127.0.0.1:1", nil) // nothing listens on port 1
 	_, _, err := tr.Fetch(context.Background(), "/x")
@@ -94,24 +114,46 @@ func TestCancellationIsNotOffline(t *testing.T) {
 	}
 }
 
+// TestDeadlineIsNotOffline: a fetch cut by a deadline is not offline
+// mode, whether the deadline is the caller's or the client's Timeout. The
+// Timeout of a load under a context that cannot end (the shared deadline)
+// cuts it no sooner than the Timeout and within 9/8 of it plus
+// scheduling slack.
 func TestDeadlineIsNotOffline(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done()
 	}))
 	t.Cleanup(ts.Close)
-	tr := NewDirect(ts.URL, ts.Client())
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	_, _, err := tr.Fetch(ctx, "/x")
-	if err == nil {
-		t.Fatal("deadline-bound fetch succeeded")
-	}
-	if errors.Is(err, proxy.ErrOffline) {
-		t.Fatalf("deadline classified as offline: %v", err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("context.DeadlineExceeded lost: %v", err)
+	const timeout = 120 * time.Millisecond
+	for _, c := range []struct {
+		name                      string
+		ctxTimeout, clientTimeout time.Duration
+	}{
+		{"caller's deadline", 10 * time.Millisecond, 0},
+		{"client's Timeout", 0, timeout},
+	} {
+		tr := NewDirect(ts.URL, &http.Client{Timeout: c.clientTimeout})
+		ctx := context.Background()
+		if c.ctxTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, c.ctxTimeout)
+			defer cancel()
+		}
+		start := time.Now()
+		_, _, err := tr.Fetch(ctx, "/x")
+		took := time.Since(start)
+		if err == nil {
+			t.Fatalf("%s: deadline-bound fetch succeeded", c.name)
+		}
+		if errors.Is(err, proxy.ErrOffline) {
+			t.Fatalf("%s: deadline classified as offline: %v", c.name, err)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: context.DeadlineExceeded lost: %v", c.name, err)
+		}
+		if ct := c.clientTimeout; ct > 0 && (took < ct || took > ct*9/8+500*time.Millisecond) {
+			t.Fatalf("%s: the fetch was cut after %v, want [%v, %v + 500ms]", c.name, took, ct, ct*9/8)
+		}
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"speedkit/internal/httpbody"
 	"speedkit/internal/proxy"
 	"speedkit/internal/session"
-	"speedkit/internal/tracectx"
 )
 
 // Transport talks to a Speed Kit HTTP API over its /v1 wire surface.
@@ -36,15 +35,16 @@ type Transport struct {
 	// origin answers the first-party blocks API, the one request that
 	// carries a user ID; it is never sent to a shared tier.
 	origin string
-	hc     *http.Client
+	send   httpbody.Sender
 	// clk dates the copies fetched and stamps a sketch with its send.
 	clk clock.Clock
 }
 
 // NewDirect creates a transport for the API at base (e.g.
 // "http://host:8080"), one host for every request: a device with no edge
-// in front of the server. A nil client uses a default with a 10 s
-// timeout.
+// in front of the server. Requests go through hc's Transport under its
+// Timeout (see httpbody.Sender); a nil hc is a 10 s timeout over
+// http.DefaultTransport. No redirect is followed.
 func NewDirect(base string, hc *http.Client) *Transport {
 	return NewBehindEdge(base, base, hc)
 }
@@ -52,20 +52,17 @@ func NewDirect(base string, hc *http.Client) *Transport {
 // NewBehindEdge creates a transport for the paper's topology: pages and
 // the sketch come from the edge at edgeURL, the personalized blocks from
 // the origin at originURL directly, so identity never crosses the shared
-// tier. A nil client uses a default with a 10 s timeout.
+// tier. hc is used as NewDirect uses it.
 func NewBehindEdge(edgeURL, originURL string, hc *http.Client) *Transport {
 	t := newTransport(edgeURL, originURL, hc)
 	return &t
 }
 
 func newTransport(edgeURL, originURL string, hc *http.Client) Transport {
-	if hc == nil {
-		hc = &http.Client{Timeout: 10 * time.Second}
-	}
 	return Transport{
 		base:   strings.TrimRight(edgeURL, "/"),
 		origin: strings.TrimRight(originURL, "/"),
-		hc:     hc,
+		send:   httpbody.NewSender(hc),
 		clk:    clock.System,
 	}
 }
@@ -120,32 +117,13 @@ func statusErr(op, path string, resp *http.Response) error {
 	return err
 }
 
-// injectTraceparent stamps the outgoing request with the active span's
-// W3C traceparent, if the caller's context carries one. The span context
-// holds anonymous identifiers only (trace ID, span ID, sampling bit), so
-// the header is safe to send to shared infrastructure. Unsampled loads
-// carry no span and send no header — the propagation path stays
-// allocation-free when tracing sits idle.
-func injectTraceparent(ctx context.Context, req *http.Request) {
-	if sc, ok := tracectx.SpanFromContext(ctx); ok {
-		req.Header.Set(tracectx.Header, sc.Traceparent())
-	}
-}
-
 // do issues a ctx-bound request for the /v1 endpoint (e.g. "/page") plus
 // query at base. hdr's entries are set on the request (If-None-Match for
 // revalidation); the map itself is not kept, so a caller's literal stays
-// on its stack.
+// on its stack. A sampled load's request carries its traceparent; an
+// unsampled load carries no span and sends no header.
 func (t *Transport) do(ctx context.Context, base, method, endpoint, query string, body io.Reader, hdr http.Header) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, base+"/v1"+endpoint+query, body)
-	if err != nil {
-		return nil, err
-	}
-	for k, vs := range hdr {
-		req.Header[k] = vs
-	}
-	injectTraceparent(ctx, req)
-	return t.hc.Do(req)
+	return t.send.Send(ctx, method, base+"/v1"+endpoint+query, body, hdr)
 }
 
 // FetchSketch implements proxy.Shared.

@@ -6,8 +6,9 @@ package speedkit_test
 //
 //   - BenchmarkHop/{hit,page,blocks,sketch}: one request and its answer
 //     over one loopback keep-alive connection, from a canned handler that
-//     states the headers and body of each answer shape the tiers send.
-//     This is the floor no layer of the product can cut.
+//     states the headers and body of each answer shape the tiers send,
+//     sent through httpbody.Sender as every tier's client sends it: the
+//     net/http floor under each request a load sends.
 //   - BenchmarkLoad/{edge_hit,edge_miss,direct_personalized,revalidate}:
 //     one proxy.Load through httpclient → edge → httpapi → core over
 //     loopback, in one process, as cmd/speedkit-load wires the tiers.
@@ -123,15 +124,15 @@ func hopAnswers(b *testing.B) map[string]*cannedAnswer {
 }
 
 // BenchmarkHop is one request and its answer over one loopback keep-alive
-// connection, read as the device transport reads it: the net/http floor
-// under every request a load sends.
+// connection, sent and read as the device transport sends and reads it:
+// the net/http floor under every request a load sends.
 func BenchmarkHop(b *testing.B) {
 	answers := hopAnswers(b)
 	blocksReq := httpbody.BlocksRequest("u000001", []string{"reco"})
 	for _, shape := range []string{"hit", "page", "blocks", "sketch"} {
 		b.Run(shape, func(b *testing.B) {
 			base := serveLoopback(b, answers[shape])
-			hc := loopbackClient(b)
+			send := httpbody.NewSender(loopbackClient(b))
 			method, target := http.MethodGet, base+"/v1/page?path=/product/p00001"
 			switch shape {
 			case "blocks":
@@ -144,11 +145,7 @@ func BenchmarkHop(b *testing.B) {
 				if method == http.MethodPost {
 					body = bytes.NewReader(blocksReq)
 				}
-				req, err := http.NewRequestWithContext(context.Background(), method, target, body)
-				if err != nil {
-					b.Fatal(err)
-				}
-				resp, err := hc.Do(req)
+				resp, err := send.Send(context.Background(), method, target, body, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

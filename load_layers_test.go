@@ -20,7 +20,7 @@ var loadBudget = map[string]map[string]int{
 		"cache": 6, "edge": 2, "httpbody": 2, "httpclient": 1, "proxy": 1, "cachesketch": 1,
 	},
 	"edge_miss": {
-		"cache": 12, "edge": 10, "proxy": 5, "httpbody": 3, "httpclient": 3,
+		"cache": 12, "edge": 9, "proxy": 5, "httpbody": 3, "httpclient": 3,
 		"origin": 2, "cachesketch": 2, "httpapi": 2, "core": 1,
 	},
 	"direct_personalized": {
@@ -28,7 +28,7 @@ var loadBudget = map[string]map[string]int{
 		"core": 1, "origin": 1, "cachesketch": 1,
 	},
 	"revalidate": {
-		"httpclient": 3, "edge": 2, "httpbody": 1,
+		"edge": 2, "httpbody": 2, "httpclient": 2,
 	},
 }
 
