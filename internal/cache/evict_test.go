@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"container/heap"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -18,8 +19,9 @@ import (
 // linear scan for every decision. Its expired-first pass is the one Store
 // had before the expiring heap, with the one thing that pass left to list
 // order made explicit: of several expired entries the one that expired
-// first goes first. The model test drives Store and refStore with the same
-// program and demands the same state after every step.
+// first goes first. The model test and FuzzStoreMatchesModel drive Store
+// and refStore with the same program and demand the same state after
+// every step.
 type refStore struct {
 	order    []Entry
 	maxItems int
@@ -101,6 +103,15 @@ func (r *refStore) evict() {
 	}
 }
 
+// peek is Peek, or PeekAny when evenExpired: no promotion, no stats.
+func (r *refStore) peek(key string, evenExpired bool) (Entry, bool) {
+	i := r.find(key)
+	if i < 0 || (!evenExpired && r.order[i].Expired(r.clk.Now())) {
+		return Entry{}, false
+	}
+	return r.order[i], true
+}
+
 func (r *refStore) delete(key string) bool {
 	i := r.find(key)
 	if i < 0 {
@@ -135,24 +146,37 @@ func storedKeys(s *Store) []string {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	out := []string{}
-	for el := sh.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*storedEntry).entry.Key)
+	for se := sh.head; se != nil; se = se.next {
+		out = append(out, se.entry.Key)
 	}
 	return out
 }
 
-// checkExpiryHeap verifies the intrusive index: every stored entry that
-// expires sits in its shard's heap exactly once, at the position it
-// records; entries that never expire and removed entries are not in it;
-// and the heap order holds.
-func checkExpiryHeap(t *testing.T, s *Store) {
+// checkIndexes verifies the two intrusive indexes. The recency links
+// chain exactly the stored entries, each once, from head to tail, and
+// every prev link mirrors a next. Every stored entry that expires sits in
+// its shard's heap exactly once, at the position it records; entries
+// that never expire and removed entries are not in it; and the heap order
+// holds.
+func checkIndexes(t *testing.T, s *Store) {
 	t.Helper()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
+		linked := 0
+		var prev *storedEntry
+		for se := sh.head; se != nil && linked <= len(sh.entries); se = se.next {
+			if se.prev != prev || sh.entries[se.entry.Key] != se {
+				t.Errorf("%s: prev link or map entry wrong at position %d", se.entry.Key, linked)
+			}
+			prev = se
+			linked++
+		}
+		if linked != len(sh.entries) || sh.tail != prev {
+			t.Errorf("the recency links chain %d entries, the shard stores %d, or the last is not the tail", linked, len(sh.entries))
+		}
 		h := &sh.expiring
 		expiring := 0
-		for key, el := range sh.entries {
-			se := el.Value.(*storedEntry)
+		for key, se := range sh.entries {
 			if se.entry.ExpiresAt.IsZero() {
 				if se.heapIdx != noHeapIdx {
 					t.Errorf("%s never expires but has heap index %d", key, se.heapIdx)
@@ -229,27 +253,122 @@ func runModelProgram(t *testing.T, seed int64, maxItems int) {
 			s.Clear()
 			ref.clear()
 		}
-		if got, want := s.Keys(), ref.keys(true); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d step %d after %s: Keys() = %v, reference %v", seed, step, op, got, want)
-		}
-		if got, want := storedKeys(s), ref.keys(false); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d step %d after %s: stored keys = %v, reference %v", seed, step, op, got, want)
-		}
-		if got := s.Stats(); got != ref.stats {
-			t.Fatalf("seed %d step %d after %s: Stats() = %+v, reference %+v", seed, step, op, got, ref.stats)
-		}
-		checkExpiryHeap(t, s)
-		if t.Failed() {
-			t.Fatalf("seed %d step %d after %s: heap index broken", seed, step, op)
-		}
+		checkModel(t, s, ref, func() string { return fmt.Sprintf("seed %d step %d after %s", seed, step, op) })
 	}
+}
+
+// checkModel demands that a single-shard store hold what ref holds after
+// the op at names: the same live keys in recency order, the same stored
+// keys expired ones included, the same Len and Stats, and whole indexes.
+func checkModel(t *testing.T, s *Store, ref *refStore, at func() string) {
+	t.Helper()
+	if got, want := s.Keys(), ref.keys(true); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Keys() = %v, reference %v", at(), got, want)
+	}
+	if got, want := storedKeys(s), ref.keys(false); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: stored keys = %v, reference %v", at(), got, want)
+	}
+	if got, want := s.Len(), len(ref.order); got != want {
+		t.Fatalf("%s: Len() = %d, reference %d", at(), got, want)
+	}
+	if got := s.Stats(); got != ref.stats {
+		t.Fatalf("%s: Stats() = %+v, reference %+v", at(), got, ref.stats)
+	}
+	checkIndexes(t, s)
+	if t.Failed() {
+		t.Fatalf("%s: index broken", at())
+	}
+}
+
+// FuzzStoreMatchesModel runs the program its bytes spell on a one-shard
+// store and on refStore, and demands the same state after every op. The
+// first byte picks MaxItems, 1 to 4; then each pair of bytes is an op and
+// its argument, whose low bits pick one of six keys. The ops are Put (with
+// no expiry, or one of up to 42 s plus its step in nanoseconds, so no two
+// entries expire at the same instant), Get, Peek, PeekAny, Delete, Clear
+// and a clock advance of up to 25.5 s; a program runs at most 256 ops.
+func FuzzStoreMatchesModel(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 1, 0, 2})
+	f.Add([]byte{1, 8, 7, 8, 14, 8, 21, 6, 40, 2, 7, 9, 1, 3, 2, 4, 3, 5, 8})
+	f.Add([]byte{3, 8, 0, 8, 1, 8, 2, 8, 3, 8, 4, 6, 10, 0, 5, 2, 0, 7, 0, 8, 200})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		// Six keys over at most four slots need no long program, and a
+		// short one keeps the fuzzer's minimizing quick.
+		if len(prog) == 0 || len(prog) > 513 {
+			return
+		}
+		maxItems := 1 + int(prog[0]%4)
+		clk := clock.NewSimulated(time.Unix(1000, 0))
+		s := New(Config{MaxItems: maxItems, Clock: clk})
+		ref := &refStore{maxItems: maxItems, clk: clk}
+		for step := 1; step+1 < len(prog); step += 2 {
+			code, arg := prog[step], prog[step+1]
+			key := "/k" + strconv.Itoa(int(arg%6))
+			var e Entry
+			op := func() string {
+				switch code % 8 {
+				case 0, 1:
+					if e.ExpiresAt.IsZero() {
+						return "Put(" + key + ", never expires)"
+					}
+					return fmt.Sprintf("Put(%s, expires at %v)", key, e.ExpiresAt.Sub(time.Unix(1000, 0)))
+				case 2:
+					return "Get(" + key + ")"
+				case 3:
+					return "Peek(" + key + ")"
+				case 4:
+					return "PeekAny(" + key + ")"
+				case 5:
+					return "Delete(" + key + ")"
+				case 6:
+					return fmt.Sprintf("Advance(%v)", time.Duration(arg)*100*time.Millisecond)
+				}
+				return "Clear()"
+			}
+			switch code % 8 {
+			case 0, 1:
+				e = Entry{Key: key, Version: uint64(step), StoredAt: clk.Now()}
+				if code&8 != 0 {
+					e.ExpiresAt = clk.Now().Add(time.Duration(arg/6)*time.Second + time.Duration(step))
+				}
+				s.Put(e)
+				ref.put(e)
+			case 2:
+				if _, got := s.Get(key); got != ref.get(key) {
+					t.Fatalf("step %d: %s = %v, reference disagrees", step, op(), got)
+				}
+			case 3, 4:
+				evenExpired := code%8 == 4
+				var ok bool
+				if evenExpired {
+					e, ok = s.PeekAny(key)
+				} else {
+					e, ok = s.Peek(key)
+				}
+				if we, wok := ref.peek(key, evenExpired); ok != wok || !reflect.DeepEqual(e, we) {
+					t.Fatalf("step %d: %s = %+v, %v, reference %+v, %v", step, op(), e, ok, we, wok)
+				}
+			case 5:
+				if got := s.Delete(key); got != ref.delete(key) {
+					t.Fatalf("step %d: %s = %v, reference disagrees", step, op(), got)
+				}
+			case 6:
+				clk.Advance(time.Duration(arg) * 100 * time.Millisecond)
+			default:
+				s.Clear()
+				ref.clear()
+			}
+			checkModel(t, s, ref, func() string { return fmt.Sprintf("MaxItems %d step %d after %s", maxItems, step, op()) })
+		}
+	})
 }
 
 // TestPutAtCapacityVisitsNoList bounds the work of a Put into a full
 // store by counting, not timing. Heap work is counted in element moves
 // and must stay logarithmic in the store's size; and in the second phase
 // every list element no Put has a reason to look at is turned into a
-// tripwire, so a pass over the eviction list panics.
+// tripwire, so a pass over the recency list that judges expiry breaks
+// the phase's counts.
 func TestPutAtCapacityVisitsNoList(t *testing.T) {
 	for _, n := range []int{4096, 100000} {
 		t.Run(strconv.Itoa(n), func(t *testing.T) {
@@ -292,13 +411,19 @@ func TestPutAtCapacityVisitsNoList(t *testing.T) {
 			run("expired", puts, 0)
 
 			// Phase two: nothing is expired, every Put evicts the list's
-			// front. Those fronts aside, the list is off limits.
+			// front. Those fronts aside, the list is off limits: every
+			// other entry reads expired but sits in no heap, so only a pass
+			// over the list finds one, and dropping it is an expiration
+			// the phase must not count.
 			i := 0
-			for el := sh.order.Front(); el != nil; el = el.Next() {
+			sh.mu.Lock()
+			for se := sh.head; se != nil; se = se.next {
 				if i++; i > puts {
-					el.Value = nil
+					heap.Remove(&sh.expiring, se.heapIdx)
+					se.entry.ExpiresAt = clk.Now().Add(-time.Second)
 				}
 			}
+			sh.mu.Unlock()
 			run("full", 0, puts)
 		})
 	}
@@ -340,7 +465,7 @@ func TestStoreFullConcurrent(t *testing.T) {
 	if n := s.Len(); n > capacity {
 		t.Fatalf("Len() = %d, over the bound of %d", n, capacity)
 	}
-	checkExpiryHeap(t, s)
+	checkIndexes(t, s)
 }
 
 // BenchmarkStorePutFull is a Put of a new key into a store at capacity

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"container/heap"
-	"container/list"
 	"sync"
 	"time"
 
@@ -18,6 +17,9 @@ import (
 // expired one is still stored. Each shard keeps its expiring entries in a
 // min-heap on ExpiresAt, so a Put into a full store costs O(log n) in the
 // entries that expire and never walks the recency list.
+//
+// Each stored copy is one object: the entry, its links in the shard's
+// recency order and its place in the heap.
 //
 // The store is lock-striped into a power-of-2 number of shards, each with
 // its own mutex, map, recency list and heap, and MaxItems is split evenly
@@ -37,16 +39,21 @@ type Store struct {
 
 // shard is one lock stripe of the store: a self-contained bounded LRU.
 type shard struct {
-	mu       sync.Mutex
-	entries  map[string]*list.Element // guarded by mu
-	order    list.List                // guarded by mu; front = least recently used
-	expiring expiryHeap               // guarded by mu; the entries that expire, soonest first
-	stats    Stats                    // guarded by mu
-	maxItems int
+	mu      sync.Mutex
+	entries map[string]*storedEntry // guarded by mu
+	// head and tail end the recency order: head is the least recently
+	// used, tail the most. Both nil while the shard is empty. Guarded by mu.
+	head, tail *storedEntry
+	expiring   expiryHeap // guarded by mu; the entries that expire, soonest first
+	stats      Stats      // guarded by mu
+	maxItems   int
 }
 
 type storedEntry struct {
 	entry Entry
+	// prev and next link the entry into its shard's recency order, prev
+	// toward the least recently used.
+	prev, next *storedEntry
 	// heapIdx is the entry's position in its shard's expiring heap, or
 	// noHeapIdx while it is not in it (it never expires, or was removed).
 	heapIdx int
@@ -129,7 +136,7 @@ func New(cfg Config) *Store {
 		}
 	}
 	for _, sh := range s.shards {
-		sh.entries = make(map[string]*list.Element)
+		sh.entries = make(map[string]*storedEntry)
 		sh.maxItems = perItems
 	}
 	return s
@@ -168,14 +175,14 @@ func (s *Store) Get(key string) (Entry, bool) {
 // than by a defer, whose record would cost the hit path its budget.
 func (sh *shard) get(key string, now time.Time) (e Entry, ok bool) {
 	sh.mu.Lock()
-	if el, found := sh.entries[key]; !found {
+	if se, found := sh.entries[key]; !found {
 		sh.stats.Misses++
-	} else if se := el.Value.(*storedEntry); se.entry.Expired(now) {
-		sh.removeLocked(key, el)
+	} else if se.entry.Expired(now) {
+		sh.removeLocked(se)
 		sh.stats.Expirations++
 		sh.stats.Misses++
 	} else {
-		sh.order.MoveToBack(el)
+		sh.moveToBackLocked(se)
 		sh.stats.Hits++
 		e, ok = se.entry, true
 	}
@@ -190,12 +197,8 @@ func (s *Store) Peek(key string) (Entry, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	el, ok := sh.entries[key]
-	if !ok {
-		return Entry{}, false
-	}
-	se := el.Value.(*storedEntry)
-	if se.entry.Expired(now) {
+	se, ok := sh.entries[key]
+	if !ok || se.entry.Expired(now) {
 		return Entry{}, false
 	}
 	return se.entry, true
@@ -209,11 +212,11 @@ func (s *Store) PeekAny(key string) (Entry, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	el, ok := sh.entries[key]
+	se, ok := sh.entries[key]
 	if !ok {
 		return Entry{}, false
 	}
-	return el.Value.(*storedEntry).entry, true
+	return se.entry, true
 }
 
 // Put stores an entry as the most recently used, evicting as needed. A
@@ -228,15 +231,15 @@ func (s *Store) Put(e Entry) {
 func (sh *shard) put(e Entry, clk clock.Clock) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.entries[e.Key]; ok {
-		se := el.Value.(*storedEntry)
+	if se, ok := sh.entries[e.Key]; ok {
 		se.entry = e
 		sh.trackExpiryLocked(se)
-		sh.order.MoveToBack(el)
+		sh.moveToBackLocked(se)
 	} else {
 		se := &storedEntry{entry: e, heapIdx: noHeapIdx}
 		sh.trackExpiryLocked(se)
-		sh.entries[e.Key] = sh.order.PushBack(se)
+		sh.pushBackLocked(se)
+		sh.entries[e.Key] = se
 	}
 	sh.stats.Puts++
 	sh.evictLocked(clk)
@@ -271,7 +274,7 @@ func (sh *shard) popExpiredLocked(now time.Time) bool {
 	if !se.entry.Expired(now) {
 		return false
 	}
-	sh.removeLocked(se.entry.Key, sh.entries[se.entry.Key])
+	sh.removeLocked(se)
 	sh.stats.Expirations++
 	return true
 }
@@ -287,17 +290,49 @@ func (sh *shard) evictLocked(clk clock.Clock) {
 	for sh.overLocked() && sh.popExpiredLocked(now) {
 	}
 	for sh.overLocked() {
-		el := sh.order.Front()
-		sh.removeLocked(el.Value.(*storedEntry).entry.Key, el)
+		sh.removeLocked(sh.head)
 		sh.stats.Evictions++
 	}
 }
 
-// removeLocked drops el from the shard. The caller must hold sh.mu.
-func (sh *shard) removeLocked(key string, el *list.Element) {
-	se := el.Value.(*storedEntry)
-	sh.order.Remove(el)
-	delete(sh.entries, key)
+// pushBackLocked links se in as the most recently used.
+func (sh *shard) pushBackLocked(se *storedEntry) {
+	se.prev, se.next = sh.tail, nil
+	if sh.tail != nil {
+		sh.tail.next = se
+	} else {
+		sh.head = se
+	}
+	sh.tail = se
+}
+
+// unlinkLocked takes se out of the recency order.
+func (sh *shard) unlinkLocked(se *storedEntry) {
+	if se.prev != nil {
+		se.prev.next = se.next
+	} else {
+		sh.head = se.next
+	}
+	if se.next != nil {
+		se.next.prev = se.prev
+	} else {
+		sh.tail = se.prev
+	}
+	se.prev, se.next = nil, nil
+}
+
+// moveToBackLocked makes se the most recently used.
+func (sh *shard) moveToBackLocked(se *storedEntry) {
+	if sh.tail != se {
+		sh.unlinkLocked(se)
+		sh.pushBackLocked(se)
+	}
+}
+
+// removeLocked drops se from the shard. The caller must hold sh.mu.
+func (sh *shard) removeLocked(se *storedEntry) {
+	sh.unlinkLocked(se)
+	delete(sh.entries, se.entry.Key)
 	if se.heapIdx != noHeapIdx {
 		heap.Remove(&sh.expiring, se.heapIdx)
 	}
@@ -309,11 +344,11 @@ func (s *Store) Delete(key string) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	el, ok := sh.entries[key]
+	se, ok := sh.entries[key]
 	if !ok {
 		return false
 	}
-	sh.removeLocked(key, el)
+	sh.removeLocked(se)
 	sh.stats.Invalidations++
 	return true
 }
@@ -322,8 +357,8 @@ func (s *Store) Delete(key string) bool {
 func (s *Store) Clear() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.entries = make(map[string]*list.Element)
-		sh.order.Init()
+		sh.entries = make(map[string]*storedEntry)
+		sh.head, sh.tail = nil, nil
 		sh.expiring.items = nil
 		sh.mu.Unlock()
 	}
@@ -369,8 +404,7 @@ func (s *Store) Keys() []string {
 	out := make([]string, 0, s.Len())
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for el := sh.order.Front(); el != nil; el = el.Next() {
-			se := el.Value.(*storedEntry)
+		for se := sh.head; se != nil; se = se.next {
 			if !se.entry.Expired(now) {
 				out = append(out, se.entry.Key)
 			}

@@ -2,6 +2,8 @@ package httpbody
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -68,6 +70,16 @@ func (s *Sender) Timeout() time.Duration { return s.timeout }
 // response body. An error is an *url.Error, as http.Client.Do returns
 // it, so errors.Is(err, context.DeadlineExceeded) holds on a timeout.
 //
+// A request states only what a tier reads: Accept-Encoding: identity,
+// so the transport negotiates no gzip, and no User-Agent. A request with
+// no header of its caller's and no span shares one read-only header map
+// with every other such request. That rests on the http.RoundTripper
+// contract: RoundTrip does not modify the request, and a wrapper that
+// adds a header clones the map first. An answer that states a
+// Content-Encoding anyway is an error wrapping ErrEncoded, its body
+// closed: no tier decodes a body, so one would otherwise be kept and
+// relayed as the page.
+//
 // Under a shared deadline the request's context is that deadline alone:
 // it carries none of ctx's values, and net/http reads one, an
 // httptrace.ClientTrace, which no tier sets.
@@ -83,18 +95,30 @@ func (s *Sender) Send(ctx context.Context, method, rawURL string, body io.Reader
 	}
 	req, err := http.NewRequestWithContext(reqCtx, method, rawURL, body)
 	if err == nil {
-		for k, vs := range hdr {
-			req.Header[k] = vs
-		}
-		if sc, ok := tracectx.SpanFromContext(ctx); ok {
-			req.Header.Set(tracectx.Header, sc.Traceparent())
+		if sc, traced := tracectx.SpanFromContext(ctx); len(hdr) == 0 && !traced {
+			req.Header = plainHeader
+		} else {
+			for k, vs := range hdr {
+				req.Header[k] = vs
+			}
+			for k, vs := range plainHeader {
+				req.Header[k] = vs
+			}
+			if traced {
+				req.Header.Set(tracectx.Header, sc.Traceparent())
+			}
 		}
 		var resp *http.Response
 		if resp, err = s.rt.RoundTrip(req); err == nil {
-			if cancel != nil {
-				resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
+			ce := resp.Header.Get("Content-Encoding")
+			if ce == "" || strings.EqualFold(ce, "identity") {
+				if cancel != nil {
+					resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
+				}
+				return resp, nil
 			}
-			return resp, nil
+			resp.Body.Close()
+			err = fmt.Errorf("%w: %d with Content-Encoding %q", ErrEncoded, resp.StatusCode, ce)
 		}
 	}
 	if cancel != nil {
@@ -107,6 +131,19 @@ func (s *Sender) Send(ctx context.Context, method, rawURL string, body io.Reader
 	}
 	return nil, &url.Error{Op: op, URL: rawURL, Err: err}
 }
+
+// plainHeader holds what every request states of its own:
+// Accept-Encoding: identity, and an empty User-Agent, which net/http
+// writes as none. Read-only: a request that states more copies these
+// entries into its own map.
+var plainHeader = http.Header{
+	"Accept-Encoding": {"identity"},
+	"User-Agent":      {""},
+}
+
+// ErrEncoded is an answer that states a Content-Encoding although its
+// request asked for none.
+var ErrEncoded = errors.New("httpbody: the answer is content-encoded")
 
 // cancelBody releases a request's own deadline context when its body is
 // closed.

@@ -1,15 +1,22 @@
 package httpbody
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"speedkit/internal/tracectx"
 )
 
 // hungServer answers nothing until the request's connection goes or the
@@ -137,5 +144,110 @@ func TestSendStartsNoGoroutine(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before+2 {
 		t.Fatalf("%d goroutines after 1 000 sends, %d before", after, before)
+	}
+}
+
+// TestSendStatesOnlyWhatATierReads: over loopback, the server sees on
+// each kind of request a tier sends its Host, Accept-Encoding: identity
+// and the headers its caller set, and nothing else: no User-Agent, no
+// gzip negotiation. Plain requests share one header map, which stays as
+// it was (sharedHeader).
+func TestSendStatesOnlyWhatATierReads(t *testing.T) {
+	t.Run("shared map", sharedHeader)
+	type seen struct {
+		host   string
+		header http.Header
+	}
+	got := make(chan seen, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		got <- seen{r.Host, r.Header.Clone()}
+	}))
+	defer srv.Close()
+	sc := tracectx.SpanContext{TraceID: tracectx.TraceID{1}, SpanID: tracectx.SpanID{2}, Sampled: true}
+	blocks := BlocksRequest("u1", []string{"cart"})
+	s := NewSender(nil)
+	for _, c := range []struct {
+		name   string
+		ctx    context.Context
+		method string
+		body   io.Reader
+		hdr    http.Header
+		want   http.Header
+	}{
+		{"plain GET", context.Background(), http.MethodGet, nil, nil, http.Header{}},
+		{"revalidation", context.Background(), http.MethodGet, nil,
+			http.Header{"If-None-Match": {`"v3"`}}, http.Header{"If-None-Match": {`"v3"`}}},
+		{"traced GET", tracectx.ContextWithSpan(context.Background(), sc), http.MethodGet, nil, nil,
+			http.Header{"Traceparent": {sc.Traceparent()}}},
+		{"blocks POST", context.Background(), http.MethodPost, bytes.NewReader(blocks), nil,
+			http.Header{"Content-Length": {strconv.Itoa(len(blocks))}}},
+	} {
+		resp, err := s.Send(c.ctx, c.method, srv.URL+"/v1/page?path=/", c.body, c.hdr)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		resp.Body.Close()
+		r := <-got
+		c.want.Set("Accept-Encoding", "identity")
+		if r.host != srv.Listener.Addr().String() || !reflect.DeepEqual(r.header, c.want) {
+			t.Errorf("%s: the server saw Host %q and %v, want Host %q and %v", c.name, r.host, r.header, srv.Listener.Addr(), c.want)
+		}
+	}
+}
+
+// cloningRT adds a header to every request the way a tracing wrapper
+// does, by cloning the request's header map first, as the RoundTripper
+// contract asks; shared counts the requests that came with the shared
+// map.
+type cloningRT struct {
+	next   http.RoundTripper
+	shared *atomic.Int64
+}
+
+func (c cloningRT) RoundTrip(req *http.Request) (*http.Response, error) {
+	if reflect.ValueOf(req.Header).Pointer() == reflect.ValueOf(plainHeader).Pointer() {
+		c.shared.Add(1)
+	}
+	out := *req
+	out.Header = req.Header.Clone()
+	out.Header.Set("X-Hop", "1")
+	return c.next.RoundTrip(&out)
+}
+
+// sharedHeader: plain requests on 8 goroutines share one header map
+// through a wrapper that adds a header; the map reads the same afterwards,
+// and under -race no request wrote it.
+func sharedHeader(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("X-Hop") != "1" || r.Header.Get("Accept-Encoding") != "identity" {
+			t.Errorf("the server saw %v", r.Header)
+		}
+	}))
+	defer srv.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	var shared atomic.Int64
+	s := NewSender(&http.Client{Transport: cloningRT{next: tr, shared: &shared}, Timeout: 10 * time.Second})
+	want := plainHeader.Clone()
+	const goroutines, sends = 8, 25
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < sends; i++ {
+				resp, err := s.Send(context.Background(), http.MethodGet, srv.URL, nil, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(plainHeader, want) || shared.Load() != goroutines*sends {
+		t.Fatalf("the shared header reads %v after %d of %d sends shared it, want %v", plainHeader, shared.Load(), goroutines*sends, want)
 	}
 }

@@ -1,14 +1,21 @@
 package httpclient
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"speedkit/internal/bloom"
+	"speedkit/internal/cachesketch"
+	"speedkit/internal/edge"
 	"speedkit/internal/httpbody"
 	"speedkit/internal/proxy"
 )
@@ -68,6 +75,76 @@ func TestRedirectIsAStatusError(t *testing.T) {
 	}
 	if errors.Is(err, proxy.ErrOffline) || errors.Is(err, proxy.ErrUpstream) {
 		t.Fatalf("a redirect misclassified: %v", err)
+	}
+}
+
+// gzipUpstream answers every page request with page gzip-compressed,
+// whatever the request accepts, and the sketch plain; pages counts the
+// page requests.
+func gzipUpstream(t *testing.T, page string) (srv *httptest.Server, pages *atomic.Int64) {
+	var zipped bytes.Buffer
+	zw := gzip.NewWriter(&zipped)
+	io.WriteString(zw, page)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pages = new(atomic.Int64)
+	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/sketch" {
+			sn := &cachesketch.Snapshot{Filter: bloom.NewFilterForCapacity(64, 0.01)}
+			if err := sn.WriteHTTP(w, "public, max-age=30", 0); err != nil {
+				t.Error(err)
+			}
+			return
+		}
+		pages.Add(1)
+		w.Header().Set("Content-Encoding", "gzip")
+		w.Header().Set("ETag", `"v1"`)
+		w.Header().Set("Cache-Control", "public, max-age=60")
+		w.Write(zipped.Bytes())
+	}))
+	t.Cleanup(srv.Close)
+	return srv, pages
+}
+
+// TestEncodedAnswerIsRefused: every request states Accept-Encoding:
+// identity and no tier decodes a body, so an upstream that gzips anyway
+// is refused rather than kept and served as the page. A device straight
+// at it reads an error that is neither offline nor retryable. Behind an
+// edge, the edge answers each fill 502 and stores nothing: the device's
+// load fails, and every page request the edge saw went upstream.
+func TestEncodedAnswerIsRefused(t *testing.T) {
+	upstream, pages := gzipUpstream(t, "<html>page</html>")
+	ctx := context.Background()
+
+	direct := NewDirect(upstream.URL, nil)
+	_, _, ferr := direct.Fetch(ctx, "/p")
+	_, rerr := direct.Revalidate(ctx, "/p", 7)
+	for _, err := range []error{ferr, rerr} {
+		if !errors.Is(err, httpbody.ErrEncoded) || errors.Is(err, proxy.ErrOffline) || errors.Is(err, proxy.ErrUpstream) {
+			t.Fatalf("a device straight at the upstream: err = %v, want httpbody.ErrEncoded, neither offline nor retryable", err)
+		}
+	}
+
+	ed, _, err := edge.New(edge.Options{Upstream: upstream.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ed.Close()
+	if err := ed.RefreshSketch(ctx); err != nil {
+		t.Fatal(err)
+	}
+	edgeSrv := httptest.NewServer(ed.Handler())
+	defer edgeSrv.Close()
+	tr := NewBehindEdge(edgeSrv.URL, upstream.URL, nil)
+	device := proxy.NewSplit(proxy.Config{}, tr, tr)
+	before := pages.Load()
+	if res, err := device.Load(ctx, "/p"); err == nil {
+		t.Fatalf("the device loaded %q", res.Body)
+	}
+	fills := uint64(pages.Load() - before)
+	if s := ed.Stats(); fills == 0 || s.Hits != 0 || s.Misses != fills || s.UpstreamErrors != fills {
+		t.Fatalf("edge stats %+v after %d upstream page requests; want each a miss and an upstream error, no hit", s, fills)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"net/url"
 	"strings"
 	"time"
+	"unsafe"
 
 	"speedkit/internal/cache"
 	"speedkit/internal/cachesketch"
@@ -76,8 +77,12 @@ func newTransport(edgeURL, originURL string, hc *http.Client) Transport {
 // connectivity loss — engaging offline mode for a request the caller
 // abandoned on purpose. Cancellation propagates unchanged so
 // errors.Is(err, context.Canceled) keeps working upstream.
+//
+// An answer that came but was content-encoded (httpbody.ErrEncoded) is the
+// upstream's fault, not lost connectivity: it passes through too, as an
+// answer of the wrong status does.
 func asOffline(err error) error {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, httpbody.ErrEncoded) {
 		return err
 	}
 	var netErr net.Error
@@ -219,7 +224,7 @@ func (t *Transport) Fetch(ctx context.Context, path string) (cache.Entry, proxy.
 
 // Revalidate implements proxy.Shared via If-None-Match.
 func (t *Transport) Revalidate(ctx context.Context, path string, knownVersion uint64) (proxy.RevalidationResult, error) {
-	hdr := http.Header{"If-None-Match": {httpbody.ETag(knownVersion)}}
+	hdr := http.Header{"If-None-Match": ifNoneMatch(knownVersion)}
 	resp, err := t.do(ctx, t.base, http.MethodGet, "/page", "?path="+httpbody.QueryValue(path), nil, hdr)
 	if err != nil {
 		return proxy.RevalidationResult{}, asOffline(err)
@@ -244,6 +249,20 @@ func (t *Transport) Revalidate(ctx context.Context, path string, knownVersion ui
 	default:
 		return proxy.RevalidationResult{}, statusErr("revalidate", path, resp)
 	}
+}
+
+// ifNoneMatch is httpbody.ETag(version) as the values of a revalidation's
+// If-None-Match, the slice and the string in one allocation instead of
+// two: the string's bytes sit beside the slice element that holds it, and
+// nothing writes them after.
+func ifNoneMatch(version uint64) []string {
+	v := new(struct {
+		vals [1]string
+		buf  [23]byte // `"v`, a uint64's 20 digits and `"`
+	})
+	b := httpbody.AppendETag(v.buf[:0], version)
+	v.vals[0] = unsafe.String(&b[0], len(b))
+	return v.vals[:]
 }
 
 // FetchBlocks implements proxy.FirstParty over the first-party API, sent

@@ -308,3 +308,17 @@ func TestEntryFromResponseAllocations(t *testing.T) {
 		t.Fatalf("entryFromResponse allocates %.0f, %.0f with X-Blocks; want 0 and at most 2", without, withBlocks)
 	}
 }
+
+// TestIfNoneMatchIsOneAllocation: a revalidation states the ETag of the
+// version it holds, the value and the slice holding it in one
+// allocation.
+func TestIfNoneMatchIsOneAllocation(t *testing.T) {
+	for _, v := range []uint64{0, 7, 1<<64 - 1} {
+		if got := ifNoneMatch(v); len(got) != 1 || got[0] != httpbody.ETag(v) {
+			t.Fatalf("ifNoneMatch(%d) = %q, want [%s]", v, got, httpbody.ETag(v))
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = ifNoneMatch(1<<64 - 1) }); n != 1 {
+		t.Fatalf("ifNoneMatch allocates %.0f, want 1", n)
+	}
+}
